@@ -1,11 +1,13 @@
 //! Matrix-generation benchmarks: the dominant pipeline phase (paper
-//! Table 6.1) on a mid-size grid, sequential vs parallel modes and
-//! uniform vs two-layer soil, plus the outer-quadrature-order ablation.
+//! Table 6.1) on a mid-size grid — serial loop vs the paper's staged
+//! outer/inner variants vs the production pooled engine, uniform vs
+//! two-layer soil, plus the outer-quadrature-order ablation.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
 
-use layerbem_core::assembly::{assemble_galerkin, AssemblyMode};
+use layerbem_bench::staged::{assemble_staged, StagedLoop};
+use layerbem_core::assembly::assemble_galerkin;
 use layerbem_core::formulation::SolveOptions;
 use layerbem_core::kernel::SoilKernel;
 use layerbem_geometry::grids::{rectangular_grid, RectGridSpec};
@@ -39,14 +41,7 @@ fn soil_models(c: &mut Criterion) {
     ] {
         let k = SoilKernel::new(&soil);
         g.bench_with_input(BenchmarkId::from_parameter(label), &k, |b, k| {
-            b.iter(|| {
-                black_box(assemble_galerkin(
-                    &mesh,
-                    k,
-                    &opts,
-                    &AssemblyMode::Sequential,
-                ))
-            })
+            b.iter(|| black_box(assemble_galerkin(&mesh, k, &opts)))
         });
     }
     g.finish();
@@ -60,32 +55,29 @@ fn parallel_modes(c: &mut Criterion) {
     let mut g = c.benchmark_group("assembly_mode");
     g.sample_size(10);
     g.bench_function("sequential", |b| {
-        b.iter(|| {
-            black_box(assemble_galerkin(
-                &mesh,
-                &k,
-                &opts,
-                &AssemblyMode::Sequential,
-            ))
-        })
+        b.iter(|| black_box(assemble_galerkin(&mesh, &k, &opts)))
     });
     g.bench_function("parallel_outer_dynamic1", |b| {
         b.iter(|| {
-            black_box(assemble_galerkin(
+            black_box(assemble_staged(
                 &mesh,
                 &k,
                 &opts,
-                &AssemblyMode::ParallelOuter(pool, Schedule::dynamic(1)),
+                &pool,
+                Schedule::dynamic(1),
+                StagedLoop::Outer,
             ))
         })
     });
     g.bench_function("parallel_inner_dynamic1", |b| {
         b.iter(|| {
-            black_box(assemble_galerkin(
+            black_box(assemble_staged(
                 &mesh,
                 &k,
                 &opts,
-                &AssemblyMode::ParallelInner(pool, Schedule::dynamic(1)),
+                &pool,
+                Schedule::dynamic(1),
+                StagedLoop::Inner,
             ))
         })
     });
@@ -108,11 +100,13 @@ fn staged_vs_direct(c: &mut Criterion) {
             &schedule,
             |b, s| {
                 b.iter(|| {
-                    black_box(assemble_galerkin(
+                    black_box(assemble_staged(
                         &mesh,
                         &k,
                         &opts,
-                        &AssemblyMode::ParallelOuter(pool, *s),
+                        &pool,
+                        *s,
+                        StagedLoop::Outer,
                     ))
                 })
             },
@@ -125,57 +119,7 @@ fn staged_vs_direct(c: &mut Criterion) {
                     black_box(assemble_galerkin(
                         &mesh,
                         &k,
-                        &opts,
-                        &AssemblyMode::ParallelDirect(pool, *s),
-                    ))
-                })
-            },
-        );
-    }
-    g.finish();
-}
-
-fn scan_vs_worklist(c: &mut Criterion) {
-    // The PR-4 tentpole comparison: the worklist-driven direct assembler
-    // (one O(M²) integer pass emits exact per-partition pair candidates)
-    // against the retained envelope-scan engine (every partition rescans
-    // the pair triangle). Output is bit-identical; only candidate
-    // discovery differs, so any gap is pure dispatch overhead.
-    let mesh = bench_mesh();
-    let opts = SolveOptions::default();
-    let k = SoilKernel::new(&SoilModel::two_layer(0.005, 0.016, 1.0));
-    let pool = ThreadPool::with_available_parallelism();
-    let mut g = c.benchmark_group("scan-vs-worklist");
-    g.sample_size(10);
-    for schedule in [
-        Schedule::static_blocked(),
-        Schedule::dynamic(1),
-        Schedule::guided(1),
-    ] {
-        g.bench_with_input(
-            BenchmarkId::new("worklist", schedule.label()),
-            &schedule,
-            |b, s| {
-                b.iter(|| {
-                    black_box(assemble_galerkin(
-                        &mesh,
-                        &k,
-                        &opts,
-                        &AssemblyMode::ParallelDirect(pool, *s),
-                    ))
-                })
-            },
-        );
-        g.bench_with_input(
-            BenchmarkId::new("scan", schedule.label()),
-            &schedule,
-            |b, s| {
-                b.iter(|| {
-                    black_box(assemble_galerkin(
-                        &mesh,
-                        &k,
-                        &opts,
-                        &AssemblyMode::ParallelDirectScan(pool, *s),
+                        &opts.with_parallelism(pool, *s),
                     ))
                 })
             },
@@ -197,14 +141,7 @@ fn quadrature_ablation(c: &mut Criterion) {
             ..Default::default()
         };
         g.bench_with_input(BenchmarkId::from_parameter(order), &opts, |b, opts| {
-            b.iter(|| {
-                black_box(assemble_galerkin(
-                    &mesh,
-                    &k,
-                    opts,
-                    &AssemblyMode::Sequential,
-                ))
-            })
+            b.iter(|| black_box(assemble_galerkin(&mesh, &k, opts)))
         });
     }
     g.finish();
@@ -215,7 +152,6 @@ criterion_group!(
     soil_models,
     parallel_modes,
     staged_vs_direct,
-    scan_vs_worklist,
     quadrature_ablation
 );
 criterion_main!(benches);

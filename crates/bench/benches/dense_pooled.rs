@@ -15,9 +15,7 @@ use std::hint::black_box;
 use std::time::Instant;
 
 use layerbem_bench::{render_table, write_artifact};
-use layerbem_core::assembly::{
-    assemble_collocation, assemble_collocation_pooled, assemble_galerkin, AssemblyMode,
-};
+use layerbem_core::assembly::{assemble_collocation, assemble_galerkin};
 use layerbem_core::formulation::SolveOptions;
 use layerbem_core::kernel::SoilKernel;
 use layerbem_geometry::grids::{rectangular_grid, RectGridSpec};
@@ -46,13 +44,7 @@ fn bench_mesh(cells: usize) -> Mesh {
 fn bem_matrix() -> SymMatrix {
     let mesh = bench_mesh(14);
     let k = SoilKernel::new(&SoilModel::uniform(0.016));
-    assemble_galerkin(
-        &mesh,
-        &k,
-        &SolveOptions::default(),
-        &AssemblyMode::Sequential,
-    )
-    .matrix
+    assemble_galerkin(&mesh, &k, &SolveOptions::default()).matrix
 }
 
 fn blocked_vs_percolumn(c: &mut Criterion) {
@@ -147,22 +139,26 @@ fn serial_vs_pooled_collocation(c: &mut Criterion) {
     let mesh = bench_mesh(4);
     let k = SoilKernel::new(&SoilModel::two_layer(0.005, 0.016, 1.0));
     let pool = ThreadPool::with_available_parallelism();
+    let serial_opts = SolveOptions::default();
     let mut g = c.benchmark_group("serial-vs-pooled-collocation");
     g.sample_size(10);
     g.bench_function("serial", |b| {
-        b.iter(|| black_box(assemble_collocation(&mesh, &k)))
+        b.iter(|| black_box(assemble_collocation(&mesh, &k, &serial_opts)))
     });
     for schedule in [Schedule::static_blocked(), Schedule::dynamic(1)] {
         g.bench_with_input(
             BenchmarkId::new("pooled", schedule.label()),
             &schedule,
-            |b, s| b.iter(|| black_box(assemble_collocation_pooled(&mesh, &k, &pool, *s))),
+            |b, s| {
+                let pooled_opts = serial_opts.with_parallelism(pool, *s);
+                b.iter(|| black_box(assemble_collocation(&mesh, &k, &pooled_opts)))
+            },
         );
     }
     g.finish();
 
     let t0 = Instant::now();
-    let (serial, _) = assemble_collocation(&mesh, &k);
+    let (serial, _, _) = assemble_collocation(&mesh, &k, &serial_opts);
     let serial_ms = t0.elapsed().as_secs_f64() * 1e3;
     let mut rows = vec![vec![
         "serial".into(),
@@ -172,7 +168,8 @@ fn serial_vs_pooled_collocation(c: &mut Criterion) {
     ]];
     for schedule in [Schedule::static_blocked(), Schedule::dynamic(1)] {
         let t0 = Instant::now();
-        let (pooled, _) = assemble_collocation_pooled(&mesh, &k, &pool, schedule);
+        let pooled_opts = serial_opts.with_parallelism(pool, schedule);
+        let (pooled, _, _) = assemble_collocation(&mesh, &k, &pooled_opts);
         let ms = t0.elapsed().as_secs_f64() * 1e3;
         assert_eq!(
             serial.as_slice(),

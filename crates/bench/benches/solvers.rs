@@ -6,7 +6,7 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
 
-use layerbem_core::assembly::{assemble_galerkin, AssemblyMode};
+use layerbem_core::assembly::assemble_galerkin;
 use layerbem_core::formulation::SolveOptions;
 use layerbem_core::kernel::SoilKernel;
 use layerbem_geometry::grids::{rectangular_grid, RectGridSpec};
@@ -30,12 +30,7 @@ fn bem_system(cells: usize) -> (SymMatrix, Vec<f64>) {
         radius: 0.006,
     }));
     let k = SoilKernel::new(&SoilModel::uniform(0.016));
-    let rep = assemble_galerkin(
-        &mesh,
-        &k,
-        &SolveOptions::default(),
-        &AssemblyMode::Sequential,
-    );
+    let rep = assemble_galerkin(&mesh, &k, &SolveOptions::default());
     (rep.matrix, rep.rhs)
 }
 

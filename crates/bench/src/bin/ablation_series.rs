@@ -8,7 +8,6 @@
 //! series terms and matrix-generation time per setting.
 
 use layerbem_bench::{render_table, soils, write_artifact};
-use layerbem_core::assembly::AssemblyMode;
 use layerbem_core::formulation::SolveOptions;
 use layerbem_core::kernel::SoilKernel;
 use layerbem_core::system::GroundingSystem;
@@ -29,12 +28,8 @@ fn main() {
         // API (GroundingSystem always uses the defaults).
         let kernel = SoilKernel::with_options(&soil, opts);
         let t0 = std::time::Instant::now();
-        let report = layerbem_core::assembly::assemble_galerkin(
-            &mesh,
-            &kernel,
-            &SolveOptions::default(),
-            &AssemblyMode::Sequential,
-        );
+        let report =
+            layerbem_core::assembly::assemble_galerkin(&mesh, &kernel, &SolveOptions::default());
         let secs = t0.elapsed().as_secs_f64();
         let sys = GroundingSystem::new(mesh.clone(), &soil, SolveOptions::default());
         let sol = sys

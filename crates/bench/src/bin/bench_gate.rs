@@ -1,18 +1,13 @@
-//! CI performance gates around the default engines.
-//!
-//! **Gate 1 — worklist vs scan assembly:** runs both direct engines
-//! (plus the sequential baseline) on one grid across the three OpenMP
-//! schedule kinds, takes the **best of `--reps` repetitions** per
-//! configuration (minimum wall time — the standard way to suppress
-//! scheduler noise on shared CI runners), verifies every parallel run is
-//! bit-identical to the sequential baseline, and **exits nonzero** if
-//! the worklist engine is slower than the scan engine beyond
-//! `--tolerance` on any schedule.
+//! CI performance gates around the default engines, numbered 2–7 (the
+//! numbers README, CI and ROADMAP refer to them by). Every timing is the
+//! **best of `--reps` repetitions** per configuration (minimum wall time
+//! — the standard way to suppress scheduler noise on shared CI runners).
 //!
 //! **Gate 2 — prepare-once vs re-solve-each:** answers a 16-scenario GPR
 //! sweep twice — through one staged `prepare()` + `solve_batch` (one
-//! assembly, one factorization) and through 16 fresh legacy `solve`
-//! calls — verifies the sweep is bit-identical to the legacy answers,
+//! assembly, one factorization) and through 16 fresh `prepare()` +
+//! `solve` runs — verifies the sweep is bit-identical to the
+//! per-scenario answers,
 //! and **exits nonzero** unless the staged study is at least
 //! `--sweep-speedup` (default 2×) faster. This pins the whole point of
 //! the staged API: amortizing the Table-6.1 matrix-generation cost
@@ -85,10 +80,8 @@
 //!
 //! Thread count follows the environment pool (`LAYERBEM_THREADS`, which
 //! CI pins to 4 so the gates compare at the documented 4-thread point).
-//! The default tolerance of 1.15 absorbs residual runner noise: the two
-//! assembly engines do identical floating-point work, so a genuine
-//! regression (the scan's `O(partitions × M²)` overhead creeping back
-//! into the default path) shows up far above 15%.
+//! The default `--tolerance` of 1.15 (gate 3's matvec bound) absorbs
+//! residual runner noise.
 
 use std::time::Instant;
 
@@ -96,9 +89,7 @@ use layerbem_bench::{
     balaidos_mesh, barbera_mesh, barbera_refined_mesh, render_table, soils, write_bench_json,
     BenchRecord,
 };
-use layerbem_core::assembly::{
-    assemble_galerkin, assemble_hierarchical, AssemblyMode, AssemblyReport,
-};
+use layerbem_core::assembly::{assemble_galerkin, assemble_hierarchical, AssemblyReport};
 use layerbem_core::formulation::{
     KernelEval, SolveOptions, SolverChoice, DEFAULT_ACA_TOL, DEFAULT_LEAF_SIZE,
 };
@@ -142,7 +133,7 @@ struct Args {
     reps: usize,
     tolerance: f64,
     /// Minimum speedup gate 2 demands of the staged sweep over the
-    /// legacy per-scenario re-solve loop.
+    /// per-scenario prepare-and-solve loop.
     sweep_speedup: f64,
     /// Minimum kernel-phase speedup gate 4 demands of the batched kernel
     /// evaluation over the scalar oracle.
@@ -231,39 +222,6 @@ fn parse_args() -> Args {
     args
 }
 
-fn check_identical(label: &str, seq: &AssemblyReport, other: &AssemblyReport) {
-    assert_eq!(
-        seq.matrix.packed(),
-        other.matrix.packed(),
-        "{label}: matrix differs from sequential"
-    );
-    assert_eq!(seq.rhs, other.rhs, "{label}: rhs differs");
-    assert_eq!(
-        seq.column_terms, other.column_terms,
-        "{label}: column_terms differ"
-    );
-}
-
-/// Best-of-`reps` wall seconds for one assembly mode (also returns the
-/// last report, for the identity check and the terms column).
-fn best_of(
-    reps: usize,
-    mesh: &Mesh,
-    kernel: &SoilKernel,
-    opts: &SolveOptions,
-    mode: &AssemblyMode,
-) -> (f64, AssemblyReport) {
-    let mut best = f64::INFINITY;
-    let mut report = None;
-    for _ in 0..reps {
-        let t0 = Instant::now();
-        let rep = assemble_galerkin(mesh, kernel, opts, mode);
-        best = best.min(t0.elapsed().as_secs_f64());
-        report = Some(rep);
-    }
-    (best, report.expect("reps > 0"))
-}
-
 fn main() {
     let args = parse_args();
     let (grid, mesh, soil): (&str, Mesh, SoilModel) = match args.grid.as_str() {
@@ -272,106 +230,17 @@ fn main() {
         "balaidos" => ("Balaidos A", balaidos_mesh(), soils::balaidos_a()),
         _ => usage(),
     };
-    let kernel = SoilKernel::new(&soil);
-    let opts = SolveOptions::default();
     let threads = ThreadPool::with_available_parallelism().threads();
     let pool = ThreadPool::new(threads);
-
-    let (seq_best, seq) = best_of(args.reps, &mesh, &kernel, &opts, &AssemblyMode::Sequential);
-    let mut records = vec![BenchRecord {
-        grid: grid.into(),
-        mode: "sequential".into(),
-        schedule: "-".into(),
-        threads: 1,
-        wall_seconds: seq_best,
-        series_terms: seq.total_terms(),
-        resident_bytes: None,
-        kernel_seconds: None,
-        lane_occupancy: None,
-        update_rank: None,
-    }];
-
-    let schedules = [
-        Schedule::static_blocked(),
-        Schedule::dynamic(1),
-        Schedule::guided(1),
-    ];
-    let mut rows = Vec::new();
+    let mut records: Vec<BenchRecord> = Vec::new();
     let mut failures = Vec::new();
-    for schedule in schedules {
-        let mut best = [0.0f64; 2];
-        for (slot, (engine, mode)) in [
-            ("worklist", AssemblyMode::ParallelDirect(pool, schedule)),
-            ("scan", AssemblyMode::ParallelDirectScan(pool, schedule)),
-        ]
-        .into_iter()
-        .enumerate()
-        {
-            let (wall, rep) = best_of(args.reps, &mesh, &kernel, &opts, &mode);
-            check_identical(
-                &format!("{grid} {engine} {} p={threads}", schedule.label()),
-                &seq,
-                &rep,
-            );
-            best[slot] = wall;
-            records.push(BenchRecord {
-                grid: grid.into(),
-                mode: engine.into(),
-                schedule: schedule.label(),
-                threads,
-                wall_seconds: wall,
-                series_terms: rep.total_terms(),
-                resident_bytes: None,
-                kernel_seconds: None,
-                lane_occupancy: None,
-                update_rank: None,
-            });
-        }
-        let [worklist, scan] = best;
-        let ratio = worklist / scan;
-        let ok = worklist <= scan * args.tolerance;
-        if !ok {
-            failures.push(format!(
-                "{}: worklist {worklist:.6}s vs scan {scan:.6}s \
-                 (ratio {ratio:.3} > tolerance {:.3})",
-                schedule.label(),
-                args.tolerance
-            ));
-        }
-        rows.push(vec![
-            schedule.label(),
-            format!("{worklist:.6}"),
-            format!("{scan:.6}"),
-            format!("{ratio:.3}"),
-            if ok { "ok".into() } else { "FAIL".into() },
-        ]);
-    }
-
-    println!(
-        "{}",
-        render_table(
-            &[
-                "schedule",
-                "worklist best (s)",
-                "scan best (s)",
-                "ratio",
-                "gate",
-            ],
-            &rows,
-        )
-    );
-    println!(
-        "{grid}, {threads} threads, best of {} repetitions per configuration; \
-         every parallel run verified bit-identical to the sequential baseline.",
-        args.reps
-    );
 
     // ---- Gate 2: prepare-once vs re-solve-each scenario sweep. ----
     //
     // A 16-scenario GPR sweep answered through one staged study must be
-    // at least `--sweep-speedup`× faster than 16 fresh legacy solves:
-    // the staged path pays matrix generation + factorization once, the
-    // legacy loop pays them per scenario. Cholesky keeps the retained
+    // at least `--sweep-speedup`× faster than 16 fresh prepare-and-solve
+    // runs: the staged path pays matrix generation + factorization once,
+    // the per-scenario loop pays them per scenario. Cholesky keeps the retained
     // factor on the direct path (the staged API's headline case).
     const SWEEP_SCENARIOS: usize = 16;
     let schedule = Schedule::dynamic(1);
@@ -385,32 +254,34 @@ fn main() {
         base
     };
     let system = GroundingSystem::new(mesh.clone(), &soil, opts);
-    let mode = system.default_assembly_mode();
+    let resolve = |s: &Scenario| {
+        system
+            .prepare()
+            .expect("bench grid is well-posed")
+            .solve(s)
+            .expect("sweep scenarios are positive")
+    };
     let scenarios: Vec<Scenario> = (1..=SWEEP_SCENARIOS)
         .map(|i| Scenario::gpr(625.0 * i as f64))
         .collect();
 
     // Identity check once: the staged sweep must be bit-identical to the
-    // legacy per-scenario answers. The study is kept alive for its
+    // per-scenario answers. The study is kept alive for its
     // series-term count (no extra assembly just for accounting).
     let reference_study = system.prepare().expect("bench grid is well-posed");
     let staged = reference_study
         .solve_batch(&scenarios)
         .expect("sweep scenarios are positive");
-    #[allow(deprecated)] // the resolve-each baseline IS the legacy wrapper
-    let legacy: Vec<_> = scenarios
-        .iter()
-        .map(|s| system.solve(&mode, s.drive()))
-        .collect();
-    for (i, (a, b)) in legacy.iter().zip(&staged).enumerate() {
+    let each: Vec<_> = scenarios.iter().map(resolve).collect();
+    for (i, (a, b)) in each.iter().zip(&staged).enumerate() {
         assert_eq!(
             a.leakage, b.leakage,
-            "{grid}: staged sweep differs from legacy solve at scenario {i}"
+            "{grid}: staged sweep differs from a fresh prepare+solve at scenario {i}"
         );
         assert_eq!(a.equivalent_resistance, b.equivalent_resistance);
     }
 
-    // Fewer reps than gate 1: every resolve-each rep pays 16 assemblies.
+    // Capped reps: every resolve-each rep pays 16 assemblies.
     let sweep_reps = args.reps.min(3);
     let mut best_prepare = f64::INFINITY;
     let mut best_resolve = f64::INFINITY;
@@ -430,9 +301,8 @@ fn main() {
         best_prepare = best_prepare.min(t0.elapsed().as_secs_f64());
 
         let t0 = Instant::now();
-        #[allow(deprecated)]
         for s in &scenarios {
-            let _ = system.solve(&mode, s.drive());
+            let _ = resolve(s);
         }
         best_resolve = best_resolve.min(t0.elapsed().as_secs_f64());
     }
@@ -487,7 +357,7 @@ fn main() {
     println!(
         "{grid}, {SWEEP_SCENARIOS}-scenario GPR sweep, {threads} threads, best of \
          {sweep_reps} repetitions; staged sweep verified bit-identical to \
-         {SWEEP_SCENARIOS} legacy solves."
+         {SWEEP_SCENARIOS} fresh prepare+solve runs."
     );
     if !sweep_ok {
         failures.push(format!(
@@ -517,12 +387,7 @@ fn main() {
     };
 
     let t0 = Instant::now();
-    let dense = assemble_galerkin(
-        &hmesh,
-        &hkernel,
-        &hopts,
-        &AssemblyMode::ParallelDirect(pool, Schedule::dynamic(1)),
-    );
+    let dense = assemble_galerkin(&hmesh, &hkernel, &hopts);
     let dense_assemble_s = t0.elapsed().as_secs_f64();
     let t0 = Instant::now();
     let hier = assemble_hierarchical(&hmesh, &hkernel, &hopts, DEFAULT_ACA_TOL, DEFAULT_LEAF_SIZE)
@@ -685,7 +550,6 @@ fn main() {
     let kkernel = SoilKernel::new(&ksoil);
     let kthreads = 4;
     let kpool = ThreadPool::new(kthreads);
-    let kmode = AssemblyMode::ParallelDirect(kpool, Schedule::dynamic(1));
     // Each rep is a full refined-grid two-layer assembly — cap like the
     // sweep gate so the gate stays CI-sized.
     let kernel_reps = args.reps.min(3);
@@ -696,11 +560,13 @@ fn main() {
         .into_iter()
         .enumerate()
     {
-        let kopts = SolveOptions::default().with_kernel_eval(eval);
+        let kopts = SolveOptions::default()
+            .with_kernel_eval(eval)
+            .with_parallelism(kpool, Schedule::dynamic(1));
         let mut report = None;
         for _ in 0..kernel_reps {
             let t0 = Instant::now();
-            let rep = assemble_galerkin(&kmesh, &kkernel, &kopts, &kmode);
+            let rep = assemble_galerkin(&kmesh, &kkernel, &kopts);
             let wall = t0.elapsed().as_secs_f64();
             best[slot].0 = best[slot].0.min(wall);
             best[slot].1 = best[slot].1.min(rep.kernel_seconds());
@@ -729,8 +595,9 @@ fn main() {
     let recheck = assemble_galerkin(
         &kmesh,
         &kkernel,
-        &SolveOptions::default().with_kernel_eval(KernelEval::Batched),
-        &AssemblyMode::ParallelDirect(repool, Schedule::static_blocked()),
+        &SolveOptions::default()
+            .with_kernel_eval(KernelEval::Batched)
+            .with_parallelism(repool, Schedule::static_blocked()),
     );
     assert_eq!(
         batched_rep.matrix.packed(),
@@ -1265,7 +1132,7 @@ fn main() {
         std::process::exit(1);
     }
     println!(
-        "bench gates passed: worklist >= scan-path speed, staged sweep >= \
+        "bench gates passed: staged sweep >= \
          {:.1}x resolve-each at {threads} threads, the hierarchical \
          operator beats dense on bytes and matvec speed, the batched \
          kernel phase is >= {:.1}x the scalar oracle at 4 threads, a \

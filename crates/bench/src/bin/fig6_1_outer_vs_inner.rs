@@ -12,7 +12,6 @@
 //! because "the granularity is bigger in that way" — is the check.
 
 use layerbem_bench::{render_table, soils, write_artifact};
-use layerbem_core::assembly::AssemblyMode;
 use layerbem_core::formulation::SolveOptions;
 use layerbem_core::system::GroundingSystem;
 use layerbem_parfor::sim::{simulate, simulate_inner_loop, SimOverheads};
@@ -23,7 +22,7 @@ fn main() {
     let m = mesh.element_count();
     println!("Measuring per-column costs of the Barberá two-layer assembly ({m} columns)…");
     let system = GroundingSystem::new(mesh, &soils::barbera_two_layer(), SolveOptions::default());
-    let report = system.assemble(&AssemblyMode::Sequential);
+    let report = system.assemble();
     let outer_costs = report.column_seconds.clone();
     let total: f64 = outer_costs.iter().sum();
     println!("sequential matrix generation: {total:.2} s over {m} columns\n");

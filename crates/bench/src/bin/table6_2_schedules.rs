@@ -10,7 +10,6 @@
 //! `Dynamic,1` and the `Guided` family are near-ideal.
 
 use layerbem_bench::{paper, render_table, soils, write_artifact};
-use layerbem_core::assembly::AssemblyMode;
 use layerbem_core::formulation::SolveOptions;
 use layerbem_core::system::GroundingSystem;
 use layerbem_parfor::sim::{simulate, SimOverheads};
@@ -23,7 +22,7 @@ fn main() {
         mesh.element_count()
     );
     let system = GroundingSystem::new(mesh, &soils::barbera_two_layer(), SolveOptions::default());
-    let report = system.assemble(&AssemblyMode::Sequential);
+    let report = system.assemble();
     let costs = report.column_seconds.clone();
     println!(
         "sequential matrix generation: {:.2} s\n",

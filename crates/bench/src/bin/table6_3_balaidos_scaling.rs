@@ -9,7 +9,6 @@
 //! cheap that the paper did not even parallelize it.)
 
 use layerbem_bench::{paper, render_table, soils, write_artifact};
-use layerbem_core::assembly::AssemblyMode;
 use layerbem_core::formulation::SolveOptions;
 use layerbem_core::system::GroundingSystem;
 use layerbem_parfor::sim::{simulate, SimOverheads};
@@ -37,7 +36,7 @@ fn main() {
     {
         assert_eq!(label, plabel);
         let system = GroundingSystem::new(mesh.clone(), &soil, SolveOptions::default());
-        let report = system.assemble(&AssemblyMode::Sequential);
+        let report = system.assemble();
         let costs = report.column_seconds.clone();
         let seq: f64 = costs.iter().sum();
         let mut row = vec![label.to_string()];

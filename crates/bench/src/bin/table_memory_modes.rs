@@ -2,12 +2,13 @@
 //!
 //! The paper's parallel scheme sidesteps the assembly race by staging
 //! every elemental matrix — "this scheme requires approximately twice the
-//! memory space" (§6.2). The zero-staging `ParallelDirect` mode removes
-//! the buffer entirely by partitioning the packed triangle into disjoint
-//! row-range views. This driver measures both on the example grids and
-//! **asserts** the direct mode's output is bit-identical to the
-//! sequential baseline — matrix, right-hand side, and per-column series
-//! terms — for two thread counts and all three OpenMP schedule kinds.
+//! memory space" (§6.2; rebuilt in [`layerbem_bench::staged`]). The
+//! production pooled engine removes the buffer entirely by partitioning
+//! the packed triangle into disjoint row-range views. This driver
+//! measures both on the example grids and **asserts** that the staged
+//! scheme and the pooled engine are bit-identical to the serial loop —
+//! matrix, right-hand side, and per-column series terms — the pooled
+//! engine for two thread counts and all three OpenMP schedule kinds.
 //!
 //! ```text
 //! table_memory_modes [--grid tiny|barbera|balaidos|all] [--json NAME.json]
@@ -15,18 +16,17 @@
 //!
 //! `--grid tiny` runs a 2×2-cell yard for CI smoke; the default `all`
 //! covers the Barberá (408 elements) and Balaidos (241 elements) grids
-//! with their uniform soil models. Both direct engines are measured —
-//! `worklist` (the default `ParallelDirect`) and the retained envelope
-//! `scan` baseline — and `--json` additionally writes every timed row as
-//! machine-readable [`BenchRecord`]s under `results/`, the format the CI
-//! bench artifacts use.
+//! with their uniform soil models. `--json` additionally writes every
+//! timed row as machine-readable [`BenchRecord`]s under `results/`, the
+//! format the CI bench artifacts use.
 
 use std::time::Instant;
 
+use layerbem_bench::staged::{assemble_staged, StagedLoop};
 use layerbem_bench::{
     balaidos_mesh, barbera_mesh, render_table, soils, write_artifact, write_bench_json, BenchRecord,
 };
-use layerbem_core::assembly::{assemble_galerkin, AssemblyMode, AssemblyReport};
+use layerbem_core::assembly::{assemble_galerkin, AssemblyReport, Block};
 use layerbem_core::formulation::SolveOptions;
 use layerbem_core::kernel::SoilKernel;
 use layerbem_geometry::grids::{rectangular_grid, RectGridSpec};
@@ -35,8 +35,8 @@ use layerbem_numeric::pcg::{pcg_solve, PcgOptions, PooledSymOperator};
 use layerbem_parfor::{Schedule, ThreadPool};
 use layerbem_soil::SoilModel;
 
-/// One 2×2 elemental block of the staged modes, as bytes.
-const BLOCK_BYTES: usize = std::mem::size_of::<[[f64; 2]; 2]>();
+/// One 2×2 elemental block of the staged scheme, as bytes.
+const BLOCK_BYTES: usize = std::mem::size_of::<Block>();
 
 fn tiny_mesh() -> Mesh {
     Mesher::default().mesh(&rectangular_grid(RectGridSpec {
@@ -137,7 +137,7 @@ fn main() {
         let opts = SolveOptions::default();
 
         let t0 = Instant::now();
-        let seq = assemble_galerkin(&mesh, &kernel, &opts, &AssemblyMode::Sequential);
+        let seq = assemble_galerkin(&mesh, &kernel, &opts);
         let seq_s = t0.elapsed().as_secs_f64();
         let tri = triangle_bytes(&seq);
         let staged = staging_bytes(&mesh);
@@ -166,17 +166,19 @@ fn main() {
 
         // The paper's staged scheme: one run for the memory column.
         let t0 = Instant::now();
-        let outer = assemble_galerkin(
+        let outer = assemble_staged(
             &mesh,
             &kernel,
             &opts,
-            &AssemblyMode::ParallelOuter(ThreadPool::new(wide), Schedule::dynamic(1)),
+            &ThreadPool::new(wide),
+            Schedule::dynamic(1),
+            StagedLoop::Outer,
         );
         let outer_s = t0.elapsed().as_secs_f64();
         check_identical(&format!("{grid} staged outer"), &seq, &outer);
         rows.push(vec![
             grid.to_string(),
-            "ParallelOuter (staged)".into(),
+            "Staged outer (paper)".into(),
             "Dynamic,1".into(),
             wide.to_string(),
             format!("{outer_s:.3}"),
@@ -197,54 +199,40 @@ fn main() {
             update_rank: None,
         });
 
-        // The zero-staging direct engines (worklist default + retained
-        // envelope scan) across thread counts × schedules.
+        // The production pooled engine across thread counts × schedules.
         for &threads in &thread_counts {
             for schedule in schedules {
-                let pool = ThreadPool::new(threads);
-                for (engine, label, mode) in [
-                    (
-                        "worklist",
-                        "ParallelDirect (worklist)",
-                        AssemblyMode::ParallelDirect(pool, schedule),
-                    ),
-                    (
-                        "scan",
-                        "ParallelDirectScan (envelope)",
-                        AssemblyMode::ParallelDirectScan(pool, schedule),
-                    ),
-                ] {
-                    let t0 = Instant::now();
-                    let direct = assemble_galerkin(&mesh, &kernel, &opts, &mode);
-                    let direct_s = t0.elapsed().as_secs_f64();
-                    check_identical(
-                        &format!("{grid} {engine} {} p={threads}", schedule.label()),
-                        &seq,
-                        &direct,
-                    );
-                    rows.push(vec![
-                        grid.to_string(),
-                        label.into(),
-                        schedule.label(),
-                        threads.to_string(),
-                        format!("{direct_s:.3}"),
-                        mb(tri),
-                        format!("{:.1}x", 1.0),
-                        "identical".into(),
-                    ]);
-                    records.push(BenchRecord {
-                        grid: grid.into(),
-                        mode: engine.into(),
-                        schedule: schedule.label(),
-                        threads,
-                        wall_seconds: direct_s,
-                        series_terms: direct.total_terms(),
-                        resident_bytes: None,
-                        kernel_seconds: None,
-                        lane_occupancy: None,
-                        update_rank: None,
-                    });
-                }
+                let pooled = opts.with_parallelism(ThreadPool::new(threads), schedule);
+                let t0 = Instant::now();
+                let direct = assemble_galerkin(&mesh, &kernel, &pooled);
+                let direct_s = t0.elapsed().as_secs_f64();
+                check_identical(
+                    &format!("{grid} worklist {} p={threads}", schedule.label()),
+                    &seq,
+                    &direct,
+                );
+                rows.push(vec![
+                    grid.to_string(),
+                    "Pooled worklist".into(),
+                    schedule.label(),
+                    threads.to_string(),
+                    format!("{direct_s:.3}"),
+                    mb(tri),
+                    format!("{:.1}x", 1.0),
+                    "identical".into(),
+                ]);
+                records.push(BenchRecord {
+                    grid: grid.into(),
+                    mode: "worklist".into(),
+                    schedule: schedule.label(),
+                    threads,
+                    wall_seconds: direct_s,
+                    series_terms: direct.total_terms(),
+                    resident_bytes: None,
+                    kernel_seconds: None,
+                    lane_occupancy: None,
+                    update_rank: None,
+                });
             }
         }
 
@@ -276,12 +264,11 @@ fn main() {
     );
     println!("{table}");
     println!(
-        "Staged modes hold the full elemental-block triangle (one 2x2 block\n\
-         per element pair, {BLOCK_BYTES} B each) on top of the packed global\n\
-         triangle; the direct engines assemble in place and stage nothing\n\
-         (worklist = precomputed pair candidates, scan = retained envelope\n\
-         baseline). All parallel runs above were verified bit-identical to\n\
-         the sequential baseline (matrix, rhs, and per-column series terms)."
+        "The staged scheme holds the full elemental-block triangle (one 2x2\n\
+         block per element pair, {BLOCK_BYTES} B each) on top of the packed\n\
+         global triangle; the pooled worklist engine assembles in place and\n\
+         stages nothing. All parallel runs above were verified bit-identical\n\
+         to the serial loop (matrix, rhs, and per-column series terms)."
     );
     write_artifact("table_memory_modes.txt", &table);
     if let Some(name) = json {

@@ -13,6 +13,7 @@
 //! | `fig6_1_outer_vs_inner` | Fig 6.1 outer- vs inner-loop speed-up |
 //! | `table6_2_schedules` | Table 6.2 schedule × chunk × processors |
 //! | `table6_3_balaidos_scaling` | Table 6.3 per-model scaling |
+//! | `table_memory_modes` | §6.2's "approximately twice the memory space": the paper's staged scheme ([`staged`]) vs the production pooled engine, both asserted bit-identical to the serial loop |
 //!
 //! Each binary prints the regenerated rows next to the paper's published
 //! values and writes machine-readable output under `results/`.
@@ -23,7 +24,7 @@
 
 use std::path::{Path, PathBuf};
 
-use layerbem_core::assembly::{AssemblyMode, AssemblyReport};
+use layerbem_core::assembly::AssemblyReport;
 use layerbem_core::formulation::SolveOptions;
 use layerbem_core::system::{GroundingSolution, GroundingSystem};
 use layerbem_geometry::grids;
@@ -31,6 +32,8 @@ use layerbem_geometry::{Mesh, Mesher};
 use layerbem_soil::SoilModel;
 
 pub use layerbem_cad::report::render_table;
+
+pub mod staged;
 
 /// The soil models of the paper's evaluation.
 pub mod soils {
@@ -141,7 +144,7 @@ pub fn solve_case(
     gpr: f64,
 ) -> (GroundingSystem, AssemblyReport, GroundingSolution) {
     let system = GroundingSystem::new(mesh, soil, SolveOptions::default());
-    let report = system.assemble(&AssemblyMode::Sequential);
+    let report = system.assemble();
     let solution = system
         .prepare_assembled(&report)
         .expect("prepare")
@@ -180,7 +183,7 @@ pub fn write_artifact(name: &str, content: &str) -> PathBuf {
 pub struct BenchRecord {
     /// Grid label (`tiny 2x2 yard`, `Barbera`, …).
     pub grid: String,
-    /// Assembly mode label (`sequential`, `worklist`, `scan`, …).
+    /// Assembly mode label (`sequential`, `worklist`, `staged-outer`, …).
     pub mode: String,
     /// Schedule label in the paper's notation (`Dynamic,1`, …).
     pub schedule: String,
@@ -325,7 +328,7 @@ mod tests {
             },
             BenchRecord {
                 grid: "tiny \"q\" yard".into(),
-                mode: "scan".into(),
+                mode: "staged-outer".into(),
                 schedule: "Static".into(),
                 threads: 1,
                 wall_seconds: 1.5,

@@ -4,9 +4,7 @@
 //!
 //! ```text
 //! layerbem-cad [--deck] CASE.deck [--threads N] [--schedule KIND[,CHUNK]]
-//!              [--assembly direct|direct-scan|outer|inner] [--block N]
 //!              [--operator dense|hmatrix] [--aca-tol T]
-//!              [--kernel scalar|batched]
 //!              [--gpr-sweep LO:HI:N] [--soil-sweep N:SEED[:SIGMA]]
 //!              [--search-pitch LO:HI:N]
 //!              [--map X0 X1 Y0 Y1 NX NY OUT.csv] [--timing]
@@ -28,17 +26,13 @@
 //!
 //! `--threads` defaults to the machine's available parallelism (overridable
 //! via the `LAYERBEM_THREADS` environment variable) and drives **both**
-//! phases: matrix generation runs in the requested assembly mode
-//! (`direct` — the zero-staging in-place assembler on precomputed pair
-//! worklists — by default; `direct-scan` is the same in-place assembler
-//! with the older per-partition envelope scan, kept benchmarkable;
-//! `outer` / `inner` are the paper's staged baselines) and the linear
-//! solve runs on
-//! the same pool through [`SolveOptions::parallelism`] — pooled PCG, the
-//! blocked pooled direct factorizations, and (for collocation decks) the
-//! row-partitioned in-place collocation assembler. `--block` tunes the
-//! panel width of the blocked factorizations; every width produces
-//! bit-identical factors, so it is purely a performance knob.
+//! phases through [`SolveOptions::parallelism`]: with more than one
+//! thread, matrix generation runs the zero-staging in-place assembler on
+//! precomputed pair worklists (for collocation decks, the row-partitioned
+//! in-place collocation assembler) and the linear solve runs on the same
+//! pool — pooled PCG or the blocked pooled direct factorizations. With
+//! `--threads 1` both phases are serial. Every configuration produces the
+//! same bits.
 //!
 //! `--operator hmatrix` switches the prepared Galerkin operator to the
 //! hierarchical backend: near-field pairs assembled densely into a sparse
@@ -49,58 +43,33 @@
 //! statistics (resident bytes, mean far rank, ratio vs the dense
 //! triangle). Requires a Galerkin deck with the CG solver.
 //!
-//! `--kernel` selects the kernel evaluation strategy of the assembly
-//! phase: `batched` (the default) runs the structure-of-arrays 4-wide
-//! lane path, `scalar` the point-at-a-time oracle. Both are
-//! deterministic; they agree with each other to the series tolerance.
-//! With `--timing`, the run prints its kernel counters (series terms,
-//! kernel seconds split out of matrix generation, lane occupancy).
+//! With `--timing`, the run prints its phase table and kernel counters
+//! (series terms, kernel seconds split out of matrix generation, lane
+//! occupancy).
 
 use std::process::ExitCode;
 use std::time::Instant;
 
 use layerbem_cad::input::parse_case;
-use layerbem_cad::pipeline::{run_pipeline_with_assembly, PipelineError};
-use layerbem_core::assembly::AssemblyMode;
+use layerbem_cad::pipeline::{run_pipeline, PipelineError};
 use layerbem_core::formulation::{
-    KernelEval, OperatorBackend, SolveOptions, DEFAULT_ACA_TOL, DEFAULT_LEAF_SIZE,
+    OperatorBackend, SolveOptions, DEFAULT_ACA_TOL, DEFAULT_LEAF_SIZE,
 };
 use layerbem_core::post::{MapSpec, PotentialMap};
 use layerbem_core::system::GroundingSystem;
 use layerbem_core::workload::Workload;
 use layerbem_parfor::{Schedule, ThreadPool};
 
-/// Which matrix-generation strategy `--assembly` selects.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-enum AssemblyChoice {
-    /// Zero-staging in-place assembly on precomputed pair worklists
-    /// (1× memory, no per-partition triangle scan) — the default.
-    Direct,
-    /// The in-place assembler with the retained envelope-scan candidate
-    /// discovery — the baseline the `scan-vs-worklist` bench compares.
-    DirectScan,
-    /// Staged outer-loop parallelism (the paper's preferred variant, ~2×).
-    Outer,
-    /// Staged inner-loop parallelism (the paper's comparison variant).
-    Inner,
-}
-
 struct Args {
     deck: String,
     threads: usize,
     schedule: Schedule,
-    assembly: AssemblyChoice,
-    /// Panel width of the blocked pooled factorizations (`None` keeps the
-    /// workspace default).
-    block: Option<usize>,
     /// `--operator hmatrix`: serve the Galerkin solve from the
     /// hierarchical (ACA-compressed) operator instead of the dense
     /// triangle.
     hmatrix: bool,
     /// ACA tolerance of the hierarchical backend (`--aca-tol`).
     aca_tol: f64,
-    /// Kernel evaluation strategy (`--kernel scalar|batched`).
-    kernel: KernelEval,
     /// `--gpr-sweep LO:HI:N` as given; validated by the workload layer so
     /// degenerate specs become typed errors, not usage aborts.
     gpr_sweep: Option<(f64, f64, usize)>,
@@ -115,8 +84,7 @@ struct Args {
 fn usage() -> ! {
     eprintln!(
         "usage: layerbem-cad [--deck] CASE.deck [--threads N] [--schedule static|static,C|dynamic,C|guided,C]\n\
-         \u{20}                [--assembly direct|direct-scan|outer|inner] [--block N]\n\
-         \u{20}                [--operator dense|hmatrix] [--aca-tol T] [--kernel scalar|batched]\n\
+         \u{20}                [--operator dense|hmatrix] [--aca-tol T]\n\
          \u{20}                [--gpr-sweep LO:HI:N] [--soil-sweep N:SEED[:SIGMA]] [--search-pitch LO:HI:N]\n\
          \u{20}                [--map X0 X1 Y0 Y1 NX NY OUT.csv] [--timing]"
     );
@@ -151,11 +119,8 @@ fn parse_args() -> Args {
     // Default: every core the machine offers, honoring LAYERBEM_THREADS.
     let mut threads = ThreadPool::with_available_parallelism().threads();
     let mut schedule = Schedule::dynamic(1);
-    let mut assembly = AssemblyChoice::Direct;
-    let mut block = None;
     let mut hmatrix = false;
     let mut aca_tol = DEFAULT_ACA_TOL;
-    let mut kernel = KernelEval::default();
     let mut gpr_sweep = None;
     let mut soil_sweep = None;
     let mut search_pitch = None;
@@ -179,34 +144,10 @@ fn parse_args() -> Args {
                     .and_then(Schedule::parse)
                     .unwrap_or_else(|| usage());
             }
-            "--assembly" => {
-                assembly = match argv.next().as_deref() {
-                    Some("direct") => AssemblyChoice::Direct,
-                    Some("direct-scan") => AssemblyChoice::DirectScan,
-                    Some("outer") => AssemblyChoice::Outer,
-                    Some("inner") => AssemblyChoice::Inner,
-                    _ => usage(),
-                };
-            }
-            "--block" => {
-                block = Some(
-                    argv.next()
-                        .and_then(|v| v.parse().ok())
-                        .filter(|&b| b > 0)
-                        .unwrap_or_else(|| usage()),
-                );
-            }
             "--operator" => {
                 hmatrix = match argv.next().as_deref() {
                     Some("dense") => false,
                     Some("hmatrix") => true,
-                    _ => usage(),
-                };
-            }
-            "--kernel" => {
-                kernel = match argv.next().as_deref() {
-                    Some("scalar") => KernelEval::Scalar,
-                    Some("batched") => KernelEval::Batched,
                     _ => usage(),
                 };
             }
@@ -271,11 +212,8 @@ fn parse_args() -> Args {
         deck: deck.unwrap_or_else(|| usage()),
         threads: threads.max(1),
         schedule,
-        assembly,
-        block,
         hmatrix,
         aca_tol,
-        kernel,
         gpr_sweep,
         soil_sweep,
         search_pitch,
@@ -356,21 +294,6 @@ fn main() -> ExitCode {
     let input_seconds = t0.elapsed().as_secs_f64();
 
     let pool = ThreadPool::new(args.threads);
-    // With the staged pipeline the matrix-generation engine is derived
-    // from the solve parallelism; an explicit override survives only for
-    // the benchmarkable baselines (scan/outer/inner).
-    let assembly_override = if args.threads == 1 {
-        None
-    } else {
-        match args.assembly {
-            AssemblyChoice::Direct => None,
-            AssemblyChoice::DirectScan => {
-                Some(AssemblyMode::ParallelDirectScan(pool, args.schedule))
-            }
-            AssemblyChoice::Outer => Some(AssemblyMode::ParallelOuter(pool, args.schedule)),
-            AssemblyChoice::Inner => Some(AssemblyMode::ParallelInner(pool, args.schedule)),
-        }
-    };
     // `--operator hmatrix` swaps the prepared operator representation; it
     // survives the pipeline's deck-keyword merge, so it applies to both
     // the serial and the pooled configuration.
@@ -382,30 +305,21 @@ fn main() -> ExitCode {
     } else {
         OperatorBackend::Dense
     };
-    // The same pool drives the linear solve: with the in-place assembler
-    // the whole assemble→solve pipeline scales, not just generation.
+    // One pool drives assembly and the linear solve, so the whole
+    // assemble→solve pipeline scales, not just generation.
+    let opts = SolveOptions::default().with_backend(backend);
     let opts = if args.threads == 1 {
-        SolveOptions::default()
-            .with_backend(backend)
-            .with_kernel_eval(args.kernel)
+        opts
     } else {
-        let opts = SolveOptions::default()
-            .with_parallelism(pool, args.schedule)
-            .with_backend(backend)
-            .with_kernel_eval(args.kernel);
-        match args.block {
-            Some(b) => opts.with_factor_block(b),
-            None => opts,
+        opts.with_parallelism(pool, args.schedule)
+    };
+    let result = match run_pipeline(&case, opts, input_seconds) {
+        Ok(r) => r,
+        Err(e) => {
+            eprintln!("error: {}: {e}", args.deck);
+            return ExitCode::FAILURE;
         }
     };
-    let result =
-        match run_pipeline_with_assembly(&case, opts, assembly_override.as_ref(), input_seconds) {
-            Ok(r) => r,
-            Err(e) => {
-                eprintln!("error: {}: {e}", args.deck);
-                return ExitCode::FAILURE;
-            }
-        };
     print!("{}", result.report);
     if args.timing {
         println!();
@@ -419,7 +333,7 @@ fn main() -> ExitCode {
         let p = &result.profile;
         let occupancy = match p.lane_occupancy {
             Some(o) => format!("{:.1}% lane occupancy", 100.0 * o),
-            None => "scalar kernel (no lanes)".to_string(),
+            None => "no lanes".to_string(),
         };
         println!(
             "kernel evaluation: {:.3} s in series kernels, {} terms, {occupancy}",

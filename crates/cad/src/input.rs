@@ -38,9 +38,8 @@
 //! to 0.1); `search` re-derives the deck's `grid rect` layout at each
 //! candidate pitch `LO:HI:N` and scores it against IEEE 80 touch/step
 //! limits, using the deck's `scenario fault-current` values (default
-//! 25 kA). The parsed shape lands in [`CadCase::workload`]; the old
-//! [`CadCase::scenarios`] field and [`CadCase::effective_scenarios`]
-//! remain as thin views of the `Scenarios` shape.
+//! 25 kA). The parsed shape lands in [`CadCase::workload`]; the
+//! [`CadCase::scenarios`] field keeps the raw `scenario` stanzas.
 //!
 //! ## Edit stanzas
 //!
@@ -88,11 +87,9 @@ pub struct CadCase {
     /// Linear solver (default preconditioned CG).
     pub solver: SolverChoice,
     /// Explicit sweep scenarios from `scenario` stanzas (may be empty:
-    /// the `gpr` line is then the single implicit scenario).
-    ///
-    /// Deprecated: this is a legacy view kept for compatibility — the
-    /// deck's full request, including sweep/search stanzas, lives in
-    /// [`CadCase::workload`].
+    /// the `gpr` line is then the single implicit scenario). The deck's
+    /// full request, with the implicit scenario resolved and sweep/search
+    /// stanzas applied, lives in [`CadCase::workload`].
     pub scenarios: Vec<Scenario>,
     /// The workload the deck asks for, with implicit scenarios already
     /// resolved (a scenario-shaped workload is never empty).
@@ -108,18 +105,6 @@ pub struct CadCase {
 }
 
 impl CadCase {
-    /// The scenario list the pipeline answers: the deck's `scenario`
-    /// stanzas in order, or the single implicit `gpr` scenario when none
-    /// are given. Never empty.
-    #[deprecated(note = "use CadCase::workload, which also carries sweep/search shapes")]
-    pub fn effective_scenarios(&self) -> Vec<Scenario> {
-        if self.scenarios.is_empty() {
-            vec![Scenario::gpr(self.gpr)]
-        } else {
-            self.scenarios.clone()
-        }
-    }
-
     /// Builds a design-search workload over pitch candidates `lo:hi:n`
     /// from this case's `grid rect` template, its `fault-current`
     /// scenarios (default 25 kA) and IEEE 80 default criteria — the
@@ -841,7 +826,6 @@ edit move 0 b 0 0 0.1
     }
 
     #[test]
-    #[allow(deprecated)]
     fn scenario_stanzas_accumulate_in_order() {
         let case = parse_case(
             "rod 0 0 0.5 1 0.01\nscenario gpr 5000\nscenario fault-current 25000\nscenario gpr 10000\n",
@@ -855,16 +839,17 @@ edit move 0 b 0 0 0.1
                 Scenario::gpr(10_000.0),
             ]
         );
-        assert_eq!(case.effective_scenarios(), case.scenarios);
+        match case.workload {
+            Workload::Scenarios(s) => assert_eq!(s, case.scenarios),
+            other => panic!("wrong workload: {other:?}"),
+        }
     }
 
     #[test]
-    #[allow(deprecated)]
     fn gpr_line_is_the_implicit_scenario_when_no_stanzas() {
         let case = parse_case("gpr 8000\nrod 0 0 0.5 1 0.01\n").unwrap();
         assert!(case.scenarios.is_empty());
-        assert_eq!(case.effective_scenarios(), vec![Scenario::gpr(8_000.0)]);
-        // The workload view resolves the same implicit scenario.
+        // The workload view resolves the implicit scenario.
         match case.workload {
             Workload::Scenarios(s) => assert_eq!(s, vec![Scenario::gpr(8_000.0)]),
             other => panic!("wrong workload: {other:?}"),

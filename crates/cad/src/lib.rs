@@ -21,6 +21,4 @@ pub mod pipeline;
 pub mod report;
 
 pub use input::{parse_case, CadCase, ParseError};
-pub use pipeline::{
-    run_pipeline, run_pipeline_with_assembly, Phase, PhaseTimes, PipelineError, PipelineResult,
-};
+pub use pipeline::{run_pipeline, Phase, PhaseTimes, PipelineError, PipelineResult};

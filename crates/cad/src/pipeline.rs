@@ -15,7 +15,6 @@
 
 use std::time::Instant;
 
-use layerbem_core::assembly::AssemblyMode;
 use layerbem_core::formulation::SolveOptions;
 use layerbem_core::incremental::{EditError, EditReport, EditSession};
 use layerbem_core::study::{PrepareError, SolveError, Study, StudyProfile};
@@ -257,45 +256,17 @@ impl PipelineResult {
             }
         }
     }
-
-    /// Flat view of every field solution in row order (scenario rows,
-    /// then each sample's solutions; empty for a design search).
-    #[deprecated(note = "results are workload-shaped; iterate PipelineResult::rows")]
-    pub fn solutions(&self) -> Vec<&GroundingSolution> {
-        self.rows
-            .iter()
-            .flat_map(|row| -> &[GroundingSolution] {
-                match row {
-                    WorkloadRow::Scenario(s) => std::slice::from_ref(s),
-                    WorkloadRow::Sample(s) => &s.solutions,
-                    WorkloadRow::Candidate(_) => &[],
-                }
-            })
-            .collect()
-    }
 }
 
-/// Runs the five-phase pipeline on a parsed case, deriving the
-/// matrix-generation engine from [`SolveOptions::parallelism`] (the
-/// staged `prepare` default).
+/// Runs the five-phase pipeline on a parsed case; matrix generation and
+/// the solve run serially or on the pool as [`SolveOptions::parallelism`]
+/// says.
 ///
 /// `input_seconds` is the time the caller spent parsing the deck (phase 1
 /// happens before this function can run; pass 0.0 when not measured).
 pub fn run_pipeline(
     case: &CadCase,
     opts: SolveOptions,
-    input_seconds: f64,
-) -> Result<PipelineResult, PipelineError> {
-    run_pipeline_with_assembly(case, opts, None, input_seconds)
-}
-
-/// [`run_pipeline`] with an explicit matrix-generation mode override —
-/// the benchmarking entry the `--assembly direct-scan|outer|inner`
-/// baselines go through. `None` derives the engine from the options.
-pub fn run_pipeline_with_assembly(
-    case: &CadCase,
-    opts: SolveOptions,
-    assembly: Option<&AssemblyMode>,
     input_seconds: f64,
 ) -> Result<PipelineResult, PipelineError> {
     // The deck's formulation/solver keywords override the caller's
@@ -323,19 +294,13 @@ pub fn run_pipeline_with_assembly(
             // with `edit` stanzas opens an editing session instead: the
             // base geometry is prepared editable, then each edit
             // re-integrates only the element pairs it touched and
-            // updates the retained factor in place (the explicit
-            // assembly override is a single-assembly benchmarking knob
-            // and does not apply to a session).
+            // updates the retained factor in place.
             let (study, mesh, edit_reports): (Study, Mesh, Vec<EditReport>) = if case
                 .edits
                 .is_empty()
             {
                 let system = GroundingSystem::new(mesh.clone(), &case.soil, opts);
-                let study = match assembly {
-                    Some(mode) => system.prepare_with_mode(mode),
-                    None => system.prepare(),
-                }?;
-                (study, mesh, Vec::new())
+                (system.prepare()?, mesh, Vec::new())
             } else {
                 let mut session =
                     EditSession::open(case.network.clone(), &case.soil, case.mesh_options, opts)?;
@@ -391,8 +356,7 @@ pub fn run_pipeline_with_assembly(
         }
         Workload::SoilSweep(spec) => {
             // Phases 3+4: one fresh assembly + factor per sampled soil,
-            // pooled across samples (the assembly override is a dense
-            // single-study benchmarking knob and does not apply here).
+            // pooled across samples.
             let t = Instant::now();
             let samples = run_soil_sweep(&mesh, &case.soil, opts, spec)?;
             let wall = t.elapsed().as_secs_f64();
@@ -627,15 +591,19 @@ edit move 0 1 0 0
     }
 
     #[test]
-    #[allow(deprecated)]
     fn scenario_sweep_produces_one_solution_per_scenario() {
         let deck =
             format!("{CASE}scenario gpr 5000\nscenario gpr 10000\nscenario fault-current 25000\n");
         let case = parse_case(&deck).unwrap();
         let r = run_pipeline(&case, SolveOptions::default(), 0.0).expect("pipeline succeeds");
-        assert_eq!(r.rows.len(), 3);
-        // The deprecated flat view matches the rows.
-        let solutions = r.solutions();
+        let solutions: Vec<&GroundingSolution> = r
+            .rows
+            .iter()
+            .map(|row| match row {
+                WorkloadRow::Scenario(s) => s,
+                other => panic!("expected scenario rows, got {other:?}"),
+            })
+            .collect();
         assert_eq!(solutions.len(), 3);
         assert_eq!(solutions[0].gpr, 5_000.0);
         assert_eq!(solutions[1].gpr, 10_000.0);
@@ -703,25 +671,6 @@ edit move 0 1 0 0
         assert!(pareto >= 1, "a non-empty search always has a Pareto front");
         assert!(r.report.contains("design search"));
         assert!(r.report.contains("Pareto front"));
-    }
-
-    #[test]
-    fn explicit_assembly_override_matches_the_derived_engine() {
-        use layerbem_parfor::{Schedule, ThreadPool};
-        let case = parse_case(CASE).unwrap();
-        let pool = ThreadPool::new(2);
-        let schedule = Schedule::dynamic(1);
-        let opts = SolveOptions::default().with_parallelism(pool, schedule);
-        let derived = run_pipeline(&case, opts, 0.0).expect("pipeline succeeds");
-        let forced = run_pipeline_with_assembly(
-            &case,
-            opts,
-            Some(&AssemblyMode::ParallelDirectScan(pool, schedule)),
-            0.0,
-        )
-        .expect("pipeline succeeds");
-        assert_eq!(derived.solution().leakage, forced.solution().leakage);
-        assert_eq!(derived.column_terms, forced.column_terms);
     }
 
     #[test]

@@ -2,8 +2,7 @@
 //! through `parse_case` + `run_pipeline` without touching the binary, so
 //! `cargo test -q` exercises the same path `layerbem-cad` drives.
 
-use layerbem_cad::{parse_case, run_pipeline, run_pipeline_with_assembly, Phase};
-use layerbem_core::assembly::AssemblyMode;
+use layerbem_cad::{parse_case, run_pipeline, Phase};
 use layerbem_core::formulation::SolveOptions;
 
 const DECK: &str = "\
@@ -64,7 +63,7 @@ fn deck_solver_choice_flows_into_pipeline() {
 #[test]
 fn parallel_direct_pipeline_reproduces_sequential_run() {
     // The path the `layerbem-cad` binary takes with `--threads N`:
-    // zero-staging direct assembly plus the pooled solver. The solution
+    // the pooled worklist assembler plus the pooled solver. The solution
     // must be identical to the serial pipeline (the direct assembler and
     // the pooled PCG matvec are both bit-faithful).
     use layerbem_parfor::{Schedule, ThreadPool};
@@ -88,63 +87,6 @@ fn parallel_direct_pipeline_reproduces_sequential_run() {
         parallel.solution().solver_iterations
     );
     assert_eq!(serial.column_terms, parallel.column_terms);
-}
-
-#[test]
-fn direct_scan_pipeline_matches_the_worklist_engine() {
-    // The path `--assembly direct-scan` takes: the retained envelope-scan
-    // engine must carry the pipeline to the same bits as the default
-    // worklist engine (both are bit-faithful to the sequential loop, so
-    // they must also agree with each other).
-    use layerbem_parfor::{Schedule, ThreadPool};
-    let case = parse_case(DECK).expect("deck parses");
-    let pool = ThreadPool::new(2);
-    let schedule = Schedule::guided(1);
-    let opts = SolveOptions::default().with_parallelism(pool, schedule);
-    let worklist = run_pipeline(&case, opts, 0.0).expect("pipeline succeeds");
-    let scan = run_pipeline_with_assembly(
-        &case,
-        opts,
-        Some(&AssemblyMode::ParallelDirectScan(pool, schedule)),
-        0.0,
-    )
-    .expect("pipeline succeeds");
-    assert_eq!(worklist.solution().leakage, scan.solution().leakage);
-    assert_eq!(
-        worklist.solution().solver_iterations,
-        scan.solution().solver_iterations
-    );
-    assert_eq!(worklist.column_terms, scan.column_terms);
-}
-
-#[test]
-fn factor_block_override_keeps_the_pipeline_bit_faithful() {
-    // Wiring-level check of the path `--block N` takes for a deck solved
-    // by a direct factorization: the block value must flow through
-    // SolveOptions into the solver without perturbing the serial
-    // solution. (This tiny deck sits below the factorizations'
-    // SERIAL_CUTOFF, so the panel logic itself is exercised end-to-end
-    // by tests/determinism.rs on the full-size paper grids, not here.)
-    use layerbem_parfor::{Schedule, ThreadPool};
-    let case = parse_case(&format!("{DECK}solver cholesky\n")).expect("deck parses");
-    let serial = run_pipeline(&case, SolveOptions::default(), 0.0).expect("pipeline succeeds");
-    let pool = ThreadPool::new(3);
-    let schedule = Schedule::guided(1);
-    for block in [1, 8, 64] {
-        let parallel = run_pipeline(
-            &case,
-            SolveOptions::default()
-                .with_parallelism(pool, schedule)
-                .with_factor_block(block),
-            0.0,
-        )
-        .expect("pipeline succeeds");
-        assert_eq!(
-            serial.solution().leakage,
-            parallel.solution().leakage,
-            "block={block}"
-        );
-    }
 }
 
 #[test]

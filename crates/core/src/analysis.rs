@@ -6,14 +6,14 @@
 //!   This is the guard against trusting an under-resolved model, and the
 //!   demonstration that the Galerkin BEM is free of the refinement
 //!   anomaly of older methods (paper §1).
-//! * [`solve_for_fault_current`] — real studies are driven by the fault
-//!   current the network injects, not by an assumed GPR. Since the
-//!   problem is linear, `GPR = I_f · Req` follows from one unit solve.
+//!
+//! Fault-current-driven studies need no driver of their own: since the
+//! problem is linear, [`Scenario::fault_current`] answers them from the
+//! same prepared [`Study`](crate::study::Study) as any GPR scenario.
 
 use layerbem_geometry::{ConductorNetwork, Mesh, MeshOptions, Mesher};
 use layerbem_soil::SoilModel;
 
-use crate::assembly::AssemblyMode;
 use crate::formulation::SolveOptions;
 use crate::study::Scenario;
 use crate::system::{GroundingSolution, GroundingSystem};
@@ -105,38 +105,8 @@ pub fn auto_refine(
     }
 }
 
-/// Solves a grounding system for a prescribed **fault current** instead
-/// of a prescribed GPR: the GPR adjusts to `I_f · Req` by linearity.
-///
-/// Thin legacy wrapper: [`Scenario::fault_current`] through
-/// [`GroundingSystem::prepare`] answers the same question (bit-identical)
-/// without re-assembling per call, and a whole sweep of fault currents
-/// costs one assembly via [`Study::solve_batch`](crate::study::Study).
-///
-/// # Panics
-/// Panics if the fault current is not positive or the solve fails.
-#[deprecated(
-    since = "0.6.0",
-    note = "use `prepare()` and `Study::solve(&Scenario::fault_current(..))` — one prepared \
-            study answers any number of fault-current scenarios"
-)]
-pub fn solve_for_fault_current(
-    system: &GroundingSystem,
-    mode: &AssemblyMode,
-    fault_current: f64,
-) -> GroundingSolution {
-    assert!(fault_current > 0.0, "fault current must be positive");
-    system
-        .prepare_with_mode(mode)
-        .unwrap_or_else(|e| panic!("{e}"))
-        .solve(&Scenario::fault_current(fault_current))
-        .unwrap_or_else(|e| panic!("{e}"))
-}
-
 #[cfg(test)]
 mod tests {
-    // The deprecated fault-current driver stays covered on purpose.
-    #![allow(deprecated)]
     use super::*;
     use layerbem_geometry::grids::{rectangular_grid, RectGridSpec};
 
@@ -197,11 +167,14 @@ mod tests {
         let mesh = Mesher::default().mesh(&small_net());
         let sys = GroundingSystem::new(mesh, &SoilModel::uniform(0.016), SolveOptions::default());
         let target = 25_000.0; // 25 kA fault
-        let sol = solve_for_fault_current(&sys, &AssemblyMode::Sequential, target);
+        let study = sys.prepare().expect("prepare");
+        let sol = study
+            .solve(&Scenario::fault_current(target))
+            .expect("solve");
         assert!((sol.total_current - target).abs() < 1e-9 * target);
         // Cross-check: solving with the reported GPR reproduces the
         // current.
-        let check = sys.solve(&AssemblyMode::Sequential, sol.gpr);
+        let check = study.solve(&Scenario::gpr(sol.gpr)).expect("solve");
         assert!((check.total_current - target).abs() < 1e-6 * target);
         assert!(
             (check.equivalent_resistance - sol.equivalent_resistance).abs()
@@ -214,6 +187,9 @@ mod tests {
     fn zero_fault_current_rejected() {
         let mesh = Mesher::default().mesh(&small_net());
         let sys = GroundingSystem::new(mesh, &SoilModel::uniform(0.016), SolveOptions::default());
-        solve_for_fault_current(&sys, &AssemblyMode::Sequential, 0.0);
+        sys.prepare()
+            .expect("prepare")
+            .solve(&Scenario::fault_current(0.0))
+            .unwrap_or_else(|e| panic!("{e}"));
     }
 }

@@ -8,103 +8,63 @@
 //! analytically integrated source potentials) and assembled into the
 //! packed symmetric global matrix.
 //!
-//! Four assembly modes share the pair-block computation:
+//! Two engines share the pair-block computation, and which one runs is
+//! decided here and nowhere else, from
+//! [`SolveOptions::parallelism`](crate::formulation::SolveOptions):
 //!
-//! * **Staged** ([`AssemblyMode::ParallelOuter`] /
-//!   [`AssemblyMode::ParallelInner`]) — the paper's scheme, kept as the
-//!   paper-faithful baseline: "the assembly of the elemental matrices
-//!   causes a dependency between the actions of the threads. This
-//!   drawback can be avoided by taking the assembly process out of that
-//!   loop, which implies first the computation and the storage of all the
-//!   elemental matrices and, after this step, the assembly in a
-//!   sequential mode. This scheme requires approximately twice the memory
-//!   space" — per-column block vectors are computed in parallel under any
-//!   OpenMP-style schedule over either the **outer** loop (columns) or
-//!   the **inner** loop (rows of each column), then assembled
-//!   sequentially. Peak memory: the staged blocks (`M(M+1)/2` elemental
-//!   matrices) *plus* the global triangle — the paper's ~2×.
-//! * **Direct** ([`AssemblyMode::ParallelDirect`]) — the production path:
-//!   the global packed triangle is split into disjoint row-range views
+//! * **Serial reference loop** (`parallelism: None`) — the double loop
+//!   itself: every pair's block is scattered straight into the packed
+//!   triangle as soon as it is computed. This is the bit-identity
+//!   reference every other path is compared against.
+//! * **Pooled worklist engine** (`parallelism: Some`) — the global packed
+//!   triangle is split into disjoint row-range views
 //!   ([`SymRowsMut`](layerbem_numeric::SymRowsMut)), one per
 //!   schedule-determined row chunk, and each partition accumulates **in
 //!   place** the pairs whose target entries land in its rows. Ownership
 //!   is settled by the partition (the packed storage is row-major, so a
-//!   row range is a contiguous slice), which replaces the paper's
-//!   coordination-by-copying with coordination-by-ownership: no staging,
-//!   no locks, peak memory = the 1× global triangle. Each partition's
-//!   candidate pairs come from a precomputed [`worklist`] — one `O(M²)`
-//!   integer pass over the triangle, driven by the mesh's
-//!   [`ElementRowMap`], performed once
-//!   before the parallel region — so no partition ever rescans the pair
-//!   triangle. Each packed entry receives its contributions in the
-//!   sequential pair order, so the result is **bit-identical** to
-//!   [`AssemblyMode::Sequential`] for every schedule and thread count
-//!   (pairs whose targets straddle a partition boundary are recomputed by
-//!   each side — a `O(boundary)` compute overlap instead of an `O(M²)`
-//!   memory copy).
-//! * **Direct, envelope scan** ([`AssemblyMode::ParallelDirectScan`]) —
-//!   the pre-worklist direct engine, retained as a benchmarkable
-//!   baseline (`--assembly direct-scan` in layerbem-cad, the
-//!   `scan-vs-worklist` bench group): identical ownership and output,
-//!   but every partition discovers its pairs by scanning the whole
-//!   triangle with an envelope reject plus per-pair ownership test —
-//!   `O(partitions × M²)` integer work that grows with thread count,
-//!   which is what the worklists exist to remove.
+//!   row range is a contiguous slice): no staging, no locks, peak memory
+//!   = the 1× global triangle. Each partition's candidate pairs come from
+//!   a precomputed [`worklist`] — one `O(M²)` integer pass over the
+//!   triangle, driven by the mesh's [`ElementRowMap`], performed once
+//!   before the parallel region. Each packed entry receives its
+//!   contributions in the sequential pair order, so the result is
+//!   **bit-identical** to the serial loop for every schedule and thread
+//!   count (pairs whose targets straddle a partition boundary are
+//!   recomputed by each side — a `O(boundary)` compute overlap instead of
+//!   an `O(M²)` memory copy).
+//!
+//! The paper's own scheme — store every elemental matrix, then assemble
+//! sequentially, at "approximately twice the memory space" (§6.2) — is
+//! not a production engine; the reproduction harness rebuilds it from
+//! the public elemental-block API ([`Block`], [`pair_block_eval`],
+//! [`scatter_pair`]) in `crates/bench/src/staged.rs`.
+//!
+//! The compressed-operator generation ([`assemble_hierarchical`]) and the
+//! point-collocation matrix ([`assemble_collocation`]) follow the same
+//! rule: serial or pooled from `opts.parallelism` alone.
 
 use std::time::Instant;
 
-use layerbem_geometry::{ClusterTree, ElementRowMap, Mesh};
-use layerbem_numeric::{
-    aca_sampled, AcaError, DenseMatrix, FarBlock, HMatrix, MatrixSampler, SparseSym, SymMatrix,
-};
+use layerbem_geometry::{ElementRowMap, Mesh};
+use layerbem_numeric::SymMatrix;
 use layerbem_parfor::{ExecutionStats, Schedule, ThreadPool};
 
 use crate::formulation::{KernelEval, SolveOptions};
 use crate::integration::ElementGeom;
 use crate::kernel::{KernelBatch, KernelCost, SoilKernel};
 
+mod collocation;
+mod hierarchical;
 pub mod worklist;
 
-use worklist::PairWorklist;
+#[cfg(test)]
+mod tests;
 
-/// How to run matrix generation.
-#[derive(Clone, Copy, Debug)]
-pub enum AssemblyMode {
-    /// Single-threaded double loop (the baseline all speed-ups reference).
-    Sequential,
-    /// Parallelize the outer loop: columns of the pair triangle are
-    /// distributed among threads (the paper's preferred variant).
-    ParallelOuter(ThreadPool, Schedule),
-    /// Parallelize the inner loop: the outer loop runs sequentially and
-    /// each column's rows are distributed (the paper's granularity-losing
-    /// comparison variant, Fig 6.1 dashed line).
-    ParallelInner(ThreadPool, Schedule),
-    /// Zero-staging in-place assembly driven by precomputed pair
-    /// [`worklist`]s — the default direct engine: the packed global
-    /// triangle is partitioned into disjoint row-range views by the
-    /// schedule's chunk decomposition and every partition accumulates its
-    /// own rows directly, executing exactly the candidate pairs its
-    /// worklist lists — no elemental-block staging, no per-partition
-    /// triangle scan, 1× memory, bit-identical to
-    /// [`Sequential`](Self::Sequential). The schedule's chunk parameter
-    /// applies to **matrix rows** (the unit of ownership), not pair
-    /// columns. The scan engine's ~4-partitions-per-thread cap is lifted;
-    /// the chunk is only floored at the mesh's mean element row spread
-    /// ([`worklist::locality_min_chunk`]), which bounds boundary-pair
-    /// recompute by geometry instead of bounding partitions by thread
-    /// count.
-    ParallelDirect(ThreadPool, Schedule),
-    /// The retained pre-worklist direct engine: same ownership
-    /// partitioning and bit-identical output as
-    /// [`ParallelDirect`](Self::ParallelDirect), but each partition
-    /// discovers its pairs with an `O(M²)` envelope scan of the pair
-    /// triangle plus a per-pair ownership test. Kept benchmarkable
-    /// (`--assembly direct-scan`, the `scan-vs-worklist` bench group) as
-    /// the baseline the worklists are measured against; its row chunk is
-    /// floored so at most ~4 partitions per thread exist, because here
-    /// every extra partition pays another full triangle scan.
-    ParallelDirectScan(ThreadPool, Schedule),
-}
+pub use collocation::assemble_collocation;
+pub use hierarchical::{
+    assemble_hierarchical, HierarchicalReport, DEFAULT_ADMISSIBILITY, MAX_FAR_RANK,
+};
+use worklist::PairWorklist;
 
 /// Output of matrix generation.
 #[derive(Clone, Debug)]
@@ -114,24 +74,25 @@ pub struct AssemblyReport {
     /// Galerkin right-hand side `ν_j = ∫ w_j dΓ` for unit GPR.
     pub rhs: Vec<f64>,
     /// Wall-clock seconds spent computing each outer column (meaningful
-    /// for `Sequential`; these feed the schedule simulator as the
+    /// for the serial loop; these feed the schedule simulator as the
     /// authentic task-cost profile of the triangular loop).
     pub column_seconds: Vec<f64>,
     /// Series terms consumed per outer column — a deterministic,
     /// machine-independent cost proxy for the same profile.
     pub column_terms: Vec<u64>,
-    /// Wall-clock seconds of the whole generation (blocks + assembly).
+    /// Wall-clock seconds of the whole generation.
     pub generation_seconds: f64,
     /// Field-point evaluations routed through the batched lane kernels
     /// (zero under [`KernelEval::Scalar`]). Attributed to the partition
     /// owning each pair's highest target row, exactly like
-    /// `column_terms`, so the count is identical across modes, schedules
-    /// and thread counts.
+    /// `column_terms`, so the count is identical across engines,
+    /// schedules and thread counts.
     pub lane_points: u64,
     /// 4-wide-lane slots issued for those evaluations (padded remainder
     /// chunks included); `lane_points / lane_slots` is the lane occupancy.
     pub lane_slots: u64,
-    /// Per-thread runtime stats for the parallel modes.
+    /// Per-thread runtime stats of the pooled engine (`None` for the
+    /// serial loop).
     pub stats: Option<ExecutionStats>,
 }
 
@@ -157,7 +118,7 @@ impl AssemblyReport {
 }
 
 /// One 2×2 elemental matrix: `block[j][i] = ∫_β w_j ∫_α G N_i`.
-pub(crate) type Block = [[f64; 2]; 2];
+pub type Block = [[f64; 2]; 2];
 
 /// Precomputes element geometries from a mesh.
 pub fn element_geoms(mesh: &Mesh) -> Vec<ElementGeom> {
@@ -184,11 +145,7 @@ impl OuterQuadrature {
     /// Builds from the base order of [`SolveOptions::outer_quadrature`];
     /// the near rule uses 4× the base points, floored at 8 points so a
     /// deliberately coarse base request (order 1) still resolves the
-    /// logarithmic near-field factor. (The historical expression
-    /// `4 * base_order.max(2)` produced the same values but buried the
-    /// floor inside the base order, reading as if a `base_order = 1`
-    /// request were silently promoted; `(4 * base_order).max(8)` states
-    /// the intent — same rule for every base ≥ 1.)
+    /// logarithmic near-field factor.
     pub fn new(base_order: usize) -> Self {
         OuterQuadrature {
             base: layerbem_numeric::GaussLegendre::new(base_order),
@@ -310,7 +267,7 @@ fn pair_block_batched(
 /// `batch` is the caller's reusable scratch (untouched on the scalar
 /// path).
 #[inline]
-pub(crate) fn pair_block_eval(
+pub fn pair_block_eval(
     beta: &ElementGeom,
     alpha: &ElementGeom,
     kernel: &SoilKernel,
@@ -334,58 +291,13 @@ pub(crate) fn pair_block_eval(
     }
 }
 
-/// One computed column of the pair triangle.
-///
-/// Column `β` couples element `β` with every `α ≥ β`, so "the first one
-/// has M rows and the last one has 1 row" (paper §6.2) — the linearly
-/// decreasing task sizes whose distribution the schedule study probes.
-#[derive(Clone, Debug, Default)]
-struct Column {
-    /// Blocks for `α = β..M`; `blocks[k]` is the pair `(β, β + k)`.
-    blocks: Vec<Block>,
-    /// Series terms consumed.
-    terms: u64,
-    /// Lane-kernel field points evaluated (batched path only).
-    lane_points: u64,
-    /// Lane slots issued for those points.
-    lane_slots: u64,
-    /// Wall-clock seconds.
-    seconds: f64,
-}
-
-fn compute_column(
-    beta: usize,
-    geoms: &[ElementGeom],
-    kernel: &SoilKernel,
-    quad: &OuterQuadrature,
-    eval: KernelEval,
-) -> Column {
-    let t0 = Instant::now();
-    let m = geoms.len();
-    let mut blocks = Vec::with_capacity(m - beta);
-    let mut cost = KernelCost::default();
-    let mut batch = KernelBatch::new();
-    for alpha in beta..m {
-        let (b, c) = pair_block_eval(&geoms[beta], &geoms[alpha], kernel, quad, eval, &mut batch);
-        blocks.push(b);
-        cost.merge(c);
-    }
-    Column {
-        blocks,
-        terms: cost.terms as u64,
-        lane_points: cost.lane_points,
-        lane_slots: cost.lane_slots,
-        seconds: t0.elapsed().as_secs_f64(),
-    }
-}
-
 /// Scatters one elemental block as the canonical sequence of entry
-/// updates. Every assembly mode funnels through this function, so the
-/// per-entry accumulation order — and therefore the floating-point result
-/// — is identical whether contributions are applied to the whole matrix
-/// (staged modes) or filtered into a row-range view (direct mode).
+/// updates. Every engine funnels through this function, so the per-entry
+/// accumulation order — and therefore the floating-point result — is
+/// identical whether contributions are applied to the whole matrix (the
+/// serial loop) or filtered into a row-range view (the pooled engine).
 #[inline]
-pub(crate) fn scatter_pair(
+pub fn scatter_pair(
     nb: [usize; 2],
     na: [usize; 2],
     diagonal_pair: bool,
@@ -418,157 +330,58 @@ pub(crate) fn scatter_pair(
     }
 }
 
-/// Assembles stored columns into the packed global matrix (the paper's
-/// sequential assembly step).
-fn assemble_columns(mesh: &Mesh, columns: &[Column]) -> SymMatrix {
-    let mut m = SymMatrix::zeros(mesh.dof());
-    for (beta, col) in columns.iter().enumerate() {
-        let nb = mesh.elements[beta].nodes;
-        for (k, b) in col.blocks.iter().enumerate() {
-            let alpha = beta + k;
-            let na = mesh.elements[alpha].nodes;
-            scatter_pair(nb, na, alpha == beta, b, &mut |p, q, v| m.add(p, q, v));
-        }
-    }
-    m
-}
+/// What either engine hands back: the packed matrix, per-column seconds
+/// and series terms, `(lane_points, lane_slots)`, and the pool's runtime
+/// stats (pooled engine only).
+type EngineOutput = (
+    SymMatrix,
+    Vec<f64>,
+    Vec<u64>,
+    (u64, u64),
+    Option<ExecutionStats>,
+);
 
-/// One partition's workspace for the scan-engine direct assembly: an
-/// exclusively owned row-range view of the global triangle plus private
-/// per-column accumulators (merged after the region joins, so no shared
-/// counters are contended during assembly).
-struct DirectPart<'a> {
-    view: layerbem_numeric::SymRowsMut<'a>,
-    /// Series terms of the pairs attributed to this partition, per column.
-    terms: Vec<u64>,
-    /// Seconds this partition spent inside each column's pair walk.
-    seconds: Vec<f64>,
-    /// Lane points / slots of the pairs attributed to this partition.
-    lanes: (u64, u64),
-    /// Reusable kernel-batch scratch of this partition's thread.
-    batch: KernelBatch,
-}
-
-/// In-place parallel assembly, envelope-scan candidate discovery — the
-/// retained baseline of [`assemble_direct_pooled`]: no staged blocks, 1×
-/// memory, bit-identical to the sequential double loop.
+/// The serial reference loop: the paper's sequential double loop, each
+/// pair's block scattered into the packed triangle as soon as it is
+/// computed — no staging. Column `β` couples element `β` with every
+/// `α ≥ β`, so "the first one has M rows and the last one has 1 row"
+/// (paper §6.2) — the linearly decreasing task sizes whose distribution
+/// the schedule study probes through `column_seconds`/`column_terms`.
 ///
-/// The matrix rows are partitioned by the schedule's deterministic chunk
-/// decomposition ([`Schedule::chunk_ranges`]); each partition walks the
-/// **whole** pair triangle in sequential order, computes the pairs whose
-/// targets intersect its rows, and accumulates straight into its
-/// [`SymRowsMut`](layerbem_numeric::SymRowsMut) view. A pair's series
-/// terms are attributed to the single partition owning the pair's highest
-/// target row (which always computes it), so `column_terms` sums to
-/// exactly the sequential count even when a boundary pair is recomputed
-/// by two partitions.
-fn assemble_direct_scan(
+/// Kept separate from the pooled engine on purpose: this is the
+/// bit-identity reference the pooled engine is compared against.
+fn assemble_serial(
     mesh: &Mesh,
     geoms: &[ElementGeom],
     kernel: &SoilKernel,
     quad: &OuterQuadrature,
     eval: KernelEval,
-    pool: &ThreadPool,
-    schedule: Schedule,
-) -> (SymMatrix, Vec<f64>, Vec<u64>, (u64, u64), ExecutionStats) {
-    let n = mesh.dof();
+) -> EngineOutput {
     let m = geoms.len();
-    let mut matrix = SymMatrix::zeros(n);
-    // In this engine every partition pays an O(M²) envelope scan of the
-    // pair triangle plus two length-M accumulators, so a fine-grained
-    // chunk request (e.g. `dynamic,1` over 10⁴ rows) must not degenerate
-    // into one partition per row — that would let scan overhead dominate.
-    // Raise the row-chunk floor so at most ~4 partitions per thread
-    // exist: the schedule kind keeps its dispatch semantics (round-robin
-    // / first-come / shrinking sizes) and the result is
-    // partition-independent anyway. (The worklist engine has no scans and
-    // therefore no such cap — see `assemble_direct_pooled`.)
-    let dispatch_schedule = schedule.with_min_chunk(n.div_ceil(4 * pool.threads()));
-    let ranges = dispatch_schedule.partition_ranges(n, pool.threads());
-    let elem_nodes: Vec<[usize; 2]> = mesh.elements.iter().map(|e| e.nodes).collect();
-    // Per-element node extremes: target rows of pair (β, α) all lie in
-    // [max(lo_β, lo_α), max(hi_β, hi_α)], giving an exact upper envelope
-    // for the cheap reject below.
-    let node_lo: Vec<usize> = elem_nodes.iter().map(|nd| nd[0].min(nd[1])).collect();
-    let node_hi: Vec<usize> = elem_nodes.iter().map(|nd| nd[0].max(nd[1])).collect();
-
-    let mut parts: Vec<DirectPart> = matrix
-        .partition_rows(&ranges)
-        .into_iter()
-        .map(|view| DirectPart {
-            view,
-            terms: vec![0; m],
-            seconds: vec![0.0; m],
-            lanes: (0, 0),
-            batch: KernelBatch::new(),
-        })
-        .collect();
-
-    let stats = pool.scoped_partition(
-        &mut parts,
-        dispatch_schedule.partition_dispatch(),
-        |_, part| {
-            let DirectPart {
-                view,
-                terms,
-                seconds,
-                lanes,
-                batch,
-            } = part;
-            let rows = view.rows();
-            for beta in 0..m {
-                let t0 = Instant::now();
-                for alpha in beta..m {
-                    // Quick reject on the target-row envelope.
-                    let hi = node_hi[beta].max(node_hi[alpha]);
-                    if hi < rows.start || node_lo[beta].max(node_lo[alpha]) >= rows.end {
-                        continue;
-                    }
-                    let nb = elem_nodes[beta];
-                    let na = elem_nodes[alpha];
-                    // Exact ownership test over the pair's target entries.
-                    let touches = if alpha == beta {
-                        rows.contains(&nb[0]) || rows.contains(&nb[1])
-                    } else {
-                        nb.iter()
-                            .any(|&p| na.iter().any(|&q| rows.contains(&p.max(q))))
-                    };
-                    if !touches {
-                        continue;
-                    }
-                    let (b, c) =
-                        pair_block_eval(&geoms[beta], &geoms[alpha], kernel, quad, eval, batch);
-                    scatter_pair(nb, na, alpha == beta, &b, &mut |p, q, v| {
-                        if view.owns(p, q) {
-                            view.add(p, q, v);
-                        }
-                    });
-                    if rows.contains(&hi) {
-                        terms[beta] += c.terms as u64;
-                        lanes.0 += c.lane_points;
-                        lanes.1 += c.lane_slots;
-                    }
-                }
-                seconds[beta] += t0.elapsed().as_secs_f64();
-            }
-        },
-    );
-
-    let mut column_terms = vec![0u64; m];
-    let mut column_seconds = vec![0.0; m];
+    let mut matrix = SymMatrix::zeros(mesh.dof());
+    let mut column_seconds = Vec::with_capacity(m);
+    let mut column_terms = Vec::with_capacity(m);
     let mut lanes = (0u64, 0u64);
-    for part in &parts {
-        for (acc, v) in column_terms.iter_mut().zip(&part.terms) {
-            *acc += v;
+    let mut batch = KernelBatch::new();
+    for beta in 0..m {
+        let t0 = Instant::now();
+        let nb = mesh.elements[beta].nodes;
+        let mut cost = KernelCost::default();
+        for alpha in beta..m {
+            let (b, c) =
+                pair_block_eval(&geoms[beta], &geoms[alpha], kernel, quad, eval, &mut batch);
+            let na = mesh.elements[alpha].nodes;
+            scatter_pair(nb, na, alpha == beta, &b, &mut |p, q, v| {
+                matrix.add(p, q, v)
+            });
+            cost.merge(c);
         }
-        for (acc, v) in column_seconds.iter_mut().zip(&part.seconds) {
-            *acc += v;
-        }
-        lanes.0 += part.lanes.0;
-        lanes.1 += part.lanes.1;
+        column_seconds.push(t0.elapsed().as_secs_f64());
+        column_terms.push(cost.terms as u64);
+        lanes.0 += cost.lane_points;
+        lanes.1 += cost.lane_slots;
     }
-    drop(parts);
-    (matrix, column_seconds, column_terms, lanes, stats)
+    (matrix, column_seconds, column_terms, lanes, None)
 }
 
 /// Minimum element count at which the worklist pre-pass is built on the
@@ -578,7 +391,7 @@ fn assemble_direct_scan(
 /// this cutoff does splitting the triangle walk pay for itself.
 pub const POOLED_PREPASS_MIN_ELEMENTS: usize = 1024;
 
-/// One partition's workspace for the worklist-engine direct assembly: an
+/// One partition's workspace of the pooled worklist engine: an
 /// exclusively owned row-range view of the global triangle, the
 /// partition's precomputed pair worklist, and compact per-column
 /// accumulators sized by the columns the worklist actually visits.
@@ -595,17 +408,18 @@ struct WorklistPart<'a> {
     batch: KernelBatch,
 }
 
-/// In-place parallel assembly on precomputed pair worklists — the default
-/// direct engine: no staged blocks, no per-partition triangle scan, 1×
-/// memory, bit-identical to the sequential double loop.
+/// In-place parallel assembly on precomputed pair worklists: no staged
+/// blocks, no per-partition triangle scan, 1× memory, bit-identical to
+/// [`assemble_serial`].
 ///
 /// The matrix rows are partitioned by the schedule's deterministic chunk
 /// decomposition ([`Schedule::partition_ranges`]), the per-partition
 /// candidate pairs are emitted once by [`worklist::build_worklists`] from
 /// the mesh's [`ElementRowMap`], and each partition then executes exactly
 /// its own worklist — in sequential pair order, accumulating straight
-/// into its [`SymRowsMut`](layerbem_numeric::SymRowsMut) view — with no
-/// envelope scan and no per-pair ownership test. A pair's series terms
+/// into its [`SymRowsMut`](layerbem_numeric::SymRowsMut) view. The
+/// schedule's chunk parameter therefore applies to **matrix rows** (the
+/// unit of ownership), not pair columns. A pair's series terms
 /// are attributed to the single partition owning the pair's highest
 /// target row (which always computes it), so `column_terms` sums to
 /// exactly the sequential count even when a boundary pair is recomputed
@@ -622,25 +436,23 @@ fn assemble_direct_pooled(
     eval: KernelEval,
     pool: &ThreadPool,
     schedule: Schedule,
-) -> (SymMatrix, Vec<f64>, Vec<u64>, (u64, u64), ExecutionStats) {
+) -> EngineOutput {
     let n = mesh.dof();
     let m = geoms.len();
     let map = ElementRowMap::from_mesh(mesh);
-    // No partitions-per-thread cap here: a partition's candidate set is
-    // its worklist, so partition count no longer multiplies an O(M²)
-    // scan. The chunk is floored only at the mesh's mean element row
-    // spread, which keeps a typical pair's target rows co-located in one
-    // partition and thereby bounds boundary-pair recompute by mesh
-    // locality rather than by thread count.
+    // A partition's candidate set is its worklist, so partition count
+    // multiplies no triangle scan and needs no per-thread cap. The chunk
+    // is floored only at the mesh's mean element row spread, which keeps a
+    // typical pair's target rows co-located in one partition and thereby
+    // bounds boundary-pair recompute by mesh locality rather than by
+    // thread count.
     let dispatch_schedule = schedule.with_min_chunk(worklist::locality_min_chunk(&map));
     let ranges = dispatch_schedule.partition_ranges(n, pool.threads());
     // The O(M²) integer pre-pass itself runs on the pool: β-aligned column
     // chunks, order-preserving merge, bit-identical to the serial build
     // (pinned by the worklist proptest oracle). Below the element cutoff
     // the serial build wins — the pooled dispatch + merge overhead costs
-    // more than the whole triangle walk on small grids, and the bench
-    // gate compares this engine against the scan engine (which builds no
-    // worklists at all) at sub-millisecond scale.
+    // more than the whole triangle walk on small grids.
     let worklists = if m < POOLED_PREPASS_MIN_ELEMENTS {
         worklist::build_worklists(&map, &ranges)
     } else {
@@ -718,7 +530,7 @@ fn assemble_direct_pooled(
         lanes.1 += part.lanes.1;
     }
     drop(parts);
-    (matrix, column_seconds, column_terms, lanes, stats)
+    (matrix, column_seconds, column_terms, lanes, Some(stats))
 }
 
 /// Galerkin right-hand side for unit GPR: `ν_p = Σ_{e ∋ p} L_e / 2`.
@@ -732,1053 +544,28 @@ pub fn galerkin_rhs(mesh: &Mesh) -> Vec<f64> {
     rhs
 }
 
-/// Runs Galerkin matrix generation.
-pub fn assemble_galerkin(
-    mesh: &Mesh,
-    kernel: &SoilKernel,
-    opts: &SolveOptions,
-    mode: &AssemblyMode,
-) -> AssemblyReport {
+/// Runs Galerkin matrix generation: the serial reference loop when
+/// `opts.parallelism` is `None`, the pooled worklist engine on its pool
+/// and schedule otherwise.
+pub fn assemble_galerkin(mesh: &Mesh, kernel: &SoilKernel, opts: &SolveOptions) -> AssemblyReport {
     let geoms = element_geoms(mesh);
     let quad = OuterQuadrature::new(opts.outer_quadrature);
     let eval = opts.kernel_eval;
-    let m = geoms.len();
     let t0 = Instant::now();
-
-    // The direct modes write the global triangle in place and stage
-    // nothing; the staged modes below produce a `Vec<Column>` (the
-    // paper's ~2× staging buffer) assembled sequentially afterwards.
-    let direct = match mode {
-        AssemblyMode::ParallelDirect(pool, schedule) => Some(assemble_direct_pooled(
-            mesh, &geoms, kernel, &quad, eval, pool, *schedule,
-        )),
-        AssemblyMode::ParallelDirectScan(pool, schedule) => Some(assemble_direct_scan(
-            mesh, &geoms, kernel, &quad, eval, pool, *schedule,
-        )),
-        _ => None,
-    };
-    if let Some((matrix, column_seconds, column_terms, lanes, stats)) = direct {
-        let rhs = galerkin_rhs(mesh);
-        return AssemblyReport {
-            matrix,
-            rhs,
-            column_seconds,
-            column_terms,
-            generation_seconds: t0.elapsed().as_secs_f64(),
-            lane_points: lanes.0,
-            lane_slots: lanes.1,
-            stats: Some(stats),
-        };
-    }
-
-    let (columns, stats): (Vec<Column>, Option<ExecutionStats>) = match mode {
-        AssemblyMode::Sequential => {
-            let cols = (0..m)
-                .map(|beta| compute_column(beta, &geoms, kernel, &quad, eval))
-                .collect();
-            (cols, None)
-        }
-        AssemblyMode::ParallelOuter(pool, schedule) => {
-            let mut cols = vec![Column::default(); m];
-            let geoms_ref = &geoms;
-            let quad_ref = &quad;
-            let stats = pool.parallel_fill_with_stats(&mut cols, *schedule, |beta| {
-                compute_column(beta, geoms_ref, kernel, quad_ref, eval)
-            });
-            (cols, Some(stats))
-        }
-        AssemblyMode::ParallelInner(pool, schedule) => {
-            // Outer loop sequential; each column's rows distributed.
-            use std::sync::atomic::{AtomicU64, Ordering};
-            let mut cols = Vec::with_capacity(m);
-            for beta in 0..m {
-                let t_col = Instant::now();
-                let mut blocks = vec![Block::default(); m - beta];
-                let terms = AtomicU64::new(0);
-                let lane_points = AtomicU64::new(0);
-                let lane_slots = AtomicU64::new(0);
-                let geoms_ref = &geoms;
-                let quad_ref = &quad;
-                pool.parallel_fill(&mut blocks, *schedule, |k| {
-                    // Per-pair scratch: this staged comparison mode has no
-                    // per-thread workspace to park a batch in, and its
-                    // purpose is granularity comparison, not peak speed.
-                    let mut batch = KernelBatch::new();
-                    let (b, c) = pair_block_eval(
-                        &geoms_ref[beta],
-                        &geoms_ref[beta + k],
-                        kernel,
-                        quad_ref,
-                        eval,
-                        &mut batch,
-                    );
-                    terms.fetch_add(c.terms as u64, Ordering::Relaxed);
-                    lane_points.fetch_add(c.lane_points, Ordering::Relaxed);
-                    lane_slots.fetch_add(c.lane_slots, Ordering::Relaxed);
-                    b
-                });
-                cols.push(Column {
-                    blocks,
-                    terms: terms.into_inner(),
-                    lane_points: lane_points.into_inner(),
-                    lane_slots: lane_slots.into_inner(),
-                    seconds: t_col.elapsed().as_secs_f64(),
-                });
-            }
-            (cols, None)
-        }
-        AssemblyMode::ParallelDirect(..) | AssemblyMode::ParallelDirectScan(..) => {
-            unreachable!("handled above")
+    let (matrix, column_seconds, column_terms, lanes, stats) = match &opts.parallelism {
+        None => assemble_serial(mesh, &geoms, kernel, &quad, eval),
+        Some(par) => {
+            assemble_direct_pooled(mesh, &geoms, kernel, &quad, eval, &par.pool, par.schedule)
         }
     };
-
-    let matrix = assemble_columns(mesh, &columns);
-    let rhs = galerkin_rhs(mesh);
     AssemblyReport {
         matrix,
-        rhs,
-        column_seconds: columns.iter().map(|c| c.seconds).collect(),
-        column_terms: columns.iter().map(|c| c.terms).collect(),
-        generation_seconds: t0.elapsed().as_secs_f64(),
-        lane_points: columns.iter().map(|c| c.lane_points).sum(),
-        lane_slots: columns.iter().map(|c| c.lane_slots).sum(),
-        stats,
-    }
-}
-
-/// Admissibility parameter `η` of the hierarchical backend's cluster-pair
-/// partition: a cluster pair is compressed when `max(diam) ≤ η · dist`.
-/// `1.0` is the customary BEM choice — strict enough that the layered-soil
-/// kernel is smooth over every admissible block, loose enough that most of
-/// the pair triangle is admissible on grid geometries.
-pub const DEFAULT_ADMISSIBILITY: f64 = 1.0;
-
-/// Rank cap of each far block's ACA compression. A block whose `ε`-rank
-/// exceeds this bound aborts preparation with
-/// [`AcaError::ToleranceNotReached`] instead of silently densifying; on
-/// the paper's smooth soil kernels observed far-block ranks stay far
-/// below it.
-pub const MAX_FAR_RANK: usize = 96;
-
-/// Output of hierarchical (compressed-operator) matrix generation.
-#[derive(Clone, Debug)]
-pub struct HierarchicalReport {
-    /// The compressed Galerkin operator: sparse-symmetric near field plus
-    /// ACA low-rank far blocks, driven by PCG through the same
-    /// [`LinearOperator`](layerbem_numeric::LinearOperator) trait as the
-    /// dense matrix.
-    pub operator: HMatrix,
-    /// Galerkin right-hand side (identical to the dense path's).
-    pub rhs: Vec<f64>,
-    /// Wall-clock seconds of the whole generation.
-    pub generation_seconds: f64,
-    /// Series terms consumed: every near pair plus every pair block the
-    /// ACA row/column sampling evaluated (each sampled pair block is
-    /// counted once per evaluation; the samplers memoize the immediately
-    /// repeated pair within a fill). A bulk count — the hierarchical path
-    /// has no per-column profile because far work is organized by cluster
-    /// block, not by triangle column.
-    pub terms: u64,
-    /// Lane-kernel field points evaluated (batched path only), near and
-    /// far combined.
-    pub lane_points: u64,
-    /// Lane slots issued for those points.
-    pub lane_slots: u64,
-    /// Per-thread runtime stats of the pooled near-field assembly.
-    pub stats: Option<ExecutionStats>,
-}
-
-/// Packed slot of an (unordered) entry contribution: `(row ≥ col)`.
-#[inline]
-fn packed_slot(p: usize, q: usize) -> (u32, u32) {
-    (p.max(q) as u32, p.min(q) as u32)
-}
-
-/// For each Galerkin row of a cluster (ascending `rows`), the members
-/// `(element, local node)` whose node is that row — the bookkeeping the
-/// far-block entry oracle walks to reproduce the dense scatter exactly.
-fn cluster_members(elems: &[u32], rows: &[usize], map: &ElementRowMap) -> Vec<Vec<(u32, u8)>> {
-    let mut out = vec![Vec::new(); rows.len()];
-    for &e in elems {
-        let nd = map.element_nodes(e as usize);
-        for (j, &p) in nd.iter().enumerate() {
-            let k = rows
-                .binary_search(&p)
-                .expect("cluster rows cover its members");
-            out[k].push((e, j as u8));
-        }
-    }
-    out
-}
-
-/// Row/column sampler of one admissible far block — the oracle
-/// [`aca_sampled`] drives. Entry `(i, j)` reproduces the dense scatter
-/// exactly: the sum over member pairs `(β ∋ row i, α ∋ col j)` of the
-/// elemental value the sequential assembly would have added to the packed
-/// slot. Sampling whole rows/columns (instead of the per-entry closure the
-/// legacy [`aca`](layerbem_numeric::aca()) wrapper uses) is what lets the kernel run batched:
-/// every pair block inside a fill is one [`pair_block_eval`] call, and a
-/// one-entry memo folds the immediately repeated pair of a
-/// two-member row or column into a single kernel evaluation.
-///
-/// The sampler is a pure function of `(i, j)` (memoization caches a pure
-/// value), so serial and pooled compression remain bit-identical.
-struct FarSampler<'a> {
-    row_members: &'a [Vec<(u32, u8)>],
-    col_members: &'a [Vec<(u32, u8)>],
-    geoms: &'a [ElementGeom],
-    kernel: &'a SoilKernel,
-    quad: &'a OuterQuadrature,
-    eval: KernelEval,
-    /// Last `(lo, hi)` pair block computed — the repeat memo.
-    memo: std::cell::Cell<Option<((usize, usize), Block)>>,
-    cost: std::cell::Cell<KernelCost>,
-    batch: std::cell::RefCell<KernelBatch>,
-}
-
-impl FarSampler<'_> {
-    fn pair(&self, lo: usize, hi: usize) -> Block {
-        if let Some((key, blk)) = self.memo.get() {
-            if key == (lo, hi) {
-                return blk;
-            }
-        }
-        let (blk, c) = pair_block_eval(
-            &self.geoms[lo],
-            &self.geoms[hi],
-            self.kernel,
-            self.quad,
-            self.eval,
-            &mut self.batch.borrow_mut(),
-        );
-        let mut cost = self.cost.get();
-        cost.merge(c);
-        self.cost.set(cost);
-        self.memo.set(Some(((lo, hi), blk)));
-        blk
-    }
-
-    fn member_entry(&self, be: u32, jp: u8, ae: u32, iq: u8) -> f64 {
-        let (b, a) = (be as usize, ae as usize);
-        // Admissible clusters are element-disjoint, so b ≠ a; the dense
-        // engine computes the pair with the lower element as the field
-        // element.
-        let (lo, hi) = (b.min(a), b.max(a));
-        let blk = self.pair(lo, hi);
-        if b < a {
-            blk[jp as usize][iq as usize]
-        } else {
-            blk[iq as usize][jp as usize]
-        }
-    }
-}
-
-impl MatrixSampler for FarSampler<'_> {
-    fn nrows(&self) -> usize {
-        self.row_members.len()
-    }
-
-    fn ncols(&self) -> usize {
-        self.col_members.len()
-    }
-
-    fn fill_row(&self, i: usize, out: &mut [f64]) {
-        out.fill(0.0);
-        for &(be, jp) in &self.row_members[i] {
-            for (j, members) in self.col_members.iter().enumerate() {
-                for &(ae, iq) in members {
-                    out[j] += self.member_entry(be, jp, ae, iq);
-                }
-            }
-        }
-    }
-
-    fn fill_col(&self, j: usize, out: &mut [f64]) {
-        out.fill(0.0);
-        for &(ae, iq) in &self.col_members[j] {
-            for (i, members) in self.row_members.iter().enumerate() {
-                for &(be, jp) in members {
-                    out[i] += self.member_entry(be, jp, ae, iq);
-                }
-            }
-        }
-    }
-}
-
-/// Hierarchical Galerkin generation — the compressed-operator counterpart
-/// of [`assemble_galerkin`].
-///
-/// A binary [`ClusterTree`] over the elements splits the pair triangle
-/// into **near** pairs (assembled densely, entry for entry in the
-/// sequential near-pair order, into a [`SparseSym`] whose pattern is
-/// exactly the near scatter targets) and admissible **far** cluster pairs
-/// (each compressed by partially pivoted [`aca`](layerbem_numeric::aca()) into a `U·Vᵀ`
-/// [`FarBlock`], sampling kernel entries on demand through an oracle that
-/// reproduces the dense pair scatter bit for bit). The result answers
-/// matvecs in `O(nnz + Σ r·(|σ|+|τ|))` instead of `O(N²)` and holds the
-/// same order of bytes, at an accuracy set by `tol`.
-///
-/// When `opts.parallelism` is set, the near field is assembled by the
-/// same row-partitioned worklist engine as the dense direct mode
-/// (restricted to the near pairs — bit-identical across schedules and
-/// thread counts) and the far blocks are compressed concurrently on the
-/// pool (each block is an independent, deterministic ACA run, so the
-/// result does not depend on who computed it).
-///
-/// Fails with [`AcaError::ToleranceNotReached`] when some far block's
-/// rank hits [`MAX_FAR_RANK`] before reaching `tol` — the typed signal
-/// the solve layer surfaces as a
-/// [`PrepareError`](crate::study::PrepareError).
-pub fn assemble_hierarchical(
-    mesh: &Mesh,
-    kernel: &SoilKernel,
-    opts: &SolveOptions,
-    tol: f64,
-    leaf_size: usize,
-) -> Result<HierarchicalReport, AcaError> {
-    let t0 = Instant::now();
-    let geoms = element_geoms(mesh);
-    let quad = OuterQuadrature::new(opts.outer_quadrature);
-    let n = mesh.dof();
-    let map = ElementRowMap::from_mesh(mesh);
-    let tree = ClusterTree::build(mesh, leaf_size);
-    let parts = tree.block_partition(DEFAULT_ADMISSIBILITY);
-
-    // Near pattern: exactly the packed slots the near pairs scatter into.
-    let mut pattern: Vec<(u32, u32)> = Vec::with_capacity(4 * parts.near.len());
-    for &(beta, alpha) in &parts.near {
-        let nb = map.element_nodes(beta as usize);
-        let na = map.element_nodes(alpha as usize);
-        if beta == alpha {
-            pattern.push(packed_slot(nb[0], nb[0]));
-            pattern.push(packed_slot(nb[1], nb[1]));
-            pattern.push(packed_slot(nb[0], nb[1]));
-        } else {
-            for &p in &nb {
-                for &q in &na {
-                    pattern.push(packed_slot(p, q));
-                }
-            }
-        }
-    }
-    let mut near = SparseSym::from_pattern(n, pattern);
-
-    let eval = opts.kernel_eval;
-    let mut terms_total: u64 = 0;
-    let mut lanes_total = (0u64, 0u64);
-    let mut stats = None;
-    match &opts.parallelism {
-        None => {
-            // Sequential near-pair order — the accumulation order the
-            // pooled branch reproduces per entry.
-            let mut batch = KernelBatch::new();
-            for &(beta, alpha) in &parts.near {
-                let (b, a) = (beta as usize, alpha as usize);
-                let nb = map.element_nodes(b);
-                let na = map.element_nodes(a);
-                let (blk, c) =
-                    pair_block_eval(&geoms[b], &geoms[a], kernel, &quad, eval, &mut batch);
-                scatter_pair(nb, na, a == b, &blk, &mut |p, q, v| near.add(p, q, v));
-                terms_total += c.terms as u64;
-                lanes_total.0 += c.lane_points;
-                lanes_total.1 += c.lane_slots;
-            }
-        }
-        Some(par) => {
-            let dispatch = par
-                .schedule
-                .with_min_chunk(worklist::locality_min_chunk(&map));
-            let ranges = dispatch.partition_ranges(n, par.pool.threads());
-            let worklists = worklist::build_near_worklists(&map, &ranges, &parts.near);
-            struct NearPart<'a> {
-                view: layerbem_numeric::SparseSymRowsMut<'a>,
-                work: &'a PairWorklist,
-                terms: u64,
-                lanes: (u64, u64),
-                batch: KernelBatch,
-            }
-            let mut nparts: Vec<NearPart> = near
-                .partition_rows(&ranges)
-                .into_iter()
-                .zip(&worklists)
-                .map(|(view, work)| NearPart {
-                    view,
-                    work,
-                    terms: 0,
-                    lanes: (0, 0),
-                    batch: KernelBatch::new(),
-                })
-                .collect();
-            let map_ref = &map;
-            let geoms_ref = &geoms;
-            let quad_ref = &quad;
-            let s =
-                par.pool
-                    .scoped_partition(&mut nparts, dispatch.partition_dispatch(), |_, part| {
-                        let NearPart {
-                            view,
-                            work,
-                            terms,
-                            lanes,
-                            batch,
-                        } = part;
-                        let rows = view.rows();
-                        for (beta, alpha) in work.pairs() {
-                            let nb = map_ref.element_nodes(beta);
-                            let na = map_ref.element_nodes(alpha);
-                            let (blk, c) = pair_block_eval(
-                                &geoms_ref[beta],
-                                &geoms_ref[alpha],
-                                kernel,
-                                quad_ref,
-                                eval,
-                                batch,
-                            );
-                            scatter_pair(nb, na, alpha == beta, &blk, &mut |p, q, v| {
-                                if view.owns(p, q) {
-                                    view.add(p, q, v);
-                                }
-                            });
-                            if rows.contains(&map_ref.pair_hi(beta, alpha)) {
-                                *terms += c.terms as u64;
-                                lanes.0 += c.lane_points;
-                                lanes.1 += c.lane_slots;
-                            }
-                        }
-                    });
-            stats = Some(s);
-            terms_total += nparts.iter().map(|p| p.terms).sum::<u64>();
-            for p in &nparts {
-                lanes_total.0 += p.lanes.0;
-                lanes_total.1 += p.lanes.1;
-            }
-            drop(nparts);
-        }
-    }
-
-    // Far blocks: one deterministic ACA run per admissible cluster pair,
-    // in the fixed partition order. Each block's rows and columns are
-    // sampled through a [`FarSampler`], whose entries reproduce the dense
-    // scatter exactly while the kernel runs batched per pair block.
-    let geoms_ref = &geoms;
-    let quad_ref = &quad;
-    let map_ref = &map;
-    let tree_ref = &tree;
-    let compress = |&(s, t): &(usize, usize)| -> Result<(FarBlock, KernelCost), AcaError> {
-        let rows = tree_ref.cluster_rows(s, map_ref);
-        let cols = tree_ref.cluster_rows(t, map_ref);
-        let row_members = cluster_members(tree_ref.elements(s), &rows, map_ref);
-        let col_members = cluster_members(tree_ref.elements(t), &cols, map_ref);
-        let sampler = FarSampler {
-            row_members: &row_members,
-            col_members: &col_members,
-            geoms: geoms_ref,
-            kernel,
-            quad: quad_ref,
-            eval,
-            memo: std::cell::Cell::new(None),
-            cost: std::cell::Cell::new(KernelCost::default()),
-            batch: std::cell::RefCell::new(KernelBatch::new()),
-        };
-        let factors = aca_sampled(&sampler, tol, MAX_FAR_RANK)?;
-        Ok((
-            FarBlock {
-                rows: rows.iter().map(|&p| p as u32).collect(),
-                cols: cols.iter().map(|&q| q as u32).collect(),
-                factors,
-            },
-            sampler.cost.get(),
-        ))
-    };
-    let results: Vec<Result<(FarBlock, KernelCost), AcaError>> = match &opts.parallelism {
-        None => parts.far.iter().map(compress).collect(),
-        Some(par) => {
-            let far_pairs = &parts.far;
-            let mut slots: Vec<Option<Result<(FarBlock, KernelCost), AcaError>>> =
-                vec![None; far_pairs.len()];
-            par.pool
-                .parallel_fill(&mut slots, par.schedule, |k| Some(compress(&far_pairs[k])));
-            slots
-                .into_iter()
-                .map(|r| r.expect("parallel_fill fills every slot"))
-                .collect()
-        }
-    };
-    let mut far_blocks = Vec::with_capacity(results.len());
-    for r in results {
-        let (fb, c) = r?;
-        terms_total += c.terms as u64;
-        lanes_total.0 += c.lane_points;
-        lanes_total.1 += c.lane_slots;
-        far_blocks.push(fb);
-    }
-
-    Ok(HierarchicalReport {
-        operator: HMatrix::new(near, far_blocks),
         rhs: galerkin_rhs(mesh),
+        column_seconds,
+        column_terms,
         generation_seconds: t0.elapsed().as_secs_f64(),
-        terms: terms_total,
-        lane_points: lanes_total.0,
-        lane_slots: lanes_total.1,
+        lane_points: lanes.0,
+        lane_slots: lanes.1,
         stats,
-    })
-}
-
-/// Computes one collocation row: the potentials at node `p`'s collocation
-/// point due to every element, accumulated into `row`. Both the serial
-/// and the pooled assembler funnel every row through this function, so a
-/// row is the identical scalar sequence no matter which thread — or how
-/// many — computed it.
-#[allow(clippy::too_many_arguments)]
-fn collocation_row(
-    mesh: &Mesh,
-    geoms: &[ElementGeom],
-    kernel: &SoilKernel,
-    p: usize,
-    incident: &[usize],
-    row: &mut [f64],
-    eval: KernelEval,
-    batch: &mut KernelBatch,
-) -> KernelCost {
-    // Collocation point: on the surface of the first incident element,
-    // a quarter length in from the node (avoids junction end effects).
-    let e = incident[0];
-    let g = &geoms[e];
-    let s = if mesh.elements[e].nodes[0] == p {
-        0.25 * g.length
-    } else {
-        0.75 * g.length
-    };
-    let (xp, xm) = g.surface_pair(s);
-    let mut cost = KernelCost::default();
-    match eval {
-        KernelEval::Scalar => {
-            for (alpha, ga) in geoms.iter().enumerate() {
-                let (vp, tp) = kernel.element_potential(xp, ga);
-                let (vm, tm) = kernel.element_potential(xm, ga);
-                cost.terms += tp + tm;
-                let na = mesh.elements[alpha].nodes;
-                row[na[0]] += 0.5 * (vp[0] + vm[0]);
-                row[na[1]] += 0.5 * (vp[1] + vm[1]);
-            }
-        }
-        KernelEval::Batched => {
-            // Both surface points of the collocation pair ride in one
-            // two-point batch per source element; the batch content is
-            // fixed by the row alone, so rows stay schedule-invariant.
-            for (alpha, ga) in geoms.iter().enumerate() {
-                batch.clear();
-                batch.push(xp);
-                batch.push(xm);
-                cost.merge(kernel.element_potential_batch(batch, ga));
-                let vals = batch.values();
-                let na = mesh.elements[alpha].nodes;
-                row[na[0]] += 0.5 * (vals[0][0] + vals[1][0]);
-                row[na[1]] += 0.5 * (vals[0][1] + vals[1][1]);
-            }
-        }
-    }
-    cost
-}
-
-/// Collocation matrix: row `p` states `V(x_p) = 1` at a surface point
-/// near node `p`. Nonsymmetric; solved by LU. Provided as the paper's
-/// "different formulations" alternative (§4.2) for cross-checks.
-///
-/// Runs the default [`KernelEval::Batched`] path; see
-/// [`assemble_collocation_counted`] for the strategy-selectable variant
-/// with kernel cost counters.
-pub fn assemble_collocation(mesh: &Mesh, kernel: &SoilKernel) -> (DenseMatrix, Vec<f64>) {
-    let (c, rhs, _) = assemble_collocation_counted(mesh, kernel, KernelEval::default());
-    (c, rhs)
-}
-
-/// [`assemble_collocation`] with an explicit kernel evaluation strategy,
-/// also returning the aggregate [`KernelCost`] of every row.
-pub fn assemble_collocation_counted(
-    mesh: &Mesh,
-    kernel: &SoilKernel,
-    eval: KernelEval,
-) -> (DenseMatrix, Vec<f64>, KernelCost) {
-    let geoms = element_geoms(mesh);
-    let n = mesh.dof();
-    // The rows → owning-elements CSR half of the map: flat arrays, no
-    // per-node allocation, same ascending element order as
-    // `Mesh::node_elements`.
-    let map = ElementRowMap::from_mesh(mesh);
-    let mut c = DenseMatrix::zeros(n, n);
-    let mut cost = KernelCost::default();
-    let mut batch = KernelBatch::new();
-    for p in 0..n {
-        cost.merge(collocation_row(
-            mesh,
-            &geoms,
-            kernel,
-            p,
-            map.row_elements(p),
-            c.row_mut(p),
-            eval,
-            &mut batch,
-        ));
-    }
-    (c, vec![1.0; n], cost)
-}
-
-/// Pooled collocation assembly — the dense-path equivalent of
-/// [`AssemblyMode::ParallelDirect`]: the matrix rows are partitioned into
-/// disjoint [`DenseRowsMut`](layerbem_numeric::DenseRowsMut) views by the
-/// schedule's deterministic chunk decomposition and each partition
-/// accumulates its own rows **in place** — no staging, no locks, 1×
-/// memory, exactly mirroring the symmetric path. Each row is one node's
-/// collocation equation and depends on nothing outside the mesh, so rows
-/// are the natural parallel unit and the result is **bit-identical** to
-/// [`assemble_collocation`] for every schedule and thread count.
-pub fn assemble_collocation_pooled(
-    mesh: &Mesh,
-    kernel: &SoilKernel,
-    pool: &ThreadPool,
-    schedule: Schedule,
-) -> (DenseMatrix, Vec<f64>) {
-    let (c, rhs, _) =
-        assemble_collocation_pooled_counted(mesh, kernel, pool, schedule, KernelEval::default());
-    (c, rhs)
-}
-
-/// Per-partition state of the pooled collocation assembler: the disjoint
-/// row view plus this worker's kernel cost counters and reusable batch
-/// workspace.
-struct CollocationPart<'a> {
-    view: layerbem_numeric::DenseRowsMut<'a>,
-    cost: KernelCost,
-    batch: KernelBatch,
-}
-
-/// [`assemble_collocation_pooled`] with an explicit kernel evaluation
-/// strategy, also returning the aggregate [`KernelCost`] of every row.
-pub fn assemble_collocation_pooled_counted(
-    mesh: &Mesh,
-    kernel: &SoilKernel,
-    pool: &ThreadPool,
-    schedule: Schedule,
-    eval: KernelEval,
-) -> (DenseMatrix, Vec<f64>, KernelCost) {
-    let geoms = element_geoms(mesh);
-    let n = mesh.dof();
-    let map = ElementRowMap::from_mesh(mesh);
-    let mut c = DenseMatrix::zeros(n, n);
-    // The same (schedule, n, threads) → row-range decomposition the
-    // worklist assembler and the pooled PCG matvec use.
-    let ranges = schedule.partition_ranges(n, pool.threads());
-    let mut parts: Vec<CollocationPart> = c
-        .partition_rows(&ranges)
-        .into_iter()
-        .map(|view| CollocationPart {
-            view,
-            cost: KernelCost::default(),
-            batch: KernelBatch::new(),
-        })
-        .collect();
-    let geoms = &geoms;
-    let map = &map;
-    pool.scoped_partition(&mut parts, schedule.partition_dispatch(), |_, part| {
-        let CollocationPart { view, cost, batch } = part;
-        for p in view.rows() {
-            cost.merge(collocation_row(
-                mesh,
-                geoms,
-                kernel,
-                p,
-                map.row_elements(p),
-                view.row_mut(p),
-                eval,
-                batch,
-            ));
-        }
-    });
-    let mut cost = KernelCost::default();
-    for part in &parts {
-        cost.merge(part.cost);
-    }
-    drop(parts);
-    (c, vec![1.0; n], cost)
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use layerbem_geometry::grids::{rectangular_grid, RectGridSpec};
-    use layerbem_geometry::{Conductor, ConductorNetwork, Mesher, Point3};
-    use layerbem_numeric::cholesky::CholeskyFactor;
-    use layerbem_soil::SoilModel;
-
-    fn small_mesh() -> Mesh {
-        let net = rectangular_grid(RectGridSpec {
-            origin: (0.0, 0.0),
-            width: 20.0,
-            height: 10.0,
-            nx: 2,
-            ny: 1,
-            depth: 0.8,
-            radius: 0.006,
-        });
-        Mesher::default().mesh(&net)
-    }
-
-    fn uniform_kernel() -> SoilKernel {
-        SoilKernel::new(&SoilModel::uniform(0.016))
-    }
-
-    #[test]
-    fn galerkin_matrix_is_spd() {
-        let mesh = small_mesh();
-        let rep = assemble_galerkin(
-            &mesh,
-            &uniform_kernel(),
-            &SolveOptions::default(),
-            &AssemblyMode::Sequential,
-        );
-        assert_eq!(rep.matrix.order(), mesh.dof());
-        // Positive definiteness certified by a successful Cholesky.
-        assert!(CholeskyFactor::factor(&rep.matrix).is_ok());
-        // Diagonal dominance of the self terms: all diagonal entries
-        // positive and the largest entries of the matrix.
-        let diag = rep.matrix.diagonal();
-        assert!(diag.iter().all(|&d| d > 0.0));
-    }
-
-    #[test]
-    fn parallel_modes_reproduce_sequential_matrix() {
-        let mesh = small_mesh();
-        let k = uniform_kernel();
-        let opts = SolveOptions::default();
-        let seq = assemble_galerkin(&mesh, &k, &opts, &AssemblyMode::Sequential);
-        let pool = ThreadPool::new(3);
-        for schedule in [
-            Schedule::static_blocked(),
-            Schedule::dynamic(1),
-            Schedule::guided(1),
-        ] {
-            for mode in [
-                AssemblyMode::ParallelOuter(pool, schedule),
-                AssemblyMode::ParallelInner(pool, schedule),
-            ] {
-                let par = assemble_galerkin(&mesh, &k, &opts, &mode);
-                // Bit-identical: same blocks, same sequential assembly
-                // order.
-                assert_eq!(
-                    seq.matrix.packed(),
-                    par.matrix.packed(),
-                    "schedule {}",
-                    schedule.label()
-                );
-            }
-        }
-    }
-
-    /// Barberá-style grid: a multi-cell rectangular mesh whose junction
-    /// nodes give element pairs with non-adjacent node indices — the
-    /// configuration that exercises partition-boundary pairs.
-    fn barbera_style_mesh() -> Mesh {
-        let net = rectangular_grid(RectGridSpec {
-            origin: (0.0, 0.0),
-            width: 30.0,
-            height: 20.0,
-            nx: 3,
-            ny: 2,
-            depth: 0.8,
-            radius: 0.006,
-        });
-        Mesher::default().mesh(&net)
-    }
-
-    #[test]
-    fn parallel_direct_engines_are_bit_identical_to_sequential() {
-        let mesh = barbera_style_mesh();
-        let k = uniform_kernel();
-        let opts = SolveOptions::default();
-        let seq = assemble_galerkin(&mesh, &k, &opts, &AssemblyMode::Sequential);
-        for threads in [2, 3] {
-            let pool = ThreadPool::new(threads);
-            for schedule in [
-                Schedule::static_blocked(),
-                Schedule::static_chunk(3),
-                Schedule::dynamic(1),
-                Schedule::dynamic(4),
-                Schedule::guided(1),
-            ] {
-                for (engine, mode) in [
-                    ("worklist", AssemblyMode::ParallelDirect(pool, schedule)),
-                    ("scan", AssemblyMode::ParallelDirectScan(pool, schedule)),
-                ] {
-                    let direct = assemble_galerkin(&mesh, &k, &opts, &mode);
-                    let label = format!("{engine} threads={threads} {}", schedule.label());
-                    assert_eq!(seq.matrix.packed(), direct.matrix.packed(), "{label}");
-                    assert_eq!(seq.rhs, direct.rhs, "{label}");
-                    assert_eq!(seq.column_terms, direct.column_terms, "{label}");
-                    assert!(direct.stats.is_some(), "{label}");
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn parallel_direct_matches_sequential_on_two_layer_soil() {
-        // The layered kernel consumes far more series terms per pair;
-        // the per-pair term attribution must still sum exactly, for both
-        // direct engines.
-        let mesh = small_mesh();
-        let k = SoilKernel::new(&SoilModel::two_layer(0.005, 0.016, 1.0));
-        let opts = SolveOptions::default();
-        let seq = assemble_galerkin(&mesh, &k, &opts, &AssemblyMode::Sequential);
-        let pool = ThreadPool::new(2);
-        for mode in [
-            AssemblyMode::ParallelDirect(pool, Schedule::guided(1)),
-            AssemblyMode::ParallelDirectScan(pool, Schedule::guided(1)),
-        ] {
-            let direct = assemble_galerkin(&mesh, &k, &opts, &mode);
-            assert_eq!(seq.matrix.packed(), direct.matrix.packed());
-            assert_eq!(seq.column_terms, direct.column_terms);
-            assert_eq!(seq.total_terms(), direct.total_terms());
-        }
-    }
-
-    #[test]
-    fn outer_quadrature_orders_are_pinned() {
-        // (base request, near points): near = max(4 × base, 8).
-        for (base, near) in [(1, 8), (2, 8), (3, 12), (4, 16), (8, 32)] {
-            let q = OuterQuadrature::new(base);
-            assert_eq!(q.base_points(), base, "base {base}");
-            assert_eq!(q.near_points(), near, "base {base}");
-        }
-    }
-
-    #[test]
-    fn rhs_sums_to_total_length() {
-        let mesh = small_mesh();
-        let rhs = galerkin_rhs(&mesh);
-        let total: f64 = rhs.iter().sum();
-        assert!((total - mesh.total_length()).abs() < 1e-9);
-    }
-
-    #[test]
-    fn column_profile_is_triangular() {
-        // Column β couples with β+1 sources: terms grow with β.
-        let mesh = small_mesh();
-        let rep = assemble_galerkin(
-            &mesh,
-            &uniform_kernel(),
-            &SolveOptions::default(),
-            &AssemblyMode::Sequential,
-        );
-        let m = mesh.element_count();
-        assert_eq!(rep.column_terms.len(), m);
-        assert_eq!(rep.column_seconds.len(), m);
-        // Column β holds M−β pairs: costs decrease with β — "the first
-        // one has M rows and the last one has 1 row" (paper §6.2).
-        for w in rep.column_terms.windows(2) {
-            assert!(w[1] < w[0], "{:?}", rep.column_terms);
-        }
-        // Uniform soil: 2 image terms per evaluation, 2 azimuths, at
-        // least `outer_quadrature` points per pair.
-        let q = SolveOptions::default().outer_quadrature as u64;
-        for (beta, t) in rep.column_terms.iter().enumerate() {
-            assert!(*t >= 2 * 2 * q * (m as u64 - beta as u64), "column {beta}");
-        }
-    }
-
-    #[test]
-    fn two_conductor_symmetry() {
-        // Two identical parallel bars: by symmetry the solution must give
-        // them equal leakage, which requires the matrix to treat them
-        // symmetrically.
-        let mut net = ConductorNetwork::new();
-        net.add(Conductor::new(
-            Point3::new(0.0, 0.0, 0.8),
-            Point3::new(10.0, 0.0, 0.8),
-            0.006,
-        ));
-        net.add(Conductor::new(
-            Point3::new(0.0, 5.0, 0.8),
-            Point3::new(10.0, 5.0, 0.8),
-            0.006,
-        ));
-        let mesh = Mesher::default().mesh(&net);
-        let rep = assemble_galerkin(
-            &mesh,
-            &uniform_kernel(),
-            &SolveOptions::default(),
-            &AssemblyMode::Sequential,
-        );
-        // Node pairs (0,1) on bar 1 and (2,3) on bar 2: diagonal entries
-        // must match across bars.
-        let m = &rep.matrix;
-        assert!((m.get(0, 0) - m.get(2, 2)).abs() < 1e-10 * m.get(0, 0));
-        assert!((m.get(1, 1) - m.get(3, 3)).abs() < 1e-10 * m.get(1, 1));
-    }
-
-    #[test]
-    fn collocation_matrix_has_dominant_self_terms() {
-        let mesh = small_mesh();
-        let (c, rhs) = assemble_collocation(&mesh, &uniform_kernel());
-        assert_eq!(c.rows(), mesh.dof());
-        assert!(rhs.iter().all(|&v| v == 1.0));
-        // Rows should be strictly positive (potentials of positive
-        // sources) with large near-diagonal entries.
-        for p in 0..c.rows() {
-            for q in 0..c.cols() {
-                assert!(c.get(p, q) > 0.0);
-            }
-        }
-    }
-
-    #[test]
-    fn pooled_collocation_is_bit_identical_to_serial() {
-        let mesh = barbera_style_mesh();
-        let k = uniform_kernel();
-        let (serial, rhs_serial) = assemble_collocation(&mesh, &k);
-        for threads in [1, 2, 3] {
-            let pool = ThreadPool::new(threads);
-            for schedule in [
-                Schedule::static_blocked(),
-                Schedule::static_chunk(2),
-                Schedule::dynamic(1),
-                Schedule::guided(1),
-            ] {
-                let (pooled, rhs_pooled) = assemble_collocation_pooled(&mesh, &k, &pool, schedule);
-                let label = format!("threads={threads} {}", schedule.label());
-                assert_eq!(serial.as_slice(), pooled.as_slice(), "{label}");
-                assert_eq!(rhs_serial, rhs_pooled, "{label}");
-            }
-        }
-    }
-
-    #[test]
-    fn pooled_collocation_handles_layered_soil() {
-        // The layered kernel takes a different series path per
-        // evaluation; row-ownership must still reproduce the serial
-        // matrix exactly.
-        let mesh = small_mesh();
-        let k = SoilKernel::new(&SoilModel::two_layer(0.005, 0.016, 1.0));
-        let (serial, _) = assemble_collocation(&mesh, &k);
-        let (pooled, _) =
-            assemble_collocation_pooled(&mesh, &k, &ThreadPool::new(4), Schedule::dynamic(1));
-        assert_eq!(serial.as_slice(), pooled.as_slice());
-    }
-
-    #[test]
-    fn hierarchical_operator_matches_the_dense_matrix() {
-        use layerbem_numeric::LinearOperator;
-        let mesh = barbera_style_mesh();
-        let k = uniform_kernel();
-        let opts = SolveOptions::default();
-        let dense = assemble_galerkin(&mesh, &k, &opts, &AssemblyMode::Sequential);
-        let tol = 1e-8;
-        let rep = assemble_hierarchical(&mesh, &k, &opts, tol, 4).expect("ACA converges");
-        assert_eq!(rep.rhs, dense.rhs);
-        assert_eq!(rep.operator.order(), mesh.dof());
-        assert!(rep.terms > 0);
-        let n = mesh.dof();
-        // Matvec agreement within tol·‖A‖_F·‖x‖ on a non-trivial vector.
-        let x: Vec<f64> = (0..n).map(|i| 1.0 + (i as f64) * 0.37).collect();
-        let mut yd = vec![0.0; n];
-        let mut yh = vec![0.0; n];
-        dense.matrix.apply(&x, &mut yd);
-        rep.operator.apply(&x, &mut yh);
-        let norm_a: f64 = (0..n)
-            .map(|p| (0..n).map(|q| dense.matrix.get(p, q).powi(2)).sum::<f64>())
-            .sum::<f64>()
-            .sqrt();
-        let norm_x: f64 = x.iter().map(|v| v * v).sum::<f64>().sqrt();
-        let err: f64 = yd
-            .iter()
-            .zip(&yh)
-            .map(|(a, b)| (a - b).powi(2))
-            .sum::<f64>()
-            .sqrt();
-        assert!(
-            err <= 10.0 * tol * norm_a * norm_x,
-            "‖(A - H)x‖ = {err:.3e} vs scale {:.3e}",
-            tol * norm_a * norm_x
-        );
-        // Same diagonal: the far field never touches it.
-        assert_eq!(rep.operator.diagonal(), dense.matrix.diagonal());
-        // The compression accounting is self-consistent.
-        let cs = rep.operator.compression_stats();
-        assert_eq!(cs.order, n);
-        assert!(cs.resident_bytes > 0);
-    }
-
-    #[test]
-    fn pooled_hierarchical_assembly_is_bit_identical_to_serial() {
-        let mesh = barbera_style_mesh();
-        let k = uniform_kernel();
-        let serial = assemble_hierarchical(&mesh, &k, &SolveOptions::default(), 1e-8, 4)
-            .expect("ACA converges");
-        for threads in [2, 3] {
-            let pool = ThreadPool::new(threads);
-            for schedule in [
-                Schedule::static_blocked(),
-                Schedule::dynamic(1),
-                Schedule::guided(1),
-            ] {
-                let opts = SolveOptions::default().with_parallelism(pool, schedule);
-                let pooled =
-                    assemble_hierarchical(&mesh, &k, &opts, 1e-8, 4).expect("ACA converges");
-                let label = format!("threads={threads} {}", schedule.label());
-                assert!(serial.operator == pooled.operator, "{label}");
-                assert_eq!(serial.rhs, pooled.rhs, "{label}");
-                assert_eq!(serial.terms, pooled.terms, "{label}");
-                assert!(pooled.stats.is_some(), "{label}");
-            }
-        }
-    }
-
-    #[test]
-    fn hierarchical_rank_cap_surfaces_as_a_typed_error() {
-        // An absurdly tight tolerance with a rank cap of MAX_FAR_RANK
-        // cannot be reached on blocks larger than the cap — but small
-        // grids have far blocks below the cap, where ACA terminates
-        // exactly. Drive the error path through `aca` directly instead:
-        // a full-rank random block with rank cap 1.
-        let err = layerbem_numeric::aca(
-            8,
-            8,
-            |i, j| {
-                if i == j {
-                    1.0
-                } else {
-                    0.1 / (1.0 + (i * 31 + j * 17) as f64)
-                }
-            },
-            1e-14,
-            1,
-        )
-        .expect_err("rank-1 cap cannot reach 1e-14 on a full-rank block");
-        assert_eq!(
-            err,
-            AcaError::ToleranceNotReached {
-                max_rank: 1,
-                tol: 1e-14
-            }
-        );
-    }
-
-    #[test]
-    fn two_layer_assembly_costs_more_terms_than_uniform() {
-        let mesh = small_mesh();
-        let opts = SolveOptions::default();
-        let uni = assemble_galerkin(&mesh, &uniform_kernel(), &opts, &AssemblyMode::Sequential);
-        let two = assemble_galerkin(
-            &mesh,
-            &SoilKernel::new(&SoilModel::two_layer(0.0025, 0.020, 1.0)),
-            &opts,
-            &AssemblyMode::Sequential,
-        );
-        assert!(
-            two.total_terms() > 10 * uni.total_terms(),
-            "two-layer {} vs uniform {}",
-            two.total_terms(),
-            uni.total_terms()
-        );
     }
 }

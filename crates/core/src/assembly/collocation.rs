@@ -1,0 +1,141 @@
+//! Point-collocation matrix generation — the paper's "different
+//! formulations" alternative (§4.2), kept for cross-checks.
+
+use layerbem_geometry::{ElementRowMap, Mesh};
+use layerbem_numeric::DenseMatrix;
+
+use super::element_geoms;
+use crate::formulation::{KernelEval, SolveOptions};
+use crate::integration::ElementGeom;
+use crate::kernel::{KernelBatch, KernelCost, SoilKernel};
+
+/// Computes one collocation row: the potentials at node `p`'s collocation
+/// point due to every element, accumulated into `row`. Both the serial
+/// and the pooled branch funnel every row through this function, so a
+/// row is the identical scalar sequence no matter which thread — or how
+/// many — computed it.
+#[allow(clippy::too_many_arguments)]
+fn collocation_row(
+    mesh: &Mesh,
+    geoms: &[ElementGeom],
+    kernel: &SoilKernel,
+    p: usize,
+    incident: &[usize],
+    row: &mut [f64],
+    eval: KernelEval,
+    batch: &mut KernelBatch,
+) -> KernelCost {
+    // Collocation point: on the surface of the first incident element,
+    // a quarter length in from the node (avoids junction end effects).
+    let e = incident[0];
+    let g = &geoms[e];
+    let s = if mesh.elements[e].nodes[0] == p {
+        0.25 * g.length
+    } else {
+        0.75 * g.length
+    };
+    let (xp, xm) = g.surface_pair(s);
+    let mut cost = KernelCost::default();
+    match eval {
+        KernelEval::Scalar => {
+            for (alpha, ga) in geoms.iter().enumerate() {
+                let (vp, tp) = kernel.element_potential(xp, ga);
+                let (vm, tm) = kernel.element_potential(xm, ga);
+                cost.terms += tp + tm;
+                let na = mesh.elements[alpha].nodes;
+                row[na[0]] += 0.5 * (vp[0] + vm[0]);
+                row[na[1]] += 0.5 * (vp[1] + vm[1]);
+            }
+        }
+        KernelEval::Batched => {
+            // Both surface points of the collocation pair ride in one
+            // two-point batch per source element; the batch content is
+            // fixed by the row alone, so rows stay schedule-invariant.
+            for (alpha, ga) in geoms.iter().enumerate() {
+                batch.clear();
+                batch.push(xp);
+                batch.push(xm);
+                cost.merge(kernel.element_potential_batch(batch, ga));
+                let vals = batch.values();
+                let na = mesh.elements[alpha].nodes;
+                row[na[0]] += 0.5 * (vals[0][0] + vals[1][0]);
+                row[na[1]] += 0.5 * (vals[0][1] + vals[1][1]);
+            }
+        }
+    }
+    cost
+}
+
+/// Per-partition state of the pooled branch: the disjoint row view plus
+/// this worker's kernel cost counters and reusable batch workspace.
+struct CollocationPart<'a> {
+    view: layerbem_numeric::DenseRowsMut<'a>,
+    cost: KernelCost,
+    batch: KernelBatch,
+}
+
+/// Collocation matrix: row `p` states `V(x_p) = 1` at a surface point
+/// near node `p`. Nonsymmetric; solved by LU. Returns the matrix, the
+/// unit right-hand side and the aggregate [`KernelCost`] of every row,
+/// evaluated with `opts.kernel_eval`.
+///
+/// With `opts.parallelism` set, the matrix rows are partitioned into
+/// disjoint [`DenseRowsMut`](layerbem_numeric::DenseRowsMut) views by the
+/// schedule's deterministic chunk decomposition and each partition fills
+/// its own rows **in place** — no staging, no locks, 1× memory, mirroring
+/// the pooled Galerkin engine. Each row is one node's collocation
+/// equation and depends on nothing outside the mesh, so the result is
+/// **bit-identical** to the serial loop for every schedule and thread
+/// count.
+pub fn assemble_collocation(
+    mesh: &Mesh,
+    kernel: &SoilKernel,
+    opts: &SolveOptions,
+) -> (DenseMatrix, Vec<f64>, KernelCost) {
+    let geoms = element_geoms(mesh);
+    let n = mesh.dof();
+    let eval = opts.kernel_eval;
+    // The rows → owning-elements CSR half of the map: flat arrays, no
+    // per-node allocation, same ascending element order as
+    // `Mesh::node_elements`.
+    let map = ElementRowMap::from_mesh(mesh);
+    let mut c = DenseMatrix::zeros(n, n);
+    let mut cost = KernelCost::default();
+    let fill = |p: usize, row: &mut [f64], batch: &mut KernelBatch| {
+        let incident = map.row_elements(p);
+        collocation_row(mesh, &geoms, kernel, p, incident, row, eval, batch)
+    };
+    match &opts.parallelism {
+        None => {
+            let mut batch = KernelBatch::new();
+            for p in 0..n {
+                cost.merge(fill(p, c.row_mut(p), &mut batch));
+            }
+        }
+        Some(par) => {
+            // The same (schedule, n, threads) → row-range decomposition
+            // the worklist assembler and the pooled PCG matvec use.
+            let ranges = par.schedule.partition_ranges(n, par.pool.threads());
+            let mut parts: Vec<CollocationPart> = c
+                .partition_rows(&ranges)
+                .into_iter()
+                .map(|view| CollocationPart {
+                    view,
+                    cost: KernelCost::default(),
+                    batch: KernelBatch::new(),
+                })
+                .collect();
+            par.pool
+                .scoped_partition(&mut parts, par.schedule.partition_dispatch(), |_, part| {
+                    for p in part.view.rows() {
+                        let c = fill(p, part.view.row_mut(p), &mut part.batch);
+                        part.cost.merge(c);
+                    }
+                });
+            for part in &parts {
+                cost.merge(part.cost);
+            }
+        }
+    }
+    (c, vec![1.0; n], cost)
+}

@@ -1,0 +1,327 @@
+//! Tests of the Galerkin, hierarchical and collocation assemblers (one
+//! module: they share fixtures and the serial-vs-pooled pattern).
+
+use super::*;
+use layerbem_geometry::grids::{rectangular_grid, RectGridSpec};
+use layerbem_geometry::{Conductor, ConductorNetwork, Mesher, Point3};
+use layerbem_numeric::cholesky::CholeskyFactor;
+use layerbem_numeric::AcaError;
+use layerbem_soil::SoilModel;
+
+fn small_mesh() -> Mesh {
+    let net = rectangular_grid(RectGridSpec {
+        origin: (0.0, 0.0),
+        width: 20.0,
+        height: 10.0,
+        nx: 2,
+        ny: 1,
+        depth: 0.8,
+        radius: 0.006,
+    });
+    Mesher::default().mesh(&net)
+}
+
+fn uniform_kernel() -> SoilKernel {
+    SoilKernel::new(&SoilModel::uniform(0.016))
+}
+
+#[test]
+fn galerkin_matrix_is_spd() {
+    let mesh = small_mesh();
+    let rep = assemble_galerkin(&mesh, &uniform_kernel(), &SolveOptions::default());
+    assert_eq!(rep.matrix.order(), mesh.dof());
+    // Positive definiteness certified by a successful Cholesky.
+    assert!(CholeskyFactor::factor(&rep.matrix).is_ok());
+    // Diagonal dominance of the self terms: all diagonal entries
+    // positive and the largest entries of the matrix.
+    let diag = rep.matrix.diagonal();
+    assert!(diag.iter().all(|&d| d > 0.0));
+}
+
+/// Barberá-style grid: a multi-cell rectangular mesh whose junction
+/// nodes give element pairs with non-adjacent node indices — the
+/// configuration that exercises partition-boundary pairs.
+fn barbera_style_mesh() -> Mesh {
+    let net = rectangular_grid(RectGridSpec {
+        origin: (0.0, 0.0),
+        width: 30.0,
+        height: 20.0,
+        nx: 3,
+        ny: 2,
+        depth: 0.8,
+        radius: 0.006,
+    });
+    Mesher::default().mesh(&net)
+}
+
+#[test]
+fn parallel_direct_engines_are_bit_identical_to_sequential() {
+    let mesh = barbera_style_mesh();
+    let k = uniform_kernel();
+    let opts = SolveOptions::default();
+    let seq = assemble_galerkin(&mesh, &k, &opts);
+    for threads in [2, 3] {
+        let pool = ThreadPool::new(threads);
+        for schedule in [
+            Schedule::static_blocked(),
+            Schedule::static_chunk(3),
+            Schedule::dynamic(1),
+            Schedule::dynamic(4),
+            Schedule::guided(1),
+        ] {
+            let direct = assemble_galerkin(&mesh, &k, &opts.with_parallelism(pool, schedule));
+            let label = format!("threads={threads} {}", schedule.label());
+            assert_eq!(seq.matrix.packed(), direct.matrix.packed(), "{label}");
+            assert_eq!(seq.rhs, direct.rhs, "{label}");
+            assert_eq!(seq.column_terms, direct.column_terms, "{label}");
+            assert!(seq.stats.is_none() && direct.stats.is_some(), "{label}");
+        }
+    }
+}
+
+#[test]
+fn parallel_direct_matches_sequential_on_two_layer_soil() {
+    // The layered kernel consumes far more series terms per pair;
+    // the per-pair term attribution must still sum exactly.
+    let mesh = small_mesh();
+    let k = SoilKernel::new(&SoilModel::two_layer(0.005, 0.016, 1.0));
+    let opts = SolveOptions::default();
+    let seq = assemble_galerkin(&mesh, &k, &opts);
+    let pooled = opts.with_parallelism(ThreadPool::new(2), Schedule::guided(1));
+    let direct = assemble_galerkin(&mesh, &k, &pooled);
+    assert_eq!(seq.matrix.packed(), direct.matrix.packed());
+    assert_eq!(seq.column_terms, direct.column_terms);
+    assert_eq!(seq.total_terms(), direct.total_terms());
+}
+
+#[test]
+fn outer_quadrature_orders_are_pinned() {
+    // (base request, near points): near = max(4 × base, 8).
+    for (base, near) in [(1, 8), (2, 8), (3, 12), (4, 16), (8, 32)] {
+        let q = OuterQuadrature::new(base);
+        assert_eq!(q.base_points(), base, "base {base}");
+        assert_eq!(q.near_points(), near, "base {base}");
+    }
+}
+
+#[test]
+fn rhs_sums_to_total_length() {
+    let mesh = small_mesh();
+    let rhs = galerkin_rhs(&mesh);
+    let total: f64 = rhs.iter().sum();
+    assert!((total - mesh.total_length()).abs() < 1e-9);
+}
+
+#[test]
+fn column_profile_is_triangular() {
+    // Column β couples with β+1 sources: terms grow with β.
+    let mesh = small_mesh();
+    let rep = assemble_galerkin(&mesh, &uniform_kernel(), &SolveOptions::default());
+    let m = mesh.element_count();
+    assert_eq!(rep.column_terms.len(), m);
+    assert_eq!(rep.column_seconds.len(), m);
+    // Column β holds M−β pairs: costs decrease with β — "the first
+    // one has M rows and the last one has 1 row" (paper §6.2).
+    for w in rep.column_terms.windows(2) {
+        assert!(w[1] < w[0], "{:?}", rep.column_terms);
+    }
+    // Uniform soil: 2 image terms per evaluation, 2 azimuths, at
+    // least `outer_quadrature` points per pair.
+    let q = SolveOptions::default().outer_quadrature as u64;
+    for (beta, t) in rep.column_terms.iter().enumerate() {
+        assert!(*t >= 2 * 2 * q * (m as u64 - beta as u64), "column {beta}");
+    }
+}
+
+#[test]
+fn two_conductor_symmetry() {
+    // Two identical parallel bars: by symmetry the solution must give
+    // them equal leakage, which requires the matrix to treat them
+    // symmetrically.
+    let mut net = ConductorNetwork::new();
+    net.add(Conductor::new(
+        Point3::new(0.0, 0.0, 0.8),
+        Point3::new(10.0, 0.0, 0.8),
+        0.006,
+    ));
+    net.add(Conductor::new(
+        Point3::new(0.0, 5.0, 0.8),
+        Point3::new(10.0, 5.0, 0.8),
+        0.006,
+    ));
+    let mesh = Mesher::default().mesh(&net);
+    let rep = assemble_galerkin(&mesh, &uniform_kernel(), &SolveOptions::default());
+    // Node pairs (0,1) on bar 1 and (2,3) on bar 2: diagonal entries
+    // must match across bars.
+    let m = &rep.matrix;
+    assert!((m.get(0, 0) - m.get(2, 2)).abs() < 1e-10 * m.get(0, 0));
+    assert!((m.get(1, 1) - m.get(3, 3)).abs() < 1e-10 * m.get(1, 1));
+}
+
+#[test]
+fn collocation_matrix_has_dominant_self_terms() {
+    let mesh = small_mesh();
+    let (c, rhs, _) = assemble_collocation(&mesh, &uniform_kernel(), &SolveOptions::default());
+    assert_eq!(c.rows(), mesh.dof());
+    assert!(rhs.iter().all(|&v| v == 1.0));
+    // Rows should be strictly positive (potentials of positive
+    // sources) with large near-diagonal entries.
+    for p in 0..c.rows() {
+        for q in 0..c.cols() {
+            assert!(c.get(p, q) > 0.0);
+        }
+    }
+}
+
+#[test]
+fn pooled_collocation_is_bit_identical_to_serial() {
+    let mesh = barbera_style_mesh();
+    let k = uniform_kernel();
+    let opts = SolveOptions::default();
+    let (serial, rhs_serial, cost_serial) = assemble_collocation(&mesh, &k, &opts);
+    for threads in [1, 2, 3] {
+        let pool = ThreadPool::new(threads);
+        for schedule in [
+            Schedule::static_blocked(),
+            Schedule::static_chunk(2),
+            Schedule::dynamic(1),
+            Schedule::guided(1),
+        ] {
+            let (pooled, rhs_pooled, cost_pooled) =
+                assemble_collocation(&mesh, &k, &opts.with_parallelism(pool, schedule));
+            let label = format!("threads={threads} {}", schedule.label());
+            assert_eq!(serial.as_slice(), pooled.as_slice(), "{label}");
+            assert_eq!(rhs_serial, rhs_pooled, "{label}");
+            assert_eq!(cost_serial.terms, cost_pooled.terms, "{label}");
+        }
+    }
+}
+
+#[test]
+fn pooled_collocation_handles_layered_soil() {
+    // The layered kernel takes a different series path per
+    // evaluation; row-ownership must still reproduce the serial
+    // matrix exactly.
+    let mesh = small_mesh();
+    let k = SoilKernel::new(&SoilModel::two_layer(0.005, 0.016, 1.0));
+    let opts = SolveOptions::default();
+    let (serial, _, _) = assemble_collocation(&mesh, &k, &opts);
+    let pooled_opts = opts.with_parallelism(ThreadPool::new(4), Schedule::dynamic(1));
+    let (pooled, _, _) = assemble_collocation(&mesh, &k, &pooled_opts);
+    assert_eq!(serial.as_slice(), pooled.as_slice());
+}
+
+#[test]
+fn hierarchical_operator_matches_the_dense_matrix() {
+    use layerbem_numeric::LinearOperator;
+    let mesh = barbera_style_mesh();
+    let k = uniform_kernel();
+    let opts = SolveOptions::default();
+    let dense = assemble_galerkin(&mesh, &k, &opts);
+    let tol = 1e-8;
+    let rep = assemble_hierarchical(&mesh, &k, &opts, tol, 4).expect("ACA converges");
+    assert_eq!(rep.rhs, dense.rhs);
+    assert_eq!(rep.operator.order(), mesh.dof());
+    assert!(rep.terms > 0);
+    let n = mesh.dof();
+    // Matvec agreement within tol·‖A‖_F·‖x‖ on a non-trivial vector.
+    let x: Vec<f64> = (0..n).map(|i| 1.0 + (i as f64) * 0.37).collect();
+    let mut yd = vec![0.0; n];
+    let mut yh = vec![0.0; n];
+    dense.matrix.apply(&x, &mut yd);
+    rep.operator.apply(&x, &mut yh);
+    let norm_a: f64 = (0..n)
+        .map(|p| (0..n).map(|q| dense.matrix.get(p, q).powi(2)).sum::<f64>())
+        .sum::<f64>()
+        .sqrt();
+    let norm_x: f64 = x.iter().map(|v| v * v).sum::<f64>().sqrt();
+    let err: f64 = yd
+        .iter()
+        .zip(&yh)
+        .map(|(a, b)| (a - b).powi(2))
+        .sum::<f64>()
+        .sqrt();
+    assert!(
+        err <= 10.0 * tol * norm_a * norm_x,
+        "‖(A - H)x‖ = {err:.3e} vs scale {:.3e}",
+        tol * norm_a * norm_x
+    );
+    // Same diagonal: the far field never touches it.
+    assert_eq!(rep.operator.diagonal(), dense.matrix.diagonal());
+    // The compression accounting is self-consistent.
+    let cs = rep.operator.compression_stats();
+    assert_eq!(cs.order, n);
+    assert!(cs.resident_bytes > 0);
+}
+
+#[test]
+fn pooled_hierarchical_assembly_is_bit_identical_to_serial() {
+    let mesh = barbera_style_mesh();
+    let k = uniform_kernel();
+    let serial =
+        assemble_hierarchical(&mesh, &k, &SolveOptions::default(), 1e-8, 4).expect("ACA converges");
+    for threads in [2, 3] {
+        let pool = ThreadPool::new(threads);
+        for schedule in [
+            Schedule::static_blocked(),
+            Schedule::dynamic(1),
+            Schedule::guided(1),
+        ] {
+            let opts = SolveOptions::default().with_parallelism(pool, schedule);
+            let pooled = assemble_hierarchical(&mesh, &k, &opts, 1e-8, 4).expect("ACA converges");
+            let label = format!("threads={threads} {}", schedule.label());
+            assert!(serial.operator == pooled.operator, "{label}");
+            assert_eq!(serial.rhs, pooled.rhs, "{label}");
+            assert_eq!(serial.terms, pooled.terms, "{label}");
+            assert!(pooled.stats.is_some(), "{label}");
+        }
+    }
+}
+
+#[test]
+fn hierarchical_rank_cap_surfaces_as_a_typed_error() {
+    // An absurdly tight tolerance with a rank cap of MAX_FAR_RANK
+    // cannot be reached on blocks larger than the cap — but small
+    // grids have far blocks below the cap, where ACA terminates
+    // exactly. Drive the error path through `aca` directly instead:
+    // a full-rank random block with rank cap 1.
+    let err = layerbem_numeric::aca(
+        8,
+        8,
+        |i, j| {
+            if i == j {
+                1.0
+            } else {
+                0.1 / (1.0 + (i * 31 + j * 17) as f64)
+            }
+        },
+        1e-14,
+        1,
+    )
+    .expect_err("rank-1 cap cannot reach 1e-14 on a full-rank block");
+    assert_eq!(
+        err,
+        AcaError::ToleranceNotReached {
+            max_rank: 1,
+            tol: 1e-14
+        }
+    );
+}
+
+#[test]
+fn two_layer_assembly_costs_more_terms_than_uniform() {
+    let mesh = small_mesh();
+    let opts = SolveOptions::default();
+    let uni = assemble_galerkin(&mesh, &uniform_kernel(), &opts);
+    let two = assemble_galerkin(
+        &mesh,
+        &SoilKernel::new(&SoilModel::two_layer(0.0025, 0.020, 1.0)),
+        &opts,
+    );
+    assert!(
+        two.total_terms() > 10 * uni.total_terms(),
+        "two-layer {} vs uniform {}",
+        two.total_terms(),
+        uni.total_terms()
+    );
+}

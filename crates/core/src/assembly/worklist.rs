@@ -3,11 +3,10 @@
 //!
 //! The zero-staging direct assembler partitions the packed Galerkin
 //! triangle into disjoint row ranges and lets each partition accumulate
-//! only the element pairs whose target entries it owns. The retained scan
-//! engine ([`AssemblyMode::ParallelDirectScan`](super::AssemblyMode))
-//! discovers those pairs by walking the whole `M(M+1)/2` pair triangle
-//! *per partition* — an `O(partitions × M²)` envelope scan whose cost
-//! grows with thread count. This module removes that redundant work: one
+//! only the element pairs whose target entries it owns. Discovering those
+//! pairs by walking the whole `M(M+1)/2` pair triangle *per partition*
+//! would be an `O(partitions × M²)` scan whose cost grows with thread
+//! count. This module does that work once: one
 //! `O(M²)` pass over the triangle (a handful of integer operations per
 //! pair, driven by the mesh's [`ElementRowMap`]) assigns every pair to the
 //! partitions owning its target rows, in the **sequential pair order**, so
@@ -285,10 +284,8 @@ pub fn build_near_worklists(
 /// by the mesh's own locality: the mean element row spread
 /// `⌈Σ (hi − lo + 1) / M⌉`.
 ///
-/// With precomputed worklists a partition no longer pays an `O(M²)` scan,
-/// so the scan path's hard ~4-partitions-per-thread cap is gone; the only
-/// remaining cost of fine partitions is that a pair is computed once per
-/// distinct partition among its ≤4 target rows. Flooring the chunk at the
+/// With precomputed worklists the only cost of fine partitions is that a
+/// pair is computed once per distinct partition among its ≤4 target rows. Flooring the chunk at the
 /// mean element spread keeps a typical pair's targets inside one
 /// partition, so the overlap stays the documented `O(boundary)` while the
 /// schedule keeps as much dispatch granularity as the geometry permits —
@@ -321,8 +318,8 @@ mod tests {
         }))
     }
 
-    /// The scan path's exact ownership predicate — the oracle the
-    /// worklists must reproduce pair for pair, in order.
+    /// The exact ownership predicate, by brute-force triangle scan — the
+    /// oracle the worklists must reproduce pair for pair, in order.
     fn scan_pairs(mesh: &Mesh, rows: &Range<usize>) -> Vec<(usize, usize)> {
         let m = mesh.element_count();
         let mut out = Vec::new();

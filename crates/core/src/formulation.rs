@@ -46,8 +46,8 @@ pub enum SolverChoice {
 /// factorization of a compressed operator on this path).
 #[derive(Clone, Copy, Debug, PartialEq, Default)]
 pub enum OperatorBackend {
-    /// Packed dense triangle (default; bit-identical across all assembly
-    /// modes, schedules and thread counts).
+    /// Packed dense triangle (default; bit-identical across both
+    /// assembly engines, every schedule and every thread count).
     #[default]
     Dense,
     /// Hierarchical near-dense + far-low-rank operator.
@@ -104,7 +104,7 @@ impl OperatorBackend {
     }
 }
 
-/// Pool, schedule and blocking parameters of the parallel solve phase.
+/// Pool and schedule of the parallel assembly and solve phases.
 ///
 /// One value of this struct is threaded from the CAD front-end through
 /// [`SolveOptions::parallelism`] into every pooled linear-algebra path:
@@ -119,31 +119,6 @@ pub struct Parallelism {
     pub pool: ThreadPool,
     /// OpenMP-style schedule for those regions.
     pub schedule: Schedule,
-    /// Panel width of the blocked right-looking Cholesky/LU
-    /// factorizations (columns per parallel region). Defaults to
-    /// [`layerbem_numeric::DEFAULT_FACTOR_BLOCK`]; the factorizations are
-    /// bit-identical for every width, so this is purely a performance
-    /// knob.
-    pub factor_block: usize,
-}
-
-impl Parallelism {
-    /// Pool + schedule with the default factorization panel width.
-    pub fn new(pool: ThreadPool, schedule: Schedule) -> Self {
-        Parallelism {
-            pool,
-            schedule,
-            factor_block: layerbem_numeric::DEFAULT_FACTOR_BLOCK,
-        }
-    }
-
-    /// Same parallelism with a different factorization panel width.
-    pub fn with_factor_block(self, factor_block: usize) -> Self {
-        Parallelism {
-            factor_block,
-            ..self
-        }
-    }
 }
 
 /// Options for a grounding solve.
@@ -157,15 +132,16 @@ pub struct SolveOptions {
     pub outer_quadrature: usize,
     /// Relative tolerance of the iterative solver.
     pub cg_rel_tol: f64,
-    /// Parallelism of the **solve** phase (and the assembly mode
-    /// front-ends derive from it): `None` runs the serial solvers, `Some`
-    /// switches PCG to the pooled matvec operator and pooled vector
-    /// reductions, the direct factorizations to their blocked
-    /// pool-parallel right-looking variants, and collocation assembly to
-    /// the row-partitioned in-place assembler. This is the knob that
-    /// threads one `ThreadPool` from the CAD pipeline all the way into
-    /// the linear-algebra layer, so the measured speed-ups no longer stop
-    /// at matrix generation.
+    /// Parallelism of the assembly **and** solve phases — the one knob
+    /// that decides who computes: `None` runs the serial reference
+    /// assembly loops and the serial solvers; `Some` switches Galerkin
+    /// assembly to the pooled worklist engine, collocation assembly to
+    /// the row-partitioned in-place assembler, PCG to the pooled matvec
+    /// operator and pooled vector reductions, and the direct
+    /// factorizations to their blocked pool-parallel right-looking
+    /// variants. It threads one `ThreadPool` from the CAD pipeline all
+    /// the way into the linear-algebra layer, so the measured speed-ups
+    /// do not stop at matrix generation.
     pub parallelism: Option<Parallelism>,
     /// Memory/compute representation of the prepared Galerkin operator.
     /// [`OperatorBackend::Dense`] (the default) keeps every existing path
@@ -196,22 +172,11 @@ impl Default for SolveOptions {
 }
 
 impl SolveOptions {
-    /// Returns the options with the solve phase (and derived assembly
-    /// mode) running on `pool` under `schedule`, with the default
-    /// factorization panel width.
+    /// Returns the options with assembly and solve running on `pool`
+    /// under `schedule`.
     pub fn with_parallelism(self, pool: ThreadPool, schedule: Schedule) -> Self {
         SolveOptions {
-            parallelism: Some(Parallelism::new(pool, schedule)),
-            ..self
-        }
-    }
-
-    /// Overrides the factorization panel width of an already-configured
-    /// parallelism; a no-op when the solve phase is serial (a serial
-    /// factorization has no panels to size).
-    pub fn with_factor_block(self, factor_block: usize) -> Self {
-        SolveOptions {
-            parallelism: self.parallelism.map(|p| p.with_factor_block(factor_block)),
+            parallelism: Some(Parallelism { pool, schedule }),
             ..self
         }
     }
@@ -258,18 +223,6 @@ mod tests {
         let par = o.parallelism.expect("set");
         assert_eq!(par.pool.threads(), 4);
         assert_eq!(par.schedule, Schedule::guided(1));
-        assert_eq!(par.factor_block, layerbem_numeric::DEFAULT_FACTOR_BLOCK);
         assert_eq!(o.solver, SolverChoice::ConjugateGradient);
-    }
-
-    #[test]
-    fn factor_block_override_requires_a_pool() {
-        // Serial solves have no panels: the override is a no-op.
-        let serial = SolveOptions::default().with_factor_block(8);
-        assert!(serial.parallelism.is_none());
-        let pooled = SolveOptions::default()
-            .with_parallelism(ThreadPool::new(2), Schedule::dynamic(1))
-            .with_factor_block(8);
-        assert_eq!(pooled.parallelism.expect("set").factor_block, 8);
     }
 }

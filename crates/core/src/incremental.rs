@@ -47,8 +47,8 @@ use layerbem_soil::SoilModel;
 
 use crate::assembly::worklist::PairRun;
 use crate::assembly::{
-    assemble_galerkin, element_geoms, galerkin_rhs, pair_block_eval, scatter_pair, AssemblyMode,
-    AssemblyReport, Block, OuterQuadrature,
+    assemble_galerkin, element_geoms, galerkin_rhs, pair_block_eval, scatter_pair, AssemblyReport,
+    Block, OuterQuadrature,
 };
 use crate::formulation::{Formulation, OperatorBackend, SolveOptions, SolverChoice};
 use crate::kernel::{KernelBatch, SoilKernel};
@@ -439,7 +439,7 @@ impl Study {
             ));
         }
         let t = Instant::now();
-        let report = system.assemble(&system.default_assembly_mode());
+        let report = system.assemble();
         let assembly_seconds = t.elapsed().as_secs_f64();
         let kernel_seconds = report.kernel_seconds();
         let AssemblyReport {
@@ -732,11 +732,7 @@ impl Study {
         }
         let mut es = self.edit.take().expect("checked by apply_edit");
         let t0 = Instant::now();
-        let mode = match self.opts.parallelism {
-            Some(par) => AssemblyMode::ParallelDirect(par.pool, par.schedule),
-            None => AssemblyMode::Sequential,
-        };
-        let report = assemble_galerkin(&new_mesh, &es.kernel, &self.opts, &mode);
+        let report = assemble_galerkin(&new_mesh, &es.kernel, &self.opts);
         let reintegrate_seconds = t0.elapsed().as_secs_f64();
         let kernel_seconds = report.kernel_seconds();
         let AssemblyReport {

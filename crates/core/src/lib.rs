@@ -13,18 +13,17 @@
 //!   evaluates elemental potentials with whatever strategy fits the
 //!   model: closed-form images (uniform), image series (two-layer), or
 //!   quadrature over the Hankel-inverted kernel (N-layer).
-//! * [`assembly`] — Galerkin matrix generation: sequential, the paper's
-//!   two staged parallel variants (outer-loop / inner-loop over the
-//!   triangular element-pair iteration) on the OpenMP-style runtime,
-//!   and the zero-staging in-place direct engines — worklist-driven
-//!   ([`assembly::worklist`], the default) and the retained envelope
-//!   scan — with per-column cost capture feeding the schedule simulator.
+//! * [`assembly`] — Galerkin matrix generation over the triangular
+//!   element-pair iteration: the serial reference loop, or the
+//!   zero-staging in-place worklist engine ([`assembly::worklist`]) on
+//!   the OpenMP-style runtime when parallelism is configured, with
+//!   per-column cost capture feeding the schedule simulator.
 //! * [`system`] — the high-level driver: mesh + soil model + GPR in,
 //!   leakage distribution, total current, equivalent resistance out.
 //! * [`study`] — the staged scenario API: [`system::GroundingSystem::prepare`]
 //!   assembles and factorizes **once**, the returned [`study::Study`]
 //!   answers GPR / fault-current scenarios at back-substitution cost,
-//!   bit-identical to independent legacy solves.
+//!   bit-identical to independent per-scenario prepares.
 //! * [`incremental`] — interactive editing: mesh diffs, touched-pair
 //!   re-integration and rank-`2m` Cholesky update/downdate, so a CAD
 //!   edit costs `O(m·M)` kernel work instead of a fresh `O(M²)` assembly.
@@ -50,7 +49,7 @@ pub mod study;
 pub mod system;
 pub mod workload;
 
-pub use assembly::{AssemblyMode, AssemblyReport};
+pub use assembly::AssemblyReport;
 pub use formulation::{Formulation, SolveOptions, SolverChoice};
 pub use incremental::{
     apply_op, ConductorEnd, DeltaKind, EditError, EditOp, EditPath, EditReport, EditSession,

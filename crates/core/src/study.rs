@@ -7,10 +7,9 @@
 //! is the plan/execute split that amortizes the expensive part:
 //!
 //! 1. [`GroundingSystem::prepare`] assembles the BEM system **once**
-//!    (with the assembly engine derived from
-//!    [`SolveOptions::parallelism`](crate::formulation::SolveOptions) —
-//!    no separate mode argument to contradict it) and factorizes it
-//!    **once** (pooled-blocked when parallelism is configured), returning
+//!    and factorizes it **once** (both on the pool when
+//!    [`SolveOptions::parallelism`](crate::formulation::SolveOptions) is
+//!    configured, both serial otherwise), returning
 //!    a reusable [`Study`] that owns the retained
 //!    [`CholeskyFactor`]/[`LuFactor`]/PCG operator state.
 //! 2. [`Study::solve`] / [`Study::solve_batch`] then answer
@@ -18,8 +17,8 @@
 //!    `O(N²)` back-substitution cost each, pool-parallel over scenarios
 //!    through the multi-RHS
 //!    [`solve_many`](layerbem_numeric::CholeskyFactor::solve_many)
-//!    kernels, and **bit-identical** to what N independent legacy
-//!    [`GroundingSystem::solve`] calls would have produced.
+//!    kernels, and **bit-identical** to what N independent
+//!    `prepare()` + [`Study::solve`] runs would have produced.
 //!
 //! Every failure on this path is a typed error ([`PrepareError`],
 //! [`SolveError`]) instead of a panic, and [`Study::profile`] exposes the
@@ -62,10 +61,7 @@ use layerbem_numeric::lu::{LuFactor, SingularMatrix};
 use layerbem_numeric::pcg::{pcg_solve, PcgOptions, PooledSymOperator};
 use layerbem_numeric::{AcaError, CompressionStats, HMatrix, SymMatrix};
 
-use crate::assembly::{
-    assemble_collocation_counted, assemble_collocation_pooled_counted, assemble_hierarchical,
-    galerkin_rhs, AssemblyMode, AssemblyReport,
-};
+use crate::assembly::{assemble_collocation, assemble_hierarchical, galerkin_rhs, AssemblyReport};
 use crate::formulation::{Formulation, OperatorBackend, SolverChoice};
 use crate::system::{GroundingSolution, GroundingSystem};
 
@@ -83,9 +79,7 @@ pub enum Scenario {
         volts: f64,
     },
     /// Inject a prescribed fault current (A); the GPR follows by
-    /// linearity, exactly as
-    /// [`analysis::solve_for_fault_current`](crate::analysis::solve_for_fault_current)
-    /// computed it.
+    /// linearity (`GPR = I·Req`).
     FaultCurrent {
         /// The prescribed total fault current (A); must be positive and
         /// finite.
@@ -297,7 +291,6 @@ pub(crate) enum Engine {
 /// [`GroundingSystem`], reusable across any number of [`Scenario`]s.
 ///
 /// Created by [`GroundingSystem::prepare`] (or
-/// [`prepare_with_mode`](GroundingSystem::prepare_with_mode) /
 /// [`prepare_assembled`](GroundingSystem::prepare_assembled)). The handle
 /// owns everything it needs — factor, right-hand side, current weights,
 /// solve options — so it may outlive the system that built it.
@@ -353,29 +346,20 @@ impl std::fmt::Debug for Study {
 }
 
 impl Study {
-    /// Assembles and factorizes `system` with the explicit
-    /// matrix-generation `mode` (collocation decks ignore it — their
-    /// assembler is selected by `parallelism` alone, as the legacy path
-    /// always did).
-    pub(crate) fn prepare(
-        system: &GroundingSystem,
-        mode: &AssemblyMode,
-    ) -> Result<Study, PrepareError> {
+    /// Assembles and factorizes `system`.
+    pub(crate) fn prepare(system: &GroundingSystem) -> Result<Study, PrepareError> {
         let opts = *system.options();
         match opts.formulation {
             Formulation::Galerkin => match opts.backend {
                 OperatorBackend::Dense => {
                     let t = Instant::now();
-                    let report = system.assemble(mode);
+                    let report = system.assemble();
                     let assembly_seconds = t.elapsed().as_secs_f64();
                     Study::from_galerkin_report(system, report, assembly_seconds)
                 }
                 OperatorBackend::Hierarchical { tol, leaf_size } => {
                     // The compressed operator cannot be factorized, so the
-                    // hierarchical backend serves PCG only. Like the
-                    // collocation path, it ignores the staged-baseline
-                    // `mode` argument: its near field always runs on the
-                    // worklist engine (pooled when parallelism is set).
+                    // hierarchical backend serves PCG only.
                     if opts.solver != SolverChoice::ConjugateGradient {
                         return Err(PrepareError::UnsupportedBackend(
                             "the hierarchical backend supports only the \
@@ -420,29 +404,11 @@ impl Study {
                     ));
                 }
                 let t = Instant::now();
-                let (c, rhs, cost) = match opts.parallelism {
-                    Some(par) => assemble_collocation_pooled_counted(
-                        system.mesh(),
-                        system.kernel(),
-                        &par.pool,
-                        par.schedule,
-                        opts.kernel_eval,
-                    ),
-                    None => assemble_collocation_counted(
-                        system.mesh(),
-                        system.kernel(),
-                        opts.kernel_eval,
-                    ),
-                };
+                let (c, rhs, cost) = assemble_collocation(system.mesh(), system.kernel(), &opts);
                 let assembly_seconds = t.elapsed().as_secs_f64();
                 let t = Instant::now();
                 let f = match opts.parallelism {
-                    Some(par) => LuFactor::factor_pooled_blocked(
-                        &c,
-                        &par.pool,
-                        par.schedule,
-                        par.factor_block,
-                    ),
+                    Some(par) => LuFactor::factor_pooled(&c, &par.pool, par.schedule),
                     None => LuFactor::factor(&c),
                 }?;
                 Ok(Study {
@@ -553,12 +519,7 @@ impl Study {
             SolverChoice::ConjugateGradient => (Engine::Pcg(matrix.into_owned()), 0),
             SolverChoice::Cholesky => {
                 let f = match opts.parallelism {
-                    Some(par) => CholeskyFactor::factor_pooled_blocked(
-                        &matrix,
-                        &par.pool,
-                        par.schedule,
-                        par.factor_block,
-                    ),
+                    Some(par) => CholeskyFactor::factor_pooled(&matrix, &par.pool, par.schedule),
                     None => CholeskyFactor::factor(&matrix),
                 }?;
                 (Engine::Cholesky(f), 1)
@@ -566,12 +527,7 @@ impl Study {
             SolverChoice::Lu => {
                 let dense = matrix.to_dense();
                 let f = match opts.parallelism {
-                    Some(par) => LuFactor::factor_pooled_blocked(
-                        &dense,
-                        &par.pool,
-                        par.schedule,
-                        par.factor_block,
-                    ),
+                    Some(par) => LuFactor::factor_pooled(&dense, &par.pool, par.schedule),
                     None => LuFactor::factor(&dense),
                 }?;
                 (Engine::Lu(f), 1)
@@ -696,11 +652,9 @@ impl Study {
     /// Answers one scenario at `O(N²)` back-substitution cost (one PCG
     /// run for the iterative engine).
     ///
-    /// The result is **bit-identical** to what the legacy
-    /// `GroundingSystem::solve` would have produced for the same
-    /// question: the unit-GPR system is solved by the identical kernel
-    /// and the solution is scaled by the scenario's drive exactly as the
-    /// legacy scaling did.
+    /// The result is **bit-identical** to a fresh `prepare()` + `solve`
+    /// of the same question, and to the same scenario's entry in a
+    /// [`solve_batch`](Self::solve_batch).
     pub fn solve(&self, scenario: &Scenario) -> Result<GroundingSolution, SolveError> {
         // Validate before paying the backsolve: an invalid drive must not
         // cost O(N²) work or count as a served scenario.
@@ -723,9 +677,8 @@ impl Study {
     /// per-scenario scaling.
     ///
     /// Solutions are **bit-identical** to calling [`solve`](Self::solve)
-    /// per scenario (and hence to N independent legacy solves), serial
-    /// and pooled; the first invalid scenario aborts the batch with its
-    /// error.
+    /// per scenario, serial and pooled; the first invalid scenario
+    /// aborts the batch with its error.
     pub fn solve_batch(
         &self,
         scenarios: &[Scenario],
@@ -814,9 +767,7 @@ impl Study {
         }
     }
 
-    /// Scales the unit-GPR solution to the scenario's drive — the exact
-    /// floating-point sequence of the legacy scaling, so staged solutions
-    /// reproduce legacy solutions bit for bit.
+    /// Scales the unit-GPR solution to the scenario's drive.
     fn package(
         &self,
         q_unit: Vec<f64>,
@@ -831,9 +782,8 @@ impl Study {
         match *scenario {
             Scenario::Gpr { volts } => self.package_gpr(q_unit, volts, iterations, *scenario),
             Scenario::FaultCurrent { amps } => {
-                // Mirror `analysis::solve_for_fault_current`: answer the
-                // unit-GPR question, then scale to the GPR that leaks
-                // exactly the prescribed current.
+                // Answer the unit-GPR question, then scale to the GPR
+                // that leaks exactly the prescribed current.
                 let unit = self.package_gpr(q_unit, 1.0, iterations, *scenario)?;
                 let gpr = amps * unit.equivalent_resistance;
                 Ok(GroundingSolution {
@@ -925,11 +875,10 @@ mod tests {
         ] {
             let sys = system(solver);
             let study = sys.prepare().expect("prepare");
-            for gpr in [1.0, 2_500.0, 10_000.0] {
-                #[allow(deprecated)]
-                let legacy = sys.solve(&AssemblyMode::Sequential, gpr);
-                let staged = study.solve(&Scenario::gpr(gpr)).expect("solve");
-                assert_eq!(legacy.leakage, staged.leakage, "{solver:?} gpr={gpr}");
+            for s in [1.0, 2_500.0, 10_000.0].map(Scenario::gpr) {
+                let legacy = sys.prepare().expect("prepare").solve(&s).expect("solve");
+                let staged = study.solve(&s).expect("solve");
+                assert_eq!(legacy.leakage, staged.leakage, "{solver:?} {s}");
                 assert_eq!(legacy.total_current, staged.total_current);
                 assert_eq!(legacy.equivalent_resistance, staged.equivalent_resistance);
                 assert_eq!(legacy.solver_iterations, staged.solver_iterations);
@@ -1017,19 +966,21 @@ mod tests {
 
     #[test]
     fn fault_current_scenario_matches_the_analysis_driver_bitwise() {
-        let sys = system(SolverChoice::ConjugateGradient);
-        let study = sys.prepare().expect("prepare");
+        // Linearity: the unit-GPR solution scaled to GPR = I·Req.
+        let study = system(SolverChoice::ConjugateGradient)
+            .prepare()
+            .expect("prepare");
         let target = 25_000.0;
-        #[allow(deprecated)]
-        let legacy =
-            crate::analysis::solve_for_fault_current(&sys, &AssemblyMode::Sequential, target);
+        let unit = study.solve(&Scenario::gpr(1.0)).expect("solve");
+        let gpr = target * unit.equivalent_resistance;
         let staged = study
             .solve(&Scenario::fault_current(target))
             .expect("solve");
         assert_eq!(staged.total_current, target);
-        assert_eq!(legacy.leakage, staged.leakage);
-        assert_eq!(legacy.gpr, staged.gpr);
-        assert_eq!(legacy.equivalent_resistance, staged.equivalent_resistance);
+        assert_eq!(staged.gpr, gpr);
+        assert_eq!(staged.equivalent_resistance, unit.equivalent_resistance);
+        let scaled: Vec<f64> = unit.leakage.iter().map(|q| q * gpr).collect();
+        assert_eq!(staged.leakage, scaled);
     }
 
     #[test]
@@ -1072,11 +1023,14 @@ mod tests {
         );
         let study = sys.prepare().expect("prepare");
         assert_eq!(study.profile().factorizations, 1);
-        #[allow(deprecated)]
-        let legacy = sys.solve(&AssemblyMode::Sequential, 5_000.0);
+        let fresh = sys
+            .prepare()
+            .expect("prepare")
+            .solve(&Scenario::gpr(5_000.0))
+            .expect("solve");
         let staged = study.solve(&Scenario::gpr(5_000.0)).expect("solve");
-        assert_eq!(legacy.leakage, staged.leakage);
-        assert_eq!(legacy.equivalent_resistance, staged.equivalent_resistance);
+        assert_eq!(fresh.leakage, staged.leakage);
+        assert_eq!(fresh.equivalent_resistance, staged.equivalent_resistance);
         // Collocation has no per-column Galerkin profile.
         assert!(study.column_seconds().is_empty());
     }

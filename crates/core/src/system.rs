@@ -8,7 +8,7 @@
 use layerbem_geometry::Mesh;
 use layerbem_soil::SoilModel;
 
-use crate::assembly::{assemble_galerkin, AssemblyMode, AssemblyReport};
+use crate::assembly::{assemble_galerkin, AssemblyReport};
 use crate::formulation::SolveOptions;
 use crate::kernel::SoilKernel;
 use crate::study::{PrepareError, Scenario, Study};
@@ -73,46 +73,27 @@ impl GroundingSystem {
         &self.opts
     }
 
-    /// Generates the Galerkin system with the given assembly mode.
-    pub fn assemble(&self, mode: &AssemblyMode) -> AssemblyReport {
-        assemble_galerkin(&self.mesh, &self.kernel, &self.opts, mode)
-    }
-
-    /// The assembly mode implied by [`SolveOptions::parallelism`]: the
-    /// zero-staging in-place parallel assembler when a pool is
-    /// configured, the sequential double loop otherwise.
-    pub fn default_assembly_mode(&self) -> AssemblyMode {
-        match self.opts.parallelism {
-            Some(par) => AssemblyMode::ParallelDirect(par.pool, par.schedule),
-            None => AssemblyMode::Sequential,
-        }
+    /// Generates the Galerkin system: the serial reference loop, or the
+    /// pooled worklist engine when [`SolveOptions::parallelism`] is set
+    /// (see [`assemble_galerkin`]).
+    pub fn assemble(&self) -> AssemblyReport {
+        assemble_galerkin(&self.mesh, &self.kernel, &self.opts)
     }
 
     /// Assembles **and** factorizes the system once, returning a
     /// reusable [`Study`] that answers any number of
     /// [`Scenario`]s at back-substitution cost.
     ///
-    /// The matrix-generation engine is derived from
-    /// [`SolveOptions::parallelism`] (the zero-staging worklist assembler
-    /// on the pool when configured, the sequential double loop otherwise)
-    /// — there is no separate assembly-mode argument to contradict the
-    /// solve configuration. With parallelism set, the factorization runs
-    /// its blocked pool-parallel right-looking variant (bit-identical
-    /// factors for every schedule, thread count and block size).
+    /// [`SolveOptions::parallelism`] alone decides who computes: with it
+    /// set, matrix generation runs the pooled worklist engine and the
+    /// factorization its blocked pool-parallel right-looking variant
+    /// (bit-identical factors for every schedule and thread count);
+    /// without it, both are serial.
     ///
     /// This is the primary entry point: `prepare` once, then
     /// [`Study::solve`] / [`Study::solve_batch`] per question.
     pub fn prepare(&self) -> Result<Study, PrepareError> {
-        Study::prepare(self, &self.default_assembly_mode())
-    }
-
-    /// [`prepare`](Self::prepare) with an explicit matrix-generation
-    /// mode — the benchmarking entry for the paper's staged baselines
-    /// (`ParallelOuter`/`ParallelInner`) and the retained envelope-scan
-    /// engine. Collocation formulations ignore the mode (their assembler
-    /// is selected by [`SolveOptions::parallelism`] alone).
-    pub fn prepare_with_mode(&self, mode: &AssemblyMode) -> Result<Study, PrepareError> {
-        Study::prepare(self, mode)
+        Study::prepare(self)
     }
 
     /// Like [`prepare`](Self::prepare), but the returned [`Study`] also
@@ -131,100 +112,10 @@ impl GroundingSystem {
     }
 
     /// Factorizes an already-generated Galerkin report into a [`Study`]
-    /// (retaining a copy of what it needs). Like the legacy
-    /// `solve_assembled`, the report is treated as a Galerkin system
-    /// regardless of [`SolveOptions::formulation`].
+    /// (retaining a copy of what it needs). The report is treated as a
+    /// Galerkin system regardless of [`SolveOptions::formulation`].
     pub fn prepare_assembled(&self, report: &AssemblyReport) -> Result<Study, PrepareError> {
         Study::from_report(self, report)
-    }
-
-    /// Solves a previously assembled Galerkin system for the given GPR.
-    ///
-    /// Thin legacy wrapper over
-    /// [`prepare_assembled`](Self::prepare_assembled) +
-    /// [`Study::solve`]: it re-factorizes on **every** call and panics on
-    /// failure. Prefer the staged API, which factorizes once and returns
-    /// typed errors.
-    ///
-    /// # Panics
-    /// Panics if the direct factorization fails (matrix not SPD), the
-    /// iterative solver stalls before reaching its tolerance, or the GPR
-    /// is not positive.
-    #[deprecated(
-        since = "0.6.0",
-        note = "use `prepare_assembled()` and `Study::solve` — the staged API factorizes once \
-                per study and returns typed errors instead of panicking"
-    )]
-    pub fn solve_assembled(&self, report: &AssemblyReport, gpr: f64) -> GroundingSolution {
-        let study = self
-            .prepare_assembled(report)
-            .unwrap_or_else(|e| panic!("{e}"));
-        study
-            .solve(&Scenario::gpr(gpr))
-            .unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Full analysis: assemble + solve for the given GPR.
-    ///
-    /// Thin legacy wrapper over
-    /// [`prepare_with_mode`](Self::prepare_with_mode) + [`Study::solve`]:
-    /// it re-assembles and re-factorizes on **every** call and panics on
-    /// failure. Prefer [`prepare`](Self::prepare), which also removes
-    /// this method's footgun — an `AssemblyMode` argument whose pool can
-    /// contradict [`SolveOptions::parallelism`]. In debug builds the
-    /// wrapper asserts the two agree: when a pooled solve is configured,
-    /// the assembly mode must run on a pool of the same width (assembling
-    /// on a different pool — or sequentially — while the solve is pooled
-    /// is almost certainly a configuration mistake). A parallel mode with
-    /// a *serial* solve configuration stays permitted: that is the
-    /// paper's own measurement setup.
-    ///
-    /// # Panics
-    /// Panics if the factorization fails, the iterative solver stalls, or
-    /// the GPR is not positive.
-    #[deprecated(
-        since = "0.6.0",
-        note = "use `prepare()` and `Study::solve` — the staged API derives the assembly mode \
-                from `SolveOptions::parallelism`, factorizes once per study, and returns typed \
-                errors instead of panicking"
-    )]
-    pub fn solve(&self, mode: &AssemblyMode, gpr: f64) -> GroundingSolution {
-        debug_assert!(
-            self.mode_agrees_with_parallelism(mode),
-            "assembly mode {mode:?} contradicts SolveOptions::parallelism \
-             ({:?}): with a pooled solve configured, assembly must run on a \
-             pool of the same width — use prepare(), which derives the mode",
-            self.opts.parallelism
-        );
-        let study = self
-            .prepare_with_mode(mode)
-            .unwrap_or_else(|e| panic!("{e}"));
-        study
-            .solve(&Scenario::gpr(gpr))
-            .unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Whether a caller-supplied assembly mode is consistent with the
-    /// configured solve parallelism: a pooled solve requires an assembly
-    /// pool of the same width; a serial solve accepts any mode (the
-    /// paper's parallel-assembly/serial-solve baselines are legitimate).
-    /// Collocation formulations ignore the mode entirely, so any value
-    /// is consistent there.
-    fn mode_agrees_with_parallelism(&self, mode: &AssemblyMode) -> bool {
-        if self.opts.formulation == crate::formulation::Formulation::Collocation {
-            return true;
-        }
-        let Some(par) = self.opts.parallelism else {
-            return true;
-        };
-        let mode_threads = match mode {
-            AssemblyMode::Sequential => 1,
-            AssemblyMode::ParallelOuter(pool, _)
-            | AssemblyMode::ParallelInner(pool, _)
-            | AssemblyMode::ParallelDirect(pool, _)
-            | AssemblyMode::ParallelDirectScan(pool, _) => pool.threads(),
-        };
-        mode_threads == par.pool.threads()
     }
 }
 
@@ -237,9 +128,6 @@ impl GroundingSolution {
 
 #[cfg(test)]
 mod tests {
-    // The legacy wrappers stay covered here on purpose: these tests pin
-    // the behavior the deprecated surface promises to preserve.
-    #![allow(deprecated)]
     use super::*;
     use crate::formulation::{Formulation, SolverChoice};
     use layerbem_geometry::conductor::ground_rod;
@@ -248,6 +136,14 @@ mod tests {
 
     fn close(a: f64, b: f64, tol: f64) -> bool {
         (a - b).abs() <= tol * a.abs().max(b.abs()).max(1e-30)
+    }
+
+    /// `prepare()` + one GPR scenario — what most tests here ask.
+    fn solve_gpr(sys: &GroundingSystem, gpr: f64) -> GroundingSolution {
+        sys.prepare()
+            .expect("prepare")
+            .solve(&Scenario::gpr(gpr))
+            .expect("solve")
     }
 
     fn rod_mesh(n_elems: usize) -> Mesh {
@@ -277,7 +173,7 @@ mod tests {
             &SoilModel::uniform(gamma),
             SolveOptions::default(),
         );
-        let sol = sys.solve(&AssemblyMode::Sequential, 1.0);
+        let sol = solve_gpr(&sys, 1.0);
         let r = sol.equivalent_resistance;
         assert!(
             (r - classical).abs() < 0.15 * classical,
@@ -296,10 +192,7 @@ mod tests {
                 &SoilModel::uniform(gamma),
                 SolveOptions::default(),
             );
-            rs.push(
-                sys.solve(&AssemblyMode::Sequential, 1.0)
-                    .equivalent_resistance,
-            );
+            rs.push(solve_gpr(&sys, 1.0).equivalent_resistance);
         }
         let d1 = (rs[1] - rs[0]).abs();
         let d2 = (rs[2] - rs[1]).abs();
@@ -314,8 +207,8 @@ mod tests {
             &SoilModel::uniform(0.02),
             SolveOptions::default(),
         );
-        let a = sys.solve(&AssemblyMode::Sequential, 1.0);
-        let b = sys.solve(&AssemblyMode::Sequential, 10_000.0);
+        let a = solve_gpr(&sys, 1.0);
+        let b = solve_gpr(&sys, 10_000.0);
         assert!(close(
             a.equivalent_resistance,
             b.equivalent_resistance,
@@ -343,10 +236,7 @@ mod tests {
                     ..Default::default()
                 },
             );
-            results.push(
-                sys.solve(&AssemblyMode::Sequential, 1.0)
-                    .equivalent_resistance,
-            );
+            results.push(solve_gpr(&sys, 1.0).equivalent_resistance);
         }
         assert!(close(results[0], results[1], 1e-8));
         assert!(close(results[1], results[2], 1e-10));
@@ -358,13 +248,19 @@ mod tests {
         let mesh = rod_mesh(8);
         let soil = SoilModel::uniform(0.016);
         let serial = GroundingSystem::new(mesh.clone(), &soil, SolveOptions::default());
-        let report = serial.assemble(&AssemblyMode::Sequential);
-        let a = serial.solve_assembled(&report, 1.0);
+        let report = serial.assemble();
+        let solve_report = |sys: &GroundingSystem| {
+            sys.prepare_assembled(&report)
+                .expect("prepare")
+                .solve(&Scenario::gpr(1.0))
+                .expect("solve")
+        };
+        let a = solve_report(&serial);
         for threads in [2, 4] {
             let opts = SolveOptions::default()
                 .with_parallelism(ThreadPool::new(threads), Schedule::dynamic(2));
             let pooled = GroundingSystem::new(mesh.clone(), &soil, opts);
-            let b = pooled.solve_assembled(&report, 1.0);
+            let b = solve_report(&pooled);
             // The pooled matvec is bit-identical, so the whole Krylov
             // trajectory — iterate count included — reproduces exactly.
             assert_eq!(
@@ -382,22 +278,14 @@ mod tests {
         let mesh = rod_mesh(6);
         let soil = SoilModel::uniform(0.02);
         for solver in [SolverChoice::Cholesky, SolverChoice::Lu] {
-            let serial = GroundingSystem::new(
-                mesh.clone(),
-                &soil,
-                SolveOptions {
-                    solver,
-                    ..Default::default()
-                },
-            )
-            .solve(&AssemblyMode::Sequential, 1.0);
-            let opts = SolveOptions {
+            let base = SolveOptions {
                 solver,
                 ..Default::default()
-            }
-            .with_parallelism(ThreadPool::new(3), Schedule::static_blocked());
+            };
+            let serial = solve_gpr(&GroundingSystem::new(mesh.clone(), &soil, base), 1.0);
+            let opts = base.with_parallelism(ThreadPool::new(3), Schedule::static_blocked());
             let pooled_sys = GroundingSystem::new(mesh.clone(), &soil, opts);
-            let pooled = pooled_sys.solve(&pooled_sys.default_assembly_mode(), 1.0);
+            let pooled = solve_gpr(&pooled_sys, 1.0);
             assert!(
                 close(
                     serial.equivalent_resistance,
@@ -408,30 +296,6 @@ mod tests {
                 serial.equivalent_resistance,
                 pooled.equivalent_resistance
             );
-        }
-    }
-
-    #[test]
-    fn default_assembly_mode_follows_parallelism_knob() {
-        use layerbem_parfor::{Schedule, ThreadPool};
-        let mesh = rod_mesh(3);
-        let soil = SoilModel::uniform(0.02);
-        let serial = GroundingSystem::new(mesh.clone(), &soil, SolveOptions::default());
-        assert!(matches!(
-            serial.default_assembly_mode(),
-            AssemblyMode::Sequential
-        ));
-        let pooled = GroundingSystem::new(
-            mesh,
-            &soil,
-            SolveOptions::default().with_parallelism(ThreadPool::new(2), Schedule::guided(1)),
-        );
-        match pooled.default_assembly_mode() {
-            AssemblyMode::ParallelDirect(pool, schedule) => {
-                assert_eq!(pool.threads(), 2);
-                assert_eq!(schedule, Schedule::guided(1));
-            }
-            other => panic!("expected ParallelDirect, got {other:?}"),
         }
     }
 
@@ -447,14 +311,11 @@ mod tests {
             formulation: Formulation::Collocation,
             ..Default::default()
         };
-        let serial =
-            GroundingSystem::new(mesh.clone(), &soil, base).solve(&AssemblyMode::Sequential, 1.0);
+        let serial = solve_gpr(&GroundingSystem::new(mesh.clone(), &soil, base), 1.0);
         for threads in [2, 4] {
-            let opts = base
-                .with_parallelism(ThreadPool::new(threads), Schedule::guided(1))
-                .with_factor_block(4);
+            let opts = base.with_parallelism(ThreadPool::new(threads), Schedule::guided(1));
             let sys = GroundingSystem::new(mesh.clone(), &soil, opts);
-            let pooled = sys.solve(&sys.default_assembly_mode(), 1.0);
+            let pooled = solve_gpr(&sys, 1.0);
             assert_eq!(serial.leakage, pooled.leakage, "threads={threads}");
             assert_eq!(
                 serial.equivalent_resistance, pooled.equivalent_resistance,
@@ -469,17 +330,13 @@ mod tests {
         // mesh they should agree within a few percent.
         let mesh = rod_mesh(8);
         let soil = SoilModel::uniform(0.016);
-        let galerkin = GroundingSystem::new(mesh.clone(), &soil, SolveOptions::default())
-            .solve(&AssemblyMode::Sequential, 1.0);
-        let colloc = GroundingSystem::new(
-            mesh,
-            &soil,
-            SolveOptions {
-                formulation: Formulation::Collocation,
-                ..Default::default()
-            },
-        )
-        .solve(&AssemblyMode::Sequential, 1.0);
+        let collocation = SolveOptions {
+            formulation: Formulation::Collocation,
+            ..Default::default()
+        };
+        let galerkin = GroundingSystem::new(mesh.clone(), &soil, SolveOptions::default());
+        let galerkin = solve_gpr(&galerkin, 1.0);
+        let colloc = solve_gpr(&GroundingSystem::new(mesh, &soil, collocation), 1.0);
         assert!(
             close(
                 galerkin.equivalent_resistance,
@@ -506,18 +363,12 @@ mod tests {
             radius: 0.006,
         });
         let mesh = Mesher::default().mesh(&net);
-        let uni = GroundingSystem::new(
-            mesh.clone(),
-            &SoilModel::uniform(0.016),
-            SolveOptions::default(),
-        )
-        .solve(&AssemblyMode::Sequential, 10_000.0);
-        let two = GroundingSystem::new(
-            mesh,
-            &SoilModel::two_layer(0.005, 0.016, 1.0),
-            SolveOptions::default(),
-        )
-        .solve(&AssemblyMode::Sequential, 10_000.0);
+        let solve = |soil: SoilModel| {
+            let sys = GroundingSystem::new(mesh.clone(), &soil, SolveOptions::default());
+            solve_gpr(&sys, 10_000.0)
+        };
+        let uni = solve(SoilModel::uniform(0.016));
+        let two = solve(SoilModel::two_layer(0.005, 0.016, 1.0));
         assert!(
             two.equivalent_resistance > uni.equivalent_resistance,
             "two-layer {} vs uniform {}",
@@ -536,7 +387,7 @@ mod tests {
             &SoilModel::uniform(0.02),
             SolveOptions::default(),
         );
-        let sol = sys.solve(&AssemblyMode::Sequential, 1.0);
+        let sol = solve_gpr(&sys, 1.0);
         assert!(sol.leakage.iter().all(|&q| q > 0.0), "{:?}", sol.leakage);
     }
 
@@ -559,7 +410,7 @@ mod tests {
             &SoilModel::uniform(0.016),
             SolveOptions::default(),
         );
-        let sol = sys.solve(&AssemblyMode::Sequential, 1.0);
+        let sol = solve_gpr(&sys, 1.0);
         // Find end nodes (x = 0 and x = 20) and the middle node.
         let mut end_q = 0.0f64;
         let mut mid_q = f64::INFINITY;
@@ -572,57 +423,6 @@ mod tests {
             }
         }
         assert!(end_q > 1.2 * mid_q, "end {end_q} vs mid {mid_q}");
-    }
-
-    #[cfg(debug_assertions)]
-    #[test]
-    #[should_panic(expected = "contradicts SolveOptions::parallelism")]
-    fn legacy_solve_rejects_contradictory_assembly_mode() {
-        // The removed footgun: a pooled solve configuration combined with
-        // a sequential (or differently-pooled) assembly mode. The staged
-        // `prepare()` path derives the mode and cannot express this; the
-        // legacy wrapper debug-asserts it away.
-        use layerbem_parfor::{Schedule, ThreadPool};
-        let sys = GroundingSystem::new(
-            rod_mesh(3),
-            &SoilModel::uniform(0.02),
-            SolveOptions::default().with_parallelism(ThreadPool::new(2), Schedule::dynamic(1)),
-        );
-        let _ = sys.solve(&AssemblyMode::Sequential, 1.0);
-    }
-
-    #[test]
-    fn legacy_solve_ignores_the_mode_for_collocation_without_asserting() {
-        // Collocation never reads the mode argument, so a Sequential mode
-        // next to a pooled solve configuration is not a contradiction
-        // there — this previously-valid call pattern must keep working.
-        use layerbem_parfor::{Schedule, ThreadPool};
-        let opts = SolveOptions {
-            formulation: Formulation::Collocation,
-            ..Default::default()
-        }
-        .with_parallelism(ThreadPool::new(2), Schedule::dynamic(1));
-        let sys = GroundingSystem::new(rod_mesh(4), &SoilModel::uniform(0.02), opts);
-        let sol = sys.solve(&AssemblyMode::Sequential, 1.0);
-        assert!(sol.equivalent_resistance > 0.0);
-    }
-
-    #[test]
-    fn legacy_solve_accepts_paper_baseline_modes_with_serial_solve() {
-        // Parallel assembly + serial solve is the paper's own measurement
-        // setup and must stay permitted through the legacy wrapper.
-        use layerbem_parfor::{Schedule, ThreadPool};
-        let sys = GroundingSystem::new(
-            rod_mesh(4),
-            &SoilModel::uniform(0.02),
-            SolveOptions::default(),
-        );
-        let seq = sys.solve(&AssemblyMode::Sequential, 1.0);
-        let outer = sys.solve(
-            &AssemblyMode::ParallelOuter(ThreadPool::new(3), Schedule::guided(1)),
-            1.0,
-        );
-        assert_eq!(seq.leakage, outer.leakage);
     }
 
     #[test]

@@ -48,7 +48,7 @@ pub const COPPER_DENSITY_KG_M3: f64 = 8_960.0;
 /// What a case asks of the solver: one of the three workload shapes.
 #[derive(Clone, Debug)]
 pub enum Workload {
-    /// Explicit scenarios answered from one prepared study (the legacy
+    /// Explicit scenarios answered from one prepared study (the
     /// `scenario` stanza / `--gpr-sweep` path).
     Scenarios(Vec<Scenario>),
     /// Monte-Carlo soil-uncertainty sweep: one fresh prepare per sampled

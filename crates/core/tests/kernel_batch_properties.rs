@@ -9,7 +9,7 @@
 
 use proptest::prelude::*;
 
-use layerbem_core::assembly::{assemble_galerkin, AssemblyMode};
+use layerbem_core::assembly::assemble_galerkin;
 use layerbem_core::formulation::{KernelEval, SolveOptions};
 use layerbem_core::integration::ElementGeom;
 use layerbem_core::kernel::{KernelBatch, SoilKernel};
@@ -211,8 +211,8 @@ proptest! {
         };
         let scalar_opts = base.with_kernel_eval(KernelEval::Scalar);
         let batched_opts = base.with_kernel_eval(KernelEval::Batched);
-        let scalar = assemble_galerkin(&mesh, &kernel, &scalar_opts, &AssemblyMode::Sequential);
-        let batched = assemble_galerkin(&mesh, &kernel, &batched_opts, &AssemblyMode::Sequential);
+        let scalar = assemble_galerkin(&mesh, &kernel, &scalar_opts);
+        let batched = assemble_galerkin(&mesh, &kernel, &batched_opts);
         let norm = scalar
             .matrix
             .packed()

@@ -140,16 +140,18 @@ impl std::error::Error for AcaError {}
 ///
 /// Implementations must be **pure**: the same row/column request always
 /// fills the same values, independent of request order, so the pivot
-/// sequence (and hence the factors) stays deterministic.
+/// sequence (and hence the factors) stays deterministic. The fills take
+/// `&mut self` so a sampler can own its scratch (a kernel batch, a memo,
+/// cost counters) as plain fields.
 pub trait MatrixSampler {
     /// Row count of the sampled block.
     fn nrows(&self) -> usize;
     /// Column count of the sampled block.
     fn ncols(&self) -> usize;
     /// Fills `out` (length [`Self::ncols`], pre-zeroed) with matrix row `i`.
-    fn fill_row(&self, i: usize, out: &mut [f64]);
+    fn fill_row(&mut self, i: usize, out: &mut [f64]);
     /// Fills `out` (length [`Self::nrows`], pre-zeroed) with matrix column `j`.
-    fn fill_col(&self, j: usize, out: &mut [f64]);
+    fn fill_col(&mut self, j: usize, out: &mut [f64]);
 }
 
 /// Adapts a per-entry closure to the [`MatrixSampler`] interface — the
@@ -167,12 +169,12 @@ impl<F: Fn(usize, usize) -> f64> MatrixSampler for ClosureSampler<F> {
     fn ncols(&self) -> usize {
         self.ncols
     }
-    fn fill_row(&self, i: usize, out: &mut [f64]) {
+    fn fill_row(&mut self, i: usize, out: &mut [f64]) {
         for (j, o) in out.iter_mut().enumerate() {
             *o = (self.entry)(i, j);
         }
     }
-    fn fill_col(&self, j: usize, out: &mut [f64]) {
+    fn fill_col(&mut self, j: usize, out: &mut [f64]) {
         for (i, o) in out.iter_mut().enumerate() {
             *o = (self.entry)(i, j);
         }
@@ -204,7 +206,7 @@ where
     F: Fn(usize, usize) -> f64,
 {
     aca_sampled(
-        &ClosureSampler {
+        &mut ClosureSampler {
             nrows,
             ncols,
             entry,
@@ -218,7 +220,7 @@ where
 /// pivot order and arithmetic to [`aca`], but every row/column sample is
 /// one batched `fill_row`/`fill_col` call.
 pub fn aca_sampled<S: MatrixSampler + ?Sized>(
-    sampler: &S,
+    sampler: &mut S,
     tol: f64,
     max_rank: usize,
 ) -> Result<LowRank, AcaError> {
@@ -432,12 +434,12 @@ mod tests {
             fn ncols(&self) -> usize {
                 20
             }
-            fn fill_row(&self, i: usize, out: &mut [f64]) {
+            fn fill_row(&mut self, i: usize, out: &mut [f64]) {
                 for (j, o) in out.iter_mut().enumerate() {
                     *o = 1.0 / (10.0 + i as f64 + 0.5 * j as f64);
                 }
             }
-            fn fill_col(&self, j: usize, out: &mut [f64]) {
+            fn fill_col(&mut self, j: usize, out: &mut [f64]) {
                 for (i, o) in out.iter_mut().enumerate() {
                     *o = 1.0 / (10.0 + i as f64 + 0.5 * j as f64);
                 }
@@ -445,7 +447,7 @@ mod tests {
         }
         let f = |i: usize, j: usize| 1.0 / (10.0 + i as f64 + 0.5 * j as f64);
         let via_closure = aca(24, 20, f, 1e-8, 20).expect("closure path");
-        let via_sampler = aca_sampled(&Smooth, 1e-8, 20).expect("sampler path");
+        let via_sampler = aca_sampled(&mut Smooth, 1e-8, 20).expect("sampler path");
         assert_eq!(via_closure, via_sampler);
     }
 

@@ -24,7 +24,7 @@ fn main() {
 
     let gpr = 10_000.0; // the paper's 10 kV ground potential rise
     let pool = ThreadPool::with_available_parallelism();
-    let mode = AssemblyMode::ParallelOuter(pool, Schedule::dynamic(1));
+    let opts = SolveOptions::default().with_parallelism(pool, Schedule::dynamic(1));
 
     for (label, soil) in [
         ("uniform  γ = 0.016", SoilModel::uniform(0.016)),
@@ -33,9 +33,9 @@ fn main() {
             SoilModel::two_layer(0.005, 0.016, 1.0),
         ),
     ] {
-        let system = GroundingSystem::new(mesh.clone(), &soil, SolveOptions::default());
+        let system = GroundingSystem::new(mesh.clone(), &soil, opts);
         let t0 = std::time::Instant::now();
-        let report = system.assemble(&mode);
+        let report = system.assemble();
         let gen = t0.elapsed().as_secs_f64();
         let solution = system
             .prepare_assembled(&report)

@@ -13,7 +13,7 @@ use layerbem::prelude::*;
 fn main() {
     let mesh = Mesher::default().mesh(&barbera());
     let soil = SoilModel::two_layer(0.005, 0.016, 1.0);
-    let system = GroundingSystem::new(mesh, &soil, SolveOptions::default());
+    let system = GroundingSystem::new(mesh.clone(), &soil, SolveOptions::default());
 
     // --- Real execution on this machine's threads. -----------------------
     let pool = ThreadPool::with_available_parallelism();
@@ -28,10 +28,15 @@ fn main() {
         Schedule::guided(1),
     ];
     for schedule in schedules {
+        let pooled = GroundingSystem::new(
+            mesh.clone(),
+            &soil,
+            SolveOptions::default().with_parallelism(pool, schedule),
+        );
         let t0 = std::time::Instant::now();
-        let report = system.assemble(&AssemblyMode::ParallelOuter(pool, schedule));
+        let report = pooled.assemble();
         let secs = t0.elapsed().as_secs_f64();
-        let stats = report.stats.expect("parallel outer records stats");
+        let stats = report.stats.expect("the pooled engine records stats");
         println!(
             "  {:<12} {:.2} s  chunks dispatched: {:<4} imbalance: {:.2}  idle threads: {}",
             schedule.label(),
@@ -44,7 +49,7 @@ fn main() {
 
     // --- Simulated Origin-2000-style scaling from measured costs. --------
     println!("\nmeasuring sequential per-column costs for the simulator…");
-    let report = system.assemble(&AssemblyMode::Sequential);
+    let report = system.assemble();
     let costs = report.column_seconds.clone();
     let m = costs.len();
     println!(

@@ -56,14 +56,6 @@
 //! assert_eq!(study.profile().assemblies, 1); // one assembly served them all
 //! ```
 //!
-//! Migrating from the pre-staged API: `system.solve(&mode, gpr)` becomes
-//! `system.prepare()?.solve(&Scenario::gpr(gpr))?` (the assembly mode is
-//! now derived from [`SolveOptions::parallelism`](crate::core::formulation::SolveOptions)),
-//! and `system.solve_assembled(&report, gpr)` becomes
-//! `system.prepare_assembled(&report)?.solve(&Scenario::gpr(gpr))?`. The
-//! old methods remain as deprecated wrappers with identical (bit-exact)
-//! results.
-//!
 //! ## Crate map
 //!
 //! | crate | contents |
@@ -72,7 +64,7 @@
 //! | [`parfor`] | OpenMP-style `parallel for` (static/dynamic/guided × chunk) + discrete-event schedule simulator |
 //! | [`geometry`] | conductors, grids (incl. the paper's Barberá and Balaidos reconstructions), thin-wire mesher |
 //! | [`soil`] | uniform / two-layer / N-layer Green's functions |
-//! | [`core`] | image-segment BEM integration, Galerkin assembly (sequential + parallel), solver driver, post-processing, IEEE 80 |
+//! | [`core`] | image-segment BEM integration, Galerkin assembly (serial loop + pooled worklist engine), solver driver, post-processing, IEEE 80 |
 //! | [`cad`] | case-deck parser, five-phase timed pipeline, reports |
 //! | [`serve`] | resident study server: newline-JSON protocol, keyed factorization cache, metrics |
 
@@ -91,11 +83,7 @@ pub use layerbem_soil as soil;
 
 /// One-stop imports for typical library use.
 pub mod prelude {
-    pub use layerbem_cad::{
-        parse_case, run_pipeline, run_pipeline_with_assembly, CadCase, Phase, PhaseTimes,
-        PipelineError,
-    };
-    pub use layerbem_core::assembly::AssemblyMode;
+    pub use layerbem_cad::{parse_case, run_pipeline, CadCase, Phase, PhaseTimes, PipelineError};
     pub use layerbem_core::formulation::{Formulation, SolveOptions, SolverChoice};
     pub use layerbem_core::post::{voltage_extrema, MapSpec, PotentialMap};
     pub use layerbem_core::safety::{BodyWeight, SafetyAssessment, SafetyCriteria, SurfaceLayer};
@@ -124,7 +112,7 @@ mod tests {
         // The facade path and the built-in crate coexist: downstream code
         // writes `layerbem::core::...`, and `::core` still means the
         // language's core library.
-        let _ = crate::core::assembly::AssemblyMode::Sequential;
+        let _ = crate::core::formulation::SolveOptions::default();
         let _ = ::core::num::NonZeroUsize::new(1).expect("nonzero");
     }
 }

@@ -1,5 +1,6 @@
 //! Cross-crate integration tests: deck → pipeline → solution → maps →
-//! safety, and equivalence of all assembly modes on real grids.
+//! safety, and equivalence of the serial and pooled assemblers on real
+//! grids.
 
 use layerbem::prelude::*;
 
@@ -28,8 +29,7 @@ fn pipeline_end_to_end() {
 fn all_assembly_modes_agree_bit_exactly() {
     let case = parse_case(DECK).unwrap();
     let mesh = Mesher::new(case.mesh_options).mesh(&case.network);
-    let sys = GroundingSystem::new(mesh, &case.soil, SolveOptions::default());
-    let seq = sys.assemble(&AssemblyMode::Sequential);
+    let seq = GroundingSystem::new(mesh.clone(), &case.soil, SolveOptions::default()).assemble();
     let pool = ThreadPool::new(4);
     for schedule in [
         Schedule::static_blocked(),
@@ -38,20 +38,15 @@ fn all_assembly_modes_agree_bit_exactly() {
         Schedule::dynamic(16),
         Schedule::guided(1),
     ] {
-        let outer = sys.assemble(&AssemblyMode::ParallelOuter(pool, schedule));
+        let opts = SolveOptions::default().with_parallelism(pool, schedule);
+        let pooled = GroundingSystem::new(mesh.clone(), &case.soil, opts).assemble();
         assert_eq!(
             seq.matrix.packed(),
-            outer.matrix.packed(),
-            "outer {}",
+            pooled.matrix.packed(),
+            "pooled {}",
             schedule.label()
         );
-        let inner = sys.assemble(&AssemblyMode::ParallelInner(pool, schedule));
-        assert_eq!(
-            seq.matrix.packed(),
-            inner.matrix.packed(),
-            "inner {}",
-            schedule.label()
-        );
+        assert_eq!(seq.column_terms, pooled.column_terms);
     }
 }
 
@@ -59,19 +54,17 @@ fn all_assembly_modes_agree_bit_exactly() {
 fn parallel_solution_matches_sequential_physics() {
     let case = parse_case(DECK).unwrap();
     let mesh = Mesher::new(case.mesh_options).mesh(&case.network);
-    let sys = GroundingSystem::new(mesh, &case.soil, SolveOptions::default());
     let pool = ThreadPool::new(3);
     let scenario = Scenario::gpr(case.gpr);
-    let seq = sys
-        .prepare()
-        .expect("prepare")
-        .solve(&scenario)
-        .expect("solve");
-    let par = sys
-        .prepare_with_mode(&AssemblyMode::ParallelOuter(pool, Schedule::guided(1)))
-        .expect("prepare")
-        .solve(&scenario)
-        .expect("solve");
+    let solve = |opts: SolveOptions| {
+        GroundingSystem::new(mesh.clone(), &case.soil, opts)
+            .prepare()
+            .expect("prepare")
+            .solve(&scenario)
+            .expect("solve")
+    };
+    let seq = solve(SolveOptions::default());
+    let par = solve(SolveOptions::default().with_parallelism(pool, Schedule::guided(1)));
     assert_eq!(seq.equivalent_resistance, par.equivalent_resistance);
     assert_eq!(seq.total_current, par.total_current);
 }

@@ -7,11 +7,10 @@
 //! solve phase — blocked pooled Cholesky/LU factors, pooled PCG iterates
 //! (matvec *and* vector reductions on the pool), and the row-partitioned
 //! pooled collocation assembler — on the paper's Barberá (238 dof) and
-//! Balaidos (201 dof) grids. PR 4 adds the worklist-driven direct
-//! assembly engine (the `ParallelDirect` default) and its retained
-//! envelope-scan baseline (`ParallelDirectScan`): both must reproduce the
-//! sequential double loop bit for bit — matrix, right-hand side, and
-//! per-column series terms — for every schedule × thread count. PR 6
+//! Balaidos (201 dof) grids. PR 4 adds the worklist-driven pooled
+//! assembly engine: it must reproduce the serial double loop bit for bit
+//! — matrix, right-hand side, and per-column series terms — for every
+//! schedule × thread count. PR 6
 //! extends the guarantee to the hierarchical (ACA-compressed) operator
 //! backend: the pooled H-matrix assembly and the PCG trajectory it feeds
 //! must replay the serial hierarchical solve exactly. PR 9 adds the
@@ -26,9 +25,7 @@
 //! so the pinned CI run and a developer's 128-core box assert the same
 //! invariants over different pools.
 
-use layerbem_core::assembly::{
-    assemble_collocation, assemble_collocation_pooled, assemble_galerkin, AssemblyMode,
-};
+use layerbem_core::assembly::{assemble_collocation, assemble_galerkin};
 use layerbem_core::formulation::{KernelEval, OperatorBackend, SolveOptions, SolverChoice};
 use layerbem_core::kernel::SoilKernel;
 use layerbem_core::study::Scenario;
@@ -101,41 +98,31 @@ fn block_sizes(n: usize) -> [usize; 4] {
 /// The assembled Galerkin system of a grid (sequential reference).
 fn galerkin_system(mesh: &Mesh, soil: &SoilModel) -> (SymMatrix, Vec<f64>) {
     let kernel = SoilKernel::new(soil);
-    let rep = assemble_galerkin(
-        mesh,
-        &kernel,
-        &SolveOptions::default(),
-        &AssemblyMode::Sequential,
-    );
+    let rep = assemble_galerkin(mesh, &kernel, &SolveOptions::default());
     (rep.matrix, rep.rhs)
 }
 
 #[test]
 fn worklist_and_scan_direct_assembly_are_bit_identical_to_sequential() {
-    // The PR-4 tentpole invariant: the worklist engine (no per-partition
-    // triangle scan) and the retained scan engine agree with the
-    // sequential double loop to the bit, on the paper grids, for every
-    // schedule × thread count — including the per-column series-term
-    // attribution, which sums exactly even when boundary pairs are
-    // recomputed by several partitions.
+    // The PR-4 tentpole invariant: the pooled worklist engine agrees
+    // with the serial double loop to the bit, on the paper grids, for
+    // every schedule × thread count — including the per-column
+    // series-term attribution, which sums exactly even when boundary
+    // pairs are recomputed by several partitions.
     for (grid, mesh, soil) in grid_cases() {
         let kernel = SoilKernel::new(&soil);
         let opts = SolveOptions::default();
-        let seq = assemble_galerkin(&mesh, &kernel, &opts, &AssemblyMode::Sequential);
+        let seq = assemble_galerkin(&mesh, &kernel, &opts);
         for threads in thread_counts() {
             let pool = ThreadPool::new(threads);
             for schedule in schedules() {
-                for (engine, mode) in [
-                    ("worklist", AssemblyMode::ParallelDirect(pool, schedule)),
-                    ("scan", AssemblyMode::ParallelDirectScan(pool, schedule)),
-                ] {
-                    let direct = assemble_galerkin(&mesh, &kernel, &opts, &mode);
-                    let label = format!("{grid}: {engine} threads={threads} {}", schedule.label());
-                    assert_eq!(seq.matrix.packed(), direct.matrix.packed(), "{label}");
-                    assert_eq!(seq.rhs, direct.rhs, "{label}");
-                    assert_eq!(seq.column_terms, direct.column_terms, "{label}");
-                    assert_eq!(seq.total_terms(), direct.total_terms(), "{label}");
-                }
+                let pooled = opts.with_parallelism(pool, schedule);
+                let direct = assemble_galerkin(&mesh, &kernel, &pooled);
+                let label = format!("{grid}: threads={threads} {}", schedule.label());
+                assert_eq!(seq.matrix.packed(), direct.matrix.packed(), "{label}");
+                assert_eq!(seq.rhs, direct.rhs, "{label}");
+                assert_eq!(seq.column_terms, direct.column_terms, "{label}");
+                assert_eq!(seq.total_terms(), direct.total_terms(), "{label}");
             }
         }
     }
@@ -153,7 +140,7 @@ fn batched_kernel_assembly_is_bit_identical_across_schedules_and_threads() {
     for (grid, mesh, soil) in grid_cases() {
         let kernel = SoilKernel::new(&soil);
         let batched_opts = SolveOptions::default().with_kernel_eval(KernelEval::Batched);
-        let seq = assemble_galerkin(&mesh, &kernel, &batched_opts, &AssemblyMode::Sequential);
+        let seq = assemble_galerkin(&mesh, &kernel, &batched_opts);
         assert!(seq.lane_slots > 0, "{grid}: batched assembly fills lanes");
         assert!(seq.lane_points <= seq.lane_slots, "{grid}");
         for threads in [1usize, 2, 4, 8] {
@@ -162,8 +149,7 @@ fn batched_kernel_assembly_is_bit_identical_across_schedules_and_threads() {
                 let direct = assemble_galerkin(
                     &mesh,
                     &kernel,
-                    &batched_opts,
-                    &AssemblyMode::ParallelDirect(pool, schedule),
+                    &batched_opts.with_parallelism(pool, schedule),
                 );
                 let label = format!("{grid}: batched threads={threads} {}", schedule.label());
                 assert_eq!(seq.matrix.packed(), direct.matrix.packed(), "{label}");
@@ -179,7 +165,7 @@ fn batched_kernel_assembly_is_bit_identical_across_schedules_and_threads() {
         // The scalar oracle: same operator within the series tolerance,
         // and no lanes at all on its path.
         let scalar_opts = SolveOptions::default().with_kernel_eval(KernelEval::Scalar);
-        let scalar = assemble_galerkin(&mesh, &kernel, &scalar_opts, &AssemblyMode::Sequential);
+        let scalar = assemble_galerkin(&mesh, &kernel, &scalar_opts);
         assert_eq!(scalar.lane_slots, 0, "{grid}: scalar path runs no lanes");
         let norm = scalar
             .matrix
@@ -231,7 +217,7 @@ fn blocked_pooled_lu_factors_are_bit_identical_to_serial() {
     // genuine partial pivoting to keep deterministic across panels.
     for (grid, mesh, soil) in grid_cases() {
         let kernel = SoilKernel::new(&soil);
-        let (c, _) = assemble_collocation(&mesh, &kernel);
+        let (c, _, _) = assemble_collocation(&mesh, &kernel, &SolveOptions::default());
         let serial = LuFactor::factor(&c).expect("collocation matrix is nonsingular");
         for threads in thread_counts() {
             let pool = ThreadPool::new(threads);
@@ -289,12 +275,13 @@ fn pooled_pcg_iterates_are_bit_identical_to_serial() {
 fn pooled_collocation_matrices_are_bit_identical_to_serial() {
     for (grid, mesh, soil) in grid_cases() {
         let kernel = SoilKernel::new(&soil);
-        let (serial, rhs_serial) = assemble_collocation(&mesh, &kernel);
+        let opts = SolveOptions::default();
+        let (serial, rhs_serial, _) = assemble_collocation(&mesh, &kernel, &opts);
         for threads in thread_counts() {
             let pool = ThreadPool::new(threads);
             for schedule in schedules() {
-                let (pooled, rhs_pooled) =
-                    assemble_collocation_pooled(&mesh, &kernel, &pool, schedule);
+                let (pooled, rhs_pooled, _) =
+                    assemble_collocation(&mesh, &kernel, &opts.with_parallelism(pool, schedule));
                 let label = format!("{grid}: threads={threads} {}", schedule.label());
                 assert_eq!(serial.as_slice(), pooled.as_slice(), "{label}");
                 assert_eq!(rhs_serial, rhs_pooled, "{label}");
@@ -304,11 +291,9 @@ fn pooled_collocation_matrices_are_bit_identical_to_serial() {
 }
 
 #[test]
-#[allow(deprecated)] // deliberately pins the legacy wrapper's behavior
 fn pooled_solves_through_grounding_system_are_bit_identical() {
-    // The wiring layer: SolveOptions::parallelism (pool + schedule +
-    // factor block) must reach every solver without perturbing a bit of
-    // the solution.
+    // The wiring layer: SolveOptions::parallelism (pool + schedule) must
+    // reach every solver without perturbing a bit of the solution.
     for (grid, mesh, soil) in grid_cases() {
         for solver in [
             SolverChoice::ConjugateGradient,
@@ -320,14 +305,17 @@ fn pooled_solves_through_grounding_system_are_bit_identical() {
                 ..Default::default()
             };
             let serial_sys = GroundingSystem::new(mesh.clone(), &soil, base);
-            let report = serial_sys.assemble(&AssemblyMode::Sequential);
-            let serial = serial_sys.solve_assembled(&report, 10_000.0);
+            let report = serial_sys.assemble();
+            let solve = |sys: &GroundingSystem| {
+                sys.prepare_assembled(&report)
+                    .expect("prepare succeeds")
+                    .solve(&Scenario::gpr(10_000.0))
+                    .expect("solve succeeds")
+            };
+            let serial = solve(&serial_sys);
             for threads in thread_counts() {
-                let opts = base
-                    .with_parallelism(ThreadPool::new(threads), Schedule::guided(1))
-                    .with_factor_block(16);
-                let pooled_sys = GroundingSystem::new(mesh.clone(), &soil, opts);
-                let pooled = pooled_sys.solve_assembled(&report, 10_000.0);
+                let opts = base.with_parallelism(ThreadPool::new(threads), Schedule::guided(1));
+                let pooled = solve(&GroundingSystem::new(mesh.clone(), &soil, opts));
                 let label = format!("{grid}: {solver:?} threads={threads}");
                 assert_eq!(serial.leakage, pooled.leakage, "{label}");
                 assert_eq!(
@@ -344,13 +332,13 @@ fn pooled_solves_through_grounding_system_are_bit_identical() {
 }
 
 #[test]
-#[allow(deprecated)] // the reference side is deliberately the legacy wrapper
 fn staged_scenario_sweeps_are_bit_identical_to_repeated_legacy_solves() {
     // The PR-5 tentpole invariant: `prepare()` once + `solve_batch` over
     // a scenario sweep must reproduce, bit for bit, what N independent
-    // legacy `solve` calls produced — for every solver, schedule and
-    // thread count, serial and pooled (the pooled batch runs the
-    // multi-RHS solve_many kernels over the pool).
+    // `prepare()` + `solve` runs (one assembly and one factorization
+    // each) produce — for every solver, schedule and thread count,
+    // serial and pooled (the pooled batch runs the multi-RHS solve_many
+    // kernels over the pool).
     let gprs = [1.0, 2_500.0, 10_000.0, 25_000.0];
     let scenarios: Vec<Scenario> = gprs.iter().map(|g| Scenario::gpr(*g)).collect();
     for (grid, mesh, soil) in grid_cases() {
@@ -364,9 +352,15 @@ fn staged_scenario_sweeps_are_bit_identical_to_repeated_legacy_solves() {
                 ..Default::default()
             };
             let serial_sys = GroundingSystem::new(mesh.clone(), &soil, base);
-            let legacy: Vec<_> = gprs
+            let legacy: Vec<_> = scenarios
                 .iter()
-                .map(|g| serial_sys.solve(&AssemblyMode::Sequential, *g))
+                .map(|s| {
+                    serial_sys
+                        .prepare()
+                        .expect("serial prepare succeeds")
+                        .solve(s)
+                        .expect("serial solve succeeds")
+                })
                 .collect();
 
             let study = serial_sys.prepare().expect("serial prepare succeeds");
@@ -416,26 +410,23 @@ fn staged_scenario_sweeps_are_bit_identical_to_repeated_legacy_solves() {
 }
 
 #[test]
-#[allow(deprecated)] // the reference side is deliberately the legacy driver
 fn staged_fault_current_scenarios_match_the_legacy_driver() {
-    // Fault-current scenarios answer exactly like the legacy
-    // analysis::solve_for_fault_current linearity driver — serial and
-    // pooled, on the paper grids.
+    // Fault-current scenarios answer exactly what linearity says — the
+    // unit-GPR solution scaled to GPR = I·Req — serial and pooled, on
+    // the paper grids.
     for (grid, mesh, soil) in grid_cases() {
         let sys = GroundingSystem::new(mesh.clone(), &soil, SolveOptions::default());
         let target = 30_000.0;
-        let legacy = layerbem_core::analysis::solve_for_fault_current(
-            &sys,
-            &AssemblyMode::Sequential,
-            target,
-        );
         let study = sys.prepare().expect("prepare succeeds");
+        let unit = study.solve(&Scenario::gpr(1.0)).expect("solve succeeds");
+        let legacy_gpr = target * unit.equivalent_resistance;
+        let legacy_leakage: Vec<f64> = unit.leakage.iter().map(|q| q * legacy_gpr).collect();
         let staged = study
             .solve(&Scenario::fault_current(target))
             .expect("solve succeeds");
         assert_eq!(staged.total_current, target, "{grid}");
-        assert_eq!(legacy.leakage, staged.leakage, "{grid}");
-        assert_eq!(legacy.gpr, staged.gpr, "{grid}");
+        assert_eq!(legacy_leakage, staged.leakage, "{grid}");
+        assert_eq!(legacy_gpr, staged.gpr, "{grid}");
         for threads in thread_counts() {
             let opts = SolveOptions::default()
                 .with_parallelism(ThreadPool::new(threads), Schedule::dynamic(1));
@@ -444,8 +435,8 @@ fn staged_fault_current_scenarios_match_the_legacy_driver() {
                 .expect("prepare succeeds")
                 .solve(&Scenario::fault_current(target))
                 .expect("solve succeeds");
-            assert_eq!(legacy.leakage, pooled.leakage, "{grid} threads={threads}");
-            assert_eq!(legacy.gpr, pooled.gpr, "{grid} threads={threads}");
+            assert_eq!(legacy_leakage, pooled.leakage, "{grid} threads={threads}");
+            assert_eq!(legacy_gpr, pooled.gpr, "{grid} threads={threads}");
         }
     }
 }

@@ -12,7 +12,7 @@
 //! (`bench_gate` gate 3) on the refined Barberá grid where the
 //! asymptotics have kicked in.
 
-use layerbem_core::assembly::{assemble_galerkin, assemble_hierarchical, AssemblyMode};
+use layerbem_core::assembly::{assemble_galerkin, assemble_hierarchical};
 use layerbem_core::formulation::{OperatorBackend, SolveOptions, DEFAULT_ACA_TOL};
 use layerbem_core::kernel::SoilKernel;
 use layerbem_core::study::Scenario;
@@ -58,7 +58,7 @@ fn hmatrix_apply_matches_dense_within_tolerance_on_paper_grids() {
     for (grid, mesh, soil) in paper_grids() {
         let kernel = SoilKernel::new(&soil);
         let opts = SolveOptions::default();
-        let dense = assemble_galerkin(&mesh, &kernel, &opts, &AssemblyMode::Sequential);
+        let dense = assemble_galerkin(&mesh, &kernel, &opts);
         let tol = DEFAULT_ACA_TOL;
         let rep = assemble_hierarchical(&mesh, &kernel, &opts, tol, 16).expect("ACA converges");
         let n = dense.matrix.order();

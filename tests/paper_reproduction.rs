@@ -92,7 +92,7 @@ fn table_6_3_cost_ordering() {
     let mesh = Mesher::default().mesh(&balaidos());
     let cost = |soil: &SoilModel| {
         let sys = GroundingSystem::new(mesh.clone(), soil, SolveOptions::default());
-        sys.assemble(&AssemblyMode::Sequential).total_terms()
+        sys.assemble().total_terms()
     };
     let a = cost(&SoilModel::uniform(0.020));
     let b = cost(&SoilModel::two_layer(0.0025, 0.020, 0.7));
@@ -113,7 +113,7 @@ fn table_6_2_schedule_shape() {
         &SoilModel::two_layer(0.005, 0.016, 1.0),
         SolveOptions::default(),
     );
-    let rep = sys.assemble(&AssemblyMode::Sequential);
+    let rep = sys.assemble();
     let costs: Vec<f64> = rep.column_terms.iter().map(|&t| t as f64 * 1e-7).collect();
     let speedup = |s: Schedule, p: usize| simulate(&costs, p, s, SimOverheads::default()).speedup();
     let static8 = speedup(Schedule::static_blocked(), 8);
@@ -141,7 +141,7 @@ fn fig_6_1_outer_beats_inner() {
         &SoilModel::two_layer(0.005, 0.016, 1.0),
         SolveOptions::default(),
     );
-    let rep = sys.assemble(&AssemblyMode::Sequential);
+    let rep = sys.assemble();
     let m = rep.column_terms.len();
     let outer: Vec<f64> = rep.column_terms.iter().map(|&t| t as f64 * 1e-7).collect();
     let inner: Vec<Vec<f64>> = outer

@@ -3,7 +3,7 @@
 
 use proptest::prelude::*;
 
-use layerbem::core::assembly::{assemble_galerkin, AssemblyMode};
+use layerbem::core::assembly::assemble_galerkin;
 use layerbem::core::kernel::SoilKernel;
 use layerbem::numeric::cholesky::CholeskyFactor;
 use layerbem::prelude::*;
@@ -56,7 +56,6 @@ proptest! {
             &mesh,
             &kernel,
             &SolveOptions::default(),
-            &AssemblyMode::Sequential,
         );
         prop_assert!(CholeskyFactor::factor(&rep.matrix).is_ok());
     }
