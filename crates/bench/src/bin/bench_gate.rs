@@ -39,18 +39,19 @@
 //! faster than the scalar one.
 //!
 //! **Gate 5 — cold prepare vs cached-hit solve:** runs the refined
-//! Barberá grid through the serve crate's keyed study cache — one cold
-//! `get_or_prepare` (miss: assembly + factorization + sweep) against
-//! best-of-reps warm lookups (hit: back-substitution only), verifies the
-//! cached answers are bit-identical to a freshly prepared direct
-//! `Study::solve`, and **exits nonzero** unless the hit path is at least
+//! Barberá grid through the served path — the one executor
+//! (`core::workload::execute`) over a `Service`'s keyed study cache: one
+//! cold request (miss: assembly + factorization + sweep) against
+//! best-of-reps warm ones (hit: back-substitution only), verifies the
+//! cached answers are bit-identical to the same executor over the fresh
+//! source, and **exits nonzero** unless the hit path is at least
 //! `--cache-speedup` (default 5×) faster. This pins the serving story:
 //! a resident factorization turns every further scenario request into
 //! O(N²) work.
 //!
 //! **Gate 6 — cold vs cached Monte-Carlo soil sweep:** draws a seeded
 //! 32-sample soil sweep around the refined Barberá soil, answers it
-//! twice through the serve study cache — once cold (every sampled soil
+//! twice by the executor over the cache source — once cold (every sampled soil
 //! hashes to its own key: 32 misses, 32 prepares) and once with the
 //! same seed (32 hits, back-substitution only) — verifies the cached
 //! pass is bit-identical to the cold one, and **exits nonzero** unless
@@ -83,6 +84,7 @@
 //! The default `--tolerance` of 1.15 (gate 3's matvec bound) absorbs
 //! residual runner noise.
 
+use std::sync::atomic::Ordering;
 use std::time::Instant;
 
 use layerbem_bench::{
@@ -97,13 +99,15 @@ use layerbem_core::incremental::{ConductorEnd, EditOp, EditPath, EditSession};
 use layerbem_core::kernel::SoilKernel;
 use layerbem_core::study::Scenario;
 use layerbem_core::system::GroundingSystem;
-use layerbem_core::workload::{sample_soils, Workload};
+use layerbem_core::workload::{
+    execute, FreshSource, SoilSweepSpec, StudySource, StudySpec, Workload,
+};
 use layerbem_geometry::conductor::ground_rod;
 use layerbem_geometry::grids::{self, rectangular_grid, RectGridSpec};
 use layerbem_geometry::{Mesh, MeshOptions, Mesher, Point3};
 use layerbem_numeric::{pcg_solve, LinearOperator, PcgOptions};
 use layerbem_parfor::{Schedule, ThreadPool};
-use layerbem_serve::{CacheOutcome, RequestError, StudyCache, StudyKey};
+use layerbem_serve::Service;
 use layerbem_soil::SoilModel;
 
 fn tiny_mesh() -> Mesh {
@@ -307,30 +311,22 @@ fn main() {
         best_resolve = best_resolve.min(t0.elapsed().as_secs_f64());
     }
     let terms_once = reference_study.total_terms();
-    records.push(BenchRecord {
-        grid: grid.into(),
-        mode: "prepare_once".into(),
-        schedule: schedule.label(),
+    records.push(BenchRecord::new(
+        grid,
+        "prepare_once",
+        schedule.label(),
         threads,
-        wall_seconds: best_prepare,
-        series_terms: terms_once,
-        resident_bytes: None,
-        kernel_seconds: None,
-        lane_occupancy: None,
-        update_rank: None,
-    });
-    records.push(BenchRecord {
-        grid: grid.into(),
-        mode: "resolve_each".into(),
-        schedule: schedule.label(),
+        best_prepare,
+        terms_once,
+    ));
+    records.push(BenchRecord::new(
+        grid,
+        "resolve_each",
+        schedule.label(),
         threads,
-        wall_seconds: best_resolve,
-        series_terms: terms_once * SWEEP_SCENARIOS as u64,
-        resident_bytes: None,
-        kernel_seconds: None,
-        lane_occupancy: None,
-        update_rank: None,
-    });
+        best_resolve,
+        terms_once * SWEEP_SCENARIOS as u64,
+    ));
     let speedup = best_resolve / best_prepare;
     let sweep_ok = speedup >= args.sweep_speedup;
     println!();
@@ -431,52 +427,41 @@ fn main() {
 
     let dense_bytes = stats.dense_bytes as u64;
     records.push(BenchRecord {
-        grid: hgrid.into(),
-        mode: "matvec-dense".into(),
-        schedule: "-".into(),
-        threads: 1,
-        wall_seconds: dense_apply,
-        series_terms: dense.total_terms(),
         resident_bytes: Some(dense_bytes),
-        kernel_seconds: None,
-        lane_occupancy: None,
-        update_rank: None,
+        ..BenchRecord::new(
+            hgrid,
+            "matvec-dense",
+            "-",
+            1,
+            dense_apply,
+            dense.total_terms(),
+        )
     });
     records.push(BenchRecord {
-        grid: hgrid.into(),
-        mode: "matvec-hmatrix".into(),
-        schedule: "-".into(),
-        threads: 1,
-        wall_seconds: hier_apply,
-        series_terms: hier.terms,
         resident_bytes: Some(stats.resident_bytes as u64),
-        kernel_seconds: None,
-        lane_occupancy: None,
-        update_rank: None,
+        ..BenchRecord::new(hgrid, "matvec-hmatrix", "-", 1, hier_apply, hier.terms)
     });
     records.push(BenchRecord {
-        grid: hgrid.into(),
-        mode: "assemble-dense".into(),
-        schedule: "Dynamic,1".into(),
-        threads,
-        wall_seconds: dense_assemble_s,
-        series_terms: dense.total_terms(),
         resident_bytes: Some(dense_bytes),
-        kernel_seconds: None,
-        lane_occupancy: None,
-        update_rank: None,
+        ..BenchRecord::new(
+            hgrid,
+            "assemble-dense",
+            "Dynamic,1",
+            threads,
+            dense_assemble_s,
+            dense.total_terms(),
+        )
     });
     records.push(BenchRecord {
-        grid: hgrid.into(),
-        mode: "assemble-hmatrix".into(),
-        schedule: "Dynamic,1".into(),
-        threads,
-        wall_seconds: hier_assemble_s,
-        series_terms: hier.terms,
         resident_bytes: Some(stats.resident_bytes as u64),
-        kernel_seconds: None,
-        lane_occupancy: None,
-        update_rank: None,
+        ..BenchRecord::new(
+            hgrid,
+            "assemble-hmatrix",
+            "Dynamic,1",
+            threads,
+            hier_assemble_s,
+            hier.terms,
+        )
     });
 
     let apply_ratio = hier_apply / dense_apply;
@@ -616,28 +601,27 @@ fn main() {
         ));
     }
     records.push(BenchRecord {
-        grid: kgrid.into(),
-        mode: "kernel-scalar".into(),
-        schedule: "Dynamic,1".into(),
-        threads: kthreads,
-        wall_seconds: scalar_wall,
-        series_terms: scalar_rep.total_terms(),
-        resident_bytes: None,
         kernel_seconds: Some(scalar_kernel),
-        lane_occupancy: None,
-        update_rank: None,
+        ..BenchRecord::new(
+            kgrid,
+            "kernel-scalar",
+            "Dynamic,1",
+            kthreads,
+            scalar_wall,
+            scalar_rep.total_terms(),
+        )
     });
     records.push(BenchRecord {
-        grid: kgrid.into(),
-        mode: "kernel-batched".into(),
-        schedule: "Dynamic,1".into(),
-        threads: kthreads,
-        wall_seconds: batched_wall,
-        series_terms: batched_rep.total_terms(),
-        resident_bytes: None,
         kernel_seconds: Some(batched_kernel),
         lane_occupancy: batched_rep.lane_occupancy(),
-        update_rank: None,
+        ..BenchRecord::new(
+            kgrid,
+            "kernel-batched",
+            "Dynamic,1",
+            kthreads,
+            batched_wall,
+            batched_rep.total_terms(),
+        )
     });
     println!();
     println!(
@@ -678,8 +662,9 @@ fn main() {
 
     // ---- Gate 5: cold prepare vs cached-hit solve (the serve cache). ----
     //
-    // The serving claim, measured through the same `StudyCache` the TCP
-    // server uses: the first request for a study pays assembly +
+    // The serving claim, measured on the served path: the one executor
+    // drawing its studies from a `Service`'s keyed cache, exactly as the
+    // `solve` wire op does. The first request for a study pays assembly +
     // factorization + the scenario sweep (a miss), every further request
     // for the same key answers from the resident factors with O(N²)
     // back-substitutions only (a hit). Run on the refined Barberá grid
@@ -701,49 +686,41 @@ fn main() {
     } else {
         sbase
     };
-    // The canonical key — same hash the server derives from a deck.
-    // `parallelism` is excluded (pooled == serial bitwise), so this key
-    // is stable whether the prepare below runs pooled or serial.
-    let skey = StudyKey::of_parts(snetwork.conductors(), &smesh_opts, &ssoil, &sbase);
+    let sspec = StudySpec {
+        network: &snetwork,
+        mesh_options: smesh_opts,
+        soil: &ssoil,
+        opts: sopts,
+    };
     let sscenarios: Vec<Scenario> = (1..=4).map(|i| Scenario::gpr(1250.0 * i as f64)).collect();
-    let prepare_study = || -> Result<_, RequestError> {
-        let mesh = Mesher::new(smesh_opts).mesh(&snetwork);
-        GroundingSystem::new(mesh, &ssoil, sopts)
-            .prepare()
-            .map_err(RequestError::from)
+    let sworkload = Workload::Scenarios(sscenarios.clone());
+    let solve_from = |source: &dyn StudySource| {
+        let run = execute(&sspec, &sworkload, &[], source)
+            .expect("refined Barbera grid is well-posed")
+            .into_scenarios();
+        (run.solutions, run.study)
     };
 
     // Reference: a fresh direct study, bypassing the cache entirely.
-    let reference = prepare_study().expect("refined Barbera grid is well-posed");
-    let want: Vec<_> = sscenarios
-        .iter()
-        .map(|s| reference.solve(s).expect("sweep scenarios are positive"))
-        .collect();
+    let (want, _) = solve_from(&FreshSource);
 
-    let cache = StudyCache::new(0);
+    let served = Service::new(0, sopts);
+    let misses = || served.metrics().cache_misses.load(Ordering::Relaxed);
     // Cold: one miss paying prepare + the sweep.
     let t0 = Instant::now();
-    let (study, outcome) = cache
-        .get_or_prepare(skey, prepare_study)
-        .expect("cold prepare succeeds");
-    let cold_solutions = study
-        .solve_batch(&sscenarios)
-        .expect("sweep scenarios are positive");
+    let (cold_solutions, sourced) = solve_from(&served);
     let cold = t0.elapsed().as_secs_f64();
-    assert_eq!(outcome, CacheOutcome::Miss, "first request must prepare");
+    assert!(!sourced.reused, "first request must prepare");
+    assert_eq!(misses(), 1, "first request must prepare");
+    let study = sourced.study;
 
     // Warm: best-of-reps hits answering the same sweep from residency.
     let mut hit = f64::INFINITY;
     for _ in 0..args.reps {
         let t0 = Instant::now();
-        let (study, outcome) = cache
-            .get_or_prepare(skey, || unreachable!("study is resident"))
-            .expect("hit never rebuilds");
-        let sols = study
-            .solve_batch(&sscenarios)
-            .expect("sweep scenarios are positive");
+        let (sols, sourced) = solve_from(&served);
         hit = hit.min(t0.elapsed().as_secs_f64());
-        assert_eq!(outcome, CacheOutcome::Hit, "resident study must hit");
+        assert!(sourced.reused, "resident study must hit");
         // Cached answers are bit-identical to the direct study's.
         for (a, b) in sols.iter().zip(&want) {
             assert_eq!(
@@ -753,6 +730,7 @@ fn main() {
             assert_eq!(a.equivalent_resistance, b.equivalent_resistance);
         }
     }
+    assert_eq!(misses(), 1, "hits never rebuild");
     for (a, b) in cold_solutions.iter().zip(&want) {
         assert_eq!(a.leakage, b.leakage, "{sgrid}: cold solve differs");
     }
@@ -768,28 +746,19 @@ fn main() {
     }
     let study_bytes = Some(study.resident_bytes() as u64);
     records.push(BenchRecord {
-        grid: sgrid.into(),
-        mode: "cache_miss".into(),
-        schedule: "Dynamic,1".into(),
-        threads,
-        wall_seconds: cold,
-        series_terms: study.total_terms(),
         resident_bytes: study_bytes,
-        kernel_seconds: None,
-        lane_occupancy: None,
-        update_rank: None,
+        ..BenchRecord::new(
+            sgrid,
+            "cache_miss",
+            "Dynamic,1",
+            threads,
+            cold,
+            study.total_terms(),
+        )
     });
     records.push(BenchRecord {
-        grid: sgrid.into(),
-        mode: "cache_hit".into(),
-        schedule: "Dynamic,1".into(),
-        threads,
-        wall_seconds: hit,
-        series_terms: 0,
         resident_bytes: study_bytes,
-        kernel_seconds: None,
-        lane_occupancy: None,
-        update_rank: None,
+        ..BenchRecord::new(sgrid, "cache_hit", "Dynamic,1", threads, hit, 0)
     });
     println!();
     println!(
@@ -813,7 +782,7 @@ fn main() {
         )
     );
     println!(
-        "{sgrid} ({} dof), key {skey}, {}-scenario sweep, {threads} threads, \
+        "{sgrid} ({} dof), {}-scenario sweep, {threads} threads, \
          hit best of {} repetitions; cached answers verified bit-identical to \
          a fresh direct study ({} resident bytes).",
         study.dof(),
@@ -825,69 +794,46 @@ fn main() {
     // ---- Gate 6: cold vs cached Monte-Carlo soil sweep. ----
     //
     // The workload story measured end to end: a seeded 32-sample soil
-    // sweep around the refined Barberá soil, answered twice through the
-    // same `StudyCache`. The study key hashes the soil layers, so every
-    // sampled soil owns a distinct key — the first pass is 32 misses (32
-    // prepares), and re-drawing with the same seed reproduces the same
-    // soils bit for bit, so the second pass is 32 hits answering from
-    // resident factors. Reuses gate 5's refined-Barberá network, mesh
-    // options and Cholesky solve options.
-    let wspec = match Workload::soil_sweep(32, 20_260_808, 0.15, vec![Scenario::gpr(5_000.0)])
-        .expect("gate 6 sweep parameters are valid")
-    {
-        Workload::SoilSweep(spec) => spec,
-        other => unreachable!("soil_sweep constructs a SoilSweep workload, got {other:?}"),
-    };
-    let wsoils = sample_soils(&ssoil, &wspec);
-    let wcache = StudyCache::new(0);
-    let wprepare = |soil: &SoilModel| -> Result<_, RequestError> {
-        let mesh = Mesher::new(smesh_opts).mesh(&snetwork);
-        GroundingSystem::new(mesh, soil, sopts)
-            .prepare()
-            .map_err(RequestError::from)
+    // sweep around the refined Barberá soil, answered twice by the
+    // executor over one `Service`'s cache — the `sweep` wire op's path.
+    // The study key hashes the soil layers, so every sampled soil owns a
+    // distinct key — the first pass is 32 misses (32 prepares), and
+    // re-drawing with the same seed reproduces the same soils bit for
+    // bit, so the second pass is 32 hits answering from resident
+    // factors. Reuses gate 5's refined-Barberá study spec.
+    let wspec = SoilSweepSpec::new(32, 20_260_808, 0.15, vec![Scenario::gpr(5_000.0)])
+        .expect("gate 6 sweep parameters are valid");
+    let wworkload = Workload::SoilSweep(wspec.clone());
+    let wserved = Service::new(0, sopts);
+    let sweep = || {
+        execute(&sspec, &wworkload, &[], &wserved)
+            .expect("sampled soils stay well-posed")
+            .into_samples()
     };
 
     // Cold pass: every sampled soil is a fresh key — all misses.
     let t0 = Instant::now();
-    let mut cold_answers = Vec::with_capacity(wsoils.len());
-    let mut sweep_terms = 0u64;
-    for soil in &wsoils {
-        let key = StudyKey::of_parts(snetwork.conductors(), &smesh_opts, soil, &sbase);
-        let (study, outcome) = wcache
-            .get_or_prepare(key, || wprepare(soil))
-            .expect("sampled soils stay well-posed");
-        assert_eq!(
-            outcome,
-            CacheOutcome::Miss,
-            "{sgrid}: each sampled soil must hash to its own key"
-        );
-        sweep_terms += study.total_terms();
-        cold_answers.push(
-            study
-                .solve_batch(&wspec.scenarios)
-                .expect("sweep scenarios are positive"),
-        );
-    }
+    let cold_rows = sweep();
     let sweep_cold = t0.elapsed().as_secs_f64();
+    assert!(
+        cold_rows.iter().all(|row| !row.reused),
+        "{sgrid}: each sampled soil must hash to its own key"
+    );
     assert_eq!(
-        wcache.residency().0,
+        wserved.cache().residency().0,
         wspec.samples,
         "{sgrid}: the sweep must leave one resident study per sample"
     );
+    let sweep_terms: u64 = cold_rows.iter().map(|row| row.profile.kernel_terms).sum();
 
     // Cached pass: the same seed draws the same soils — all hits, and
     // the answers must be bit-identical to the cold pass.
     let t0 = Instant::now();
-    for (soil, want) in sample_soils(&ssoil, &wspec).iter().zip(&cold_answers) {
-        let key = StudyKey::of_parts(snetwork.conductors(), &smesh_opts, soil, &sbase);
-        let (study, outcome) = wcache
-            .get_or_prepare(key, || unreachable!("sweep studies are resident"))
-            .expect("hit never rebuilds");
-        assert_eq!(outcome, CacheOutcome::Hit, "same seed must replay as hits");
-        let sols = study
-            .solve_batch(&wspec.scenarios)
-            .expect("sweep scenarios are positive");
-        for (a, b) in sols.iter().zip(want) {
+    let cached_rows = sweep();
+    let sweep_cached = t0.elapsed().as_secs_f64();
+    for (cached, cold) in cached_rows.iter().zip(&cold_rows) {
+        assert!(cached.reused, "same seed must replay as hits");
+        for (a, b) in cached.solutions.iter().zip(&cold.solutions) {
             assert_eq!(
                 a.leakage, b.leakage,
                 "{sgrid}: cached sweep differs from the cold pass"
@@ -895,7 +841,6 @@ fn main() {
             assert_eq!(a.equivalent_resistance, b.equivalent_resistance);
         }
     }
-    let sweep_cached = t0.elapsed().as_secs_f64();
 
     let sweep_cache_ratio = sweep_cold / sweep_cached;
     let sweep_cache_ok = sweep_cache_ratio >= args.sweep_cache_speedup;
@@ -907,28 +852,19 @@ fn main() {
         ));
     }
     records.push(BenchRecord {
-        grid: sgrid.into(),
-        mode: "sweep_cold".into(),
-        schedule: "Dynamic,1".into(),
-        threads,
-        wall_seconds: sweep_cold,
-        series_terms: sweep_terms,
-        resident_bytes: Some(wcache.residency().1 as u64),
-        kernel_seconds: None,
-        lane_occupancy: None,
-        update_rank: None,
+        resident_bytes: Some(wserved.cache().residency().1 as u64),
+        ..BenchRecord::new(
+            sgrid,
+            "sweep_cold",
+            "Dynamic,1",
+            threads,
+            sweep_cold,
+            sweep_terms,
+        )
     });
     records.push(BenchRecord {
-        grid: sgrid.into(),
-        mode: "sweep_cached".into(),
-        schedule: "Dynamic,1".into(),
-        threads,
-        wall_seconds: sweep_cached,
-        series_terms: 0,
-        resident_bytes: Some(wcache.residency().1 as u64),
-        kernel_seconds: None,
-        lane_occupancy: None,
-        update_rank: None,
+        resident_bytes: Some(wserved.cache().residency().1 as u64),
+        ..BenchRecord::new(sgrid, "sweep_cached", "Dynamic,1", threads, sweep_cached, 0)
     });
     println!();
     println!(
@@ -963,7 +899,7 @@ fn main() {
         wspec.seed,
         wspec.sigma,
         wspec.samples,
-        wcache.residency().1,
+        wserved.cache().residency().1,
     );
 
     // ---- Gate 7: incremental edit vs full re-prepare. ----
@@ -1067,28 +1003,21 @@ fn main() {
         ));
     }
     records.push(BenchRecord {
-        grid: egrid.into(),
-        mode: "edit_incremental".into(),
-        schedule: "Dynamic,1".into(),
-        threads,
-        wall_seconds: edit_inc,
-        series_terms: 0,
         resident_bytes: Some(esession.study().resident_bytes() as u64),
-        kernel_seconds: None,
-        lane_occupancy: None,
         update_rank: Some(last_report.update_rank as u64),
+        ..BenchRecord::new(egrid, "edit_incremental", "Dynamic,1", threads, edit_inc, 0)
     });
     records.push(BenchRecord {
-        grid: egrid.into(),
-        mode: "edit_full".into(),
-        schedule: "Dynamic,1".into(),
-        threads,
-        wall_seconds: edit_full,
-        series_terms: efull.total_terms(),
         resident_bytes: Some(efull.resident_bytes() as u64),
-        kernel_seconds: None,
-        lane_occupancy: None,
         update_rank: Some(0),
+        ..BenchRecord::new(
+            egrid,
+            "edit_full",
+            "Dynamic,1",
+            threads,
+            edit_full,
+            efull.total_terms(),
+        )
     });
     println!();
     println!(

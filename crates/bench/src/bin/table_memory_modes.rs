@@ -151,18 +151,14 @@ fn main() {
             format!("{:.1}x", 1.0),
             "baseline".into(),
         ]);
-        records.push(BenchRecord {
-            grid: grid.into(),
-            mode: "sequential".into(),
-            schedule: "-".into(),
-            threads: 1,
-            wall_seconds: seq_s,
-            series_terms: seq.total_terms(),
-            resident_bytes: None,
-            kernel_seconds: None,
-            lane_occupancy: None,
-            update_rank: None,
-        });
+        records.push(BenchRecord::new(
+            grid,
+            "sequential",
+            "-",
+            1,
+            seq_s,
+            seq.total_terms(),
+        ));
 
         // The paper's staged scheme: one run for the memory column.
         let t0 = Instant::now();
@@ -186,18 +182,14 @@ fn main() {
             format!("{:.1}x", (tri + staged) as f64 / tri as f64),
             "identical".into(),
         ]);
-        records.push(BenchRecord {
-            grid: grid.into(),
-            mode: "staged-outer".into(),
-            schedule: "Dynamic,1".into(),
-            threads: wide,
-            wall_seconds: outer_s,
-            series_terms: outer.total_terms(),
-            resident_bytes: None,
-            kernel_seconds: None,
-            lane_occupancy: None,
-            update_rank: None,
-        });
+        records.push(BenchRecord::new(
+            grid,
+            "staged-outer",
+            "Dynamic,1",
+            wide,
+            outer_s,
+            outer.total_terms(),
+        ));
 
         // The production pooled engine across thread counts × schedules.
         for &threads in &thread_counts {
@@ -221,18 +213,14 @@ fn main() {
                     format!("{:.1}x", 1.0),
                     "identical".into(),
                 ]);
-                records.push(BenchRecord {
-                    grid: grid.into(),
-                    mode: "worklist".into(),
-                    schedule: schedule.label(),
+                records.push(BenchRecord::new(
+                    grid,
+                    "worklist",
+                    schedule.label(),
                     threads,
-                    wall_seconds: direct_s,
-                    series_terms: direct.total_terms(),
-                    resident_bytes: None,
-                    kernel_seconds: None,
-                    lane_occupancy: None,
-                    update_rank: None,
-                });
+                    direct_s,
+                    direct.total_terms(),
+                ));
             }
         }
 

@@ -29,6 +29,7 @@ use layerbem_core::formulation::SolveOptions;
 use layerbem_core::system::{GroundingSolution, GroundingSystem};
 use layerbem_geometry::grids;
 use layerbem_geometry::{Mesh, Mesher};
+use layerbem_serve::Json;
 use layerbem_soil::SoilModel;
 
 pub use layerbem_cad::report::render_table;
@@ -212,57 +213,64 @@ pub struct BenchRecord {
     pub update_rank: Option<u64>,
 }
 
-/// Minimal JSON string escaping for the label fields of [`BenchRecord`].
-fn json_escape(s: &str) -> String {
-    s.chars()
-        .flat_map(|c| match c {
-            '"' => "\\\"".chars().collect::<Vec<_>>(),
-            '\\' => "\\\\".chars().collect(),
-            c if (c as u32) < 0x20 => format!("\\u{:04x}", c as u32).chars().collect(),
-            c => vec![c],
-        })
-        .collect()
+impl BenchRecord {
+    /// A row with the always-present columns; the optional ones (`None`
+    /// here) are set by struct update on the rows that measure them.
+    pub fn new(
+        grid: impl Into<String>,
+        mode: impl Into<String>,
+        schedule: impl Into<String>,
+        threads: usize,
+        wall_seconds: f64,
+        series_terms: u64,
+    ) -> Self {
+        BenchRecord {
+            grid: grid.into(),
+            mode: mode.into(),
+            schedule: schedule.into(),
+            threads,
+            wall_seconds,
+            series_terms,
+            resident_bytes: None,
+            kernel_seconds: None,
+            lane_occupancy: None,
+            update_rank: None,
+        }
+    }
 }
 
-/// Renders benchmark records as a JSON array (no external serializer: the
-/// workspace is registry-free, and the schema is six flat fields).
+/// Renders benchmark records as a JSON array, one row object per line,
+/// through the workspace's one JSON writer ([`layerbem_serve::Json`]);
+/// `None` columns are omitted from their row.
 pub fn bench_records_json(records: &[BenchRecord]) -> String {
-    let mut s = String::from("[\n");
-    for (i, r) in records.iter().enumerate() {
-        let bytes = r
-            .resident_bytes
-            .map(|b| format!(", \"resident_bytes\": {b}"))
-            .unwrap_or_default();
-        let kernel = r
-            .kernel_seconds
-            .map(|k| format!(", \"kernel_seconds\": {k:.6}"))
-            .unwrap_or_default();
-        let occupancy = r
-            .lane_occupancy
-            .map(|o| format!(", \"lane_occupancy\": {o:.4}"))
-            .unwrap_or_default();
-        let rank = r
-            .update_rank
-            .map(|u| format!(", \"update_rank\": {u}"))
-            .unwrap_or_default();
-        s.push_str(&format!(
-            "  {{\"grid\": \"{}\", \"mode\": \"{}\", \"schedule\": \"{}\", \
-             \"threads\": {}, \"wall_seconds\": {:.6}, \"series_terms\": {}{}{}{}{}}}{}\n",
-            json_escape(&r.grid),
-            json_escape(&r.mode),
-            json_escape(&r.schedule),
-            r.threads,
-            r.wall_seconds,
-            r.series_terms,
-            bytes,
-            kernel,
-            occupancy,
-            rank,
-            if i + 1 == records.len() { "" } else { "," }
-        ));
+    let rows: Vec<String> = records
+        .iter()
+        .map(|r| {
+            let mut row = vec![
+                ("grid", Json::str(r.grid.as_str())),
+                ("mode", Json::str(r.mode.as_str())),
+                ("schedule", Json::str(r.schedule.as_str())),
+                ("threads", Json::Num(r.threads as f64)),
+                ("wall_seconds", Json::Num(r.wall_seconds)),
+                ("series_terms", Json::Num(r.series_terms as f64)),
+            ];
+            for (key, value) in [
+                ("resident_bytes", r.resident_bytes.map(|b| b as f64)),
+                ("kernel_seconds", r.kernel_seconds),
+                ("lane_occupancy", r.lane_occupancy),
+                ("update_rank", r.update_rank.map(|u| u as f64)),
+            ] {
+                if let Some(value) = value {
+                    row.push((key, Json::Num(value)));
+                }
+            }
+            format!("  {}", Json::obj(row).to_line())
+        })
+        .collect();
+    match rows.as_slice() {
+        [] => "[\n]\n".to_string(),
+        rows => format!("[\n{}\n]\n", rows.join(",\n")),
     }
-    s.push_str("]\n");
-    s
 }
 
 /// Writes benchmark records as a JSON artifact under `results/`.
@@ -315,51 +323,44 @@ mod tests {
     fn bench_records_render_as_json_rows() {
         let rows = vec![
             BenchRecord {
-                grid: "tiny 2x2 yard".into(),
-                mode: "worklist".into(),
-                schedule: "Dynamic,1".into(),
-                threads: 4,
-                wall_seconds: 0.012345,
-                series_terms: 98765,
-                resident_bytes: None,
                 kernel_seconds: Some(0.25),
                 lane_occupancy: Some(0.9375),
-                update_rank: None,
+                ..BenchRecord::new("tiny 2x2 yard", "worklist", "Dynamic,1", 4, 0.012345, 98765)
             },
             BenchRecord {
-                grid: "tiny \"q\" yard".into(),
-                mode: "staged-outer".into(),
-                schedule: "Static".into(),
-                threads: 1,
-                wall_seconds: 1.5,
-                series_terms: 7,
                 resident_bytes: Some(4096),
-                kernel_seconds: None,
-                lane_occupancy: None,
                 update_rank: Some(46),
+                ..BenchRecord::new("tiny \"q\" yard", "staged-outer", "Static", 1, 1.5, 7)
             },
         ];
         let json = bench_records_json(&rows);
         assert!(json.starts_with("[\n"));
         assert!(json.trim_end().ends_with(']'));
-        assert!(json.contains("\"mode\": \"worklist\""));
-        assert!(json.contains("\"threads\": 4"));
-        assert!(json.contains("\"wall_seconds\": 0.012345"));
-        assert!(json.contains("\"series_terms\": 98765"));
+        assert!(json.contains("\"mode\":\"worklist\""));
+        assert!(json.contains("\"threads\":4"));
+        assert!(json.contains("\"wall_seconds\":0.012345"));
+        assert!(json.contains("\"series_terms\":98765"));
         // resident_bytes appears only on rows that set it.
-        assert!(json.contains("\"resident_bytes\": 4096"));
+        assert!(json.contains("\"resident_bytes\":4096"));
         assert_eq!(json.matches("resident_bytes").count(), 1);
         // kernel_seconds / lane_occupancy likewise.
-        assert!(json.contains("\"kernel_seconds\": 0.250000"));
-        assert!(json.contains("\"lane_occupancy\": 0.9375"));
+        assert!(json.contains("\"kernel_seconds\":0.25"));
+        assert!(json.contains("\"lane_occupancy\":0.9375"));
         assert_eq!(json.matches("kernel_seconds").count(), 1);
         assert_eq!(json.matches("lane_occupancy").count(), 1);
         // update_rank appears only on the edit-gate rows.
-        assert!(json.contains("\"update_rank\": 46"));
+        assert!(json.contains("\"update_rank\":46"));
         assert_eq!(json.matches("update_rank").count(), 1);
-        // Quotes in labels are escaped; exactly one separating comma.
+        // Quotes in labels are escaped; exactly one separating comma;
+        // the document parses back with every row and key in order.
         assert!(json.contains("tiny \\\"q\\\" yard"));
         assert_eq!(json.matches("},").count(), 1);
+        let parsed = Json::parse(&json).expect("artifact is JSON");
+        let first = &parsed.as_arr().expect("array of rows")[0];
+        assert_eq!(
+            first.get("grid").and_then(Json::as_str),
+            Some("tiny 2x2 yard")
+        );
         assert_eq!(bench_records_json(&[]), "[\n]\n");
     }
 

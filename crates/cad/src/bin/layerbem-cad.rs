@@ -252,13 +252,11 @@ fn apply_workload_flags(
         }
     }
     if let Some((samples, seed, sigma)) = args.soil_sweep {
-        let scenarios = match &case.workload {
-            Workload::Scenarios(list) => list.clone(),
-            Workload::SoilSweep(spec) => spec.scenarios.clone(),
-            Workload::DesignSearch(_) => {
-                return Err("--soil-sweep cannot override a design-search deck".to_string())
-            }
-        };
+        let scenarios = case
+            .workload
+            .scenario_list()
+            .ok_or("--soil-sweep cannot override a design-search deck")?
+            .to_vec();
         case.workload = Workload::soil_sweep(samples, seed, sigma, scenarios)
             .map_err(|e| format!("--soil-sweep: {}", PipelineError::from(e)))?;
     }

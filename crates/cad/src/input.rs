@@ -59,11 +59,11 @@
 //! Cholesky factor in place; `add`/`remove` rebuild. Edits accumulate in
 //! [`CadCase::edits`] and cannot be combined with sweep/search stanzas.
 
-use layerbem_core::formulation::{Formulation, SolverChoice};
+use layerbem_core::formulation::{Formulation, SolveOptions, SolverChoice};
 use layerbem_core::incremental::{ConductorEnd, EditOp};
 use layerbem_core::safety::{BodyWeight, ConductorMaterial, SafetyCriteria};
 use layerbem_core::study::Scenario;
-use layerbem_core::workload::Workload;
+use layerbem_core::workload::{SoilSweepSpec, StudySpec, Workload, WorkloadError};
 use layerbem_geometry::conductor::ground_rod;
 use layerbem_geometry::grids::{rectangular_grid, triangle_grid, RectGridSpec, TriangleGridSpec};
 use layerbem_geometry::{Conductor, ConductorNetwork, MeshOptions, Point3};
@@ -105,6 +105,53 @@ pub struct CadCase {
 }
 
 impl CadCase {
+    /// The deck's `formulation`/`solver` keywords laid over a front end's
+    /// `base` options — the effective options every front end solves
+    /// (and the serve cache keys) this deck with. The knobs a deck cannot
+    /// express (quadrature, tolerance, backend, parallelism) stay the
+    /// caller's.
+    pub fn solve_options(&self, base: SolveOptions) -> SolveOptions {
+        SolveOptions {
+            formulation: self.formulation,
+            solver: self.solver,
+            ..base
+        }
+    }
+
+    /// The study this deck's base geometry names under a front end's
+    /// `base` options — what the executor asks a study source for.
+    pub fn study_spec(&self, base: SolveOptions) -> StudySpec<'_> {
+        StudySpec {
+            network: &self.network,
+            mesh_options: self.mesh_options,
+            soil: &self.soil,
+            opts: self.solve_options(base),
+        }
+    }
+
+    /// Builds a soil-sweep spec over `scenarios`: each parameter is the
+    /// explicit value (a serve request field, the CLI's `--soil-sweep`),
+    /// else the deck's `sweep` stanza, else its default (seed 0, sigma
+    /// 0.1; the sample count has none).
+    pub fn soil_sweep(
+        &self,
+        samples: Option<usize>,
+        seed: Option<u64>,
+        sigma: Option<f64>,
+        scenarios: Vec<Scenario>,
+    ) -> Result<SoilSweepSpec, String> {
+        let stanza = match &self.workload {
+            Workload::SoilSweep(spec) => Some(spec),
+            _ => None,
+        };
+        let samples = samples
+            .or(stanza.map(|s| s.samples))
+            .ok_or("sweep expects 'samples' (or a deck with a 'sweep soil-samples' stanza)")?;
+        let seed = seed.or(stanza.map(|s| s.seed)).unwrap_or(0);
+        let sigma = sigma.or(stanza.map(|s| s.sigma)).unwrap_or(0.1);
+        SoilSweepSpec::new(samples, seed, sigma, scenarios).map_err(|e| e.to_string())
+    }
+
     /// Builds a design-search workload over pitch candidates `lo:hi:n`
     /// from this case's `grid rect` template, its `fault-current`
     /// scenarios (default 25 kA) and IEEE 80 default criteria — the
@@ -622,11 +669,7 @@ pub fn parse_case(text: &str) -> Result<CadCase, ParseError> {
         edits,
     };
     if !case.edits.is_empty() && (sweep.is_some() || search.is_some()) {
-        return Err(err(
-            0,
-            "edit stanzas replay against the deck's scenarios and cannot \
-             be combined with sweep/search workloads",
-        ));
+        return Err(err(0, WorkloadError::EditsNeedScenarios.to_string()));
     }
     match (sweep, search) {
         (Some(_), Some((_, _, _, line))) => {
@@ -636,10 +679,11 @@ pub fn parse_case(text: &str) -> Result<CadCase, ParseError> {
             ));
         }
         (Some((samples, seed, sigma, line)), None) => {
-            let scenarios = match &case.workload {
-                Workload::Scenarios(s) => s.clone(),
-                _ => unreachable!("workload starts scenario-shaped"),
-            };
+            let scenarios = case
+                .workload
+                .scenario_list()
+                .expect("workload starts scenario-shaped")
+                .to_vec();
             case.workload = Workload::soil_sweep(samples, seed, sigma, scenarios)
                 .map_err(|e| err(line, e.to_string()))?;
         }

@@ -4,24 +4,23 @@
 //! five phases and shows matrix generation taking 1723.2 s of the 1724.2 s
 //! total — the observation that justifies parallelizing exactly that
 //! loop. [`run_pipeline`] reproduces the same phase structure and
-//! instrumentation, now built on the staged
-//! [`GroundingSystem::prepare`] API: matrix generation and factorization
-//! run **once** per case, and every scenario of the deck's sweep is
-//! answered from the retained factor — so a 16-scenario study pays one
-//! Table-6.1 matrix-generation bill, not sixteen. Assembly, factorization
-//! and the per-scenario solves are attributed to their own phases for
-//! both formulations (the collocation solve is no longer lumped into
-//! matrix generation).
+//! instrumentation as *validate → execute → render* around the one
+//! executor, [`layerbem_core::workload::execute`], drawing its studies
+//! from [`FreshSource`] (prepare now): it times discretization, hands the
+//! deck's workload and `edit` stanzas to the executor, attributes matrix
+//! generation and linear solving from the returned study profiles, and
+//! renders the text report. Matrix generation and factorization run
+//! **once** per study, and every scenario is answered from the retained
+//! factor — so a 16-scenario study pays one Table-6.1 matrix-generation
+//! bill, not sixteen.
 
 use std::time::Instant;
 
 use layerbem_core::formulation::SolveOptions;
-use layerbem_core::incremental::{EditError, EditReport, EditSession};
-use layerbem_core::study::{PrepareError, SolveError, Study, StudyProfile};
-use layerbem_core::system::{GroundingSolution, GroundingSystem};
-use layerbem_core::workload::{
-    run_design_search, run_soil_sweep, Workload, WorkloadError, WorkloadRow, WorkloadRunError,
-};
+use layerbem_core::incremental::EditReport;
+use layerbem_core::study::StudyProfile;
+use layerbem_core::system::GroundingSolution;
+use layerbem_core::workload::{execute, Executed, FreshSource, Workload, WorkloadRow};
 use layerbem_geometry::{Mesh, Mesher};
 use layerbem_numeric::CompressionStats;
 
@@ -117,94 +116,9 @@ impl PhaseTimes {
     }
 }
 
-/// Why the pipeline could not complete: the staged prepare/solve path's
-/// typed errors, forwarded with context.
-#[derive(Clone, Debug, PartialEq)]
-pub enum PipelineError {
-    /// The case parsed but does not describe a solvable model (an empty
-    /// discretization, or electrodes forming disconnected islands). These
-    /// used to trip `GroundingSystem::new`'s assertions — fatal in a
-    /// resident server — and are now checked first.
-    Model(String),
-    /// Assembly/factorization failed (ill-posed system).
-    Prepare(PrepareError),
-    /// A scenario could not be answered.
-    Solve(SolveError),
-    /// The requested workload is malformed (zero-sample sweep, backwards
-    /// `LO:HI` range, …) — the typed replacement for the CLI's old silent
-    /// acceptance of degenerate `--gpr-sweep` specs.
-    Workload(WorkloadError),
-}
-
-impl std::fmt::Display for PipelineError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            PipelineError::Model(why) => write!(f, "case describes no solvable model: {why}"),
-            PipelineError::Prepare(e) => write!(f, "pipeline preparation failed: {e}"),
-            PipelineError::Solve(e) => write!(f, "pipeline scenario solve failed: {e}"),
-            PipelineError::Workload(e) => write!(f, "invalid workload: {e}"),
-        }
-    }
-}
-
-impl std::error::Error for PipelineError {}
-
-impl From<PrepareError> for PipelineError {
-    fn from(e: PrepareError) -> Self {
-        PipelineError::Prepare(e)
-    }
-}
-
-impl From<SolveError> for PipelineError {
-    fn from(e: SolveError) -> Self {
-        PipelineError::Solve(e)
-    }
-}
-
-impl From<WorkloadError> for PipelineError {
-    fn from(e: WorkloadError) -> Self {
-        PipelineError::Workload(e)
-    }
-}
-
-impl From<WorkloadRunError> for PipelineError {
-    fn from(e: WorkloadRunError) -> Self {
-        match e {
-            WorkloadRunError::Prepare { error, .. } => PipelineError::Prepare(error),
-            WorkloadRunError::Solve { error, .. } => PipelineError::Solve(error),
-        }
-    }
-}
-
-impl From<EditError> for PipelineError {
-    fn from(e: EditError) -> Self {
-        match e {
-            EditError::Prepare(p) => PipelineError::Prepare(p),
-            EditError::Model(why) => PipelineError::Model(why.to_string()),
-            EditError::NotEditable(why) => PipelineError::Model(why.to_string()),
-        }
-    }
-}
-
-/// Checks that a discretized mesh describes one solvable electrode — the
-/// guard both the pipeline and the resident server run *before*
-/// [`GroundingSystem::new`], whose assertions would otherwise abort the
-/// process on a degenerate or disconnected case.
-pub fn check_model(mesh: &Mesh) -> Result<(), PipelineError> {
-    if mesh.dof() == 0 {
-        return Err(PipelineError::Model(
-            "discretization produced no degrees of freedom".to_string(),
-        ));
-    }
-    if !mesh.is_connected() {
-        return Err(PipelineError::Model(
-            "electrode network is not connected (grounding grids are one \
-             bonded structure; merge or remove the isolated conductors)"
-                .to_string(),
-        ));
-    }
-    Ok(())
-}
+/// Why the pipeline could not complete — the executor's own error: a
+/// refused workload, an unsolvable model, a failed prepare or solve.
+pub use layerbem_core::workload::ExecuteError as PipelineError;
 
 /// Everything the pipeline produces: the result is **workload-shaped** —
 /// one [`WorkloadRow`] per scenario, soil sample or design candidate,
@@ -260,7 +174,8 @@ impl PipelineResult {
 
 /// Runs the five-phase pipeline on a parsed case; matrix generation and
 /// the solve run serially or on the pool as [`SolveOptions::parallelism`]
-/// says.
+/// says. The deck's `formulation`/`solver` keywords override `opts`
+/// ([`CadCase::solve_options`]).
 ///
 /// `input_seconds` is the time the caller spent parsing the deck (phase 1
 /// happens before this function can run; pass 0.0 when not measured).
@@ -269,66 +184,41 @@ pub fn run_pipeline(
     opts: SolveOptions,
     input_seconds: f64,
 ) -> Result<PipelineResult, PipelineError> {
-    // The deck's formulation/solver keywords override the caller's
-    // defaults (but not an explicitly non-default caller choice for the
-    // quadrature/tolerance knobs, which the deck cannot express).
-    let opts = SolveOptions {
-        formulation: case.formulation,
-        solver: case.solver,
-        ..opts
-    };
     let mut times = PhaseTimes::default();
     times.seconds[0] = input_seconds;
 
-    // Phase 2: preprocessing (discretization), with the model validated
-    // before the system constructor can assert on it.
+    // Phase 2: preprocessing (discretization).
     let t = Instant::now();
-    let mesh = Mesher::new(case.mesh_options).mesh(&case.network);
-    check_model(&mesh)?;
+    let mut mesh = Mesher::new(case.mesh_options).mesh(&case.network);
     times.seconds[1] = t.elapsed().as_secs_f64();
 
-    match &case.workload {
-        Workload::Scenarios(scenarios) => {
-            // Phase 3: matrix generation — once, via the staged API, for
-            // both formulations. The study retains the factor. A deck
-            // with `edit` stanzas opens an editing session instead: the
-            // base geometry is prepared editable, then each edit
-            // re-integrates only the element pairs it touched and
-            // updates the retained factor in place.
-            let (study, mesh, edit_reports): (Study, Mesh, Vec<EditReport>) = if case
-                .edits
-                .is_empty()
-            {
-                let system = GroundingSystem::new(mesh.clone(), &case.soil, opts);
-                (system.prepare()?, mesh, Vec::new())
-            } else {
-                let mut session =
-                    EditSession::open(case.network.clone(), &case.soil, case.mesh_options, opts)?;
-                let mut reports = Vec::with_capacity(case.edits.len());
-                for op in &case.edits {
-                    reports.push(session.apply(op)?);
-                }
-                let study = session.into_study();
-                let mesh = study
-                    .edited_mesh()
-                    .expect("sessions hold editable studies")
-                    .clone();
-                (study, mesh, reports)
-            };
+    // Phases 3 + 4: the executor validates the workload, prepares (one
+    // study per case, sample or candidate; a deck with `edit` stanzas
+    // replays them as an editing session) and solves.
+    let t = Instant::now();
+    let done = execute(
+        &case.study_spec(opts),
+        &case.workload,
+        &case.edits,
+        &FreshSource,
+    )?;
+    let wall = t.elapsed().as_secs_f64();
+
+    // Phase 5: results storage (report formatting), with phases 3 and 4
+    // attributed from what the executor's studies recorded: assembly and
+    // re-integration are matrix generation; factorization, factor
+    // updates and the scenario solves are linear system solving.
+    let t = Instant::now();
+    let (rows, report, profile, study) = match (done, &case.workload) {
+        (Executed::Scenarios(run), _) => {
+            let (solutions, edit_reports, study) =
+                (run.solutions, run.edit_reports, run.study.study);
             let profile = study.profile();
             times.seconds[2] = profile.assembly_seconds + profile.reintegrate_seconds;
-
-            // Phase 4: linear system solving — the one-time factorization
-            // (plus any per-edit factor updates) and every scenario's
-            // back-substitution (previously the collocation assembly was
-            // lumped in here too; phases now attribute honestly).
-            let t = Instant::now();
-            let solutions = study.solve_batch(scenarios)?;
-            times.seconds[3] =
-                profile.factor_seconds + profile.update_seconds + t.elapsed().as_secs_f64();
-
-            // Phase 5: results storage (report formatting).
-            let t = Instant::now();
+            times.seconds[3] = profile.factor_seconds + profile.update_seconds + run.solve_seconds;
+            if let Some(edited) = study.edited_mesh() {
+                mesh = edited.clone();
+            }
             let mut text = text_report(&case.title, &case.soil, &mesh, &solutions[0]);
             if !edit_reports.is_empty() {
                 text.push('\n');
@@ -338,75 +228,46 @@ pub fn run_pipeline(
                 text.push('\n');
                 text.push_str(&sweep_report(&solutions));
             }
-            times.seconds[4] = t.elapsed().as_secs_f64();
-
-            Ok(PipelineResult {
-                mesh,
-                workload: case.workload.clone(),
-                rows: solutions.into_iter().map(WorkloadRow::Scenario).collect(),
-                times,
-                report: text,
-                column_seconds: study.column_seconds().to_vec(),
-                column_terms: study.column_terms().to_vec(),
-                compression: profile.compression,
-                // Re-read so the stored instrumentation includes the
-                // scenario solves served above.
-                profile: study.profile(),
-            })
+            let rows = solutions.into_iter().map(WorkloadRow::Scenario).collect();
+            (rows, text, profile, Some(study))
         }
-        Workload::SoilSweep(spec) => {
-            // Phases 3+4: one fresh assembly + factor per sampled soil,
-            // pooled across samples.
-            let t = Instant::now();
-            let samples = run_soil_sweep(&mesh, &case.soil, opts, spec)?;
-            let wall = t.elapsed().as_secs_f64();
+        (Executed::SoilSweep(samples), Workload::SoilSweep(spec)) => {
             let profile = aggregate_profile(samples.iter().map(|s| &s.profile));
-            times.seconds[2] = profile.assembly_seconds;
-            times.seconds[3] = (wall - profile.assembly_seconds).max(0.0);
-
-            let t = Instant::now();
             let report = soil_sweep_report(&case.title, &case.soil, spec, &samples);
-            times.seconds[4] = t.elapsed().as_secs_f64();
-
-            Ok(PipelineResult {
-                mesh,
-                workload: case.workload.clone(),
-                rows: samples.into_iter().map(WorkloadRow::Sample).collect(),
-                times,
-                report,
-                column_seconds: Vec::new(),
-                column_terms: Vec::new(),
-                compression: profile.compression,
-                profile,
-            })
+            let rows = samples.into_iter().map(WorkloadRow::Sample).collect();
+            (rows, report, profile, None)
         }
-        Workload::DesignSearch(spec) => {
-            // Phases 3+4: one prepare per candidate layout, each reused
-            // across every candidate fault current.
-            let t = Instant::now();
-            let candidates = run_design_search(&case.soil, case.mesh_options, opts, spec)?;
-            let wall = t.elapsed().as_secs_f64();
+        (Executed::DesignSearch(candidates), Workload::DesignSearch(spec)) => {
             let profile = aggregate_profile(candidates.iter().map(|c| &c.profile));
-            times.seconds[2] = profile.assembly_seconds;
-            times.seconds[3] = (wall - profile.assembly_seconds).max(0.0);
-
-            let t = Instant::now();
             let report = design_search_report(&case.title, &case.soil, spec, &candidates);
-            times.seconds[4] = t.elapsed().as_secs_f64();
-
-            Ok(PipelineResult {
-                mesh,
-                workload: case.workload.clone(),
-                rows: candidates.into_iter().map(WorkloadRow::Candidate).collect(),
-                times,
-                report,
-                column_seconds: Vec::new(),
-                column_terms: Vec::new(),
-                compression: profile.compression,
-                profile,
-            })
+            let rows = candidates.into_iter().map(WorkloadRow::Candidate).collect();
+            (rows, report, profile, None)
         }
+        _ => unreachable!("the executor answers in its workload's shape"),
+    };
+    if study.is_none() {
+        // One prepare per sample or candidate, pooled across them: what
+        // is not assembly is factorization and solving.
+        times.seconds[2] = profile.assembly_seconds;
+        times.seconds[3] = (wall - profile.assembly_seconds).max(0.0);
     }
+    times.seconds[4] = t.elapsed().as_secs_f64();
+
+    Ok(PipelineResult {
+        mesh,
+        workload: case.workload.clone(),
+        rows,
+        times,
+        report,
+        column_seconds: study
+            .as_ref()
+            .map_or_else(Vec::new, |s| s.column_seconds().to_vec()),
+        column_terms: study
+            .as_ref()
+            .map_or_else(Vec::new, |s| s.column_terms().to_vec()),
+        compression: profile.compression,
+        profile,
+    })
 }
 
 /// Formats the per-edit session table the results-storage phase appends

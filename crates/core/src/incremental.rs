@@ -53,7 +53,8 @@ use crate::assembly::{
 use crate::formulation::{Formulation, OperatorBackend, SolveOptions, SolverChoice};
 use crate::kernel::{KernelBatch, SoilKernel};
 use crate::study::{Engine, PrepareError, Study};
-use crate::system::GroundingSystem;
+use crate::system::{mesh_defect, GroundingSystem, MeshDefect};
+use crate::workload::StudySpec;
 
 /// The retained editing state of an editable [`Study`] — what
 /// [`Study::apply_edit`] diffs against and scatters into.
@@ -724,11 +725,14 @@ impl Study {
     /// The topology-change route: full re-assembly + re-factorization
     /// with the retained kernel and options.
     fn edit_rebuild(&mut self, new_mesh: Mesh) -> Result<EditReport, EditError> {
-        if new_mesh.dof() == 0 || new_mesh.element_count() == 0 {
-            return Err(EditError::Model("edit removed every degree of freedom"));
-        }
-        if !new_mesh.is_connected() {
-            return Err(EditError::Model("edit disconnected the electrode network"));
+        match mesh_defect(&new_mesh) {
+            Some(MeshDefect::Empty) => {
+                return Err(EditError::Model("edit removed every degree of freedom"))
+            }
+            Some(MeshDefect::Disconnected) => {
+                return Err(EditError::Model("edit disconnected the electrode network"))
+            }
+            None => {}
         }
         let mut es = self.edit.take().expect("checked by apply_edit");
         let t0 = Instant::now();
@@ -885,21 +889,34 @@ impl EditSession {
         opts: SolveOptions,
     ) -> Result<EditSession, EditError> {
         let mesh = Mesher::new(mesh_options).mesh(&network);
-        if mesh.dof() == 0 || mesh.element_count() == 0 {
-            return Err(EditError::Model(
-                "discretization produced no degrees of freedom",
-            ));
-        }
-        if !mesh.is_connected() {
-            return Err(EditError::Model("electrode network is not connected"));
-        }
-        let system = GroundingSystem::new(mesh, soil, opts);
+        let system = GroundingSystem::try_new(mesh, soil, opts).map_err(EditError::Model)?;
         let study = system.prepare_editable()?;
         Ok(EditSession {
             network,
             mesh_options,
             study,
         })
+    }
+
+    /// [`open`](Self::open)s a session on `spec`'s base geometry and
+    /// replays `edits` in order — what a deck with `edit` stanzas means,
+    /// for the CAD pipeline and the serve `edit` op alike. Returns the
+    /// session with one report per replayed edit.
+    pub fn replay(
+        spec: &StudySpec<'_>,
+        edits: &[EditOp],
+    ) -> Result<(EditSession, Vec<EditReport>), EditError> {
+        let mut session = Self::open(
+            spec.network.clone(),
+            spec.soil,
+            spec.mesh_options,
+            spec.opts,
+        )?;
+        let reports = edits
+            .iter()
+            .map(|op| session.apply(op))
+            .collect::<Result<_, _>>()?;
+        Ok((session, reports))
     }
 
     /// Applies one edit: re-mesh the edited network, diff against the

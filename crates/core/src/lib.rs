@@ -61,5 +61,5 @@ pub use study::{PrepareError, Scenario, SolveError, Study, StudyProfile};
 pub use system::{GroundingSolution, GroundingSystem};
 pub use workload::{
     DesignCandidate, DesignSearchSpec, SoilSweepSpec, SweepSample, Workload, WorkloadError,
-    WorkloadRow, WorkloadRunError,
+    WorkloadRow,
 };

@@ -111,6 +111,16 @@ impl Scenario {
         let v = self.drive();
         v > 0.0 && v.is_finite()
     }
+
+    /// Checks every drive of a scenario list, reporting the first
+    /// unusable one as the error [`Study::solve_batch`] would raise — so
+    /// a front end can refuse a request before it prepares anything.
+    pub fn validate(scenarios: &[Scenario]) -> Result<(), SolveError> {
+        match scenarios.iter().find(|s| !s.is_valid()) {
+            Some(bad) => Err(SolveError::NonPositiveDrive { scenario: *bad }),
+            None => Ok(()),
+        }
+    }
 }
 
 impl std::fmt::Display for Scenario {
@@ -685,9 +695,7 @@ impl Study {
     ) -> Result<Vec<GroundingSolution>, SolveError> {
         // Validate the whole sweep before solving anything: one bad
         // scenario must not cost a multi-RHS solve.
-        if let Some(bad) = scenarios.iter().find(|s| !s.is_valid()) {
-            return Err(SolveError::NonPositiveDrive { scenario: *bad });
-        }
+        Scenario::validate(scenarios)?;
         match &self.engine {
             Engine::Pcg(_) | Engine::Hierarchical(_) => {
                 scenarios.iter().map(|s| self.solve(s)).collect()

@@ -39,23 +39,54 @@ pub struct GroundingSolution {
     pub scenario: Scenario,
 }
 
+/// What keeps a mesh from being one solvable electrode (the
+/// constant-GPR boundary condition needs exactly one connected body).
+pub(crate) enum MeshDefect {
+    /// No elements or no degrees of freedom.
+    Empty,
+    /// More than one electrically separate island.
+    Disconnected,
+}
+
+/// The one place a mesh is checked for solvability: [`GroundingSystem::try_new`]
+/// words the defect for a fresh model, the edit rebuild route for an edit.
+pub(crate) fn mesh_defect(mesh: &Mesh) -> Option<MeshDefect> {
+    if mesh.dof() == 0 || mesh.element_count() == 0 {
+        Some(MeshDefect::Empty)
+    } else if !mesh.is_connected() {
+        Some(MeshDefect::Disconnected)
+    } else {
+        None
+    }
+}
+
 impl GroundingSystem {
-    /// Builds a system from a discretized grid and a soil model.
+    /// Builds a system from a discretized grid and a soil model, or says
+    /// why the grid is not one solvable electrode — the typed form every
+    /// front end that takes models from outside the program goes through
+    /// (the study sources of [`crate::workload`], edit sessions).
+    pub fn try_new(mesh: Mesh, soil: &SoilModel, opts: SolveOptions) -> Result<Self, &'static str> {
+        match mesh_defect(&mesh) {
+            Some(MeshDefect::Empty) => Err("discretization produced no degrees of freedom"),
+            Some(MeshDefect::Disconnected) => Err(
+                "electrode network is not connected (grounding grids are one \
+                 bonded structure; merge or remove the isolated conductors)",
+            ),
+            None => Ok(GroundingSystem {
+                mesh,
+                kernel: SoilKernel::new(soil),
+                opts,
+            }),
+        }
+    }
+
+    /// [`try_new`](Self::try_new) for meshes the caller built itself.
     ///
     /// # Panics
     /// Panics on an empty or electrically disconnected mesh — the
     /// constant-GPR boundary condition requires one connected electrode.
     pub fn new(mesh: Mesh, soil: &SoilModel, opts: SolveOptions) -> Self {
-        assert!(mesh.dof() > 0, "empty mesh");
-        assert!(
-            mesh.is_connected(),
-            "grounding grid must be a single connected electrode"
-        );
-        GroundingSystem {
-            mesh,
-            kernel: SoilKernel::new(soil),
-            opts,
-        }
+        Self::try_new(mesh, soil, opts).unwrap_or_else(|why| panic!("{why}"))
     }
 
     /// The discretized grid.

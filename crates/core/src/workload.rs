@@ -13,7 +13,7 @@
 //! * [`Workload::SoilSweep`] — Monte-Carlo over soil uncertainty:
 //!   [`sample_soils`] draws `N` log-normally perturbed soil models from
 //!   a seeded, dependency-free RNG ([`Xoshiro256StarStar`]); each sample
-//!   needs a **fresh factor**, so [`run_soil_sweep`] fans the prepares
+//!   needs its **own factor**, so [`run_soil_sweep`] fans the samples
 //!   out over the pool via `scoped_partition` (one sample per slot,
 //!   serial inner solves — pooled and serial runs are bit-identical for
 //!   a fixed seed, because all sampling happens serially up front and
@@ -25,20 +25,38 @@
 //!   copper mass its fault sizing requires, and the Pareto front of
 //!   (copper mass, safety utilization) is marked.
 //!
+//! ## One executor, two study sources
+//!
+//! [`execute`] is the single place where a parsed case plus a workload
+//! becomes rows; the CAD pipeline, every serve wire op and the bench
+//! gates are *validate → execute → render* around it. Everything it can
+//! refuse — an unusable scenario drive, `edit` stanzas on a sweep or
+//! search, `edit` stanzas sent to a front end that cannot replay them —
+//! it refuses **before** any compute or cache touch. The one thing that
+//! differs between front ends is where a prepared [`Study`] comes from,
+//! so that is the one seam: a [`StudySource`] asked for the study of a
+//! [`StudySpec`]. [`FreshSource`] prepares it now; `layerbem-serve`'s
+//! keyed cache answers from residency and falls back to the same
+//! [`StudySpec::prepare`].
+//!
 //! [`GroundingSystem::prepare`]: crate::system::GroundingSystem::prepare
 //! [`Study`]: crate::study::Study
 //! [`Study::solve_batch`]: crate::study::Study::solve_batch
 
+use std::sync::Arc;
+use std::time::Instant;
+
 use layerbem_geometry::grids::{rectangular_grid, RectGridSpec};
-use layerbem_geometry::{Mesh, MeshOptions, Mesher, Point3};
+use layerbem_geometry::{ConductorNetwork, MeshOptions, Mesher, Point3};
 use layerbem_numeric::Xoshiro256StarStar;
 use layerbem_soil::sample::perturb;
 use layerbem_soil::SoilModel;
 
 use crate::formulation::SolveOptions;
+use crate::incremental::{EditError, EditOp, EditReport, EditSession};
 use crate::post::{mesh_voltage, potential_profile};
 use crate::safety::{ConductorMaterial, SafetyCriteria};
-use crate::study::{PrepareError, Scenario, SolveError, StudyProfile};
+use crate::study::{PrepareError, Scenario, SolveError, Study, StudyProfile};
 use crate::system::{GroundingSolution, GroundingSystem};
 
 /// Density of copper (kg/m³), for converting the IEEE 80 fault-sizing
@@ -72,6 +90,35 @@ pub struct SoilSweepSpec {
     pub sigma: f64,
     /// Scenarios answered per sample (never empty after validation).
     pub scenarios: Vec<Scenario>,
+}
+
+impl SoilSweepSpec {
+    /// Validated spec: rejects zero samples and a negative or non-finite
+    /// sigma.
+    pub fn new(
+        samples: usize,
+        seed: u64,
+        sigma: f64,
+        scenarios: Vec<Scenario>,
+    ) -> Result<SoilSweepSpec, WorkloadError> {
+        if samples == 0 {
+            return Err(WorkloadError::Empty {
+                what: "soil samples",
+            });
+        }
+        if !(sigma >= 0.0 && sigma.is_finite()) {
+            return Err(WorkloadError::InvalidParameter {
+                what: "sweep sigma",
+                value: sigma,
+            });
+        }
+        Ok(SoilSweepSpec {
+            samples,
+            seed,
+            sigma,
+            scenarios,
+        })
+    }
 }
 
 /// Specification of a safety-driven design search over grid pitch.
@@ -119,6 +166,13 @@ pub enum WorkloadError {
         /// Value as given.
         value: f64,
     },
+    /// `edit` stanzas came with a sweep or search workload: an edit
+    /// session answers the deck's scenarios from one edited study.
+    EditsNeedScenarios,
+    /// `edit` stanzas reached a front end that answers from shared
+    /// studies (the serve `solve`/`sweep` ops): replaying them there
+    /// would answer, and cache, the base geometry under the wrong name.
+    EditsNeedSession,
 }
 
 impl std::fmt::Display for WorkloadError {
@@ -134,6 +188,16 @@ impl std::fmt::Display for WorkloadError {
             WorkloadError::InvalidParameter { what, value } => {
                 write!(f, "invalid {what}: {value}")
             }
+            WorkloadError::EditsNeedScenarios => write!(
+                f,
+                "edit stanzas replay against the deck's scenarios and cannot \
+                 be combined with sweep/search workloads"
+            ),
+            WorkloadError::EditsNeedSession => write!(
+                f,
+                "edit stanzas need an editing front end (the CAD pipeline, or \
+                 a serve session opened with op:\"edit\")"
+            ),
         }
     }
 }
@@ -182,31 +246,14 @@ impl Workload {
         ))
     }
 
-    /// Validated Monte-Carlo soil sweep. `scenarios` may be empty here;
-    /// the pipeline fills in the deck's effective scenarios.
+    /// Validated Monte-Carlo soil sweep ([`SoilSweepSpec::new`]).
     pub fn soil_sweep(
         samples: usize,
         seed: u64,
         sigma: f64,
         scenarios: Vec<Scenario>,
     ) -> Result<Workload, WorkloadError> {
-        if samples == 0 {
-            return Err(WorkloadError::Empty {
-                what: "soil samples",
-            });
-        }
-        if !(sigma >= 0.0 && sigma.is_finite()) {
-            return Err(WorkloadError::InvalidParameter {
-                what: "sweep sigma",
-                value: sigma,
-            });
-        }
-        Ok(Workload::SoilSweep(SoilSweepSpec {
-            samples,
-            seed,
-            sigma,
-            scenarios,
-        }))
+        SoilSweepSpec::new(samples, seed, sigma, scenarios).map(Workload::SoilSweep)
     }
 
     /// Validated design search: pitch candidates from `lo:hi:n` against
@@ -257,6 +304,17 @@ impl Workload {
         }))
     }
 
+    /// The scenario list this workload answers — the explicit list, or a
+    /// sweep's per-sample list; `None` for a design search, which
+    /// derives its scenarios from its candidate fault currents.
+    pub fn scenario_list(&self) -> Option<&[Scenario]> {
+        match self {
+            Workload::Scenarios(list) => Some(list),
+            Workload::SoilSweep(spec) => Some(&spec.scenarios),
+            Workload::DesignSearch(_) => None,
+        }
+    }
+
     /// Short machine-readable label of the workload shape.
     pub fn label(&self) -> &'static str {
         match self {
@@ -290,6 +348,10 @@ pub struct SweepSample {
     pub solutions: Vec<GroundingSolution>,
     /// The per-sample study's phase instrumentation.
     pub profile: StudyProfile,
+    /// Whether the [`StudySource`] answered from a study it already held.
+    pub reused: bool,
+    /// Seconds of this sample's scenario solves.
+    pub solve_seconds: f64,
 }
 
 /// One candidate layout of a design search, scored on safety and cost.
@@ -331,40 +393,247 @@ pub struct DesignCandidate {
     pub profile: StudyProfile,
 }
 
-/// Why a workload run failed: prepare/solve errors tagged with the
-/// sample or candidate index they came from.
-#[derive(Clone, Debug, PartialEq)]
-pub enum WorkloadRunError {
-    /// Sample/candidate `index` failed to prepare.
-    Prepare {
-        /// Failing sample or candidate index.
-        index: usize,
-        /// Underlying error.
-        error: PrepareError,
-    },
-    /// Sample/candidate `index` failed a scenario solve.
-    Solve {
-        /// Failing sample or candidate index.
-        index: usize,
-        /// Underlying error.
-        error: SolveError,
-    },
+/// The study a front end asks a [`StudySource`] for — everything that
+/// decides what gets meshed, assembled and factorized. `opts` are the
+/// *effective* options (deck keywords already overlaid on the front
+/// end's defaults).
+#[derive(Clone, Copy, Debug)]
+pub struct StudySpec<'a> {
+    /// Electrode network, in deck order.
+    pub network: &'a ConductorNetwork,
+    /// Discretization controls.
+    pub mesh_options: MeshOptions,
+    /// Soil model.
+    pub soil: &'a SoilModel,
+    /// Effective solve options.
+    pub opts: SolveOptions,
 }
 
-impl std::fmt::Display for WorkloadRunError {
+impl StudySpec<'_> {
+    /// Prepares the study now: mesh → model check → assemble →
+    /// factorize. The body of [`FreshSource`], and what a caching source
+    /// falls back to on a miss.
+    pub fn prepare(&self) -> Result<Study, ExecuteError> {
+        let mesh = Mesher::new(self.mesh_options).mesh(self.network);
+        let system =
+            GroundingSystem::try_new(mesh, self.soil, self.opts).map_err(ExecuteError::Model)?;
+        Ok(system.prepare()?)
+    }
+}
+
+/// A [`StudySource`]'s answer.
+pub struct Sourced {
+    /// The prepared study (shared: a caching source hands the same one
+    /// to every asker).
+    pub study: Arc<Study>,
+    /// Whether the source already held it (a cache hit).
+    pub reused: bool,
+    /// Seconds the source took to hand it over.
+    pub prepare_seconds: f64,
+}
+
+/// Where prepared studies come from — the one seam between the front
+/// ends that share [`execute`].
+pub trait StudySource: Sync {
+    /// The study of `spec`.
+    fn study(&self, spec: &StudySpec<'_>) -> Result<Sourced, ExecuteError>;
+
+    /// Whether the front end behind this source replays deck `edit`
+    /// stanzas (as a private [`EditSession`]). A source of *shared*
+    /// studies must say no: an edited study is not the study its base
+    /// geometry names.
+    fn replays_edits(&self) -> bool;
+}
+
+/// The source that prepares every study it is asked for, now.
+#[derive(Clone, Copy, Debug, Default)]
+pub struct FreshSource;
+
+impl StudySource for FreshSource {
+    fn study(&self, spec: &StudySpec<'_>) -> Result<Sourced, ExecuteError> {
+        let t = Instant::now();
+        let study = Arc::new(spec.prepare()?);
+        Ok(Sourced {
+            study,
+            reused: false,
+            prepare_seconds: t.elapsed().as_secs_f64(),
+        })
+    }
+
+    fn replays_edits(&self) -> bool {
+        true
+    }
+}
+
+/// Why [`execute`] (or a [`StudySource`]) refused or failed.
+#[derive(Clone, Debug, PartialEq)]
+pub enum ExecuteError {
+    /// The workload (or its combination with `edit` stanzas) was refused
+    /// by validation, before any compute.
+    Workload(WorkloadError),
+    /// The network does not discretize into one solvable electrode
+    /// ([`GroundingSystem::try_new`]'s wording).
+    Model(&'static str),
+    /// Assembly/factorization failed.
+    Prepare(PrepareError),
+    /// A scenario could not be answered (including an unusable drive,
+    /// caught by validation).
+    Solve(SolveError),
+    /// A defect contained at the seam: a source whose prepare panicked,
+    /// a session that lost its edit state.
+    Internal(String),
+}
+
+impl std::fmt::Display for ExecuteError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            WorkloadRunError::Prepare { index, error } => {
-                write!(f, "sample {index} failed to prepare: {error}")
-            }
-            WorkloadRunError::Solve { index, error } => {
-                write!(f, "sample {index} failed to solve: {error}")
-            }
+            ExecuteError::Workload(e) => write!(f, "invalid workload: {e}"),
+            ExecuteError::Model(why) => write!(f, "case describes no solvable model: {why}"),
+            ExecuteError::Prepare(e) => write!(f, "pipeline preparation failed: {e}"),
+            ExecuteError::Solve(e) => write!(f, "pipeline scenario solve failed: {e}"),
+            ExecuteError::Internal(why) => write!(f, "internal error: {why}"),
         }
     }
 }
 
-impl std::error::Error for WorkloadRunError {}
+impl std::error::Error for ExecuteError {}
+
+impl From<WorkloadError> for ExecuteError {
+    fn from(e: WorkloadError) -> Self {
+        ExecuteError::Workload(e)
+    }
+}
+
+impl From<PrepareError> for ExecuteError {
+    fn from(e: PrepareError) -> Self {
+        ExecuteError::Prepare(e)
+    }
+}
+
+impl From<SolveError> for ExecuteError {
+    fn from(e: SolveError) -> Self {
+        ExecuteError::Solve(e)
+    }
+}
+
+impl From<EditError> for ExecuteError {
+    fn from(e: EditError) -> Self {
+        match e {
+            EditError::Model(why) => ExecuteError::Model(why),
+            EditError::Prepare(p) => ExecuteError::Prepare(p),
+            EditError::NotEditable(why) => ExecuteError::Internal(why.to_string()),
+        }
+    }
+}
+
+/// A scenario workload's answer: one study, one solution per scenario.
+pub struct ScenarioRun {
+    /// One solution per scenario, in workload order.
+    pub solutions: Vec<GroundingSolution>,
+    /// The study that answered (from the source, or the replayed edit
+    /// session's — then never `reused`).
+    pub study: Sourced,
+    /// Seconds of the scenario solves.
+    pub solve_seconds: f64,
+    /// One report per replayed `edit` stanza (empty without any).
+    pub edit_reports: Vec<EditReport>,
+}
+
+/// What [`execute`] produced, shaped like the workload it answered.
+pub enum Executed {
+    /// A scenario workload's run.
+    Scenarios(ScenarioRun),
+    /// A soil sweep: one sample per drawn soil model, in draw order.
+    SoilSweep(Vec<SweepSample>),
+    /// A design search: one scored candidate per pitch.
+    DesignSearch(Vec<DesignCandidate>),
+}
+
+impl Executed {
+    /// The run of a [`Workload::Scenarios`].
+    ///
+    /// # Panics
+    /// Panics for any other shape — [`execute`] answers in the shape of
+    /// the workload it was given.
+    pub fn into_scenarios(self) -> ScenarioRun {
+        match self {
+            Executed::Scenarios(run) => run,
+            _ => panic!("not a scenario workload's answer"),
+        }
+    }
+
+    /// The samples of a [`Workload::SoilSweep`]; panics like
+    /// [`into_scenarios`](Self::into_scenarios).
+    pub fn into_samples(self) -> Vec<SweepSample> {
+        match self {
+            Executed::SoilSweep(samples) => samples,
+            _ => panic!("not a soil sweep's answer"),
+        }
+    }
+}
+
+/// Answers `workload` for the case `base` describes, drawing prepared
+/// studies from `source` — the one executor under the CAD pipeline, the
+/// serve wire ops and the bench gates.
+///
+/// All validation happens first, before any compute or cache touch:
+/// every scenario drive must be usable, and `edits` (a deck's `edit`
+/// stanzas) require a scenario workload **and** a front end that replays
+/// them ([`StudySource::replays_edits`]).
+pub fn execute(
+    base: &StudySpec<'_>,
+    workload: &Workload,
+    edits: &[EditOp],
+    source: &dyn StudySource,
+) -> Result<Executed, ExecuteError> {
+    if !edits.is_empty() {
+        if !source.replays_edits() {
+            return Err(WorkloadError::EditsNeedSession.into());
+        }
+        if !matches!(workload, Workload::Scenarios(_)) {
+            return Err(WorkloadError::EditsNeedScenarios.into());
+        }
+    }
+    if let Some(scenarios) = workload.scenario_list() {
+        Scenario::validate(scenarios)?;
+    }
+    match workload {
+        Workload::Scenarios(scenarios) => {
+            let (study, edit_reports) = if edits.is_empty() {
+                (source.study(base)?, Vec::new())
+            } else {
+                // An edited study is private to this call: prepared
+                // editable, then each edit re-integrates only the pairs
+                // it touched and updates the retained factor in place.
+                let t = Instant::now();
+                let (session, reports) = EditSession::replay(base, edits)?;
+                let sourced = Sourced {
+                    study: Arc::new(session.into_study()),
+                    reused: false,
+                    prepare_seconds: t.elapsed().as_secs_f64(),
+                };
+                (sourced, reports)
+            };
+            let t = Instant::now();
+            let solutions = study.study.solve_batch(scenarios)?;
+            Ok(Executed::Scenarios(ScenarioRun {
+                solutions,
+                study,
+                solve_seconds: t.elapsed().as_secs_f64(),
+                edit_reports,
+            }))
+        }
+        Workload::SoilSweep(sweep) => Ok(Executed::SoilSweep(run_soil_sweep(base, sweep, source)?)),
+        // Candidates probe touch/step voltages through each candidate
+        // system's own kernel, so a search always prepares now.
+        Workload::DesignSearch(search) => Ok(Executed::DesignSearch(run_design_search(
+            base.soil,
+            base.mesh_options,
+            base.opts,
+            search,
+        )?)),
+    }
+}
 
 /// Draws the sweep's soil models — **serially**, from one generator
 /// seeded with `spec.seed`, before any parallel work: the sample list
@@ -377,49 +646,52 @@ pub fn sample_soils(base: &SoilModel, spec: &SoilSweepSpec) -> Vec<SoilModel> {
         .collect()
 }
 
-type SampleOutcome = Option<Result<(Vec<GroundingSolution>, StudyProfile), WorkloadRunError>>;
-
-/// Runs a Monte-Carlo soil sweep: one fresh
-/// [`GroundingSystem::prepare`](crate::system::GroundingSystem::prepare)
-/// per sampled soil model, answered against `spec.scenarios`.
+/// Runs a Monte-Carlo soil sweep: `base` with each sampled soil model
+/// swapped in is drawn from `source` (one study per sample) and answered
+/// against `sweep.scenarios`.
 ///
-/// When `opts.parallelism` is set, samples fan out over the pool via
-/// `scoped_partition` (one sample per slot) with the **inner** solves
-/// forced serial — each sample is a pure function of its soil model, so
-/// pooled and serial sweeps are bitwise identical, as are runs under
-/// different schedules and thread counts.
+/// When `base.opts.parallelism` is set, samples fan out over the pool
+/// via `scoped_partition` (one sample per slot) with the **inner**
+/// prepares and solves forced serial — each sample is a pure function of
+/// its soil model, so pooled and serial sweeps are bitwise identical, as
+/// are runs under different schedules and thread counts, whichever
+/// source the studies come from.
 pub fn run_soil_sweep(
-    mesh: &Mesh,
-    base: &SoilModel,
-    opts: SolveOptions,
-    spec: &SoilSweepSpec,
-) -> Result<Vec<SweepSample>, WorkloadRunError> {
-    let soils = sample_soils(base, spec);
-    let scenarios = &spec.scenarios;
-    // Per-sample solves run serially inside their slot; the sweep itself
-    // is the parallel axis (each sample is its own assembly +
+    base: &StudySpec<'_>,
+    sweep: &SoilSweepSpec,
+    source: &dyn StudySource,
+) -> Result<Vec<SweepSample>, ExecuteError> {
+    let soils = sample_soils(base.soil, sweep);
+    // Per-sample work runs serially inside its slot; the sweep itself is
+    // the parallel axis (each sample is its own assembly +
     // factorization, which is exactly the grain the pool wants).
     let inner = SolveOptions {
         parallelism: None,
-        ..opts
+        ..base.opts
     };
-    let run_one = |i: usize| -> Result<(Vec<GroundingSolution>, StudyProfile), WorkloadRunError> {
-        let system = GroundingSystem::new(mesh.clone(), &soils[i], inner);
-        let study = system
-            .prepare()
-            .map_err(|error| WorkloadRunError::Prepare { index: i, error })?;
-        let solutions = study
-            .solve_batch(scenarios)
-            .map_err(|error| WorkloadRunError::Solve { index: i, error })?;
-        Ok((solutions, study.profile()))
+    let run_one = |index: usize| -> Result<SweepSample, ExecuteError> {
+        let soil = soils[index].clone();
+        let sourced = source.study(&StudySpec {
+            soil: &soil,
+            opts: inner,
+            ..*base
+        })?;
+        let t = Instant::now();
+        let solutions = sourced.study.solve_batch(&sweep.scenarios)?;
+        Ok(SweepSample {
+            index,
+            soil,
+            solutions,
+            profile: sourced.study.profile(),
+            reused: sourced.reused,
+            solve_seconds: t.elapsed().as_secs_f64(),
+        })
     };
-    let mut slots: Vec<SampleOutcome> = (0..soils.len()).map(|_| None).collect();
-    match &opts.parallelism {
+    let mut slots: Vec<Option<_>> = soils.iter().map(|_| None).collect();
+    match &base.opts.parallelism {
         Some(par) => {
             par.pool
-                .scoped_partition(&mut slots, par.schedule, |i, slot| {
-                    *slot = Some(run_one(i));
-                });
+                .scoped_partition(&mut slots, par.schedule, |i, slot| *slot = Some(run_one(i)));
         }
         None => {
             for (i, slot) in slots.iter_mut().enumerate() {
@@ -427,17 +699,11 @@ pub fn run_soil_sweep(
             }
         }
     }
-    let mut samples = Vec::with_capacity(soils.len());
-    for (index, (slot, soil)) in slots.into_iter().zip(soils).enumerate() {
-        let (solutions, profile) = slot.expect("every slot visited exactly once")?;
-        samples.push(SweepSample {
-            index,
-            soil,
-            solutions,
-            profile,
-        });
-    }
-    Ok(samples)
+    // In draw order: the first failing sample wins.
+    slots
+        .into_iter()
+        .map(|slot| slot.expect("every slot visited exactly once"))
+        .collect()
 }
 
 /// Distribution quantiles of a sweep quantity.
@@ -527,7 +793,7 @@ pub fn run_design_search(
     mesh_options: MeshOptions,
     opts: SolveOptions,
     spec: &DesignSearchSpec,
-) -> Result<Vec<DesignCandidate>, WorkloadRunError> {
+) -> Result<Vec<DesignCandidate>, ExecuteError> {
     let scenarios: Vec<Scenario> = spec
         .fault_currents
         .iter()
@@ -540,7 +806,7 @@ pub fn run_design_search(
         spec.ambient_c,
     );
     let mut candidates = Vec::with_capacity(spec.pitches.len());
-    for (index, &pitch) in spec.pitches.iter().enumerate() {
+    for &pitch in &spec.pitches {
         let nx = (spec.base.width / pitch).round().max(1.0) as usize;
         let ny = (spec.base.height / pitch).round().max(1.0) as usize;
         let network = rectangular_grid(RectGridSpec {
@@ -551,12 +817,8 @@ pub fn run_design_search(
         let conductor_length: f64 = network.conductors().iter().map(|c| c.length()).sum();
         let mesh = Mesher::new(mesh_options).mesh(&network);
         let system = GroundingSystem::new(mesh.clone(), soil, opts);
-        let study = system
-            .prepare()
-            .map_err(|error| WorkloadRunError::Prepare { index, error })?;
-        let solutions = study
-            .solve_batch(&scenarios)
-            .map_err(|error| WorkloadRunError::Solve { index, error })?;
+        let study = system.prepare()?;
+        let solutions = study.solve_batch(&scenarios)?;
         // Probe once on the first solution; touch/step scale linearly
         // with the drive (every solution shares the candidate's unit
         // solve), so the worst fault current is the worst scale factor.
@@ -644,8 +906,17 @@ mod tests {
         }
     }
 
-    fn tiny_mesh() -> Mesh {
-        Mesher::default().mesh(&rectangular_grid(tiny_spec()))
+    fn tiny_study<'a>(
+        network: &'a ConductorNetwork,
+        soil: &'a SoilModel,
+        opts: SolveOptions,
+    ) -> StudySpec<'a> {
+        StudySpec {
+            network,
+            mesh_options: MeshOptions::default(),
+            soil,
+            opts,
+        }
     }
 
     #[test]
@@ -717,7 +988,7 @@ mod tests {
 
     #[test]
     fn soil_sweep_pooled_equals_serial_bitwise() {
-        let mesh = tiny_mesh();
+        let network = rectangular_grid(tiny_spec());
         let base = SoilModel::two_layer(0.005, 0.016, 1.0);
         let spec = SoilSweepSpec {
             samples: 4,
@@ -725,12 +996,18 @@ mod tests {
             sigma: 0.15,
             scenarios: vec![Scenario::gpr(10_000.0), Scenario::fault_current(25_000.0)],
         };
-        let serial = run_soil_sweep(&mesh, &base, SolveOptions::default(), &spec).unwrap();
+        let serial = run_soil_sweep(
+            &tiny_study(&network, &base, SolveOptions::default()),
+            &spec,
+            &FreshSource,
+        )
+        .unwrap();
         assert_eq!(serial.len(), 4);
         for threads in [2, 3] {
             let opts = SolveOptions::default()
                 .with_parallelism(ThreadPool::new(threads), Schedule::dynamic(1));
-            let pooled = run_soil_sweep(&mesh, &base, opts, &spec).unwrap();
+            let pooled =
+                run_soil_sweep(&tiny_study(&network, &base, opts), &spec, &FreshSource).unwrap();
             for (a, b) in serial.iter().zip(&pooled) {
                 assert_eq!(a.soil, b.soil);
                 for (sa, sb) in a.solutions.iter().zip(&b.solutions) {
@@ -744,7 +1021,7 @@ mod tests {
 
     #[test]
     fn sweep_quantiles_cover_the_sample_scatter() {
-        let mesh = tiny_mesh();
+        let network = rectangular_grid(tiny_spec());
         let base = SoilModel::uniform(0.01);
         let spec = SoilSweepSpec {
             samples: 6,
@@ -752,7 +1029,12 @@ mod tests {
             sigma: 0.3,
             scenarios: vec![Scenario::fault_current(25_000.0)],
         };
-        let samples = run_soil_sweep(&mesh, &base, SolveOptions::default(), &spec).unwrap();
+        let samples = run_soil_sweep(
+            &tiny_study(&network, &base, SolveOptions::default()),
+            &spec,
+            &FreshSource,
+        )
+        .unwrap();
         let (gpr, req) = sweep_quantiles(&samples);
         assert!(gpr.p10 <= gpr.p50 && gpr.p50 <= gpr.p90);
         assert!(req.p10 < req.p90, "σ = 0.3 must scatter Req");

@@ -11,7 +11,7 @@
 //!   count as hits (they paid none of the O(N³) cost).
 //! * **Panic containment**: the build closure runs under
 //!   [`std::panic::catch_unwind`]; a panicking prepare
-//!   surfaces as a typed [`ErrorKind::Internal`] error to every waiter
+//!   surfaces as a typed [`ExecuteError::Internal`] error to every waiter
 //!   and leaves the cache consistent (no poisoned slot).
 //! * **Bounded residency**: entries are charged their
 //!   [`Study::resident_bytes`] (dense factor ≈ `8·N(N+1)/2`, hierarchical
@@ -25,8 +25,8 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::{Arc, Condvar, Mutex};
 
 use layerbem_core::study::Study;
+use layerbem_core::workload::ExecuteError;
 
-use crate::errors::{ErrorKind, RequestError};
 use crate::key::StudyKey;
 
 /// How a request was satisfied.
@@ -49,7 +49,7 @@ struct Entry {
 /// One in-flight prepare that later requesters wait on.
 #[derive(Default)]
 struct Flight {
-    result: Mutex<Option<Result<Arc<Study>, RequestError>>>,
+    result: Mutex<Option<Result<Arc<Study>, ExecuteError>>>,
     done: Condvar,
 }
 
@@ -113,9 +113,9 @@ impl StudyCache {
         &self,
         key: StudyKey,
         build: F,
-    ) -> Result<(Arc<Study>, CacheOutcome), RequestError>
+    ) -> Result<(Arc<Study>, CacheOutcome), ExecuteError>
     where
-        F: FnOnce() -> Result<Study, RequestError>,
+        F: FnOnce() -> Result<Study, ExecuteError>,
     {
         let flight = {
             let mut inner = self.inner.lock().expect("cache lock");
@@ -151,10 +151,10 @@ impl StudyCache {
             // `panic.as_ref()`, not `&panic`: the latter would coerce the
             // Box itself (not the payload) into `dyn Any` and every
             // downcast would miss.
-            Err(RequestError::new(
-                ErrorKind::Internal,
-                format!("prepare panicked: {}", panic_message(panic.as_ref())),
-            ))
+            Err(ExecuteError::Internal(format!(
+                "prepare panicked: {}",
+                panic_message(panic.as_ref())
+            )))
         });
 
         let outcome = match built {
@@ -234,7 +234,7 @@ impl StudyCache {
     }
 
     /// Blocks until the flight's owner publishes a result.
-    fn await_flight(flight: &Flight) -> Result<Arc<Study>, RequestError> {
+    fn await_flight(flight: &Flight) -> Result<Arc<Study>, ExecuteError> {
         let mut slot = flight.result.lock().expect("flight lock");
         loop {
             if let Some(result) = slot.as_ref() {
@@ -287,6 +287,7 @@ fn panic_message(panic: &(dyn std::any::Any + Send)) -> &str {
 mod tests {
     use super::*;
     use layerbem_core::formulation::SolveOptions;
+    use layerbem_core::study::PrepareError;
     use layerbem_core::system::GroundingSystem;
     use layerbem_geometry::conductor::ground_rod;
     use layerbem_geometry::{ConductorNetwork, MeshOptions, Mesher, Point3};
@@ -327,10 +328,10 @@ mod tests {
         let cache = StudyCache::new(0);
         let err = cache
             .get_or_prepare(key(2), || {
-                Err(RequestError::new(ErrorKind::Prepare, "singular"))
+                Err(PrepareError::UnsupportedBackend("singular").into())
             })
             .unwrap_err();
-        assert_eq!(err.kind, ErrorKind::Prepare);
+        assert!(matches!(err, ExecuteError::Prepare(_)), "{err}");
         assert!(!cache.contains(key(2)));
         // The key is retryable after the failure.
         let (_, o) = cache.get_or_prepare(key(2), || Ok(rod_study(0.0))).unwrap();
@@ -341,12 +342,14 @@ mod tests {
     fn panicking_prepare_is_contained_as_internal_error() {
         let cache = StudyCache::new(0);
         let err = cache
-            .get_or_prepare(key(3), || -> Result<Study, RequestError> {
+            .get_or_prepare(key(3), || -> Result<Study, ExecuteError> {
                 panic!("boom in prepare")
             })
             .unwrap_err();
-        assert_eq!(err.kind, ErrorKind::Internal);
-        assert!(err.message.contains("boom in prepare"));
+        assert!(
+            matches!(&err, ExecuteError::Internal(why) if why.contains("boom in prepare")),
+            "{err}"
+        );
         assert!(!cache.contains(key(3)));
         // The cache still works afterwards.
         assert!(cache.get_or_prepare(key(3), || Ok(rod_study(0.0))).is_ok());

@@ -7,12 +7,13 @@
 //! way the library's typed errors do: protocol (bad JSON / unknown op),
 //! parse ([`layerbem_cad::ParseError`]), model (a deck that
 //! parses but does not describe one connected electrode), prepare
-//! ([`PrepareError`]), solve ([`SolveError`]), and internal (a caught
+//! (`PrepareError`), solve (`SolveError`), and internal (a caught
 //! panic — the backstop that keeps a bug from killing the process).
+//! Everything the executor or a study source can refuse arrives as one
+//! [`ExecuteError`] and keeps its kind.
 
-use layerbem_cad::pipeline::PipelineError;
 use layerbem_cad::ParseError;
-use layerbem_core::study::{PrepareError, SolveError};
+use layerbem_core::workload::ExecuteError;
 
 use crate::json::{Json, JsonError};
 
@@ -106,27 +107,16 @@ impl From<ParseError> for RequestError {
     }
 }
 
-impl From<PrepareError> for RequestError {
-    fn from(e: PrepareError) -> Self {
-        RequestError::new(ErrorKind::Prepare, e.to_string())
-    }
-}
-
-impl From<SolveError> for RequestError {
-    fn from(e: SolveError) -> Self {
-        RequestError::new(ErrorKind::Solve, e.to_string())
-    }
-}
-
-impl From<PipelineError> for RequestError {
-    fn from(e: PipelineError) -> Self {
+impl From<ExecuteError> for RequestError {
+    fn from(e: ExecuteError) -> Self {
         match e {
-            PipelineError::Model(msg) => RequestError::new(ErrorKind::Model, msg),
-            PipelineError::Prepare(p) => p.into(),
-            PipelineError::Solve(s) => s.into(),
             // An invalid workload shape is a bad request, not a solver
             // failure.
-            PipelineError::Workload(w) => RequestError::new(ErrorKind::Protocol, w.to_string()),
+            ExecuteError::Workload(w) => RequestError::protocol(w.to_string()),
+            ExecuteError::Model(why) => RequestError::new(ErrorKind::Model, why),
+            ExecuteError::Prepare(p) => RequestError::new(ErrorKind::Prepare, p.to_string()),
+            ExecuteError::Solve(s) => RequestError::new(ErrorKind::Solve, s.to_string()),
+            ExecuteError::Internal(why) => RequestError::new(ErrorKind::Internal, why),
         }
     }
 }
@@ -134,6 +124,7 @@ impl From<PipelineError> for RequestError {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use layerbem_core::study::SolveError;
 
     #[test]
     fn wire_shape_is_ok_false_with_kind_and_message() {
@@ -158,9 +149,10 @@ mod tests {
         .into();
         assert_eq!(e.kind, ErrorKind::Parse);
         assert!(e.message.contains("line 3"));
-        let e: RequestError = SolveError::IterationLimit { iterations: 9 }.into();
+        let e: RequestError =
+            ExecuteError::Solve(SolveError::IterationLimit { iterations: 9 }).into();
         assert_eq!(e.kind, ErrorKind::Solve);
-        let e: RequestError = PipelineError::Model("two islands".into()).into();
+        let e: RequestError = ExecuteError::Model("two islands").into();
         assert_eq!(e.kind, ErrorKind::Model);
         assert_eq!(e.message, "two islands");
     }

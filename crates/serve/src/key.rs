@@ -26,6 +26,7 @@ use layerbem_cad::CadCase;
 use layerbem_core::formulation::{
     Formulation, KernelEval, OperatorBackend, SolveOptions, SolverChoice,
 };
+use layerbem_core::workload::StudySpec;
 use layerbem_geometry::{Conductor, MeshOptions};
 use layerbem_soil::SoilModel;
 
@@ -76,21 +77,21 @@ impl StudyKey {
     /// exactly as the CAD pipeline applies them, so the key matches the
     /// study the server will actually prepare.
     pub fn of(case: &CadCase, server_opts: &SolveOptions) -> StudyKey {
-        let effective = SolveOptions {
-            formulation: case.formulation,
-            solver: case.solver,
-            ..*server_opts
-        };
+        StudyKey::of_spec(&case.study_spec(*server_opts))
+    }
+
+    /// Key of the study a [`StudySpec`] names — what the cache source is
+    /// asked for.
+    pub(crate) fn of_spec(spec: &StudySpec<'_>) -> StudyKey {
         StudyKey::of_parts(
-            case.network.conductors(),
-            &case.mesh_options,
-            &case.soil,
-            &effective,
+            spec.network.conductors(),
+            &spec.mesh_options,
+            spec.soil,
+            &spec.opts,
         )
     }
 
-    /// Key of explicit parts (the form the bench gate uses to address the
-    /// cache without a deck).
+    /// Key of explicit parts (addressing the cache without a deck).
     pub fn of_parts(
         conductors: &[Conductor],
         mesh: &MeshOptions,

@@ -23,8 +23,10 @@
 //! * [`errors`] — typed request errors (`protocol`/`parse`/`model`/
 //!   `prepare`/`solve`/`internal`) — the resident process never panics on
 //!   input;
-//! * [`server`] — the accept loop, connection workers and
-//!   [`server::Service`] request core;
+//! * [`server`] — the accept loop, connection workers and the
+//!   [`server::Service`] request core: each op is validate → execute →
+//!   render around `layerbem_core::workload::execute`, with the cache as
+//!   the executor's study source;
 //! * [`client`] — the blocking client the tests, CI smoke job and
 //!   example use.
 
@@ -43,6 +45,4 @@ pub use errors::{ErrorKind, RequestError};
 pub use json::Json;
 pub use key::StudyKey;
 pub use metrics::Metrics;
-pub use server::{
-    build_study, build_study_for_soil, spawn, EditSessionState, ServerConfig, ServerHandle, Service,
-};
+pub use server::{spawn, EditSessionState, ServerConfig, ServerHandle, Service};

@@ -89,8 +89,6 @@ pub struct Metrics {
     pub cache_hits: AtomicU64,
     /// Solve requests that paid a prepare.
     pub cache_misses: AtomicU64,
-    /// Studies evicted under the residency budget.
-    pub evictions: AtomicU64,
     /// Cold prepare latency (misses only).
     pub prepare: Histogram,
     /// Scenario-solve latency (every solve request).
@@ -104,12 +102,12 @@ impl Metrics {
     }
 
     /// The `stats` response body (the caller wraps it with `ok:true`).
-    /// `resident_studies`/`resident_bytes`/`max_resident_bytes` come from
-    /// the cache, which owns residency truth.
+    /// Resident studies, resident bytes and evictions
+    /// ([`StudyCache::residency`](crate::cache::StudyCache::residency))
+    /// and the budget come from the cache, which owns residency truth.
     pub fn to_json(
         &self,
-        resident_studies: usize,
-        resident_bytes: usize,
+        (resident_studies, resident_bytes, evictions): (usize, usize, u64),
         max_resident_bytes: usize,
     ) -> Json {
         let n = |a: &AtomicU64| Json::Num(a.load(Ordering::Relaxed) as f64);
@@ -121,7 +119,7 @@ impl Metrics {
                 Json::obj(vec![
                     ("hits", n(&self.cache_hits)),
                     ("misses", n(&self.cache_misses)),
-                    ("evictions", n(&self.evictions)),
+                    ("evictions", Json::Num(evictions as f64)),
                     ("resident_studies", Json::Num(resident_studies as f64)),
                     ("resident_bytes", Json::Num(resident_bytes as f64)),
                     ("max_resident_bytes", Json::Num(max_resident_bytes as f64)),
@@ -185,7 +183,7 @@ mod tests {
         Metrics::bump(&m.requests);
         Metrics::bump(&m.cache_hits);
         m.solve.record(Duration::from_micros(100));
-        let v = m.to_json(2, 4096, 1 << 20);
+        let v = m.to_json((2, 4096, 0), 1 << 20);
         assert_eq!(v.get("requests").and_then(Json::as_f64), Some(1.0));
         let cache = v.get("cache").expect("cache object");
         assert_eq!(cache.get("hits").and_then(Json::as_f64), Some(1.0));

@@ -29,7 +29,9 @@
 use layerbem_core::incremental::{ConductorEnd, EditOp, EditReport};
 use layerbem_core::study::Scenario;
 use layerbem_core::system::GroundingSolution;
+use layerbem_core::workload::Quantiles;
 use layerbem_geometry::{Conductor, Point3};
+use layerbem_soil::SoilModel;
 
 use crate::errors::RequestError;
 use crate::json::Json;
@@ -411,6 +413,84 @@ pub fn solution_json(sol: &GroundingSolution, include_leakage: bool) -> Json {
         ));
     }
     Json::obj(pairs)
+}
+
+/// The `solutions` array of a response: one object per scenario.
+pub fn solutions_json(solutions: &[GroundingSolution], include_leakage: bool) -> Json {
+    Json::Arr(
+        solutions
+            .iter()
+            .map(|s| solution_json(s, include_leakage))
+            .collect(),
+    )
+}
+
+/// The `{"p10":…,"p50":…,"p90":…}` form of sweep quantiles.
+pub fn quantiles_json(q: Quantiles) -> Json {
+    Json::obj(vec![
+        ("p10", Json::Num(q.p10)),
+        ("p50", Json::Num(q.p50)),
+        ("p90", Json::Num(q.p90)),
+    ])
+}
+
+/// A self-describing JSON view of a soil model (sweep responses carry
+/// each sample's drawn parameters alongside its results). Non-finite
+/// values (the bottom layer's infinite thickness) render as `null` to
+/// stay inside JSON.
+pub fn soil_json(soil: &SoilModel) -> Json {
+    let num = |x: f64| {
+        if x.is_finite() {
+            Json::Num(x)
+        } else {
+            Json::Null
+        }
+    };
+    match soil {
+        SoilModel::Uniform { conductivity } => Json::obj(vec![
+            ("model", Json::str("uniform")),
+            ("conductivity", num(*conductivity)),
+        ]),
+        SoilModel::TwoLayer {
+            upper,
+            lower,
+            thickness,
+        } => Json::obj(vec![
+            ("model", Json::str("two-layer")),
+            ("upper", num(*upper)),
+            ("lower", num(*lower)),
+            ("thickness", num(*thickness)),
+        ]),
+        SoilModel::MultiLayer { layers } => Json::obj(vec![
+            ("model", Json::str("multi-layer")),
+            (
+                "layers",
+                Json::Arr(
+                    layers
+                        .iter()
+                        .map(|l| {
+                            Json::obj(vec![
+                                ("conductivity", num(l.conductivity)),
+                                ("thickness", num(l.thickness)),
+                            ])
+                        })
+                        .collect(),
+                ),
+            ),
+        ]),
+    }
+}
+
+/// `{"ok":true,"op":…, …body fields…}`.
+pub fn ok_obj(op: &str, body: Json) -> Json {
+    let mut pairs = vec![
+        ("ok".to_string(), Json::Bool(true)),
+        ("op".to_string(), Json::str(op)),
+    ];
+    if let Json::Obj(rest) = body {
+        pairs.extend(rest);
+    }
+    Json::Obj(pairs)
 }
 
 #[cfg(test)]

@@ -2,37 +2,40 @@
 //! request handler shared by both (and by the fuzz tests, which drive
 //! [`Service::handle_line`] directly — no socket required).
 //!
-//! Threading model: one accept thread pushes connections into an mpsc
-//! queue drained by a fixed pool of connection workers (one connection
-//! per worker at a time; scenario answers within a request may still use
-//! the solver's own pool via [`SolveOptions::parallelism`], and `sweep`
-//! fans its samples out over that pool). All workers share one
-//! [`Service`] — the study cache, metrics registry and solve
-//! options — through an `Arc`, which is sound because
-//! [`layerbem_core::study::Study`] is `Send + Sync` and its
-//! factors are immutable after prepare.
+//! Every deck-carrying op is *validate → execute → render*: parse the
+//! deck, resolve the workload the request asks for, hand both to the one
+//! executor ([`layerbem_core::workload::execute`], shared with the CAD
+//! pipeline) and render its rows as JSON. The server's own part is the
+//! **study source**: [`Service`] implements [`StudySource`] over its
+//! keyed [`StudyCache`], falling back on a miss to the same
+//! [`StudySpec::prepare`] the CLI runs. Whatever validation can refuse
+//! is refused before the cache is touched.
 //!
-//! The `edit` op is the one **stateful** corner, and its state is
-//! deliberately *not* shared: each connection owns an optional
-//! [`EditSessionState`] holding a private editable study
-//! ([`layerbem_core::incremental::EditSession`]). Cached `Arc<Study>`
-//! entries are never mutated — publishing an edited study inserts an
-//! immutable [`Study::frozen_clone`] snapshot under the edited
-//! geometry's key via [`StudyCache::publish`], which re-charges the
-//! entry's resident bytes against the LRU budget.
+//! Threading: one accept thread feeds a fixed pool of connection workers
+//! (one connection per worker at a time; a request may still use the
+//! solver's pool via [`SolveOptions::parallelism`], and `sweep` fans its
+//! samples over it). All workers share one [`Service`] through an `Arc` —
+//! sound because a prepared `Study` is `Send + Sync` and immutable.
+//! Thread-per-connection is a measured choice (ROADMAP item 3): a ping
+//! round trip costs 0.2 ms against milliseconds of handling, so no
+//! readiness loop is built. Each reply leaves in **one** `write_all` on a
+//! `TCP_NODELAY` socket; a `\n` sent on its own waits ~40 ms for the
+//! peer's delayed ACK.
 //!
-//! Robustness invariants, each pinned by a test:
+//! The `edit` op is the one **stateful** corner: each connection owns an
+//! optional [`EditSessionState`] with a private editable study. Cached
+//! `Arc<Study>` entries are never mutated — `publish` inserts a frozen
+//! snapshot under the edited geometry's key ([`StudyCache::publish`]).
+//! A deck with `edit` stanzas is answered only here; `solve` and `sweep`
+//! draw *shared* studies, so the executor refuses it for them.
 //!
-//! * a request line is capped at 16 MiB — oversized lines get a typed
-//!   protocol error, not unbounded buffering;
-//! * every request is answered under `catch_unwind`: a panic anywhere in
-//!   parse/prepare/solve becomes an `internal` error line and the worker
-//!   lives on;
-//! * malformed JSON, bad decks, disconnected electrodes, singular
-//!   systems and non-finite drives all map to typed error kinds (see
-//!   [`crate::errors::ErrorKind`]).
+//! Robustness, each pinned by a test: request lines are capped at
+//! 16 MiB; every request runs under `catch_unwind` (a panic becomes an
+//! `internal` error line and the worker lives on); malformed JSON, bad
+//! decks, disconnected electrodes, singular systems and non-finite drives
+//! map to typed kinds ([`crate::errors::ErrorKind`]).
 
-use std::io::{BufRead, BufReader, BufWriter, Write};
+use std::io::{BufRead, BufReader, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -41,22 +44,22 @@ use std::sync::{mpsc, Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use layerbem_cad::pipeline::check_model;
 use layerbem_cad::{parse_case, CadCase};
 use layerbem_core::formulation::SolveOptions;
-use layerbem_core::incremental::{EditError, EditOp, EditSession};
-use layerbem_core::study::{Scenario, Study};
-use layerbem_core::system::{GroundingSolution, GroundingSystem};
-use layerbem_core::workload::{quantiles, sample_soils, Quantiles, Workload};
-use layerbem_geometry::{MeshOptions, Mesher};
-use layerbem_soil::SoilModel;
+use layerbem_core::incremental::{EditOp, EditSession};
+use layerbem_core::study::Scenario;
+use layerbem_core::workload::{
+    execute, sweep_quantiles, ExecuteError, Sourced, StudySource, StudySpec, Workload,
+};
 
 use crate::cache::{CacheOutcome, StudyCache};
 use crate::errors::{ErrorKind, RequestError};
 use crate::json::Json;
 use crate::key::StudyKey;
 use crate::metrics::Metrics;
-use crate::protocol::{edit_report_json, parse_request, solution_json, Request};
+use crate::protocol::{
+    edit_report_json, ok_obj, parse_request, quantiles_json, soil_json, solutions_json, Request,
+};
 
 /// Hard cap on one request line (a deck embedded in JSON): 16 MiB.
 pub const MAX_LINE_BYTES: usize = 16 << 20;
@@ -163,14 +166,11 @@ impl Service {
     ) -> Result<Json, RequestError> {
         match parse_request(line)? {
             Request::Ping => Ok(ok_obj("ping", Json::Obj(Vec::new()))),
-            Request::Stats => {
-                let (studies, bytes, _) = self.cache.residency();
-                Ok(ok_obj(
-                    "stats",
-                    self.metrics
-                        .to_json(studies, bytes, self.cache.max_resident_bytes()),
-                ))
-            }
+            Request::Stats => Ok(ok_obj(
+                "stats",
+                self.metrics
+                    .to_json(self.cache.residency(), self.cache.max_resident_bytes()),
+            )),
             Request::Solve {
                 deck,
                 scenarios,
@@ -201,87 +201,40 @@ impl Service {
         }
     }
 
+    /// `solve`: the request's scenarios (else the deck's) answered from
+    /// the deck's study, prepared or reused through the cache.
     fn solve(
         &self,
         deck: &str,
-        scenarios: Option<Vec<layerbem_core::study::Scenario>>,
+        scenarios: Option<Vec<Scenario>>,
         include_leakage: bool,
     ) -> Result<Json, RequestError> {
         let case = parse_case(deck)?;
-        let opts = SolveOptions {
-            formulation: case.formulation,
-            solver: case.solver,
-            ..self.solve
-        };
-        let key = StudyKey::of(&case, &self.solve);
-
-        let t = Instant::now();
-        let (study, outcome) = self
-            .cache
-            .get_or_prepare(key, || build_study(&case, opts))?;
-        let prepare_seconds = t.elapsed();
-        match outcome {
-            CacheOutcome::Miss => {
-                Metrics::bump(&self.metrics.cache_misses);
-                self.metrics.prepare.record(prepare_seconds);
-            }
-            CacheOutcome::Hit => Metrics::bump(&self.metrics.cache_hits),
-        }
-        // Evictions are owned by the cache; mirror its counter into the
-        // metrics registry so `stats` tells one story.
-        let (_, _, evictions) = self.cache.residency();
+        let workload = Workload::Scenarios(request_scenarios(&case, scenarios)?);
+        let spec = case.study_spec(self.solve);
+        let run = execute(&spec, &workload, &case.edits, self)?.into_scenarios();
         self.metrics
-            .evictions
-            .store(evictions, std::sync::atomic::Ordering::Relaxed);
-
-        let scenarios = match scenarios {
-            Some(list) => list,
-            None => deck_scenarios(&case)?,
-        };
-        let t = Instant::now();
-        let solutions = study.solve_batch(&scenarios)?;
-        let solve_seconds = t.elapsed();
-        self.metrics.solve.record(solve_seconds);
-
+            .solve
+            .record(Duration::from_secs_f64(run.solve_seconds));
         Ok(ok_obj(
             "solve",
             Json::obj(vec![
-                ("key", Json::str(key.to_string())),
-                ("cache_hit", Json::Bool(outcome == CacheOutcome::Hit)),
-                ("dof", Json::Num(study.dof() as f64)),
-                ("prepare_seconds", Json::Num(prepare_seconds.as_secs_f64())),
-                ("solve_seconds", Json::Num(solve_seconds.as_secs_f64())),
-                (
-                    "solutions",
-                    Json::Arr(
-                        solutions
-                            .iter()
-                            .map(|s| solution_json(s, include_leakage))
-                            .collect(),
-                    ),
-                ),
+                ("key", Json::str(StudyKey::of_spec(&spec).to_string())),
+                ("cache_hit", Json::Bool(run.study.reused)),
+                ("dof", Json::Num(run.study.study.dof() as f64)),
+                ("prepare_seconds", Json::Num(run.study.prepare_seconds)),
+                ("solve_seconds", Json::Num(run.solve_seconds)),
+                ("solutions", solutions_json(&run.solutions, include_leakage)),
             ]),
         ))
     }
 
-    /// The `sweep` handler: draws `samples` seeded soil models around the
-    /// deck's soil, routes each through the study cache under its own
-    /// [`StudyKey`] (the key hashes soil layers, so every sample gets a
-    /// distinct, reusable entry), answers the shared scenarios, and
-    /// reports per-sample results plus GPR/resistance quantiles.
-    ///
-    /// Samples are drawn **serially** from one seeded generator before
-    /// any solve, so a repeated request with the same seed is answered
-    /// bit-identically — and entirely from cache.
-    ///
-    /// When the server's [`SolveOptions::parallelism`] is set, the
-    /// samples themselves fan out over the pool (the
-    /// [`run_soil_sweep`](layerbem_core::workload::run_soil_sweep)
-    /// pattern): each sample prepares and solves with parallelism
-    /// stripped inside its slot, which is bit-identical to the pooled
-    /// build by the kernel's determinism invariant, so the response
-    /// bytes do not depend on the pool. Metrics and response assembly
-    /// stay in a serial post-pass, in sample order.
+    /// `sweep`: seeded soil samples around the deck's soil, each under
+    /// its own [`StudyKey`] (the key hashes soil layers), with
+    /// GPR/resistance quantiles. Request fields win over the deck's
+    /// `sweep` stanza ([`CadCase::soil_sweep`]). The executor draws every
+    /// soil serially before any solve, so a repeated request is answered
+    /// bit-identically from cache, whatever the server's pool.
     fn sweep(
         &self,
         deck: &str,
@@ -292,143 +245,52 @@ impl Service {
         include_leakage: bool,
     ) -> Result<Json, RequestError> {
         let case = parse_case(deck)?;
-        let opts = SolveOptions {
-            formulation: case.formulation,
-            solver: case.solver,
-            ..self.solve
-        };
-        // Explicit request fields win; a deck `sweep` stanza fills the
-        // gaps; `samples` must come from one of the two.
-        let deck_spec = match &case.workload {
-            Workload::SoilSweep(spec) => Some(spec),
-            _ => None,
-        };
-        let samples = samples.or(deck_spec.map(|s| s.samples)).ok_or_else(|| {
-            RequestError::protocol(
-                "sweep expects 'samples' (or a deck with a 'sweep soil-samples' stanza)",
-            )
-        })?;
-        let seed = seed.or(deck_spec.map(|s| s.seed)).unwrap_or(0);
-        let sigma = sigma.or(deck_spec.map(|s| s.sigma)).unwrap_or(0.1);
-        let scenarios = match scenarios {
-            Some(list) => list,
-            None => deck_scenarios(&case)?,
-        };
-        let spec = match Workload::soil_sweep(samples, seed, sigma, scenarios)
-            .map_err(|e| RequestError::protocol(e.to_string()))?
-        {
-            Workload::SoilSweep(spec) => spec,
-            _ => unreachable!("soil_sweep constructs a SoilSweep workload"),
-        };
-
-        let soils = sample_soils(&case.soil, &spec);
-        let keys: Vec<StudyKey> = soils
-            .iter()
-            .map(|soil| {
-                StudyKey::of_parts(case.network.conductors(), &case.mesh_options, soil, &opts)
-            })
-            .collect();
-
-        // Per-sample solves run serially inside their slot; the sweep
-        // itself is the parallel axis. The cache's single-flight keeps
-        // duplicate keys to one prepare even when their slots race.
-        let inner = SolveOptions {
-            parallelism: None,
-            ..opts
-        };
-        let run_one = |i: usize| -> SweepSampleOutcome {
-            let t = Instant::now();
-            let (study, outcome) = self
-                .cache
-                .get_or_prepare(keys[i], || build_study_for_soil(&case, &soils[i], inner))?;
-            let prepare_seconds = t.elapsed();
-            let t = Instant::now();
-            let solutions = study.solve_batch(&spec.scenarios)?;
-            Ok((outcome, prepare_seconds, t.elapsed(), solutions))
-        };
-        let mut slots: Vec<Option<SweepSampleOutcome>> = (0..soils.len()).map(|_| None).collect();
-        match &self.solve.parallelism {
-            Some(par) if soils.len() >= 2 => {
-                par.pool
-                    .scoped_partition(&mut slots, par.schedule, |i, slot| {
-                        *slot = Some(run_one(i));
-                    });
-            }
-            _ => {
-                for (i, slot) in slots.iter_mut().enumerate() {
-                    *slot = Some(run_one(i));
-                }
-            }
-        }
-
-        // Serial post-pass in sample order: metrics tell one story and
-        // the response is identical to the serial loop's, byte for byte.
-        let mut results = Vec::with_capacity(soils.len());
-        let mut gprs = Vec::with_capacity(soils.len());
-        let mut reqs = Vec::with_capacity(soils.len());
-        let mut hits = 0usize;
-        for (i, slot) in slots.into_iter().enumerate() {
-            let (outcome, prepare_seconds, solve_seconds, solutions) =
-                slot.expect("every slot visited exactly once")?;
-            match outcome {
-                CacheOutcome::Miss => {
-                    Metrics::bump(&self.metrics.cache_misses);
-                    self.metrics.prepare.record(prepare_seconds);
-                }
-                CacheOutcome::Hit => {
-                    Metrics::bump(&self.metrics.cache_hits);
-                    hits += 1;
-                }
-            }
-            self.metrics.solve.record(solve_seconds);
-            gprs.push(solutions[0].gpr);
-            reqs.push(solutions[0].equivalent_resistance);
+        let scenarios = request_scenarios(&case, scenarios)?;
+        let sweep = case
+            .soil_sweep(samples, seed, sigma, scenarios)
+            .map_err(RequestError::protocol)?;
+        let (samples, seed, sigma) = (sweep.samples, sweep.seed, sweep.sigma);
+        let spec = case.study_spec(self.solve);
+        let rows = execute(&spec, &Workload::SoilSweep(sweep), &case.edits, self)?.into_samples();
+        let (gpr, req) = sweep_quantiles(&rows);
+        let mut results = Vec::with_capacity(rows.len());
+        for row in &rows {
+            self.metrics
+                .solve
+                .record(Duration::from_secs_f64(row.solve_seconds));
+            let key = StudyKey::of_spec(&StudySpec {
+                soil: &row.soil,
+                ..spec
+            });
             results.push(Json::obj(vec![
-                ("sample", Json::Num(i as f64)),
-                ("soil", soil_json(&soils[i])),
-                ("key", Json::str(keys[i].to_string())),
-                ("cache_hit", Json::Bool(outcome == CacheOutcome::Hit)),
-                (
-                    "solutions",
-                    Json::Arr(
-                        solutions
-                            .iter()
-                            .map(|s| solution_json(s, include_leakage))
-                            .collect(),
-                    ),
-                ),
+                ("sample", Json::Num(row.index as f64)),
+                ("soil", soil_json(&row.soil)),
+                ("key", Json::str(key.to_string())),
+                ("cache_hit", Json::Bool(row.reused)),
+                ("solutions", solutions_json(&row.solutions, include_leakage)),
             ]));
         }
-        let (_, _, evictions) = self.cache.residency();
-        self.metrics
-            .evictions
-            .store(evictions, std::sync::atomic::Ordering::Relaxed);
-
+        let hits = rows.iter().filter(|row| row.reused).count();
         Ok(ok_obj(
             "sweep",
             Json::obj(vec![
-                ("samples", Json::Num(spec.samples as f64)),
-                ("seed", Json::Num(spec.seed as f64)),
-                ("sigma", Json::Num(spec.sigma)),
+                ("samples", Json::Num(samples as f64)),
+                ("seed", Json::Num(seed as f64)),
+                ("sigma", Json::Num(sigma)),
                 ("cache_hits", Json::Num(hits as f64)),
                 ("results", Json::Arr(results)),
-                ("gpr", quantiles_json(quantiles(&gprs))),
-                ("req", quantiles_json(quantiles(&reqs))),
+                ("gpr", quantiles_json(gpr)),
+                ("req", quantiles_json(req)),
             ]),
         ))
     }
 
-    /// The `edit` handler: opens (or continues) the connection's private
-    /// edit session, applies the requested ops incrementally, answers
-    /// the scenarios from the edited study, and — on `publish` — puts an
-    /// immutable snapshot back into the shared cache under the edited
-    /// geometry's key, re-charging the residency budget.
-    ///
-    /// The session's study is **never** the cached `Arc<Study>`: cached
-    /// entries stay immutable, which is what makes sharing them across
-    /// workers sound. Earlier ops in a request stay committed when a
-    /// later one fails — the session always reflects the last
-    /// *successful* edit, and the error says which op refused.
+    /// `edit`: opens (a deck replays its own `edit` stanzas first, like
+    /// the CLI) or continues the connection's private session, applies
+    /// the ops incrementally, answers from the edited study and — on
+    /// `publish` — snapshots it into the shared cache under the edited
+    /// geometry's key. Earlier ops stay committed when a later one
+    /// fails: the session reflects the last *successful* edit.
     fn edit(
         &self,
         deck: Option<&str>,
@@ -438,29 +300,19 @@ impl Service {
         publish: bool,
         session: &mut Option<EditSessionState>,
     ) -> Result<Json, RequestError> {
+        if let Some(list) = &scenarios {
+            Scenario::validate(list).map_err(refused)?;
+        }
         if let Some(deck) = deck {
             let case = parse_case(deck)?;
-            let opts = SolveOptions {
-                formulation: case.formulation,
-                solver: case.solver,
-                ..self.solve
-            };
-            let scenarios = deck_scenarios(&case)?;
+            let scenarios = request_scenarios(&case, None)?;
+            let spec = case.study_spec(self.solve);
             let t = Instant::now();
-            let mut open =
-                EditSession::open(case.network.clone(), &case.soil, case.mesh_options, opts)
-                    .map_err(edit_error)?;
-            // The deck's own `edit` stanzas replay first, exactly like
-            // the CLI pipeline.
-            for op in &case.edits {
-                open.apply(op).map_err(edit_error)?;
-            }
+            let (open, _) = EditSession::replay(&spec, &case.edits).map_err(refused)?;
             self.metrics.prepare.record(t.elapsed());
             *session = Some(EditSessionState {
                 session: open,
-                soil: case.soil.clone(),
-                mesh_options: case.mesh_options,
-                opts,
+                case,
                 scenarios,
             });
         }
@@ -471,47 +323,29 @@ impl Service {
         })?;
         let mut reports = Vec::with_capacity(edits.len());
         for op in edits {
-            reports.push(state.session.apply(op).map_err(edit_error)?);
+            reports.push(state.session.apply(op).map_err(refused)?);
         }
-        let scenarios = match &scenarios {
-            Some(list) => list.as_slice(),
-            None => state.scenarios.as_slice(),
-        };
+        let scenarios = scenarios.as_deref().unwrap_or(&state.scenarios);
+        let study = state.session.study();
         let t = Instant::now();
-        let solutions = state.session.study().solve_batch(scenarios)?;
+        let solutions = study.solve_batch(scenarios).map_err(refused)?;
         self.metrics.solve.record(t.elapsed());
 
-        let study = state.session.study();
-        let profile = study.profile();
         let mut pairs = vec![
             ("dof", Json::Num(study.dof() as f64)),
-            ("session_edits", Json::Num(profile.edits as f64)),
+            ("session_edits", Json::Num(study.profile().edits as f64)),
             (
                 "reports",
                 Json::Arr(reports.iter().map(edit_report_json).collect()),
             ),
-            (
-                "solutions",
-                Json::Arr(
-                    solutions
-                        .iter()
-                        .map(|s| solution_json(s, include_leakage))
-                        .collect(),
-                ),
-            ),
+            ("solutions", solutions_json(&solutions, include_leakage)),
         ];
         if publish {
-            let key = StudyKey::of_parts(
-                state.session.network().conductors(),
-                &state.mesh_options,
-                &state.soil,
-                &state.opts,
-            );
+            let key = StudyKey::of_spec(&StudySpec {
+                network: state.session.network(),
+                ..state.case.study_spec(self.solve)
+            });
             let bytes = self.cache.publish(key, Arc::new(study.frozen_clone()));
-            let (_, _, evictions) = self.cache.residency();
-            self.metrics
-                .evictions
-                .store(evictions, std::sync::atomic::Ordering::Relaxed);
             pairs.push(("published_key", Json::str(key.to_string())));
             pairs.push(("published_bytes", Json::Num(bytes as f64)));
         }
@@ -519,135 +353,64 @@ impl Service {
     }
 }
 
-/// The connection-scoped state behind the `edit` op: the live session
-/// plus everything needed to key (and publish) its study. Held by the
-/// connection loop, not the shared [`Service`] — sessions are private by
-/// construction.
+/// The keyed cache as the executor's study source: resident studies are
+/// reused, absent ones prepared once (single-flight), and the
+/// hit/miss/prepare metrics move here, where the outcome is known.
+impl StudySource for Service {
+    fn study(&self, spec: &StudySpec<'_>) -> Result<Sourced, ExecuteError> {
+        let t = Instant::now();
+        let (study, outcome) = self
+            .cache
+            .get_or_prepare(StudyKey::of_spec(spec), || spec.prepare())?;
+        let elapsed = t.elapsed();
+        match outcome {
+            CacheOutcome::Miss => {
+                Metrics::bump(&self.metrics.cache_misses);
+                self.metrics.prepare.record(elapsed);
+            }
+            CacheOutcome::Hit => Metrics::bump(&self.metrics.cache_hits),
+        }
+        Ok(Sourced {
+            study,
+            reused: outcome == CacheOutcome::Hit,
+            prepare_seconds: elapsed.as_secs_f64(),
+        })
+    }
+
+    /// Cached studies are shared; edits belong to the `edit` op's session.
+    fn replays_edits(&self) -> bool {
+        false
+    }
+}
+
+/// The connection-scoped state behind the `edit` op: the live session,
+/// the deck it was opened from (which keys a published study) and that
+/// deck's scenarios. Held by the connection loop, not the shared
+/// [`Service`] — sessions are private by construction.
 pub struct EditSessionState {
     session: EditSession,
-    soil: SoilModel,
-    mesh_options: MeshOptions,
-    opts: SolveOptions,
+    case: CadCase,
     scenarios: Vec<Scenario>,
 }
 
-/// One sweep sample's outcome: cache route, prepare/solve wall time,
-/// and the scenario answers.
-type SweepSampleOutcome =
-    Result<(CacheOutcome, Duration, Duration, Vec<GroundingSolution>), RequestError>;
-
-/// Maps an edit failure onto the wire error kinds: model-shaped refusals
-/// (bad index, a move that disconnects the electrode, …) are `model`, a
-/// failed re-prepare is `prepare`, and `NotEditable` — impossible for
-/// sessions the server itself opened — is an `internal` defect.
-fn edit_error(e: EditError) -> RequestError {
-    match e {
-        EditError::Model(why) => RequestError::new(ErrorKind::Model, why),
-        EditError::Prepare(p) => p.into(),
-        EditError::NotEditable(why) => RequestError::new(ErrorKind::Internal, why),
-    }
+/// A library refusal as its wire error, kind preserved.
+fn refused(e: impl Into<ExecuteError>) -> RequestError {
+    e.into().into()
 }
 
-/// The scenario list a deck answers when the request doesn't override
-/// it. A design-search deck has no scenario list to borrow — that
-/// workload shape is a CLI/pipeline feature, not a wire op.
-fn deck_scenarios(case: &CadCase) -> Result<Vec<Scenario>, RequestError> {
-    match &case.workload {
-        Workload::Scenarios(list) => Ok(list.clone()),
-        Workload::SoilSweep(spec) => Ok(spec.scenarios.clone()),
-        Workload::DesignSearch(_) => Err(RequestError::protocol(
+/// The scenarios a request answers: its own `scenarios` field, else the
+/// deck's (a design-search deck has none: that shape is not a wire op).
+fn request_scenarios(
+    case: &CadCase,
+    explicit: Option<Vec<Scenario>>,
+) -> Result<Vec<Scenario>, RequestError> {
+    match (explicit, case.workload.scenario_list()) {
+        (Some(list), _) => Ok(list),
+        (None, Some(list)) => Ok(list.to_vec()),
+        (None, None) => Err(RequestError::protocol(
             "deck asks for a design search; pass explicit 'scenarios' or run it via the CLI",
         )),
     }
-}
-
-/// The `{"p10":…,"p50":…,"p90":…}` form of sweep quantiles.
-fn quantiles_json(q: Quantiles) -> Json {
-    Json::obj(vec![
-        ("p10", Json::Num(q.p10)),
-        ("p50", Json::Num(q.p50)),
-        ("p90", Json::Num(q.p90)),
-    ])
-}
-
-/// A self-describing JSON view of a soil model (sweep responses carry
-/// each sample's drawn parameters alongside its results). Non-finite
-/// values (the bottom layer's infinite thickness) render as `null` to
-/// stay inside JSON.
-fn soil_json(soil: &SoilModel) -> Json {
-    let num = |x: f64| {
-        if x.is_finite() {
-            Json::Num(x)
-        } else {
-            Json::Null
-        }
-    };
-    match soil {
-        SoilModel::Uniform { conductivity } => Json::obj(vec![
-            ("model", Json::str("uniform")),
-            ("conductivity", num(*conductivity)),
-        ]),
-        SoilModel::TwoLayer {
-            upper,
-            lower,
-            thickness,
-        } => Json::obj(vec![
-            ("model", Json::str("two-layer")),
-            ("upper", num(*upper)),
-            ("lower", num(*lower)),
-            ("thickness", num(*thickness)),
-        ]),
-        SoilModel::MultiLayer { layers } => Json::obj(vec![
-            ("model", Json::str("multi-layer")),
-            (
-                "layers",
-                Json::Arr(
-                    layers
-                        .iter()
-                        .map(|l| {
-                            Json::obj(vec![
-                                ("conductivity", num(l.conductivity)),
-                                ("thickness", num(l.thickness)),
-                            ])
-                        })
-                        .collect(),
-                ),
-            ),
-        ]),
-    }
-}
-
-/// Meshes and prepares a parsed case — the cache's build closure. The
-/// model checks run *before* [`GroundingSystem::new`] so an empty or
-/// disconnected discretization surfaces as a typed `model` error instead
-/// of tripping the constructor's assertions.
-pub fn build_study(case: &CadCase, opts: SolveOptions) -> Result<Study, RequestError> {
-    build_study_for_soil(case, &case.soil, opts)
-}
-
-/// [`build_study`] with the soil model swapped out — the sweep op's
-/// build closure (each sampled soil shares the deck's geometry and mesh
-/// options but owns its Green's-function series, and hence its study).
-pub fn build_study_for_soil(
-    case: &CadCase,
-    soil: &SoilModel,
-    opts: SolveOptions,
-) -> Result<Study, RequestError> {
-    let mesh = Mesher::new(case.mesh_options).mesh(&case.network);
-    check_model(&mesh)?;
-    Ok(GroundingSystem::new(mesh, soil, opts).prepare()?)
-}
-
-/// `{"ok":true,"op":…, …body fields…}`.
-fn ok_obj(op: &str, body: Json) -> Json {
-    let mut pairs = vec![
-        ("ok".to_string(), Json::Bool(true)),
-        ("op".to_string(), Json::str(op)),
-    ];
-    if let Json::Obj(rest) = body {
-        pairs.extend(rest);
-    }
-    Json::Obj(pairs)
 }
 
 /// A running server: join handles plus the shared service.
@@ -670,30 +433,18 @@ impl ServerHandle {
         &self.service
     }
 
-    /// Stops accepting, drains the workers, and joins every thread.
-    pub fn shutdown(mut self) {
-        self.stop();
-    }
-
-    fn stop(&mut self) {
-        self.shutdown.store(true, Ordering::SeqCst);
-        // Unblock the accept loop with a throwaway connection.
-        let _ = TcpStream::connect(self.addr);
-        if let Some(h) = self.accept.take() {
-            let _ = h.join();
-        }
-        for h in self.workers.drain(..) {
-            let _ = h.join();
-        }
-    }
+    /// Stops accepting, drains the workers, and joins every thread —
+    /// which is what dropping the handle does.
+    pub fn shutdown(self) {}
 
     /// Blocks until the server stops (the binary's foreground mode; only
     /// a signal or process kill ends it).
     pub fn join(mut self) {
-        if let Some(h) = self.accept.take() {
-            let _ = h.join();
-        }
-        for h in self.workers.drain(..) {
+        self.join_threads();
+    }
+
+    fn join_threads(&mut self) {
+        for h in self.accept.take().into_iter().chain(self.workers.drain(..)) {
             let _ = h.join();
         }
     }
@@ -701,9 +452,10 @@ impl ServerHandle {
 
 impl Drop for ServerHandle {
     fn drop(&mut self) {
-        if !self.shutdown.load(Ordering::SeqCst) {
-            self.stop();
-        }
+        self.shutdown.store(true, Ordering::SeqCst);
+        // Unblock the accept loop with a throwaway connection.
+        let _ = TcpStream::connect(self.addr);
+        self.join_threads();
     }
 }
 
@@ -762,8 +514,7 @@ pub fn spawn(config: ServerConfig) -> std::io::Result<ServerHandle> {
 
 /// What one bounded line read produced.
 enum LineRead {
-    /// A complete `\n`-terminated line is in the buffer (without the
-    /// terminator).
+    /// A complete line is in the buffer (terminator stripped).
     Line,
     /// The peer closed the connection.
     Eof,
@@ -772,39 +523,31 @@ enum LineRead {
 }
 
 /// Reads one newline-terminated line into `buf`, capped at `max` bytes.
-/// On timeout the partial line stays in `buf` and the caller retries.
+/// On timeout the partial line stays in `buf` and the caller retries; at
+/// EOF an unterminated trailing fragment is dropped (the protocol
+/// requires newline-terminated requests).
 fn read_line_limited(
     reader: &mut impl BufRead,
     buf: &mut Vec<u8>,
     max: usize,
 ) -> std::io::Result<LineRead> {
-    loop {
-        let (done, used) = {
-            let available = reader.fill_buf()?;
-            if available.is_empty() {
-                // EOF; an unterminated trailing fragment is dropped (the
-                // protocol requires newline-terminated requests).
-                return Ok(LineRead::Eof);
-            }
-            match available.iter().position(|b| *b == b'\n') {
-                Some(i) => {
-                    buf.extend_from_slice(&available[..i]);
-                    (true, i + 1)
-                }
-                None => {
-                    buf.extend_from_slice(available);
-                    (false, available.len())
-                }
-            }
-        };
-        reader.consume(used);
-        if buf.len() > max {
-            return Ok(LineRead::TooLong);
-        }
-        if done {
-            return Ok(LineRead::Line);
-        }
-    }
+    let room = (max + 1).saturating_sub(buf.len()) as u64;
+    std::io::Read::take(&mut *reader, room).read_until(b'\n', buf)?;
+    Ok(if buf.last() == Some(&b'\n') {
+        buf.pop();
+        LineRead::Line
+    } else if buf.len() > max {
+        LineRead::TooLong
+    } else {
+        LineRead::Eof
+    })
+}
+
+/// Sends one response line — terminator included — in a single write,
+/// so the kernel never holds a lone `\n` back for the peer's delayed ACK.
+fn send_line(mut stream: &TcpStream, mut line: String) -> std::io::Result<()> {
+    line.push('\n');
+    stream.write_all(line.as_bytes())
 }
 
 /// Serves one connection: request line in, response line out, until EOF,
@@ -813,12 +556,12 @@ fn read_line_limited(
 /// requests on a connection keep editing the same private study; it
 /// drops with the connection.
 fn serve_connection(service: &Service, stream: TcpStream, shutdown: &AtomicBool) {
+    let _ = stream.set_nodelay(true);
     let Ok(read_half) = stream.try_clone() else {
         return;
     };
     let _ = read_half.set_read_timeout(Some(READ_POLL));
     let mut reader = BufReader::new(read_half);
-    let mut writer = BufWriter::new(stream);
     let mut session: Option<EditSessionState> = None;
     let mut buf: Vec<u8> = Vec::new();
     loop {
@@ -830,8 +573,7 @@ fn serve_connection(service: &Service, stream: TcpStream, shutdown: &AtomicBool)
             Ok(LineRead::TooLong) => {
                 let e =
                     RequestError::protocol(format!("request line exceeds {MAX_LINE_BYTES} bytes"));
-                let _ = writeln!(writer, "{}", e.to_json().to_line());
-                let _ = writer.flush();
+                let _ = send_line(&stream, e.to_json().to_line());
                 return;
             }
             Ok(LineRead::Line) => {
@@ -839,7 +581,7 @@ fn serve_connection(service: &Service, stream: TcpStream, shutdown: &AtomicBool)
                 let reply =
                     service.handle_line_with_session(line.trim_end_matches('\r'), &mut session);
                 buf.clear();
-                if writeln!(writer, "{reply}").is_err() || writer.flush().is_err() {
+                if send_line(&stream, reply).is_err() {
                     return;
                 }
             }
@@ -868,6 +610,21 @@ mod tests {
 
     fn solve_line(deck: &str) -> String {
         Json::obj(vec![("op", Json::str("solve")), ("deck", Json::str(deck))]).to_line()
+    }
+
+    #[test]
+    fn lines_are_framed_by_newlines_and_capped() {
+        let mut reader = std::io::Cursor::new(b"ab\ncdefgh\nxy".to_vec());
+        let mut buf = Vec::new();
+        let mut next = |buf: &mut Vec<u8>| read_line_limited(&mut reader, buf, 4).unwrap();
+        assert!(matches!(next(&mut buf), LineRead::Line));
+        assert_eq!(buf, b"ab");
+        // A partial line left by a read timeout is kept and completed.
+        buf = b"0".to_vec();
+        assert!(matches!(next(&mut buf), LineRead::TooLong), "0cdefgh > 4");
+        buf.clear();
+        assert!(matches!(next(&mut buf), LineRead::Line), "the rest of it");
+        assert!(matches!(next(&mut buf), LineRead::Eof), "unterminated tail");
     }
 
     #[test]
@@ -929,17 +686,68 @@ mod tests {
             error_kind(&s.handle_line(&solve_line(disconnected))),
             "model"
         );
-        // Solve: a non-finite drive smuggled through the protocol.
+        // Solve: a non-finite drive smuggled through the protocol, and a
+        // plain negative one.
         let line = r#"{"op":"solve","deck":"rod 0 0 0.5 2 0.01\n","scenarios":[{"kind":"gpr","value":1e999}]}"#;
         assert_eq!(error_kind(&s.handle_line(line)), "solve");
+        assert_eq!(error_kind(&s.handle_line(BAD_DRIVE)), "solve");
+        // Protocol: a deck with `edit` stanzas sent to an op that answers
+        // from shared studies — refused, pointing at op:"edit".
+        for op in ["solve", "sweep"] {
+            let reply = s.handle_line(&edit_deck_line(op));
+            assert_eq!(error_kind(&reply), "protocol");
+            assert!(reply.contains(r#"op:\"edit\""#), "{reply}");
+        }
         // The service survived all of it.
         let v = Json::parse(&s.handle_line(r#"{"op":"ping"}"#)).unwrap();
         assert_eq!(v.get("ok").and_then(Json::as_bool), Some(true));
         assert_eq!(
             s.metrics().errors.load(Ordering::Relaxed),
-            4,
+            7,
             "each failure counted"
         );
+    }
+
+    const BAD_DRIVE: &str =
+        r#"{"op":"solve","deck":"rod 0 0 0.5 2 0.01\n","scenarios":[{"kind":"gpr","value":-1}]}"#;
+
+    /// A sweep-capable request carrying a deck with one `edit` stanza.
+    fn edit_deck_line(op: &str) -> String {
+        Json::obj(vec![
+            ("op", Json::str(op)),
+            (
+                "deck",
+                Json::str("gpr 5000\nrod 0 0 0.5 2 0.01\nedit move 0 b 0 0 0.5\n"),
+            ),
+            ("samples", Json::Num(2.0)),
+        ])
+        .to_line()
+    }
+
+    #[test]
+    fn refused_requests_never_touch_the_cache() {
+        let s = service();
+        // A bad drive, a search deck without explicit scenarios, and
+        // edit-stanza decks are all refused by validation: no prepare is
+        // paid, nothing becomes resident, no miss is counted.
+        let search = solve_line("grid rect 0 0 20 20 2 2 0.8 0.006\nsearch pitch 5:10:2\n");
+        assert_eq!(error_kind(&s.handle_line(BAD_DRIVE)), "solve");
+        assert_eq!(error_kind(&s.handle_line(&search)), "protocol");
+        assert_eq!(
+            error_kind(&s.handle_line(&edit_deck_line("solve"))),
+            "protocol"
+        );
+        assert_eq!(
+            error_kind(&s.handle_line(&edit_deck_line("sweep"))),
+            "protocol"
+        );
+        assert_eq!(s.cache().residency(), (0, 0, 0));
+        assert_eq!(s.metrics().cache_misses.load(Ordering::Relaxed), 0);
+        assert_eq!(s.metrics().prepare.count(), 0);
+        // The same edit deck is what op:"edit" is for.
+        let v = Json::parse(&s.handle_line(&edit_deck_line("edit"))).unwrap();
+        assert_eq!(v.get("ok").and_then(Json::as_bool), Some(true), "{v:?}");
+        assert_eq!(v.get("session_edits").and_then(Json::as_f64), Some(1.0));
     }
 
     #[test]
@@ -1143,8 +951,13 @@ mod tests {
 
     #[test]
     fn build_study_rejects_bad_models_as_typed_errors() {
+        use layerbem_core::workload::FreshSource;
         let case = parse_case("rod 0 0 0.5 2 0.01\nrod 900 900 0.5 2 0.01\n").unwrap();
-        let e = build_study(&case, SolveOptions::default()).unwrap_err();
+        let e: RequestError = FreshSource
+            .study(&case.study_spec(SolveOptions::default()))
+            .err()
+            .expect("two islands are no model")
+            .into();
         assert_eq!(e.kind, ErrorKind::Model);
         assert!(e.message.contains("connected"), "{}", e.message);
     }

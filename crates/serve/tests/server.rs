@@ -13,9 +13,12 @@ use std::net::TcpStream;
 use std::sync::{Arc, Barrier};
 use std::thread;
 
-use layerbem_cad::parse_case;
+use layerbem_cad::{parse_case, run_pipeline};
+use layerbem_core::workload::{FreshSource, StudySource, WorkloadRow};
 use layerbem_core::{Scenario, SolveOptions, SolverChoice};
-use layerbem_serve::{build_study, spawn, Json, ServeClient, ServerConfig};
+use layerbem_parfor::{Schedule, ThreadPool};
+use layerbem_serve::protocol::solutions_json;
+use layerbem_serve::{spawn, Json, ServeClient, ServerConfig, Service};
 
 /// A small but non-trivial deck: a 3×3-cell grid in two-layer soil.
 const GRID_DECK: &str = "title integration grid\n\
@@ -45,16 +48,14 @@ fn concurrent_clients_share_one_prepare_and_match_direct_solves() {
     let scenarios = [Scenario::gpr(5000.0), Scenario::fault_current(25.0)];
 
     // The reference: the same case prepared directly, bypassing the
-    // server entirely. The server applies the deck's `solver` keyword on
-    // top of its own defaults, so mirror that here.
+    // server entirely — the fresh study source, with the deck's `solver`
+    // keyword laid over the defaults exactly as the server does.
     let case = parse_case(GRID_DECK).expect("deck parses");
-    let opts = SolveOptions {
-        formulation: case.formulation,
-        solver: case.solver,
-        ..SolveOptions::default()
-    };
     assert_eq!(case.solver, SolverChoice::Cholesky);
-    let study = build_study(&case, opts).expect("direct prepare");
+    let study = FreshSource
+        .study(&case.study_spec(SolveOptions::default()))
+        .expect("direct prepare")
+        .study;
     let direct: Vec<_> = scenarios
         .iter()
         .map(|s| study.solve(s).expect("direct solve"))
@@ -242,4 +243,84 @@ fn garbage_lines_get_protocol_errors_not_disconnects() {
     let mut client = ServeClient::connect(handle.addr()).expect("connect");
     client.ping().expect("still serving");
     handle.shutdown();
+}
+
+/// The split-write regression: a request line longer than the old 8 KiB
+/// `BufWriter` used to leave as two sends (the line, then a lone `\n`
+/// that Nagle held back for the peer's delayed ACK), costing ≥ 40 ms on
+/// every round trip over loopback. One `write_all` per line on a
+/// `TCP_NODELAY` socket answers a resident study in well under 20 ms.
+#[test]
+fn long_request_lines_round_trip_without_the_delayed_ack_stall() {
+    let handle = spawn(default_server()).expect("spawn server");
+    let mut client = ServeClient::connect(handle.addr()).expect("connect");
+    let mut deck = String::from(ROD_DECK);
+    while deck.len() <= 8 * 1024 {
+        deck.push_str("# padding so the request line outgrows one 8 KiB buffer\n");
+    }
+    client.solve(&deck, None, false).expect("cold solve");
+    let fastest = (0..5)
+        .map(|_| {
+            let t = std::time::Instant::now();
+            let reply = client.solve(&deck, None, false).expect("warm solve");
+            assert!(reply.cache_hit);
+            t.elapsed()
+        })
+        .min()
+        .expect("five trips");
+    assert!(
+        fastest < std::time::Duration::from_millis(20),
+        "fastest of five warm round trips took {fastest:?}"
+    );
+    handle.shutdown();
+}
+
+/// One executor under both front ends: what the server answers for a
+/// deck is bit for bit what `run_pipeline` computes for it — scenario
+/// decks and seeded soil sweeps, serial and on a 2-thread pool.
+#[test]
+fn served_solutions_equal_the_pipelines_rows_bit_for_bit() {
+    let sweep_deck = format!("{GRID_DECK}sweep soil-samples 4 seed 7\n");
+    let pooled = SolveOptions::default().with_parallelism(ThreadPool::new(2), Schedule::dynamic(1));
+    for opts in [SolveOptions::default(), pooled] {
+        let service = Service::new(0, opts);
+        for (op, deck) in [("solve", GRID_DECK), ("sweep", sweep_deck.as_str())] {
+            let line = Json::obj(vec![
+                ("op", Json::str(op)),
+                ("deck", Json::str(deck)),
+                ("include_leakage", Json::Bool(true)),
+            ]);
+            let reply = Json::parse(&service.handle_line(&line.to_line())).expect("JSON reply");
+            // One `solutions` array per study: the reply's own, or one
+            // per sweep sample. Shortest-round-trip floats: equal text
+            // is equal bits.
+            let served: Vec<String> = match reply.get("results").and_then(Json::as_arr) {
+                Some(samples) => samples.iter().collect(),
+                None => vec![&reply],
+            }
+            .into_iter()
+            .map(|r| r.get("solutions").expect("solutions").to_line())
+            .collect();
+            let case = parse_case(deck).expect("deck parses");
+            let mut direct: Vec<Vec<_>> = Vec::new();
+            for row in run_pipeline(&case, opts, 0.0).expect("pipeline runs").rows {
+                match row {
+                    WorkloadRow::Sample(sample) => direct.push(sample.solutions),
+                    WorkloadRow::Scenario(s) if direct.is_empty() => direct.push(vec![s]),
+                    WorkloadRow::Scenario(s) => direct[0].push(s),
+                    WorkloadRow::Candidate(_) => unreachable!("no search deck here"),
+                }
+            }
+            let direct: Vec<String> = direct
+                .iter()
+                .map(|solutions| solutions_json(solutions, true).to_line())
+                .collect();
+            assert_eq!(
+                served,
+                direct,
+                "{op}, pooled: {}",
+                opts.parallelism.is_some()
+            );
+        }
+    }
 }

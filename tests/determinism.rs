@@ -30,16 +30,17 @@ use layerbem_core::formulation::{KernelEval, OperatorBackend, SolveOptions, Solv
 use layerbem_core::kernel::SoilKernel;
 use layerbem_core::study::Scenario;
 use layerbem_core::system::GroundingSystem;
-use layerbem_core::workload::{run_soil_sweep, Workload};
+use layerbem_core::workload::{run_soil_sweep, FreshSource, SoilSweepSpec, StudySpec};
 use layerbem_geometry::grids::{rectangular_grid, RectGridSpec};
-use layerbem_geometry::{grids, Mesh, Mesher};
+use layerbem_geometry::{grids, ConductorNetwork, Mesh, MeshOptions, Mesher};
 use layerbem_numeric::pcg::{pcg_solve, PcgOptions, PooledSymOperator};
 use layerbem_numeric::{CholeskyFactor, DenseMatrix, LuFactor, SymMatrix, DEFAULT_FACTOR_BLOCK};
 use layerbem_parfor::{Schedule, ThreadPool};
 use layerbem_soil::SoilModel;
 
-/// One grid under test: name, mesh, and its uniform soil model.
-fn grid_cases() -> Vec<(&'static str, Mesh, SoilModel)> {
+/// One grid under test: name, conductor network, and its uniform soil
+/// model.
+fn grid_networks() -> Vec<(&'static str, ConductorNetwork, SoilModel)> {
     let selector = std::env::var("LAYERBEM_DETERMINISM_GRID").unwrap_or_default();
     if selector == "tiny" {
         let net = rectangular_grid(RectGridSpec {
@@ -51,24 +52,20 @@ fn grid_cases() -> Vec<(&'static str, Mesh, SoilModel)> {
             depth: 0.8,
             radius: 0.006,
         });
-        return vec![(
-            "tiny 2x2 yard",
-            Mesher::default().mesh(&net),
-            SoilModel::uniform(0.016),
-        )];
+        return vec![("tiny 2x2 yard", net, SoilModel::uniform(0.016))];
     }
     vec![
-        (
-            "Barbera",
-            Mesher::default().mesh(&grids::barbera()),
-            SoilModel::uniform(0.016),
-        ),
-        (
-            "Balaidos",
-            Mesher::default().mesh(&grids::balaidos()),
-            SoilModel::uniform(0.020),
-        ),
+        ("Barbera", grids::barbera(), SoilModel::uniform(0.016)),
+        ("Balaidos", grids::balaidos(), SoilModel::uniform(0.020)),
     ]
+}
+
+/// [`grid_networks`], discretized with the default mesher.
+fn grid_cases() -> Vec<(&'static str, Mesh, SoilModel)> {
+    grid_networks()
+        .into_iter()
+        .map(|(grid, net, soil)| (grid, Mesher::default().mesh(&net), soil))
+        .collect()
 }
 
 /// Thread counts under test: a small fixed pool plus the environment's
@@ -489,27 +486,29 @@ fn seeded_soil_sweeps_are_bit_identical_across_schedules_and_threads() {
     // (sampled soils, leakage vectors, GPRs, equivalent resistances) is
     // a function of the seed alone, bit-identical for every schedule ×
     // thread count, including the CI matrix's LAYERBEM_THREADS pins.
-    let spec = match Workload::soil_sweep(
+    let spec = SoilSweepSpec::new(
         6,
         0x5eed,
         0.2,
         vec![Scenario::gpr(10_000.0), Scenario::fault_current(25_000.0)],
     )
-    .expect("sweep parameters are valid")
-    {
-        Workload::SoilSweep(spec) => spec,
-        other => unreachable!("soil_sweep constructs a SoilSweep workload, got {other:?}"),
-    };
-    for (grid, mesh, soil) in grid_cases() {
-        let serial = run_soil_sweep(&mesh, &soil, SolveOptions::default(), &spec)
+    .expect("sweep parameters are valid");
+    for (grid, network, soil) in grid_networks() {
+        let study = |opts| StudySpec {
+            network: &network,
+            mesh_options: MeshOptions::default(),
+            soil: &soil,
+            opts,
+        };
+        let serial = run_soil_sweep(&study(SolveOptions::default()), &spec, &FreshSource)
             .expect("serial sweep succeeds");
         assert_eq!(serial.len(), spec.samples);
         for threads in thread_counts() {
             for schedule in schedules() {
                 let opts =
                     SolveOptions::default().with_parallelism(ThreadPool::new(threads), schedule);
-                let pooled =
-                    run_soil_sweep(&mesh, &soil, opts, &spec).expect("pooled sweep succeeds");
+                let pooled = run_soil_sweep(&study(opts), &spec, &FreshSource)
+                    .expect("pooled sweep succeeds");
                 let label = format!("{grid}: threads={threads} {}", schedule.label());
                 for (a, b) in serial.iter().zip(&pooled) {
                     assert_eq!(a.index, b.index, "{label}");
