@@ -297,7 +297,10 @@ fn main() {
             .expect("sweep scenarios are positive");
         assert_eq!(sols.len(), SWEEP_SCENARIOS);
         let profile = study.profile();
-        assert_eq!(profile.assemblies, 1, "staged sweep must assemble once");
+        assert_eq!(
+            profile.assembly.assemblies, 1,
+            "staged sweep must assemble once"
+        );
         assert_eq!(
             profile.factorizations, 1,
             "staged sweep must factorize once"
@@ -382,14 +385,14 @@ fn main() {
         SolveOptions::default()
     };
 
-    let t0 = Instant::now();
     let dense = assemble_galerkin(&hmesh, &hkernel, &hopts);
-    let dense_assemble_s = t0.elapsed().as_secs_f64();
-    let t0 = Instant::now();
     let hier = assemble_hierarchical(&hmesh, &hkernel, &hopts, DEFAULT_ACA_TOL, DEFAULT_LEAF_SIZE)
         .expect("ACA converges on the refined grid");
-    let hier_assemble_s = t0.elapsed().as_secs_f64();
-    let stats = hier.operator.compression_stats();
+    let (dense_assemble_s, hier_assemble_s) = (dense.cost.seconds, hier.cost.seconds);
+    let stats = hier
+        .cost
+        .compression
+        .expect("hierarchical reports compression");
 
     // Correctness first: both operators must answer the same PCG solve.
     assert_eq!(hier.rhs, dense.rhs, "{hgrid}: hierarchical rhs differs");
@@ -426,43 +429,32 @@ fn main() {
     }
 
     let dense_bytes = stats.dense_bytes as u64;
-    records.push(BenchRecord {
-        resident_bytes: Some(dense_bytes),
-        ..BenchRecord::new(
-            hgrid,
-            "matvec-dense",
-            "-",
-            1,
-            dense_apply,
-            dense.total_terms(),
-        )
-    });
-    records.push(BenchRecord {
-        resident_bytes: Some(stats.resident_bytes as u64),
-        ..BenchRecord::new(hgrid, "matvec-hmatrix", "-", 1, hier_apply, hier.terms)
-    });
-    records.push(BenchRecord {
-        resident_bytes: Some(dense_bytes),
-        ..BenchRecord::new(
+    let (dense_terms, hier_terms) = (dense.total_terms(), hier.cost.kernel.terms);
+    let (dense_b, hier_b) = (dense_bytes as f64, stats.resident_bytes as f64);
+    records.extend([
+        BenchRecord::new(hgrid, "matvec-dense", "-", 1, dense_apply, dense_terms)
+            .with("resident_bytes", dense_b),
+        BenchRecord::new(hgrid, "matvec-hmatrix", "-", 1, hier_apply, hier_terms)
+            .with("resident_bytes", hier_b),
+        BenchRecord::new(
             hgrid,
             "assemble-dense",
             "Dynamic,1",
             threads,
             dense_assemble_s,
-            dense.total_terms(),
+            dense_terms,
         )
-    });
-    records.push(BenchRecord {
-        resident_bytes: Some(stats.resident_bytes as u64),
-        ..BenchRecord::new(
+        .with("resident_bytes", dense_b),
+        BenchRecord::new(
             hgrid,
             "assemble-hmatrix",
             "Dynamic,1",
             threads,
             hier_assemble_s,
-            hier.terms,
+            hier_terms,
         )
-    });
+        .with("resident_bytes", hier_b),
+    ]);
 
     let apply_ratio = hier_apply / dense_apply;
     let apply_ok = hier_apply <= dense_apply * args.tolerance;
@@ -550,11 +542,9 @@ fn main() {
             .with_parallelism(kpool, Schedule::dynamic(1));
         let mut report = None;
         for _ in 0..kernel_reps {
-            let t0 = Instant::now();
             let rep = assemble_galerkin(&kmesh, &kkernel, &kopts);
-            let wall = t0.elapsed().as_secs_f64();
-            best[slot].0 = best[slot].0.min(wall);
-            best[slot].1 = best[slot].1.min(rep.kernel_seconds());
+            best[slot].0 = best[slot].0.min(rep.cost.seconds);
+            best[slot].1 = best[slot].1.min(rep.cost.kernel_seconds);
             report = Some(rep);
         }
         reports.push(report.expect("kernel_reps > 0"));
@@ -600,9 +590,12 @@ fn main() {
             args.kernel_speedup
         ));
     }
-    records.push(BenchRecord {
-        kernel_seconds: Some(scalar_kernel),
-        ..BenchRecord::new(
+    let occupancy = batched_rep
+        .cost
+        .lane_occupancy()
+        .expect("batched assembly fills lanes");
+    records.push(
+        BenchRecord::new(
             kgrid,
             "kernel-scalar",
             "Dynamic,1",
@@ -610,11 +603,10 @@ fn main() {
             scalar_wall,
             scalar_rep.total_terms(),
         )
-    });
-    records.push(BenchRecord {
-        kernel_seconds: Some(batched_kernel),
-        lane_occupancy: batched_rep.lane_occupancy(),
-        ..BenchRecord::new(
+        .with("kernel_seconds", scalar_kernel),
+    );
+    records.push(
+        BenchRecord::new(
             kgrid,
             "kernel-batched",
             "Dynamic,1",
@@ -622,7 +614,9 @@ fn main() {
             batched_wall,
             batched_rep.total_terms(),
         )
-    });
+        .with("kernel_seconds", batched_kernel)
+        .with("lane_occupancy", occupancy),
+    );
     println!();
     println!(
         "{}",
@@ -652,12 +646,9 @@ fn main() {
         "{kgrid} ({} dof), two-layer soil, {kthreads} pinned threads, best of \
          {kernel_reps} repetitions; batched within {worst:.1e} of the scalar \
          oracle, bit-identical across schedule and thread-count changes, lane \
-         occupancy {}.",
+         occupancy {:.1}%.",
         kmesh.dof(),
-        batched_rep
-            .lane_occupancy()
-            .map(|o| format!("{:.1}%", 100.0 * o))
-            .unwrap_or_else(|| "-".into()),
+        100.0 * occupancy,
     );
 
     // ---- Gate 5: cold prepare vs cached-hit solve (the serve cache). ----
@@ -744,10 +735,9 @@ fn main() {
             args.cache_speedup
         ));
     }
-    let study_bytes = Some(study.resident_bytes() as u64);
-    records.push(BenchRecord {
-        resident_bytes: study_bytes,
-        ..BenchRecord::new(
+    let study_bytes = study.resident_bytes() as f64;
+    records.push(
+        BenchRecord::new(
             sgrid,
             "cache_miss",
             "Dynamic,1",
@@ -755,11 +745,12 @@ fn main() {
             cold,
             study.total_terms(),
         )
-    });
-    records.push(BenchRecord {
-        resident_bytes: study_bytes,
-        ..BenchRecord::new(sgrid, "cache_hit", "Dynamic,1", threads, hit, 0)
-    });
+        .with("resident_bytes", study_bytes),
+    );
+    records.push(
+        BenchRecord::new(sgrid, "cache_hit", "Dynamic,1", threads, hit, 0)
+            .with("resident_bytes", study_bytes),
+    );
     println!();
     println!(
         "{}",
@@ -824,7 +815,10 @@ fn main() {
         wspec.samples,
         "{sgrid}: the sweep must leave one resident study per sample"
     );
-    let sweep_terms: u64 = cold_rows.iter().map(|row| row.profile.kernel_terms).sum();
+    let sweep_terms: u64 = cold_rows
+        .iter()
+        .map(|row| row.profile.assembly.kernel.terms)
+        .sum();
 
     // Cached pass: the same seed draws the same soils — all hits, and
     // the answers must be bit-identical to the cold pass.
@@ -851,9 +845,9 @@ fn main() {
             args.sweep_cache_speedup
         ));
     }
-    records.push(BenchRecord {
-        resident_bytes: Some(wserved.cache().residency().1 as u64),
-        ..BenchRecord::new(
+    let sweep_bytes = wserved.cache().residency().1 as f64;
+    records.push(
+        BenchRecord::new(
             sgrid,
             "sweep_cold",
             "Dynamic,1",
@@ -861,11 +855,12 @@ fn main() {
             sweep_cold,
             sweep_terms,
         )
-    });
-    records.push(BenchRecord {
-        resident_bytes: Some(wserved.cache().residency().1 as u64),
-        ..BenchRecord::new(sgrid, "sweep_cached", "Dynamic,1", threads, sweep_cached, 0)
-    });
+        .with("resident_bytes", sweep_bytes),
+    );
+    records.push(
+        BenchRecord::new(sgrid, "sweep_cached", "Dynamic,1", threads, sweep_cached, 0)
+            .with("resident_bytes", sweep_bytes),
+    );
     println!();
     println!(
         "{}",
@@ -924,6 +919,7 @@ fn main() {
     let edof = esession.study().dof();
 
     let mut edit_inc = f64::INFINITY;
+    let mut edit_terms = 0;
     let mut last_report = None;
     for rep in 0..args.reps.max(2) {
         let dz = if rep % 2 == 0 { 0.2 } else { -0.2 };
@@ -932,11 +928,14 @@ fn main() {
             end: ConductorEnd::B,
             delta: [0.0, 0.0, dz],
         };
+        let terms_before = esession.study().profile().reintegrate.kernel.terms;
         let t0 = Instant::now();
         let report = esession
             .apply(&op)
             .expect("probe-rod move stays well-posed");
         edit_inc = edit_inc.min(t0.elapsed().as_secs_f64());
+        // Series terms this one edit's re-integration consumed.
+        edit_terms = esession.study().profile().reintegrate.kernel.terms - terms_before;
         assert_eq!(
             report.path,
             EditPath::Incremental,
@@ -1002,15 +1001,20 @@ fn main() {
             args.edit_speedup
         ));
     }
-    records.push(BenchRecord {
-        resident_bytes: Some(esession.study().resident_bytes() as u64),
-        update_rank: Some(last_report.update_rank as u64),
-        ..BenchRecord::new(egrid, "edit_incremental", "Dynamic,1", threads, edit_inc, 0)
-    });
-    records.push(BenchRecord {
-        resident_bytes: Some(efull.resident_bytes() as u64),
-        update_rank: Some(0),
-        ..BenchRecord::new(
+    records.push(
+        BenchRecord::new(
+            egrid,
+            "edit_incremental",
+            "Dynamic,1",
+            threads,
+            edit_inc,
+            edit_terms,
+        )
+        .with("resident_bytes", esession.study().resident_bytes() as f64)
+        .with("update_rank", last_report.update_rank as f64),
+    );
+    records.push(
+        BenchRecord::new(
             egrid,
             "edit_full",
             "Dynamic,1",
@@ -1018,7 +1022,9 @@ fn main() {
             edit_full,
             efull.total_terms(),
         )
-    });
+        .with("resident_bytes", efull.resident_bytes() as f64)
+        .with("update_rank", 0.0),
+    );
     println!();
     println!(
         "{}",

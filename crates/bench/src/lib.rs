@@ -195,27 +195,18 @@ pub struct BenchRecord {
     /// Total series terms consumed (identical across modes by the
     /// bit-identity guarantee; recorded so the artifact proves it).
     pub series_terms: u64,
-    /// Measured operator payload in bytes, for rows that benchmark an
-    /// operator representation (the dense-vs-hierarchical gate); `None`
-    /// for assembly/sweep rows, and omitted from their JSON.
-    pub resident_bytes: Option<u64>,
-    /// Seconds spent inside the kernel phase (summed over columns), for
-    /// rows that benchmark kernel evaluation (the scalar-vs-batched gate);
-    /// `None` elsewhere, and omitted from the JSON.
-    pub kernel_seconds: Option<f64>,
-    /// Lane occupancy of the batched kernel path (`lane_points /
-    /// lane_slots`, padded remainder chunks included); `None` for scalar
-    /// rows and rows that don't benchmark kernel evaluation.
-    pub lane_occupancy: Option<f64>,
-    /// Rank-1 factor sweeps an incremental edit applied (the
-    /// `edit_incremental` gate row; 0 on its `edit_full` baseline);
-    /// `None` for rows that don't benchmark editing.
-    pub update_rank: Option<u64>,
+    /// Columns only some rows measure, as `(key, value)` in rendering
+    /// order (appended with [`BenchRecord::with`]; absent keys are omitted
+    /// from the row's JSON). In use: `resident_bytes` (measured operator
+    /// or study payload), `kernel_seconds` and `lane_occupancy` (an
+    /// [`AssemblyCost`](layerbem_core::assembly::AssemblyCost)'s, on the
+    /// scalar-vs-batched gate rows), `update_rank` (rank-1 factor sweeps
+    /// of an incremental edit; 0 on its `edit_full` baseline).
+    pub extras: Vec<(&'static str, f64)>,
 }
 
 impl BenchRecord {
-    /// A row with the always-present columns; the optional ones (`None`
-    /// here) are set by struct update on the rows that measure them.
+    /// A row with the always-present columns and no extras.
     pub fn new(
         grid: impl Into<String>,
         mode: impl Into<String>,
@@ -231,17 +222,20 @@ impl BenchRecord {
             threads,
             wall_seconds,
             series_terms,
-            resident_bytes: None,
-            kernel_seconds: None,
-            lane_occupancy: None,
-            update_rank: None,
+            extras: Vec::new(),
         }
+    }
+
+    /// Appends one extra column.
+    pub fn with(mut self, key: &'static str, value: f64) -> Self {
+        self.extras.push((key, value));
+        self
     }
 }
 
 /// Renders benchmark records as a JSON array, one row object per line,
-/// through the workspace's one JSON writer ([`layerbem_serve::Json`]);
-/// `None` columns are omitted from their row.
+/// through the workspace's one JSON writer ([`layerbem_serve::Json`]):
+/// the fixed columns, then the row's extras in order.
 pub fn bench_records_json(records: &[BenchRecord]) -> String {
     let rows: Vec<String> = records
         .iter()
@@ -254,16 +248,7 @@ pub fn bench_records_json(records: &[BenchRecord]) -> String {
                 ("wall_seconds", Json::Num(r.wall_seconds)),
                 ("series_terms", Json::Num(r.series_terms as f64)),
             ];
-            for (key, value) in [
-                ("resident_bytes", r.resident_bytes.map(|b| b as f64)),
-                ("kernel_seconds", r.kernel_seconds),
-                ("lane_occupancy", r.lane_occupancy),
-                ("update_rank", r.update_rank.map(|u| u as f64)),
-            ] {
-                if let Some(value) = value {
-                    row.push((key, Json::Num(value)));
-                }
-            }
+            row.extend(r.extras.iter().map(|&(key, value)| (key, Json::Num(value))));
             format!("  {}", Json::obj(row).to_line())
         })
         .collect();
@@ -322,16 +307,12 @@ mod tests {
     #[test]
     fn bench_records_render_as_json_rows() {
         let rows = vec![
-            BenchRecord {
-                kernel_seconds: Some(0.25),
-                lane_occupancy: Some(0.9375),
-                ..BenchRecord::new("tiny 2x2 yard", "worklist", "Dynamic,1", 4, 0.012345, 98765)
-            },
-            BenchRecord {
-                resident_bytes: Some(4096),
-                update_rank: Some(46),
-                ..BenchRecord::new("tiny \"q\" yard", "staged-outer", "Static", 1, 1.5, 7)
-            },
+            BenchRecord::new("tiny 2x2 yard", "worklist", "Dynamic,1", 4, 0.012345, 98765)
+                .with("kernel_seconds", 0.25)
+                .with("lane_occupancy", 0.9375),
+            BenchRecord::new("tiny \"q\" yard", "staged-outer", "Static", 1, 1.5, 7)
+                .with("resident_bytes", 4096.0)
+                .with("update_rank", 46.0),
         ];
         let json = bench_records_json(&rows);
         assert!(json.starts_with("[\n"));
@@ -360,6 +341,21 @@ mod tests {
         assert_eq!(
             first.get("grid").and_then(Json::as_str),
             Some("tiny 2x2 yard")
+        );
+        // The exact key order of both rows: fixed columns, then extras.
+        let keys = |row: &Json| match row {
+            Json::Obj(fields) => fields.iter().map(|(k, _)| k.clone()).collect::<Vec<_>>(),
+            other => panic!("row is not an object: {other:?}"),
+        };
+        let fixed = "grid mode schedule threads wall_seconds series_terms";
+        let rows = parsed.as_arr().expect("array of rows");
+        assert_eq!(
+            keys(&rows[0]).join(" "),
+            format!("{fixed} kernel_seconds lane_occupancy")
+        );
+        assert_eq!(
+            keys(&rows[1]).join(" "),
+            format!("{fixed} resident_bytes update_rank")
         );
         assert_eq!(bench_records_json(&[]), "[\n]\n");
     }

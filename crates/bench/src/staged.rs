@@ -17,8 +17,8 @@
 use std::time::Instant;
 
 use layerbem_core::assembly::{
-    element_geoms, galerkin_rhs, pair_block_eval, scatter_pair, AssemblyReport, Block,
-    OuterQuadrature,
+    element_geoms, galerkin_rhs, pair_block_eval, scatter_pair, AssemblyCost, AssemblyReport,
+    Block, OuterQuadrature,
 };
 use layerbem_core::formulation::SolveOptions;
 use layerbem_core::kernel::{KernelBatch, KernelCost, SoilKernel};
@@ -81,7 +81,7 @@ pub fn assemble_staged(
                 for alpha in beta..m {
                     let (b, c) = pair(beta, alpha, &mut batch);
                     col.blocks.push(b);
-                    col.cost.merge(c);
+                    col.cost += c;
                 }
                 col.seconds = t.elapsed().as_secs_f64();
                 col
@@ -96,7 +96,7 @@ pub fn assemble_staged(
                 });
                 for (b, c) in pairs {
                     col.blocks.push(b);
-                    col.cost.merge(c);
+                    col.cost += c;
                 }
                 col.seconds = t.elapsed().as_secs_f64();
             }
@@ -113,14 +113,22 @@ pub fn assemble_staged(
             scatter_pair(nb, na, k == 0, b, &mut |p, q, v| matrix.add(p, q, v));
         }
     }
+    let mut kernel_cost = KernelCost::default();
+    for col in &columns {
+        kernel_cost += col.cost;
+    }
     AssemblyReport {
         matrix,
         rhs: galerkin_rhs(mesh),
         column_seconds: columns.iter().map(|c| c.seconds).collect(),
-        column_terms: columns.iter().map(|c| c.cost.terms as u64).collect(),
-        generation_seconds: t0.elapsed().as_secs_f64(),
-        lane_points: columns.iter().map(|c| c.cost.lane_points).sum(),
-        lane_slots: columns.iter().map(|c| c.cost.lane_slots).sum(),
+        column_terms: columns.iter().map(|c| c.cost.terms).collect(),
+        cost: AssemblyCost {
+            assemblies: 1,
+            seconds: t0.elapsed().as_secs_f64(),
+            kernel_seconds: columns.iter().map(|c| c.seconds).sum(),
+            kernel: kernel_cost,
+            compression: None,
+        },
         stats,
     }
 }
@@ -159,8 +167,7 @@ mod tests {
                 assert_eq!(serial.matrix.packed(), staged.matrix.packed(), "{label}");
                 assert_eq!(serial.rhs, staged.rhs, "{label}");
                 assert_eq!(serial.column_terms, staged.column_terms, "{label}");
-                assert_eq!(serial.lane_points, staged.lane_points, "{label}");
-                assert_eq!(serial.lane_slots, staged.lane_slots, "{label}");
+                assert_eq!(serial.cost.kernel, staged.cost.kernel, "{label}");
             }
         }
     }

@@ -328,16 +328,16 @@ fn main() -> ExitCode {
             args.threads,
             args.schedule.label()
         );
-        let p = &result.profile;
-        let occupancy = match p.lane_occupancy {
+        let cost = &result.profile.assembly;
+        let occupancy = match cost.lane_occupancy() {
             Some(o) => format!("{:.1}% lane occupancy", 100.0 * o),
             None => "no lanes".to_string(),
         };
         println!(
             "kernel evaluation: {:.3} s in series kernels, {} terms, {occupancy}",
-            p.kernel_seconds, p.kernel_terms
+            cost.kernel_seconds, cost.kernel.terms
         );
-        if let Some(cs) = result.compression {
+        if let Some(cs) = cost.compression {
             println!(
                 "operator compression: {} B resident vs {} B dense ({:.1}% of dense), \
                  {} far blocks, mean rank {:.1}, max rank {}",

@@ -7,12 +7,13 @@
 //! instrumentation as *validate → execute → render* around the one
 //! executor, [`layerbem_core::workload::execute`], drawing its studies
 //! from [`FreshSource`] (prepare now): it times discretization, hands the
-//! deck's workload and `edit` stanzas to the executor, attributes matrix
-//! generation and linear solving from the returned study profiles, and
-//! renders the text report. Matrix generation and factorization run
-//! **once** per study, and every scenario is answered from the retained
-//! factor — so a 16-scenario study pays one Table-6.1 matrix-generation
-//! bill, not sixteen.
+//! deck's workload and `edit` stanzas to the executor, sums the returned
+//! study profiles into one [`StudyProfile`] (`+=` — one study, or one per
+//! soil sample or design candidate), attributes matrix generation and
+//! linear solving from that sum, and renders the text report. Matrix
+//! generation and factorization run **once** per study, and every
+//! scenario is answered from the retained factor — so a 16-scenario study
+//! pays one Table-6.1 matrix-generation bill, not sixteen.
 
 use std::time::Instant;
 
@@ -22,7 +23,6 @@ use layerbem_core::study::StudyProfile;
 use layerbem_core::system::GroundingSolution;
 use layerbem_core::workload::{execute, Executed, FreshSource, Workload, WorkloadRow};
 use layerbem_geometry::{Mesh, Mesher};
-use layerbem_numeric::CompressionStats;
 
 use crate::input::CadCase;
 use crate::report::{design_search_report, soil_sweep_report, sweep_report, text_report};
@@ -144,12 +144,10 @@ pub struct PipelineResult {
     pub column_seconds: Vec<f64>,
     /// Series terms per column (deterministic cost proxy).
     pub column_terms: Vec<u64>,
-    /// Compression accounting of the retained operator — `Some` when the
-    /// study ran on the hierarchical backend, `None` for dense.
-    pub compression: Option<CompressionStats>,
-    /// The prepared study's phase instrumentation, including the kernel
-    /// counters (series terms, kernel seconds split out of assembly,
-    /// batched-lane occupancy) the `--timing` report prints.
+    /// What the run's studies paid, summed over every study the workload
+    /// prepared: `profile.assembly` is the matrix-generation record
+    /// (series terms, kernel seconds split out of assembly, batched-lane
+    /// occupancy, compression) the `--timing` report prints.
     pub profile: StudyProfile,
 }
 
@@ -204,18 +202,13 @@ pub fn run_pipeline(
     )?;
     let wall = t.elapsed().as_secs_f64();
 
-    // Phase 5: results storage (report formatting), with phases 3 and 4
-    // attributed from what the executor's studies recorded: assembly and
-    // re-integration are matrix generation; factorization, factor
-    // updates and the scenario solves are linear system solving.
+    // Phase 5: results storage (report formatting).
     let t = Instant::now();
     let (rows, report, profile, study) = match (done, &case.workload) {
         (Executed::Scenarios(run), _) => {
             let (solutions, edit_reports, study) =
                 (run.solutions, run.edit_reports, run.study.study);
             let profile = study.profile();
-            times.seconds[2] = profile.assembly_seconds + profile.reintegrate_seconds;
-            times.seconds[3] = profile.factor_seconds + profile.update_seconds + run.solve_seconds;
             if let Some(edited) = study.edited_mesh() {
                 mesh = edited.clone();
             }
@@ -232,25 +225,25 @@ pub fn run_pipeline(
             (rows, text, profile, Some(study))
         }
         (Executed::SoilSweep(samples), Workload::SoilSweep(spec)) => {
-            let profile = aggregate_profile(samples.iter().map(|s| &s.profile));
+            let profile: StudyProfile = samples.iter().map(|s| s.profile).sum();
             let report = soil_sweep_report(&case.title, &case.soil, spec, &samples);
             let rows = samples.into_iter().map(WorkloadRow::Sample).collect();
             (rows, report, profile, None)
         }
         (Executed::DesignSearch(candidates), Workload::DesignSearch(spec)) => {
-            let profile = aggregate_profile(candidates.iter().map(|c| &c.profile));
+            let profile: StudyProfile = candidates.iter().map(|c| c.profile).sum();
             let report = design_search_report(&case.title, &case.soil, spec, &candidates);
             let rows = candidates.into_iter().map(WorkloadRow::Candidate).collect();
             (rows, report, profile, None)
         }
         _ => unreachable!("the executor answers in its workload's shape"),
     };
-    if study.is_none() {
-        // One prepare per sample or candidate, pooled across them: what
-        // is not assembly is factorization and solving.
-        times.seconds[2] = profile.assembly_seconds;
-        times.seconds[3] = (wall - profile.assembly_seconds).max(0.0);
-    }
+    // Phases 3 and 4, from the summed profile: assembly and edit
+    // re-integration are matrix generation; the rest of the executor's
+    // wall (factorization, factor updates, solves — pooled across samples
+    // or candidates when there are several) is linear system solving.
+    times.seconds[2] = profile.assembly.seconds + profile.reintegrate.seconds;
+    times.seconds[3] = (wall - times.seconds[2]).max(0.0);
     times.seconds[4] = t.elapsed().as_secs_f64();
 
     Ok(PipelineResult {
@@ -265,7 +258,6 @@ pub fn run_pipeline(
         column_terms: study
             .as_ref()
             .map_or_else(Vec::new, |s| s.column_terms().to_vec()),
-        compression: profile.compression,
         profile,
     })
 }
@@ -291,39 +283,6 @@ fn edit_session_report(reports: &[EditReport]) -> String {
         ));
     }
     s
-}
-
-/// Sums per-study instrumentation over a workload's rows: counters and
-/// seconds add; the per-study compression/occupancy summaries do not
-/// aggregate meaningfully and are dropped.
-fn aggregate_profile<'a>(profiles: impl Iterator<Item = &'a StudyProfile>) -> StudyProfile {
-    let mut total = StudyProfile {
-        assemblies: 0,
-        factorizations: 0,
-        assembly_seconds: 0.0,
-        factor_seconds: 0.0,
-        scenario_solves: 0,
-        compression: None,
-        kernel_terms: 0,
-        kernel_seconds: 0.0,
-        lane_occupancy: None,
-        edits: 0,
-        reintegrate_seconds: 0.0,
-        update_seconds: 0.0,
-    };
-    for p in profiles {
-        total.assemblies += p.assemblies;
-        total.factorizations += p.factorizations;
-        total.assembly_seconds += p.assembly_seconds;
-        total.factor_seconds += p.factor_seconds;
-        total.scenario_solves += p.scenario_solves;
-        total.kernel_terms += p.kernel_terms;
-        total.kernel_seconds += p.kernel_seconds;
-        total.edits += p.edits;
-        total.reintegrate_seconds += p.reintegrate_seconds;
-        total.update_seconds += p.update_seconds;
-    }
-    total
 }
 
 #[cfg(test)]
@@ -375,7 +334,10 @@ max-element-length 5
         let rel = (ra - rb).abs() / rb;
         assert!(rel <= 1e-8, "session vs direct Req rel {rel:.3e}");
         assert_eq!(a.profile.edits, 1);
-        assert_eq!(a.profile.assemblies, 1, "the move must not re-assemble");
+        assert_eq!(
+            a.profile.assembly.assemblies, 1,
+            "the move must not re-assemble"
+        );
         assert!(a.report.contains("Edit session"), "{}", a.report);
         assert!(a.report.contains("incremental"), "{}", a.report);
         // The result mesh is the edited one.
@@ -501,7 +463,7 @@ edit move 0 1 0 0
         }
         // One fresh assembly per sample (CG retains the operator, so no
         // factorizations), one scenario solve each.
-        assert_eq!(r.profile.assemblies, 4);
+        assert_eq!(r.profile.assembly.assemblies, 4);
         assert_eq!(r.profile.factorizations, 0);
         assert_eq!(r.profile.scenario_solves, 4);
         // The primary accessor resolves to the first sample's solution.
@@ -538,16 +500,17 @@ edit move 0 1 0 0
     fn pipeline_surfaces_kernel_counters() {
         use layerbem_core::formulation::KernelEval;
         let r = run();
-        assert!(r.profile.kernel_terms > 0);
-        assert!(r.profile.kernel_seconds > 0.0);
-        assert!(r.profile.kernel_seconds <= r.times.of(Phase::MatrixGeneration) + 1e-9);
-        let occ = r.profile.lane_occupancy.expect("batched default");
+        let cost = r.profile.assembly;
+        assert!(cost.kernel.terms > 0);
+        assert!(cost.kernel_seconds > 0.0);
+        assert!(cost.kernel_seconds <= r.times.of(Phase::MatrixGeneration) + 1e-9);
+        let occ = cost.lane_occupancy().expect("batched default");
         assert!(occ > 0.0 && occ <= 1.0);
         // The scalar oracle reports no lane occupancy.
         let case = parse_case(CASE).unwrap();
         let opts = SolveOptions::default().with_kernel_eval(KernelEval::Scalar);
         let s = run_pipeline(&case, opts, 0.0).expect("pipeline succeeds");
-        assert!(s.profile.lane_occupancy.is_none());
+        assert!(s.profile.assembly.lane_occupancy().is_none());
         // Both strategies answer the same physics within the series
         // tolerance.
         let rel = (r.solution().equivalent_resistance - s.solution().equivalent_resistance).abs()

@@ -114,3 +114,34 @@ fn collocation_deck_runs_pooled_end_to_end() {
         parallel.solution().equivalent_resistance
     );
 }
+
+#[test]
+fn sweep_profile_is_the_sum_of_its_samples() {
+    // A soil sweep prepares one study per sample; the pipeline's profile
+    // is their `+=` sum — counts, not ratios, so the pooled lane
+    // occupancy survives the summation.
+    use layerbem_core::workload::WorkloadRow;
+    let case = parse_case(&format!("{DECK}sweep soil-samples 3 seed 7\n")).expect("deck parses");
+    let result = run_pipeline(&case, SolveOptions::default(), 0.0).expect("pipeline succeeds");
+    let samples: Vec<_> = result
+        .rows
+        .iter()
+        .map(|row| match row {
+            WorkloadRow::Sample(s) => s.profile.assembly,
+            other => panic!("expected sample rows, got {other:?}"),
+        })
+        .collect();
+    assert_eq!(samples.len(), 3);
+    let total = result.profile.assembly;
+    assert_eq!(total.assemblies, 3);
+    assert_eq!(
+        total.kernel.terms,
+        samples.iter().map(|c| c.kernel.terms).sum::<u64>()
+    );
+    assert_eq!(
+        total.kernel.lane_slots,
+        samples.iter().map(|c| c.kernel.lane_slots).sum::<u64>()
+    );
+    let occ = total.lane_occupancy().expect("batched sweeps fill lanes");
+    assert!(occ > 0.0 && occ <= 1.0, "occupancy {occ}");
+}

@@ -46,7 +46,7 @@
 use std::time::Instant;
 
 use layerbem_geometry::{ElementRowMap, Mesh};
-use layerbem_numeric::SymMatrix;
+use layerbem_numeric::{CompressionStats, SymMatrix};
 use layerbem_parfor::{ExecutionStats, Schedule, ThreadPool};
 
 use crate::formulation::{KernelEval, SolveOptions};
@@ -66,6 +66,60 @@ pub use hierarchical::{
 };
 use worklist::PairWorklist;
 
+/// What matrix generation cost: the one record every assembler
+/// ([`assemble_galerkin`], [`assemble_hierarchical`],
+/// [`assemble_collocation`]) and the edit re-integration return, that a
+/// [`Study`](crate::study::Study) stores and
+/// [`StudyProfile`](crate::study::StudyProfile) exposes whole. Records add
+/// with `+=`, so the cost of a rebuilt study, a soil sweep or a design
+/// search is the sum of its generations' records.
+#[derive(Clone, Copy, Debug, Default, PartialEq)]
+pub struct AssemblyCost {
+    /// Full matrix generations summed in this record (1 from an
+    /// assembler, 0 from an edit re-integration).
+    pub assemblies: usize,
+    /// Wall-clock seconds of the generation.
+    pub seconds: f64,
+    /// Seconds inside kernel evaluation, split out of `seconds`. For the
+    /// dense Galerkin engines this is the per-column profile's sum —
+    /// worker CPU seconds, which can exceed the wall-clock `seconds` when
+    /// columns ran in parallel; the hierarchical and collocation
+    /// assemblies and the edit re-integration are kernel-dominated with
+    /// no finer attribution, so they report their full wall time.
+    pub kernel_seconds: f64,
+    /// Series terms consumed and batched-lane points/slots issued.
+    /// Attributed to the partition owning each pair's highest target row,
+    /// so the counts are identical across engines, schedules and thread
+    /// counts.
+    pub kernel: KernelCost,
+    /// Compression accounting of the generated operator: `Some` for the
+    /// hierarchical backend, `None` for the dense engines — and for a
+    /// sum over several assemblies, which describes no single operator.
+    pub compression: Option<CompressionStats>,
+}
+
+impl AssemblyCost {
+    /// Batched-lane occupancy of the kernel phase
+    /// ([`KernelCost::lane_occupancy`]).
+    pub fn lane_occupancy(&self) -> Option<f64> {
+        self.kernel.lane_occupancy()
+    }
+}
+
+impl std::ops::AddAssign for AssemblyCost {
+    fn add_assign(&mut self, other: AssemblyCost) {
+        self.compression = match (self.assemblies, other.assemblies) {
+            (0, _) => other.compression,
+            (_, 0) => self.compression,
+            _ => None,
+        };
+        self.assemblies += other.assemblies;
+        self.seconds += other.seconds;
+        self.kernel_seconds += other.kernel_seconds;
+        self.kernel += other.kernel;
+    }
+}
+
 /// Output of matrix generation.
 #[derive(Clone, Debug)]
 pub struct AssemblyReport {
@@ -80,17 +134,10 @@ pub struct AssemblyReport {
     /// Series terms consumed per outer column — a deterministic,
     /// machine-independent cost proxy for the same profile.
     pub column_terms: Vec<u64>,
-    /// Wall-clock seconds of the whole generation.
-    pub generation_seconds: f64,
-    /// Field-point evaluations routed through the batched lane kernels
-    /// (zero under [`KernelEval::Scalar`]). Attributed to the partition
-    /// owning each pair's highest target row, exactly like
-    /// `column_terms`, so the count is identical across engines,
-    /// schedules and thread counts.
-    pub lane_points: u64,
-    /// 4-wide-lane slots issued for those evaluations (padded remainder
-    /// chunks included); `lane_points / lane_slots` is the lane occupancy.
-    pub lane_slots: u64,
+    /// What the generation cost in total (`cost.kernel.terms` is the
+    /// `column_terms` sum, `cost.kernel_seconds` the `column_seconds`
+    /// sum).
+    pub cost: AssemblyCost,
     /// Per-thread runtime stats of the pooled engine (`None` for the
     /// serial loop).
     pub stats: Option<ExecutionStats>,
@@ -99,21 +146,7 @@ pub struct AssemblyReport {
 impl AssemblyReport {
     /// Total series terms over all pairs.
     pub fn total_terms(&self) -> u64 {
-        self.column_terms.iter().sum()
-    }
-
-    /// Seconds spent inside the kernel phase (the pair walks), summed over
-    /// columns — the part of `generation_seconds` the batched evaluation
-    /// accelerates.
-    pub fn kernel_seconds(&self) -> f64 {
-        self.column_seconds.iter().sum()
-    }
-
-    /// Lane occupancy of the batched kernel evaluation
-    /// (`lane_points / lane_slots`), or `None` when no lane work ran
-    /// (scalar evaluation).
-    pub fn lane_occupancy(&self) -> Option<f64> {
-        (self.lane_slots > 0).then(|| self.lane_points as f64 / self.lane_slots as f64)
+        self.cost.kernel.terms
     }
 }
 
@@ -281,9 +314,8 @@ pub fn pair_block_eval(
             (
                 b,
                 KernelCost {
-                    terms: t,
-                    lane_points: 0,
-                    lane_slots: 0,
+                    terms: t as u64,
+                    ..Default::default()
                 },
             )
         }
@@ -331,13 +363,13 @@ pub fn scatter_pair(
 }
 
 /// What either engine hands back: the packed matrix, per-column seconds
-/// and series terms, `(lane_points, lane_slots)`, and the pool's runtime
-/// stats (pooled engine only).
+/// and series terms, the total kernel cost, and the pool's runtime stats
+/// (pooled engine only).
 type EngineOutput = (
     SymMatrix,
     Vec<f64>,
     Vec<u64>,
-    (u64, u64),
+    KernelCost,
     Option<ExecutionStats>,
 );
 
@@ -361,7 +393,7 @@ fn assemble_serial(
     let mut matrix = SymMatrix::zeros(mesh.dof());
     let mut column_seconds = Vec::with_capacity(m);
     let mut column_terms = Vec::with_capacity(m);
-    let mut lanes = (0u64, 0u64);
+    let mut total = KernelCost::default();
     let mut batch = KernelBatch::new();
     for beta in 0..m {
         let t0 = Instant::now();
@@ -374,14 +406,13 @@ fn assemble_serial(
             scatter_pair(nb, na, alpha == beta, &b, &mut |p, q, v| {
                 matrix.add(p, q, v)
             });
-            cost.merge(c);
+            cost += c;
         }
         column_seconds.push(t0.elapsed().as_secs_f64());
-        column_terms.push(cost.terms as u64);
-        lanes.0 += cost.lane_points;
-        lanes.1 += cost.lane_slots;
+        column_terms.push(cost.terms);
+        total += cost;
     }
-    (matrix, column_seconds, column_terms, lanes, None)
+    (matrix, column_seconds, column_terms, total, None)
 }
 
 /// Minimum element count at which the worklist pre-pass is built on the
@@ -402,8 +433,8 @@ struct WorklistPart<'a> {
     /// (worklist runs arrive in sequential pair order, so a plain
     /// append-or-accumulate keeps this sorted).
     cols: Vec<(u32, u64, f64)>,
-    /// Lane points / slots of the pairs attributed to this partition.
-    lanes: (u64, u64),
+    /// Kernel cost of the pairs attributed to this partition.
+    cost: KernelCost,
     /// Reusable kernel-batch scratch of this partition's thread.
     batch: KernelBatch,
 }
@@ -468,7 +499,7 @@ fn assemble_direct_pooled(
             view,
             work,
             cols: Vec::new(),
-            lanes: (0, 0),
+            cost: KernelCost::default(),
             batch: KernelBatch::new(),
         })
         .collect();
@@ -482,7 +513,7 @@ fn assemble_direct_pooled(
                 view,
                 work,
                 cols,
-                lanes,
+                cost,
                 batch,
             } = part;
             let rows = view.rows();
@@ -490,7 +521,7 @@ fn assemble_direct_pooled(
                 let beta = run.beta as usize;
                 let nb = map_ref.element_nodes(beta);
                 let t0 = Instant::now();
-                let mut terms = 0u64;
+                let mut run_cost = KernelCost::default();
                 for alpha in run.alphas() {
                     let na = map_ref.element_nodes(alpha);
                     let (b, c) =
@@ -501,36 +532,34 @@ fn assemble_direct_pooled(
                         }
                     });
                     if rows.contains(&map_ref.pair_hi(beta, alpha)) {
-                        terms += c.terms as u64;
-                        lanes.0 += c.lane_points;
-                        lanes.1 += c.lane_slots;
+                        run_cost += c;
                     }
                 }
                 let seconds = t0.elapsed().as_secs_f64();
                 match cols.last_mut() {
                     Some(last) if last.0 == run.beta => {
-                        last.1 += terms;
+                        last.1 += run_cost.terms;
                         last.2 += seconds;
                     }
-                    _ => cols.push((run.beta, terms, seconds)),
+                    _ => cols.push((run.beta, run_cost.terms, seconds)),
                 }
+                *cost += run_cost;
             }
         },
     );
 
     let mut column_terms = vec![0u64; m];
     let mut column_seconds = vec![0.0; m];
-    let mut lanes = (0u64, 0u64);
+    let mut total = KernelCost::default();
     for part in &parts {
         for &(beta, terms, seconds) in &part.cols {
             column_terms[beta as usize] += terms;
             column_seconds[beta as usize] += seconds;
         }
-        lanes.0 += part.lanes.0;
-        lanes.1 += part.lanes.1;
+        total += part.cost;
     }
     drop(parts);
-    (matrix, column_seconds, column_terms, lanes, Some(stats))
+    (matrix, column_seconds, column_terms, total, Some(stats))
 }
 
 /// Galerkin right-hand side for unit GPR: `ν_p = Σ_{e ∋ p} L_e / 2`.
@@ -548,24 +577,29 @@ pub fn galerkin_rhs(mesh: &Mesh) -> Vec<f64> {
 /// `opts.parallelism` is `None`, the pooled worklist engine on its pool
 /// and schedule otherwise.
 pub fn assemble_galerkin(mesh: &Mesh, kernel: &SoilKernel, opts: &SolveOptions) -> AssemblyReport {
+    let t0 = Instant::now();
     let geoms = element_geoms(mesh);
     let quad = OuterQuadrature::new(opts.outer_quadrature);
     let eval = opts.kernel_eval;
-    let t0 = Instant::now();
-    let (matrix, column_seconds, column_terms, lanes, stats) = match &opts.parallelism {
+    let (matrix, column_seconds, column_terms, kernel_cost, stats) = match &opts.parallelism {
         None => assemble_serial(mesh, &geoms, kernel, &quad, eval),
         Some(par) => {
             assemble_direct_pooled(mesh, &geoms, kernel, &quad, eval, &par.pool, par.schedule)
         }
     };
+    let rhs = galerkin_rhs(mesh);
     AssemblyReport {
         matrix,
-        rhs: galerkin_rhs(mesh),
+        rhs,
+        cost: AssemblyCost {
+            assemblies: 1,
+            seconds: t0.elapsed().as_secs_f64(),
+            kernel_seconds: column_seconds.iter().sum(),
+            kernel: kernel_cost,
+            compression: None,
+        },
         column_seconds,
         column_terms,
-        generation_seconds: t0.elapsed().as_secs_f64(),
-        lane_points: lanes.0,
-        lane_slots: lanes.1,
         stats,
     }
 }

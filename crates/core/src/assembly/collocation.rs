@@ -4,7 +4,7 @@
 use layerbem_geometry::{ElementRowMap, Mesh};
 use layerbem_numeric::DenseMatrix;
 
-use super::element_geoms;
+use super::{element_geoms, AssemblyCost};
 use crate::formulation::{KernelEval, SolveOptions};
 use crate::integration::ElementGeom;
 use crate::kernel::{KernelBatch, KernelCost, SoilKernel};
@@ -41,7 +41,7 @@ fn collocation_row(
             for (alpha, ga) in geoms.iter().enumerate() {
                 let (vp, tp) = kernel.element_potential(xp, ga);
                 let (vm, tm) = kernel.element_potential(xm, ga);
-                cost.terms += tp + tm;
+                cost.terms += (tp + tm) as u64;
                 let na = mesh.elements[alpha].nodes;
                 row[na[0]] += 0.5 * (vp[0] + vm[0]);
                 row[na[1]] += 0.5 * (vp[1] + vm[1]);
@@ -55,7 +55,7 @@ fn collocation_row(
                 batch.clear();
                 batch.push(xp);
                 batch.push(xm);
-                cost.merge(kernel.element_potential_batch(batch, ga));
+                cost += kernel.element_potential_batch(batch, ga);
                 let vals = batch.values();
                 let na = mesh.elements[alpha].nodes;
                 row[na[0]] += 0.5 * (vals[0][0] + vals[1][0]);
@@ -76,8 +76,9 @@ struct CollocationPart<'a> {
 
 /// Collocation matrix: row `p` states `V(x_p) = 1` at a surface point
 /// near node `p`. Nonsymmetric; solved by LU. Returns the matrix, the
-/// unit right-hand side and the aggregate [`KernelCost`] of every row,
-/// evaluated with `opts.kernel_eval`.
+/// unit right-hand side and what the generation cost (one kernel loop,
+/// evaluated with `opts.kernel_eval`, so `kernel_seconds` is the whole
+/// wall time).
 ///
 /// With `opts.parallelism` set, the matrix rows are partitioned into
 /// disjoint [`DenseRowsMut`](layerbem_numeric::DenseRowsMut) views by the
@@ -91,7 +92,8 @@ pub fn assemble_collocation(
     mesh: &Mesh,
     kernel: &SoilKernel,
     opts: &SolveOptions,
-) -> (DenseMatrix, Vec<f64>, KernelCost) {
+) -> (DenseMatrix, Vec<f64>, AssemblyCost) {
+    let t0 = std::time::Instant::now();
     let geoms = element_geoms(mesh);
     let n = mesh.dof();
     let eval = opts.kernel_eval;
@@ -109,7 +111,7 @@ pub fn assemble_collocation(
         None => {
             let mut batch = KernelBatch::new();
             for p in 0..n {
-                cost.merge(fill(p, c.row_mut(p), &mut batch));
+                cost += fill(p, c.row_mut(p), &mut batch);
             }
         }
         Some(par) => {
@@ -128,14 +130,21 @@ pub fn assemble_collocation(
             par.pool
                 .scoped_partition(&mut parts, par.schedule.partition_dispatch(), |_, part| {
                     for p in part.view.rows() {
-                        let c = fill(p, part.view.row_mut(p), &mut part.batch);
-                        part.cost.merge(c);
+                        part.cost += fill(p, part.view.row_mut(p), &mut part.batch);
                     }
                 });
             for part in &parts {
-                cost.merge(part.cost);
+                cost += part.cost;
             }
         }
     }
+    let seconds = t0.elapsed().as_secs_f64();
+    let cost = AssemblyCost {
+        assemblies: 1,
+        seconds,
+        kernel_seconds: seconds,
+        kernel: cost,
+        compression: None,
+    };
     (c, vec![1.0; n], cost)
 }

@@ -9,7 +9,10 @@ use layerbem_numeric::{aca_sampled, AcaError, FarBlock, HMatrix, MatrixSampler, 
 use layerbem_parfor::ExecutionStats;
 
 use super::worklist::{self, PairWorklist};
-use super::{element_geoms, galerkin_rhs, pair_block_eval, scatter_pair, Block, OuterQuadrature};
+use super::{
+    element_geoms, galerkin_rhs, pair_block_eval, scatter_pair, AssemblyCost, Block,
+    OuterQuadrature,
+};
 use crate::formulation::{KernelEval, SolveOptions};
 use crate::integration::ElementGeom;
 use crate::kernel::{KernelBatch, KernelCost, SoilKernel};
@@ -38,20 +41,14 @@ pub struct HierarchicalReport {
     pub operator: HMatrix,
     /// Galerkin right-hand side (identical to the dense path's).
     pub rhs: Vec<f64>,
-    /// Wall-clock seconds of the whole generation.
-    pub generation_seconds: f64,
-    /// Series terms consumed: every near pair plus every pair block the
-    /// ACA row/column sampling evaluated (each sampled pair block is
-    /// counted once per evaluation; the samplers memoize the immediately
-    /// repeated pair within a fill). A bulk count — the hierarchical path
-    /// has no per-column profile because far work is organized by cluster
-    /// block, not by triangle column.
-    pub terms: u64,
-    /// Lane-kernel field points evaluated (batched path only), near and
-    /// far combined.
-    pub lane_points: u64,
-    /// Lane slots issued for those points.
-    pub lane_slots: u64,
+    /// What the generation cost. `cost.kernel` counts every near pair
+    /// plus every pair block the ACA row/column sampling evaluated (each
+    /// sampled pair block once per evaluation; the samplers memoize the
+    /// immediately repeated pair within a fill) — a bulk count, because
+    /// far work is organized by cluster block, not by triangle column, so
+    /// the hierarchical path has no per-column profile.
+    /// `cost.compression` is `operator.compression_stats()`.
+    pub cost: AssemblyCost,
     /// Per-thread runtime stats of the pooled near-field assembly.
     pub stats: Option<ExecutionStats>,
 }
@@ -119,7 +116,7 @@ impl FarSampler<'_> {
             self.eval,
             &mut self.batch,
         );
-        self.cost.merge(c);
+        self.cost += c;
         self.memo = Some(((lo, hi), blk));
         blk
     }
@@ -234,8 +231,7 @@ pub fn assemble_hierarchical(
     let mut near = SparseSym::from_pattern(n, pattern);
 
     let eval = opts.kernel_eval;
-    let mut terms_total: u64 = 0;
-    let mut lanes_total = (0u64, 0u64);
+    let mut kernel_cost = KernelCost::default();
     let mut stats = None;
     match &opts.parallelism {
         None => {
@@ -249,9 +245,7 @@ pub fn assemble_hierarchical(
                 let (blk, c) =
                     pair_block_eval(&geoms[b], &geoms[a], kernel, &quad, eval, &mut batch);
                 scatter_pair(nb, na, a == b, &blk, &mut |p, q, v| near.add(p, q, v));
-                terms_total += c.terms as u64;
-                lanes_total.0 += c.lane_points;
-                lanes_total.1 += c.lane_slots;
+                kernel_cost += c;
             }
         }
         Some(par) => {
@@ -263,8 +257,7 @@ pub fn assemble_hierarchical(
             struct NearPart<'a> {
                 view: layerbem_numeric::SparseSymRowsMut<'a>,
                 work: &'a PairWorklist,
-                terms: u64,
-                lanes: (u64, u64),
+                cost: KernelCost,
                 batch: KernelBatch,
             }
             let mut nparts: Vec<NearPart> = near
@@ -274,8 +267,7 @@ pub fn assemble_hierarchical(
                 .map(|(view, work)| NearPart {
                     view,
                     work,
-                    terms: 0,
-                    lanes: (0, 0),
+                    cost: KernelCost::default(),
                     batch: KernelBatch::new(),
                 })
                 .collect();
@@ -288,8 +280,7 @@ pub fn assemble_hierarchical(
                         let NearPart {
                             view,
                             work,
-                            terms,
-                            lanes,
+                            cost,
                             batch,
                         } = part;
                         let rows = view.rows();
@@ -310,17 +301,13 @@ pub fn assemble_hierarchical(
                                 }
                             });
                             if rows.contains(&map_ref.pair_hi(beta, alpha)) {
-                                *terms += c.terms as u64;
-                                lanes.0 += c.lane_points;
-                                lanes.1 += c.lane_slots;
+                                *cost += c;
                             }
                         }
                     });
             stats = Some(s);
-            terms_total += nparts.iter().map(|p| p.terms).sum::<u64>();
             for p in &nparts {
-                lanes_total.0 += p.lanes.0;
-                lanes_total.1 += p.lanes.1;
+                kernel_cost += p.cost;
             }
             drop(nparts);
         }
@@ -377,19 +364,23 @@ pub fn assemble_hierarchical(
     let mut far_blocks = Vec::with_capacity(results.len());
     for r in results {
         let (fb, c) = r?;
-        terms_total += c.terms as u64;
-        lanes_total.0 += c.lane_points;
-        lanes_total.1 += c.lane_slots;
+        kernel_cost += c;
         far_blocks.push(fb);
     }
 
+    let operator = HMatrix::new(near, far_blocks);
+    let rhs = galerkin_rhs(mesh);
+    let seconds = t0.elapsed().as_secs_f64();
     Ok(HierarchicalReport {
-        operator: HMatrix::new(near, far_blocks),
-        rhs: galerkin_rhs(mesh),
-        generation_seconds: t0.elapsed().as_secs_f64(),
-        terms: terms_total,
-        lane_points: lanes_total.0,
-        lane_slots: lanes_total.1,
+        cost: AssemblyCost {
+            assemblies: 1,
+            seconds,
+            kernel_seconds: seconds,
+            kernel: kernel_cost,
+            compression: Some(operator.compression_stats()),
+        },
+        operator,
+        rhs,
         stats,
     })
 }

@@ -192,7 +192,7 @@ fn pooled_collocation_is_bit_identical_to_serial() {
             let label = format!("threads={threads} {}", schedule.label());
             assert_eq!(serial.as_slice(), pooled.as_slice(), "{label}");
             assert_eq!(rhs_serial, rhs_pooled, "{label}");
-            assert_eq!(cost_serial.terms, cost_pooled.terms, "{label}");
+            assert_eq!(cost_serial.kernel, cost_pooled.kernel, "{label}");
         }
     }
 }
@@ -222,7 +222,7 @@ fn hierarchical_operator_matches_the_dense_matrix() {
     let rep = assemble_hierarchical(&mesh, &k, &opts, tol, 4).expect("ACA converges");
     assert_eq!(rep.rhs, dense.rhs);
     assert_eq!(rep.operator.order(), mesh.dof());
-    assert!(rep.terms > 0);
+    assert!(rep.cost.kernel.terms > 0);
     let n = mesh.dof();
     // Matvec agreement within tol·‖A‖_F·‖x‖ on a non-trivial vector.
     let x: Vec<f64> = (0..n).map(|i| 1.0 + (i as f64) * 0.37).collect();
@@ -272,7 +272,7 @@ fn pooled_hierarchical_assembly_is_bit_identical_to_serial() {
             let label = format!("threads={threads} {}", schedule.label());
             assert!(serial.operator == pooled.operator, "{label}");
             assert_eq!(serial.rhs, pooled.rhs, "{label}");
-            assert_eq!(serial.terms, pooled.terms, "{label}");
+            assert_eq!(serial.cost.kernel, pooled.cost.kernel, "{label}");
             assert!(pooled.stats.is_some(), "{label}");
         }
     }

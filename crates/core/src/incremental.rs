@@ -47,11 +47,11 @@ use layerbem_soil::SoilModel;
 
 use crate::assembly::worklist::PairRun;
 use crate::assembly::{
-    assemble_galerkin, element_geoms, galerkin_rhs, pair_block_eval, scatter_pair, AssemblyReport,
+    assemble_galerkin, element_geoms, galerkin_rhs, pair_block_eval, scatter_pair, AssemblyCost,
     Block, OuterQuadrature,
 };
 use crate::formulation::{Formulation, OperatorBackend, SolveOptions, SolverChoice};
-use crate::kernel::{KernelBatch, SoilKernel};
+use crate::kernel::{KernelBatch, KernelCost, SoilKernel};
 use crate::study::{Engine, PrepareError, Study};
 use crate::system::{mesh_defect, GroundingSystem, MeshDefect};
 use crate::workload::StudySpec;
@@ -67,15 +67,6 @@ pub(crate) struct EditState {
     /// fallback refactorization never re-assembles. `None` for the PCG
     /// engine, which owns the operator itself.
     pub(crate) matrix: Option<SymMatrix>,
-    /// Edits applied (including no-ops and rebuilds).
-    pub(crate) edits: usize,
-    /// Topology-changing edits that re-assembled from scratch.
-    pub(crate) rebuilds: usize,
-    /// Cumulative seconds re-integrating touched pairs (moved edits).
-    pub(crate) reintegrate_seconds: f64,
-    /// Cumulative seconds updating/refactorizing the engine (moved
-    /// edits).
-    pub(crate) update_seconds: f64,
 }
 
 impl EditState {
@@ -439,56 +430,13 @@ impl Study {
                 "incremental editing supports the Cholesky and conjugate-gradient solvers",
             ));
         }
-        let t = Instant::now();
-        let report = system.assemble();
-        let assembly_seconds = t.elapsed().as_secs_f64();
-        let kernel_seconds = report.kernel_seconds();
-        let AssemblyReport {
+        let (mut study, matrix) = Study::from_galerkin(opts, Cow::Owned(system.assemble()), true)?;
+        study.edit = Some(Box::new(EditState {
+            mesh: system.mesh().clone(),
+            kernel: system.kernel().clone(),
             matrix,
-            rhs,
-            column_seconds,
-            column_terms,
-            lane_points,
-            lane_slots,
-            ..
-        } = report;
-        let t = Instant::now();
-        let (engine, factorizations, retained) = match opts.solver {
-            SolverChoice::Cholesky => {
-                let (engine, f) = Study::galerkin_engine(&opts, Cow::Borrowed(&matrix))?;
-                (engine, f, Some(matrix))
-            }
-            _ => {
-                let (engine, f) = Study::galerkin_engine(&opts, Cow::Owned(matrix))?;
-                (engine, f, None)
-            }
-        };
-        Ok(Study {
-            opts,
-            nu: rhs.clone(),
-            rhs,
-            engine,
-            column_seconds,
-            column_terms,
-            bulk_terms: 0,
-            lane_points,
-            lane_slots,
-            kernel_seconds,
-            compression: None,
-            assembly_seconds,
-            factor_seconds: t.elapsed().as_secs_f64(),
-            factorizations,
-            solves: std::sync::atomic::AtomicUsize::new(0),
-            edit: Some(Box::new(EditState {
-                mesh: system.mesh().clone(),
-                kernel: system.kernel().clone(),
-                matrix: retained,
-                edits: 0,
-                rebuilds: 0,
-                reintegrate_seconds: 0.0,
-                update_seconds: 0.0,
-            })),
-        })
+        }));
+        Ok(study)
     }
 
     /// Applies a mesh delta to this prepared study in place.
@@ -518,8 +466,7 @@ impl Study {
         let MeshDelta { new_mesh, kind } = delta;
         match kind {
             DeltaKind::Unchanged => {
-                let es = self.edit.as_mut().expect("checked above");
-                es.edits += 1;
+                self.spent.edits += 1;
                 Ok(EditReport {
                     path: EditPath::Noop,
                     changed_elements: 0,
@@ -562,14 +509,15 @@ impl Study {
         let kernel = &es.kernel;
         let runs = changed_pair_runs(changed, geoms_new.len());
         let pairs_evaluated: usize = runs.iter().map(|r| r.alphas().len()).sum();
-        let mut slots: Vec<Vec<(Block, Block)>> = vec![Vec::new(); runs.len()];
-        let eval_run = |i: usize, out: &mut Vec<(Block, Block)>| {
+        let mut slots: Vec<(Vec<(Block, Block)>, KernelCost)> =
+            vec![(Vec::new(), KernelCost::default()); runs.len()];
+        let eval_run = |i: usize, (out, cost): &mut (Vec<(Block, Block)>, KernelCost)| {
             let run = &runs[i];
             let beta = run.beta as usize;
             let mut batch = KernelBatch::new();
             out.reserve(run.alphas().len());
             for alpha in run.alphas() {
-                let (ob, _) = pair_block_eval(
+                let (ob, oc) = pair_block_eval(
                     &geoms_old[beta],
                     &geoms_old[alpha],
                     kernel,
@@ -577,7 +525,7 @@ impl Study {
                     eval,
                     &mut batch,
                 );
-                let (nb, _) = pair_block_eval(
+                let (nb, nc) = pair_block_eval(
                     &geoms_new[beta],
                     &geoms_new[alpha],
                     kernel,
@@ -586,6 +534,8 @@ impl Study {
                     &mut batch,
                 );
                 out.push((ob, nb));
+                *cost += oc;
+                *cost += nc;
             }
         };
         match self.opts.parallelism {
@@ -612,7 +562,9 @@ impl Study {
             rindex[r] = Some(j);
         }
         let mut cols = vec![vec![0.0f64; n]; mt];
-        for (run, blocks) in runs.iter().zip(&slots) {
+        let mut kernel_cost = KernelCost::default();
+        for (run, (blocks, cost)) in runs.iter().zip(&slots) {
+            kernel_cost += *cost;
             let beta = run.beta as usize;
             let nb = new_mesh.elements[beta].nodes;
             for (k, alpha) in run.alphas().enumerate() {
@@ -637,6 +589,14 @@ impl Study {
             }
         }
         let reintegrate_seconds = t0.elapsed().as_secs_f64();
+        // What this edit's re-integration cost, in the assemblers' record
+        // (kernel-dominated with no finer split: seconds reported whole).
+        self.spent.reintegrate += AssemblyCost {
+            seconds: reintegrate_seconds,
+            kernel_seconds: reintegrate_seconds,
+            kernel: kernel_cost,
+            ..AssemblyCost::default()
+        };
 
         // Phase C — route the delta into the engine: scatter into the
         // retained operator (always, so fallbacks never re-assemble),
@@ -680,9 +640,9 @@ impl Study {
                 path = EditPath::Incremental;
             } else {
                 match Study::galerkin_engine(&self.opts, Cow::Borrowed(&*matrix)) {
-                    Ok((engine, _)) => {
+                    Ok((engine, factorizations)) => {
                         self.engine = engine;
-                        self.factorizations += 1;
+                        self.spent.factorizations += factorizations;
                         path = EditPath::Refactor;
                     }
                     Err(e) => {
@@ -691,7 +651,7 @@ impl Study {
                         // but has no usable factor — the session must
                         // discard it.
                         es.mesh = new_mesh;
-                        es.edits += 1;
+                        self.spent.edits += 1;
                         self.edit = Some(es);
                         return Err(EditError::Prepare(e));
                     }
@@ -707,9 +667,8 @@ impl Study {
         self.nu = rhs.clone();
         self.rhs = rhs;
         es.mesh = new_mesh;
-        es.edits += 1;
-        es.reintegrate_seconds += reintegrate_seconds;
-        es.update_seconds += update_seconds;
+        self.spent.edits += 1;
+        self.spent.update_seconds += update_seconds;
         self.edit = Some(es);
         Ok(EditReport {
             path,
@@ -735,61 +694,37 @@ impl Study {
             None => {}
         }
         let mut es = self.edit.take().expect("checked by apply_edit");
-        let t0 = Instant::now();
         let report = assemble_galerkin(&new_mesh, &es.kernel, &self.opts);
-        let reintegrate_seconds = t0.elapsed().as_secs_f64();
-        let kernel_seconds = report.kernel_seconds();
-        let AssemblyReport {
-            matrix,
-            rhs,
-            column_seconds,
-            column_terms,
-            lane_points,
-            lane_slots,
-            ..
-        } = report;
-        let pairs = new_mesh.element_count() * (new_mesh.element_count() + 1) / 2;
-        let t1 = Instant::now();
-        let built = if es.matrix.is_some() {
-            Study::galerkin_engine(&self.opts, Cow::Borrowed(&matrix))
-                .map(|(engine, f)| (engine, f, Some(matrix)))
-        } else {
-            Study::galerkin_engine(&self.opts, Cow::Owned(matrix)).map(|(e, f)| (e, f, None))
-        };
-        let (engine, factorizations, retained) = match built {
-            Ok(b) => b,
-            Err(e) => {
-                // Rebuild failed: keep the pre-edit state intact.
-                self.edit = Some(es);
-                return Err(EditError::Prepare(e));
-            }
-        };
-        let update_seconds = t1.elapsed().as_secs_f64();
-        self.engine = engine;
-        self.factorizations += factorizations;
-        self.nu = rhs.clone();
-        self.rhs = rhs;
-        self.column_seconds = column_seconds;
-        self.column_terms = column_terms;
-        self.lane_points = lane_points;
-        self.lane_slots = lane_slots;
-        // Rebuilds are full assemblies/factorizations: account them with
-        // the prepare-phase totals, not the incremental-edit phases.
-        self.assembly_seconds += reintegrate_seconds;
-        self.kernel_seconds += kernel_seconds;
-        self.factor_seconds += update_seconds;
-        let changed_elements = new_mesh.element_count();
-        es.matrix = retained;
+        let reintegrate_seconds = report.cost.seconds;
+        let retain = es.matrix.is_some();
+        let (mut rebuilt, matrix) =
+            match Study::from_galerkin(self.opts, Cow::Owned(report), retain) {
+                Ok(built) => built,
+                Err(e) => {
+                    // Rebuild failed: keep the pre-edit state intact.
+                    self.edit = Some(es);
+                    return Err(EditError::Prepare(e));
+                }
+            };
+        let update_seconds = rebuilt.spent.factor_seconds;
+        let elements = new_mesh.element_count();
+        es.matrix = matrix;
         es.mesh = new_mesh;
-        es.edits += 1;
-        es.rebuilds += 1;
-        self.edit = Some(es);
+        // A rebuild is a freshly prepared study that inherits this one's
+        // history: its assembly and factorization add to the
+        // prepare-phase totals (not the incremental-edit phases), the
+        // column profile is the new assembly's.
+        rebuilt.spent += self.spent;
+        rebuilt.spent.edits += 1;
+        rebuilt.solves = std::mem::take(&mut self.solves);
+        rebuilt.edit = Some(es);
+        *self = rebuilt;
         Ok(EditReport {
             path: EditPath::Rebuild,
-            changed_elements,
+            changed_elements: elements,
             touched_rows: 0,
             update_rank: 0,
-            pairs_evaluated: pairs,
+            pairs_evaluated: elements * (elements + 1) / 2,
             reintegrate_seconds,
             update_seconds,
         })
@@ -1135,11 +1070,24 @@ mod tests {
             (a.equivalent_resistance - b.equivalent_resistance).abs() / b.equivalent_resistance;
         assert!(relr <= 1e-8, "Req rel {relr:.3e}");
 
-        // Profile counters moved.
+        // Profile counters moved: the move paid kernel work, recorded
+        // beside the assembly it did not repeat.
         let p = session.study().profile();
         assert_eq!(p.edits, 1);
-        assert_eq!(p.assemblies, 1, "incremental edits do not re-assemble");
+        assert_eq!(
+            p.assembly.assemblies, 1,
+            "incremental edits do not re-assemble"
+        );
         assert!(p.update_seconds >= 0.0);
+        assert!(
+            p.reintegrate.kernel.terms > 0,
+            "re-integration counts its work"
+        );
+        assert_eq!(p.reintegrate.seconds, report.reintegrate_seconds);
+        assert_eq!(
+            p.assembly.kernel.terms,
+            full_prepare(&net, cholesky_opts()).total_terms()
+        );
     }
 
     #[test]
@@ -1197,9 +1145,28 @@ mod tests {
         // A rebuild runs the identical assembly + factorization: bitwise.
         assert_eq!(a.leakage, b.leakage);
         assert_eq!(a.equivalent_resistance, b.equivalent_resistance);
+        // The profile sums both assemblies, counters and seconds alike.
         let p = session.study().profile();
-        assert_eq!(p.assemblies, 2, "rebuild is a second assembly");
+        assert_eq!(p.assembly.assemblies, 2, "rebuild is a second assembly");
         assert_eq!(p.edits, 1);
+        let base = full_prepare(&net, cholesky_opts())
+            .profile()
+            .assembly
+            .kernel;
+        let last = oracle.profile().assembly.kernel;
+        assert_eq!(p.assembly.kernel.terms, base.terms + last.terms);
+        assert_eq!(
+            p.assembly.kernel.lane_slots,
+            base.lane_slots + last.lane_slots
+        );
+        assert_eq!(
+            p.assembly.kernel.lane_points,
+            base.lane_points + last.lane_points
+        );
+        assert!(p.assembly.kernel.lane_points <= p.assembly.kernel.lane_slots);
+        assert_eq!(p.factorizations, 2);
+        // The column profile is the latest assembly's.
+        assert_eq!(session.study().column_terms(), oracle.column_terms());
     }
 
     #[test]

@@ -98,18 +98,18 @@ impl KernelBatch {
     }
 }
 
-/// Cost accounting of one batched (or scalar) kernel evaluation.
+/// Cost accounting of kernel evaluation — one pair's, or any sum of
+/// pairs' (records add with `+=`).
 ///
 /// `terms` mirrors the scalar path's series-term count (images × points
 /// summed over groups). `lane_points` / `lane_slots` measure lane
 /// occupancy of the batched path: points actually computed versus
-/// 4-wide-lane slots issued (padded remainder chunks included); their
-/// ratio is the occupancy percentage the study report surfaces. The
+/// 4-wide-lane slots issued (padded remainder chunks included). The
 /// scalar path contributes zero to both.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct KernelCost {
     /// Series terms / kernel evaluations consumed.
-    pub terms: usize,
+    pub terms: u64,
     /// Field-point evaluations routed through the lane kernels.
     pub lane_points: u64,
     /// 4-wide-lane slots issued for those evaluations (≥ `lane_points`).
@@ -117,8 +117,17 @@ pub struct KernelCost {
 }
 
 impl KernelCost {
-    /// Accumulates another cost record into this one.
-    pub fn merge(&mut self, other: KernelCost) {
+    /// Batched-lane occupancy — occupied lane points over padded lane
+    /// slots, in `0.0..=1.0` — or `None` when no batched lanes ran (the
+    /// scalar oracle path). Computed from the summed counts, so a sum of
+    /// records reports the pooled occupancy.
+    pub fn lane_occupancy(&self) -> Option<f64> {
+        (self.lane_slots > 0).then(|| self.lane_points as f64 / self.lane_slots as f64)
+    }
+}
+
+impl std::ops::AddAssign for KernelCost {
+    fn add_assign(&mut self, other: KernelCost) {
         self.terms += other.terms;
         self.lane_points += other.lane_points;
         self.lane_slots += other.lane_slots;
@@ -420,7 +429,7 @@ impl SoilKernel {
                         let n1 = s / len;
                         batch.vals[j][0] += w * (1.0 - n1) * sec;
                         batch.vals[j][1] += w * n1 * sec;
-                        cost.terms += kernel.layer_count() * 2 - 1;
+                        cost.terms += (kernel.layer_count() * 2 - 1) as u64;
                     }
                 }
             }
@@ -662,7 +671,7 @@ fn image_series_batch(
             }
             cost.lane_points += (images.len() * npts) as u64;
             cost.lane_slots += (images.len() * slots_for(npts)) as u64;
-            cost.terms += images.len() * npts;
+            cost.terms += (images.len() * npts) as u64;
             true
         },
         opts,
@@ -836,7 +845,7 @@ fn integrate_images_subset_batch(
         cost.lane_points += npts as u64;
         cost.lane_slots += slots_for(npts) as u64;
     }
-    cost.terms += images.len() * npts;
+    cost.terms += (images.len() * npts) as u64;
     for (k, &j) in sub_idx.iter().enumerate() {
         vals[j][0] += acc[k][0];
         vals[j][1] += acc[k][1];
@@ -1068,10 +1077,10 @@ mod tests {
         ];
         let mut batch = batch_of(&pts);
         let cost = k.element_potential_batch(&mut batch, &src);
-        let mut scalar_terms = 0usize;
+        let mut scalar_terms = 0u64;
         for (j, &x) in pts.iter().enumerate() {
             let (v, t) = k.element_potential(x, &src);
-            scalar_terms += t;
+            scalar_terms += t as u64;
             let got = batch.values()[j];
             assert!(close(got[0], v[0], 1e-12), "point {j}: {got:?} vs {v:?}");
             assert!(close(got[1], v[1], 1e-12));
@@ -1099,10 +1108,10 @@ mod tests {
         ];
         let mut batch = batch_of(&pts);
         let cost = k.element_potential_batch(&mut batch, &src);
-        let mut scalar_terms = 0usize;
+        let mut scalar_terms = 0u64;
         for (j, &x) in pts.iter().enumerate() {
             let (v, t) = k.element_potential(x, &src);
-            scalar_terms += t;
+            scalar_terms += t as u64;
             let got = batch.values()[j];
             assert!(close(got[0], v[0], 1e-6), "point {j}: {got:?} vs {v:?}");
             assert!(close(got[1], v[1], 1e-6));
@@ -1164,10 +1173,10 @@ mod tests {
         ];
         let mut batch = batch_of(&pts);
         let cost = k.element_potential_batch(&mut batch, &src);
-        let mut scalar_terms = 0usize;
+        let mut scalar_terms = 0u64;
         for (j, &x) in pts.iter().enumerate() {
             let (v, t) = k.element_potential(x, &src);
-            scalar_terms += t;
+            scalar_terms += t as u64;
             let got = batch.values()[j];
             assert!(close(got[0], v[0], 1e-9), "point {j}: {got:?} vs {v:?}");
             assert!(close(got[1], v[1], 1e-9));

@@ -49,7 +49,7 @@ pub mod study;
 pub mod system;
 pub mod workload;
 
-pub use assembly::AssemblyReport;
+pub use assembly::{AssemblyCost, AssemblyReport};
 pub use formulation::{Formulation, SolveOptions, SolverChoice};
 pub use incremental::{
     apply_op, ConductorEnd, DeltaKind, EditError, EditOp, EditPath, EditReport, EditSession,

@@ -21,10 +21,12 @@
 //!    `prepare()` + [`Study::solve`] runs would have produced.
 //!
 //! Every failure on this path is a typed error ([`PrepareError`],
-//! [`SolveError`]) instead of a panic, and [`Study::profile`] exposes the
-//! phase instrumentation (assembly/factorization counts and seconds,
-//! scenario solves served) that the CAD pipeline and the CI bench gate
-//! assert against.
+//! [`SolveError`]) instead of a panic. What a study paid is **one
+//! record**: every assembler returns an [`AssemblyCost`], the one
+//! constructor stores it in the study's [`StudyProfile`], and
+//! [`Study::profile`] hands that out whole — the CAD `--timing` report,
+//! the phase table and the bench rows render it, and profiles of several
+//! studies add with `+=`.
 //!
 //! ```
 //! use layerbem_core::formulation::SolveOptions;
@@ -50,19 +52,22 @@
 //!     ])
 //!     .expect("scenarios are positive");
 //! assert_eq!(sweep.len(), 3);
-//! assert_eq!(study.profile().assemblies, 1);
+//! assert_eq!(study.profile().assembly.assemblies, 1);
 //! ```
 
+use std::borrow::Cow;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::Instant;
 
 use layerbem_numeric::cholesky::{CholeskyFactor, NotPositiveDefinite};
 use layerbem_numeric::lu::{LuFactor, SingularMatrix};
 use layerbem_numeric::pcg::{pcg_solve, PcgOptions, PooledSymOperator};
-use layerbem_numeric::{AcaError, CompressionStats, HMatrix, SymMatrix};
+use layerbem_numeric::{AcaError, HMatrix, SymMatrix};
 
-use crate::assembly::{assemble_collocation, assemble_hierarchical, galerkin_rhs, AssemblyReport};
-use crate::formulation::{Formulation, OperatorBackend, SolverChoice};
+use crate::assembly::{
+    assemble_collocation, assemble_hierarchical, galerkin_rhs, AssemblyCost, AssemblyReport,
+};
+use crate::formulation::{Formulation, OperatorBackend, SolveOptions, SolverChoice};
 use crate::system::{GroundingSolution, GroundingSystem};
 
 /// One question asked of a prepared grounding system.
@@ -226,57 +231,57 @@ impl std::fmt::Display for SolveError {
 
 impl std::error::Error for SolveError {}
 
-/// Phase instrumentation of a [`Study`]: what `prepare` paid, once, and
-/// how many scenarios that investment has served so far.
+/// Phase instrumentation of a [`Study`]: what `prepare` (and any edits
+/// since) paid, and how many scenarios that investment has served so far.
 ///
-/// This is the record the CAD pipeline's phase table and the CI bench
-/// gate assert against: a scenario sweep through one `Study` shows
-/// `assemblies == 1` and `factorizations <= 1` no matter how many solves
-/// follow.
-#[derive(Clone, Copy, Debug)]
+/// A scenario sweep through one `Study` shows `assembly.assemblies == 1`
+/// and `factorizations <= 1` no matter how many solves follow. Profiles
+/// add with `+=` (and `sum()`), so a soil sweep or design search reports
+/// the total over its studies.
+#[derive(Clone, Copy, Debug, Default, PartialEq)]
 pub struct StudyProfile {
-    /// Matrix generations performed (always 1 per `Study`).
-    pub assemblies: usize,
+    /// What matrix generation cost, summed over every full assembly
+    /// (`assembly.assemblies`: 1 per prepare, plus 1 per
+    /// topology-changing edit, each of which rebuilds the operator).
+    pub assembly: AssemblyCost,
     /// Factorizations performed: 1 for the direct solvers, 0 for the
     /// iterative path (PCG retains the assembled operator instead of a
-    /// factor).
+    /// factor); edits that refactorize add to it.
     pub factorizations: usize,
-    /// Wall-clock seconds of matrix generation.
-    pub assembly_seconds: f64,
-    /// Wall-clock seconds of the factorization (0 for PCG).
+    /// Wall-clock seconds of those factorizations (0 for PCG).
     pub factor_seconds: f64,
     /// Scenario solves served since `prepare`.
     pub scenario_solves: usize,
-    /// Compression accounting of the retained operator: `Some` for the
-    /// hierarchical backend (resident bytes, far-block ranks, ratio vs
-    /// the dense `8·N(N+1)/2`), `None` for the dense engines.
-    pub compression: Option<CompressionStats>,
-    /// Series terms the one-time kernel evaluation consumed (identical to
-    /// [`Study::total_terms`]).
-    pub kernel_terms: u64,
-    /// Seconds spent inside kernel evaluation, split out of
-    /// `assembly_seconds`. For the dense Galerkin engines this is the
-    /// per-column profile's sum — worker CPU seconds, which can exceed
-    /// the wall-clock `assembly_seconds` when columns ran in parallel;
-    /// the hierarchical and collocation assemblies are kernel-dominated
-    /// with no finer attribution, so they report their full assembly
-    /// wall time.
-    pub kernel_seconds: f64,
-    /// Batched-lane occupancy of the kernel phase — occupied lane points
-    /// over padded lane slots, in `0.0..=1.0`. `None` when no batched
-    /// lanes ran (the scalar oracle path, or a soil model whose image
-    /// series never batched).
-    pub lane_occupancy: Option<f64>,
     /// Incremental edits applied through [`Study::apply_edit`] (0 for
     /// studies prepared without edit state).
     pub edits: usize,
-    /// Cumulative seconds re-integrating touched element pairs across all
-    /// edits (the incremental counterpart of `assembly_seconds`).
-    pub reintegrate_seconds: f64,
-    /// Cumulative seconds updating or refactorizing the retained engine
-    /// across all edits (the incremental counterpart of
-    /// `factor_seconds`).
+    /// What re-integrating touched pairs cost across all moved edits —
+    /// the incremental counterpart of `assembly` (0 `assemblies`).
+    pub reintegrate: AssemblyCost,
+    /// Seconds updating or refactorizing the engine across all moved
+    /// edits (the incremental counterpart of `factor_seconds`).
     pub update_seconds: f64,
+}
+
+impl std::ops::AddAssign for StudyProfile {
+    fn add_assign(&mut self, other: StudyProfile) {
+        self.assembly += other.assembly;
+        self.factorizations += other.factorizations;
+        self.factor_seconds += other.factor_seconds;
+        self.scenario_solves += other.scenario_solves;
+        self.edits += other.edits;
+        self.reintegrate += other.reintegrate;
+        self.update_seconds += other.update_seconds;
+    }
+}
+
+impl std::iter::Sum for StudyProfile {
+    fn sum<I: Iterator<Item = StudyProfile>>(profiles: I) -> StudyProfile {
+        profiles.fold(StudyProfile::default(), |mut total, p| {
+            total += p;
+            total
+        })
+    }
 }
 
 /// The retained solver state: exactly one variant per
@@ -305,7 +310,7 @@ pub(crate) enum Engine {
 /// owns everything it needs — factor, right-hand side, current weights,
 /// solve options — so it may outlive the system that built it.
 pub struct Study {
-    pub(crate) opts: crate::formulation::SolveOptions,
+    pub(crate) opts: SolveOptions,
     pub(crate) engine: Engine,
     /// Unit-GPR right-hand side of the retained formulation (`ν` for
     /// Galerkin, the unit boundary potentials for collocation).
@@ -313,27 +318,13 @@ pub struct Study {
     /// Galerkin weights `ν_i = ∫ N_i dΓ` for the current integral
     /// `IΓ = Σ q_i ν_i` (identical to `rhs` for Galerkin).
     pub(crate) nu: Vec<f64>,
-    /// Per-column assembly cost profile (Galerkin engines; empty for
-    /// collocation).
+    /// Per-column profile of the latest assembly (dense Galerkin only;
+    /// empty otherwise) — the simulator's task profile, not a total.
     pub(crate) column_seconds: Vec<f64>,
     pub(crate) column_terms: Vec<u64>,
-    /// Series terms with no per-column attribution (the hierarchical
-    /// engine's near pairs + ACA-sampled far entries; 0 for the dense
-    /// engines, whose terms live in `column_terms`).
-    pub(crate) bulk_terms: u64,
-    /// Compression accounting of the retained operator (hierarchical
-    /// engine only).
-    pub(crate) compression: Option<CompressionStats>,
-    /// Batched-lane accounting of the kernel phase: occupied lane points
-    /// and padded lane slots (both 0 on the scalar oracle path).
-    pub(crate) lane_points: u64,
-    pub(crate) lane_slots: u64,
-    /// Seconds inside kernel evaluation (see
-    /// [`StudyProfile::kernel_seconds`]).
-    pub(crate) kernel_seconds: f64,
-    pub(crate) assembly_seconds: f64,
-    pub(crate) factor_seconds: f64,
-    pub(crate) factorizations: usize,
+    /// What this study has paid so far, stored once; `scenario_solves`
+    /// stays 0 here and is read from `solves` by [`Study::profile`].
+    pub(crate) spent: StudyProfile,
     pub(crate) solves: AtomicUsize,
     /// Incremental-edit state ([`crate::incremental`]): the retained
     /// mesh, kernel and (for the direct engine) assembled operator that
@@ -359,162 +350,113 @@ impl Study {
     /// Assembles and factorizes `system`.
     pub(crate) fn prepare(system: &GroundingSystem) -> Result<Study, PrepareError> {
         let opts = *system.options();
-        match opts.formulation {
-            Formulation::Galerkin => match opts.backend {
-                OperatorBackend::Dense => {
-                    let t = Instant::now();
-                    let report = system.assemble();
-                    let assembly_seconds = t.elapsed().as_secs_f64();
-                    Study::from_galerkin_report(system, report, assembly_seconds)
-                }
-                OperatorBackend::Hierarchical { tol, leaf_size } => {
-                    // The compressed operator cannot be factorized, so the
-                    // hierarchical backend serves PCG only.
-                    if opts.solver != SolverChoice::ConjugateGradient {
-                        return Err(PrepareError::UnsupportedBackend(
-                            "the hierarchical backend supports only the \
-                             conjugate-gradient solver",
-                        ));
-                    }
-                    let t = Instant::now();
-                    let rep = assemble_hierarchical(
-                        system.mesh(),
-                        system.kernel(),
-                        &opts,
-                        tol,
-                        leaf_size,
-                    )?;
-                    let assembly_seconds = t.elapsed().as_secs_f64();
-                    Ok(Study {
-                        opts,
-                        nu: rep.rhs.clone(),
-                        rhs: rep.rhs,
-                        compression: Some(rep.operator.compression_stats()),
-                        engine: Engine::Hierarchical(rep.operator),
-                        column_seconds: Vec::new(),
-                        column_terms: Vec::new(),
-                        bulk_terms: rep.terms,
-                        lane_points: rep.lane_points,
-                        lane_slots: rep.lane_slots,
-                        // Hierarchical generation is kernel-dominated and
-                        // has no per-column split: report it whole.
-                        kernel_seconds: rep.generation_seconds,
-                        assembly_seconds,
-                        factor_seconds: 0.0,
-                        factorizations: 0,
-                        solves: AtomicUsize::new(0),
-                        edit: None,
-                    })
-                }
-            },
-            Formulation::Collocation => {
-                if opts.backend != OperatorBackend::Dense {
+        match (opts.formulation, opts.backend) {
+            (Formulation::Galerkin, OperatorBackend::Dense) => {
+                Study::from_galerkin(opts, Cow::Owned(system.assemble()), false).map(|(s, _)| s)
+            }
+            (Formulation::Galerkin, OperatorBackend::Hierarchical { tol, leaf_size }) => {
+                // The compressed operator cannot be factorized, so the
+                // hierarchical backend serves PCG only.
+                if opts.solver != SolverChoice::ConjugateGradient {
                     return Err(PrepareError::UnsupportedBackend(
-                        "the hierarchical backend requires the Galerkin formulation",
+                        "the hierarchical backend supports only the \
+                         conjugate-gradient solver",
                     ));
                 }
-                let t = Instant::now();
-                let (c, rhs, cost) = assemble_collocation(system.mesh(), system.kernel(), &opts);
-                let assembly_seconds = t.elapsed().as_secs_f64();
-                let t = Instant::now();
-                let f = match opts.parallelism {
-                    Some(par) => LuFactor::factor_pooled(&c, &par.pool, par.schedule),
-                    None => LuFactor::factor(&c),
-                }?;
-                Ok(Study {
-                    opts,
-                    engine: Engine::Lu(f),
-                    rhs,
-                    nu: galerkin_rhs(system.mesh()),
-                    column_seconds: Vec::new(),
-                    column_terms: Vec::new(),
-                    bulk_terms: cost.terms as u64,
-                    lane_points: cost.lane_points,
-                    lane_slots: cost.lane_slots,
-                    // Collocation assembly is one kernel loop: report it
-                    // whole.
-                    kernel_seconds: assembly_seconds,
-                    compression: None,
-                    assembly_seconds,
-                    factor_seconds: t.elapsed().as_secs_f64(),
-                    factorizations: 1,
-                    solves: AtomicUsize::new(0),
-                    edit: None,
+                let rep =
+                    assemble_hierarchical(system.mesh(), system.kernel(), &opts, tol, leaf_size)?;
+                let columns = (Vec::new(), Vec::new());
+                Study::assembled(opts, rep.cost, rep.rhs.clone(), rep.rhs, columns, || {
+                    Ok((Engine::Hierarchical(rep.operator), 0))
                 })
+            }
+            (Formulation::Collocation, OperatorBackend::Dense) => {
+                let (c, rhs, cost) = assemble_collocation(system.mesh(), system.kernel(), &opts);
+                let nu = galerkin_rhs(system.mesh());
+                Study::assembled(opts, cost, rhs, nu, (Vec::new(), Vec::new()), || {
+                    let f = match opts.parallelism {
+                        Some(par) => LuFactor::factor_pooled(&c, &par.pool, par.schedule),
+                        None => LuFactor::factor(&c),
+                    }?;
+                    Ok((Engine::Lu(f), 1))
+                })
+            }
+            (Formulation::Collocation, OperatorBackend::Hierarchical { .. }) => {
+                Err(PrepareError::UnsupportedBackend(
+                    "the hierarchical backend requires the Galerkin formulation",
+                ))
             }
         }
     }
 
-    /// Factorizes an already-generated Galerkin report, cloning only
-    /// what the engine retains — the direct solvers factor from the
-    /// borrowed matrix with no copy (the PCG engine must own it);
-    /// `assembly_seconds` is attributed to the report's own generation
-    /// time.
-    pub(crate) fn from_report(
-        system: &GroundingSystem,
-        report: &AssemblyReport,
+    /// The one way an assembled operator becomes a `Study`: `factor`
+    /// builds the retained engine (and counts its factorizations), timed
+    /// here; `columns` is the per-column `(seconds, terms)` profile.
+    fn assembled(
+        opts: SolveOptions,
+        cost: AssemblyCost,
+        rhs: Vec<f64>,
+        nu: Vec<f64>,
+        columns: (Vec<f64>, Vec<u64>),
+        factor: impl FnOnce() -> Result<(Engine, usize), PrepareError>,
     ) -> Result<Study, PrepareError> {
-        let opts = *system.options();
         let t = Instant::now();
-        let (engine, factorizations) =
-            Study::galerkin_engine(&opts, std::borrow::Cow::Borrowed(&report.matrix))?;
+        let (engine, factorizations) = factor()?;
         Ok(Study {
             opts,
-            rhs: report.rhs.clone(),
-            nu: report.rhs.clone(),
             engine,
-            column_seconds: report.column_seconds.clone(),
-            column_terms: report.column_terms.clone(),
-            bulk_terms: 0,
-            lane_points: report.lane_points,
-            lane_slots: report.lane_slots,
-            kernel_seconds: report.kernel_seconds(),
-            compression: None,
-            assembly_seconds: report.generation_seconds,
-            factor_seconds: t.elapsed().as_secs_f64(),
-            factorizations,
+            rhs,
+            nu,
+            column_seconds: columns.0,
+            column_terms: columns.1,
+            spent: StudyProfile {
+                assembly: cost,
+                factorizations,
+                factor_seconds: t.elapsed().as_secs_f64(),
+                ..StudyProfile::default()
+            },
             solves: AtomicUsize::new(0),
             edit: None,
         })
     }
 
-    fn from_galerkin_report(
-        system: &GroundingSystem,
-        report: AssemblyReport,
-        assembly_seconds: f64,
-    ) -> Result<Study, PrepareError> {
-        let opts = *system.options();
-        let kernel_seconds = report.kernel_seconds();
-        let AssemblyReport {
-            matrix,
-            rhs,
-            column_seconds,
-            column_terms,
-            lane_points,
-            lane_slots,
-            ..
-        } = report;
-        let t = Instant::now();
-        let (engine, factorizations) =
-            Study::galerkin_engine(&opts, std::borrow::Cow::Owned(matrix))?;
-        Ok(Study {
-            opts,
-            nu: rhs.clone(),
-            rhs,
-            engine,
-            column_seconds,
-            column_terms,
-            bulk_terms: 0,
-            lane_points,
-            lane_slots,
-            kernel_seconds,
-            compression: None,
-            assembly_seconds,
-            factor_seconds: t.elapsed().as_secs_f64(),
-            factorizations,
-            solves: AtomicUsize::new(0),
-            edit: None,
-        })
+    /// Dense-Galerkin prepare from a generated report — shared by
+    /// `prepare`, `prepare_assembled`, `prepare_editable` and the edit
+    /// rebuild. A borrowed report's matrix is cloned only if the engine
+    /// must own it. With `retain`, a direct engine's assembled operator
+    /// comes back beside the study for the edit state to keep (the PCG
+    /// engine owns the operator itself: `None`).
+    pub(crate) fn from_galerkin(
+        opts: SolveOptions,
+        report: Cow<'_, AssemblyReport>,
+        retain: bool,
+    ) -> Result<(Study, Option<SymMatrix>), PrepareError> {
+        let (matrix, rhs, columns, cost) = match report {
+            Cow::Owned(r) => (
+                Cow::Owned(r.matrix),
+                r.rhs,
+                (r.column_seconds, r.column_terms),
+                r.cost,
+            ),
+            Cow::Borrowed(r) => (
+                Cow::Borrowed(&r.matrix),
+                r.rhs.clone(),
+                (r.column_seconds.clone(), r.column_terms.clone()),
+                r.cost,
+            ),
+        };
+        let retain = retain && opts.solver != SolverChoice::ConjugateGradient;
+        let mut retained = None;
+        let study = Study::assembled(opts, cost, rhs.clone(), rhs, columns, || {
+            if retain {
+                let built = Study::galerkin_engine(&opts, Cow::Borrowed(&*matrix))?;
+                retained = Some(matrix.into_owned());
+                Ok(built)
+            } else {
+                Study::galerkin_engine(&opts, matrix)
+            }
+        })?;
+        Ok((study, retained))
     }
 
     /// Builds the retained engine from a Galerkin matrix. The direct
@@ -522,8 +464,8 @@ impl Study {
     /// factoring — no transient copy either way); the PCG engine keeps
     /// it, taking ownership or cloning as the `Cow` dictates.
     pub(crate) fn galerkin_engine(
-        opts: &crate::formulation::SolveOptions,
-        matrix: std::borrow::Cow<'_, SymMatrix>,
+        opts: &SolveOptions,
+        matrix: Cow<'_, SymMatrix>,
     ) -> Result<(Engine, usize), PrepareError> {
         Ok(match opts.solver {
             SolverChoice::ConjugateGradient => (Engine::Pcg(matrix.into_owned()), 0),
@@ -578,7 +520,7 @@ impl Study {
     }
 
     /// The solve options the study was prepared with.
-    pub fn options(&self) -> &crate::formulation::SolveOptions {
+    pub fn options(&self) -> &SolveOptions {
         &self.opts
     }
 
@@ -598,64 +540,35 @@ impl Study {
             nu: self.nu.clone(),
             column_seconds: self.column_seconds.clone(),
             column_terms: self.column_terms.clone(),
-            bulk_terms: self.bulk_terms,
-            compression: self.compression,
-            lane_points: self.lane_points,
-            lane_slots: self.lane_slots,
-            kernel_seconds: self.kernel_seconds,
-            assembly_seconds: self.assembly_seconds,
-            factor_seconds: self.factor_seconds,
-            factorizations: self.factorizations,
+            spent: self.spent,
             solves: AtomicUsize::new(self.solves.load(Ordering::Relaxed)),
             edit: None,
         }
     }
 
-    /// Per-column assembly wall seconds (Galerkin; empty for
-    /// collocation) — the task profile the schedule simulator replays.
+    /// Per-column wall seconds of the latest assembly (dense Galerkin;
+    /// empty otherwise) — the task profile the schedule simulator replays.
     pub fn column_seconds(&self) -> &[f64] {
         &self.column_seconds
     }
 
-    /// Series terms per assembly column (deterministic cost proxy).
+    /// Series terms per column of the latest assembly.
     pub fn column_terms(&self) -> &[u64] {
         &self.column_terms
     }
 
-    /// Total series terms the one-time assembly consumed. For the dense
-    /// Galerkin engines this is the column profile's sum; the hierarchical
-    /// engine contributes a bulk count (near pairs + ACA-sampled far
-    /// entries) with no per-column attribution.
+    /// Total series terms matrix generation consumed
+    /// (`profile().assembly.kernel.terms`), over every assembly this
+    /// study ran.
     pub fn total_terms(&self) -> u64 {
-        self.bulk_terms + self.column_terms.iter().sum::<u64>()
+        self.spent.assembly.kernel.terms
     }
 
-    /// Batched-lane occupancy of the kernel phase: occupied lane points
-    /// over padded lane slots. `None` when no batched lanes ran (the
-    /// scalar oracle path).
-    pub fn lane_occupancy(&self) -> Option<f64> {
-        (self.lane_slots > 0).then(|| self.lane_points as f64 / self.lane_slots as f64)
-    }
-
-    /// Phase instrumentation: what `prepare` paid and how many scenarios
-    /// it has served.
+    /// What this study paid and how many scenarios it has served.
     pub fn profile(&self) -> StudyProfile {
-        let e = self.edit.as_deref();
         StudyProfile {
-            // Topology-changing edits rebuild the whole operator; each
-            // rebuild is a full extra assembly.
-            assemblies: 1 + e.map_or(0, |e| e.rebuilds),
-            factorizations: self.factorizations,
-            assembly_seconds: self.assembly_seconds,
-            factor_seconds: self.factor_seconds,
             scenario_solves: self.solves.load(Ordering::Relaxed),
-            compression: self.compression,
-            kernel_terms: self.total_terms(),
-            kernel_seconds: self.kernel_seconds,
-            lane_occupancy: self.lane_occupancy(),
-            edits: e.map_or(0, |e| e.edits),
-            reintegrate_seconds: e.map_or(0.0, |e| e.reintegrate_seconds),
-            update_seconds: e.map_or(0.0, |e| e.update_seconds),
+            ..self.spent
         }
     }
 
@@ -911,10 +824,10 @@ mod tests {
         // cross-check singles) paid exactly one assembly and one
         // factorization.
         let profile = study.profile();
-        assert_eq!(profile.assemblies, 1);
+        assert_eq!(profile.assembly.assemblies, 1);
         assert_eq!(profile.factorizations, 1);
         assert_eq!(profile.scenario_solves, 32);
-        assert!(profile.assembly_seconds > 0.0);
+        assert!(profile.assembly.seconds > 0.0);
     }
 
     #[test]
@@ -925,12 +838,13 @@ mod tests {
         let batched = GroundingSystem::new(mesh.clone(), &soil, SolveOptions::default())
             .prepare()
             .expect("prepare");
-        let bp = batched.profile();
-        assert_eq!(bp.kernel_terms, batched.total_terms());
-        assert!(bp.kernel_terms > 0);
+        let bp = batched.profile().assembly;
+        assert_eq!(bp.kernel.terms, batched.total_terms());
+        assert_eq!(bp.kernel.terms, batched.column_terms().iter().sum::<u64>());
+        assert!(bp.kernel.terms > 0);
         assert!(bp.kernel_seconds > 0.0);
-        assert!(bp.kernel_seconds <= bp.assembly_seconds);
-        let occ = bp.lane_occupancy.expect("batched path fills lanes");
+        assert!(bp.kernel_seconds <= bp.seconds);
+        let occ = bp.lane_occupancy().expect("batched path fills lanes");
         assert!(occ > 0.0 && occ <= 1.0, "occupancy {occ}");
         // The scalar oracle runs no lanes at all.
         let scalar = GroundingSystem::new(
@@ -940,25 +854,77 @@ mod tests {
         )
         .prepare()
         .expect("prepare");
-        assert!(scalar.profile().lane_occupancy.is_none());
-        assert!(scalar.profile().kernel_terms > 0);
+        assert!(scalar.profile().assembly.lane_occupancy().is_none());
+        assert!(scalar.profile().assembly.kernel.terms > 0);
     }
 
     #[test]
     fn collocation_profile_counts_kernel_terms() {
-        let sys = GroundingSystem::new(
-            rod_mesh(8),
+        // Every assembler reports through the one record: collocation and
+        // the hierarchical backend (bulk counts, no column profile) agree
+        // with `total_terms()` exactly like the dense engine above.
+        let colloc = SolveOptions {
+            formulation: Formulation::Collocation,
+            ..Default::default()
+        };
+        let hier = SolveOptions::default().with_backend(OperatorBackend::Hierarchical {
+            tol: 1e-8,
+            leaf_size: 4,
+        });
+        for opts in [colloc, hier] {
+            let study = GroundingSystem::new(rod_mesh(24), &SoilModel::uniform(0.016), opts)
+                .prepare()
+                .expect("prepare");
+            let p = study.profile().assembly;
+            assert_eq!(p.assemblies, 1);
+            assert!(p.kernel.terms > 0, "{opts:?}: terms counted");
+            assert_eq!(p.kernel.terms, study.total_terms());
+            assert!(study.column_terms().is_empty());
+            assert!(p.lane_occupancy().is_some(), "batched by default");
+            assert_eq!(p.kernel_seconds, p.seconds, "reported whole");
+        }
+    }
+
+    #[test]
+    fn frozen_clones_and_sums_carry_the_whole_profile() {
+        use crate::incremental::{EditOp, EditSession};
+        let mut net = ConductorNetwork::new();
+        net.add(ground_rod(Point3::new(0.0, 0.0, 0.5), 3.0, 0.007));
+        let mut session = EditSession::open(
+            net,
             &SoilModel::uniform(0.016),
+            MeshOptions::default(),
             SolveOptions {
-                formulation: Formulation::Collocation,
+                solver: SolverChoice::Cholesky,
                 ..Default::default()
             },
-        );
-        let study = sys.prepare().expect("prepare");
+        )
+        .expect("open");
+        // A free-end move (incremental) then a second rod (rebuild).
+        let grow = EditOp::MoveEnd {
+            index: 0,
+            end: crate::incremental::ConductorEnd::B,
+            delta: [0.0, 0.0, 0.5],
+        };
+        let add = EditOp::Add {
+            conductor: ground_rod(Point3::new(0.0, 0.0, 0.5), 2.0, 0.007),
+        };
+        session.apply(&grow).expect("move");
+        session.apply(&add).expect("add");
+        let study = session.study();
+        study.solve(&Scenario::gpr(1.0)).expect("solve");
         let p = study.profile();
-        assert!(p.kernel_terms > 0, "collocation terms now counted");
-        assert_eq!(p.kernel_terms, study.total_terms());
-        assert!(p.lane_occupancy.is_some(), "batched by default");
+        assert_eq!(
+            (p.edits, p.assembly.assemblies, p.scenario_solves),
+            (2, 2, 1)
+        );
+        assert!(p.reintegrate.kernel.terms > 0);
+        assert_eq!(study.frozen_clone().profile(), p);
+        // `+=` adds every counter; occupancy is pooled from the counts.
+        let twice: StudyProfile = [p, p].into_iter().sum();
+        assert_eq!(twice.assembly.kernel.terms, 2 * p.assembly.kernel.terms);
+        assert_eq!(twice.edits, 4);
+        assert_eq!(twice.assembly.lane_occupancy(), p.assembly.lane_occupancy());
     }
 
     #[test]
@@ -967,7 +933,7 @@ mod tests {
         let study = sys.prepare().expect("prepare");
         let _ = study.solve(&Scenario::gpr(1.0)).expect("solve");
         let profile = study.profile();
-        assert_eq!(profile.assemblies, 1);
+        assert_eq!(profile.assembly.assemblies, 1);
         assert_eq!(profile.factorizations, 0);
         assert_eq!(profile.scenario_solves, 1);
     }
@@ -1081,7 +1047,6 @@ mod tests {
 
     #[test]
     fn hierarchical_studies_answer_scenarios_within_tolerance_of_dense() {
-        use crate::formulation::OperatorBackend;
         let mesh = rod_mesh(24);
         let soil = SoilModel::uniform(0.016);
         let dense = GroundingSystem::new(mesh.clone(), &soil, SolveOptions::default())
@@ -1094,9 +1059,9 @@ mod tests {
             .prepare()
             .expect("hierarchical prepare");
         let profile = study.profile();
-        assert_eq!(profile.assemblies, 1);
+        assert_eq!(profile.assembly.assemblies, 1);
         assert_eq!(profile.factorizations, 0);
-        let cs = profile.compression.expect("compression stats");
+        let cs = profile.assembly.compression.expect("compression stats");
         assert_eq!(cs.order, study.dof());
         assert!(cs.far_blocks > 0, "rod mesh must produce far blocks");
         assert!(cs.resident_bytes > 0);
@@ -1122,7 +1087,6 @@ mod tests {
 
     #[test]
     fn hierarchical_backend_rejects_unsupported_configurations() {
-        use crate::formulation::OperatorBackend;
         let soil = SoilModel::uniform(0.016);
         let hier = OperatorBackend::hierarchical();
         // Direct solvers cannot factor a compressed operator.
@@ -1177,7 +1141,6 @@ mod tests {
 
     #[test]
     fn hierarchical_resident_bytes_are_the_exact_compressed_footprint() {
-        use crate::formulation::OperatorBackend;
         let mesh = rod_mesh(24);
         let soil = SoilModel::uniform(0.016);
         let opts = SolveOptions::default().with_backend(OperatorBackend::Hierarchical {
@@ -1187,7 +1150,11 @@ mod tests {
         let study = GroundingSystem::new(mesh, &soil, opts)
             .prepare()
             .expect("prepare");
-        let stats = study.profile().compression.expect("compression stats");
+        let stats = study
+            .profile()
+            .assembly
+            .compression
+            .expect("compression stats");
         let vectors = 8 * 2 * study.dof();
         assert_eq!(study.resident_bytes(), stats.resident_bytes + vectors);
         assert!(study.resident_bytes() > 0);

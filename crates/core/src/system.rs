@@ -146,7 +146,7 @@ impl GroundingSystem {
     /// (retaining a copy of what it needs). The report is treated as a
     /// Galerkin system regardless of [`SolveOptions::formulation`].
     pub fn prepare_assembled(&self, report: &AssemblyReport) -> Result<Study, PrepareError> {
-        Study::from_report(self, report)
+        Study::from_galerkin(self.opts, std::borrow::Cow::Borrowed(report), false).map(|(s, _)| s)
     }
 }
 

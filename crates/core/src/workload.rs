@@ -1137,20 +1137,7 @@ mod tests {
                 utilization: util,
                 safe: true,
                 pareto: false,
-                profile: StudyProfile {
-                    assemblies: 1,
-                    factorizations: 1,
-                    assembly_seconds: 0.0,
-                    factor_seconds: 0.0,
-                    scenario_solves: 0,
-                    compression: None,
-                    kernel_terms: 0,
-                    kernel_seconds: 0.0,
-                    lane_occupancy: None,
-                    edits: 0,
-                    reintegrate_seconds: 0.0,
-                    update_seconds: 0.0,
-                },
+                profile: StudyProfile::default(),
             })
             .collect();
         mark_pareto(&mut cands);

@@ -230,8 +230,8 @@ proptest! {
         }
         prop_assert_eq!(scalar.rhs, batched.rhs, "RHS has no kernel dependence");
         // The scalar engine runs no lanes; the batched engine fills them.
-        prop_assert_eq!(scalar.lane_slots, 0);
-        prop_assert!(batched.lane_slots > 0);
-        prop_assert!(batched.lane_points <= batched.lane_slots);
+        prop_assert_eq!(scalar.cost.kernel.lane_slots, 0);
+        prop_assert!(batched.cost.kernel.lane_slots > 0);
+        prop_assert!(batched.cost.kernel.lane_points <= batched.cost.kernel.lane_slots);
     }
 }

@@ -148,10 +148,6 @@ impl BenchmarkGroup<'_> {
         self
     }
 
-    pub fn measurement_time(&mut self, _t: Duration) -> &mut Self {
-        self
-    }
-
     pub fn bench_function<F>(&mut self, id: impl Into<BenchmarkId>, f: F) -> &mut Self
     where
         F: FnMut(&mut Bencher),

@@ -242,16 +242,6 @@ pub mod strategy {
         (A, B, C, D, E, F, G, H, I)
         (A, B, C, D, E, F, G, H, I, J)
     }
-
-    /// A fixed value, for completeness (`Just` in real proptest).
-    pub struct Just<T: Clone>(pub T);
-
-    impl<T: Clone> Strategy for Just<T> {
-        type Value = T;
-        fn generate(&self, _rng: &mut TestRng) -> T {
-            self.0.clone()
-        }
-    }
 }
 
 pub mod collection {
@@ -277,15 +267,6 @@ pub mod collection {
             SizeRange {
                 min: r.start,
                 max: r.end - 1,
-            }
-        }
-    }
-
-    impl From<std::ops::RangeInclusive<usize>> for SizeRange {
-        fn from(r: std::ops::RangeInclusive<usize>) -> Self {
-            SizeRange {
-                min: *r.start(),
-                max: *r.end(),
             }
         }
     }
@@ -331,24 +312,6 @@ pub mod arbitrary {
         }
     }
 
-    macro_rules! arbitrary_ints {
-        ($($t:ty),*) => {$(
-            impl Arbitrary for $t {
-                fn arbitrary_with(rng: &mut TestRng) -> $t {
-                    rng.next_u64() as $t
-                }
-            }
-        )*};
-    }
-    arbitrary_ints!(usize, u8, u16, u32, u64, isize, i8, i16, i32, i64);
-
-    impl Arbitrary for f64 {
-        fn arbitrary_with(rng: &mut TestRng) -> f64 {
-            // Finite, roughly symmetric around zero.
-            (rng.next_f64() - 0.5) * 2e6
-        }
-    }
-
     pub struct Any<A>(PhantomData<A>);
 
     impl<A: Arbitrary> Strategy for Any<A> {
@@ -366,12 +329,10 @@ pub mod arbitrary {
 
 pub mod prelude {
     pub use crate as prop;
-    pub use crate::arbitrary::{any, Arbitrary};
-    pub use crate::strategy::{BoxedStrategy, Just, Strategy};
+    pub use crate::arbitrary::any;
+    pub use crate::strategy::Strategy;
     pub use crate::test_runner::ProptestConfig;
-    pub use crate::{
-        prop_assert, prop_assert_eq, prop_assert_ne, prop_assume, prop_oneof, proptest,
-    };
+    pub use crate::{prop_assert, prop_assert_eq, prop_assume, prop_oneof, proptest};
 }
 
 /// Declares deterministic property tests. Each `fn name(pat in strategy, ...)
@@ -430,11 +391,6 @@ macro_rules! prop_assume {
             return;
         }
     };
-    ($cond:expr, $($fmt:tt)*) => {
-        if !($cond) {
-            return;
-        }
-    };
 }
 
 #[macro_export]
@@ -445,11 +401,6 @@ macro_rules! prop_assert {
 #[macro_export]
 macro_rules! prop_assert_eq {
     ($($args:tt)*) => { assert_eq!($($args)*) };
-}
-
-#[macro_export]
-macro_rules! prop_assert_ne {
-    ($($args:tt)*) => { assert_ne!($($args)*) };
 }
 
 /// Uniform choice among strategies producing the same value type.

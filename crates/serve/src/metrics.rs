@@ -3,9 +3,10 @@
 //! Every request path bumps atomic counters; prepare and solve latencies
 //! land in fixed 40-bucket base-2 histograms (bucket *i* counts samples
 //! `≤ 2^i` microseconds), from which the `stats` request derives p50/p99.
-//! The quantile is reported as its bucket's upper bound — a conservative
-//! overestimate that never needs the raw samples, so recording is one
-//! `fetch_add` with no locks on the hot path.
+//! The quantile is interpolated within a log₂ bucket — linearly by rank
+//! between the bucket's edges, so never above the bucket's upper bound —
+//! and never needs the raw samples, so recording is one `fetch_add` with
+//! no locks on the hot path.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
@@ -49,8 +50,10 @@ impl Histogram {
         self.counts.iter().map(|c| c.load(Ordering::Relaxed)).sum()
     }
 
-    /// The upper bound (µs) of the bucket holding quantile `q` in
-    /// `0.0..=1.0`, or 0 when empty.
+    /// Quantile `q` in `0.0..=1.0` (µs), interpolated within a log₂
+    /// bucket: linearly by rank inside the holding bucket `(2^(i−1), 2^i]`,
+    /// so above its lower edge and at most its upper bound. Bucket 0 and
+    /// the clamp bucket report their bound; 0 when empty.
     pub fn quantile_us(&self, q: f64) -> u64 {
         let total = self.count();
         if total == 0 {
@@ -58,12 +61,19 @@ impl Histogram {
         }
         // Rank of the sample at quantile q (1-based, clamped into range).
         let rank = ((q * total as f64).ceil() as u64).clamp(1, total);
-        let mut seen = 0u64;
+        let mut below = 0u64;
         for (i, c) in self.counts.iter().enumerate() {
-            seen += c.load(Ordering::Relaxed);
-            if seen >= rank {
-                return 1u64 << i;
+            let c = c.load(Ordering::Relaxed);
+            if below + c >= rank {
+                let hi = 1u64 << i;
+                if i == 0 || i == BUCKETS - 1 {
+                    return hi;
+                }
+                let lo = hi / 2;
+                let within = u128::from(hi - lo) * u128::from(rank - below) / u128::from(c);
+                return lo + within as u64;
             }
+            below += c;
         }
         1u64 << (BUCKETS - 1)
     }
@@ -155,6 +165,14 @@ mod tests {
         assert_eq!(h.quantile_us(0.50), 2);
         assert_eq!(h.quantile_us(0.75), 4);
         assert_eq!(h.quantile_us(1.0), 1024);
+        // Several samples in one bucket spread linearly by rank over
+        // (8, 16]: above the lower edge, at most the upper bound.
+        let h = Histogram::default();
+        for us in [9, 11, 13, 16] {
+            h.record(Duration::from_micros(us));
+        }
+        let spread = [0.25, 0.5, 0.75, 1.0].map(|q| h.quantile_us(q));
+        assert_eq!(spread, [10, 12, 14, 16]);
     }
 
     #[test]
@@ -164,7 +182,9 @@ mod tests {
             h.record(Duration::from_micros(10)); // bucket ≤16 µs
         }
         h.record(Duration::from_millis(100)); // outlier
-        assert_eq!(h.quantile_us(0.50), 16);
+
+        // Rank 50 of the 99 samples in (8, 16] — not the bucket's bound.
+        assert_eq!(h.quantile_us(0.50), 12);
         assert_eq!(h.quantile_us(0.99), 16);
         assert!(h.quantile_us(1.0) >= 100_000);
     }

@@ -53,7 +53,7 @@
 //!     .solve_batch(&[Scenario::gpr(5_000.0), Scenario::fault_current(25_000.0)])
 //!     .expect("positive drives");
 //! assert_eq!(sweep.len(), 2);
-//! assert_eq!(study.profile().assemblies, 1); // one assembly served them all
+//! assert_eq!(study.profile().assembly.assemblies, 1); // one assembly served them all
 //! ```
 //!
 //! ## Crate map

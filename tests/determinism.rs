@@ -138,8 +138,14 @@ fn batched_kernel_assembly_is_bit_identical_across_schedules_and_threads() {
         let kernel = SoilKernel::new(&soil);
         let batched_opts = SolveOptions::default().with_kernel_eval(KernelEval::Batched);
         let seq = assemble_galerkin(&mesh, &kernel, &batched_opts);
-        assert!(seq.lane_slots > 0, "{grid}: batched assembly fills lanes");
-        assert!(seq.lane_points <= seq.lane_slots, "{grid}");
+        assert!(
+            seq.cost.kernel.lane_slots > 0,
+            "{grid}: batched assembly fills lanes"
+        );
+        assert!(
+            seq.cost.kernel.lane_points <= seq.cost.kernel.lane_slots,
+            "{grid}"
+        );
         for threads in [1usize, 2, 4, 8] {
             let pool = ThreadPool::new(threads);
             for schedule in schedules() {
@@ -152,18 +158,17 @@ fn batched_kernel_assembly_is_bit_identical_across_schedules_and_threads() {
                 assert_eq!(seq.matrix.packed(), direct.matrix.packed(), "{label}");
                 assert_eq!(seq.rhs, direct.rhs, "{label}");
                 assert_eq!(seq.column_terms, direct.column_terms, "{label}");
-                assert_eq!(
-                    (seq.lane_points, seq.lane_slots),
-                    (direct.lane_points, direct.lane_slots),
-                    "{label}"
-                );
+                assert_eq!(seq.cost.kernel, direct.cost.kernel, "{label}");
             }
         }
         // The scalar oracle: same operator within the series tolerance,
         // and no lanes at all on its path.
         let scalar_opts = SolveOptions::default().with_kernel_eval(KernelEval::Scalar);
         let scalar = assemble_galerkin(&mesh, &kernel, &scalar_opts);
-        assert_eq!(scalar.lane_slots, 0, "{grid}: scalar path runs no lanes");
+        assert_eq!(
+            scalar.cost.kernel.lane_slots, 0,
+            "{grid}: scalar path runs no lanes"
+        );
         let norm = scalar
             .matrix
             .packed()
@@ -367,7 +372,7 @@ fn staged_scenario_sweeps_are_bit_identical_to_repeated_legacy_solves() {
             // One assembly (and at most one factorization) answered the
             // whole sweep.
             let profile = study.profile();
-            assert_eq!(profile.assemblies, 1, "{grid}: {solver:?}");
+            assert_eq!(profile.assembly.assemblies, 1, "{grid}: {solver:?}");
             assert!(profile.factorizations <= 1, "{grid}: {solver:?}");
             assert_eq!(profile.scenario_solves, gprs.len());
             for ((a, b), gpr) in legacy.iter().zip(&staged).zip(&gprs) {

@@ -117,6 +117,7 @@ fn hierarchical_studies_agree_with_dense_studies_on_paper_grids() {
             "{grid}: compressed operator is never factored"
         );
         let stats = profile
+            .assembly
             .compression
             .expect("hierarchical profile reports compression");
         assert!(stats.resident_bytes > 0, "{grid}");
