@@ -5,9 +5,9 @@
 //!
 //! **Gate 2 — prepare-once vs re-solve-each:** answers a 16-scenario GPR
 //! sweep twice — through one staged `prepare()` + `solve_batch` (one
-//! assembly, one factorization) and through 16 fresh `prepare()` +
-//! `solve` runs — verifies the sweep is bit-identical to the
-//! per-scenario answers,
+//! assembly, one factorization, one back-substitution, 16 scalings) and
+//! through 16 fresh `prepare()` + `solve` runs — verifies the sweep is
+//! bit-identical to the per-scenario answers,
 //! and **exits nonzero** unless the staged study is at least
 //! `--sweep-speedup` (default 2×) faster. This pins the whole point of
 //! the staged API: amortizing the Table-6.1 matrix-generation cost
@@ -42,22 +42,22 @@
 //! Barberá grid through the served path — the one executor
 //! (`core::workload::execute`) over a `Service`'s keyed study cache: one
 //! cold request (miss: assembly + factorization + sweep) against
-//! best-of-reps warm ones (hit: back-substitution only), verifies the
-//! cached answers are bit-identical to the same executor over the fresh
-//! source, and **exits nonzero** unless the hit path is at least
-//! `--cache-speedup` (default 5×) faster. This pins the serving story:
-//! a resident factorization turns every further scenario request into
-//! O(N²) work.
+//! best-of-reps warm ones (hit: scalings of the resident unit solution),
+//! verifies the cached answers are bit-identical to the same executor
+//! over the fresh source, and **exits nonzero** unless the hit path is
+//! at least `--cache-speedup` (default 5×) faster. This pins the serving
+//! story: a resident study turns every further scenario request into
+//! O(N) work.
 //!
 //! **Gate 6 — cold vs cached Monte-Carlo soil sweep:** draws a seeded
 //! 32-sample soil sweep around the refined Barberá soil, answers it
 //! twice by the executor over the cache source — once cold (every sampled soil
 //! hashes to its own key: 32 misses, 32 prepares) and once with the
-//! same seed (32 hits, back-substitution only) — verifies the cached
+//! same seed (32 hits, scalings only) — verifies the cached
 //! pass is bit-identical to the cold one, and **exits nonzero** unless
 //! it is at least `--sweep-cache-speedup` (default 2×) faster. This
 //! pins the workload story: a served uncertainty sweep re-run under a
-//! fixed seed costs back-substitutions, not factorizations.
+//! fixed seed costs scalings, not factorizations.
 //!
 //! **Gate 7 — incremental edit vs full re-prepare:** opens an
 //! [`EditSession`] on the refined Barberá grid with a probe rod
@@ -243,9 +243,10 @@ fn main() {
     //
     // A 16-scenario GPR sweep answered through one staged study must be
     // at least `--sweep-speedup`× faster than 16 fresh prepare-and-solve
-    // runs: the staged path pays matrix generation + factorization once,
-    // the per-scenario loop pays them per scenario. Cholesky keeps the retained
-    // factor on the direct path (the staged API's headline case).
+    // runs: the staged path pays one assembly, one factorization and one
+    // back-substitution, then 16 scalings of that unit solution; the
+    // per-scenario loop pays all three per scenario. Cholesky keeps the
+    // retained factor on the direct path (the staged API's headline case).
     const SWEEP_SCENARIOS: usize = 16;
     let schedule = Schedule::dynamic(1);
     let base = SolveOptions {
@@ -304,6 +305,10 @@ fn main() {
         assert_eq!(
             profile.factorizations, 1,
             "staged sweep must factorize once"
+        );
+        assert_eq!(
+            profile.unit_solves, 1,
+            "staged sweep must back-substitute once"
         );
         best_prepare = best_prepare.min(t0.elapsed().as_secs_f64());
 
@@ -656,9 +661,9 @@ fn main() {
     // The serving claim, measured on the served path: the one executor
     // drawing its studies from a `Service`'s keyed cache, exactly as the
     // `solve` wire op does. The first request for a study pays assembly +
-    // factorization + the scenario sweep (a miss), every further request
-    // for the same key answers from the resident factors with O(N²)
-    // back-substitutions only (a hit). Run on the refined Barberá grid
+    // factorization + the unit solve + the scenario sweep (a miss), every
+    // further request for the same key scales the resident unit solution,
+    // O(N) per scenario (a hit). Run on the refined Barberá grid
     // (the largest in-repo discretization, where the O(N³) cold cost is
     // unambiguous) with Cholesky — the retained-factor headline case.
     let sgrid = "Barbera refined";

@@ -464,6 +464,12 @@ impl Study {
             ));
         }
         let MeshDelta { new_mesh, kind } = delta;
+        // Anything but a no-op is about to change the engine — and a moved
+        // edit can fail after its factor is already poisoned — so the
+        // unit solution is retired before dispatch, never after.
+        if kind != DeltaKind::Unchanged {
+            self.retire_unit_solution();
+        }
         match kind {
             DeltaKind::Unchanged => {
                 self.spent.edits += 1;

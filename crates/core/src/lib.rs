@@ -22,8 +22,8 @@
 //!   leakage distribution, total current, equivalent resistance out.
 //! * [`study`] — the staged scenario API: [`system::GroundingSystem::prepare`]
 //!   assembles and factorizes **once**, the returned [`study::Study`]
-//!   answers GPR / fault-current scenarios at back-substitution cost,
-//!   bit-identical to independent per-scenario prepares.
+//!   solves for unit GPR once and answers GPR / fault-current scenarios
+//!   by scaling that, bit-identical to independent per-scenario prepares.
 //! * [`incremental`] — interactive editing: mesh diffs, touched-pair
 //!   re-integration and rank-`2m` Cholesky update/downdate, so a CAD
 //!   edit costs `O(m·M)` kernel work instead of a fresh `O(M²)` assembly.

@@ -13,11 +13,11 @@
 //!    a reusable [`Study`] that owns the retained
 //!    [`CholeskyFactor`]/[`LuFactor`]/PCG operator state.
 //! 2. [`Study::solve`] / [`Study::solve_batch`] then answer
-//!    [`Scenario`]s — prescribed GPR or prescribed fault current — at
-//!    `O(N²)` back-substitution cost each, pool-parallel over scenarios
-//!    through the multi-RHS
-//!    [`solve_many`](layerbem_numeric::CholeskyFactor::solve_many)
-//!    kernels, and **bit-identical** to what N independent
+//!    [`Scenario`]s — prescribed GPR or prescribed fault current. The
+//!    problem is linear, so the study solves its system **once**, for
+//!    unit GPR (one back-substitution or one PCG run, on the first
+//!    question asked), keeps that solution, and every scenario is an
+//!    `O(N)` scaling of it — **bit-identical** to what N independent
 //!    `prepare()` + [`Study::solve`] runs would have produced.
 //!
 //! Every failure on this path is a typed error ([`PrepareError`],
@@ -43,7 +43,7 @@
 //!
 //! // Assemble + factorize once…
 //! let study = system.prepare().expect("well-posed BEM system");
-//! // …then sweep scenarios at back-substitution cost.
+//! // …then sweep scenarios: one unit solve, a scaling per scenario.
 //! let sweep = study
 //!     .solve_batch(&[
 //!         Scenario::gpr(5_000.0),
@@ -57,12 +57,13 @@
 
 use std::borrow::Cow;
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::OnceLock;
 use std::time::Instant;
 
 use layerbem_numeric::cholesky::{CholeskyFactor, NotPositiveDefinite};
 use layerbem_numeric::lu::{LuFactor, SingularMatrix};
 use layerbem_numeric::pcg::{pcg_solve, PcgOptions, PooledSymOperator};
-use layerbem_numeric::{AcaError, HMatrix, SymMatrix};
+use layerbem_numeric::{AcaError, DenseMatrix, HMatrix, SymMatrix, DEFAULT_FACTOR_BLOCK};
 
 use crate::assembly::{
     assemble_collocation, assemble_hierarchical, galerkin_rhs, AssemblyCost, AssemblyReport,
@@ -234,10 +235,10 @@ impl std::error::Error for SolveError {}
 /// Phase instrumentation of a [`Study`]: what `prepare` (and any edits
 /// since) paid, and how many scenarios that investment has served so far.
 ///
-/// A scenario sweep through one `Study` shows `assembly.assemblies == 1`
-/// and `factorizations <= 1` no matter how many solves follow. Profiles
-/// add with `+=` (and `sum()`), so a soil sweep or design search reports
-/// the total over its studies.
+/// A scenario sweep through one `Study` shows `assembly.assemblies == 1`,
+/// `factorizations <= 1` and `unit_solves == 1` no matter how many
+/// scenarios follow. Profiles add with `+=` (and `sum()`), so a soil
+/// sweep or design search reports the total over its studies.
 #[derive(Clone, Copy, Debug, Default, PartialEq)]
 pub struct StudyProfile {
     /// What matrix generation cost, summed over every full assembly
@@ -250,6 +251,10 @@ pub struct StudyProfile {
     pub factorizations: usize,
     /// Wall-clock seconds of those factorizations (0 for PCG).
     pub factor_seconds: f64,
+    /// Engine solves paid (a back-substitution or a PCG run for unit
+    /// GPR): at most 1 per prepare plus 1 per edit that changed the
+    /// system, however many scenarios were scaled from them.
+    pub unit_solves: usize,
     /// Scenario solves served since `prepare`.
     pub scenario_solves: usize,
     /// Incremental edits applied through [`Study::apply_edit`] (0 for
@@ -268,6 +273,7 @@ impl std::ops::AddAssign for StudyProfile {
         self.assembly += other.assembly;
         self.factorizations += other.factorizations;
         self.factor_seconds += other.factor_seconds;
+        self.unit_solves += other.unit_solves;
         self.scenario_solves += other.scenario_solves;
         self.edits += other.edits;
         self.reintegrate += other.reintegrate;
@@ -292,14 +298,26 @@ pub(crate) enum Engine {
     Cholesky(CholeskyFactor),
     /// Pivoted LU of the dense (Galerkin-expanded or collocation) matrix.
     Lu(LuFactor),
-    /// The assembled Galerkin operator, retained for per-scenario PCG
-    /// (diagonal preconditioner and pooled matvec are rebuilt per solve;
-    /// both are deterministic, so repeated solves are bit-identical).
+    /// The assembled Galerkin operator, retained for the unit-GPR PCG
+    /// run (diagonal preconditioner and pooled matvec are built for that
+    /// run; both are deterministic, so every study of one system reaches
+    /// the same bits).
     Pcg(SymMatrix),
     /// The compressed Galerkin operator (near-dense + ACA far blocks),
-    /// retained for per-scenario PCG through the same `LinearOperator`
-    /// trait the dense engine uses.
+    /// retained for the unit-GPR PCG run through the same
+    /// `LinearOperator` trait the dense engine uses.
     Hierarchical(HMatrix),
+}
+
+/// The unit-GPR solution every scenario is a scaling of.
+#[derive(Clone)]
+struct UnitSolution {
+    /// Leakage density at unit GPR (the engine's solve of `rhs`).
+    q: Vec<f64>,
+    /// Total current leaked at unit GPR, `IΓ = Σ qᵢνᵢ` (positive).
+    i_unit: f64,
+    /// Iterations the engine took (0 for the direct engines).
+    iterations: usize,
 }
 
 /// A prepared grounding study: the assembled-and-factorized system of one
@@ -323,9 +341,14 @@ pub struct Study {
     pub(crate) column_seconds: Vec<f64>,
     pub(crate) column_terms: Vec<u64>,
     /// What this study has paid so far, stored once; `scenario_solves`
-    /// stays 0 here and is read from `solves` by [`Study::profile`].
+    /// stays 0 here and is read from `solves` by [`Study::profile`], and
+    /// `unit_solves` counts only the memos edits have retired.
     pub(crate) spent: StudyProfile,
     pub(crate) solves: AtomicUsize,
+    /// The unit-GPR solve of the current engine, paid by the first
+    /// scenario asked and kept (a deterministic failure included) until
+    /// [`Study::apply_edit`] changes the system.
+    unit: OnceLock<Result<UnitSolution, SolveError>>,
     /// Incremental-edit state ([`crate::incremental`]): the retained
     /// mesh, kernel and (for the direct engine) assembled operator that
     /// [`Study::apply_edit`] diffs and scatters into. `None` for studies
@@ -374,11 +397,7 @@ impl Study {
                 let (c, rhs, cost) = assemble_collocation(system.mesh(), system.kernel(), &opts);
                 let nu = galerkin_rhs(system.mesh());
                 Study::assembled(opts, cost, rhs, nu, (Vec::new(), Vec::new()), || {
-                    let f = match opts.parallelism {
-                        Some(par) => LuFactor::factor_pooled(&c, &par.pool, par.schedule),
-                        None => LuFactor::factor(&c),
-                    }?;
-                    Ok((Engine::Lu(f), 1))
+                    Ok((Engine::Lu(Study::lu_factor(&opts, c)?), 1))
                 })
             }
             (Formulation::Collocation, OperatorBackend::Hierarchical { .. }) => {
@@ -416,6 +435,7 @@ impl Study {
                 ..StudyProfile::default()
             },
             solves: AtomicUsize::new(0),
+            unit: OnceLock::new(),
             edit: None,
         })
     }
@@ -459,10 +479,10 @@ impl Study {
         Ok((study, retained))
     }
 
-    /// Builds the retained engine from a Galerkin matrix. The direct
-    /// solvers only read the matrix (owned input is dropped after
-    /// factoring — no transient copy either way); the PCG engine keeps
-    /// it, taking ownership or cloning as the `Cow` dictates.
+    /// Builds the retained engine from a Galerkin matrix. An owned
+    /// matrix becomes the engine — kept by PCG, overwritten with its own
+    /// factor by Cholesky — so operator and factor are never resident
+    /// side by side; a borrowed one is cloned once for the same step.
     pub(crate) fn galerkin_engine(
         opts: &SolveOptions,
         matrix: Cow<'_, SymMatrix>,
@@ -470,21 +490,30 @@ impl Study {
         Ok(match opts.solver {
             SolverChoice::ConjugateGradient => (Engine::Pcg(matrix.into_owned()), 0),
             SolverChoice::Cholesky => {
+                let a = matrix.into_owned();
                 let f = match opts.parallelism {
-                    Some(par) => CholeskyFactor::factor_pooled(&matrix, &par.pool, par.schedule),
-                    None => CholeskyFactor::factor(&matrix),
+                    Some(par) => CholeskyFactor::factor_pooled_in_place(
+                        a,
+                        &par.pool,
+                        par.schedule,
+                        DEFAULT_FACTOR_BLOCK,
+                    ),
+                    None => CholeskyFactor::factor_in_place(a),
                 }?;
                 (Engine::Cholesky(f), 1)
             }
-            SolverChoice::Lu => {
-                let dense = matrix.to_dense();
-                let f = match opts.parallelism {
-                    Some(par) => LuFactor::factor_pooled(&dense, &par.pool, par.schedule),
-                    None => LuFactor::factor(&dense),
-                }?;
-                (Engine::Lu(f), 1)
-            }
+            SolverChoice::Lu => (Engine::Lu(Study::lu_factor(opts, matrix.to_dense())?), 1),
         })
+    }
+
+    /// Pivoted LU of a dense matrix the study owns, factored in place.
+    fn lu_factor(opts: &SolveOptions, a: DenseMatrix) -> Result<LuFactor, SingularMatrix> {
+        match opts.parallelism {
+            Some(par) => {
+                LuFactor::factor_pooled_in_place(a, &par.pool, par.schedule, DEFAULT_FACTOR_BLOCK)
+            }
+            None => LuFactor::factor_in_place(a),
+        }
     }
 
     /// Degrees of freedom of the prepared system.
@@ -497,11 +526,14 @@ impl Study {
     /// retained engine (packed Cholesky triangle `8·N(N+1)/2`, dense LU
     /// `8·N²` plus its pivot permutation, the packed PCG operator, or the
     /// hierarchical backend's exact compressed footprint) plus the
-    /// right-hand-side and weight vectors. The per-column instrumentation
-    /// profiles are excluded: they are diagnostics, not factors, and
-    /// scale as O(N) next to the O(N²) engine.
+    /// right-hand-side, weight and unit-solution vectors. The unit
+    /// solution is counted from construction on, solved yet or not, so
+    /// the figure a cache charged at insert stays exact when the first
+    /// request fills it. The per-column instrumentation profiles are
+    /// excluded: they are diagnostics, not factors, and scale as O(N)
+    /// next to the O(N²) engine.
     pub fn resident_bytes(&self) -> usize {
-        let vectors = 8 * (self.rhs.len() + self.nu.len());
+        let vectors = 8 * (self.rhs.len() + self.nu.len() + self.dof());
         let engine = match &self.engine {
             Engine::Cholesky(f) => 8 * f.packed_l().len(),
             Engine::Lu(f) => 8 * f.lu_entries().len() + std::mem::size_of_val(f.permutation()),
@@ -526,9 +558,10 @@ impl Study {
 
     /// An immutable snapshot of this study with the incremental-edit
     /// state dropped: the form a serving cache shares behind an `Arc`
-    /// after a session finishes editing. The engine, right-hand side and
-    /// instrumentation are cloned as-is (solutions bit-identical to the
-    /// edited original); the retained mesh/operator stays with the
+    /// after a session finishes editing. The engine, right-hand side,
+    /// unit solution (if already solved) and instrumentation are cloned
+    /// as-is (solutions bit-identical to the edited original, the first
+    /// one already a scaling); the retained mesh/operator stays with the
     /// private editable handle, so the snapshot's
     /// [`resident_bytes`](Self::resident_bytes) drops back to the
     /// ordinary engine formula.
@@ -542,6 +575,7 @@ impl Study {
             column_terms: self.column_terms.clone(),
             spent: self.spent,
             solves: AtomicUsize::new(self.solves.load(Ordering::Relaxed)),
+            unit: self.unit.clone(),
             edit: None,
         }
     }
@@ -567,76 +601,69 @@ impl Study {
     /// What this study paid and how many scenarios it has served.
     pub fn profile(&self) -> StudyProfile {
         StudyProfile {
+            unit_solves: self.spent.unit_solves + usize::from(self.unit.get().is_some()),
             scenario_solves: self.solves.load(Ordering::Relaxed),
             ..self.spent
         }
     }
 
-    /// Answers one scenario at `O(N²)` back-substitution cost (one PCG
-    /// run for the iterative engine).
+    /// Answers one scenario as an `O(N)` scaling of the study's unit-GPR
+    /// solution, which the first question asked of a study pays for (one
+    /// back-substitution, or one PCG run on the iterative engines) and
+    /// every later one — from any thread — reuses.
     ///
     /// The result is **bit-identical** to a fresh `prepare()` + `solve`
     /// of the same question, and to the same scenario's entry in a
-    /// [`solve_batch`](Self::solve_batch).
+    /// [`solve_batch`](Self::solve_batch). A unit solve that fails
+    /// (`IterationLimit`, `NonPositiveCurrent`) is deterministic, so its
+    /// error is kept and returned without running again.
     pub fn solve(&self, scenario: &Scenario) -> Result<GroundingSolution, SolveError> {
-        // Validate before paying the backsolve: an invalid drive must not
-        // cost O(N²) work or count as a served scenario.
-        if !scenario.is_valid() {
-            return Err(SolveError::NonPositiveDrive {
-                scenario: *scenario,
-            });
-        }
-        let (q_unit, iterations) = self.solve_unit()?;
-        let solution = self.package(q_unit, scenario, iterations)?;
+        // Validate first: an invalid drive must not cost the unit solve
+        // or count as a served scenario.
+        Scenario::validate(std::slice::from_ref(scenario))?;
+        let solution = self.unit_solution()?.scaled_to(scenario);
         // Count only successfully served scenarios.
         self.solves.fetch_add(1, Ordering::Relaxed);
         Ok(solution)
     }
 
-    /// Answers a whole scenario sweep from the single retained
-    /// factorization: one multi-RHS
-    /// [`solve_many`](CholeskyFactor::solve_many) call — pool-parallel
-    /// over the scenario columns when parallelism is configured — then a
-    /// per-scenario scaling.
+    /// Answers a whole scenario sweep: [`solve`](Self::solve) per
+    /// scenario, so at most one engine solve however long the sweep.
     ///
-    /// Solutions are **bit-identical** to calling [`solve`](Self::solve)
-    /// per scenario, serial and pooled; the first invalid scenario
-    /// aborts the batch with its error.
+    /// The first invalid scenario aborts the batch with its error before
+    /// anything is solved or counted.
     pub fn solve_batch(
         &self,
         scenarios: &[Scenario],
     ) -> Result<Vec<GroundingSolution>, SolveError> {
-        // Validate the whole sweep before solving anything: one bad
-        // scenario must not cost a multi-RHS solve.
         Scenario::validate(scenarios)?;
-        match &self.engine {
-            Engine::Pcg(_) | Engine::Hierarchical(_) => {
-                scenarios.iter().map(|s| self.solve(s)).collect()
+        scenarios.iter().map(|s| self.solve(s)).collect()
+    }
+
+    /// The unit-GPR solution of the current engine, solved on first use.
+    fn unit_solution(&self) -> Result<&UnitSolution, SolveError> {
+        let memo = self.unit.get_or_init(|| {
+            let (q, iterations) = self.solve_unit()?;
+            // IΓ = ∫ q dΓ = Σ_i q_i ∫ N_i = Σ_i q_i ν_i. NaN fails the
+            // comparison and is (correctly) reported as non-physical.
+            let i_unit: f64 = q.iter().zip(&self.nu).map(|(q, n)| q * n).sum();
+            if i_unit.partial_cmp(&0.0) != Some(std::cmp::Ordering::Greater) {
+                return Err(SolveError::NonPositiveCurrent { total: i_unit });
             }
-            direct => {
-                let cols = vec![self.rhs.clone(); scenarios.len()];
-                let units = match (direct, self.opts.parallelism) {
-                    (Engine::Cholesky(f), Some(par)) => {
-                        f.solve_many_pooled(&cols, &par.pool, par.schedule)
-                    }
-                    (Engine::Cholesky(f), None) => f.solve_many(&cols),
-                    (Engine::Lu(f), Some(par)) => {
-                        f.solve_many_pooled(&cols, &par.pool, par.schedule)
-                    }
-                    (Engine::Lu(f), None) => f.solve_many(&cols),
-                    (Engine::Pcg(_), _) | (Engine::Hierarchical(_), _) => {
-                        unreachable!("handled above")
-                    }
-                };
-                let solutions: Vec<GroundingSolution> = units
-                    .into_iter()
-                    .zip(scenarios)
-                    .map(|(q_unit, s)| self.package(q_unit, s, 0))
-                    .collect::<Result<_, _>>()?;
-                // Count only successfully served scenarios.
-                self.solves.fetch_add(solutions.len(), Ordering::Relaxed);
-                Ok(solutions)
-            }
+            Ok(UnitSolution {
+                q,
+                i_unit,
+                iterations,
+            })
+        });
+        memo.as_ref().map_err(|e| *e)
+    }
+
+    /// Drops the unit solution because the system it solved is about to
+    /// change, keeping the solve it cost on the books.
+    pub(crate) fn retire_unit_solution(&mut self) {
+        if self.unit.take().is_some() {
+            self.spent.unit_solves += 1;
         }
     }
 
@@ -687,67 +714,38 @@ impl Study {
             }
         }
     }
+}
 
-    /// Scales the unit-GPR solution to the scenario's drive.
-    fn package(
-        &self,
-        q_unit: Vec<f64>,
-        scenario: &Scenario,
-        iterations: usize,
-    ) -> Result<GroundingSolution, SolveError> {
-        if !scenario.is_valid() {
-            return Err(SolveError::NonPositiveDrive {
-                scenario: *scenario,
-            });
-        }
-        match *scenario {
-            Scenario::Gpr { volts } => self.package_gpr(q_unit, volts, iterations, *scenario),
+impl UnitSolution {
+    /// The scenario's answer: the unit solution times the GPR the
+    /// scenario prescribes or implies. Replies are pinned bit for bit, so
+    /// `gpr / (i_unit·gpr)` must not be simplified to `1 / i_unit`.
+    fn scaled_to(&self, scenario: &Scenario) -> GroundingSolution {
+        let resistance_at = |gpr: f64| gpr / (self.i_unit * gpr);
+        let (gpr, total_current, equivalent_resistance) = match *scenario {
+            Scenario::Gpr { volts } => (volts, self.i_unit * volts, resistance_at(volts)),
+            // The GPR that leaks exactly the prescribed current, by
+            // linearity from the unit-GPR answer.
             Scenario::FaultCurrent { amps } => {
-                // Answer the unit-GPR question, then scale to the GPR
-                // that leaks exactly the prescribed current.
-                let unit = self.package_gpr(q_unit, 1.0, iterations, *scenario)?;
-                let gpr = amps * unit.equivalent_resistance;
-                Ok(GroundingSolution {
-                    leakage: unit.leakage.iter().map(|q| q * gpr).collect(),
-                    gpr,
-                    total_current: amps,
-                    equivalent_resistance: unit.equivalent_resistance,
-                    solver_iterations: iterations,
-                    scenario: *scenario,
-                })
+                let req = resistance_at(1.0);
+                (amps * req, amps, req)
             }
-        }
-    }
-
-    fn package_gpr(
-        &self,
-        q_unit: Vec<f64>,
-        gpr: f64,
-        iterations: usize,
-        scenario: Scenario,
-    ) -> Result<GroundingSolution, SolveError> {
-        // IΓ = ∫ q dΓ = Σ_i q_i ∫ N_i = Σ_i q_i ν_i. NaN fails the
-        // comparison and is (correctly) reported as non-physical.
-        let i_unit: f64 = q_unit.iter().zip(&self.nu).map(|(q, n)| q * n).sum();
-        if i_unit.partial_cmp(&0.0) != Some(std::cmp::Ordering::Greater) {
-            return Err(SolveError::NonPositiveCurrent { total: i_unit });
-        }
-        let leakage: Vec<f64> = q_unit.iter().map(|q| q * gpr).collect();
-        Ok(GroundingSolution {
-            leakage,
+        };
+        GroundingSolution {
+            leakage: self.q.iter().map(|q| q * gpr).collect(),
             gpr,
-            total_current: i_unit * gpr,
-            equivalent_resistance: gpr / (i_unit * gpr),
-            solver_iterations: iterations,
-            scenario,
-        })
+            total_current,
+            equivalent_resistance,
+            solver_iterations: self.iterations,
+            scenario: *scenario,
+        }
     }
 }
 
 /// Compile-time guarantee that prepared studies may be shared across
 /// server threads behind an `Arc`: every engine variant is immutable
 /// after prepare and the only interior mutability is the atomic solve
-/// counter. If a future engine smuggles in a non-`Sync` member (an `Rc`,
+/// counter and the write-once unit solution. If a future engine smuggles in a non-`Sync` member (an `Rc`,
 /// a raw pointer, a `RefCell`), this stops compiling — the serving layer
 /// finds out at build time, not as a data race.
 const _: () = {
@@ -787,24 +785,121 @@ mod tests {
         )
     }
 
+    /// One system per engine: PCG, Cholesky and LU on the dense Galerkin
+    /// operator, LU on the collocation matrix, PCG on the compressed one.
+    fn every_engine() -> Vec<GroundingSystem> {
+        let hier = OperatorBackend::Hierarchical {
+            tol: 1e-8,
+            leaf_size: 4,
+        };
+        [
+            SolveOptions::default(),
+            SolveOptions {
+                solver: SolverChoice::Cholesky,
+                ..Default::default()
+            },
+            SolveOptions {
+                solver: SolverChoice::Lu,
+                ..Default::default()
+            },
+            SolveOptions {
+                formulation: Formulation::Collocation,
+                ..Default::default()
+            },
+            SolveOptions::default().with_backend(hier),
+        ]
+        .into_iter()
+        .map(|opts| GroundingSystem::new(rod_mesh(24), &SoilModel::uniform(0.016), opts))
+        .collect()
+    }
+
+    fn assert_same_bits(a: &GroundingSolution, b: &GroundingSolution, what: &str) {
+        assert_eq!(a.leakage, b.leakage, "{what}");
+        assert_eq!(a.gpr, b.gpr, "{what}");
+        assert_eq!(a.total_current, b.total_current, "{what}");
+        assert_eq!(a.equivalent_resistance, b.equivalent_resistance, "{what}");
+        assert_eq!(a.solver_iterations, b.solver_iterations, "{what}");
+        assert_eq!(a.scenario, b.scenario, "{what}");
+    }
+
     #[test]
     fn staged_solutions_match_legacy_solves_bitwise() {
-        for solver in [
-            SolverChoice::ConjugateGradient,
-            SolverChoice::Cholesky,
-            SolverChoice::Lu,
-        ] {
-            let sys = system(solver);
-            let study = sys.prepare().expect("prepare");
-            for s in [1.0, 2_500.0, 10_000.0].map(Scenario::gpr) {
-                let legacy = sys.prepare().expect("prepare").solve(&s).expect("solve");
-                let staged = study.solve(&s).expect("solve");
-                assert_eq!(legacy.leakage, staged.leakage, "{solver:?} {s}");
-                assert_eq!(legacy.total_current, staged.total_current);
-                assert_eq!(legacy.equivalent_resistance, staged.equivalent_resistance);
-                assert_eq!(legacy.solver_iterations, staged.solver_iterations);
+        let scenarios: Vec<Scenario> = (1..=32)
+            .map(|i| match i % 3 {
+                0 => Scenario::fault_current(1_250.0 * i as f64),
+                _ => Scenario::gpr(312.5 * i as f64),
+            })
+            .collect();
+        for sys in every_engine() {
+            let what = format!("{:?}", sys.options());
+            // One study asked 32 questions at once, one asked them one by
+            // one: each pays a single engine solve…
+            let batched = sys.prepare().expect("prepare");
+            assert_eq!(batched.profile().unit_solves, 0, "{what}: solved lazily");
+            let batch = batched.solve_batch(&scenarios).expect("batch");
+            let single = sys.prepare().expect("prepare");
+            for (s, from_batch) in scenarios.iter().zip(&batch) {
+                // …and answers with the bits of a study prepared for that
+                // question alone.
+                let legacy = sys.prepare().expect("prepare").solve(s).expect("solve");
+                assert_same_bits(&legacy, from_batch, &what);
+                assert_same_bits(&legacy, &single.solve(s).expect("solve"), &what);
+            }
+            for study in [&batched, &single] {
+                let p = study.profile();
+                assert_eq!((p.unit_solves, p.scenario_solves), (1, 32), "{what}");
             }
         }
+    }
+
+    #[test]
+    fn concurrent_first_solves_share_one_unit_solve() {
+        use std::sync::{Arc, Barrier};
+        // Eight threads race for the first question of a fresh PCG study:
+        // one runs the Krylov solve, the rest wait for it and scale.
+        let sys = system(SolverChoice::ConjugateGradient);
+        let study = Arc::new(sys.prepare().expect("prepare"));
+        let s = Scenario::fault_current(25_000.0);
+        let barrier = Arc::new(Barrier::new(8));
+        let handles: Vec<_> = (0..8)
+            .map(|_| {
+                let (study, barrier) = (Arc::clone(&study), Arc::clone(&barrier));
+                std::thread::spawn(move || {
+                    barrier.wait();
+                    study.solve(&s).expect("solve")
+                })
+            })
+            .collect();
+        let expected = sys.prepare().expect("prepare").solve(&s).expect("solve");
+        for h in handles {
+            assert_same_bits(&h.join().expect("thread"), &expected, "racing solve");
+        }
+        let p = study.profile();
+        assert_eq!((p.unit_solves, p.scenario_solves), (1, 8));
+    }
+
+    #[test]
+    fn a_failed_unit_solve_is_kept_not_rerun() {
+        // An unreachable tolerance: PCG gives up, deterministically.
+        let opts = SolveOptions {
+            cg_rel_tol: 1e-300,
+            ..Default::default()
+        };
+        let study = GroundingSystem::new(rod_mesh(24), &SoilModel::uniform(0.016), opts)
+            .prepare()
+            .expect("prepare");
+        let first = study
+            .solve(&Scenario::gpr(1.0))
+            .expect_err("cannot converge");
+        assert!(
+            matches!(first, SolveError::IterationLimit { .. }),
+            "{first}"
+        );
+        assert_eq!(study.solve(&Scenario::gpr(2.0)).err(), Some(first));
+        let sweep = [Scenario::gpr(3.0), Scenario::fault_current(4.0)];
+        assert_eq!(study.solve_batch(&sweep).map(|v| v.len()), Err(first));
+        let p = study.profile();
+        assert_eq!((p.unit_solves, p.scenario_solves), (1, 0));
     }
 
     #[test]
@@ -1123,7 +1218,10 @@ mod tests {
     fn resident_bytes_match_the_engine_formulas() {
         let n = system(SolverChoice::Cholesky).prepare().expect("prepare");
         let dof = n.dof();
-        let vectors = 8 * 2 * dof;
+        // Right-hand side, weights and the unit solution — the last one
+        // counted whether or not it has been solved yet, so a cache that
+        // charged the study at insert stays exact.
+        let vectors = 8 * 3 * dof;
         // Cholesky and PCG both keep one packed triangle.
         let packed = 8 * dof * (dof + 1) / 2;
         assert_eq!(n.resident_bytes(), packed + vectors);
@@ -1137,6 +1235,12 @@ mod tests {
             lu.resident_bytes(),
             8 * dof * dof + std::mem::size_of::<usize>() * dof + vectors
         );
+        for study in [n, pcg, lu] {
+            let before = study.resident_bytes();
+            study.solve(&Scenario::gpr(1.0)).expect("solve");
+            assert_eq!(study.resident_bytes(), before);
+            assert_eq!(study.frozen_clone().resident_bytes(), before);
+        }
     }
 
     #[test]
@@ -1155,7 +1259,7 @@ mod tests {
             .assembly
             .compression
             .expect("compression stats");
-        let vectors = 8 * 2 * study.dof();
+        let vectors = 8 * 3 * study.dof();
         assert_eq!(study.resident_bytes(), stats.resident_bytes + vectors);
         assert!(study.resident_bytes() > 0);
     }

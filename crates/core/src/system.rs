@@ -113,7 +113,7 @@ impl GroundingSystem {
 
     /// Assembles **and** factorizes the system once, returning a
     /// reusable [`Study`] that answers any number of
-    /// [`Scenario`]s at back-substitution cost.
+    /// [`Scenario`]s from one unit-GPR solve.
     ///
     /// [`SolveOptions::parallelism`] alone decides who computes: with it
     /// set, matrix generation runs the pooled worklist engine and the

@@ -8,8 +8,8 @@
 //! module makes those questions first-class values:
 //!
 //! * [`Workload::Scenarios`] — the classic path: explicit scenarios, one
-//!   prepare, multi-RHS solves. Deck `scenario` stanzas and the CLI's
-//!   `--gpr-sweep` are thin constructors over it.
+//!   prepare, one unit solve, a scaling each. Deck `scenario` stanzas and
+//!   the CLI's `--gpr-sweep` are thin constructors over it.
 //! * [`Workload::SoilSweep`] — Monte-Carlo over soil uncertainty:
 //!   [`sample_soils`] draws `N` log-normally perturbed soil models from
 //!   a seeded, dependency-free RNG ([`Xoshiro256StarStar`]); each sample
@@ -781,7 +781,7 @@ fn touch_probe_centres(base: &RectGridSpec, nx: usize, ny: usize) -> Vec<Point3>
 
 /// Runs a safety-driven design search: each candidate pitch becomes a
 /// rectangular grid, prepared **once** and reused across every candidate
-/// fault current via multi-RHS `solve_batch`; touch/step voltages are
+/// fault current via `solve_batch`; touch/step voltages are
 /// probed at the worst-case mesh centres and a 1 m-spaced step walk off
 /// the grid corner, scored against `spec.criteria`, and the Pareto front
 /// of copper mass vs. safety utilization is marked.

@@ -11,9 +11,12 @@
 //! 1–8 threads.
 
 use layerbem_core::{
-    ConductorEnd, EditOp, EditPath, EditSession, Scenario, SolveOptions, SolverChoice,
+    ConductorEnd, EditError, EditOp, EditPath, EditSession, GroundingSystem, Scenario,
+    SolveOptions, SolverChoice,
 };
-use layerbem_geometry::{conductor::ground_rod, grids, ConductorNetwork, MeshOptions, Point3};
+use layerbem_geometry::{
+    conductor::ground_rod, grids, ConductorNetwork, MeshOptions, Mesher, Point3,
+};
 use layerbem_parfor::{Schedule, ThreadPool};
 use layerbem_soil::SoilModel;
 
@@ -134,5 +137,132 @@ fn pcg_sessions_are_bitwise_deterministic_too() {
         let (bits, p) = run(opts);
         assert_eq!(p, paths, "paths diverged: {threads} threads");
         assert_eq!(bits, reference, "PCG bits diverged: {threads} threads");
+    }
+}
+
+fn cholesky() -> SolveOptions {
+    SolveOptions {
+        solver: SolverChoice::Cholesky,
+        ..Default::default()
+    }
+}
+
+/// A study keeps its unit-GPR solution between questions; every edit
+/// route that changes the system must retire it, or the next answer
+/// would be the pre-edit one.
+#[test]
+fn answers_follow_every_edit_route() {
+    let soil = SoilModel::uniform(0.016);
+    let s = Scenario::fault_current(25_000.0);
+    // The shared network plus a long centre rod: four elements, so moving
+    // its free end touches more rows than the rank-update route accepts.
+    let mut net = network();
+    let rod0 = net.len() - 2;
+    let long = net.len();
+    net.add(ground_rod(Point3::new(6.0, 6.0, 0.6), 10.0, 0.007));
+    let routes = [
+        (
+            EditOp::MoveEnd {
+                index: rod0,
+                end: ConductorEnd::B,
+                delta: [0.0, 0.0, 0.2],
+            },
+            EditPath::Incremental,
+        ),
+        (
+            EditOp::MoveEnd {
+                index: long,
+                end: ConductorEnd::B,
+                delta: [0.0, 0.0, 0.5],
+            },
+            EditPath::Refactor,
+        ),
+        (
+            EditOp::Add {
+                conductor: ground_rod(Point3::new(12.0, 0.0, 0.6), 1.5, 0.007),
+            },
+            EditPath::Rebuild,
+        ),
+    ];
+    let rel = |a: f64, b: f64| (a - b).abs() / b.abs();
+    for opts in [cholesky(), SolveOptions::default()] {
+        let mut session = EditSession::open(net.clone(), &soil, mesh_opts(), opts).expect("open");
+        let mut before = session.study().solve(&s).expect("solve");
+        for (edits, (op, path)) in routes.iter().enumerate() {
+            let report = session.apply(op).expect("edit");
+            if opts.solver == SolverChoice::Cholesky {
+                assert_eq!(report.path, *path);
+            }
+            let after = session.study().solve(&s).expect("solve");
+            let mesh = Mesher::new(mesh_opts()).mesh(session.network());
+            let fresh = GroundingSystem::new(mesh, &soil, opts)
+                .prepare()
+                .expect("prepare")
+                .solve(&s)
+                .expect("solve");
+            assert!(rel(after.gpr, fresh.gpr) <= 1e-8, "{path:?}: GPR");
+            assert!(
+                rel(after.equivalent_resistance, fresh.equivalent_resistance) <= 1e-8,
+                "{path:?}: Req"
+            );
+            assert_ne!(after.gpr, before.gpr, "{path:?}: the pre-edit answer");
+            assert_ne!(
+                after.leakage, before.leakage,
+                "{path:?}: the pre-edit answer"
+            );
+            // One engine solve at open, one more after each edit.
+            assert_eq!(session.study().profile().unit_solves, edits + 2, "{path:?}");
+            before = after;
+        }
+        // A no-op edit changes nothing, so it keeps the unit solution…
+        let noop = EditOp::Move {
+            index: rod0,
+            delta: [0.0; 3],
+        };
+        assert_eq!(session.apply(&noop).expect("edit").path, EditPath::Noop);
+        let again = session.study().solve(&s).expect("solve");
+        assert_eq!(again.leakage, before.leakage);
+        assert_eq!(session.study().profile().unit_solves, routes.len() + 1);
+        // …and a frozen snapshot of a solved study carries it along.
+        let frozen = session.study().frozen_clone();
+        assert_eq!(frozen.solve(&s).expect("solve").leakage, before.leakage);
+        assert_eq!(frozen.profile().unit_solves, routes.len() + 1);
+    }
+}
+
+/// A moved edit that fails has already touched the factor: whatever the
+/// next question gets, it must not be the pre-edit answer served from a
+/// unit solution that outlived its system.
+#[test]
+fn a_failed_edit_does_not_leave_the_old_answer_behind() {
+    use layerbem_geometry::Conductor;
+    let soil = SoilModel::uniform(0.016);
+    let s = Scenario::gpr(10_000.0);
+    // A thick slanted rod hangs from the same corner node as the first
+    // thin vertical one (whose free end is at depth 2.1).
+    let mut net = network();
+    let thick = net.len();
+    net.add(Conductor::new(
+        Point3::new(0.0, 0.0, 0.6),
+        Point3::new(1.5, 0.0, 1.5),
+        0.1,
+    ));
+    let mut session = EditSession::open(net, &soil, mesh_opts(), cholesky()).expect("open");
+    let before = session.study().solve(&s).expect("solve");
+    // Swing it to within a millimetre of the thin rod: the free ends stay
+    // distinct nodes (a moved edit), but the thin-wire coupling of the
+    // two now exceeds the thick rod's self term — no longer positive
+    // definite, so the rank update and the refactorization both refuse.
+    let fold = EditOp::MoveEnd {
+        index: thick,
+        end: ConductorEnd::B,
+        delta: [-1.499, 0.0, 0.6],
+    };
+    let err = session.apply(&fold).expect_err("not factorizable");
+    assert!(matches!(err, EditError::Prepare(_)), "{err}");
+    assert_eq!(session.study().profile().edits, 1, "failed past the diff");
+    if let Ok(after) = session.study().solve(&s) {
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_ne!(bits(&after.leakage), bits(&before.leakage));
     }
 }

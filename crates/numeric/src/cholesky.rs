@@ -59,8 +59,15 @@ impl CholeskyFactor {
     /// Returns an error identifying the first non-positive pivot when the
     /// matrix is not positive definite.
     pub fn factor(a: &SymMatrix) -> Result<Self, NotPositiveDefinite> {
+        Self::factor_in_place(a.clone())
+    }
+
+    /// [`factor`](Self::factor) of a matrix the caller gives up: its
+    /// packed triangle is overwritten with `L`, so the operator and its
+    /// factor are never resident side by side.
+    pub fn factor_in_place(a: SymMatrix) -> Result<Self, NotPositiveDefinite> {
         let n = a.order();
-        let mut l = a.packed().to_vec();
+        let mut l = a.into_packed();
         // Row-oriented packed Cholesky (Cholesky–Crout):
         //   l_ij = (a_ij − Σ_{k<j} l_ik l_jk) / l_jj   (j < i)
         //   l_ii = sqrt(a_ii − Σ_{k<i} l_ik²)
@@ -135,18 +142,30 @@ impl CholeskyFactor {
         schedule: Schedule,
         block: usize,
     ) -> Result<Self, NotPositiveDefinite> {
+        Self::factor_pooled_in_place(a.clone(), pool, schedule, block)
+    }
+
+    /// [`factor_pooled_blocked`](Self::factor_pooled_blocked) of a matrix
+    /// the caller gives up, overwritten with `L` like
+    /// [`factor_in_place`](Self::factor_in_place).
+    pub fn factor_pooled_in_place(
+        a: SymMatrix,
+        pool: &ThreadPool,
+        schedule: Schedule,
+        block: usize,
+    ) -> Result<Self, NotPositiveDefinite> {
         /// Trailing rows below which a panel's update runs inline.
         const PAR_CUTOFF: usize = 64;
 
         let n = a.order();
         if n < Self::SERIAL_CUTOFF || pool.threads() == 1 {
-            return Self::factor(a);
+            return Self::factor_in_place(a);
         }
         // Clamp to [1, n]: a wider panel than the matrix is already the
         // fully sequential degenerate case, and the cache below is sized
         // by the clamped width.
         let block = block.clamp(1, n);
-        let mut l = SymMatrix::from_packed(n, a.packed().to_vec());
+        let mut l = a;
         // Column-major cache of the finalized panel block l_ic (trailing
         // rows i, panel columns c): the strided packed-column reads happen
         // once per panel, and the parallel row updates then touch only
@@ -280,67 +299,6 @@ impl CholeskyFactor {
         x
     }
 
-    /// Solves `A·X = B` for many right-hand sides: element `i` of the
-    /// result is exactly [`solve`](Self::solve)`(rhs[i])`, in order.
-    ///
-    /// This is the multi-RHS kernel behind the staged scenario API: the
-    /// `O(N³)` factorization is paid once and every additional column
-    /// costs only the `O(N²)` forward/backward substitution.
-    ///
-    /// # Panics
-    /// Panics if any column's length differs from the matrix order.
-    pub fn solve_many(&self, rhs: &[Vec<f64>]) -> Vec<Vec<f64>> {
-        rhs.iter().map(|b| self.solve(b)).collect()
-    }
-
-    /// Multi-RHS solve with the columns distributed over the pool.
-    ///
-    /// The column range is cut into schedule-blocked chunks (the same
-    /// ownership-partition machinery as the factorizations: disjoint
-    /// `&mut` column blocks dispatched via
-    /// [`ThreadPool::scoped_partition`]) and every column is solved by
-    /// the identical serial substitution, so the result is
-    /// **bit-identical** to [`solve_many`](Self::solve_many) — and hence
-    /// to repeated single [`solve`](Self::solve) calls — for every
-    /// schedule and thread count. Single columns, 1-thread pools and
-    /// orders below [`SERIAL_CUTOFF`](Self::SERIAL_CUTOFF) run the
-    /// serial loop outright (a tiny backsolve never amortizes a region
-    /// launch).
-    ///
-    /// # Panics
-    /// Panics if any column's length differs from the matrix order.
-    pub fn solve_many_pooled(
-        &self,
-        rhs: &[Vec<f64>],
-        pool: &ThreadPool,
-        schedule: Schedule,
-    ) -> Vec<Vec<f64>> {
-        if rhs.len() < 2 || pool.threads() == 1 || self.n < Self::SERIAL_CUTOFF {
-            return self.solve_many(rhs);
-        }
-        for (i, b) in rhs.iter().enumerate() {
-            assert_eq!(b.len(), self.n, "solve_many: rhs column {i} length");
-        }
-        let cols = rhs.len();
-        let mut out: Vec<Vec<f64>> = rhs.to_vec();
-        // Same chunk floor as the pooled factorizations: partition
-        // bookkeeping stays O(threads) even under a `dynamic,1` request.
-        let step = schedule.with_min_chunk(cols.div_ceil(4 * pool.threads()));
-        let mut parts: Vec<&mut [Vec<f64>]> = Vec::new();
-        let mut rest = out.as_mut_slice();
-        for (a, b) in step.chunk_ranges(cols, pool.threads()) {
-            let (chunk, r) = rest.split_at_mut(b - a);
-            parts.push(chunk);
-            rest = r;
-        }
-        pool.scoped_partition(&mut parts, step.partition_dispatch(), |_, block| {
-            for col in block.iter_mut() {
-                self.solve_in_place(col);
-            }
-        });
-        out
-    }
-
     /// Log-determinant of `A` (`2·Σ ln l_ii`) — cheap once factorized, and
     /// a handy conditioning diagnostic for tests.
     pub fn log_det(&self) -> f64 {
@@ -469,6 +427,9 @@ mod tests {
     fn pooled_factor_is_bit_identical_to_crout_factor() {
         let a = spd_large(150);
         let crout = CholeskyFactor::factor(&a).unwrap();
+        // The by-value entries overwrite their argument with the same bits.
+        let owned = CholeskyFactor::factor_in_place(a.clone()).unwrap();
+        assert_eq!(owned.packed_l(), crout.packed_l());
         let pool = ThreadPool::new(4);
         for schedule in [
             Schedule::static_blocked(),
@@ -477,6 +438,14 @@ mod tests {
         ] {
             let pooled = CholeskyFactor::factor_pooled(&a, &pool, schedule).unwrap();
             assert_eq!(pooled.l, crout.l, "{}", schedule.label());
+            let owned = CholeskyFactor::factor_pooled_in_place(
+                a.clone(),
+                &pool,
+                schedule,
+                crate::DEFAULT_FACTOR_BLOCK,
+            )
+            .unwrap();
+            assert_eq!(owned.packed_l(), crout.packed_l(), "{}", schedule.label());
         }
     }
 
@@ -543,65 +512,6 @@ mod tests {
         for (u, v) in x.iter().zip(&x_true) {
             assert!(approx_eq(*u, *v, 1e-9));
         }
-    }
-
-    #[test]
-    fn solve_many_matches_repeated_single_solves_bitwise() {
-        let a = spd_large(60);
-        let cols: Vec<Vec<f64>> = (0..5)
-            .map(|c| {
-                (0..60)
-                    .map(|i| ((i * 7 + c * 13) % 11) as f64 - 5.0)
-                    .collect()
-            })
-            .collect();
-        let f = CholeskyFactor::factor(&a).unwrap();
-        let many = f.solve_many(&cols);
-        assert_eq!(many.len(), cols.len());
-        for (x, b) in many.iter().zip(&cols) {
-            assert_eq!(*x, f.solve(b));
-        }
-        assert!(f.solve_many(&[]).is_empty());
-    }
-
-    #[test]
-    fn pooled_solve_many_is_bit_identical_for_every_schedule() {
-        // Above SERIAL_CUTOFF so the parallel column dispatch actually
-        // runs; every schedule and thread count must reproduce the
-        // serial columns bit for bit.
-        let a = spd_large(CholeskyFactor::SERIAL_CUTOFF + 10);
-        let n = a.order();
-        let cols: Vec<Vec<f64>> = (0..7)
-            .map(|c| {
-                (0..n)
-                    .map(|i| ((i * 3 + c * 5) % 17) as f64 - 8.0)
-                    .collect()
-            })
-            .collect();
-        let f = CholeskyFactor::factor(&a).unwrap();
-        let serial = f.solve_many(&cols);
-        for threads in [2, 3, 8] {
-            let pool = ThreadPool::new(threads);
-            for schedule in [
-                Schedule::static_blocked(),
-                Schedule::dynamic(1),
-                Schedule::guided(2),
-            ] {
-                let pooled = f.solve_many_pooled(&cols, &pool, schedule);
-                assert_eq!(pooled, serial, "threads={threads} {}", schedule.label());
-            }
-        }
-    }
-
-    #[test]
-    fn pooled_solve_many_small_orders_take_the_serial_path() {
-        // Below the cutoff the pooled entry point pays no region launch
-        // and (trivially) matches the serial columns exactly.
-        let a = spd_large(40);
-        let cols: Vec<Vec<f64>> = (0..3).map(|c| vec![1.0 + c as f64; 40]).collect();
-        let f = CholeskyFactor::factor(&a).unwrap();
-        let pooled = f.solve_many_pooled(&cols, &ThreadPool::new(4), Schedule::dynamic(1));
-        assert_eq!(pooled, f.solve_many(&cols));
     }
 
     #[test]

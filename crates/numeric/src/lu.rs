@@ -59,9 +59,19 @@ impl LuFactor {
     /// # Panics
     /// Panics if the matrix is not square.
     pub fn factor(a: &DenseMatrix) -> Result<Self, SingularMatrix> {
+        Self::factor_in_place(a.clone())
+    }
+
+    /// [`factor`](Self::factor) of a matrix the caller gives up: its
+    /// buffer is overwritten with `L\U`, so the operator and its factor
+    /// are never resident side by side.
+    ///
+    /// # Panics
+    /// Panics if the matrix is not square.
+    pub fn factor_in_place(a: DenseMatrix) -> Result<Self, SingularMatrix> {
         assert_eq!(a.rows(), a.cols(), "LU requires a square matrix");
         let n = a.rows();
-        let mut lu = a.clone();
+        let mut lu = a;
         let mut perm: Vec<usize> = (0..n).collect();
         let mut perm_sign = 1.0;
 
@@ -158,16 +168,31 @@ impl LuFactor {
         schedule: Schedule,
         block: usize,
     ) -> Result<Self, SingularMatrix> {
+        Self::factor_pooled_in_place(a.clone(), pool, schedule, block)
+    }
+
+    /// [`factor_pooled_blocked`](Self::factor_pooled_blocked) of a matrix
+    /// the caller gives up, overwritten with `L\U` like
+    /// [`factor_in_place`](Self::factor_in_place).
+    ///
+    /// # Panics
+    /// Panics if the matrix is not square.
+    pub fn factor_pooled_in_place(
+        a: DenseMatrix,
+        pool: &ThreadPool,
+        schedule: Schedule,
+        block: usize,
+    ) -> Result<Self, SingularMatrix> {
         /// Rows below the panel under which the update runs inline.
         const PAR_CUTOFF: usize = 64;
 
         assert_eq!(a.rows(), a.cols(), "LU requires a square matrix");
         let n = a.rows();
         if n < Self::SERIAL_CUTOFF || pool.threads() == 1 {
-            return Self::factor(a);
+            return Self::factor_in_place(a);
         }
         let block = block.max(1);
-        let mut lu = a.clone();
+        let mut lu = a;
         let mut perm: Vec<usize> = (0..n).collect();
         let mut perm_sign = 1.0;
 
@@ -311,65 +336,6 @@ impl LuFactor {
         x
     }
 
-    /// Solves `A·X = B` for many right-hand sides: element `i` of the
-    /// result is exactly [`solve`](Self::solve)`(rhs[i])`, in order.
-    ///
-    /// The multi-RHS kernel behind the staged scenario API: the `O(N³)`
-    /// elimination is paid once and every additional column costs only
-    /// the `O(N²)` permuted forward/backward substitution.
-    ///
-    /// # Panics
-    /// Panics if any column's length differs from the matrix order.
-    pub fn solve_many(&self, rhs: &[Vec<f64>]) -> Vec<Vec<f64>> {
-        rhs.iter().map(|b| self.solve(b)).collect()
-    }
-
-    /// Multi-RHS solve with the columns distributed over the pool.
-    ///
-    /// Columns are cut into schedule-blocked chunks (disjoint `&mut`
-    /// blocks dispatched via [`ThreadPool::scoped_partition`], the same
-    /// ownership-partition machinery as the blocked factorizations) and
-    /// every column runs the identical serial substitution, so the
-    /// result is **bit-identical** to [`solve_many`](Self::solve_many) —
-    /// and hence to repeated single [`solve`](Self::solve) calls — for
-    /// every schedule and thread count. Single columns, 1-thread pools
-    /// and orders below [`SERIAL_CUTOFF`](Self::SERIAL_CUTOFF) run the
-    /// serial loop outright.
-    ///
-    /// # Panics
-    /// Panics if any column's length differs from the matrix order.
-    pub fn solve_many_pooled(
-        &self,
-        rhs: &[Vec<f64>],
-        pool: &ThreadPool,
-        schedule: Schedule,
-    ) -> Vec<Vec<f64>> {
-        if rhs.len() < 2 || pool.threads() == 1 || self.n < Self::SERIAL_CUTOFF {
-            return self.solve_many(rhs);
-        }
-        for (i, b) in rhs.iter().enumerate() {
-            assert_eq!(b.len(), self.n, "solve_many: rhs column {i} length");
-        }
-        let cols = rhs.len();
-        let mut out: Vec<Vec<f64>> = rhs.to_vec();
-        // Same chunk floor as the pooled factorizations: partition
-        // bookkeeping stays O(threads) even under a `dynamic,1` request.
-        let step = schedule.with_min_chunk(cols.div_ceil(4 * pool.threads()));
-        let mut parts: Vec<&mut [Vec<f64>]> = Vec::new();
-        let mut rest = out.as_mut_slice();
-        for (a, b) in step.chunk_ranges(cols, pool.threads()) {
-            let (chunk, r) = rest.split_at_mut(b - a);
-            parts.push(chunk);
-            rest = r;
-        }
-        pool.scoped_partition(&mut parts, step.partition_dispatch(), |_, block| {
-            for col in block.iter_mut() {
-                *col = self.solve(col);
-            }
-        });
-        out
-    }
-
     /// The combined `L\U` storage (strict lower triangle holds the
     /// multipliers of `L`, upper triangle holds `U`), row-major — exposed
     /// so cross-crate tests can compare factorizations bit for bit.
@@ -467,14 +433,18 @@ mod tests {
         use layerbem_parfor::{Schedule, ThreadPool};
         let a = random_matrix(130, 0xDEADBEEF);
         let serial = LuFactor::factor(&a).unwrap();
+        // The by-value entries overwrite their argument with the same bits.
+        let owned = LuFactor::factor_in_place(a.clone()).unwrap();
+        assert_eq!(owned.lu_entries(), serial.lu_entries());
+        assert_eq!(owned.permutation(), serial.permutation());
         for threads in [1, 2, 4] {
             for schedule in [
                 Schedule::static_blocked(),
                 Schedule::dynamic(16),
                 Schedule::guided(1),
             ] {
-                let pooled =
-                    LuFactor::factor_pooled(&a, &ThreadPool::new(threads), schedule).unwrap();
+                let pool = ThreadPool::new(threads);
+                let pooled = LuFactor::factor_pooled(&a, &pool, schedule).unwrap();
                 assert_eq!(
                     pooled.lu.as_slice(),
                     serial.lu.as_slice(),
@@ -483,6 +453,15 @@ mod tests {
                 );
                 assert_eq!(pooled.perm, serial.perm);
                 assert_eq!(pooled.det(), serial.det());
+                let owned = LuFactor::factor_pooled_in_place(
+                    a.clone(),
+                    &pool,
+                    schedule,
+                    crate::DEFAULT_FACTOR_BLOCK,
+                )
+                .unwrap();
+                assert_eq!(owned.lu_entries(), serial.lu_entries());
+                assert_eq!(owned.permutation(), serial.permutation());
             }
         }
     }
@@ -541,60 +520,6 @@ mod tests {
             assert_eq!(pooled.lu.as_slice(), serial.lu.as_slice(), "n={n}");
             assert_eq!(pooled.perm, serial.perm, "n={n}");
         }
-    }
-
-    #[test]
-    fn solve_many_matches_repeated_single_solves_bitwise() {
-        let a = random_matrix(50, 0xBEEF);
-        let f = LuFactor::factor(&a).unwrap();
-        let cols: Vec<Vec<f64>> = (0..4)
-            .map(|c| {
-                (0..50)
-                    .map(|i| ((i * 5 + c * 3) % 13) as f64 - 6.0)
-                    .collect()
-            })
-            .collect();
-        let many = f.solve_many(&cols);
-        assert_eq!(many.len(), cols.len());
-        for (x, b) in many.iter().zip(&cols) {
-            assert_eq!(*x, f.solve(b));
-        }
-        assert!(f.solve_many(&[]).is_empty());
-    }
-
-    #[test]
-    fn pooled_solve_many_is_bit_identical_for_every_schedule() {
-        use layerbem_parfor::{Schedule, ThreadPool};
-        let a = random_matrix(LuFactor::SERIAL_CUTOFF + 15, 0xFACE);
-        let n = a.rows();
-        let f = LuFactor::factor(&a).unwrap();
-        let cols: Vec<Vec<f64>> = (0..6)
-            .map(|c| {
-                (0..n)
-                    .map(|i| ((i * 11 + c * 7) % 19) as f64 - 9.0)
-                    .collect()
-            })
-            .collect();
-        let serial = f.solve_many(&cols);
-        for threads in [2, 4] {
-            let pool = ThreadPool::new(threads);
-            for schedule in [
-                Schedule::static_blocked(),
-                Schedule::dynamic(1),
-                Schedule::guided(1),
-            ] {
-                let pooled = f.solve_many_pooled(&cols, &pool, schedule);
-                assert_eq!(pooled, serial, "threads={threads} {}", schedule.label());
-            }
-        }
-        // Small orders take the serial path and still agree exactly.
-        let small = random_matrix(30, 3);
-        let fs = LuFactor::factor(&small).unwrap();
-        let scols: Vec<Vec<f64>> = (0..3).map(|c| vec![c as f64 + 0.5; 30]).collect();
-        assert_eq!(
-            fs.solve_many_pooled(&scols, &ThreadPool::new(4), Schedule::dynamic(2)),
-            fs.solve_many(&scols)
-        );
     }
 
     #[test]

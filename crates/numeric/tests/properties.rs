@@ -179,48 +179,6 @@ proptest! {
     }
 
     #[test]
-    fn cholesky_solve_many_is_bitwise_repeated_single_solves(
-        a in spd_strategy(9),
-        cols in prop::collection::vec(prop::collection::vec(-5.0f64..5.0, 9), 0..6),
-        threads in 2usize..5,
-    ) {
-        // The staged-API invariant: the multi-RHS kernel is *exactly* the
-        // repeated single solve, bit for bit — serial and pooled.
-        let f = CholeskyFactor::factor(&a).expect("SPD by construction");
-        let singles: Vec<Vec<f64>> = cols.iter().map(|b| f.solve(b)).collect();
-        prop_assert_eq!(&f.solve_many(&cols), &singles);
-        let pool = layerbem_parfor::ThreadPool::new(threads);
-        for schedule in [
-            layerbem_parfor::Schedule::static_blocked(),
-            layerbem_parfor::Schedule::dynamic(1),
-            layerbem_parfor::Schedule::guided(1),
-        ] {
-            prop_assert_eq!(&f.solve_many_pooled(&cols, &pool, schedule), &singles);
-        }
-    }
-
-    #[test]
-    fn lu_solve_many_is_bitwise_repeated_single_solves(
-        a in spd_strategy(8),
-        cols in prop::collection::vec(prop::collection::vec(-5.0f64..5.0, 8), 0..6),
-        threads in 2usize..5,
-    ) {
-        // Same pin for the nonsymmetric factor type (the SPD input is
-        // merely a convenient nonsingular matrix here).
-        let f = LuFactor::factor(&a.to_dense()).expect("nonsingular");
-        let singles: Vec<Vec<f64>> = cols.iter().map(|b| f.solve(b)).collect();
-        prop_assert_eq!(&f.solve_many(&cols), &singles);
-        let pool = layerbem_parfor::ThreadPool::new(threads);
-        for schedule in [
-            layerbem_parfor::Schedule::static_blocked(),
-            layerbem_parfor::Schedule::dynamic(1),
-            layerbem_parfor::Schedule::guided(1),
-        ] {
-            prop_assert_eq!(&f.solve_many_pooled(&cols, &pool, schedule), &singles);
-        }
-    }
-
-    #[test]
     fn pcg_solves_random_spd(a in spd_strategy(10), rhs in prop::collection::vec(-5.0f64..5.0, 10)) {
         let out = pcg_solve(&a, &rhs, PcgOptions::default());
         prop_assert!(out.converged);

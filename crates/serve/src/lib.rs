@@ -2,7 +2,7 @@
 //!
 //! Grounding-as-a-service: a resident study server over the staged
 //! prepare/solve API. The library crates made one study fast — `prepare`
-//! once at O(N³), answer every scenario at O(N²) — but a one-shot process
+//! once at O(N³), answer every scenario at O(N) — but a one-shot process
 //! still pays the prepare per invocation. This crate keeps the prepared
 //! factors **resident**: a long-lived TCP server speaks newline-delimited
 //! JSON, hashes the canonical form of each request's (geometry + soil +

@@ -44,8 +44,8 @@ fn main() {
         cold.key, cold.cache_hit, cold.dof, cold.prepare_seconds, cold.solve_seconds
     );
 
-    // 3. Second request, same grounding problem: a cache hit — only the
-    //    O(N²) back-substitutions run, the factors are already resident.
+    // 3. Second request, same grounding problem: a cache hit — the study
+    //    and its unit solution are resident, each scenario is a scaling.
     let warm = client
         .solve(DECK, Some(&scenarios), false)
         .expect("warm solve");

@@ -24,7 +24,7 @@
 //! Table 6.1 attributes 99.9% of a run to matrix generation), and the
 //! returned [`Study`](prelude::Study) answers any number of
 //! [`Scenario`](prelude::Scenario)s — prescribed GPR or prescribed fault
-//! current — at back-substitution cost.
+//! current — from one unit-GPR solve, an `O(N)` scaling each.
 //!
 //! ```
 //! use layerbem::prelude::*;
@@ -48,7 +48,7 @@
 //! let solution = study.solve(&Scenario::gpr(10_000.0)).expect("positive GPR");
 //! assert!(solution.equivalent_resistance > 0.0);
 //!
-//! // …then sweep more scenarios at O(N²) back-substitution cost each.
+//! // …then sweep more scenarios: O(N) scalings of the solve above.
 //! let sweep = study
 //!     .solve_batch(&[Scenario::gpr(5_000.0), Scenario::fault_current(25_000.0)])
 //!     .expect("positive drives");

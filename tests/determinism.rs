@@ -339,8 +339,8 @@ fn staged_scenario_sweeps_are_bit_identical_to_repeated_legacy_solves() {
     // a scenario sweep must reproduce, bit for bit, what N independent
     // `prepare()` + `solve` runs (one assembly and one factorization
     // each) produce — for every solver, schedule and thread count,
-    // serial and pooled (the pooled batch runs the multi-RHS solve_many
-    // kernels over the pool).
+    // serial and pooled (the batch scales one unit-GPR solve, pooled or
+    // not as the study's engine is).
     let gprs = [1.0, 2_500.0, 10_000.0, 25_000.0];
     let scenarios: Vec<Scenario> = gprs.iter().map(|g| Scenario::gpr(*g)).collect();
     for (grid, mesh, soil) in grid_cases() {
