@@ -45,7 +45,13 @@
 //!
 //! With `--timing`, the run prints its phase table and kernel counters
 //! (series terms, kernel seconds split out of matrix generation, lane
-//! occupancy).
+//! occupancy), and a `--map` prints its own line: seconds, points/s,
+//! series terms and lane occupancy of the surface sweep.
+//!
+//! `--map` windows are checked at parse time (finite, `X0 < X1`,
+//! `Y0 < Y1`, integer `NX`, `NY` ≥ 2): a bad window is a usage error
+//! before the deck is read. The map is swept in tiles of 32 consecutive
+//! samples, so for it `--schedule`'s chunk counts tiles, not samples.
 
 use std::process::ExitCode;
 use std::time::Instant;
@@ -185,22 +191,22 @@ fn parse_args() -> Args {
             "--map" => {
                 let nums: Vec<String> = (0..6).filter_map(|_| argv.next()).collect();
                 let out = argv.next().unwrap_or_else(|| usage());
-                if nums.len() != 6 {
+                let [x0, x1, y0, y1, nx, ny] = nums.as_slice() else {
                     usage();
-                }
-                let v: Vec<f64> = nums
-                    .iter()
-                    .map(|s| s.parse().unwrap_or_else(|_| usage()))
-                    .collect();
-                map = Some((
-                    MapSpec {
-                        x_range: (v[0], v[1]),
-                        y_range: (v[2], v[3]),
-                        nx: v[4] as usize,
-                        ny: v[5] as usize,
-                    },
-                    out,
-                ));
+                };
+                let bound = |s: &String| s.parse::<f64>().unwrap_or_else(|_| usage());
+                let count = |s: &String| s.parse::<usize>().unwrap_or_else(|_| usage());
+                let spec = MapSpec::new(
+                    (bound(x0), bound(x1)),
+                    (bound(y0), bound(y1)),
+                    count(nx),
+                    count(ny),
+                )
+                .unwrap_or_else(|e| {
+                    eprintln!("error: --map: {e}");
+                    usage()
+                });
+                map = Some((spec, out));
             }
             "--timing" => timing = true,
             "--help" | "-h" => usage(),
@@ -268,6 +274,14 @@ fn apply_workload_flags(
     Ok(())
 }
 
+/// Lane occupancy as the `--timing` lines print it.
+fn occupancy_label(occupancy: Option<f64>) -> String {
+    match occupancy {
+        Some(o) => format!("{:.1}% lane occupancy", 100.0 * o),
+        None => "no lanes".to_string(),
+    }
+}
+
 fn main() -> ExitCode {
     let args = parse_args();
     let text = match std::fs::read_to_string(&args.deck) {
@@ -329,13 +343,11 @@ fn main() -> ExitCode {
             args.schedule.label()
         );
         let cost = &result.profile.assembly;
-        let occupancy = match cost.lane_occupancy() {
-            Some(o) => format!("{:.1}% lane occupancy", 100.0 * o),
-            None => "no lanes".to_string(),
-        };
         println!(
-            "kernel evaluation: {:.3} s in series kernels, {} terms, {occupancy}",
-            cost.kernel_seconds, cost.kernel.terms
+            "kernel evaluation: {:.3} s in series kernels, {} terms, {}",
+            cost.kernel_seconds,
+            cost.kernel.terms,
+            occupancy_label(cost.lane_occupancy())
         );
         if let Some(cs) = cost.compression {
             println!(
@@ -377,6 +389,15 @@ fn main() -> ExitCode {
             "surface potential map ({}×{}) written to {out}",
             spec.nx, spec.ny
         );
+        if args.timing {
+            println!(
+                "surface map: {:.3} s, {:.0} points/s, {} terms, {}",
+                map.seconds,
+                map.values.len() as f64 / map.seconds,
+                map.cost.terms,
+                occupancy_label(map.cost.lane_occupancy())
+            );
+        }
     }
     ExitCode::SUCCESS
 }

@@ -1,6 +1,7 @@
 //! Drives the `layerbem-cad` binary itself: one pooled run of a small
-//! deck end to end, and the usage-error contract for flags the CLI does
-//! not have.
+//! deck end to end (report, phase table, surface map), and the
+//! usage-error contract for flags the CLI does not have and for `--map`
+//! windows it refuses.
 
 use std::path::PathBuf;
 use std::process::{Command, Output};
@@ -26,16 +27,66 @@ fn run(deck: &PathBuf, extra: &[&str]) -> Output {
 #[test]
 fn pooled_run_prints_the_report_and_the_phase_table() {
     let deck = deck_file("run");
+    let csv = deck.with_extension("csv");
+    let csv_arg = csv.to_str().expect("utf-8 temp path");
     let out = run(
         &deck,
-        &["--threads", "2", "--schedule", "dynamic,4", "--timing"],
+        &[
+            "--threads",
+            "2",
+            "--schedule",
+            "dynamic,4",
+            "--timing",
+            "--map",
+            "0",
+            "20",
+            "0",
+            "20",
+            "5",
+            "5",
+            csv_arg,
+        ],
     );
     std::fs::remove_file(&deck).ok();
+    let map = std::fs::read_to_string(&csv);
+    std::fs::remove_file(&csv).ok();
     let stdout = String::from_utf8_lossy(&out.stdout);
     assert_eq!(out.status.code(), Some(0), "stdout: {stdout}");
     // Req of this deck (the verify recipe's reference value).
     assert!(stdout.contains("Equivalent resistance: 2.48"), "{stdout}");
     assert!(stdout.contains("matrix-generation share"), "{stdout}");
+    // The map's own `--timing` line and its CSV.
+    assert!(stdout.contains("surface map: "), "{stdout}");
+    assert!(stdout.contains("points/s"), "{stdout}");
+    assert_eq!(map.expect("map written").lines().count(), 1 + 25);
+}
+
+#[test]
+fn bad_map_windows_are_usage_errors_before_the_deck_runs() {
+    let deck = deck_file("map");
+    for (window, why) in [
+        (["0", "10", "0", "10", "1", "1"], "at least 2×2 samples"),
+        (["0", "10", "0", "10", "2.5", "3"], "usage:"),
+        (["0", "10", "0", "10", "-3", "3"], "usage:"),
+        (["10", "0", "0", "10", "3", "3"], "empty along x"),
+        (["0", "10", "4", "4", "3", "3"], "empty along y"),
+        (["0", "inf", "0", "10", "3", "3"], "must be finite"),
+        (["0", "NaN", "0", "10", "3", "3"], "must be finite"),
+    ] {
+        let mut args = vec!["--map"];
+        args.extend(window);
+        args.push("never-written.csv");
+        let out = run(&deck, &args);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{window:?}: {stderr}");
+        assert!(stderr.contains(why), "{window:?}: {stderr}");
+        assert!(
+            stderr.contains("usage: layerbem-cad"),
+            "{window:?}: {stderr}"
+        );
+        assert!(out.stdout.is_empty(), "{window:?} must not run the deck");
+    }
+    std::fs::remove_file(&deck).ok();
 }
 
 #[test]

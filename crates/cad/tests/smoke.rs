@@ -145,3 +145,39 @@ fn sweep_profile_is_the_sum_of_its_samples() {
     let occ = total.lane_occupancy().expect("batched sweeps fill lanes");
     assert!(occ > 0.0 && occ <= 1.0, "occupancy {occ}");
 }
+
+#[test]
+fn map_branch_checks_its_window_up_front_and_reports_its_cost() {
+    // The library side of `layerbem-cad --map X0 X1 Y0 Y1 NX NY OUT`. The
+    // window is built by the checked constructor while arguments are
+    // parsed: `--map 0 10 0 10 1 1 out.csv` used to run the whole solve
+    // and then panic inside `PotentialMap::compute`.
+    use layerbem_core::post::{MapSpec, MapSpecError, PotentialMap};
+    use layerbem_core::system::GroundingSystem;
+    use layerbem_parfor::{Schedule, ThreadPool};
+    assert_eq!(
+        MapSpec::new((0.0, 10.0), (0.0, 10.0), 1, 1).unwrap_err(),
+        MapSpecError::TooFewSamples { nx: 1, ny: 1 }
+    );
+    let spec = MapSpec::new((0.0, 20.0), (0.0, 20.0), 5, 5).expect("valid window");
+
+    let case = parse_case(DECK).expect("deck parses");
+    let opts = SolveOptions::default();
+    let result = run_pipeline(&case, opts, 0.0).expect("pipeline succeeds");
+    let system = GroundingSystem::new(result.mesh.clone(), &case.soil, opts);
+    let map = PotentialMap::compute(
+        &result.mesh,
+        system.kernel(),
+        result.solution(),
+        &spec,
+        &ThreadPool::new(2),
+        Schedule::dynamic(4),
+    );
+    assert_eq!(map.values.len(), 25);
+    assert!(map.values.iter().all(|v| *v > 0.0 && *v < case.gpr));
+    assert_eq!(map.to_csv().lines().count(), 1 + 25);
+    // What `--timing` prints for the map: its own kernel counters.
+    assert!(map.cost.terms > 0 && map.seconds > 0.0);
+    let occupancy = map.cost.lane_occupancy().expect("the map runs on lanes");
+    assert!(occupancy > 0.0 && occupancy <= 1.0, "occupancy {occupancy}");
+}

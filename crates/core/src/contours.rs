@@ -188,7 +188,12 @@ mod tests {
                 values.push(1.0 / (1.0 + x * x + y * y));
             }
         }
-        PotentialMap { xs, ys, values }
+        PotentialMap {
+            xs,
+            ys,
+            values,
+            ..PotentialMap::default()
+        }
     }
 
     #[test]
@@ -228,7 +233,12 @@ mod tests {
                 values.push(*x);
             }
         }
-        let map = PotentialMap { xs, ys, values };
+        let map = PotentialMap {
+            xs,
+            ys,
+            values,
+            ..PotentialMap::default()
+        };
         let lines = extract_contour(&map, 4.5);
         assert_eq!(lines.len(), 1);
         let line = &lines[0];

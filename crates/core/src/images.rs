@@ -186,6 +186,36 @@ impl ImageExpansion {
             }
         }
     }
+
+    /// [`Self::group`] for field points **on the earth surface**
+    /// (`z == 0`), with mirror images folded.
+    ///
+    /// An image at depth `offset + sign·d` and its mirror at
+    /// `−offset − sign·d` are equidistant from every point of the plane
+    /// `z = 0`, point by point along the segment — for sloped segments
+    /// too, because Δz and the tangent's z component flip together — so
+    /// their rod integrals are equal and the pair is one image carrying
+    /// the sum of the two coefficients. `G11`, `G21` and uniform soil
+    /// consist of such pairs only: half the images, doubled
+    /// coefficients. Images without a mirror in the group pass through.
+    pub fn surface_group(&self, n: usize, out: &mut Vec<Image>) {
+        self.group(n, out);
+        let mut kept = 0;
+        for i in 0..out.len() {
+            let im = out[i];
+            match out[..kept]
+                .iter_mut()
+                .find(|k| k.sign == -im.sign && k.offset == -im.offset)
+            {
+                Some(mirror) => mirror.coefficient += im.coefficient,
+                None => {
+                    out[kept] = im;
+                    kept += 1;
+                }
+            }
+        }
+        out.truncate(kept);
+    }
 }
 
 #[cfg(test)]

@@ -8,6 +8,10 @@
 //!   [`crate::integration`]), with the image-group series summed under
 //!   tolerance control. Elements crossing the layer interface are split at
 //!   the crossing, each part integrated with its own kernel family.
+//!   [`SoilKernel::element_potential_batch`] is the production evaluator
+//!   (assembly and post-processing); the scalar
+//!   [`SoilKernel::element_potential`] stays as the `KernelEval::Scalar`
+//!   reference the tests compare against.
 //! * **N-layer** — the singular part (direct + primary surface image) is
 //!   integrated analytically with the same machinery; the smooth secondary
 //!   part (`MultiLayerKernel::secondary_potential`) by Gauss quadrature.
@@ -102,10 +106,11 @@ impl KernelBatch {
 /// pairs' (records add with `+=`).
 ///
 /// `terms` mirrors the scalar path's series-term count (images × points
-/// summed over groups). `lane_points` / `lane_slots` measure lane
-/// occupancy of the batched path: points actually computed versus
-/// 4-wide-lane slots issued (padded remainder chunks included). The
-/// scalar path contributes zero to both.
+/// summed over groups; a batch on the earth surface evaluates the
+/// mirror-folded image list, so it counts half as many). `lane_points` /
+/// `lane_slots` measure lane occupancy of the batched path: points
+/// actually computed versus 4-wide-lane slots issued (padded remainder
+/// chunks included). The scalar path contributes zero to both.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct KernelCost {
     /// Series terms / kernel evaluations consumed.
@@ -315,6 +320,12 @@ impl SoilKernel {
     /// N-layer strategy batches its analytic singular part the same way
     /// and keeps the smooth secondary quadrature per point (it is a
     /// transcendental-kernel sum with no rod-integral structure to lane).
+    ///
+    /// A batch whose points all have `z == 0.0` — surface maps, profiles,
+    /// mesh-voltage probes — runs the uniform and two-layer series over
+    /// [`ImageExpansion::surface_group`]: every image folded with its
+    /// mirror, half the rod integrals for the same sum. The kernel reads
+    /// that off the batch; there is no switch.
     ///
     /// Values agree with the scalar path to the series tolerance but are
     /// **not** bitwise equal to it (lane `ln`, shared stopping rule).
@@ -599,11 +610,21 @@ fn image_series_batch(
     let tx = (p1.x - p0.x) / sub_len;
     let ty = (p1.y - p0.y) / sub_len;
     let tz0 = (p1.z - p0.z) / sub_len;
+    // Read off the batch, not a switch: a batch lying wholly on the earth
+    // surface (maps, profiles, mesh-voltage probes) sees every image and
+    // its mirror at the same distance, so the folded list does half the
+    // rod integrals. Assembly batches sit on conductor surfaces below
+    // ground and take the full list.
+    let on_surface = zs.iter().all(|&z| z == 0.0);
     let mut images: Vec<Image> = Vec::new();
     engine.run(
         2 * npts,
         |n, buf| {
-            exp.group(n, &mut images);
+            if on_surface {
+                exp.surface_group(n, &mut images);
+            } else {
+                exp.group(n, &mut images);
+            }
             if images.is_empty() {
                 // Group 0 is never empty (crate::images invariant);
                 // emptiness at n ≥ 1 signals exhaustion.

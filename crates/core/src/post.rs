@@ -9,16 +9,38 @@
 //! earth-surface potentials (Figs 5.2 and 5.4) in parallel, and the
 //! voltage extractors derive the IEEE-80 design quantities: touch, step
 //! and mesh voltages.
+//!
+//! Every potential here comes from one evaluator, [`surface_potentials`]:
+//! the point list is cut into fixed tiles of [`TILE`] consecutive points,
+//! and each tile rides the batched lane kernel
+//! ([`SoilKernel::element_potential_batch`]) once per source element.
+//! The unit of parallel dispatch is therefore the **tile**, not the
+//! point: a schedule's chunk size counts tiles.
+
+use std::fmt::Write as _;
+use std::time::Instant;
 
 use layerbem_geometry::{Mesh, Point3};
 use layerbem_parfor::{Schedule, ThreadPool};
 
 use crate::assembly::element_geoms;
-use crate::kernel::SoilKernel;
+use crate::kernel::{KernelBatch, KernelCost, SoilKernel};
 use crate::system::GroundingSolution;
 
+/// Points per tile of [`surface_potentials`].
+///
+/// A constant, not an option. Measured on the two-layer Barberá 31×46
+/// map (one core, best of 5, repeated on a host whose clock moves ±20 %):
+/// 0.38–0.47 s at 8 points per tile, 0.27–0.43 s at 32, 0.30–0.32 s at
+/// 128, for 41.8 M / 41.4 M / 41.0 M series terms — eight full lane
+/// chunks amortize the per-element set-up, nothing is gained beyond
+/// that, and the collective series stop (which runs a tile as far as its
+/// slowest point) wastes nothing measurable at any of the three. 32
+/// keeps small maps splitting into several tiles for the pool.
+pub const TILE: usize = 32;
+
 /// A rectangular grid of potentials on the earth surface.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, Default)]
 pub struct PotentialMap {
     /// X coordinates of the columns (m).
     pub xs: Vec<f64>,
@@ -26,6 +48,10 @@ pub struct PotentialMap {
     pub ys: Vec<f64>,
     /// Potentials in row-major order (`v[j * xs.len() + i]`), volts.
     pub values: Vec<f64>,
+    /// Kernel work the map consumed (series terms, lane occupancy).
+    pub cost: KernelCost,
+    /// Wall time of [`PotentialMap::compute`], seconds.
+    pub seconds: f64,
 }
 
 /// Specification of a potential sweep window.
@@ -41,9 +67,82 @@ pub struct MapSpec {
     pub ny: usize,
 }
 
+/// Why a map window was refused by [`MapSpec::new`].
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub enum MapSpecError {
+    /// A window bound is NaN or infinite.
+    NonFiniteWindow,
+    /// The window is empty or backwards along `axis` (`lo >= hi`).
+    EmptyWindow {
+        /// `'x'` or `'y'`.
+        axis: char,
+        /// Lower bound as given.
+        lo: f64,
+        /// Upper bound as given.
+        hi: f64,
+    },
+    /// Fewer than 2 samples along an axis (a map interpolates between
+    /// its window bounds).
+    TooFewSamples {
+        /// Samples along x as given.
+        nx: usize,
+        /// Samples along y as given.
+        ny: usize,
+    },
+}
+
+impl std::fmt::Display for MapSpecError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            MapSpecError::NonFiniteWindow => write!(f, "map window bounds must be finite"),
+            MapSpecError::EmptyWindow { axis, lo, hi } => {
+                write!(f, "map window is empty along {axis}: need {lo} < {hi}")
+            }
+            MapSpecError::TooFewSamples { nx, ny } => {
+                write!(f, "map needs at least 2×2 samples, got {nx}×{ny}")
+            }
+        }
+    }
+}
+
+impl std::error::Error for MapSpecError {}
+
+impl MapSpec {
+    /// A checked window: finite bounds, `x0 < x1`, `y0 < y1`, at least
+    /// 2×2 samples. Front ends build their spec here so a bad window is
+    /// refused before any study is prepared.
+    pub fn new(
+        x_range: (f64, f64),
+        y_range: (f64, f64),
+        nx: usize,
+        ny: usize,
+    ) -> Result<MapSpec, MapSpecError> {
+        let bounds = [x_range.0, x_range.1, y_range.0, y_range.1];
+        if !bounds.iter().all(|b| b.is_finite()) {
+            return Err(MapSpecError::NonFiniteWindow);
+        }
+        for (axis, (lo, hi)) in [('x', x_range), ('y', y_range)] {
+            if lo >= hi {
+                return Err(MapSpecError::EmptyWindow { axis, lo, hi });
+            }
+        }
+        if nx < 2 || ny < 2 {
+            return Err(MapSpecError::TooFewSamples { nx, ny });
+        }
+        Ok(MapSpec {
+            x_range,
+            y_range,
+            nx,
+            ny,
+        })
+    }
+}
+
 impl PotentialMap {
     /// Computes the surface potential map for a solved grounding system,
-    /// distributing points over the pool under the given schedule.
+    /// distributing **tiles** of [`TILE`] consecutive row-major samples
+    /// over the pool under the given schedule (its chunk size counts
+    /// tiles). Values are bit-identical across schedules × thread counts.
     pub fn compute(
         mesh: &Mesh,
         kernel: &SoilKernel,
@@ -56,6 +155,7 @@ impl PotentialMap {
             spec.nx >= 2 && spec.ny >= 2,
             "map needs at least 2×2 samples"
         );
+        let t0 = Instant::now();
         let xs: Vec<f64> = (0..spec.nx)
             .map(|i| {
                 spec.x_range.0 + (spec.x_range.1 - spec.x_range.0) * i as f64 / (spec.nx - 1) as f64
@@ -66,21 +166,28 @@ impl PotentialMap {
                 spec.y_range.0 + (spec.y_range.1 - spec.y_range.0) * j as f64 / (spec.ny - 1) as f64
             })
             .collect();
-        let geoms = element_geoms(mesh);
-        let q = solution.unit_leakage();
-        let gpr = solution.gpr;
-        let mut values = vec![0.0f64; spec.nx * spec.ny];
-        let xs_ref = &xs;
-        let ys_ref = &ys;
-        let geoms_ref = &geoms;
-        let q_ref = &q;
-        pool.parallel_fill(&mut values, schedule, |idx| {
-            let i = idx % spec.nx;
-            let j = idx / spec.nx;
-            let p = Point3::new(xs_ref[i], ys_ref[j], 0.0);
-            surface_potential(p, mesh, geoms_ref, kernel, q_ref) * gpr
-        });
-        PotentialMap { xs, ys, values }
+        let points: Vec<Point3> = ys
+            .iter()
+            .flat_map(|&y| xs.iter().map(move |&x| Point3::new(x, y, 0.0)))
+            .collect();
+        let (mut values, cost) = surface_potentials(
+            &points,
+            mesh,
+            kernel,
+            &solution.unit_leakage(),
+            pool,
+            schedule,
+        );
+        for v in &mut values {
+            *v *= solution.gpr;
+        }
+        PotentialMap {
+            xs,
+            ys,
+            values,
+            cost,
+            seconds: t0.elapsed().as_secs_f64(),
+        }
     }
 
     /// Potential at sample `(i, j)`.
@@ -105,29 +212,83 @@ impl PotentialMap {
         s.push_str("x,y,potential\n");
         for (j, y) in self.ys.iter().enumerate() {
             for (i, x) in self.xs.iter().enumerate() {
-                s.push_str(&format!("{x},{y},{}\n", self.at(i, j)));
+                writeln!(s, "{x},{y},{}", self.at(i, j)).expect("writing to a String cannot fail");
             }
         }
         s
     }
 }
 
-/// Potential at an arbitrary point for a unit-GPR solution (eq. 4.2):
-/// `V(x) = Σ_i q_i · [∫ N_i G(x, ·)]`.
-pub fn surface_potential(
-    x: Point3,
+/// Potentials at arbitrary points for a unit-GPR solution (eq. 4.2),
+/// `V(x) = Σ_i q_i · [∫ N_i G(x, ·)]`, plus the kernel work consumed.
+///
+/// The list is cut into tiles of [`TILE`] consecutive points, dispatched
+/// over `pool` under `schedule`. A tile pushes its points into a
+/// [`KernelBatch`] once and walks the source elements in ascending order,
+/// accumulating `q[n0]·v0 + q[n1]·v1` per point. What a tile holds
+/// depends on the point list alone, so the values are bit-identical
+/// across schedules × thread counts, the one-thread inline path included
+/// — but not across *lists*: the lane kernel's collective series stop
+/// couples the points of a tile, so the same point may differ in its last
+/// bits between two lists that tile it with different neighbours.
+pub fn surface_potentials(
+    points: &[Point3],
     mesh: &Mesh,
-    geoms: &[crate::integration::ElementGeom],
     kernel: &SoilKernel,
     q_unit: &[f64],
-) -> f64 {
-    let mut v = 0.0;
-    for (e, g) in geoms.iter().enumerate() {
-        let (vi, _) = kernel.element_potential(x, g);
-        let n = mesh.elements[e].nodes;
-        v += q_unit[n[0]] * vi[0] + q_unit[n[1]] * vi[1];
+    pool: &ThreadPool,
+    schedule: Schedule,
+) -> (Vec<f64>, KernelCost) {
+    let geoms = element_geoms(mesh);
+    let mut values = vec![0.0f64; points.len()];
+    let mut tiles: Vec<(&mut [f64], KernelCost)> = values
+        .chunks_mut(TILE)
+        .map(|out| (out, KernelCost::default()))
+        .collect();
+    pool.scoped_partition(&mut tiles, schedule, |t, (out, cost)| {
+        let mut batch = KernelBatch::new();
+        for &p in &points[t * TILE..][..out.len()] {
+            batch.push(p);
+        }
+        for (g, element) in geoms.iter().zip(&mesh.elements) {
+            *cost += kernel.element_potential_batch(&mut batch, g);
+            let [n0, n1] = element.nodes;
+            for (v, vi) in out.iter_mut().zip(batch.values()) {
+                *v += q_unit[n0] * vi[0] + q_unit[n1] * vi[1];
+            }
+        }
+    });
+    let mut cost = KernelCost::default();
+    for (_, tile_cost) in &tiles {
+        cost += *tile_cost;
     }
-    v
+    (values, cost)
+}
+
+/// [`surface_potentials`] on the calling thread, for the handful of
+/// probe points the voltage extractors need.
+fn surface_potentials_inline(
+    points: &[Point3],
+    mesh: &Mesh,
+    kernel: &SoilKernel,
+    q_unit: &[f64],
+) -> Vec<f64> {
+    let inline = ThreadPool::new(1);
+    surface_potentials(
+        points,
+        mesh,
+        kernel,
+        q_unit,
+        &inline,
+        Schedule::static_blocked(),
+    )
+    .0
+}
+
+/// Potential at one point for a unit-GPR solution: a one-point tile of
+/// [`surface_potentials`].
+pub fn surface_potential(x: Point3, mesh: &Mesh, kernel: &SoilKernel, q_unit: &[f64]) -> f64 {
+    surface_potentials_inline(&[x], mesh, kernel, q_unit)[0]
 }
 
 /// Touch voltage at a surface point: GPR − V(x) (the potential difference
@@ -207,16 +368,13 @@ pub fn potential_profile(
     solution: &GroundingSolution,
 ) -> Vec<(f64, f64)> {
     assert!(n >= 2, "profile needs at least 2 samples");
-    let geoms = element_geoms(mesh);
-    let q = solution.unit_leakage();
     let len = a.distance(b);
-    (0..n)
-        .map(|k| {
-            let t = k as f64 / (n - 1) as f64;
-            let p = a + (b - a) * t;
-            let v = surface_potential(p, mesh, &geoms, kernel, &q) * solution.gpr;
-            (t * len, v)
-        })
+    let ts: Vec<f64> = (0..n).map(|k| k as f64 / (n - 1) as f64).collect();
+    let points: Vec<Point3> = ts.iter().map(|&t| a + (b - a) * t).collect();
+    let unit = surface_potentials_inline(&points, mesh, kernel, &solution.unit_leakage());
+    ts.iter()
+        .zip(unit)
+        .map(|(t, v)| (t * len, v * solution.gpr))
         .collect()
 }
 
@@ -230,14 +388,10 @@ pub fn mesh_voltage(
     kernel: &SoilKernel,
     solution: &GroundingSolution,
 ) -> f64 {
-    let geoms = element_geoms(mesh);
-    let q = solution.unit_leakage();
-    let mut worst = f64::NEG_INFINITY;
-    for c in centres {
-        let v = surface_potential(*c, mesh, &geoms, kernel, &q) * solution.gpr;
-        worst = worst.max(solution.gpr - v);
-    }
-    worst
+    surface_potentials_inline(centres, mesh, kernel, &solution.unit_leakage())
+        .into_iter()
+        .map(|v| solution.gpr - v * solution.gpr)
+        .fold(f64::NEG_INFINITY, f64::max)
 }
 
 #[cfg(test)]
@@ -403,14 +557,8 @@ mod tests {
         assert!(em > 0.0 && em < sol.gpr);
         // By symmetry all four centres are equivalent; Em equals the
         // touch voltage at any of them.
-        let geoms = element_geoms(sys.mesh());
-        let v = surface_potential(
-            centres[0],
-            sys.mesh(),
-            &geoms,
-            sys.kernel(),
-            &sol.unit_leakage(),
-        ) * sol.gpr;
+        let v =
+            surface_potential(centres[0], sys.mesh(), sys.kernel(), &sol.unit_leakage()) * sol.gpr;
         assert!((em - (sol.gpr - v)).abs() < 1e-6 * em);
     }
 
@@ -467,5 +615,83 @@ mod tests {
         let lines: Vec<&str> = csv.trim().lines().collect();
         assert_eq!(lines.len(), 1 + 6);
         assert_eq!(lines[0], "x,y,potential");
+    }
+
+    #[test]
+    fn csv_bytes_are_pinned() {
+        let map = PotentialMap {
+            xs: vec![0.0, 2.5],
+            ys: vec![-1.0, 1e-7],
+            values: vec![1234.5678, 0.1 + 0.2, 1e21, -0.0],
+            ..PotentialMap::default()
+        };
+        assert_eq!(
+            map.to_csv(),
+            "x,y,potential\n\
+             0,-1,1234.5678\n\
+             2.5,-1,0.30000000000000004\n\
+             0,0.0000001,1000000000000000000000\n\
+             2.5,0.0000001,-0\n"
+        );
+    }
+
+    #[test]
+    fn map_spec_refuses_windows_compute_would_choke_on() {
+        let ok = MapSpec::new((0.0, 10.0), (-5.0, 5.0), 2, 3).expect("valid window");
+        assert_eq!(
+            (ok.x_range, ok.y_range, ok.nx, ok.ny),
+            ((0.0, 10.0), (-5.0, 5.0), 2, 3)
+        );
+        assert_eq!(
+            MapSpec::new((0.0, 10.0), (0.0, 10.0), 1, 1).unwrap_err(),
+            MapSpecError::TooFewSamples { nx: 1, ny: 1 }
+        );
+        assert_eq!(
+            MapSpec::new((0.0, 10.0), (0.0, 10.0), 5, 0).unwrap_err(),
+            MapSpecError::TooFewSamples { nx: 5, ny: 0 }
+        );
+        assert_eq!(
+            MapSpec::new((10.0, 0.0), (0.0, 10.0), 4, 4).unwrap_err(),
+            MapSpecError::EmptyWindow {
+                axis: 'x',
+                lo: 10.0,
+                hi: 0.0
+            }
+        );
+        assert_eq!(
+            MapSpec::new((0.0, 10.0), (3.0, 3.0), 4, 4).unwrap_err(),
+            MapSpecError::EmptyWindow {
+                axis: 'y',
+                lo: 3.0,
+                hi: 3.0
+            }
+        );
+        for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            assert_eq!(
+                MapSpec::new((0.0, bad), (0.0, 10.0), 4, 4).unwrap_err(),
+                MapSpecError::NonFiniteWindow
+            );
+        }
+    }
+
+    #[test]
+    fn map_reports_its_own_cost() {
+        let (sys, sol) = solved_grid();
+        let spec = MapSpec::new((-5.0, 25.0), (-5.0, 25.0), 7, 7).expect("valid window");
+        let map = PotentialMap::compute(
+            sys.mesh(),
+            sys.kernel(),
+            &sol,
+            &spec,
+            &ThreadPool::new(2),
+            Schedule::dynamic(1),
+        );
+        // Uniform soil on the surface: one folded image per point per
+        // element, every one through the lanes.
+        let pairs = (49 * sys.mesh().element_count()) as u64;
+        assert_eq!(map.cost.terms, pairs);
+        assert_eq!(map.cost.lane_points, pairs);
+        assert!(map.cost.lane_slots >= pairs);
+        assert!(map.seconds > 0.0);
     }
 }

@@ -5,13 +5,17 @@
 //! bitwise invariant under push-order permutation, and — for
 //! exhaustion-terminated series — bitwise invariant under batch
 //! composition. At the assembly level, the batched and scalar engines
-//! produce the same Galerkin operator within the series tolerance.
+//! produce the same Galerkin operator within the series tolerance. For
+//! batches lying wholly on the earth surface the kernel folds every image
+//! with its mirror: the folded groups integrate to the full groups, and
+//! the fold is taken exactly when every point has `z == 0.0`.
 
 use proptest::prelude::*;
 
 use layerbem_core::assembly::assemble_galerkin;
 use layerbem_core::formulation::{KernelEval, SolveOptions};
-use layerbem_core::integration::ElementGeom;
+use layerbem_core::images::{Family, Image, ImageExpansion};
+use layerbem_core::integration::{shape_integrals, ElementGeom};
 use layerbem_core::kernel::{KernelBatch, SoilKernel};
 use layerbem_geometry::grids::{rectangular_grid, RectGridSpec};
 use layerbem_geometry::{Mesher, Point3};
@@ -233,5 +237,117 @@ proptest! {
         prop_assert_eq!(scalar.cost.kernel.lane_slots, 0);
         prop_assert!(batched.cost.kernel.lane_slots > 0);
         prop_assert!(batched.cost.kernel.lane_points <= batched.cost.kernel.lane_slots);
+    }
+}
+
+/// `Σ c · [∫N₀/R, ∫N₁/R]` of an image list over the segment `a → b`.
+fn group_integral(images: &[Image], x: Point3, a: Point3, b: Point3) -> [f64; 2] {
+    let len = a.distance(b);
+    let mut out = [0.0f64; 2];
+    for im in images {
+        let ia = Point3::new(a.x, a.y, im.depth(a.z));
+        let ib = Point3::new(b.x, b.y, im.depth(b.z));
+        let v = shape_integrals(x, ia, ib, len);
+        out[0] += im.coefficient * v[0];
+        out[1] += im.coefficient * v[1];
+    }
+    out
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig { cases: 64, ..Default::default() })]
+
+    /// On `z = 0` an image and its mirror are equidistant from the field
+    /// point all along the segment — horizontal or sloped — so the folded
+    /// group (half the images, summed coefficients) integrates to the
+    /// full group, both shape functions.
+    #[test]
+    fn folded_groups_integrate_to_the_full_groups_on_the_surface(
+        family in 0usize..4,
+        kappa in -0.9f64..0.9,
+        h in 0.5f64..3.0,
+        z in 0.3f64..2.5,
+        dx in 1.0f64..4.0,
+        dz in -0.25f64..1.5,
+        px in -6.0f64..8.0,
+        py in -6.0f64..6.0,
+    ) {
+        let family = [
+            Family::UpperUpper,
+            Family::UpperLower,
+            Family::LowerUpper,
+            Family::LowerLower,
+        ][family];
+        let exp = ImageExpansion { kappa, h, prefactor: 1.0 / 0.2, family };
+        let (a, b) = (Point3::new(0.0, 0.0, z), Point3::new(dx, 0.3, z + dz));
+        let x = Point3::new(px, py + 7.0, 0.0);
+        let (mut full, mut folded) = (Vec::new(), Vec::new());
+        for n in 0..6 {
+            exp.group(n, &mut full);
+            exp.surface_group(n, &mut folded);
+            if matches!(family, Family::UpperUpper | Family::LowerUpper) {
+                prop_assert_eq!(2 * folded.len(), full.len(), "{:?} group {}", family, n);
+            }
+            let want = group_integral(&full, x, a, b);
+            let got = group_integral(&folded, x, a, b);
+            for c in 0..2 {
+                prop_assert!(
+                    (got[c] - want[c]).abs() <= 1e-13 * want[c].abs(),
+                    "{:?} group {} component {}: folded {} vs full {}",
+                    family, n, c, got[c], want[c]
+                );
+            }
+        }
+    }
+
+    /// The kernel reads the fold off the batch: all points at `z == 0.0`
+    /// run half the images for the same values; the same points lifted by
+    /// the smallest positive depth (geometrically indistinguishable, but
+    /// not `== 0.0`), or joined by one buried point, take the full list.
+    #[test]
+    fn only_all_surface_batches_fold(
+        layered in 0usize..2,
+        g1 in 0.005f64..0.1,
+        g2 in 0.005f64..0.1,
+        h in 0.5f64..3.0,
+        z in 0.0f64..2.0,
+        dx in 1.0f64..4.0,
+        dz in -0.15f64..1.5,
+        npts in 1usize..12,
+        seed in 0u64..1000,
+    ) {
+        let kernel = SoilKernel::new(&soil_from(layered, g1, g2, h));
+        let src = rod_from(0.0, 0.0, z, dx, dz);
+        let surface: Vec<Point3> = points_from(npts, seed)
+            .into_iter()
+            .map(|p| Point3::new(p.x, p.y, 0.0))
+            .collect();
+        let lifted: Vec<Point3> = surface
+            .iter()
+            .map(|p| Point3::new(p.x, p.y, f64::MIN_POSITIVE))
+            .collect();
+        let mut folded = batch_of(&surface);
+        let mut full = batch_of(&lifted);
+        let folded_cost = kernel.element_potential_batch(&mut folded, &src);
+        let full_cost = kernel.element_potential_batch(&mut full, &src);
+        prop_assert_eq!(2 * folded_cost.terms, full_cost.terms);
+        for (got, want) in folded.values().iter().zip(full.values()) {
+            for c in 0..2 {
+                prop_assert!(
+                    (got[c] - want[c]).abs() <= 1e-13 * want[c].abs(),
+                    "component {}: folded {} vs full {}", c, got[c], want[c]
+                );
+            }
+        }
+        if layered == 0 {
+            // Uniform soil: one group, so the term count names the list —
+            // two images per point once a single point leaves the surface.
+            let mut mixed_points = surface.clone();
+            mixed_points.push(Point3::new(1.0, 2.0, 0.4));
+            let mut mixed = batch_of(&mixed_points);
+            let mixed_cost = kernel.element_potential_batch(&mut mixed, &src);
+            prop_assert_eq!(folded_cost.terms, npts as u64);
+            prop_assert_eq!(mixed_cost.terms, 2 * (npts as u64 + 1));
+        }
     }
 }

@@ -15,7 +15,9 @@
 //! backend: the pooled H-matrix assembly and the PCG trajectory it feeds
 //! must replay the serial hierarchical solve exactly. PR 9 adds the
 //! Monte-Carlo soil-sweep workload: a seeded sweep pooled *across*
-//! samples must be a bit-identical function of its seed alone.
+//! samples must be a bit-identical function of its seed alone. PR 19
+//! moves the surface-potential sweep onto tiled lane-kernel batches: a
+//! map must be a bit-identical function of its sample list alone.
 //!
 //! Grid selection honors the `LAYERBEM_DETERMINISM_GRID` environment
 //! variable: `tiny` substitutes a 2×2-cell yard (the CI smoke
@@ -28,6 +30,7 @@
 use layerbem_core::assembly::{assemble_collocation, assemble_galerkin};
 use layerbem_core::formulation::{KernelEval, OperatorBackend, SolveOptions, SolverChoice};
 use layerbem_core::kernel::SoilKernel;
+use layerbem_core::post::{MapSpec, PotentialMap};
 use layerbem_core::study::Scenario;
 use layerbem_core::system::GroundingSystem;
 use layerbem_core::workload::{run_soil_sweep, FreshSource, SoilSweepSpec, StudySpec};
@@ -527,6 +530,51 @@ fn seeded_soil_sweeps_are_bit_identical_across_schedules_and_threads() {
                             a.index
                         );
                     }
+                }
+            }
+        }
+    }
+}
+
+#[test]
+fn surface_maps_are_bit_identical_across_schedules_and_threads() {
+    // The PR-19 tentpole invariant: the map is evaluated in fixed tiles
+    // of consecutive samples, and what a tile holds depends on the sample
+    // list alone — so the one-thread inline map is reproduced bit for bit
+    // (values and kernel cost) by every schedule × thread count. The
+    // layered twin of each grid's soil runs the tolerance-stopped image
+    // series, whose collective stop is what couples a tile's points; 13 ×
+    // 11 samples make four full tiles and a 15-point remainder.
+    for (grid, mesh, soil) in grid_cases() {
+        let gamma = match soil {
+            SoilModel::Uniform { conductivity } => conductivity,
+            _ => unreachable!("the suite's grids sit in uniform soil"),
+        };
+        let system = GroundingSystem::new(mesh, &soil, SolveOptions::default());
+        let solution = system
+            .prepare()
+            .expect("uniform reference prepare")
+            .solve(&Scenario::gpr(10_000.0))
+            .expect("uniform reference solve");
+        let spec = MapSpec::new((-10.0, 90.0), (-10.0, 70.0), 13, 11).expect("valid window");
+        for kernel in [
+            SoilKernel::new(&soil),
+            SoilKernel::new(&SoilModel::two_layer(0.25 * gamma, gamma, 1.0)),
+        ] {
+            let map = |pool: ThreadPool, schedule| {
+                PotentialMap::compute(system.mesh(), &kernel, &solution, &spec, &pool, schedule)
+            };
+            let inline = map(ThreadPool::new(1), Schedule::static_blocked());
+            assert!(inline.values.iter().all(|v| v.is_finite() && *v > 0.0));
+            for threads in thread_counts() {
+                for schedule in schedules() {
+                    let pooled = map(ThreadPool::new(threads), schedule);
+                    let label = format!("{grid}: threads={threads} {}", schedule.label());
+                    let bits = |m: &PotentialMap| -> Vec<u64> {
+                        m.values.iter().map(|v| v.to_bits()).collect()
+                    };
+                    assert_eq!(bits(&inline), bits(&pooled), "{label}");
+                    assert_eq!(inline.cost, pooled.cost, "{label}");
                 }
             }
         }
