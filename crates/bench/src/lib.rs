@@ -1,7 +1,7 @@
 //! # layerbem-bench
 //!
-//! The benchmark harness that regenerates **every table and figure** of
-//! the paper's evaluation. One binary per artifact:
+//! The paper-reproduction drivers: they regenerate **every table and
+//! figure** of the paper's evaluation. One binary per artifact:
 //!
 //! | target | paper artifact |
 //! |--------|----------------|
@@ -16,13 +16,14 @@
 //! | `table_memory_modes` | §6.2's "approximately twice the memory space": the paper's staged scheme ([`staged`]) vs the production pooled engine, both asserted bit-identical to the serial loop |
 //!
 //! Each binary prints the regenerated rows next to the paper's published
-//! values and writes machine-readable output under `results/`.
+//! values and writes machine-readable output under `results/` of the
+//! directory it is run from.
 //!
-//! The Criterion benches (`benches/`) cover the supporting
-//! microbenchmarks: kernel evaluation, element integration, assembly,
-//! solvers and the parallel-for dispatch overhead.
+//! Timing the program is not this crate's job: the repository's one
+//! benchmark is the frozen `benchmark/` package that `BENCHMARK.json`
+//! declares, and what must always hold is asserted by the test suites.
 
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 
 use layerbem_core::assembly::AssemblyReport;
 use layerbem_core::formulation::SolveOptions;
@@ -118,20 +119,6 @@ pub fn barbera_mesh() -> Mesh {
     Mesher::default().mesh(&grids::barbera())
 }
 
-/// Refined Barberá grid — conductors subdivided to ≤ 1 m elements
-/// (2224 dof), the largest in-repo discretization. This is the grid the
-/// hierarchical-operator gate runs on: at the paper's native 238 dof the
-/// H-matrix bookkeeping outweighs the low-rank savings, while here the
-/// compressed operator is measurably smaller and faster to apply than
-/// the packed dense triangle.
-pub fn barbera_refined_mesh() -> Mesh {
-    Mesher::new(layerbem_geometry::MeshOptions {
-        max_element_length: 1.0,
-        ..Default::default()
-    })
-    .mesh(&grids::barbera())
-}
-
 /// Discretized Balaidos grid (241 elements).
 pub fn balaidos_mesh() -> Mesh {
     Mesher::default().mesh(&grids::balaidos())
@@ -154,13 +141,13 @@ pub fn solve_case(
     (system, report, solution)
 }
 
-/// The results directory (`results/` under the workspace root), created
-/// on demand.
+/// The results directory: `results/` under the directory the driver is
+/// run from (CI and the README run drivers from the repository root),
+/// created on demand. Resolved at run time, so a binary never writes into
+/// the tree it happened to be compiled in.
 pub fn results_dir() -> PathBuf {
-    let dir = Path::new(env!("CARGO_MANIFEST_DIR"))
-        .ancestors()
-        .nth(2)
-        .expect("workspace root")
+    let dir = std::env::current_dir()
+        .expect("current directory is readable")
         .join("results");
     std::fs::create_dir_all(&dir).expect("create results dir");
     dir
@@ -174,12 +161,12 @@ pub fn write_artifact(name: &str, content: &str) -> PathBuf {
     path
 }
 
-/// One machine-readable benchmark observation — the row schema of the CI
-/// bench artifacts (`BENCH_pr.json` and friends): which grid, which
-/// assembly mode, which schedule, how many threads, how long, and how many
-/// series terms the run consumed (the deterministic, machine-independent
-/// work proxy that lets two runs be compared for *equal work* before their
-/// wall clocks are compared for speed).
+/// One machine-readable timed row of a driver's JSON artifact
+/// (`table_memory_modes --json`): which grid, which assembly mode, which
+/// schedule, how many threads, how long, and how many series terms the
+/// run consumed (the deterministic, machine-independent work proxy that
+/// lets two runs be compared for *equal work* before their wall clocks
+/// are compared for speed).
 #[derive(Clone, Debug, PartialEq)]
 pub struct BenchRecord {
     /// Grid label (`tiny 2x2 yard`, `Barbera`, …).
@@ -195,18 +182,10 @@ pub struct BenchRecord {
     /// Total series terms consumed (identical across modes by the
     /// bit-identity guarantee; recorded so the artifact proves it).
     pub series_terms: u64,
-    /// Columns only some rows measure, as `(key, value)` in rendering
-    /// order (appended with [`BenchRecord::with`]; absent keys are omitted
-    /// from the row's JSON). In use: `resident_bytes` (measured operator
-    /// or study payload), `kernel_seconds` and `lane_occupancy` (an
-    /// [`AssemblyCost`](layerbem_core::assembly::AssemblyCost)'s, on the
-    /// scalar-vs-batched gate rows), `update_rank` (rank-1 factor sweeps
-    /// of an incremental edit; 0 on its `edit_full` baseline).
-    pub extras: Vec<(&'static str, f64)>,
 }
 
 impl BenchRecord {
-    /// A row with the always-present columns and no extras.
+    /// A row from its columns.
     pub fn new(
         grid: impl Into<String>,
         mode: impl Into<String>,
@@ -222,25 +201,17 @@ impl BenchRecord {
             threads,
             wall_seconds,
             series_terms,
-            extras: Vec::new(),
         }
-    }
-
-    /// Appends one extra column.
-    pub fn with(mut self, key: &'static str, value: f64) -> Self {
-        self.extras.push((key, value));
-        self
     }
 }
 
 /// Renders benchmark records as a JSON array, one row object per line,
-/// through the workspace's one JSON writer ([`layerbem_serve::Json`]):
-/// the fixed columns, then the row's extras in order.
+/// through the workspace's one JSON writer ([`layerbem_serve::Json`]).
 pub fn bench_records_json(records: &[BenchRecord]) -> String {
     let rows: Vec<String> = records
         .iter()
         .map(|r| {
-            let mut row = vec![
+            let row = vec![
                 ("grid", Json::str(r.grid.as_str())),
                 ("mode", Json::str(r.mode.as_str())),
                 ("schedule", Json::str(r.schedule.as_str())),
@@ -248,7 +219,6 @@ pub fn bench_records_json(records: &[BenchRecord]) -> String {
                 ("wall_seconds", Json::Num(r.wall_seconds)),
                 ("series_terms", Json::Num(r.series_terms as f64)),
             ];
-            row.extend(r.extras.iter().map(|&(key, value)| (key, Json::Num(value))));
             format!("  {}", Json::obj(row).to_line())
         })
         .collect();
@@ -294,8 +264,14 @@ mod tests {
         assert_eq!(barbera_mesh().element_count(), 408);
         assert_eq!(barbera_mesh().dof(), 238);
         assert_eq!(balaidos_mesh().element_count(), 241);
-        // The refined grid is strictly the largest in-repo discretization.
-        assert!(barbera_refined_mesh().dof() > 2000);
+    }
+
+    #[test]
+    fn results_dir_is_under_the_current_directory() {
+        let cwd = std::env::current_dir().expect("current directory is readable");
+        let dir = results_dir();
+        assert_eq!(dir, cwd.join("results"));
+        assert!(dir.is_dir());
     }
 
     #[test]
@@ -307,12 +283,8 @@ mod tests {
     #[test]
     fn bench_records_render_as_json_rows() {
         let rows = vec![
-            BenchRecord::new("tiny 2x2 yard", "worklist", "Dynamic,1", 4, 0.012345, 98765)
-                .with("kernel_seconds", 0.25)
-                .with("lane_occupancy", 0.9375),
-            BenchRecord::new("tiny \"q\" yard", "staged-outer", "Static", 1, 1.5, 7)
-                .with("resident_bytes", 4096.0)
-                .with("update_rank", 46.0),
+            BenchRecord::new("tiny 2x2 yard", "worklist", "Dynamic,1", 4, 0.012345, 98765),
+            BenchRecord::new("tiny \"q\" yard", "staged-outer", "Static", 1, 1.5, 7),
         ];
         let json = bench_records_json(&rows);
         assert!(json.starts_with("[\n"));
@@ -321,42 +293,27 @@ mod tests {
         assert!(json.contains("\"threads\":4"));
         assert!(json.contains("\"wall_seconds\":0.012345"));
         assert!(json.contains("\"series_terms\":98765"));
-        // resident_bytes appears only on rows that set it.
-        assert!(json.contains("\"resident_bytes\":4096"));
-        assert_eq!(json.matches("resident_bytes").count(), 1);
-        // kernel_seconds / lane_occupancy likewise.
-        assert!(json.contains("\"kernel_seconds\":0.25"));
-        assert!(json.contains("\"lane_occupancy\":0.9375"));
-        assert_eq!(json.matches("kernel_seconds").count(), 1);
-        assert_eq!(json.matches("lane_occupancy").count(), 1);
-        // update_rank appears only on the edit-gate rows.
-        assert!(json.contains("\"update_rank\":46"));
-        assert_eq!(json.matches("update_rank").count(), 1);
         // Quotes in labels are escaped; exactly one separating comma;
         // the document parses back with every row and key in order.
         assert!(json.contains("tiny \\\"q\\\" yard"));
         assert_eq!(json.matches("},").count(), 1);
         let parsed = Json::parse(&json).expect("artifact is JSON");
-        let first = &parsed.as_arr().expect("array of rows")[0];
-        assert_eq!(
-            first.get("grid").and_then(Json::as_str),
-            Some("tiny 2x2 yard")
-        );
-        // The exact key order of both rows: fixed columns, then extras.
-        let keys = |row: &Json| match row {
-            Json::Obj(fields) => fields.iter().map(|(k, _)| k.clone()).collect::<Vec<_>>(),
-            other => panic!("row is not an object: {other:?}"),
-        };
-        let fixed = "grid mode schedule threads wall_seconds series_terms";
         let rows = parsed.as_arr().expect("array of rows");
         assert_eq!(
-            keys(&rows[0]).join(" "),
-            format!("{fixed} kernel_seconds lane_occupancy")
+            rows[0].get("grid").and_then(Json::as_str),
+            Some("tiny 2x2 yard")
         );
-        assert_eq!(
-            keys(&rows[1]).join(" "),
-            format!("{fixed} resident_bytes update_rank")
-        );
+        // The exact key order of both rows.
+        for row in rows {
+            let keys = match row {
+                Json::Obj(fields) => fields.iter().map(|(k, _)| k.as_str()).collect::<Vec<_>>(),
+                other => panic!("row is not an object: {other:?}"),
+            };
+            assert_eq!(
+                keys.join(" "),
+                "grid mode schedule threads wall_seconds series_terms"
+            );
+        }
         assert_eq!(bench_records_json(&[]), "[\n]\n");
     }
 

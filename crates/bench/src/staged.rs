@@ -73,20 +73,16 @@ pub fn assemble_staged(
     // Stage 1: compute and store all M(M+1)/2 elemental matrices.
     let mut columns = vec![Column::default(); m];
     let stats = match staged_loop {
-        StagedLoop::Outer => Some(
-            pool.parallel_fill_with_stats(&mut columns, schedule, |beta| {
-                let t = Instant::now();
-                let mut col = Column::default();
-                let mut batch = KernelBatch::new();
-                for alpha in beta..m {
-                    let (b, c) = pair(beta, alpha, &mut batch);
-                    col.blocks.push(b);
-                    col.cost += c;
-                }
-                col.seconds = t.elapsed().as_secs_f64();
-                col
-            }),
-        ),
+        StagedLoop::Outer => Some(pool.scoped_partition(&mut columns, schedule, |beta, col| {
+            let t = Instant::now();
+            let mut batch = KernelBatch::new();
+            for alpha in beta..m {
+                let (b, c) = pair(beta, alpha, &mut batch);
+                col.blocks.push(b);
+                col.cost += c;
+            }
+            col.seconds = t.elapsed().as_secs_f64();
+        })),
         StagedLoop::Inner => {
             for (beta, col) in columns.iter_mut().enumerate() {
                 let t = Instant::now();

@@ -28,8 +28,8 @@
 //! ## One executor, two study sources
 //!
 //! [`execute`] is the single place where a parsed case plus a workload
-//! becomes rows; the CAD pipeline, every serve wire op and the bench
-//! gates are *validate → execute → render* around it. Everything it can
+//! becomes rows; the CAD pipeline and every serve wire op are
+//! *validate → execute → render* around it. Everything it can
 //! refuse — an unusable scenario drive, `edit` stanzas on a sweep or
 //! search, `edit` stanzas sent to a front end that cannot replay them —
 //! it refuses **before** any compute or cache touch. The one thing that
@@ -573,8 +573,8 @@ impl Executed {
 }
 
 /// Answers `workload` for the case `base` describes, drawing prepared
-/// studies from `source` — the one executor under the CAD pipeline, the
-/// serve wire ops and the bench gates.
+/// studies from `source` — the one executor under the CAD pipeline and
+/// the serve wire ops.
 ///
 /// All validation happens first, before any compute or cache touch:
 /// every scenario drive must be usable, and `edits` (a deck's `edit`

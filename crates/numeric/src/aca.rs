@@ -12,7 +12,7 @@
 //! the residual row at the current pivot row, pick the largest-magnitude
 //! unused column as pivot, scale to get `v_k`, sample the residual column
 //! to get `u_k`, then move to the row where `|u_k|` is largest among
-//! unused rows. The stopping criterion is the standard Frobenius-tail
+//! unused rows. The stopping rule is the standard Frobenius-tail
 //! test `‖u_k‖·‖v_k‖ ≤ tol·‖A_k‖_F`, with `‖A_k‖_F` tracked by the usual
 //! recursion over the accumulated crosses. Everything is deterministic:
 //! pivots are argmaxes with first-index tie-breaks over fixed iteration
@@ -105,7 +105,7 @@ impl LowRank {
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub enum AcaError {
     /// The rank cap was exhausted before the Frobenius-tail stopping
-    /// criterion triggered — the block is not (numerically) low-rank at
+    /// rule triggered — the block is not (numerically) low-rank at
     /// this tolerance, e.g. because an inadmissible pair was passed in.
     ToleranceNotReached {
         /// The cap that was hit.
@@ -135,8 +135,7 @@ impl std::error::Error for AcaError {}
 /// full-column samples, so this is the natural kernel interface: a BEM
 /// backend can evaluate all entries of a requested row through its batched
 /// quadrature path (one structure-of-arrays kernel call per element pair)
-/// instead of paying per-entry dispatch — the overhead gate 3 measured in
-/// the per-closure sampling path.
+/// instead of paying per-entry dispatch.
 ///
 /// Implementations must be **pure**: the same row/column request always
 /// fills the same values, independent of request order, so the pivot

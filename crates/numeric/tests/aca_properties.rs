@@ -48,7 +48,7 @@ proptest! {
         let tol = 10.0f64.powi(-(tol_exp as i32));
         let lr = aca(m, n, |i, j| a[i][j], tol, m.min(n))
             .expect("full-rank fallback always converges");
-        // The Frobenius-tail stopping criterion is a heuristic, so allow
+        // The Frobenius-tail stopping rule is a heuristic, so allow
         // a modest constant over the requested relative tolerance.
         let mut err2 = 0.0f64;
         for (i, row) in a.iter().enumerate() {

@@ -6,12 +6,15 @@
 //! model as an OpenMP parallel region, where the directive-annotated loop
 //! reads and writes the enclosing function's variables.
 //!
-//! Threads are spawned per parallel region. For the BEM workloads this
-//! runtime exists for, a region is seconds to minutes of matrix
-//! generation, so region-launch overhead (microseconds per thread) is
-//! irrelevant; what matters — and what the paper studies — is the
-//! *iteration dispatch* strategy, which is implemented here with lock-free
-//! atomics exactly mirroring the schedule semantics of
+//! Threads are spawned per parallel region. On the paper's runs a region
+//! is seconds to minutes of matrix generation and the launch disappears
+//! in it; this repository also opens regions around far shorter work — a
+//! 0.1 s deck, one matvec per PCG iteration, a 4 ms edit — and there it
+//! shows: `benchmark/README.md` reads `parfor.assembly.speedup` at
+//! 0.6–0.9 on a 628-dof assembly at 2 threads (ROADMAP item 2(a) is the
+//! pool of parked workers that would change this). What the paper
+//! studies is the *iteration dispatch* strategy, which is implemented
+//! here with lock-free atomics exactly mirroring the schedule semantics of
 //! [`Schedule`].
 
 use std::cell::UnsafeCell;
@@ -160,59 +163,20 @@ impl ThreadPool {
         }
     }
 
-    /// Map-reduce over `0..n`: computes `f(i)` for every iteration and
-    /// folds the results with `combine`, starting from `identity` in each
-    /// thread. `combine` must be associative and commutative (thread
-    /// partials merge in nondeterministic order).
-    ///
-    /// This is the pattern for parallel accumulations like the total
-    /// leaked current `IΓ = Σ q_i ν_i` or map statistics, where a shared
-    /// atomic would serialize floating-point updates.
-    pub fn parallel_reduce<T, F, C>(
-        &self,
-        n: usize,
-        schedule: Schedule,
-        identity: T,
-        f: F,
-        combine: C,
-    ) -> T
-    where
-        T: Send + Sync + Clone,
-        F: Fn(usize) -> T + Sync,
-        C: Fn(T, T) -> T + Sync + Send,
-    {
-        let partials = std::sync::Mutex::new(Vec::<T>::with_capacity(self.threads));
-        self.for_each_chunk(n, schedule, |_t, range| {
-            let mut acc = identity.clone();
-            for i in range {
-                acc = combine(acc, f(i));
-            }
-            partials.lock().expect("reduce mutex poisoned").push(acc);
-        });
-        partials
-            .into_inner()
-            .expect("reduce mutex poisoned")
-            .into_iter()
-            .fold(identity, combine)
-    }
-
     /// Deterministic map-reduce: `0..n` is cut into `⌈n/chunk⌉` **fixed**
     /// contiguous ranges (a pure function of `n` and `chunk`, independent
     /// of the schedule and the thread count), `f` maps each range to a
     /// partial, and the partials are folded with `combine` in ascending
     /// range order starting from `identity`.
     ///
-    /// This is the deterministic sibling of
-    /// [`parallel_reduce`](Self::parallel_reduce): there the per-thread
-    /// partials merge in nondeterministic completion order, so `combine`
-    /// must be associative *and* commutative and a floating-point sum
-    /// changes bits from run to run. Here the summation order is fixed by
-    /// the partition, so the result is **bit-identical** for every
-    /// schedule and thread count — including a 1-thread pool — which is
-    /// what lets iterative solvers fold their dot products and norms into
-    /// the pool without their iterates depending on the execution
-    /// resources. The schedule only decides which thread computes which
-    /// partial.
+    /// Merging per-thread partials in completion order would make a
+    /// floating-point sum change bits from run to run. Here the summation
+    /// order is fixed by the partition, so the result is **bit-identical**
+    /// for every schedule and thread count — including a 1-thread pool —
+    /// which is what lets iterative solvers fold their dot products and
+    /// norms into the pool without their iterates depending on the
+    /// execution resources. The schedule only decides which thread
+    /// computes which partial.
     ///
     /// # Panics
     /// Panics if `chunk == 0`.
@@ -244,25 +208,9 @@ impl ThreadPool {
             .fold(identity, |acc, p| combine(acc, p.expect("chunk computed")))
     }
 
-    /// Instrumented variant of [`parallel_fill`](Self::parallel_fill).
-    pub fn parallel_fill_with_stats<T, F>(
-        &self,
-        out: &mut [T],
-        schedule: Schedule,
-        f: F,
-    ) -> ExecutionStats
-    where
-        T: Send,
-        F: Fn(usize) -> T + Sync,
-    {
-        self.scoped_partition(out, schedule, |i, slot| *slot = f(i))
-    }
-
     /// Runs `chunk_body(thread_index, chunk_range)` for every chunk of the
-    /// schedule. This is the primitive the other entry points build on; it
-    /// is public because the BEM assembler wants chunk granularity to
-    /// amortize per-task buffers.
-    pub fn for_each_chunk<F>(&self, n: usize, schedule: Schedule, chunk_body: F)
+    /// schedule, discarding the region's stats.
+    fn for_each_chunk<F>(&self, n: usize, schedule: Schedule, chunk_body: F)
     where
         F: Fn(usize, Range<usize>) + Sync,
     {
@@ -627,48 +575,6 @@ mod tests {
     }
 
     #[test]
-    fn parallel_reduce_sums_correctly() {
-        let pool = ThreadPool::new(4);
-        for s in all_schedules() {
-            let total = pool.parallel_reduce(1000, s, 0u64, |i| i as u64, |a, b| a + b);
-            assert_eq!(total, 499_500, "{}", s.label());
-        }
-    }
-
-    #[test]
-    fn parallel_reduce_max() {
-        let data: Vec<f64> = (0..500).map(|i| ((i * 7919) % 1000) as f64).collect();
-        let pool = ThreadPool::new(3);
-        let max = pool.parallel_reduce(
-            data.len(),
-            Schedule::guided(1),
-            f64::NEG_INFINITY,
-            |i| data[i],
-            f64::max,
-        );
-        assert_eq!(max, data.iter().cloned().fold(f64::NEG_INFINITY, f64::max));
-    }
-
-    #[test]
-    fn parallel_reduce_under_partials_contention() {
-        // Regression for the never-compiled `parking_lot::Mutex` in
-        // `parallel_reduce` (now `std::sync::Mutex`): chunk-1 dynamic
-        // scheduling on many threads maximizes concurrent pushes into the
-        // partials vector, the exact code path the broken lock guarded.
-        let pool = ThreadPool::new(8);
-        for _ in 0..10 {
-            let total = pool.parallel_reduce(
-                257,
-                Schedule::dynamic(1),
-                0u64,
-                |i| i as u64 + 1,
-                |a, b| a + b,
-            );
-            assert_eq!(total, 257 * 258 / 2);
-        }
-    }
-
-    #[test]
     fn parallel_reduce_ordered_is_bit_identical_across_pools() {
         // Floating-point partials whose fold order matters: the fixed
         // partition must make every schedule/thread-count combination
@@ -753,13 +659,6 @@ mod tests {
             |r| r.len() as u64,
             |a, b| a + b,
         );
-    }
-
-    #[test]
-    fn parallel_reduce_empty_returns_identity() {
-        let pool = ThreadPool::new(2);
-        let v = pool.parallel_reduce(0, Schedule::dynamic(1), 42i64, |_| 0, |a, b| a + b);
-        assert_eq!(v, 42);
     }
 
     #[test]

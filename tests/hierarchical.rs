@@ -7,18 +7,22 @@
 //!
 //! The paper grids (238 / 201 dof) sit *below* the compression
 //! crossover — at that size the H-matrix bookkeeping outweighs the
-//! low-rank savings — so this suite pins **accuracy** only; the
-//! resident-bytes-beats-dense criterion is asserted by the bench gate
-//! (`bench_gate` gate 3) on the refined Barberá grid where the
-//! asymptotics have kicked in.
+//! low-rank savings — so on them this suite pins **accuracy** only;
+//! that the compressed operator is smaller than the packed dense triangle
+//! is asserted by `refined_barbera_compresses_below_dense` on the refined
+//! Barberá grid (2 224 dof), where the asymptotics have kicked in. That
+//! test is `#[ignore]`d — an assembly of that size is release-only work —
+//! and CI runs it with `--release -- --ignored`.
 
 use layerbem_core::assembly::{assemble_galerkin, assemble_hierarchical};
-use layerbem_core::formulation::{OperatorBackend, SolveOptions, DEFAULT_ACA_TOL};
+use layerbem_core::formulation::{
+    OperatorBackend, SolveOptions, DEFAULT_ACA_TOL, DEFAULT_LEAF_SIZE,
+};
 use layerbem_core::kernel::SoilKernel;
 use layerbem_core::study::Scenario;
 use layerbem_core::system::GroundingSystem;
-use layerbem_geometry::{grids, Mesh, Mesher};
-use layerbem_numeric::{LinearOperator, SymMatrix};
+use layerbem_geometry::{grids, Mesh, MeshOptions, Mesher};
+use layerbem_numeric::{pcg_solve, LinearOperator, PcgOptions, SymMatrix};
 use layerbem_soil::SoilModel;
 
 /// The two paper grids with their uniform soil models.
@@ -150,4 +154,48 @@ fn hierarchical_studies_agree_with_dense_studies_on_paper_grids() {
             assert!(rel_i <= 1e-6, "{label}: IΓ rel diff {rel_i:.3e}");
         }
     }
+}
+
+/// Above the compression crossover the hierarchical operator must pay
+/// off: on Barberá refined to ≤ 1 m elements it is smaller than the
+/// packed triangle (ratio 0.70 at PR 20) and answers the same PCG solve.
+#[test]
+#[ignore = "assembles 2 224 dof twice: run with --release -- --ignored"]
+fn refined_barbera_compresses_below_dense() {
+    let mesh = Mesher::new(MeshOptions {
+        max_element_length: 1.0,
+        ..Default::default()
+    })
+    .mesh(&grids::barbera());
+    assert_eq!(mesh.dof(), 2224);
+    let kernel = SoilKernel::new(&SoilModel::uniform(0.016));
+    let opts = SolveOptions::default();
+    let dense = assemble_galerkin(&mesh, &kernel, &opts);
+    let hier = assemble_hierarchical(&mesh, &kernel, &opts, DEFAULT_ACA_TOL, DEFAULT_LEAF_SIZE)
+        .expect("ACA converges");
+    assert_eq!(hier.rhs, dense.rhs);
+
+    let stats = hier
+        .cost
+        .compression
+        .expect("hierarchical assembly reports compression");
+    assert!(
+        stats.resident_bytes < stats.dense_bytes,
+        "hierarchical operator {} bytes does not beat dense {} bytes",
+        stats.resident_bytes,
+        stats.dense_bytes
+    );
+
+    let popts = PcgOptions::default();
+    let d = pcg_solve(&dense.matrix, &dense.rhs, popts);
+    let h = pcg_solve(&hier.operator, &hier.rhs, popts);
+    assert!(d.converged && h.converged, "PCG diverged");
+    let diff = norm2(
+        &d.x.iter()
+            .zip(&h.x)
+            .map(|(a, b)| a - b)
+            .collect::<Vec<f64>>(),
+    );
+    let rel = diff / norm2(&d.x);
+    assert!(rel <= 1e-6, "hierarchical PCG solution off by {rel:.3e}");
 }
