@@ -283,6 +283,7 @@ fn occupancy_label(occupancy: Option<f64>) -> String {
 }
 
 fn main() -> ExitCode {
+    layerbem_cad::cpu::check("layerbem-cad");
     let args = parse_args();
     let text = match std::fs::read_to_string(&args.deck) {
         Ok(t) => t,

@@ -15,7 +15,10 @@
 //!   answered from the retained factor.
 //! * [`report`] — human-readable result reports (including the
 //!   per-scenario sweep table) and CSV emitters for potential maps.
+//! * [`cpu`] — the start-up check both binaries run against the pinned
+//!   `x86-64-v3` build.
 
+pub mod cpu;
 pub mod input;
 pub mod pipeline;
 pub mod report;

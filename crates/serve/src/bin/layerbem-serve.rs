@@ -47,6 +47,7 @@ fn parse_bytes(text: &str) -> Option<usize> {
 }
 
 fn main() {
+    layerbem_cad::cpu::check("layerbem-serve");
     let mut config = ServerConfig {
         listen: "127.0.0.1:4811".to_string(),
         ..Default::default()

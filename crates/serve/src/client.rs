@@ -66,7 +66,8 @@ pub struct ScenarioAnswer {
 /// A solve response.
 #[derive(Clone, Debug, PartialEq)]
 pub struct SolveReply {
-    /// The canonical study key (16 hex digits).
+    /// The 16-hex digest of the canonical study key (an index for the
+    /// reader: the server compares full keys, not this).
     pub key: String,
     /// Whether the study was already resident (or in flight).
     pub cache_hit: bool,

@@ -22,6 +22,8 @@
 //! direct [`Study::solve`](layerbem_core::study::Study::solve) to the
 //! last bit, across the text protocol.
 
+use std::fmt::Write;
+
 /// Maximum nesting depth the parser accepts. Deeper input returns a
 /// [`JsonError`] instead of overflowing the stack — a resident server
 /// must survive `[[[[…`.
@@ -91,7 +93,9 @@ impl Json {
             Json::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
             Json::Num(v) => {
                 if v.is_finite() {
-                    out.push_str(&format!("{v}"));
+                    // Straight into `out`: a leakage reply is thousands of
+                    // numbers, otherwise one `String` allocation apiece.
+                    write!(out, "{v}").expect("writing to a String cannot fail");
                 } else {
                     // NaN/inf are not representable in JSON; `null` keeps
                     // the document well-formed (the protocol validates
@@ -185,7 +189,9 @@ fn write_string(s: &str, out: &mut String) {
             '\n' => out.push_str("\\n"),
             '\r' => out.push_str("\\r"),
             '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
+            c if (c as u32) < 0x20 => {
+                write!(out, "\\u{:04x}", c as u32).expect("writing to a String cannot fail")
+            }
             c => out.push(c),
         }
     }
@@ -441,6 +447,37 @@ mod tests {
             let back = Json::parse(&line).unwrap().as_f64().unwrap();
             assert_eq!(back.to_bits(), v.to_bits(), "{v} via {line}");
         }
+    }
+
+    #[test]
+    fn numbers_and_escapes_are_written_exactly_as_format_would() {
+        for v in [
+            -0.0,
+            0.0,
+            5e-324,
+            1e21,
+            1e-7,
+            0.1 + 0.2,
+            f64::MAX,
+            f64::MIN,
+            1.0,
+            -42.0,
+            9_007_199_254_740_993.0,
+            2224.0,
+        ] {
+            // `to_string` is `format!` of `Display`: the old allocation.
+            assert_eq!(Json::Num(v).to_line(), v.to_string(), "{v:e}");
+        }
+        let controls: String = (0u8..0x20).map(char::from).collect();
+        let want: String = (0u32..0x20)
+            .map(|c| match c {
+                0x0a => "\\n".to_string(),
+                0x0d => "\\r".to_string(),
+                0x09 => "\\t".to_string(),
+                c => format!("\\u{c:04x}"),
+            })
+            .collect();
+        assert_eq!(Json::str(controls).to_line(), format!("\"{want}\""));
     }
 
     #[test]

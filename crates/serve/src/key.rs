@@ -17,10 +17,17 @@
 //!   cached. A 1-thread server and a 16-thread server answer from the
 //!   same key.
 //!
-//! Hashing is FNV-1a over the 64-bit IEEE bit patterns of every float
-//! (bit patterns, not values: the key must distinguish `-0.0` from `0.0`
-//! exactly as the kernel arithmetic can), so the key is stable across
-//! runs and platforms with no allocation.
+//! **The identity is the bytes.** A key *is* the canonical encoding of
+//! those fields — tags, counts and the 64-bit IEEE bit patterns of every
+//! float (bit patterns, not values: the key must distinguish `-0.0` from
+//! `0.0` exactly as the kernel arithmetic can) — and `Eq` compares it in
+//! full. The 64-bit digest of the bytes is only an index: it is the
+//! `HashMap` hash, the 16-hex [`Display`](std::fmt::Display) form the wire
+//! reports, and nothing else, so two studies whose digests collide are
+//! still two cache entries and neither is ever served for the other.
+
+use std::hash::{Hash, Hasher};
+use std::sync::Arc;
 
 use layerbem_cad::CadCase;
 use layerbem_core::formulation::{
@@ -30,26 +37,31 @@ use layerbem_core::workload::StudySpec;
 use layerbem_geometry::{Conductor, MeshOptions};
 use layerbem_soil::SoilModel;
 
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-
-/// Incremental FNV-1a hasher over byte chunks.
-struct Fnv(u64);
-
-impl Fnv {
-    fn new() -> Self {
-        Fnv(FNV_OFFSET)
+/// 64-bit digest of `bytes`, a little-endian word at a time (multiply-
+/// rotate per word, a SplitMix64 finalizer at the end). Stable across
+/// runs and platforms; an index, never an identity.
+pub(crate) fn digest(bytes: &[u8]) -> u64 {
+    const K: u64 = 0x9e37_79b9_7f4a_7c15;
+    let mut h = (bytes.len() as u64).wrapping_mul(K);
+    let mut words = bytes.chunks_exact(8);
+    for word in &mut words {
+        let w = u64::from_le_bytes(word.try_into().expect("8-byte chunk"));
+        h = (h ^ w).wrapping_mul(K).rotate_left(29);
     }
+    let mut tail = [0u8; 8];
+    tail[..words.remainder().len()].copy_from_slice(words.remainder());
+    h ^= u64::from_le_bytes(tail);
+    h = (h ^ (h >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+    h = (h ^ (h >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+    h ^ (h >> 31)
+}
 
-    fn bytes(&mut self, bytes: &[u8]) {
-        for b in bytes {
-            self.0 ^= u64::from(*b);
-            self.0 = self.0.wrapping_mul(FNV_PRIME);
-        }
-    }
+/// The canonical encoder: tagged fields appended as little-endian words.
+struct Canonical(Vec<u8>);
 
+impl Canonical {
     fn u64(&mut self, v: u64) {
-        self.bytes(&v.to_be_bytes());
+        self.0.extend_from_slice(&v.to_le_bytes());
     }
 
     fn f64(&mut self, v: f64) {
@@ -57,17 +69,35 @@ impl Fnv {
     }
 
     fn tag(&mut self, tag: u8) {
-        self.bytes(&[tag]);
+        self.0.push(tag);
     }
 }
 
-/// The canonical identity of a prepared study.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
-pub struct StudyKey(pub u64);
+/// The canonical identity of a prepared study: its canonical bytes, and
+/// their digest as the index.
+#[derive(Clone, Debug)]
+pub struct StudyKey {
+    digest: u64,
+    bytes: Arc<[u8]>,
+}
+
+impl PartialEq for StudyKey {
+    fn eq(&self, other: &StudyKey) -> bool {
+        self.digest == other.digest && self.bytes == other.bytes
+    }
+}
+
+impl Eq for StudyKey {}
+
+impl Hash for StudyKey {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        state.write_u64(self.digest);
+    }
+}
 
 impl std::fmt::Display for StudyKey {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "{:016x}", self.0)
+        write!(f, "{:016x}", self.digest)
     }
 }
 
@@ -98,7 +128,7 @@ impl StudyKey {
         soil: &SoilModel,
         opts: &SolveOptions,
     ) -> StudyKey {
-        let mut h = Fnv::new();
+        let mut h = Canonical(Vec::with_capacity(128 + 56 * conductors.len()));
 
         h.tag(b'G');
         h.u64(conductors.len() as u64);
@@ -147,11 +177,32 @@ impl StudyKey {
             KernelEval::Scalar => 0,
             KernelEval::Batched => 1,
         });
-        // NOTE: opts.parallelism intentionally not hashed (see module
+        // NOTE: opts.parallelism intentionally not encoded (see module
         // docs) — pooled and serial servers share cache entries because
         // their results are bit-identical.
 
-        StudyKey(h.0)
+        StudyKey::from_bytes(&h.0)
+    }
+
+    fn from_bytes(bytes: &[u8]) -> StudyKey {
+        StudyKey {
+            digest: digest(bytes),
+            bytes: Arc::from(bytes),
+        }
+    }
+
+    /// A key over arbitrary canonical bytes (tests address the cache
+    /// without building a study description).
+    #[cfg(test)]
+    pub(crate) fn of_test_bytes(bytes: &[u8]) -> StudyKey {
+        StudyKey::from_bytes(bytes)
+    }
+
+    /// The same identity under a forced digest: collisions on demand.
+    #[cfg(test)]
+    pub(crate) fn with_digest(mut self, digest: u64) -> StudyKey {
+        self.digest = digest;
+        self
     }
 }
 
@@ -159,7 +210,10 @@ impl StudyKey {
 mod tests {
     use super::*;
     use layerbem_cad::parse_case;
+    use layerbem_geometry::conductor::ground_rod;
+    use layerbem_geometry::Point3;
     use layerbem_parfor::{Schedule, ThreadPool};
+    use std::collections::HashSet;
 
     const DECK: &str = "\
 title A
@@ -229,5 +283,37 @@ grid rect 0 0 20 20 2 2 0.8 0.006
         assert!(s.chars().all(|c| c.is_ascii_hexdigit()));
         // Stable across calls (pure function of the canonical form).
         assert_eq!(k, key(DECK, &SolveOptions::default()));
+    }
+
+    #[test]
+    fn identity_is_the_bytes_even_when_an_8_bit_digest_collides() {
+        // 300 distinct rods under a digest cut to 8 bits: the pigeonhole
+        // forces collisions, and every key must still be its own.
+        let (mesh, soil, opts) = (
+            MeshOptions::default(),
+            SoilModel::uniform(0.016),
+            SolveOptions::default(),
+        );
+        let keys: Vec<StudyKey> = (0..300)
+            .map(|i| {
+                let rod = ground_rod(Point3::new(i as f64, 0.0, 0.5), 2.0, 0.007);
+                let k = StudyKey::of_parts(&[rod], &mesh, &soil, &opts);
+                let weak = k.digest & 0xff;
+                k.with_digest(weak)
+            })
+            .collect();
+        let digests: HashSet<u64> = keys.iter().map(|k| k.digest).collect();
+        assert!(digests.len() <= 256, "the digest really is 8 bits");
+        let distinct: HashSet<&StudyKey> = keys.iter().collect();
+        assert_eq!(distinct.len(), keys.len(), "no two studies are one key");
+    }
+
+    #[test]
+    fn digest_reads_every_byte_and_the_length() {
+        let base = digest(b"canonical bytes!");
+        assert_ne!(digest(b"canonical bytes?"), base, "last word");
+        assert_ne!(digest(b"Canonical bytes!"), base, "first word");
+        assert_ne!(digest(b"canonical bytes!\0"), base, "a zero tail");
+        assert_eq!(digest(b"canonical bytes!"), base, "pure");
     }
 }

@@ -5,8 +5,8 @@
 //! once at O(N³), answer every scenario at O(N) — but a one-shot process
 //! still pays the prepare per invocation. This crate keeps the prepared
 //! factors **resident**: a long-lived TCP server speaks newline-delimited
-//! JSON, hashes the canonical form of each request's (geometry + soil +
-//! solver configuration) to a [`key::StudyKey`], and answers
+//! JSON, encodes each request's (geometry + soil + solver configuration)
+//! canonically as a [`key::StudyKey`], and answers
 //! scenario sweeps from a shared [`cache::StudyCache`] of
 //! `Arc<Study>` — single-flight prepares, concurrent readers, LRU
 //! eviction under a resident-bytes budget, and p50/p99 latency metrics
@@ -17,8 +17,10 @@
 //! * [`json`] — a dependency-free JSON parser/writer whose float
 //!   formatting round-trips bit-identically;
 //! * [`protocol`] — the request/response documents;
-//! * [`key`] — canonical FNV-1a study keys (what "the same study" means);
-//! * [`cache`] — the single-flight, LRU-by-resident-bytes study cache;
+//! * [`key`] — canonical study keys: the identity is the bytes, a 64-bit
+//!   digest only indexes them (what "the same study" means);
+//! * [`cache`] — the single-flight, LRU-by-resident-bytes study cache,
+//!   whose entries also remember the deck text they were resolved from;
 //! * [`metrics`] — counters and log₂ latency histograms;
 //! * [`errors`] — typed request errors (`protocol`/`parse`/`model`/
 //!   `prepare`/`solve`/`internal`) — the resident process never panics on

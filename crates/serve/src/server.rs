@@ -6,21 +6,22 @@
 //! deck, resolve the workload the request asks for, hand both to the one
 //! executor ([`layerbem_core::workload::execute`], shared with the CAD
 //! pipeline) and render its rows as JSON. The server's own part is the
-//! **study source**: [`Service`] implements [`StudySource`] over its
-//! keyed [`StudyCache`], falling back on a miss to the same
-//! [`StudySpec::prepare`] the CLI runs. Whatever validation can refuse
-//! is refused before the cache is touched.
+//! **study source**: the request's deck over the keyed [`StudyCache`],
+//! falling back on a miss to the same [`StudySpec::prepare`] the CLI
+//! runs. Whatever validation can refuse is refused before the cache is
+//! touched. A deck the cache holds as a resident study's alias is not
+//! parsed again: its case and key are read off the entry after a byte
+//! comparison.
 //!
 //! Threading: one accept thread feeds a fixed pool of connection workers
 //! (one connection per worker at a time; a request may still use the
 //! solver's pool via [`SolveOptions::parallelism`], and `sweep` fans its
 //! samples over it). All workers share one [`Service`] through an `Arc` —
 //! sound because a prepared `Study` is `Send + Sync` and immutable.
-//! Thread-per-connection is a measured choice (ROADMAP item 3): a ping
-//! round trip costs 0.2 ms against milliseconds of handling, so no
-//! readiness loop is built. Each reply leaves in **one** `write_all` on a
-//! `TCP_NODELAY` socket; a `\n` sent on its own waits ~40 ms for the
-//! peer's delayed ACK.
+//! Thread-per-connection is a measured choice (PR 14): a ping round trip
+//! cost 0.2 ms against milliseconds of handling, so no readiness loop is
+//! built. Each reply leaves in **one** `write_all` on a `TCP_NODELAY`
+//! socket; a `\n` sent on its own waits ~40 ms for the peer's delayed ACK.
 //!
 //! The `edit` op is the one **stateful** corner: each connection owns an
 //! optional [`EditSessionState`] with a private editable study. Cached
@@ -48,11 +49,9 @@ use layerbem_cad::{parse_case, CadCase};
 use layerbem_core::formulation::SolveOptions;
 use layerbem_core::incremental::{EditOp, EditSession};
 use layerbem_core::study::Scenario;
-use layerbem_core::workload::{
-    execute, sweep_quantiles, ExecuteError, Sourced, StudySource, StudySpec, Workload,
-};
+use layerbem_core::workload::{sweep_quantiles, ExecuteError, StudySpec, Workload};
 
-use crate::cache::{CacheOutcome, StudyCache};
+use crate::cache::{Deck, StudyCache};
 use crate::errors::{ErrorKind, RequestError};
 use crate::json::Json;
 use crate::key::StudyKey;
@@ -209,17 +208,16 @@ impl Service {
         scenarios: Option<Vec<Scenario>>,
         include_leakage: bool,
     ) -> Result<Json, RequestError> {
-        let case = parse_case(deck)?;
-        let workload = Workload::Scenarios(request_scenarios(&case, scenarios)?);
-        let spec = case.study_spec(self.solve);
-        let run = execute(&spec, &workload, &case.edits, self)?.into_scenarios();
+        let resolved = self.deck(deck)?;
+        let workload = Workload::Scenarios(request_scenarios(&resolved.case, scenarios)?);
+        let run = resolved.execute(&workload)?.into_scenarios();
         self.metrics
             .solve
             .record(Duration::from_secs_f64(run.solve_seconds));
         Ok(ok_obj(
             "solve",
             Json::obj(vec![
-                ("key", Json::str(StudyKey::of_spec(&spec).to_string())),
+                ("key", Json::str(resolved.key.to_string())),
                 ("cache_hit", Json::Bool(run.study.reused)),
                 ("dof", Json::Num(run.study.study.dof() as f64)),
                 ("prepare_seconds", Json::Num(run.study.prepare_seconds)),
@@ -244,14 +242,17 @@ impl Service {
         scenarios: Option<Vec<Scenario>>,
         include_leakage: bool,
     ) -> Result<Json, RequestError> {
-        let case = parse_case(deck)?;
-        let scenarios = request_scenarios(&case, scenarios)?;
-        let sweep = case
+        let resolved = self.deck(deck)?;
+        let scenarios = request_scenarios(&resolved.case, scenarios)?;
+        let sweep = resolved
+            .case
             .soil_sweep(samples, seed, sigma, scenarios)
             .map_err(RequestError::protocol)?;
         let (samples, seed, sigma) = (sweep.samples, sweep.seed, sweep.sigma);
-        let spec = case.study_spec(self.solve);
-        let rows = execute(&spec, &Workload::SoilSweep(sweep), &case.edits, self)?.into_samples();
+        let rows = resolved
+            .execute(&Workload::SoilSweep(sweep))?
+            .into_samples();
+        let spec = resolved.spec();
         let (gpr, req) = sweep_quantiles(&rows);
         let mut results = Vec::with_capacity(rows.len());
         for row in &rows {
@@ -304,7 +305,7 @@ impl Service {
             Scenario::validate(list).map_err(refused)?;
         }
         if let Some(deck) = deck {
-            let case = parse_case(deck)?;
+            let case = self.deck(deck)?.case;
             let scenarios = request_scenarios(&case, None)?;
             let spec = case.study_spec(self.solve);
             let t = Instant::now();
@@ -345,41 +346,34 @@ impl Service {
                 network: state.session.network(),
                 ..state.case.study_spec(self.solve)
             });
-            let bytes = self.cache.publish(key, Arc::new(study.frozen_clone()));
             pairs.push(("published_key", Json::str(key.to_string())));
+            let bytes = self.cache.publish(key, Arc::new(study.frozen_clone()));
             pairs.push(("published_bytes", Json::Num(bytes as f64)));
         }
         Ok(ok_obj("edit", Json::obj(pairs)))
     }
-}
 
-/// The keyed cache as the executor's study source: resident studies are
-/// reused, absent ones prepared once (single-flight), and the
-/// hit/miss/prepare metrics move here, where the outcome is known.
-impl StudySource for Service {
-    fn study(&self, spec: &StudySpec<'_>) -> Result<Sourced, ExecuteError> {
-        let t = Instant::now();
-        let (study, outcome) = self
-            .cache
-            .get_or_prepare(StudyKey::of_spec(spec), || spec.prepare())?;
-        let elapsed = t.elapsed();
-        match outcome {
-            CacheOutcome::Miss => {
-                Metrics::bump(&self.metrics.cache_misses);
-                self.metrics.prepare.record(elapsed);
+    /// The one place a request's deck is parsed: a deck the cache holds
+    /// as a resident study's alias is read off it instead, key included
+    /// (byte-verified by `StudyCache::alias`). A failed parse is never
+    /// remembered.
+    fn deck<'a>(&'a self, text: &'a str) -> Result<Deck<'a>, RequestError> {
+        let (case, key, parsed) = match self.cache.alias(text) {
+            Some((case, key)) => (case, key, None),
+            None => {
+                let case = Arc::new(parse_case(text)?);
+                let key = StudyKey::of(&case, &self.solve);
+                (case, key, Some(text))
             }
-            CacheOutcome::Hit => Metrics::bump(&self.metrics.cache_hits),
-        }
-        Ok(Sourced {
-            study,
-            reused: outcome == CacheOutcome::Hit,
-            prepare_seconds: elapsed.as_secs_f64(),
+        };
+        Ok(Deck {
+            cache: &self.cache,
+            metrics: &self.metrics,
+            opts: self.solve,
+            case,
+            key,
+            parsed,
         })
-    }
-
-    /// Cached studies are shared; edits belong to the `edit` op's session.
-    fn replays_edits(&self) -> bool {
-        false
     }
 }
 
@@ -389,7 +383,7 @@ impl StudySource for Service {
 /// [`Service`] — sessions are private by construction.
 pub struct EditSessionState {
     session: EditSession,
-    case: CadCase,
+    case: Arc<CadCase>,
     scenarios: Vec<Scenario>,
 }
 
@@ -951,7 +945,7 @@ mod tests {
 
     #[test]
     fn build_study_rejects_bad_models_as_typed_errors() {
-        use layerbem_core::workload::FreshSource;
+        use layerbem_core::workload::{FreshSource, StudySource};
         let case = parse_case("rod 0 0 0.5 2 0.01\nrod 900 900 0.5 2 0.01\n").unwrap();
         let e: RequestError = FreshSource
             .study(&case.study_spec(SolveOptions::default()))
@@ -960,5 +954,114 @@ mod tests {
             .into();
         assert_eq!(e.kind, ErrorKind::Model);
         assert!(e.message.contains("connected"), "{}", e.message);
+    }
+
+    /// The `solutions` of one reply, as text (equal text is equal bits).
+    fn solutions(reply: &str) -> String {
+        let v = Json::parse(reply).unwrap();
+        assert_eq!(v.get("ok").and_then(Json::as_bool), Some(true), "{reply}");
+        v.get("solutions").unwrap().to_line()
+    }
+
+    #[test]
+    fn a_repeated_deck_is_read_off_its_alias_and_answers_identically() {
+        let s = service();
+        let cold = s.handle_line(&solve_line(ROD_DECK));
+        let (case, key) = s.cache().alias(ROD_DECK).expect("the deck became an alias");
+        let warm = s.handle_line(&solve_line(ROD_DECK));
+        let (again, _) = s.cache().alias(ROD_DECK).unwrap();
+        assert!(Arc::ptr_eq(&case, &again), "the hit reused the parse");
+        assert_eq!(solutions(&cold), solutions(&warm));
+        let v = Json::parse(&warm).unwrap();
+        assert_eq!(v.get("cache_hit").and_then(Json::as_bool), Some(true));
+        assert_eq!(v.get("key").and_then(Json::as_str), Some(&*key.to_string()));
+        // A sweep of the same deck text reads the alias too.
+        let line = r#"{"op":"sweep","deck":"rod 0 0 0.5 2 0.01\n","samples":2,"seed":3}"#;
+        let v = Json::parse(&s.handle_line(line)).unwrap();
+        assert_eq!(v.get("ok").and_then(Json::as_bool), Some(true), "{v:?}");
+        assert!(Arc::ptr_eq(&s.cache().alias(ROD_DECK).unwrap().0, &case));
+    }
+
+    #[test]
+    fn decks_sharing_one_study_are_each_answered_with_their_own_drives() {
+        // Same geometry, soil and options — one study, one key — but
+        // different titles, gpr lines and scenario stanzas.
+        let a = "title a\ngpr 1000\nrod 0 0 0.5 2 0.01\n";
+        let b =
+            "title b\ngpr 7000\nscenario fault-current 50\nscenario gpr 300\nrod 0 0 0.5 2 0.01\n";
+        let fresh = |deck: &str| solutions(&service().handle_line(&solve_line(deck)));
+        let (want_a, want_b) = (fresh(a), fresh(b));
+        assert_ne!(want_a, want_b);
+        let s = service();
+        for _ in 0..3 {
+            assert_eq!(solutions(&s.handle_line(&solve_line(a))), want_a);
+            assert_eq!(solutions(&s.handle_line(&solve_line(b))), want_b);
+        }
+        assert_eq!(s.cache().residency().0, 1, "one study answered both");
+        assert_eq!(s.metrics().cache_misses.load(Ordering::Relaxed), 1);
+    }
+
+    #[test]
+    fn a_deck_digest_collision_reparses_and_still_answers_right() {
+        // Every deck text digests to 0: each switch of deck is a digest
+        // hit on the other text, which must be a miss and a fresh parse.
+        let s = Service {
+            cache: StudyCache::with_deck_digest(0, |_| 0),
+            metrics: Metrics::default(),
+            solve: SolveOptions::default(),
+        };
+        let other = "rod 3 0 0.5 2.5 0.01\n";
+        let fresh = |deck: &str| solutions(&service().handle_line(&solve_line(deck)));
+        let (want_rod, want_other) = (fresh(ROD_DECK), fresh(other));
+        for _ in 0..2 {
+            assert_eq!(solutions(&s.handle_line(&solve_line(ROD_DECK))), want_rod);
+            assert!(s.cache().alias(other).is_none(), "colliding text missed");
+            assert_eq!(solutions(&s.handle_line(&solve_line(other))), want_other);
+            assert!(s.cache().alias(ROD_DECK).is_none(), "one digest, one text");
+            assert!(s.cache().alias(other).is_some());
+        }
+        assert_eq!(s.metrics().cache_misses.load(Ordering::Relaxed), 2);
+    }
+
+    #[test]
+    fn refused_and_unparsable_decks_leave_no_alias() {
+        let s = service();
+        assert_eq!(
+            error_kind(&s.handle_line(&solve_line("bogus 1\n"))),
+            "parse"
+        );
+        assert!(s.cache().alias("bogus 1\n").is_none());
+        let islands = "rod 0 0 0.5 2 0.01\nrod 500 500 0.5 2 0.01\n";
+        assert_eq!(error_kind(&s.handle_line(&solve_line(islands))), "model");
+        assert!(s.cache().alias(islands).is_none());
+        assert_eq!(
+            error_kind(&s.handle_line(&edit_deck_line("solve"))),
+            "protocol"
+        );
+        assert_eq!(s.cache().residency(), (0, 0, 0), "nothing charged");
+    }
+
+    #[test]
+    fn an_evicted_study_takes_its_alias_along() {
+        // Room for one study and its alias, not for two studies (a
+        // one-byte budget declines the alias: it never evicts a study).
+        let resident = |budget| {
+            let s = Service::new(budget, SolveOptions::default());
+            s.handle_line(&solve_line(ROD_DECK));
+            s.cache().residency().1
+        };
+        let (study, aliased) = (resident(1), resident(0));
+        assert!(aliased > study, "the alias is charged");
+        let s = Service::new(aliased + study / 2, SolveOptions::default());
+        let other = "rod 3 0 0.5 2 0.011\n";
+        s.handle_line(&solve_line(ROD_DECK));
+        assert!(s.cache().alias(ROD_DECK).is_some());
+        s.handle_line(&solve_line(other));
+        assert!(
+            s.cache().alias(ROD_DECK).is_none(),
+            "evicted with its study"
+        );
+        assert!(s.cache().alias(other).is_some());
+        assert_eq!(s.cache().residency().0, 1);
     }
 }
