@@ -1,5 +1,5 @@
 //! The paper's staged parallel assembly (§6.2), for the reproduction
-//! tables and benches only.
+//! tables only.
 //!
 //! "The assembly of the elemental matrices causes a dependency between
 //! the actions of the threads. This drawback can be avoided by taking the
@@ -10,15 +10,16 @@
 //! parallel — over the outer loop (columns) or the inner loop (rows of
 //! each column, Fig 6.1's dashed line) — into one `Vec<Block>` per
 //! column; stage 2 scatters them sequentially. Built on the same
-//! [`pair_block_eval`] / [`scatter_pair`] as the production engines, in
-//! the same `(β, α)` order, so the result is bit-identical to
-//! `assemble_galerkin` with `parallelism: None`.
+//! [`pair_block`] / [`scatter_pair`] as the production engines (one
+//! kernel evaluator, the batched lane path), in the same `(β, α)` order,
+//! so the result is bit-identical to `assemble_galerkin` with
+//! `parallelism: None`.
 
 use std::time::Instant;
 
 use layerbem_core::assembly::{
-    element_geoms, galerkin_rhs, pair_block_eval, scatter_pair, AssemblyCost, AssemblyReport,
-    Block, OuterQuadrature,
+    element_geoms, galerkin_rhs, pair_block, scatter_pair, AssemblyCost, AssemblyReport, Block,
+    OuterQuadrature,
 };
 use layerbem_core::formulation::SolveOptions;
 use layerbem_core::kernel::{KernelBatch, KernelCost, SoilKernel};
@@ -60,14 +61,7 @@ pub fn assemble_staged(
     let m = geoms.len();
     let t0 = Instant::now();
     let pair = |beta: usize, alpha: usize, batch: &mut KernelBatch| {
-        pair_block_eval(
-            &geoms[beta],
-            &geoms[alpha],
-            kernel,
-            &quad,
-            opts.kernel_eval,
-            batch,
-        )
+        pair_block(&geoms[beta], &geoms[alpha], kernel, &quad, batch)
     };
 
     // Stage 1: compute and store all M(M+1)/2 elemental matrices.

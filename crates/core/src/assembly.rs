@@ -36,8 +36,12 @@
 //! The paper's own scheme — store every elemental matrix, then assemble
 //! sequentially, at "approximately twice the memory space" (§6.2) — is
 //! not a production engine; the reproduction harness rebuilds it from
-//! the public elemental-block API ([`Block`], [`pair_block_eval`],
+//! the public elemental-block API ([`Block`], [`pair_block`],
 //! [`scatter_pair`]) in `crates/bench/src/staged.rs`.
+//!
+//! Every engine evaluates pairs through one kernel evaluator, the batched
+//! lane path of [`pair_block`]. [`pair_block_scalar`] is its
+//! point-at-a-time oracle, called only by tests.
 //!
 //! The compressed-operator generation ([`assemble_hierarchical`]) and the
 //! point-collocation matrix ([`assemble_collocation`]) follow the same
@@ -49,7 +53,7 @@ use layerbem_geometry::{ElementRowMap, Mesh};
 use layerbem_numeric::{CompressionStats, SymMatrix};
 use layerbem_parfor::{ExecutionStats, Schedule, ThreadPool};
 
-use crate::formulation::{KernelEval, SolveOptions};
+use crate::formulation::SolveOptions;
 use crate::integration::ElementGeom;
 use crate::kernel::{KernelBatch, KernelCost, SoilKernel};
 
@@ -222,9 +226,13 @@ fn endpoint_separation(a: &ElementGeom, b: &ElementGeom) -> f64 {
         .min(sb.distance_to_point(a.b))
 }
 
-/// Computes the elemental matrix for field element `beta` against source
-/// element `alpha`, returning the block and the series terms consumed.
-fn pair_block(
+/// The point-at-a-time oracle of [`pair_block`]: the same elemental matrix
+/// with every surface point evaluated on its own through
+/// [`SoilKernel::element_potential`], returning the block and the series
+/// terms consumed. No engine calls it; the tests compare the lane kernel
+/// against it pair by pair (the two agree to the series tolerance, not
+/// bitwise — lane `ln`, shared series stop).
+pub fn pair_block_scalar(
     beta: &ElementGeom,
     alpha: &ElementGeom,
     kernel: &SoilKernel,
@@ -254,16 +262,20 @@ fn pair_block(
     (b, terms)
 }
 
-/// Batched [`pair_block`]: gathers **all** `2q` surface points of the
-/// pair (both antipodal azimuths of every outer quadrature point) into
-/// one [`KernelBatch`] and evaluates the source element against them in a
-/// single structure-of-arrays kernel call. The weighted outer assembly is
-/// the same loop as the scalar path; only the inner kernel evaluation
-/// changes. Because the batch content is fixed by the pair alone, the
-/// block is bit-identical no matter which thread, schedule or partition
-/// computes it — the scalar path's determinism argument carries over
-/// unchanged.
-fn pair_block_batched(
+/// Computes the elemental matrix for field element `beta` against source
+/// element `alpha` — the pair-block computation every engine calls.
+///
+/// Gathers **all** `2q` surface points of the pair (both antipodal
+/// azimuths of every outer quadrature point) into one [`KernelBatch`] and
+/// evaluates the source element against them in a single
+/// structure-of-arrays call
+/// ([`SoilKernel::element_potential_batch`]: 4-wide lanes, one collective
+/// series stop). The weighted outer assembly is the same loop as
+/// [`pair_block_scalar`], the tests' oracle. Because the batch content is
+/// fixed by the pair alone, the block is bit-identical no matter which
+/// thread, schedule or partition computes it. `batch` is the caller's
+/// reusable scratch.
+pub fn pair_block(
     beta: &ElementGeom,
     alpha: &ElementGeom,
     kernel: &SoilKernel,
@@ -293,34 +305,6 @@ fn pair_block_batched(
         b[1][1] += w * n1 * v[1];
     }
     (b, cost)
-}
-
-/// The [`KernelEval`]-selected pair-block computation every engine calls:
-/// scalar oracle or batched lane path, with unified cost accounting.
-/// `batch` is the caller's reusable scratch (untouched on the scalar
-/// path).
-#[inline]
-pub fn pair_block_eval(
-    beta: &ElementGeom,
-    alpha: &ElementGeom,
-    kernel: &SoilKernel,
-    quad: &OuterQuadrature,
-    eval: KernelEval,
-    batch: &mut KernelBatch,
-) -> (Block, KernelCost) {
-    match eval {
-        KernelEval::Scalar => {
-            let (b, t) = pair_block(beta, alpha, kernel, quad);
-            (
-                b,
-                KernelCost {
-                    terms: t as u64,
-                    ..Default::default()
-                },
-            )
-        }
-        KernelEval::Batched => pair_block_batched(beta, alpha, kernel, quad, batch),
-    }
 }
 
 /// Scatters one elemental block as the canonical sequence of entry
@@ -387,7 +371,6 @@ fn assemble_serial(
     geoms: &[ElementGeom],
     kernel: &SoilKernel,
     quad: &OuterQuadrature,
-    eval: KernelEval,
 ) -> EngineOutput {
     let m = geoms.len();
     let mut matrix = SymMatrix::zeros(mesh.dof());
@@ -400,8 +383,7 @@ fn assemble_serial(
         let nb = mesh.elements[beta].nodes;
         let mut cost = KernelCost::default();
         for alpha in beta..m {
-            let (b, c) =
-                pair_block_eval(&geoms[beta], &geoms[alpha], kernel, quad, eval, &mut batch);
+            let (b, c) = pair_block(&geoms[beta], &geoms[alpha], kernel, quad, &mut batch);
             let na = mesh.elements[alpha].nodes;
             scatter_pair(nb, na, alpha == beta, &b, &mut |p, q, v| {
                 matrix.add(p, q, v)
@@ -464,7 +446,6 @@ fn assemble_direct_pooled(
     geoms: &[ElementGeom],
     kernel: &SoilKernel,
     quad: &OuterQuadrature,
-    eval: KernelEval,
     pool: &ThreadPool,
     schedule: Schedule,
 ) -> EngineOutput {
@@ -524,8 +505,7 @@ fn assemble_direct_pooled(
                 let mut run_cost = KernelCost::default();
                 for alpha in run.alphas() {
                     let na = map_ref.element_nodes(alpha);
-                    let (b, c) =
-                        pair_block_eval(&geoms[beta], &geoms[alpha], kernel, quad, eval, batch);
+                    let (b, c) = pair_block(&geoms[beta], &geoms[alpha], kernel, quad, batch);
                     scatter_pair(nb, na, alpha == beta, &b, &mut |p, q, v| {
                         if view.owns(p, q) {
                             view.add(p, q, v);
@@ -580,12 +560,9 @@ pub fn assemble_galerkin(mesh: &Mesh, kernel: &SoilKernel, opts: &SolveOptions) 
     let t0 = Instant::now();
     let geoms = element_geoms(mesh);
     let quad = OuterQuadrature::new(opts.outer_quadrature);
-    let eval = opts.kernel_eval;
     let (matrix, column_seconds, column_terms, kernel_cost, stats) = match &opts.parallelism {
-        None => assemble_serial(mesh, &geoms, kernel, &quad, eval),
-        Some(par) => {
-            assemble_direct_pooled(mesh, &geoms, kernel, &quad, eval, &par.pool, par.schedule)
-        }
+        None => assemble_serial(mesh, &geoms, kernel, &quad),
+        Some(par) => assemble_direct_pooled(mesh, &geoms, kernel, &quad, &par.pool, par.schedule),
     };
     let rhs = galerkin_rhs(mesh);
     AssemblyReport {

@@ -5,7 +5,7 @@ use layerbem_geometry::{ElementRowMap, Mesh};
 use layerbem_numeric::DenseMatrix;
 
 use super::{element_geoms, AssemblyCost};
-use crate::formulation::{KernelEval, SolveOptions};
+use crate::formulation::SolveOptions;
 use crate::integration::ElementGeom;
 use crate::kernel::{KernelBatch, KernelCost, SoilKernel};
 
@@ -14,7 +14,6 @@ use crate::kernel::{KernelBatch, KernelCost, SoilKernel};
 /// and the pooled branch funnel every row through this function, so a
 /// row is the identical scalar sequence no matter which thread — or how
 /// many — computed it.
-#[allow(clippy::too_many_arguments)]
 fn collocation_row(
     mesh: &Mesh,
     geoms: &[ElementGeom],
@@ -22,7 +21,6 @@ fn collocation_row(
     p: usize,
     incident: &[usize],
     row: &mut [f64],
-    eval: KernelEval,
     batch: &mut KernelBatch,
 ) -> KernelCost {
     // Collocation point: on the surface of the first incident element,
@@ -36,32 +34,18 @@ fn collocation_row(
     };
     let (xp, xm) = g.surface_pair(s);
     let mut cost = KernelCost::default();
-    match eval {
-        KernelEval::Scalar => {
-            for (alpha, ga) in geoms.iter().enumerate() {
-                let (vp, tp) = kernel.element_potential(xp, ga);
-                let (vm, tm) = kernel.element_potential(xm, ga);
-                cost.terms += (tp + tm) as u64;
-                let na = mesh.elements[alpha].nodes;
-                row[na[0]] += 0.5 * (vp[0] + vm[0]);
-                row[na[1]] += 0.5 * (vp[1] + vm[1]);
-            }
-        }
-        KernelEval::Batched => {
-            // Both surface points of the collocation pair ride in one
-            // two-point batch per source element; the batch content is
-            // fixed by the row alone, so rows stay schedule-invariant.
-            for (alpha, ga) in geoms.iter().enumerate() {
-                batch.clear();
-                batch.push(xp);
-                batch.push(xm);
-                cost += kernel.element_potential_batch(batch, ga);
-                let vals = batch.values();
-                let na = mesh.elements[alpha].nodes;
-                row[na[0]] += 0.5 * (vals[0][0] + vals[1][0]);
-                row[na[1]] += 0.5 * (vals[0][1] + vals[1][1]);
-            }
-        }
+    // Both surface points of the collocation pair ride in one two-point
+    // batch per source element; the batch content is fixed by the row
+    // alone, so rows stay schedule-invariant.
+    for (alpha, ga) in geoms.iter().enumerate() {
+        batch.clear();
+        batch.push(xp);
+        batch.push(xm);
+        cost += kernel.element_potential_batch(batch, ga);
+        let vals = batch.values();
+        let na = mesh.elements[alpha].nodes;
+        row[na[0]] += 0.5 * (vals[0][0] + vals[1][0]);
+        row[na[1]] += 0.5 * (vals[0][1] + vals[1][1]);
     }
     cost
 }
@@ -76,9 +60,8 @@ struct CollocationPart<'a> {
 
 /// Collocation matrix: row `p` states `V(x_p) = 1` at a surface point
 /// near node `p`. Nonsymmetric; solved by LU. Returns the matrix, the
-/// unit right-hand side and what the generation cost (one kernel loop,
-/// evaluated with `opts.kernel_eval`, so `kernel_seconds` is the whole
-/// wall time).
+/// unit right-hand side and what the generation cost (one batched kernel
+/// loop, so `kernel_seconds` is the whole wall time).
 ///
 /// With `opts.parallelism` set, the matrix rows are partitioned into
 /// disjoint [`DenseRowsMut`](layerbem_numeric::DenseRowsMut) views by the
@@ -96,7 +79,6 @@ pub fn assemble_collocation(
     let t0 = std::time::Instant::now();
     let geoms = element_geoms(mesh);
     let n = mesh.dof();
-    let eval = opts.kernel_eval;
     // The rows → owning-elements CSR half of the map: flat arrays, no
     // per-node allocation, same ascending element order as
     // `Mesh::node_elements`.
@@ -105,7 +87,7 @@ pub fn assemble_collocation(
     let mut cost = KernelCost::default();
     let fill = |p: usize, row: &mut [f64], batch: &mut KernelBatch| {
         let incident = map.row_elements(p);
-        collocation_row(mesh, &geoms, kernel, p, incident, row, eval, batch)
+        collocation_row(mesh, &geoms, kernel, p, incident, row, batch)
     };
     match &opts.parallelism {
         None => {

@@ -10,10 +10,9 @@ use layerbem_parfor::ExecutionStats;
 
 use super::worklist::{self, PairWorklist};
 use super::{
-    element_geoms, galerkin_rhs, pair_block_eval, scatter_pair, AssemblyCost, Block,
-    OuterQuadrature,
+    element_geoms, galerkin_rhs, pair_block, scatter_pair, AssemblyCost, Block, OuterQuadrature,
 };
-use crate::formulation::{KernelEval, SolveOptions};
+use crate::formulation::SolveOptions;
 use crate::integration::ElementGeom;
 use crate::kernel::{KernelBatch, KernelCost, SoilKernel};
 
@@ -82,7 +81,7 @@ fn cluster_members(elems: &[u32], rows: &[usize], map: &ElementRowMap) -> Vec<Ve
 /// elemental value the sequential assembly would have added to the packed
 /// slot. Sampling whole rows/columns (instead of the per-entry closure the
 /// [`aca`](layerbem_numeric::aca()) convenience wrapper uses) is what lets the kernel run batched:
-/// every pair block inside a fill is one [`pair_block_eval`] call, and a
+/// every pair block inside a fill is one [`pair_block`] call, and a
 /// one-entry memo folds the immediately repeated pair of a
 /// two-member row or column into a single kernel evaluation.
 ///
@@ -94,7 +93,6 @@ struct FarSampler<'a> {
     geoms: &'a [ElementGeom],
     kernel: &'a SoilKernel,
     quad: &'a OuterQuadrature,
-    eval: KernelEval,
     /// Last `(lo, hi)` pair block computed — the repeat memo.
     memo: Option<((usize, usize), Block)>,
     cost: KernelCost,
@@ -108,12 +106,11 @@ impl FarSampler<'_> {
                 return blk;
             }
         }
-        let (blk, c) = pair_block_eval(
+        let (blk, c) = pair_block(
             &self.geoms[lo],
             &self.geoms[hi],
             self.kernel,
             self.quad,
-            self.eval,
             &mut self.batch,
         );
         self.cost += c;
@@ -230,7 +227,6 @@ pub fn assemble_hierarchical(
     }
     let mut near = SparseSym::from_pattern(n, pattern);
 
-    let eval = opts.kernel_eval;
     let mut kernel_cost = KernelCost::default();
     let mut stats = None;
     match &opts.parallelism {
@@ -242,8 +238,7 @@ pub fn assemble_hierarchical(
                 let (b, a) = (beta as usize, alpha as usize);
                 let nb = map.element_nodes(b);
                 let na = map.element_nodes(a);
-                let (blk, c) =
-                    pair_block_eval(&geoms[b], &geoms[a], kernel, &quad, eval, &mut batch);
+                let (blk, c) = pair_block(&geoms[b], &geoms[a], kernel, &quad, &mut batch);
                 scatter_pair(nb, na, a == b, &blk, &mut |p, q, v| near.add(p, q, v));
                 kernel_cost += c;
             }
@@ -287,12 +282,11 @@ pub fn assemble_hierarchical(
                         for (beta, alpha) in work.pairs() {
                             let nb = map_ref.element_nodes(beta);
                             let na = map_ref.element_nodes(alpha);
-                            let (blk, c) = pair_block_eval(
+                            let (blk, c) = pair_block(
                                 &geoms_ref[beta],
                                 &geoms_ref[alpha],
                                 kernel,
                                 quad_ref,
-                                eval,
                                 batch,
                             );
                             scatter_pair(nb, na, alpha == beta, &blk, &mut |p, q, v| {
@@ -332,7 +326,6 @@ pub fn assemble_hierarchical(
             geoms: geoms_ref,
             kernel,
             quad: quad_ref,
-            eval,
             memo: None,
             cost: KernelCost::default(),
             batch: KernelBatch::new(),

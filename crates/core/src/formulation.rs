@@ -62,32 +62,6 @@ pub enum OperatorBackend {
     },
 }
 
-/// How the assembler evaluates the layered-soil kernel over an element
-/// pair's quadrature points.
-///
-/// **Batched** (the default) gathers all quadrature points of a pair into
-/// one structure-of-arrays call
-/// ([`SoilKernel::element_potential_batch`](crate::kernel::SoilKernel::element_potential_batch)):
-/// the image-series rod integrals run in fixed 4-wide lanes
-/// ([`layerbem_numeric::lanes`]) with a chunked-Kahan collective series
-/// stop ([`layerbem_numeric::series::sum_until_batch`]). Because a pair's
-/// batch content is fixed by the pair alone, the batched result is
-/// **bit-identical across schedules × thread counts × partitions** — but
-/// it is *not* bitwise equal to the scalar path (lane `ln`, shared series
-/// stop); the two agree to the series tolerance.
-///
-/// **Scalar** is the original point-at-a-time evaluation, retained
-/// unchanged as the tolerance oracle and determinism baseline.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
-pub enum KernelEval {
-    /// Point-at-a-time kernel evaluation (the oracle path).
-    Scalar,
-    /// Structure-of-arrays, 4-wide-lane kernel evaluation per element
-    /// pair (default).
-    #[default]
-    Batched,
-}
-
 /// Default ACA tolerance of [`OperatorBackend::hierarchical`].
 pub const DEFAULT_ACA_TOL: f64 = 1e-8;
 /// Default cluster-tree leaf size of [`OperatorBackend::hierarchical`].
@@ -149,12 +123,6 @@ pub struct SolveOptions {
     /// field and requires the Galerkin formulation with the
     /// conjugate-gradient solver.
     pub backend: OperatorBackend,
-    /// Kernel evaluation strategy of the assembly phase:
-    /// [`KernelEval::Batched`] (default) runs the structure-of-arrays
-    /// lane path, [`KernelEval::Scalar`] the point-at-a-time oracle.
-    /// Both are deterministic across schedules and thread counts; they
-    /// differ from each other only within the series tolerance.
-    pub kernel_eval: KernelEval,
 }
 
 impl Default for SolveOptions {
@@ -166,7 +134,6 @@ impl Default for SolveOptions {
             cg_rel_tol: 1e-10,
             parallelism: None,
             backend: OperatorBackend::Dense,
-            kernel_eval: KernelEval::Batched,
         }
     }
 }
@@ -185,14 +152,6 @@ impl SolveOptions {
     pub fn with_backend(self, backend: OperatorBackend) -> Self {
         SolveOptions { backend, ..self }
     }
-
-    /// Returns the options with the given kernel evaluation strategy.
-    pub fn with_kernel_eval(self, kernel_eval: KernelEval) -> Self {
-        SolveOptions {
-            kernel_eval,
-            ..self
-        }
-    }
 }
 
 #[cfg(test)]
@@ -201,20 +160,22 @@ mod tests {
 
     #[test]
     fn defaults_match_paper_production_setup() {
-        let o = SolveOptions::default();
-        assert_eq!(o.formulation, Formulation::Galerkin);
-        assert_eq!(o.solver, SolverChoice::ConjugateGradient);
-        assert!(o.outer_quadrature >= 2);
-        assert!(o.parallelism.is_none(), "serial by default");
-        assert_eq!(o.kernel_eval, KernelEval::Batched, "batched by default");
-    }
-
-    #[test]
-    fn kernel_eval_override_keeps_other_knobs() {
-        let o = SolveOptions::default().with_kernel_eval(KernelEval::Scalar);
-        assert_eq!(o.kernel_eval, KernelEval::Scalar);
-        assert_eq!(o.solver, SolverChoice::ConjugateGradient);
-        assert_eq!(o.backend, OperatorBackend::Dense);
+        // Exhaustive on purpose: a field added to `SolveOptions` must be
+        // justified here, or this stops compiling.
+        let SolveOptions {
+            formulation,
+            solver,
+            outer_quadrature,
+            cg_rel_tol,
+            parallelism,
+            backend,
+        } = SolveOptions::default();
+        assert_eq!(formulation, Formulation::Galerkin);
+        assert_eq!(solver, SolverChoice::ConjugateGradient);
+        assert!(outer_quadrature >= 2);
+        assert_eq!(cg_rel_tol, 1e-10);
+        assert!(parallelism.is_none(), "serial by default");
+        assert_eq!(backend, OperatorBackend::Dense);
     }
 
     #[test]

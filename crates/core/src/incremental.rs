@@ -47,8 +47,8 @@ use layerbem_soil::SoilModel;
 
 use crate::assembly::worklist::PairRun;
 use crate::assembly::{
-    assemble_galerkin, element_geoms, galerkin_rhs, pair_block_eval, scatter_pair, AssemblyCost,
-    Block, OuterQuadrature,
+    assemble_galerkin, element_geoms, galerkin_rhs, pair_block, scatter_pair, AssemblyCost, Block,
+    OuterQuadrature,
 };
 use crate::formulation::{Formulation, OperatorBackend, SolveOptions, SolverChoice};
 use crate::kernel::{KernelBatch, KernelCost, SoilKernel};
@@ -504,14 +504,13 @@ impl Study {
 
         // Phase A — re-integrate every pair involving a changed element,
         // under the OLD and the NEW geometry, through the same
-        // `pair_block_eval` the assembler uses. Each pair's two blocks
+        // `pair_block` the assembler uses. Each pair's two blocks
         // depend on the pair alone, so pooled evaluation into disjoint
         // slots is bit-identical to the serial loop.
         let t0 = Instant::now();
         let geoms_old = element_geoms(&es.mesh);
         let geoms_new = element_geoms(&new_mesh);
         let quad = OuterQuadrature::new(self.opts.outer_quadrature);
-        let eval = self.opts.kernel_eval;
         let kernel = &es.kernel;
         let runs = changed_pair_runs(changed, geoms_new.len());
         let pairs_evaluated: usize = runs.iter().map(|r| r.alphas().len()).sum();
@@ -523,20 +522,18 @@ impl Study {
             let mut batch = KernelBatch::new();
             out.reserve(run.alphas().len());
             for alpha in run.alphas() {
-                let (ob, oc) = pair_block_eval(
+                let (ob, oc) = pair_block(
                     &geoms_old[beta],
                     &geoms_old[alpha],
                     kernel,
                     &quad,
-                    eval,
                     &mut batch,
                 );
-                let (nb, nc) = pair_block_eval(
+                let (nb, nc) = pair_block(
                     &geoms_new[beta],
                     &geoms_new[alpha],
                     kernel,
                     &quad,
-                    eval,
                     &mut batch,
                 );
                 out.push((ob, nb));

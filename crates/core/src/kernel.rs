@@ -8,10 +8,11 @@
 //!   [`crate::integration`]), with the image-group series summed under
 //!   tolerance control. Elements crossing the layer interface are split at
 //!   the crossing, each part integrated with its own kernel family.
-//!   [`SoilKernel::element_potential_batch`] is the production evaluator
-//!   (assembly and post-processing); the scalar
-//!   [`SoilKernel::element_potential`] stays as the `KernelEval::Scalar`
-//!   reference the tests compare against.
+//!   [`SoilKernel::element_potential_batch`] is the one production
+//!   evaluator (assembly and post-processing); the scalar
+//!   [`SoilKernel::element_potential`] stays as the per-point oracle the
+//!   tests compare against (through
+//!   [`pair_block_scalar`](crate::assembly::pair_block_scalar)).
 //! * **N-layer** — the singular part (direct + primary surface image) is
 //!   integrated analytically with the same machinery; the smooth secondary
 //!   part (`MultiLayerKernel::secondary_potential`) by Gauss quadrature.
@@ -105,12 +106,12 @@ impl KernelBatch {
 /// Cost accounting of kernel evaluation — one pair's, or any sum of
 /// pairs' (records add with `+=`).
 ///
-/// `terms` mirrors the scalar path's series-term count (images × points
+/// `terms` mirrors the scalar oracle's series-term count (images × points
 /// summed over groups; a batch on the earth surface evaluates the
 /// mirror-folded image list, so it counts half as many). `lane_points` /
 /// `lane_slots` measure lane occupancy of the batched path: points
 /// actually computed versus 4-wide-lane slots issued (padded remainder
-/// chunks included). The scalar path contributes zero to both.
+/// chunks included).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct KernelCost {
     /// Series terms / kernel evaluations consumed.
@@ -123,8 +124,8 @@ pub struct KernelCost {
 
 impl KernelCost {
     /// Batched-lane occupancy — occupied lane points over padded lane
-    /// slots, in `0.0..=1.0` — or `None` when no batched lanes ran (the
-    /// scalar oracle path). Computed from the summed counts, so a sum of
+    /// slots, in `0.0..=1.0` — or `None` when no batched lanes ran (an
+    /// empty record). Computed from the summed counts, so a sum of
     /// records reports the pooled occupancy.
     pub fn lane_occupancy(&self) -> Option<f64> {
         (self.lane_slots > 0).then(|| self.lane_points as f64 / self.lane_slots as f64)

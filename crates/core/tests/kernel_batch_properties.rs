@@ -4,21 +4,25 @@
 //! with the scalar point-at-a-time oracle to the series tolerance, is
 //! bitwise invariant under push-order permutation, and — for
 //! exhaustion-terminated series — bitwise invariant under batch
-//! composition. At the assembly level, the batched and scalar engines
-//! produce the same Galerkin operator within the series tolerance. For
+//! composition. At the assembly level, every pair block of the lane
+//! kernel matches the scalar oracle's (`pair_block_scalar`) within the
+//! series tolerance, and so does the assembled Galerkin operator. For
 //! batches lying wholly on the earth surface the kernel folds every image
 //! with its mirror: the folded groups integrate to the full groups, and
 //! the fold is taken exactly when every point has `z == 0.0`.
 
 use proptest::prelude::*;
 
-use layerbem_core::assembly::assemble_galerkin;
-use layerbem_core::formulation::{KernelEval, SolveOptions};
+use layerbem_core::assembly::{
+    assemble_galerkin, element_geoms, pair_block, pair_block_scalar, scatter_pair, OuterQuadrature,
+};
+use layerbem_core::formulation::SolveOptions;
 use layerbem_core::images::{Family, Image, ImageExpansion};
 use layerbem_core::integration::{shape_integrals, ElementGeom};
 use layerbem_core::kernel::{KernelBatch, SoilKernel};
 use layerbem_geometry::grids::{rectangular_grid, RectGridSpec};
 use layerbem_geometry::{Mesher, Point3};
+use layerbem_numeric::SymMatrix;
 use layerbem_soil::{Layer, SoilModel};
 
 /// A random soil model covering all three kernel families.
@@ -183,8 +187,10 @@ proptest! {
     // Assembly sweeps are expensive; fewer, bigger cases.
     #![proptest_config(ProptestConfig { cases: 6, ..Default::default() })]
 
-    /// The batched and scalar assembly engines produce the same Galerkin
-    /// operator within the series tolerance, for random grids and soils.
+    /// Every pair block of the production lane kernel matches the
+    /// point-at-a-time oracle within the series tolerance over the whole
+    /// pair triangle, and the assembled operator matches the oracle's
+    /// blocks scattered the same way, for random grids and soils.
     #[test]
     fn batched_assembly_matches_scalar_within_tolerance(
         kind in 0usize..3,
@@ -206,35 +212,45 @@ proptest! {
         });
         let mesh = Mesher::default().mesh(&net);
         let kernel = SoilKernel::new(&soil_from(kind, g1, g2, h));
-        // Two-point outer quadrature: the engines disagree (or not) per
-        // kernel evaluation, not per quadrature order, and an unoptimized
-        // layered-series assembly is expensive per quadrature point.
-        let base = SolveOptions {
+        // Two-point outer quadrature: the evaluators disagree (or not) per
+        // kernel evaluation, not per quadrature order, and the scalar
+        // oracle is expensive per quadrature point.
+        let opts = SolveOptions {
             outer_quadrature: 2,
             ..SolveOptions::default()
         };
-        let scalar_opts = base.with_kernel_eval(KernelEval::Scalar);
-        let batched_opts = base.with_kernel_eval(KernelEval::Batched);
-        let scalar = assemble_galerkin(&mesh, &kernel, &scalar_opts);
-        let batched = assemble_galerkin(&mesh, &kernel, &batched_opts);
-        let norm = scalar
-            .matrix
-            .packed()
-            .iter()
-            .fold(0.0f64, |m, v| m.max(v.abs()));
-        for (i, (a, b)) in scalar
-            .matrix
-            .packed()
-            .iter()
-            .zip(batched.matrix.packed())
-            .enumerate()
-        {
+        let geoms = element_geoms(&mesh);
+        let quad = OuterQuadrature::new(opts.outer_quadrature);
+        let mut batch = KernelBatch::new();
+        let mut oracle = SymMatrix::zeros(mesh.dof());
+        let mut pairs = Vec::new();
+        for beta in 0..geoms.len() {
+            for alpha in beta..geoms.len() {
+                let (want, _) = pair_block_scalar(&geoms[beta], &geoms[alpha], &kernel, &quad);
+                let (got, _) = pair_block(&geoms[beta], &geoms[alpha], &kernel, &quad, &mut batch);
+                let (nb, na) = (mesh.elements[beta].nodes, mesh.elements[alpha].nodes);
+                scatter_pair(nb, na, alpha == beta, &want, &mut |p, q, v| oracle.add(p, q, v));
+                pairs.push((beta, alpha, want, got));
+            }
+        }
+        let norm = oracle.packed().iter().fold(0.0f64, |m, v| m.max(v.abs()));
+        for (beta, alpha, want, got) in &pairs {
+            for j in 0..2 {
+                for i in 0..2 {
+                    let rel = (got[j][i] - want[j][i]).abs() / norm;
+                    prop_assert!(
+                        rel <= 1e-8,
+                        "pair ({}, {}) entry [{}][{}]: {} vs {} (rel {:.3e})",
+                        beta, alpha, j, i, got[j][i], want[j][i], rel
+                    );
+                }
+            }
+        }
+        let batched = assemble_galerkin(&mesh, &kernel, &opts);
+        for (i, (a, b)) in oracle.packed().iter().zip(batched.matrix.packed()).enumerate() {
             let rel = (a - b).abs() / norm;
             prop_assert!(rel <= 1e-8, "packed entry {}: {} vs {} (rel {:.3e})", i, a, b, rel);
         }
-        prop_assert_eq!(scalar.rhs, batched.rhs, "RHS has no kernel dependence");
-        // The scalar engine runs no lanes; the batched engine fills them.
-        prop_assert_eq!(scalar.cost.kernel.lane_slots, 0);
         prop_assert!(batched.cost.kernel.lane_slots > 0);
         prop_assert!(batched.cost.kernel.lane_points <= batched.cost.kernel.lane_slots);
     }

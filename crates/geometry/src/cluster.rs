@@ -224,7 +224,8 @@ impl ClusterTree {
     }
 
     /// Number of tree nodes.
-    pub fn node_count(&self) -> usize {
+    #[cfg(test)]
+    fn node_count(&self) -> usize {
         self.nodes.len()
     }
 

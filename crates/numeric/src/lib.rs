@@ -45,8 +45,8 @@
 //! * [`quadrature`] — Gauss–Legendre rules computed to machine precision,
 //!   used for the outer element integrals.
 //! * [`series`] — compensated (Kahan) summation and tolerance-controlled
-//!   summation of the slowly convergent image series, with optional
-//!   Aitken Δ² acceleration.
+//!   summation of the slowly convergent image series, scalar and batched
+//!   over lanes.
 
 pub mod aca;
 pub mod bessel;
@@ -78,10 +78,6 @@ pub use rng::{SplitMix64, Xoshiro256StarStar};
 pub use series::{BatchSeriesResult, ChunkedKahan, KahanSum, SeriesOptions, SeriesResult};
 pub use symmetric::{SymMatrix, SymRowsMut};
 pub use update::{apply_sym_modification, incremental_worthwhile, SymModification, UpdateError};
-
-/// Numerical tolerance used by the test-suites of this workspace when
-/// comparing floating point results that should agree to round-off.
-pub const TEST_EPS: f64 = 1e-10;
 
 /// Default panel width of the blocked right-looking factorizations
 /// ([`CholeskyFactor::factor_pooled_blocked`] and

@@ -125,11 +125,6 @@ impl<'a> PooledSymOperator<'a> {
     pub fn matrix(&self) -> &SymMatrix {
         self.matrix
     }
-
-    /// The precomputed output-row ranges one `apply` dispatches over.
-    pub fn row_ranges(&self) -> &[std::ops::Range<usize>] {
-        &self.ranges
-    }
 }
 
 impl LinearOperator for PooledSymOperator<'_> {
@@ -265,14 +260,6 @@ impl ConvergenceHistory {
     /// Number of iterations actually performed.
     pub fn iterations(&self) -> usize {
         self.residual_norms.len().saturating_sub(1)
-    }
-
-    /// Final relative reduction `‖r_end‖ / ‖r_0‖` (1.0 for an empty trace).
-    pub fn final_reduction(&self) -> f64 {
-        match (self.residual_norms.first(), self.residual_norms.last()) {
-            (Some(&r0), Some(&re)) if r0 > 0.0 => re / r0,
-            _ => 1.0,
-        }
     }
 }
 
@@ -450,7 +437,6 @@ mod tests {
         let h = &out.history.residual_norms;
         assert!(h.len() >= 2);
         assert!(*h.last().unwrap() < h[0] * 1e-9);
-        assert!(out.history.final_reduction() < 1e-9);
     }
 
     #[test]

@@ -15,8 +15,8 @@
 //!   terms are not lost to cancellation;
 //! * [`sum_until`] — tolerance/cap-controlled summation with full
 //!   diagnostics ([`SeriesResult`]);
-//! * [`aitken_accelerate`] — Aitken Δ² extrapolation of the partial-sum
-//!   sequence, the ablation lever for the series-convergence study.
+//! * [`sum_until_batch`] / [`BatchSeries`] — the lane-ordered batched
+//!   analogue with one collective stop, which the kernel's lane path runs.
 
 /// Compensated (Kahan–Babuška) floating-point accumulator.
 #[derive(Clone, Copy, Debug, Default)]
@@ -185,14 +185,6 @@ impl ChunkedKahan {
     pub fn values(&self) -> Vec<f64> {
         (0..self.lanes()).map(|l| self.value(l)).collect()
     }
-
-    /// Largest compensated magnitude over all lanes — the shared scale of
-    /// the collective stopping rule in [`sum_until_batch`].
-    pub fn max_abs(&self) -> f64 {
-        (0..self.lanes())
-            .map(|l| self.value(l).abs())
-            .fold(0.0, f64::max)
-    }
 }
 
 /// Outcome of a batched tolerance-controlled summation.
@@ -318,74 +310,6 @@ pub fn sum_until_batch<F: FnMut(usize, &mut [f64]) -> bool>(
         values: (0..lanes).map(|l| engine.value(l)).collect(),
         terms,
         converged,
-    }
-}
-
-/// Applies one pass of Aitken's Δ² process to a sequence of partial sums,
-/// returning the accelerated sequence (two entries shorter).
-///
-/// For a linearly convergent sequence `s_n → s` with ratio `ρ`, the
-/// transformed sequence converges like `ρ²`, which roughly halves the
-/// number of image terms needed at strong layer contrasts.
-pub fn aitken_accelerate(partial_sums: &[f64]) -> Vec<f64> {
-    if partial_sums.len() < 3 {
-        return Vec::new();
-    }
-    let mut out = Vec::with_capacity(partial_sums.len() - 2);
-    for w in partial_sums.windows(3) {
-        let (s0, s1, s2) = (w[0], w[1], w[2]);
-        let denom = (s2 - s1) - (s1 - s0);
-        if denom.abs() < 1e-300 {
-            // Differences vanished: the sequence already converged.
-            out.push(s2);
-        } else {
-            let d = s2 - s1;
-            out.push(s2 - d * d / denom);
-        }
-    }
-    out
-}
-
-/// Sums a geometric-like series via repeated Aitken extrapolation of its
-/// partial sums: generates `window` partial sums, accelerates, and returns
-/// the last accelerated value together with diagnostics.
-pub fn sum_accelerated<F: FnMut(usize) -> f64>(
-    mut term: F,
-    window: usize,
-    opts: SeriesOptions,
-) -> SeriesResult {
-    let window = window.max(3);
-    let mut partials = Vec::with_capacity(window);
-    let mut acc = KahanSum::new();
-    let mut terms = 0usize;
-    let mut prev_estimate: Option<f64> = None;
-    while terms < opts.max_terms {
-        let t = term(terms);
-        acc.add(t);
-        terms += 1;
-        partials.push(acc.value());
-        if partials.len() >= window {
-            let accel = aitken_accelerate(&partials);
-            let estimate = *accel.last().expect("window >= 3 guarantees output");
-            if let Some(prev) = prev_estimate {
-                let threshold = opts.rel_tol * estimate.abs() + opts.abs_tol;
-                if (estimate - prev).abs() <= threshold {
-                    return SeriesResult {
-                        value: estimate,
-                        terms,
-                        converged: true,
-                    };
-                }
-            }
-            prev_estimate = Some(estimate);
-            // Slide the window.
-            partials.remove(0);
-        }
-    }
-    SeriesResult {
-        value: prev_estimate.unwrap_or_else(|| acc.value()),
-        terms,
-        converged: false,
     }
 }
 
@@ -597,51 +521,5 @@ mod tests {
         );
         assert!(r.converged, "shared scale must allow the batch to stop");
         assert!(approx_eq(r.values[0], 2e6, 1e-8));
-    }
-
-    #[test]
-    fn aitken_accelerates_geometric_sequence() {
-        // Partial sums of Σ 0.9^l.
-        let mut partials = Vec::new();
-        let mut s = 0.0;
-        for l in 0..12 {
-            s += 0.9f64.powi(l);
-            partials.push(s);
-        }
-        let exact = 10.0;
-        let accel = aitken_accelerate(&partials);
-        // Aitken on a pure geometric sequence is exact (up to round-off).
-        let err_acc = (accel.last().unwrap() - exact).abs();
-        let err_raw = (partials.last().unwrap() - exact).abs();
-        assert!(err_acc < err_raw * 1e-6, "acc {err_acc} raw {err_raw}");
-    }
-
-    #[test]
-    fn aitken_handles_short_and_constant_input() {
-        assert!(aitken_accelerate(&[1.0, 2.0]).is_empty());
-        let constant = aitken_accelerate(&[5.0, 5.0, 5.0, 5.0]);
-        assert!(constant.iter().all(|&v| v == 5.0));
-    }
-
-    #[test]
-    fn accelerated_sum_uses_fewer_terms_at_high_contrast() {
-        let kappa = 0.97;
-        let plain = sum_until(|l| ratio_powi(kappa, l), SeriesOptions::default());
-        let accel = sum_accelerated(|l| ratio_powi(kappa, l), 6, SeriesOptions::default());
-        assert!(plain.converged && accel.converged);
-        assert!(approx_eq(accel.value, 1.0 / (1.0 - kappa), 1e-6));
-        assert!(
-            accel.terms < plain.terms / 2,
-            "accel {} vs plain {}",
-            accel.terms,
-            plain.terms
-        );
-    }
-
-    #[test]
-    fn accelerated_sum_matches_plain_on_easy_series() {
-        let plain = sum_until(|l| ratio_powi(0.3, l), SeriesOptions::default());
-        let accel = sum_accelerated(|l| ratio_powi(0.3, l), 5, SeriesOptions::default());
-        assert!(approx_eq(plain.value, accel.value, 1e-8));
     }
 }

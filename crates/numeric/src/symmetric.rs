@@ -17,8 +17,6 @@
 
 use std::ops::Range;
 
-use crate::vector;
-
 /// Packed offset of the first entry of row `r` (= the triangular number
 /// `r(r+1)/2`, also the number of entries strictly above row `r`).
 #[inline]
@@ -233,25 +231,6 @@ impl SymMatrix {
         }
         d
     }
-
-    /// Frobenius norm (over the *full* matrix, counting mirrored entries).
-    pub fn frobenius_norm(&self) -> f64 {
-        let mut acc = 0.0;
-        for i in 0..self.n {
-            for j in 0..=i {
-                let v = self.get(i, j);
-                let w = if i == j { v * v } else { 2.0 * v * v };
-                acc += w;
-            }
-        }
-        acc.sqrt()
-    }
-
-    /// Rayleigh quotient `xᵀAx / xᵀx` — used by tests to probe definiteness.
-    pub fn rayleigh(&self, x: &[f64]) -> f64 {
-        let y = self.matvec_alloc(x);
-        vector::dot(x, &y) / vector::dot(x, x)
-    }
 }
 
 /// Exclusive view of a contiguous row range of a packed [`SymMatrix`].
@@ -385,19 +364,6 @@ mod tests {
     }
 
     #[test]
-    fn frobenius_counts_both_triangles() {
-        let a = sample();
-        let d = a.to_dense();
-        let mut acc = 0.0;
-        for i in 0..3 {
-            for j in 0..3 {
-                acc += d.get(i, j).powi(2);
-            }
-        }
-        assert!(approx_eq(a.frobenius_norm(), acc.sqrt(), 1e-14));
-    }
-
-    #[test]
     fn stored_len_is_triangular_number() {
         assert_eq!(SymMatrix::zeros(238).stored_len(), 238 * 239 / 2);
     }
@@ -488,14 +454,5 @@ mod tests {
     fn partition_rejects_out_of_range() {
         let mut a = SymMatrix::zeros(4);
         a.partition_rows(&[2..5]);
-    }
-
-    #[test]
-    fn rayleigh_of_identity_is_one() {
-        let mut a = SymMatrix::zeros(4);
-        for i in 0..4 {
-            a.set(i, i, 1.0);
-        }
-        assert!(approx_eq(a.rayleigh(&[0.3, -0.2, 0.9, 1.4]), 1.0, 1e-14));
     }
 }

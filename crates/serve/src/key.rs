@@ -5,7 +5,7 @@
 //! exactly when their **geometry** (conductor endpoints and radii, in
 //! order), **discretization** ([`MeshOptions`]), **soil model**, and the
 //! **effective solver configuration** (formulation, solver, outer
-//! quadrature, CG tolerance, operator backend, kernel strategy) agree.
+//! quadrature, CG tolerance, operator backend) agree.
 //!
 //! Deliberately *excluded* from the key:
 //!
@@ -30,9 +30,7 @@ use std::hash::{Hash, Hasher};
 use std::sync::Arc;
 
 use layerbem_cad::CadCase;
-use layerbem_core::formulation::{
-    Formulation, KernelEval, OperatorBackend, SolveOptions, SolverChoice,
-};
+use layerbem_core::formulation::{Formulation, OperatorBackend, SolveOptions, SolverChoice};
 use layerbem_core::workload::StudySpec;
 use layerbem_geometry::{Conductor, MeshOptions};
 use layerbem_soil::SoilModel;
@@ -173,10 +171,6 @@ impl StudyKey {
                 h.u64(leaf_size as u64);
             }
         }
-        h.tag(match opts.kernel_eval {
-            KernelEval::Scalar => 0,
-            KernelEval::Batched => 1,
-        });
         // NOTE: opts.parallelism intentionally not encoded (see module
         // docs) — pooled and serial servers share cache entries because
         // their results are bit-identical.

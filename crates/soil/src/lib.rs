@@ -16,8 +16,7 @@
 //! * [`two_layer`] — the four two-layer kernel families `k11`, `k12`,
 //!   `k21`, `k22`, derived by Hankel-transform separation and summed as
 //!   geometric image series in the reflection ratio
-//!   `κ = (γ1−γ2)/(γ1+γ2)`, with tolerance/cap control and an optional
-//!   Aitken-accelerated path.
+//!   `κ = (γ1−γ2)/(γ1+γ2)`, with tolerance/cap control.
 //! * [`multilayer`] — general N-layer kernels evaluated by a digital
 //!   linear filter (Guptasarma–Singh) inverse Hankel transform over the
 //!   recursive layer impedance; this extends the paper ("double series in
@@ -44,16 +43,6 @@ pub use model::{Layer, SoilModel};
 pub use two_layer::TwoLayerKernels;
 
 use layerbem_numeric::series::SeriesOptions;
-
-/// A point in the soil given by horizontal distance `r` from the source's
-/// vertical axis and depth `z` (positive downward).
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct FieldPoint {
-    /// Horizontal distance to the source axis (m).
-    pub r: f64,
-    /// Depth of the field point (m, ≥ 0).
-    pub z: f64,
-}
 
 /// Evaluates the potential Green's function for a soil model: potential at
 /// horizontal distance `r` and depth `z` due to a unit point current at

@@ -102,12 +102,6 @@ impl MultiLayerKernel {
     /// uniform-soil kernel of the source layer:
     /// `K_sing = (e^{−λ|z−d|} + e^{−λ(z+d)}) / (4πγ_b)` — i.e. the direct
     /// term plus the primary surface image.
-    /// Test/debug access to [`Self::secondary_kernel`].
-    #[doc(hidden)]
-    pub fn secondary_kernel_dbg(&self, lambda: f64, z: f64, d: f64) -> f64 {
-        self.secondary_kernel(lambda, z, d)
-    }
-
     fn secondary_kernel(&self, lambda: f64, z: f64, d: f64) -> f64 {
         let c = self.gammas.len();
         let b = self.layer_of(d);

@@ -60,7 +60,7 @@
 //!
 //! | crate | contents |
 //! |-------|----------|
-//! | [`numeric`] | packed symmetric storage, Cholesky, LU, Jacobi-PCG, Gauss–Legendre, Bessel, series acceleration |
+//! | [`numeric`] | packed symmetric storage, Cholesky, LU, Jacobi-PCG, Gauss–Legendre, Bessel, compensated series summation |
 //! | [`parfor`] | OpenMP-style `parallel for` (static/dynamic/guided × chunk) + discrete-event schedule simulator |
 //! | [`geometry`] | conductors, grids (incl. the paper's Barberá and Balaidos reconstructions), thin-wire mesher |
 //! | [`soil`] | uniform / two-layer / N-layer Green's functions |

@@ -27,9 +27,12 @@
 //! so the pinned CI run and a developer's 128-core box assert the same
 //! invariants over different pools.
 
-use layerbem_core::assembly::{assemble_collocation, assemble_galerkin};
-use layerbem_core::formulation::{KernelEval, OperatorBackend, SolveOptions, SolverChoice};
-use layerbem_core::kernel::SoilKernel;
+use layerbem_core::assembly::{
+    assemble_collocation, assemble_galerkin, element_geoms, pair_block, pair_block_scalar,
+    OuterQuadrature,
+};
+use layerbem_core::formulation::{OperatorBackend, SolveOptions, SolverChoice};
+use layerbem_core::kernel::{KernelBatch, SoilKernel};
 use layerbem_core::post::{MapSpec, PotentialMap};
 use layerbem_core::study::Scenario;
 use layerbem_core::system::GroundingSystem;
@@ -134,12 +137,12 @@ fn batched_kernel_assembly_is_bit_identical_across_schedules_and_threads() {
     // path evaluates per element pair, and a pair's batch content is
     // fixed by the pair alone — so the worklist engine must reproduce the
     // sequential batched assembly bit for bit (matrix, RHS, per-column
-    // terms, lane counters) for every schedule × thread count, and the
-    // batched operator must agree with the retained scalar oracle within
-    // the series tolerance.
+    // terms, lane counters) for every schedule × thread count, and every
+    // pair block must agree with the retained scalar oracle within the
+    // series tolerance.
     for (grid, mesh, soil) in grid_cases() {
         let kernel = SoilKernel::new(&soil);
-        let batched_opts = SolveOptions::default().with_kernel_eval(KernelEval::Batched);
+        let batched_opts = SolveOptions::default();
         let seq = assemble_galerkin(&mesh, &kernel, &batched_opts);
         assert!(
             seq.cost.kernel.lane_slots > 0,
@@ -164,31 +167,31 @@ fn batched_kernel_assembly_is_bit_identical_across_schedules_and_threads() {
                 assert_eq!(seq.cost.kernel, direct.cost.kernel, "{label}");
             }
         }
-        // The scalar oracle: same operator within the series tolerance,
-        // and no lanes at all on its path.
-        let scalar_opts = SolveOptions::default().with_kernel_eval(KernelEval::Scalar);
-        let scalar = assemble_galerkin(&mesh, &kernel, &scalar_opts);
-        assert_eq!(
-            scalar.cost.kernel.lane_slots, 0,
-            "{grid}: scalar path runs no lanes"
-        );
-        let norm = scalar
+        // The scalar oracle, pair by pair over the whole triangle: the
+        // same blocks within the series tolerance, relative to the
+        // largest entry of the operator they scatter into.
+        let geoms = element_geoms(&mesh);
+        let quad = OuterQuadrature::new(batched_opts.outer_quadrature);
+        let mut batch = KernelBatch::new();
+        let norm = seq
             .matrix
             .packed()
             .iter()
             .fold(0.0f64, |m, v| m.max(v.abs()));
-        for (i, (a, b)) in scalar
-            .matrix
-            .packed()
-            .iter()
-            .zip(seq.matrix.packed())
-            .enumerate()
-        {
-            let rel = (a - b).abs() / norm;
-            assert!(
-                rel <= 1e-9,
-                "{grid}: packed entry {i}: scalar {a} vs batched {b} (rel {rel:.3e})"
-            );
+        for beta in 0..geoms.len() {
+            for alpha in beta..geoms.len() {
+                let (want, _) = pair_block_scalar(&geoms[beta], &geoms[alpha], &kernel, &quad);
+                let (got, _) = pair_block(&geoms[beta], &geoms[alpha], &kernel, &quad, &mut batch);
+                for (j, i) in [(0, 0), (0, 1), (1, 0), (1, 1)] {
+                    let (a, b) = (want[j][i], got[j][i]);
+                    let rel = (a - b).abs() / norm;
+                    assert!(
+                        rel <= 1e-9,
+                        "{grid}: pair ({beta}, {alpha}) [{j}][{i}]: scalar {a} vs batched {b} \
+                         (rel {rel:.3e})"
+                    );
+                }
+            }
         }
     }
 }
