@@ -25,7 +25,6 @@ fn main() {
     for max_len in [8.0f64, 5.0, 3.5, 2.5, 1.8] {
         let mesh = Mesher::new(MeshOptions {
             max_element_length: max_len,
-            ..Default::default()
         })
         .mesh(&net);
         let t0 = std::time::Instant::now();

@@ -165,7 +165,6 @@ fn main() {
         let outer = assemble_staged(
             &mesh,
             &kernel,
-            &opts,
             &ThreadPool::new(wide),
             Schedule::dynamic(1),
             StagedLoop::Outer,

@@ -21,7 +21,6 @@ use layerbem_core::assembly::{
     element_geoms, galerkin_rhs, pair_block, scatter_pair, AssemblyCost, AssemblyReport, Block,
     OuterQuadrature,
 };
-use layerbem_core::formulation::SolveOptions;
 use layerbem_core::kernel::{KernelBatch, KernelCost, SoilKernel};
 use layerbem_geometry::Mesh;
 use layerbem_numeric::SymMatrix;
@@ -45,19 +44,18 @@ struct Column {
     seconds: f64,
 }
 
-/// Runs the staged scheme on `pool` under `schedule`. `opts.parallelism`
-/// is not read — the pool is explicit because the paper's measurement
+/// Runs the staged scheme on `pool` under `schedule`. The pool is
+/// explicit, not a `SolveOptions` field, because the paper's measurement
 /// pairs this parallel assembly with a serial solve.
 pub fn assemble_staged(
     mesh: &Mesh,
     kernel: &SoilKernel,
-    opts: &SolveOptions,
     pool: &ThreadPool,
     schedule: Schedule,
     staged_loop: StagedLoop,
 ) -> AssemblyReport {
     let geoms = element_geoms(mesh);
-    let quad = OuterQuadrature::new(opts.outer_quadrature);
+    let quad = OuterQuadrature::default();
     let m = geoms.len();
     let t0 = Instant::now();
     let pair = |beta: usize, alpha: usize, batch: &mut KernelBatch| {
@@ -127,6 +125,7 @@ pub fn assemble_staged(
 mod tests {
     use super::*;
     use layerbem_core::assembly::assemble_galerkin;
+    use layerbem_core::formulation::SolveOptions;
     use layerbem_geometry::grids::{rectangular_grid, RectGridSpec};
     use layerbem_geometry::Mesher;
     use layerbem_soil::SoilModel;
@@ -143,8 +142,7 @@ mod tests {
             radius: 0.006,
         }));
         let kernel = SoilKernel::new(&SoilModel::two_layer(0.005, 0.016, 1.0));
-        let opts = SolveOptions::default();
-        let serial = assemble_galerkin(&mesh, &kernel, &opts);
+        let serial = assemble_galerkin(&mesh, &kernel, &SolveOptions::default());
         let pool = ThreadPool::new(3);
         for staged_loop in [StagedLoop::Outer, StagedLoop::Inner] {
             for schedule in [
@@ -152,7 +150,7 @@ mod tests {
                 Schedule::dynamic(1),
                 Schedule::guided(1),
             ] {
-                let staged = assemble_staged(&mesh, &kernel, &opts, &pool, schedule, staged_loop);
+                let staged = assemble_staged(&mesh, &kernel, &pool, schedule, staged_loop);
                 let label = format!("{staged_loop:?} {}", schedule.label());
                 assert_eq!(serial.matrix.packed(), staged.matrix.packed(), "{label}");
                 assert_eq!(serial.rhs, staged.rhs, "{label}");

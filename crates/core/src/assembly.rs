@@ -172,34 +172,25 @@ pub fn element_geoms(mesh: &Mesh) -> Vec<ElementGeom> {
 /// logarithmically and would otherwise leave `O(1e-4)` quadrature error
 /// (visible as a broken grid symmetry, since the transposed pair of a
 /// mirror image is integrated with the roles of the elements exchanged).
+///
+/// One rule, not an option: 4 Gauss points for well-separated pairs, 16
+/// for near ones.
 #[derive(Debug)]
 pub struct OuterQuadrature {
     base: layerbem_numeric::GaussLegendre,
     near: layerbem_numeric::GaussLegendre,
 }
 
-impl OuterQuadrature {
-    /// Builds from the base order of [`SolveOptions::outer_quadrature`];
-    /// the near rule uses 4× the base points, floored at 8 points so a
-    /// deliberately coarse base request (order 1) still resolves the
-    /// logarithmic near-field factor.
-    pub fn new(base_order: usize) -> Self {
+impl Default for OuterQuadrature {
+    fn default() -> Self {
         OuterQuadrature {
-            base: layerbem_numeric::GaussLegendre::new(base_order),
-            near: layerbem_numeric::GaussLegendre::new((4 * base_order).max(8)),
+            base: layerbem_numeric::GaussLegendre::new(4),
+            near: layerbem_numeric::GaussLegendre::new(16),
         }
     }
+}
 
-    /// Points of the base (well-separated) rule.
-    pub fn base_points(&self) -> usize {
-        self.base.len()
-    }
-
-    /// Points of the refined near-pair rule: `max(4 × base, 8)`.
-    pub fn near_points(&self) -> usize {
-        self.near.len()
-    }
-
+impl OuterQuadrature {
     /// Chooses the rule for a pair by separation: near when the closest
     /// endpoints are within two element lengths.
     fn select(&self, beta: &ElementGeom, alpha: &ElementGeom) -> &layerbem_numeric::GaussLegendre {
@@ -559,7 +550,7 @@ pub fn galerkin_rhs(mesh: &Mesh) -> Vec<f64> {
 pub fn assemble_galerkin(mesh: &Mesh, kernel: &SoilKernel, opts: &SolveOptions) -> AssemblyReport {
     let t0 = Instant::now();
     let geoms = element_geoms(mesh);
-    let quad = OuterQuadrature::new(opts.outer_quadrature);
+    let quad = OuterQuadrature::default();
     let (matrix, column_seconds, column_terms, kernel_cost, stats) = match &opts.parallelism {
         None => assemble_serial(mesh, &geoms, kernel, &quad),
         Some(par) => assemble_direct_pooled(mesh, &geoms, kernel, &quad, &par.pool, par.schedule),

@@ -202,7 +202,7 @@ pub fn assemble_hierarchical(
 ) -> Result<HierarchicalReport, AcaError> {
     let t0 = Instant::now();
     let geoms = element_geoms(mesh);
-    let quad = OuterQuadrature::new(opts.outer_quadrature);
+    let quad = OuterQuadrature::default();
     let n = mesh.dof();
     let map = ElementRowMap::from_mesh(mesh);
     let tree = ClusterTree::build(mesh, leaf_size);

@@ -95,13 +95,10 @@ fn parallel_direct_matches_sequential_on_two_layer_soil() {
 }
 
 #[test]
-fn outer_quadrature_orders_are_pinned() {
-    // (base request, near points): near = max(4 × base, 8).
-    for (base, near) in [(1, 8), (2, 8), (3, 12), (4, 16), (8, 32)] {
-        let q = OuterQuadrature::new(base);
-        assert_eq!(q.base_points(), base, "base {base}");
-        assert_eq!(q.near_points(), near, "base {base}");
-    }
+fn outer_rule_orders_are_pinned() {
+    // The one outer rule: 4 points for separated pairs, 16 for near ones.
+    let q = OuterQuadrature::default();
+    assert_eq!((q.base.len(), q.near.len()), (4, 16));
 }
 
 #[test]
@@ -126,8 +123,8 @@ fn column_profile_is_triangular() {
         assert!(w[1] < w[0], "{:?}", rep.column_terms);
     }
     // Uniform soil: 2 image terms per evaluation, 2 azimuths, at
-    // least `outer_quadrature` points per pair.
-    let q = SolveOptions::default().outer_quadrature as u64;
+    // least the base rule's points per pair.
+    let q = OuterQuadrature::default().base.len() as u64;
     for (beta, t) in rep.column_terms.iter().enumerate() {
         assert!(*t >= 2 * 2 * q * (m as u64 - beta as u64), "column {beta}");
     }

@@ -22,7 +22,8 @@ pub struct ContourLine {
 
 impl ContourLine {
     /// True when the polyline closes on itself.
-    pub fn is_closed(&self) -> bool {
+    #[cfg(test)]
+    fn is_closed(&self) -> bool {
         match (self.points.first(), self.points.last()) {
             (Some(a), Some(b)) => {
                 (a.0 - b.0).abs() < 1e-9 && (a.1 - b.1).abs() < 1e-9 && self.points.len() > 2

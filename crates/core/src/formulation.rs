@@ -96,16 +96,17 @@ pub struct Parallelism {
 }
 
 /// Options for a grounding solve.
+///
+/// Only what a deck, a flag or a caller actually chooses is an option.
+/// The outer quadrature is fixed by
+/// [`OuterQuadrature`](crate::assembly::OuterQuadrature) and the PCG
+/// tolerance by the default [`PcgOptions`](layerbem_numeric::PcgOptions).
 #[derive(Clone, Copy, Debug)]
 pub struct SolveOptions {
     /// Weighting scheme.
     pub formulation: Formulation,
     /// Linear solver.
     pub solver: SolverChoice,
-    /// Gauss points for the outer (field-element) integration.
-    pub outer_quadrature: usize,
-    /// Relative tolerance of the iterative solver.
-    pub cg_rel_tol: f64,
     /// Parallelism of the assembly **and** solve phases — the one knob
     /// that decides who computes: `None` runs the serial reference
     /// assembly loops and the serial solvers; `Some` switches Galerkin
@@ -130,8 +131,6 @@ impl Default for SolveOptions {
         SolveOptions {
             formulation: Formulation::Galerkin,
             solver: SolverChoice::ConjugateGradient,
-            outer_quadrature: 4,
-            cg_rel_tol: 1e-10,
             parallelism: None,
             backend: OperatorBackend::Dense,
         }
@@ -165,15 +164,11 @@ mod tests {
         let SolveOptions {
             formulation,
             solver,
-            outer_quadrature,
-            cg_rel_tol,
             parallelism,
             backend,
         } = SolveOptions::default();
         assert_eq!(formulation, Formulation::Galerkin);
         assert_eq!(solver, SolverChoice::ConjugateGradient);
-        assert!(outer_quadrature >= 2);
-        assert_eq!(cg_rel_tol, 1e-10);
         assert!(parallelism.is_none(), "serial by default");
         assert_eq!(backend, OperatorBackend::Dense);
     }

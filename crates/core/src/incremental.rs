@@ -510,7 +510,7 @@ impl Study {
         let t0 = Instant::now();
         let geoms_old = element_geoms(&es.mesh);
         let geoms_new = element_geoms(&new_mesh);
-        let quad = OuterQuadrature::new(self.opts.outer_quadrature);
+        let quad = OuterQuadrature::default();
         let kernel = &es.kernel;
         let runs = changed_pair_runs(changed, geoms_new.len());
         let pairs_evaluated: usize = runs.iter().map(|r| r.alphas().len()).sum();
@@ -935,7 +935,6 @@ mod tests {
     fn mesh_opts() -> MeshOptions {
         MeshOptions {
             max_element_length: 2.6,
-            ..Default::default()
         }
     }
 

@@ -25,7 +25,7 @@ use layerbem_geometry::Point3;
 use layerbem_numeric::series::{self, SeriesOptions};
 use layerbem_numeric::{slots_for, GaussLegendre, LANES};
 use layerbem_soil::multilayer::MultiLayerKernel;
-use layerbem_soil::{SoilModel, TwoLayerKernels};
+use layerbem_soil::SoilModel;
 
 use crate::images::{Family, Image, ImageExpansion};
 use crate::integration::{pad_chunk, rod_chunk, rod_integrals_batch, ElementGeom};
@@ -187,7 +187,7 @@ impl SoilKernel {
                 gamma1: *upper,
                 gamma2: *lower,
                 h: *thickness,
-                kappa: (upper - lower) / (upper + lower),
+                kappa: model.reflection_ratio(),
             },
             SoilModel::MultiLayer { .. } => Strategy::Numeric {
                 kernel: MultiLayerKernel::new(model),
@@ -449,10 +449,11 @@ impl SoilKernel {
         cost
     }
 
-    /// Point-to-point Green's function (used by tests and the safety
-    /// post-processing for small probes).
-    pub fn point_potential(&self, x: Point3, xi: Point3) -> f64 {
-        use layerbem_soil::GreensFunction;
+    /// Point-to-point Green's function: the quadrature reference of the
+    /// element-potential tests.
+    #[cfg(test)]
+    fn point_potential(&self, x: Point3, xi: Point3) -> f64 {
+        use layerbem_soil::{GreensFunction, TwoLayerKernels};
         let r = x.horizontal_distance(xi);
         match &self.strategy {
             Strategy::Uniform { gamma } => {

@@ -18,6 +18,9 @@
 //!   zero-staging in-place worklist engine ([`assembly::worklist`]) on
 //!   the OpenMP-style runtime when parallelism is configured, with
 //!   per-column cost capture feeding the schedule simulator.
+//! * [`formulation`] — [`SolveOptions`]: the four choices a solve takes
+//!   (formulation, solver, parallelism, operator backend). The outer
+//!   quadrature and the PCG tolerance are fixed, not options.
 //! * [`system`] — the high-level driver: mesh + soil model + GPR in,
 //!   leakage distribution, total current, equivalent resistance out.
 //! * [`study`] — the staged scenario API: [`system::GroundingSystem::prepare`]
@@ -28,14 +31,13 @@
 //!   re-integration and rank-`2m` Cholesky update/downdate, so a CAD
 //!   edit costs `O(m·M)` kernel work instead of a fresh `O(M²)` assembly.
 //! * [`post`] — surface potential maps (Figs 5.2/5.4) and touch/step/mesh
-//!   voltages.
+//!   voltages; [`contours`] — equipotential lines of a map.
 //! * [`safety`] — IEEE Std 80 permissible-limit checks, the design
 //!   criteria that motivate the whole computation.
 //! * [`workload`] — first-class workloads above the staged API: explicit
 //!   scenario lists, seeded Monte-Carlo soil-uncertainty sweeps, and
 //!   safety-driven grid-pitch design searches with Pareto scoring.
 
-pub mod analysis;
 pub mod assembly;
 pub mod contours;
 pub mod formulation;

@@ -285,18 +285,6 @@ fn surface_potentials_inline(
     .0
 }
 
-/// Potential at one point for a unit-GPR solution: a one-point tile of
-/// [`surface_potentials`].
-pub fn surface_potential(x: Point3, mesh: &Mesh, kernel: &SoilKernel, q_unit: &[f64]) -> f64 {
-    surface_potentials_inline(&[x], mesh, kernel, q_unit)[0]
-}
-
-/// Touch voltage at a surface point: GPR − V(x) (the potential difference
-/// a person bridging hand (grounded structure) and feet (soil) spans).
-pub fn touch_voltage(v_surface: f64, gpr: f64) -> f64 {
-    gpr - v_surface
-}
-
 /// Extracts the worst touch and step voltages from a potential map.
 ///
 /// * **Touch**: `max(GPR − V)` over the map window (IEEE 80 limits apply
@@ -342,18 +330,6 @@ pub fn voltage_extrema(map: &PotentialMap, gpr: f64) -> VoltageExtrema {
         step,
         max_surface: map.max(),
     }
-}
-
-/// Surface leakage current density σ (A/m²) at each node: the paper's
-/// eq. 2.2 design quantity, recovered from the per-unit-length nodal
-/// leakage `q` and the local conductor circumference,
-/// `σ = q / (2π·radius)`.
-pub fn surface_current_density(mesh: &Mesh, solution: &GroundingSolution) -> Vec<f64> {
-    mesh.node_radius
-        .iter()
-        .zip(&solution.leakage)
-        .map(|(r, q)| q / (2.0 * std::f64::consts::PI * r))
-        .collect()
 }
 
 /// A 1-D potential profile along a straight surface walk from `a` to `b`
@@ -512,7 +488,16 @@ mod tests {
 
     #[test]
     fn touch_voltage_is_complementary_to_surface_potential() {
-        assert_eq!(touch_voltage(9_000.0, 10_000.0), 1_000.0);
+        // Touch = GPR − V: the worst touch sits over the lowest potential.
+        let map = PotentialMap {
+            xs: vec![0.0, 1.0],
+            ys: vec![0.0, 1.0],
+            values: vec![9_500.0, 9_000.0, 9_750.0, 9_250.0],
+            ..PotentialMap::default()
+        };
+        let ve = voltage_extrema(&map, 10_000.0);
+        assert_eq!(ve.touch, 1_000.0);
+        assert_eq!(ve.max_surface, 9_750.0);
     }
 
     #[test]
@@ -557,19 +542,10 @@ mod tests {
         assert!(em > 0.0 && em < sol.gpr);
         // By symmetry all four centres are equivalent; Em equals the
         // touch voltage at any of them.
-        let v =
-            surface_potential(centres[0], sys.mesh(), sys.kernel(), &sol.unit_leakage()) * sol.gpr;
+        let unit =
+            surface_potentials_inline(&centres[..1], sys.mesh(), sys.kernel(), &sol.unit_leakage());
+        let v = unit[0] * sol.gpr;
         assert!((em - (sol.gpr - v)).abs() < 1e-6 * em);
-    }
-
-    #[test]
-    fn current_density_uses_local_radius() {
-        let (sys, sol) = solved_grid();
-        let sigma = surface_current_density(sys.mesh(), &sol);
-        assert_eq!(sigma.len(), sys.mesh().dof());
-        for (s, q) in sigma.iter().zip(&sol.leakage) {
-            assert!((s * 2.0 * std::f64::consts::PI * 0.006 - q).abs() < 1e-9 * q.abs());
-        }
     }
 
     #[test]

@@ -161,17 +161,6 @@ impl ConductorMaterial {
         }
     }
 
-    /// Copper-clad steel wire (40% IACS).
-    pub fn copper_clad_steel() -> Self {
-        ConductorMaterial {
-            alpha_r: 0.003_78,
-            rho_r: 4.40,
-            k0: 245.0,
-            t_max: 1084.0,
-            tcap: 3.85,
-        }
-    }
-
     /// Minimum conductor cross-section (mm²) to carry fault current
     /// `i_amps` for `t_seconds` without exceeding `t_max`, starting from
     /// ambient `t_ambient` °C (IEEE 80-2000 eq. 37):
@@ -275,7 +264,7 @@ mod tests {
     #[test]
     fn copper_kf_matches_ieee_80_table() {
         // IEEE 80-2000 Table 2: Kf ≈ 7.00 for annealed copper, 7.06 for
-        // hard-drawn copper, ≈ 10.45 for 40% copper-clad steel.
+        // hard-drawn copper.
         assert!(
             (ConductorMaterial::copper_annealed().kf() - 7.00).abs() < 0.1,
             "{}",
@@ -285,11 +274,6 @@ mod tests {
             (ConductorMaterial::copper_hard_drawn().kf() - 7.06).abs() < 0.1,
             "{}",
             ConductorMaterial::copper_hard_drawn().kf()
-        );
-        assert!(
-            (ConductorMaterial::copper_clad_steel().kf() - 10.45).abs() < 0.25,
-            "{}",
-            ConductorMaterial::copper_clad_steel().kf()
         );
     }
 

@@ -670,49 +670,33 @@ impl Study {
     /// Solves the retained system for unit GPR; returns the unit leakage
     /// density and the iteration count (0 for the direct engines).
     fn solve_unit(&self) -> Result<(Vec<f64>, usize), SolveError> {
-        match &self.engine {
-            Engine::Cholesky(f) => Ok((f.solve(&self.rhs), 0)),
-            Engine::Lu(f) => Ok((f.solve(&self.rhs), 0)),
-            Engine::Pcg(matrix) => {
-                let popts = PcgOptions {
-                    rel_tol: self.opts.cg_rel_tol,
-                    vector_parallelism: self.opts.parallelism.map(|p| (p.pool, p.schedule)),
-                    ..Default::default()
-                };
-                let out = match self.opts.parallelism {
-                    Some(par) => pcg_solve(
-                        &PooledSymOperator::new(matrix, par.pool, par.schedule),
-                        &self.rhs,
-                        popts,
-                    ),
-                    None => pcg_solve(matrix, &self.rhs, popts),
-                };
-                if !out.converged {
-                    return Err(SolveError::IterationLimit {
-                        iterations: out.history.iterations(),
-                    });
-                }
-                Ok((out.x, out.history.iterations()))
-            }
-            Engine::Hierarchical(hm) => {
-                // The compressed matvec is intentionally serial (it is
-                // already sub-quadratic); the pooled *vector* reductions
-                // are still honored, and both are bit-identical to their
-                // serial counterparts.
-                let popts = PcgOptions {
-                    rel_tol: self.opts.cg_rel_tol,
-                    vector_parallelism: self.opts.parallelism.map(|p| (p.pool, p.schedule)),
-                    ..Default::default()
-                };
-                let out = pcg_solve(hm, &self.rhs, popts);
-                if !out.converged {
-                    return Err(SolveError::IterationLimit {
-                        iterations: out.history.iterations(),
-                    });
-                }
-                Ok((out.x, out.history.iterations()))
-            }
+        // The iterative engines run at the default PCG tolerance; the
+        // pooled vector reductions are bit-identical to the serial ones.
+        let popts = PcgOptions {
+            vector_parallelism: self.opts.parallelism.map(|p| (p.pool, p.schedule)),
+            ..Default::default()
+        };
+        let out = match &self.engine {
+            Engine::Cholesky(f) => return Ok((f.solve(&self.rhs), 0)),
+            Engine::Lu(f) => return Ok((f.solve(&self.rhs), 0)),
+            Engine::Pcg(matrix) => match self.opts.parallelism {
+                Some(par) => pcg_solve(
+                    &PooledSymOperator::new(matrix, par.pool, par.schedule),
+                    &self.rhs,
+                    popts,
+                ),
+                None => pcg_solve(matrix, &self.rhs, popts),
+            },
+            // The compressed matvec is intentionally serial: it is
+            // already sub-quadratic.
+            Engine::Hierarchical(hm) => pcg_solve(hm, &self.rhs, popts),
+        };
+        if !out.converged {
+            return Err(SolveError::IterationLimit {
+                iterations: out.history.iterations(),
+            });
         }
+        Ok((out.x, out.history.iterations()))
     }
 }
 
@@ -769,7 +753,6 @@ mod tests {
         net.add(ground_rod(Point3::new(0.0, 0.0, 0.5), 3.0, 0.007));
         Mesher::new(MeshOptions {
             max_element_length: 3.0 / n_elems as f64 + 1e-9,
-            ..Default::default()
         })
         .mesh(&net)
     }
@@ -880,19 +863,23 @@ mod tests {
 
     #[test]
     fn a_failed_unit_solve_is_kept_not_rerun() {
-        // An unreachable tolerance: PCG gives up, deterministically.
-        let opts = SolveOptions {
-            cg_rel_tol: 1e-300,
-            ..Default::default()
-        };
-        let study = GroundingSystem::new(rod_mesh(24), &SoilModel::uniform(0.016), opts)
-            .prepare()
-            .expect("prepare");
+        // A PCG study driven by the negated right-hand side: the solve
+        // converges to −A⁻¹ν, whose total current is negative — a
+        // deterministic failure of the unit solve.
+        let opts = SolveOptions::default();
+        let report =
+            GroundingSystem::new(rod_mesh(24), &SoilModel::uniform(0.016), opts).assemble();
+        let negated = report.rhs.iter().map(|v| -v).collect();
+        let columns = (Vec::new(), Vec::new());
+        let study = Study::assembled(opts, report.cost, negated, report.rhs, columns, || {
+            Ok((Engine::Pcg(report.matrix), 0))
+        })
+        .expect("prepare");
         let first = study
             .solve(&Scenario::gpr(1.0))
-            .expect_err("cannot converge");
+            .expect_err("negative current");
         assert!(
-            matches!(first, SolveError::IterationLimit { .. }),
+            matches!(first, SolveError::NonPositiveCurrent { .. }),
             "{first}"
         );
         assert_eq!(study.solve(&Scenario::gpr(2.0)).err(), Some(first));

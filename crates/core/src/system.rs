@@ -182,7 +182,6 @@ mod tests {
         net.add(ground_rod(Point3::new(0.0, 0.0, 0.5), 3.0, 0.007));
         Mesher::new(MeshOptions {
             max_element_length: 3.0 / n_elems as f64 + 1e-9,
-            ..Default::default()
         })
         .mesh(&net)
     }
@@ -433,7 +432,6 @@ mod tests {
         ));
         let mesh = Mesher::new(MeshOptions {
             max_element_length: 2.0,
-            ..Default::default()
         })
         .mesh(&net);
         let sys = GroundingSystem::new(

@@ -61,7 +61,7 @@ use crate::system::{GroundingSolution, GroundingSystem};
 
 /// Density of copper (kg/m³), for converting the IEEE 80 fault-sizing
 /// cross-section into the mass the Pareto front trades against safety.
-pub const COPPER_DENSITY_KG_M3: f64 = 8_960.0;
+const COPPER_DENSITY_KG_M3: f64 = 8_960.0;
 
 /// What a case asks of the solver: one of the three workload shapes.
 #[derive(Clone, Debug)]

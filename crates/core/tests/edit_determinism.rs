@@ -38,7 +38,6 @@ fn network() -> ConductorNetwork {
 fn mesh_opts() -> MeshOptions {
     MeshOptions {
         max_element_length: 3.1,
-        ..Default::default()
     }
 }
 

@@ -212,15 +212,8 @@ proptest! {
         });
         let mesh = Mesher::default().mesh(&net);
         let kernel = SoilKernel::new(&soil_from(kind, g1, g2, h));
-        // Two-point outer quadrature: the evaluators disagree (or not) per
-        // kernel evaluation, not per quadrature order, and the scalar
-        // oracle is expensive per quadrature point.
-        let opts = SolveOptions {
-            outer_quadrature: 2,
-            ..SolveOptions::default()
-        };
         let geoms = element_geoms(&mesh);
-        let quad = OuterQuadrature::new(opts.outer_quadrature);
+        let quad = OuterQuadrature::default();
         let mut batch = KernelBatch::new();
         let mut oracle = SymMatrix::zeros(mesh.dof());
         let mut pairs = Vec::new();
@@ -246,7 +239,7 @@ proptest! {
                 }
             }
         }
-        let batched = assemble_galerkin(&mesh, &kernel, &opts);
+        let batched = assemble_galerkin(&mesh, &kernel, &SolveOptions::default());
         for (i, (a, b)) in oracle.packed().iter().zip(batched.matrix.packed()).enumerate() {
             let rel = (a - b).abs() / norm;
             prop_assert!(rel <= 1e-8, "packed entry {}: {} vs {} (rel {:.3e})", i, a, b, rel);

@@ -30,7 +30,6 @@ fn random_mesh(nx: usize, ny: usize, subdivide: bool) -> Mesh {
         // for target-row locality.
         Mesher::new(layerbem_geometry::MeshOptions {
             max_element_length: 6.0,
-            ..Default::default()
         })
     } else {
         Mesher::default()

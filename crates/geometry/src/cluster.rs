@@ -367,7 +367,6 @@ mod tests {
         });
         Mesher::new(MeshOptions {
             max_element_length: 2.5,
-            ..MeshOptions::default()
         })
         .mesh(&grid)
     }

@@ -42,12 +42,6 @@ impl Conductor {
         self.axis.length()
     }
 
-    /// Slenderness ratio `diameter / length` (≈10⁻³ for real grids; the
-    /// thin-wire hypothesis degrades as this grows).
-    pub fn slenderness(&self) -> f64 {
-        2.0 * self.radius / self.length()
-    }
-
     /// True when the axis is horizontal (constant depth).
     pub fn is_horizontal(&self) -> bool {
         (self.axis.a.z - self.axis.b.z).abs() < 1e-12
@@ -80,12 +74,6 @@ impl Conductor {
                 }
             })
             .collect()
-    }
-
-    /// Lateral surface area of the cylinder (`2πr·L`), the `Γ` over which
-    /// the leakage current integrates in the 2-D formulation.
-    pub fn lateral_area(&self) -> f64 {
-        2.0 * std::f64::consts::PI * self.radius * self.length()
     }
 }
 
@@ -124,12 +112,6 @@ mod tests {
     }
 
     #[test]
-    fn slenderness_of_real_conductor_is_small() {
-        // 10 m bar, ∅ 12.85 mm → d/L ≈ 1.3·10⁻³ (paper's ~10⁻³ regime).
-        assert!(horizontal_bar().slenderness() < 2e-3);
-    }
-
-    #[test]
     fn subdivision_preserves_geometry() {
         let bar = horizontal_bar();
         let parts = bar.subdivide(4);
@@ -144,15 +126,6 @@ mod tests {
         assert_eq!(parts[3].axis.b, bar.axis.b);
         // Radius carried through.
         assert!(parts.iter().all(|c| c.radius == bar.radius));
-    }
-
-    #[test]
-    fn lateral_area_formula() {
-        let bar = horizontal_bar();
-        assert!(close(
-            bar.lateral_area(),
-            2.0 * std::f64::consts::PI * 0.006425 * 10.0
-        ));
     }
 
     #[test]

@@ -223,9 +223,9 @@ pub fn barbera_spec() -> TriangleGridSpec {
 }
 
 /// Cells along x for the Barberá reconstruction (see [`barbera_spec`]).
-pub const BARBERA_NX: usize = 18;
+const BARBERA_NX: usize = 18;
 /// Cells along y for the Barberá reconstruction (see [`barbera_spec`]).
-pub const BARBERA_NY: usize = 21;
+const BARBERA_NY: usize = 21;
 
 /// Reconstruction of the **Balaidos** substation grounding grid (paper
 /// §5.2, Fig 5.3): a rectangular mesh of **107** conductor segments
@@ -310,72 +310,6 @@ pub fn balaidos() -> ConductorNetwork {
         for piece in rod.subdivide(2) {
             net.add(piece);
         }
-    }
-    net
-}
-
-/// Specification of a perimeter-ring electrode with rods — the standard
-/// layout for small installations (tower footings, small plants): a
-/// closed rectangular loop with ground rods at the corners and optionally
-/// along the sides.
-#[derive(Clone, Copy, Debug)]
-pub struct RingSpec {
-    /// Lower-left corner (x, y).
-    pub origin: (f64, f64),
-    /// Ring width (m).
-    pub width: f64,
-    /// Ring height (m).
-    pub height: f64,
-    /// Burial depth (m).
-    pub depth: f64,
-    /// Loop-conductor radius (m).
-    pub radius: f64,
-    /// Rods per side (in addition to the 4 corner rods); evenly spaced.
-    pub rods_per_side: usize,
-    /// Rod length (m).
-    pub rod_length: f64,
-    /// Rod radius (m).
-    pub rod_radius: f64,
-}
-
-/// Generates a perimeter ring with rods. Sides are split at every rod so
-/// the mesher merges rod tops with ring nodes.
-pub fn ring_with_rods(spec: RingSpec) -> ConductorNetwork {
-    assert!(spec.width > 0.0 && spec.height > 0.0, "ring must have area");
-    let (x0, y0) = spec.origin;
-    let corners = [
-        (x0, y0),
-        (x0 + spec.width, y0),
-        (x0 + spec.width, y0 + spec.height),
-        (x0, y0 + spec.height),
-    ];
-    let mut net = ConductorNetwork::new();
-    let mut rod_sites: Vec<(f64, f64)> = corners.to_vec();
-    for k in 0..4 {
-        let (ax, ay) = corners[k];
-        let (bx, by) = corners[(k + 1) % 4];
-        let pieces = spec.rods_per_side + 1;
-        for s in 0..pieces {
-            let t0 = s as f64 / pieces as f64;
-            let t1 = (s + 1) as f64 / pieces as f64;
-            net.add(Conductor::new(
-                Point3::new(ax + (bx - ax) * t0, ay + (by - ay) * t0, spec.depth),
-                Point3::new(ax + (bx - ax) * t1, ay + (by - ay) * t1, spec.depth),
-                spec.radius,
-            ));
-            // Side-interior split points double as rod sites (corners are
-            // already in `rod_sites`).
-            if s > 0 {
-                rod_sites.push((ax + (bx - ax) * t0, ay + (by - ay) * t0));
-            }
-        }
-    }
-    for (x, y) in rod_sites {
-        net.add(ground_rod(
-            Point3::new(x, y, spec.depth),
-            spec.rod_length,
-            spec.rod_radius,
-        ));
     }
     net
 }
@@ -535,43 +469,6 @@ mod tests {
             .count();
         assert_eq!(rod_elements, 134);
         assert_eq!(mesh.element_count() - rod_elements, 107);
-    }
-
-    #[test]
-    fn ring_with_rods_counts_and_connectivity() {
-        let net = ring_with_rods(RingSpec {
-            origin: (0.0, 0.0),
-            width: 12.0,
-            height: 8.0,
-            depth: 0.6,
-            radius: 0.005,
-            rods_per_side: 2,
-            rod_length: 2.4,
-            rod_radius: 0.007,
-        });
-        // 4 sides × 3 pieces + (4 corners + 4×2 side rods) = 12 + 12.
-        assert_eq!(net.len(), 12 + 12);
-        assert_eq!(net.rod_count(), 12);
-        let mesh = Mesher::default().mesh(&net);
-        assert!(mesh.is_connected());
-        // Ring alone: 12 nodes; each rod adds its bottom node.
-        assert_eq!(mesh.dof(), 12 + 12);
-    }
-
-    #[test]
-    fn ring_without_side_rods() {
-        let net = ring_with_rods(RingSpec {
-            origin: (0.0, 0.0),
-            width: 5.0,
-            height: 5.0,
-            depth: 0.5,
-            radius: 0.005,
-            rods_per_side: 0,
-            rod_length: 2.0,
-            rod_radius: 0.007,
-        });
-        assert_eq!(net.len(), 4 + 4);
-        assert!(Mesher::default().mesh(&net).is_connected());
     }
 
     #[test]

@@ -102,21 +102,21 @@ impl Mesh {
     }
 }
 
+/// Endpoints closer than this (m) merge into one node.
+const MERGE_TOLERANCE: f64 = 1e-6;
+
 /// Meshing options.
 #[derive(Clone, Copy, Debug)]
 pub struct MeshOptions {
     /// Conductors longer than this are subdivided into equal pieces no
     /// longer than it. `f64::INFINITY` keeps one element per conductor.
     pub max_element_length: f64,
-    /// Endpoints closer than this merge into one node.
-    pub merge_tolerance: f64,
 }
 
 impl Default for MeshOptions {
     fn default() -> Self {
         MeshOptions {
             max_element_length: f64::INFINITY,
-            merge_tolerance: 1e-6,
         }
     }
 }
@@ -136,7 +136,7 @@ impl Mesher {
     /// Discretizes `network`.
     pub fn mesh(&self, network: &ConductorNetwork) -> Mesh {
         let mut mesh = Mesh::default();
-        let mut merger = NodeMerger::new(self.opts.merge_tolerance);
+        let mut merger = NodeMerger::new(MERGE_TOLERANCE);
         for (ci, c) in network.conductors().iter().enumerate() {
             let pieces = self.split(c);
             for piece in pieces {
@@ -255,7 +255,6 @@ mod tests {
     fn subdivision_respects_max_length() {
         let opts = MeshOptions {
             max_element_length: 2.0,
-            ..Default::default()
         };
         let mesh = Mesher::new(opts).mesh(&l_shape());
         // Each 5 m bar splits into 3 pieces of 5/3 m.

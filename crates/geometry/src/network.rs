@@ -50,11 +50,6 @@ impl ConductorNetwork {
         self.conductors.iter().filter(|c| c.is_vertical()).count()
     }
 
-    /// Number of horizontal conductors.
-    pub fn horizontal_count(&self) -> usize {
-        self.conductors.iter().filter(|c| c.is_horizontal()).count()
-    }
-
     /// Depth interval `(min, max)` spanned by all conductors.
     ///
     /// # Panics
@@ -84,13 +79,6 @@ impl ConductorNetwork {
             hi = hi.max(c.axis.a).max(c.axis.b);
         }
         (lo, hi)
-    }
-
-    /// Horizontal footprint area of the bounding box (m²), a rough proxy
-    /// for the "protected area" figure quoted for real substations.
-    pub fn footprint_area(&self) -> f64 {
-        let (lo, hi) = self.bounding_box();
-        (hi.x - lo.x) * (hi.y - lo.y)
     }
 }
 
@@ -129,7 +117,6 @@ mod tests {
         assert_eq!(n.len(), 3);
         assert!(!n.is_empty());
         assert_eq!(n.rod_count(), 1);
-        assert_eq!(n.horizontal_count(), 2);
         assert!((n.total_length() - 19.5).abs() < 1e-12);
     }
 
@@ -140,7 +127,6 @@ mod tests {
         let (lo, hi) = n.bounding_box();
         assert_eq!(lo, Point3::new(0.0, 0.0, 0.8));
         assert_eq!(hi, Point3::new(10.0, 8.0, 2.3));
-        assert!((n.footprint_area() - 80.0).abs() < 1e-12);
     }
 
     #[test]

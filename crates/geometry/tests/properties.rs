@@ -67,7 +67,6 @@ proptest! {
         let coarse = Mesher::default().mesh(&net);
         let fine = Mesher::new(MeshOptions {
             max_element_length: max_len,
-            ..Default::default()
         }).mesh(&net);
         prop_assert!((coarse.total_length() - fine.total_length()).abs() < 1e-9 * coarse.total_length());
         for e in 0..fine.element_count() {

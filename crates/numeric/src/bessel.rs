@@ -1,4 +1,5 @@
-//! Bessel functions of the first kind, `J₀` and `J₁`.
+//! The Bessel function of the first kind `J₀` (and, as the reference of
+//! its derivative test, `J₁`).
 //!
 //! Needed by the inverse Hankel transform of the N-layer soil kernels:
 //! `V(r,z) = ∫₀^∞ K(λ) J₀(λr) dλ`. Implemented with the classical
@@ -35,7 +36,8 @@ pub fn j0(x: f64) -> f64 {
 }
 
 /// `J₁(x)`.
-pub fn j1(x: f64) -> f64 {
+#[cfg(test)]
+fn j1(x: f64) -> f64 {
     let ax = x.abs();
     let val = if ax < 3.0 {
         // A&S 9.4.4: J₁(x)/x.
@@ -69,96 +71,9 @@ pub fn j1(x: f64) -> f64 {
     }
 }
 
-/// `J₀` of four lanes at once.
-///
-/// Each lane performs *exactly* the operation sequence of the scalar
-/// [`j0`], so every lane is bit-identical to the scalar function — the
-/// batched N-layer Hankel inversion can therefore use it anywhere without
-/// perturbing the determinism contract. The small/large-argument branch is
-/// resolved per lane; the polynomial evaluations are straight-line array
-/// arithmetic the autovectorizer packs.
-#[inline]
-pub fn j0x4(x: [f64; 4]) -> [f64; 4] {
-    let mut out = [0.0f64; 4];
-    for l in 0..4 {
-        out[l] = j0(x[l]);
-    }
-    out
-}
-
-/// `J₁` of four lanes at once; per-lane bit-identical to [`j1`].
-#[inline]
-pub fn j1x4(x: [f64; 4]) -> [f64; 4] {
-    let mut out = [0.0f64; 4];
-    for l in 0..4 {
-        out[l] = j1(x[l]);
-    }
-    out
-}
-
-/// Fills `out[i] = J₀(xs[i])` in fixed 4-wide chunks with a scalar
-/// remainder loop — the slice entry-point the batched Hankel abscissa
-/// evaluation consumes. Bit-identical to calling [`j0`] per element.
-pub fn j0_slice(xs: &[f64], out: &mut [f64]) {
-    assert_eq!(xs.len(), out.len(), "j0_slice: length mismatch");
-    let chunks = xs.len() / 4;
-    for c in 0..chunks {
-        let i = 4 * c;
-        let r = j0x4([xs[i], xs[i + 1], xs[i + 2], xs[i + 3]]);
-        out[i..i + 4].copy_from_slice(&r);
-    }
-    for i in 4 * chunks..xs.len() {
-        out[i] = j0(xs[i]);
-    }
-}
-
-/// Fills `out[i] = J₁(xs[i])`; the `J₁` twin of [`j0_slice`].
-pub fn j1_slice(xs: &[f64], out: &mut [f64]) {
-    assert_eq!(xs.len(), out.len(), "j1_slice: length mismatch");
-    let chunks = xs.len() / 4;
-    for c in 0..chunks {
-        let i = 4 * c;
-        let r = j1x4([xs[i], xs[i + 1], xs[i + 2], xs[i + 3]]);
-        out[i..i + 4].copy_from_slice(&r);
-    }
-    for i in 4 * chunks..xs.len() {
-        out[i] = j1(xs[i]);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn lane_bessels_are_bit_identical_to_scalar() {
-        let xs = [
-            0.0, 0.7, 2.9, 3.0, 3.1, 7.5, 19.4, -2.2, -8.8, 41.0, 0.001, 2.999,
-        ];
-        for chunk in xs.chunks(4) {
-            let arg = [chunk[0], chunk[1], chunk[2], chunk[3]];
-            let b0 = j0x4(arg);
-            let b1 = j1x4(arg);
-            for l in 0..4 {
-                assert_eq!(b0[l].to_bits(), j0(arg[l]).to_bits(), "j0 lane {l}");
-                assert_eq!(b1[l].to_bits(), j1(arg[l]).to_bits(), "j1 lane {l}");
-            }
-        }
-    }
-
-    #[test]
-    fn slice_bessels_handle_remainder_lanes() {
-        // 7 values: one full chunk + 3 remainder.
-        let xs = [0.3, 1.1, 2.7, 3.3, 5.9, 8.1, 11.6];
-        let mut got0 = vec![0.0; xs.len()];
-        let mut got1 = vec![0.0; xs.len()];
-        j0_slice(&xs, &mut got0);
-        j1_slice(&xs, &mut got1);
-        for (i, &x) in xs.iter().enumerate() {
-            assert_eq!(got0[i].to_bits(), j0(x).to_bits(), "j0 index {i}");
-            assert_eq!(got1[i].to_bits(), j1(x).to_bits(), "j1 index {i}");
-        }
-    }
 
     #[test]
     fn j0_known_values() {

@@ -46,13 +46,17 @@
 //!   used for the outer element integrals.
 //! * [`series`] — compensated (Kahan) summation and tolerance-controlled
 //!   summation of the slowly convergent image series, scalar and batched
-//!   over lanes.
+//!   over lanes; [`lanes`] — the lane width and the four-lane `ln`.
+//! * [`update`] — rank-`k` update/downdate of a packed Cholesky factor,
+//!   the incremental-edit path.
+//! * [`vector`] — level-1 kernels and the fixed-partition reductions.
+//! * [`bessel`] — `J₀` for the N-layer Hankel inversion; [`rng`] — the
+//!   seeded generators of the uncertainty sweeps.
 
 pub mod aca;
 pub mod bessel;
 pub mod cholesky;
 pub mod dense;
-pub mod eigen;
 pub mod hmatrix;
 pub mod lanes;
 pub mod lu;

@@ -175,13 +175,11 @@ impl LinearOperator for PooledSymOperator<'_> {
 #[derive(Clone, Copy, Debug)]
 pub struct PcgOptions {
     /// Relative residual reduction target: stop when
-    /// `‖r_k‖₂ ≤ rel_tol · ‖b‖₂`.
+    /// `‖r_k‖₂ ≤ rel_tol · ‖b‖₂`. The default, `1e-10`, is the tolerance
+    /// every PCG study solves at.
     pub rel_tol: f64,
     /// Hard iteration cap (defaults to `2n` at call time when zero).
     pub max_iter: usize,
-    /// When `true`, disables the Jacobi preconditioner (plain CG). Used by
-    /// ablation benches to quantify what the diagonal scaling buys.
-    pub unpreconditioned: bool,
     /// Pool and schedule for the solver's own vector operations
     /// (dot/axpy/norm/preconditioner application): `None` runs them
     /// serially. The pooled ops reproduce the serial fixed-partition
@@ -197,7 +195,6 @@ impl Default for PcgOptions {
         PcgOptions {
             rel_tol: 1e-10,
             max_iter: 0,
-            unpreconditioned: false,
             vector_parallelism: None,
         }
     }
@@ -310,21 +307,18 @@ pub fn pcg_solve<A: LinearOperator + ?Sized>(a: &A, b: &[f64], opts: PcgOptions)
     };
 
     // Inverse diagonal for the Jacobi preconditioner.
-    let minv: Vec<f64> = if opts.unpreconditioned {
-        vec![1.0; n]
-    } else {
-        a.diagonal()
-            .into_iter()
-            .enumerate()
-            .map(|(i, d)| {
-                assert!(
-                    d > 0.0 && d.is_finite(),
-                    "pcg: non-positive diagonal entry {d} at {i}; operator not SPD"
-                );
-                1.0 / d
-            })
-            .collect()
-    };
+    let minv: Vec<f64> = a
+        .diagonal()
+        .into_iter()
+        .enumerate()
+        .map(|(i, d)| {
+            assert!(
+                d > 0.0 && d.is_finite(),
+                "pcg: non-positive diagonal entry {d} at {i}; operator not SPD"
+            );
+            1.0 / d
+        })
+        .collect();
 
     let mut x = vec![0.0; n];
     let mut r = b.to_vec(); // r = b − A·0 = b
@@ -463,38 +457,6 @@ mod tests {
         );
         assert!(!out.converged);
         assert!(out.history.iterations() <= 3);
-    }
-
-    #[test]
-    fn preconditioning_helps_badly_scaled_system() {
-        // Wildly different row scales: Jacobi should cut iterations a lot.
-        let n = 40;
-        let mut a = SymMatrix::zeros(n);
-        for i in 0..n {
-            let s = 10f64.powi((i % 7) as i32 - 3);
-            a.set(i, i, 4.0 * s);
-            if i > 0 {
-                let s2 = 10f64.powi(((i - 1) % 7) as i32 - 3);
-                a.set(i, i - 1, -0.5 * s.min(s2));
-            }
-        }
-        let b = vec![1.0; n];
-        let with = pcg_solve(&a, &b, PcgOptions::default());
-        let without = pcg_solve(
-            &a,
-            &b,
-            PcgOptions {
-                unpreconditioned: true,
-                ..Default::default()
-            },
-        );
-        assert!(with.converged);
-        assert!(
-            with.history.iterations() < without.history.iterations(),
-            "jacobi {} vs plain {}",
-            with.history.iterations(),
-            without.history.iterations()
-        );
     }
 
     #[test]

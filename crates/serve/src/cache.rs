@@ -507,7 +507,6 @@ mod tests {
         net.add(ground_rod(Point3::new(x, 0.0, 0.5), 2.0, 0.007));
         let mesh = Mesher::new(MeshOptions {
             max_element_length: 0.5,
-            ..Default::default()
         })
         .mesh(&net);
         GroundingSystem::new(mesh, &SoilModel::uniform(0.016), SolveOptions::default())
@@ -638,7 +637,6 @@ mod tests {
             net.add(ground_rod(Point3::new(0.0, 0.0, 0.5), 2.0, 0.007));
             let mesh = Mesher::new(MeshOptions {
                 max_element_length: 0.5,
-                ..Default::default()
             })
             .mesh(&net);
             let opts = SolveOptions {

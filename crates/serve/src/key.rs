@@ -3,9 +3,10 @@
 //! The cache must hand the same prepared factors to every request that
 //! would have produced the same `Study`. Two decks are the same study
 //! exactly when their **geometry** (conductor endpoints and radii, in
-//! order), **discretization** ([`MeshOptions`]), **soil model**, and the
-//! **effective solver configuration** (formulation, solver, outer
-//! quadrature, CG tolerance, operator backend) agree.
+//! order), **discretization** (the element-length cap of
+//! [`MeshOptions`]), **soil model** (every layer's conductivity and
+//! thickness), and the **effective solver configuration** (formulation,
+//! solver, operator backend with its tolerance and leaf size) agree.
 //!
 //! Deliberately *excluded* from the key:
 //!
@@ -119,8 +120,8 @@ impl StudyKey {
         )
     }
 
-    /// Key of explicit parts (addressing the cache without a deck).
-    pub fn of_parts(
+    /// Key of explicit parts.
+    fn of_parts(
         conductors: &[Conductor],
         mesh: &MeshOptions,
         soil: &SoilModel,
@@ -141,7 +142,6 @@ impl StudyKey {
 
         h.tag(b'M');
         h.f64(mesh.max_element_length);
-        h.f64(mesh.merge_tolerance);
 
         h.tag(b'S');
         let layers = soil.layers();
@@ -161,8 +161,6 @@ impl StudyKey {
             SolverChoice::Cholesky => 1,
             SolverChoice::Lu => 2,
         });
-        h.u64(opts.outer_quadrature as u64);
-        h.f64(opts.cg_rel_tol);
         match opts.backend {
             OperatorBackend::Dense => h.tag(0),
             OperatorBackend::Hierarchical { tol, leaf_size } => {
@@ -252,11 +250,6 @@ grid rect 0 0 20 20 2 2 0.8 0.006
             key(&format!("{DECK}formulation collocation\n"), &opts),
             base
         );
-        let tighter = SolveOptions {
-            cg_rel_tol: 1e-12,
-            ..SolveOptions::default()
-        };
-        assert_ne!(key(DECK, &tighter), base);
         let hier = SolveOptions::default().with_backend(OperatorBackend::hierarchical());
         assert_ne!(key(DECK, &hier), base);
     }

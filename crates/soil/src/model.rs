@@ -170,12 +170,6 @@ impl SoilModel {
         self.layers()[self.layer_of(z)].conductivity
     }
 
-    /// Depth of the bottom of layer `i` (`INFINITY` for the last layer).
-    pub fn interface_depth(&self, i: usize) -> f64 {
-        let layers = self.layers();
-        layers[..=i].iter().map(|l| l.thickness).sum()
-    }
-
     /// Reflection ratio κ = (γ1−γ2)/(γ1+γ2) for two-layer models
     /// (paper §3: "in the particular case of a two-layer soil model ratio
     /// κ is given by (γ1−γ2)/(γ1+γ2)").
@@ -219,7 +213,6 @@ mod tests {
         assert_eq!(m.layer_of(1.0), 0); // boundary belongs to upper
         assert_eq!(m.layer_of(1.5), 1);
         assert_eq!(m.conductivity_at(2.0), 0.016);
-        assert_eq!(m.interface_depth(0), 1.0);
     }
 
     #[test]
@@ -242,9 +235,6 @@ mod tests {
         assert_eq!(m.layer_of(1.0), 0);
         assert_eq!(m.layer_of(4.0), 1);
         assert_eq!(m.layer_of(50.0), 2);
-        assert_eq!(m.interface_depth(0), 2.0);
-        assert_eq!(m.interface_depth(1), 5.0);
-        assert!(m.interface_depth(2).is_infinite());
     }
 
     #[test]

@@ -45,24 +45,6 @@ pub fn wenner_apparent_resistivity<G: GreensFunction + ?Sized>(g: &G, a: f64) ->
     4.0 * std::f64::consts::PI * a * (v1 - v2)
 }
 
-/// Apparent resistivity of a **Schlumberger** array: current electrodes
-/// at `±half_ab` and potential electrodes at `±half_mn` from the centre
-/// (`half_ab > half_mn`), the other standard sounding geometry:
-/// `ρa = π(AB²/4 − MN²/4)/MN · ΔV/I`.
-pub fn schlumberger_apparent_resistivity<G: GreensFunction + ?Sized>(
-    g: &G,
-    half_ab: f64,
-    half_mn: f64,
-) -> f64 {
-    assert!(half_ab > half_mn && half_mn > 0.0, "need AB/2 > MN/2 > 0");
-    let eps = 1e-9 * half_ab.max(1.0);
-    // ΔV between the M and N electrodes per unit current, by
-    // superposition of the +I and −I current electrodes.
-    let dv =
-        2.0 * (g.potential(half_ab - half_mn, 0.0, eps) - g.potential(half_ab + half_mn, 0.0, eps));
-    std::f64::consts::PI * (half_ab * half_ab - half_mn * half_mn) / (2.0 * half_mn) * dv
-}
-
 /// Classical two-layer Wenner curve:
 /// `ρa(a) = ρ1·[1 + 4 Σ_{n≥1} κⁿ (1/√(1+(2nH/a)²) − 1/√(4+(2nH/a)²))]`.
 pub fn two_layer_apparent_resistivity(rho1: f64, rho2: f64, h: f64, a: f64) -> f64 {
@@ -338,26 +320,6 @@ mod tests {
                 "a={a}"
             );
         }
-    }
-
-    #[test]
-    fn schlumberger_on_uniform_soil_is_flat() {
-        let g = UniformKernel::new(0.02);
-        for ab2 in [2.0, 5.0, 20.0, 80.0] {
-            let rho = schlumberger_apparent_resistivity(&g, ab2, ab2 / 5.0);
-            assert!(close(rho, 50.0, 1e-6), "AB/2={ab2}: {rho}");
-        }
-    }
-
-    #[test]
-    fn schlumberger_and_wenner_share_asymptotes() {
-        // Both arrays must read ρ1 at tiny spreads and ρ2 at huge ones.
-        let (rho1, rho2, h) = (200.0, 62.5, 1.0);
-        let g = TwoLayerKernels::new(&SoilModel::two_layer(1.0 / rho1, 1.0 / rho2, h));
-        let tiny = schlumberger_apparent_resistivity(&g, 0.05, 0.01);
-        let huge = schlumberger_apparent_resistivity(&g, 500.0, 100.0);
-        assert!(close(tiny, rho1, 2e-2), "{tiny}");
-        assert!(close(huge, rho2, 2e-2), "{huge}");
     }
 
     #[test]

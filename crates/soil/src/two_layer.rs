@@ -95,7 +95,7 @@ impl TwoLayerKernels {
                 gamma1: *upper,
                 gamma2: *lower,
                 h: *thickness,
-                kappa: (upper - lower) / (upper + lower),
+                kappa: model.reflection_ratio(),
                 opts,
             },
             _ => panic!("TwoLayerKernels requires a two-layer soil model"),

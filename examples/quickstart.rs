@@ -30,7 +30,6 @@ fn main() {
     // 2. Discretize the conductor axes into boundary elements.
     let mesh = Mesher::new(MeshOptions {
         max_element_length: 5.0,
-        ..Default::default()
     })
     .mesh(&network);
     println!(

@@ -67,7 +67,6 @@ fn main() {
     }
     let mesh = Mesher::new(MeshOptions {
         max_element_length: 10.0,
-        ..Default::default()
     })
     .mesh(&network);
     let system = GroundingSystem::new(mesh, &soil, SolveOptions::default());

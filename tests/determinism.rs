@@ -171,7 +171,7 @@ fn batched_kernel_assembly_is_bit_identical_across_schedules_and_threads() {
         // same blocks within the series tolerance, relative to the
         // largest entry of the operator they scatter into.
         let geoms = element_geoms(&mesh);
-        let quad = OuterQuadrature::new(batched_opts.outer_quadrature);
+        let quad = OuterQuadrature::default();
         let mut batch = KernelBatch::new();
         let norm = seq
             .matrix

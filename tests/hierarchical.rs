@@ -164,7 +164,6 @@ fn hierarchical_studies_agree_with_dense_studies_on_paper_grids() {
 fn refined_barbera_compresses_below_dense() {
     let mesh = Mesher::new(MeshOptions {
         max_element_length: 1.0,
-        ..Default::default()
     })
     .mesh(&grids::barbera());
     assert_eq!(mesh.dof(), 2224);
