@@ -1,6 +1,6 @@
 //! ROADMAP item 5's deciding experiment: dense vs hierarchical operator on
 //! uniform-pitch yards (5 m cells, uniform Barberá soil, default ACA
-//! tolerance and leaf size, pooled PCG) beside the dense Cholesky factor.
+//! tolerance and leaf size, PCG) beside the dense Cholesky factor.
 //! Arguments: cells per side (default `20 33 47 70`, ≈ 1.5 min on 2 cores).
 //! Exits non-zero if the backends' total currents differ beyond 1e-6.
 

@@ -31,7 +31,6 @@ use layerbem_core::formulation::SolveOptions;
 use layerbem_core::kernel::SoilKernel;
 use layerbem_geometry::grids::{rectangular_grid, RectGridSpec};
 use layerbem_geometry::{Mesh, Mesher};
-use layerbem_numeric::pcg::{pcg_solve, PcgOptions, PooledSymOperator};
 use layerbem_parfor::{Schedule, ThreadPool};
 use layerbem_soil::SoilModel;
 
@@ -222,25 +221,6 @@ fn main() {
                 ));
             }
         }
-
-        // The pooled solver riding the same pool: identical iterates.
-        let serial = pcg_solve(&seq.matrix, &seq.rhs, PcgOptions::default());
-        let op = PooledSymOperator::new(
-            &seq.matrix,
-            ThreadPool::new(wide),
-            Schedule::static_blocked(),
-        );
-        let pooled = pcg_solve(&op, &seq.rhs, PcgOptions::default());
-        assert_eq!(
-            serial.history.residual_norms, pooled.history.residual_norms,
-            "{grid}: pooled PCG must replay the serial Krylov trajectory"
-        );
-        assert_eq!(serial.x, pooled.x, "{grid}: pooled PCG solution");
-        println!(
-            "{grid}: pooled PCG reproduced the serial solve exactly \
-             ({} iterations)",
-            pooled.history.iterations()
-        );
     }
 
     let table = render_table(

@@ -25,13 +25,13 @@
 //! deck stanzas describe (see the `layerbem-cad::input` deck grammar).
 //!
 //! `--threads` defaults to the machine's available parallelism (overridable
-//! via the `LAYERBEM_THREADS` environment variable) and drives **both**
-//! phases through [`SolveOptions::parallelism`]: with more than one
+//! via the `LAYERBEM_THREADS` environment variable) and reaches the
+//! program through [`SolveOptions::parallelism`]: with more than one
 //! thread, matrix generation runs the zero-staging in-place assembler on
 //! precomputed pair worklists (for collocation decks, the row-partitioned
-//! in-place collocation assembler) and the linear solve runs on the same
-//! pool — pooled PCG or the blocked pooled direct factorizations. With
-//! `--threads 1` both phases are serial. Every configuration produces the
+//! in-place collocation assembler) and the Cholesky/LU solvers run their
+//! blocked pooled factorizations; PCG is serial either way. With
+//! `--threads 1` everything is serial. Every configuration produces the
 //! same bits.
 //!
 //! `--operator hmatrix` switches the prepared Galerkin operator to the
@@ -318,8 +318,7 @@ fn main() -> ExitCode {
     } else {
         OperatorBackend::Dense
     };
-    // One pool drives assembly and the linear solve, so the whole
-    // assemble→solve pipeline scales, not just generation.
+    // One pool drives assembly and the direct factorizations.
     let opts = SolveOptions::default().with_backend(backend);
     let opts = if args.threads == 1 {
         opts

@@ -64,7 +64,6 @@ use layerbem_core::incremental::{ConductorEnd, EditOp};
 use layerbem_core::safety::{BodyWeight, ConductorMaterial, SafetyCriteria};
 use layerbem_core::study::Scenario;
 use layerbem_core::workload::{SoilSweepSpec, StudySpec, Workload, WorkloadError};
-use layerbem_geometry::conductor::ground_rod;
 use layerbem_geometry::grids::{rectangular_grid, triangle_grid, RectGridSpec, TriangleGridSpec};
 use layerbem_geometry::{Conductor, ConductorNetwork, MeshOptions, Point3};
 use layerbem_soil::{Layer, SoilModel};
@@ -241,6 +240,17 @@ fn parse_floats(line: usize, parts: &[&str], n: usize, what: &str) -> Result<Vec
         .collect()
 }
 
+/// The conductor a deck's `x0 y0 z0 x1 y1 z1 r` fields describe, or the
+/// line's parse error saying why they describe none.
+fn conductor(line: usize, v: &[f64]) -> Result<Conductor, ParseError> {
+    Conductor::try_new(
+        Point3::new(v[0], v[1], v[2]),
+        Point3::new(v[3], v[4], v[5]),
+        v[6],
+    )
+    .map_err(|why| err(line, why))
+}
+
 /// Ceiling on grid cells per axis and per grid: a deck is a hand-written
 /// description of one substation, so counts beyond this are typos (e.g.
 /// `1e30`, which passes an integrality check) that would OOM the process
@@ -334,20 +344,8 @@ fn parse_edit(line: usize, rest: &[&str]) -> Result<EditOp, ParseError> {
         }
         "add" => {
             let v = parse_floats(line, &rest[1..], 7, "edit add")?;
-            if v[6] <= 0.0 {
-                return Err(err(line, "conductor radius must be positive"));
-            }
-            if v[2] < 0.0 || v[5] < 0.0 {
-                return Err(err(line, "conductors must be buried (z >= 0)"));
-            }
-            let a = Point3::new(v[0], v[1], v[2]);
-            let b = Point3::new(v[3], v[4], v[5]);
-            let length = a.distance(b);
-            if length.is_nan() || length <= 0.0 {
-                return Err(err(line, "edit add describes a zero-length conductor"));
-            }
             Ok(EditOp::Add {
-                conductor: Conductor::new(a, b, v[6]),
+                conductor: conductor(line, &v)?,
             })
         }
         "remove" => {
@@ -490,24 +488,18 @@ pub fn parse_case(text: &str) -> Result<CadCase, ParseError> {
             }
             "conductor" => {
                 let v = parse_floats(line_no, &rest, 7, "conductor")?;
-                if v[6] <= 0.0 {
-                    return Err(err(line_no, "conductor radius must be positive"));
-                }
-                if v[2] < 0.0 || v[5] < 0.0 {
-                    return Err(err(line_no, "conductors must be buried (z >= 0)"));
-                }
-                network.add(Conductor::new(
-                    Point3::new(v[0], v[1], v[2]),
-                    Point3::new(v[3], v[4], v[5]),
-                    v[6],
-                ));
+                network.add(conductor(line_no, &v)?);
             }
             "rod" => {
                 let v = parse_floats(line_no, &rest, 5, "rod")?;
                 if v[3] <= 0.0 || v[4] <= 0.0 {
                     return Err(err(line_no, "rod length and radius must be positive"));
                 }
-                network.add(ground_rod(Point3::new(v[0], v[1], v[2]), v[3], v[4]));
+                // x y ztop length radius → the axis from the top down.
+                network.add(conductor(
+                    line_no,
+                    &[v[0], v[1], v[2], v[0], v[1], v[2] + v[3], v[4]],
+                )?);
             }
             "grid" => {
                 let kind = *rest
@@ -820,6 +812,21 @@ edit move 0 b 0 0 0.1
         let e = parse_case("conductor 0 0 1 5 0 1\n").unwrap_err();
         assert_eq!(e.line, 1);
         assert!(e.message.contains("expects 7"));
+    }
+
+    #[test]
+    fn impossible_conductors_are_parse_errors_naming_their_line() {
+        // A deck must never reach `Conductor::new`'s panic.
+        for (line, why) in [
+            ("conductor 0 0 1 0 0 1 0.01", "positive length"),
+            ("conductor 0 0 1 5 0 -1 0.01", "buried"),
+            ("rod 0 0 -1 1 0.01", "buried"),
+        ] {
+            let e = parse_case(&format!("title t\n{line}\n")).unwrap_err();
+            assert_eq!(e.line, 2, "{line}");
+            assert!(e.to_string().starts_with("line 2: "), "{e}");
+            assert!(e.message.contains(why), "{line}: {e}");
+        }
     }
 
     #[test]

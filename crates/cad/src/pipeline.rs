@@ -345,6 +345,36 @@ max-element-length 5
     }
 
     #[test]
+    fn add_and_remove_edit_stanzas_rebuild_to_the_direct_deck() {
+        // Adding a rod at the far corner and removing the one at the
+        // origin (index 12; the added rod is 13 until the removal) is the
+        // same model as a deck whose only rod stands at the far corner.
+        let base = "\
+title Edit replay
+soil uniform 0.016
+gpr 10000
+solver cholesky
+grid rect 0 0 20 20 2 2 0.8 0.006
+max-element-length 5
+";
+        let edited = format!(
+            "{base}rod 0 0 0.8 1.5 0.007\nedit add 20 20 0.8 20 20 2.3 0.007\nedit remove 12\n"
+        );
+        let direct = format!("{base}rod 20 20 0.8 1.5 0.007\n");
+        let a = run_pipeline(&parse_case(&edited).unwrap(), SolveOptions::default(), 0.0)
+            .expect("session pipeline");
+        let b = run_pipeline(&parse_case(&direct).unwrap(), SolveOptions::default(), 0.0)
+            .expect("direct pipeline");
+        let ra = a.solution().equivalent_resistance;
+        let rb = b.solution().equivalent_resistance;
+        let rel = (ra - rb).abs() / rb;
+        assert!(rel <= 1e-8, "session vs direct Req rel {rel:.3e}");
+        assert_eq!(a.profile.edits, 2);
+        assert_eq!(a.report.matches("rebuild").count(), 2, "{}", a.report);
+        assert_eq!(a.mesh.element_count(), b.mesh.element_count());
+    }
+
+    #[test]
     fn edit_decks_surface_model_errors_instead_of_panicking() {
         // Removing the only bridge to the rod would disconnect... here:
         // removing a perimeter segment leaves the grid connected, but

@@ -1,7 +1,7 @@
 //! Drives the `layerbem-cad` binary itself: one pooled run of a small
-//! deck end to end (report, phase table, surface map), and the
-//! usage-error contract for flags the CLI does not have and for `--map`
-//! windows it refuses.
+//! deck end to end (report, phase table, surface map), the usage-error
+//! contract for flags the CLI does not have and for `--map` windows it
+//! refuses, and the deck-error exit for a conductor that cannot exist.
 
 use std::path::PathBuf;
 use std::process::{Command, Output};
@@ -9,10 +9,10 @@ use std::process::{Command, Output};
 const DECK: &str =
     "title T\nsoil two-layer 0.005 0.016 1.0\ngpr 10000\ngrid rect 0 0 20 20 2 2 0.8 0.006\n";
 
-/// Writes the deck where only this test process looks and returns its path.
-fn deck_file(tag: &str) -> PathBuf {
+/// Writes `text` where only this test process looks and returns its path.
+fn deck_file(tag: &str, text: &str) -> PathBuf {
     let path = std::env::temp_dir().join(format!("layerbem-cli-{}-{tag}.deck", std::process::id()));
-    std::fs::write(&path, DECK).expect("write deck");
+    std::fs::write(&path, text).expect("write deck");
     path
 }
 
@@ -26,7 +26,7 @@ fn run(deck: &PathBuf, extra: &[&str]) -> Output {
 
 #[test]
 fn pooled_run_prints_the_report_and_the_phase_table() {
-    let deck = deck_file("run");
+    let deck = deck_file("run", DECK);
     let csv = deck.with_extension("csv");
     let csv_arg = csv.to_str().expect("utf-8 temp path");
     let out = run(
@@ -63,7 +63,7 @@ fn pooled_run_prints_the_report_and_the_phase_table() {
 
 #[test]
 fn bad_map_windows_are_usage_errors_before_the_deck_runs() {
-    let deck = deck_file("map");
+    let deck = deck_file("map", DECK);
     for (window, why) in [
         (["0", "10", "0", "10", "1", "1"], "at least 2×2 samples"),
         (["0", "10", "0", "10", "2.5", "3"], "usage:"),
@@ -91,7 +91,7 @@ fn bad_map_windows_are_usage_errors_before_the_deck_runs() {
 
 #[test]
 fn removed_flags_are_usage_errors() {
-    let deck = deck_file("usage");
+    let deck = deck_file("usage", DECK);
     for flag in [
         ["--assembly", "direct"],
         ["--block", "8"],
@@ -104,4 +104,18 @@ fn removed_flags_are_usage_errors() {
         assert!(out.stdout.is_empty(), "{flag:?} must not run the deck");
     }
     std::fs::remove_file(&deck).ok();
+}
+
+#[test]
+fn an_impossible_conductor_is_a_deck_error_not_a_panic() {
+    let deck = deck_file("zero-length", "title T\nconductor 0 0 1 0 0 1 0.01\n");
+    let out = run(&deck, &["--threads", "1"]);
+    std::fs::remove_file(&deck).ok();
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{stderr}");
+    assert!(
+        stderr.contains("line 2: conductor axis must have positive length"),
+        "{stderr}"
+    );
+    assert!(!stderr.contains("panicked"), "{stderr}");
 }

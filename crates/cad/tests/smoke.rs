@@ -63,9 +63,9 @@ fn deck_solver_choice_flows_into_pipeline() {
 #[test]
 fn parallel_direct_pipeline_reproduces_sequential_run() {
     // The path the `layerbem-cad` binary takes with `--threads N`:
-    // the pooled worklist assembler plus the pooled solver. The solution
-    // must be identical to the serial pipeline (the direct assembler and
-    // the pooled PCG matvec are both bit-faithful).
+    // the pooled worklist assembler, then the serial PCG solve. The
+    // solution must be identical to the serial pipeline (the pooled
+    // assembler is bit-faithful).
     use layerbem_parfor::{Schedule, ThreadPool};
     let case = parse_case(DECK).expect("deck parses");
     let serial = run_pipeline(&case, SolveOptions::default(), 0.0).expect("pipeline succeeds");

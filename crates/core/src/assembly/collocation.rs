@@ -98,7 +98,7 @@ pub fn assemble_collocation(
         }
         Some(par) => {
             // The same (schedule, n, threads) → row-range decomposition
-            // the worklist assembler and the pooled PCG matvec use.
+            // the worklist assembler and the hierarchical near field use.
             let ranges = par.schedule.partition_ranges(n, par.pool.threads());
             let mut parts: Vec<CollocationPart> = c
                 .partition_rows(&ranges)

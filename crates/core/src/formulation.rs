@@ -78,15 +78,16 @@ impl OperatorBackend {
     }
 }
 
-/// Pool and schedule of the parallel assembly and solve phases.
+/// Pool and schedule of the parallel assembly and factorization phases.
 ///
 /// One value of this struct is threaded from the CAD front-end through
-/// [`SolveOptions::parallelism`] into every pooled linear-algebra path:
-/// the in-place Galerkin assembler, the pooled collocation assembler, the
-/// blocked right-looking factorizations, and PCG's pooled matvec and
-/// vector reductions. Every one of those paths is bit-identical to its
-/// serial counterpart, so this struct decides *who computes*, never
-/// *what is computed*.
+/// [`SolveOptions::parallelism`] into every pooled path: the in-place
+/// Galerkin assembler, the pooled collocation assembler, the hierarchical
+/// near-field and ACA assembly, the edit re-integration, the soil-sweep
+/// fan-out and the blocked right-looking factorizations. Every one of
+/// those paths is bit-identical to its serial counterpart, so this struct
+/// decides *who computes*, never *what is computed*. PCG runs serially
+/// either way.
 #[derive(Clone, Copy, Debug)]
 pub struct Parallelism {
     /// The worker pool every parallel region dispatches on.
@@ -107,16 +108,14 @@ pub struct SolveOptions {
     pub formulation: Formulation,
     /// Linear solver.
     pub solver: SolverChoice,
-    /// Parallelism of the assembly **and** solve phases — the one knob
-    /// that decides who computes: `None` runs the serial reference
-    /// assembly loops and the serial solvers; `Some` switches Galerkin
-    /// assembly to the pooled worklist engine, collocation assembly to
-    /// the row-partitioned in-place assembler, PCG to the pooled matvec
-    /// operator and pooled vector reductions, and the direct
+    /// Parallelism of the assembly **and** factorization phases — the one
+    /// knob that decides who computes: `None` runs the serial reference
+    /// assembly loops and the serial factorizations; `Some` switches
+    /// Galerkin assembly to the pooled worklist engine, collocation
+    /// assembly to the row-partitioned in-place assembler, and the direct
     /// factorizations to their blocked pool-parallel right-looking
-    /// variants. It threads one `ThreadPool` from the CAD pipeline all
-    /// the way into the linear-algebra layer, so the measured speed-ups
-    /// do not stop at matrix generation.
+    /// variants. PCG is serial under both: at the orders solved here a
+    /// pooled matvec is slower than the serial one.
     pub parallelism: Option<Parallelism>,
     /// Memory/compute representation of the prepared Galerkin operator.
     /// [`OperatorBackend::Dense`] (the default) keeps every existing path

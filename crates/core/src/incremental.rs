@@ -294,13 +294,15 @@ impl From<PrepareError> for EditError {
 
 /// Applies one [`EditOp`] to a network, returning the edited network.
 /// Validation happens here — invalid geometry is a typed
-/// [`EditError::Model`], never a panic out of [`Conductor::new`].
+/// [`EditError::Model`] carrying [`Conductor::try_new`]'s reason.
 pub fn apply_op(network: &ConductorNetwork, op: &EditOp) -> Result<ConductorNetwork, EditError> {
     let mut list: Vec<Conductor> = network.conductors().to_vec();
     match *op {
         EditOp::Move { index, delta } => {
             let c = *checked(&list, index)?;
-            list[index] = rebuilt(shift(c.axis.a, delta), shift(c.axis.b, delta), c.radius)?;
+            list[index] =
+                Conductor::try_new(shift(c.axis.a, delta), shift(c.axis.b, delta), c.radius)
+                    .map_err(EditError::Model)?;
         }
         EditOp::MoveEnd { index, end, delta } => {
             let c = *checked(&list, index)?;
@@ -308,16 +310,15 @@ pub fn apply_op(network: &ConductorNetwork, op: &EditOp) -> Result<ConductorNetw
                 ConductorEnd::A => (shift(c.axis.a, delta), c.axis.b),
                 ConductorEnd::B => (c.axis.a, shift(c.axis.b, delta)),
             };
-            list[index] = rebuilt(a, b, c.radius)?;
+            list[index] = Conductor::try_new(a, b, c.radius).map_err(EditError::Model)?;
         }
         EditOp::Add { conductor } => {
             // Re-validate through the same gate: `Add` values may come
             // straight off the wire.
-            list.push(rebuilt(
-                conductor.axis.a,
-                conductor.axis.b,
-                conductor.radius,
-            )?);
+            list.push(
+                Conductor::try_new(conductor.axis.a, conductor.axis.b, conductor.radius)
+                    .map_err(EditError::Model)?,
+            );
         }
         EditOp::Remove { index } => {
             checked(&list, index)?;
@@ -337,29 +338,6 @@ fn checked(list: &[Conductor], index: usize) -> Result<&Conductor, EditError> {
 
 fn shift(p: layerbem_geometry::Point3, d: [f64; 3]) -> layerbem_geometry::Point3 {
     layerbem_geometry::Point3::new(p.x + d[0], p.y + d[1], p.z + d[2])
-}
-
-fn rebuilt(
-    a: layerbem_geometry::Point3,
-    b: layerbem_geometry::Point3,
-    radius: f64,
-) -> Result<Conductor, EditError> {
-    if !(radius > 0.0 && radius.is_finite()) {
-        return Err(EditError::Model("conductor radius must be positive"));
-    }
-    let length = a.distance(b);
-    if length.is_nan() || length <= 0.0 {
-        return Err(EditError::Model("edit collapses a conductor axis"));
-    }
-    if !(a.z >= 0.0 && b.z >= 0.0 && a.z.is_finite() && b.z.is_finite()) {
-        return Err(EditError::Model(
-            "edit lifts a conductor above the earth surface",
-        ));
-    }
-    if ![a.x, a.y, b.x, b.y].iter().all(|v| v.is_finite()) {
-        return Err(EditError::Model("edit produces non-finite coordinates"));
-    }
-    Ok(Conductor::new(a, b, radius))
 }
 
 /// Which route [`Study::apply_edit`] took.
@@ -1022,7 +1000,7 @@ mod tests {
         };
         assert!(matches!(
             apply_op(&net, &lift),
-            Err(EditError::Model(m)) if m.contains("surface")
+            Err(EditError::Model(m)) if m.contains("buried")
         ));
         let ok = apply_op(&net, &EditOp::Remove { index: 0 }).expect("in range");
         assert_eq!(ok.len(), count - 1);

@@ -62,7 +62,7 @@ use std::time::Instant;
 
 use layerbem_numeric::cholesky::{CholeskyFactor, NotPositiveDefinite};
 use layerbem_numeric::lu::{LuFactor, SingularMatrix};
-use layerbem_numeric::pcg::{pcg_solve, PcgOptions, PooledSymOperator};
+use layerbem_numeric::pcg::{pcg_solve, LinearOperator, PcgOptions};
 use layerbem_numeric::{AcaError, DenseMatrix, HMatrix, SymMatrix, DEFAULT_FACTOR_BLOCK};
 
 use crate::assembly::{
@@ -299,9 +299,8 @@ pub(crate) enum Engine {
     /// Pivoted LU of the dense (Galerkin-expanded or collocation) matrix.
     Lu(LuFactor),
     /// The assembled Galerkin operator, retained for the unit-GPR PCG
-    /// run (diagonal preconditioner and pooled matvec are built for that
-    /// run; both are deterministic, so every study of one system reaches
-    /// the same bits).
+    /// run (serial, diagonal preconditioner built for that run; every
+    /// study of one system reaches the same bits).
     Pcg(SymMatrix),
     /// The compressed Galerkin operator (near-dense + ACA far blocks),
     /// retained for the unit-GPR PCG run through the same
@@ -670,27 +669,13 @@ impl Study {
     /// Solves the retained system for unit GPR; returns the unit leakage
     /// density and the iteration count (0 for the direct engines).
     fn solve_unit(&self) -> Result<(Vec<f64>, usize), SolveError> {
-        // The iterative engines run at the default PCG tolerance; the
-        // pooled vector reductions are bit-identical to the serial ones.
-        let popts = PcgOptions {
-            vector_parallelism: self.opts.parallelism.map(|p| (p.pool, p.schedule)),
-            ..Default::default()
-        };
-        let out = match &self.engine {
+        let op: &dyn LinearOperator = match &self.engine {
             Engine::Cholesky(f) => return Ok((f.solve(&self.rhs), 0)),
             Engine::Lu(f) => return Ok((f.solve(&self.rhs), 0)),
-            Engine::Pcg(matrix) => match self.opts.parallelism {
-                Some(par) => pcg_solve(
-                    &PooledSymOperator::new(matrix, par.pool, par.schedule),
-                    &self.rhs,
-                    popts,
-                ),
-                None => pcg_solve(matrix, &self.rhs, popts),
-            },
-            // The compressed matvec is intentionally serial: it is
-            // already sub-quadratic.
-            Engine::Hierarchical(hm) => pcg_solve(hm, &self.rhs, popts),
+            Engine::Pcg(matrix) => matrix,
+            Engine::Hierarchical(hm) => hm,
         };
+        let out = pcg_solve(op, &self.rhs, PcgOptions::default());
         if !out.converged {
             return Err(SolveError::IterationLimit {
                 iterations: out.history.iterations(),

@@ -291,8 +291,9 @@ mod tests {
                 .with_parallelism(ThreadPool::new(threads), Schedule::dynamic(2));
             let pooled = GroundingSystem::new(mesh.clone(), &soil, opts);
             let b = solve_report(&pooled);
-            // The pooled matvec is bit-identical, so the whole Krylov
-            // trajectory — iterate count included — reproduces exactly.
+            // The pooled assembly is bit-identical and PCG is serial, so
+            // the whole Krylov trajectory — iterate count included —
+            // reproduces exactly.
             assert_eq!(
                 a.solver_iterations, b.solver_iterations,
                 "threads={threads}"

@@ -15,26 +15,37 @@ pub struct Conductor {
 }
 
 impl Conductor {
+    /// Creates a conductor from axis endpoints and radius, or says why
+    /// they describe none: the radius must be positive and finite, the
+    /// coordinates finite, the axis of positive length, and every part of
+    /// the conductor buried (`z >= 0`, z grows downward). This is the one
+    /// check every conductor read from a deck, the wire or an edit passes.
+    pub fn try_new(a: Point3, b: Point3, radius: f64) -> Result<Self, &'static str> {
+        if !(radius > 0.0 && radius.is_finite()) {
+            return Err("conductor radius must be positive");
+        }
+        if ![a.x, a.y, a.z, b.x, b.y, b.z].iter().all(|v| v.is_finite()) {
+            return Err("conductor coordinates must be finite");
+        }
+        if a.distance(b) <= 0.0 {
+            return Err("conductor axis must have positive length");
+        }
+        if a.z < 0.0 || b.z < 0.0 {
+            return Err("conductors must be buried (z >= 0)");
+        }
+        Ok(Conductor {
+            axis: Segment::new(a, b),
+            radius,
+        })
+    }
+
     /// Creates a conductor from axis endpoints and radius.
     ///
     /// # Panics
-    /// Panics if the radius is not positive, the axis is degenerate, or
-    /// any part of the conductor would be above the earth surface
-    /// (`z < 0`).
+    /// Panics with [`try_new`](Self::try_new)'s message if the endpoints
+    /// and radius describe no conductor.
     pub fn new(a: Point3, b: Point3, radius: f64) -> Self {
-        assert!(radius > 0.0, "conductor radius must be positive");
-        assert!(
-            a.distance(b) > 0.0,
-            "conductor axis must have positive length"
-        );
-        assert!(
-            a.z >= 0.0 && b.z >= 0.0,
-            "conductors must be buried (z >= 0, z grows downward)"
-        );
-        Conductor {
-            axis: Segment::new(a, b),
-            radius,
-        }
+        Self::try_new(a, b, radius).unwrap_or_else(|why| panic!("{why}"))
     }
 
     /// Conductor length.

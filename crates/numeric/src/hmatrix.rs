@@ -12,15 +12,13 @@
 //!   between the two clusters' (disjoint) row sets, built by adaptive
 //!   cross approximation without ever forming the block.
 //!
-//! [`HMatrix`] implements [`LinearOperator`], so the pooled PCG solver
-//! drives it unchanged. The apply is intentionally **serial** and
-//! fixed-order: the matvec is `O(nnz + Σ r·(|σ|+|τ|))` instead of
-//! `O(N²)`, and keeping it single-threaded makes the Krylov trajectory
-//! trivially bit-identical across thread counts and schedules (the PCG
-//! level-1 vector ops may still be pooled — they are bit-identical to
-//! serial by construction). The operator diagonal lives entirely in the
-//! near part, because a cluster is never admissible with itself, so the
-//! Jacobi preconditioner is exact.
+//! [`HMatrix`] implements [`LinearOperator`], so the PCG solver drives it
+//! unchanged. The apply is **serial** and fixed-order, like the rest of
+//! the solve: the matvec is `O(nnz + Σ r·(|σ|+|τ|))` instead of `O(N²)`,
+//! and the Krylov trajectory is bit-identical across the thread counts
+//! and schedules the operator was assembled with. The operator diagonal
+//! lives entirely in the near part, because a cluster is never admissible
+//! with itself, so the Jacobi preconditioner is exact.
 
 use crate::aca::LowRank;
 use crate::pcg::LinearOperator;

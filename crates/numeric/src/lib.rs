@@ -26,22 +26,18 @@
 //!   [`LinearOperator`] trait, turning the `O(N²)` matvec into
 //!   `O(nnz + Σ r·(|σ|+|τ|))`.
 //!
-//! The **pooled layer** makes the solve phase scale with the same
-//! `layerbem-parfor` runtime the assembler uses — and every pooled path
-//! is **bit-identical** to its serial counterpart, so the pool decides
-//! who computes, never what: [`SymMatrix::partition_rows`] and
-//! [`DenseMatrix::partition_rows`] split the packed triangle and the
-//! row-major dense buffer into disjoint row-range views
-//! ([`symmetric::SymRowsMut`], [`dense::DenseRowsMut`]) that different
-//! threads may write without locks; [`PooledSymOperator`] runs the PCG
-//! matvec in parallel while [`PcgOptions::vector_parallelism`]
-//! ([`pcg::PcgOptions`]) folds the solver's dot products and norms into
-//! pooled fixed-partition reductions ([`vector::pooled_dot`] and
-//! friends); and [`CholeskyFactor::factor_pooled_blocked`] /
+//! The **pooled layer** runs on the same `layerbem-parfor` runtime the
+//! assembler uses — and every pooled path is **bit-identical** to its
+//! serial counterpart, so the pool decides who computes, never what:
+//! [`SymMatrix::partition_rows`] and [`DenseMatrix::partition_rows`]
+//! split the packed triangle and the row-major dense buffer into disjoint
+//! row-range views ([`symmetric::SymRowsMut`], [`dense::DenseRowsMut`])
+//! that different threads may write without locks; and
+//! [`CholeskyFactor::factor_pooled_blocked`] /
 //! [`LuFactor::factor_pooled_blocked`] run **blocked** right-looking
 //! factorizations — sequential panels, one parallel region per
 //! [`DEFAULT_FACTOR_BLOCK`]-column panel, serial fallback below
-//! `SERIAL_CUTOFF` unknowns.
+//! `SERIAL_CUTOFF` unknowns. PCG is serial (see [`pcg`]).
 //! * [`quadrature`] — Gauss–Legendre rules computed to machine precision,
 //!   used for the outer element integrals.
 //! * [`series`] — compensated (Kahan) summation and tolerance-controlled
@@ -49,7 +45,7 @@
 //!   over lanes; [`lanes`] — the lane width and the four-lane `ln`.
 //! * [`update`] — rank-`k` update/downdate of a packed Cholesky factor,
 //!   the incremental-edit path.
-//! * [`vector`] — level-1 kernels and the fixed-partition reductions.
+//! * [`vector`] — level-1 kernels and PCG's fixed-partition reductions.
 //! * [`bessel`] — `J₀` for the N-layer Hankel inversion; [`rng`] — the
 //!   seeded generators of the uncertainty sweeps.
 
@@ -74,9 +70,7 @@ pub use dense::{DenseMatrix, DenseRowsMut};
 pub use hmatrix::{CompressionStats, FarBlock, HMatrix, SparseSym, SparseSymRowsMut};
 pub use lanes::{ln4, slots_for, LANES};
 pub use lu::LuFactor;
-pub use pcg::{
-    pcg_solve, ConvergenceHistory, LinearOperator, PcgOptions, PcgOutcome, PooledSymOperator,
-};
+pub use pcg::{pcg_solve, ConvergenceHistory, LinearOperator, PcgOptions, PcgOutcome};
 pub use quadrature::GaussLegendre;
 pub use rng::{SplitMix64, Xoshiro256StarStar};
 pub use series::{BatchSeriesResult, ChunkedKahan, KahanSum, SeriesOptions, SeriesResult};

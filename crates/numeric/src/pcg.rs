@@ -8,21 +8,19 @@
 //! computational cost in comparison with matrix generation".
 //!
 //! The solver is written against the [`LinearOperator`] trait so it works
-//! with the packed [`SymMatrix`], with matrix-free
-//! operators in tests, and with parallel matvec wrappers.
+//! with the packed [`SymMatrix`], with the hierarchical
+//! [`HMatrix`](crate::HMatrix), and with matrix-free operators in tests.
 //!
-//! Every reduction inside the iteration (the dot products and the
-//! residual norm) uses the deterministic fixed-partition order of
-//! [`vector::dot_blocked`] / [`vector::norm2_blocked`], whether it runs
-//! serially or — with [`PcgOptions::vector_parallelism`] set — on a
-//! [`ThreadPool`] via the pooled reductions. The partition is a pure
-//! function of the vector length, so the pooled vector ops are
-//! bit-identical to the serial ones for every schedule and thread count:
-//! combined with a bit-identical matvec (e.g. [`PooledSymOperator`]),
-//! the whole Krylov trajectory — iterates, residual history, iteration
-//! count — is independent of the execution resources.
-
-use layerbem_parfor::{Schedule, ThreadPool};
+//! The solve is serial. Matrix generation is where the paper spends its
+//! time (Table 6.1: 1 723.2 s of 1 724.2 s) and what it parallelises; at
+//! the orders this workspace solves (hundreds to a few thousand unknowns)
+//! a pooled matvec and pooled level-1 ops were slower than this loop at
+//! every measured size (ROADMAP item 2). Every reduction inside the
+//! iteration (the dot products and the residual norm) uses the
+//! fixed-partition order of [`vector::dot_blocked`] /
+//! [`vector::norm2_blocked`], a pure function of the vector length, so
+//! the Krylov trajectory — iterates, residual history, iteration count —
+//! is the same whatever pool the rest of the study ran on.
 
 use crate::symmetric::SymMatrix;
 use crate::vector;
@@ -66,111 +64,6 @@ impl LinearOperator for SymMatrix {
     }
 }
 
-/// A [`SymMatrix`] wrapped with a [`ThreadPool`]: the same operator, with
-/// the matvec — the `O(N²)` cost of every PCG iteration — computed in
-/// parallel over disjoint output-row ranges.
-///
-/// The row decomposition is the workspace-wide one —
-/// [`Schedule::partition_ranges`] for the operator's `(schedule, order,
-/// threads)` — computed **once** at construction and reused by every
-/// `apply`, exactly the ranges the worklist-driven Galerkin assembler and
-/// the pooled collocation assembler partition their matrices by. Each
-/// output entry is computed by one thread as the *identical* sequence
-/// of floating-point operations the serial [`SymMatrix::matvec`] folds
-/// into it (row part in ascending column order, then the mirrored column
-/// part in ascending row order), so the pooled operator is **bit-identical**
-/// to the serial one: `pcg_solve` produces the same iterates, the same
-/// residual history, and the same iteration count for any thread count and
-/// schedule.
-///
-/// ```
-/// use layerbem_numeric::{pcg_solve, PcgOptions, PooledSymOperator, SymMatrix};
-/// use layerbem_parfor::{Schedule, ThreadPool};
-/// let mut a = SymMatrix::zeros(2);
-/// a.set(0, 0, 2.0);
-/// a.set(1, 1, 3.0);
-/// a.set(1, 0, 1.0);
-/// let op = PooledSymOperator::new(&a, ThreadPool::new(2), Schedule::static_blocked());
-/// # use layerbem_numeric::LinearOperator;
-/// assert_eq!(op.dim(), 2);
-/// let out = pcg_solve(&op, &[3.0, 5.0], PcgOptions::default());
-/// assert!(out.converged);
-/// assert!((out.x[0] - 0.8).abs() < 1e-9);
-/// assert!((out.x[1] - 1.4).abs() < 1e-9);
-/// ```
-#[derive(Clone, Debug)]
-pub struct PooledSymOperator<'a> {
-    matrix: &'a SymMatrix,
-    pool: ThreadPool,
-    /// Disjoint output-row ranges tiling `0..order`, precomputed from the
-    /// construction schedule.
-    ranges: Vec<std::ops::Range<usize>>,
-    /// How the precomputed partitions are claimed by threads.
-    dispatch: Schedule,
-}
-
-impl<'a> PooledSymOperator<'a> {
-    /// Wraps a packed symmetric matrix with a pool and a schedule; the
-    /// schedule's row-range decomposition is materialized here, once.
-    pub fn new(matrix: &'a SymMatrix, pool: ThreadPool, schedule: Schedule) -> Self {
-        PooledSymOperator {
-            matrix,
-            pool,
-            ranges: schedule.partition_ranges(matrix.order(), pool.threads()),
-            dispatch: schedule.partition_dispatch(),
-        }
-    }
-
-    /// The wrapped matrix.
-    pub fn matrix(&self) -> &SymMatrix {
-        self.matrix
-    }
-}
-
-impl LinearOperator for PooledSymOperator<'_> {
-    fn order(&self) -> usize {
-        self.matrix.order()
-    }
-
-    fn apply(&self, x: &[f64], y: &mut [f64]) {
-        self.assert_apply_dims(x, y);
-        let packed = self.matrix.packed();
-        // Split y into the precomputed disjoint row ranges (they tile
-        // 0..n ascending) and hand each partition to the pool.
-        let mut parts: Vec<(std::ops::Range<usize>, &mut [f64])> =
-            Vec::with_capacity(self.ranges.len());
-        let mut rest = y;
-        for r in &self.ranges {
-            let (head, tail) = rest.split_at_mut(r.len());
-            parts.push((r.clone(), head));
-            rest = tail;
-        }
-        self.pool
-            .scoped_partition(&mut parts, self.dispatch, |_, (range, ys)| {
-                for (yi, i) in ys.iter_mut().zip(range.clone()) {
-                    // Row part: packed row `i` is contiguous — entries
-                    // (i, j≤i).
-                    let row = &packed[i * (i + 1) / 2..i * (i + 1) / 2 + i + 1];
-                    let mut s = 0.0;
-                    for (j, a) in row[..i].iter().enumerate() {
-                        s += a * x[j];
-                    }
-                    s += row[i] * x[i];
-                    // Mirrored column part: entries (k, i) for k > i,
-                    // strided.
-                    for (k, xk) in x.iter().enumerate().skip(i + 1) {
-                        s += packed[k * (k + 1) / 2 + i] * xk;
-                    }
-                    *yi = s;
-                }
-            });
-    }
-
-    fn diagonal(&self) -> Vec<f64> {
-        self.matrix.diagonal()
-    }
-}
-
 /// Options controlling the iteration.
 #[derive(Clone, Copy, Debug)]
 pub struct PcgOptions {
@@ -180,14 +73,6 @@ pub struct PcgOptions {
     pub rel_tol: f64,
     /// Hard iteration cap (defaults to `2n` at call time when zero).
     pub max_iter: usize,
-    /// Pool and schedule for the solver's own vector operations
-    /// (dot/axpy/norm/preconditioner application): `None` runs them
-    /// serially. The pooled ops reproduce the serial fixed-partition
-    /// reductions bit for bit, so setting this never changes an iterate —
-    /// only who computes it. Irrelevant next to the `O(N²)` matvec until
-    /// matrices reach `O(10⁴)`, at which point the `O(N)` level-1 ops
-    /// stop being free.
-    pub vector_parallelism: Option<(ThreadPool, Schedule)>,
 }
 
 impl Default for PcgOptions {
@@ -195,53 +80,6 @@ impl Default for PcgOptions {
         PcgOptions {
             rel_tol: 1e-10,
             max_iter: 0,
-            vector_parallelism: None,
-        }
-    }
-}
-
-/// The solver's level-1 kernels, dispatched serially or over a pool.
-/// Both arms execute the identical fixed-partition scalar sequences
-/// (see [`vector`] module docs), so the choice is invisible in the bits.
-#[derive(Clone, Copy, Debug)]
-enum VecOps {
-    Serial,
-    Pooled(ThreadPool, Schedule),
-}
-
-impl VecOps {
-    fn dot(&self, x: &[f64], y: &[f64]) -> f64 {
-        match self {
-            VecOps::Serial => vector::dot_blocked(x, y),
-            VecOps::Pooled(pool, s) => vector::pooled_dot(pool, *s, x, y),
-        }
-    }
-
-    fn norm2(&self, x: &[f64]) -> f64 {
-        match self {
-            VecOps::Serial => vector::norm2_blocked(x),
-            VecOps::Pooled(pool, s) => vector::pooled_norm2(pool, *s, x),
-        }
-    }
-
-    fn axpy(&self, a: f64, x: &[f64], y: &mut [f64]) {
-        match self {
-            VecOps::Serial => vector::axpy(a, x, y),
-            VecOps::Pooled(pool, s) => vector::pooled_axpy(pool, *s, a, x, y),
-        }
-    }
-
-    fn xpby(&self, x: &[f64], b: f64, y: &mut [f64]) {
-        match self {
-            VecOps::Serial => vector::xpby(x, b, y),
-            VecOps::Pooled(pool, s) => vector::pooled_xpby(pool, *s, x, b, y),
-        }
-    }
-
-    fn hadamard(&self, x: &[f64], y: &[f64], z: &mut [f64]) {
-        match self {
-            VecOps::Serial => vector::hadamard(x, y, z),
-            VecOps::Pooled(pool, s) => vector::pooled_hadamard(pool, *s, x, y, z),
         }
     }
 }
@@ -296,10 +134,6 @@ pub struct PcgOutcome {
 pub fn pcg_solve<A: LinearOperator + ?Sized>(a: &A, b: &[f64], opts: PcgOptions) -> PcgOutcome {
     let n = a.order();
     assert_eq!(b.len(), n, "pcg: rhs length");
-    let ops = match opts.vector_parallelism {
-        Some((pool, schedule)) => VecOps::Pooled(pool, schedule),
-        None => VecOps::Serial,
-    };
     let max_iter = if opts.max_iter == 0 {
         2 * n + 10
     } else {
@@ -323,13 +157,13 @@ pub fn pcg_solve<A: LinearOperator + ?Sized>(a: &A, b: &[f64], opts: PcgOptions)
     let mut x = vec![0.0; n];
     let mut r = b.to_vec(); // r = b − A·0 = b
     let mut z = vec![0.0; n];
-    ops.hadamard(&minv, &r, &mut z);
+    vector::hadamard(&minv, &r, &mut z);
     let mut p = z.clone();
     let mut ap = vec![0.0; n];
 
-    let b_norm = ops.norm2(b);
+    let b_norm = vector::norm2_blocked(b);
     let mut history = ConvergenceHistory::default();
-    history.residual_norms.push(ops.norm2(&r));
+    history.residual_norms.push(vector::norm2_blocked(&r));
 
     if b_norm == 0.0 {
         // Trivial system: x = 0 is exact.
@@ -340,7 +174,7 @@ pub fn pcg_solve<A: LinearOperator + ?Sized>(a: &A, b: &[f64], opts: PcgOptions)
         };
     }
     let target = opts.rel_tol * b_norm;
-    let mut rz = ops.dot(&r, &z);
+    let mut rz = vector::dot_blocked(&r, &z);
     let mut converged = history.residual_norms[0] <= target;
 
     for _ in 0..max_iter {
@@ -348,26 +182,26 @@ pub fn pcg_solve<A: LinearOperator + ?Sized>(a: &A, b: &[f64], opts: PcgOptions)
             break;
         }
         a.apply(&p, &mut ap);
-        let pap = ops.dot(&p, &ap);
+        let pap = vector::dot_blocked(&p, &ap);
         if pap <= 0.0 || !pap.is_finite() {
             // Operator is not SPD in the Krylov space explored (or we hit
             // round-off stagnation); stop with the best iterate so far.
             break;
         }
         let alpha = rz / pap;
-        ops.axpy(alpha, &p, &mut x);
-        ops.axpy(-alpha, &ap, &mut r);
-        let r_norm = ops.norm2(&r);
+        vector::axpy(alpha, &p, &mut x);
+        vector::axpy(-alpha, &ap, &mut r);
+        let r_norm = vector::norm2_blocked(&r);
         history.residual_norms.push(r_norm);
         if r_norm <= target {
             converged = true;
             break;
         }
-        ops.hadamard(&minv, &r, &mut z);
-        let rz_new = ops.dot(&r, &z);
+        vector::hadamard(&minv, &r, &mut z);
+        let rz_new = vector::dot_blocked(&r, &z);
         let beta = rz_new / rz;
         rz = rz_new;
-        ops.xpby(&z, beta, &mut p);
+        vector::xpby(&z, beta, &mut p);
     }
 
     PcgOutcome {
@@ -452,7 +286,6 @@ mod tests {
             PcgOptions {
                 rel_tol: 1e-30, // unreachable
                 max_iter: 3,
-                ..Default::default()
             },
         );
         assert!(!out.converged);
@@ -467,76 +300,6 @@ mod tests {
         a.set(1, 1, 1.0);
         a.set(2, 2, 1.0);
         pcg_solve(&a, &[1.0, 1.0, 1.0], PcgOptions::default());
-    }
-
-    #[test]
-    fn pooled_operator_matvec_is_bit_identical_to_serial() {
-        let a = spd(57);
-        let x: Vec<f64> = (0..57).map(|i| ((i * 31) % 13) as f64 - 6.0).collect();
-        let serial = a.matvec_alloc(&x);
-        for threads in [1, 2, 4] {
-            for schedule in [
-                Schedule::static_blocked(),
-                Schedule::dynamic(3),
-                Schedule::guided(1),
-            ] {
-                let op = PooledSymOperator::new(&a, ThreadPool::new(threads), schedule);
-                let mut y = vec![0.0; 57];
-                op.apply(&x, &mut y);
-                assert_eq!(serial, y, "threads={threads} {}", schedule.label());
-            }
-        }
-    }
-
-    #[test]
-    fn pooled_solve_matches_serial_iterates_exactly() {
-        let a = spd(48);
-        let b: Vec<f64> = (0..48).map(|i| ((i * 7) % 11) as f64 - 5.0).collect();
-        let serial = pcg_solve(&a, &b, PcgOptions::default());
-        let op = PooledSymOperator::new(&a, ThreadPool::new(4), Schedule::dynamic(2));
-        let pooled = pcg_solve(&op, &b, PcgOptions::default());
-        assert!(pooled.converged);
-        // Same matvec bits → same Krylov trajectory: iterate-for-iterate
-        // identical residual history and solution.
-        assert_eq!(serial.history.iterations(), pooled.history.iterations());
-        assert_eq!(serial.history.residual_norms, pooled.history.residual_norms);
-        assert_eq!(serial.x, pooled.x);
-    }
-
-    #[test]
-    fn pooled_vector_ops_leave_the_krylov_trajectory_bit_identical() {
-        // Large enough that the fixed reduction partition has several
-        // runs (n > REDUCE_CHUNK), so the pooled dot/norm genuinely fan
-        // out — and must still replay the serial trajectory exactly.
-        let n = crate::vector::REDUCE_CHUNK + 300;
-        let a = spd(n);
-        let b: Vec<f64> = (0..n).map(|i| ((i * 13) % 17) as f64 - 8.0).collect();
-        let serial = pcg_solve(&a, &b, PcgOptions::default());
-        assert!(serial.converged);
-        for threads in [1, 2, 4] {
-            for schedule in [
-                Schedule::static_blocked(),
-                Schedule::dynamic(1),
-                Schedule::guided(1),
-            ] {
-                let pool = ThreadPool::new(threads);
-                let op = PooledSymOperator::new(&a, pool, schedule);
-                let pooled = pcg_solve(
-                    &op,
-                    &b,
-                    PcgOptions {
-                        vector_parallelism: Some((pool, schedule)),
-                        ..Default::default()
-                    },
-                );
-                let label = format!("threads={threads} {}", schedule.label());
-                assert_eq!(
-                    serial.history.residual_norms, pooled.history.residual_norms,
-                    "{label}"
-                );
-                assert_eq!(serial.x, pooled.x, "{label}");
-            }
-        }
     }
 
     /// A matrix-free operator: the 1-D discrete Laplacian plus identity.

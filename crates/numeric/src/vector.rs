@@ -5,25 +5,15 @@
 //! system sizes the BEM produces (`N ≲ 10⁴`) the compiler auto-vectorizes
 //! them well and the matrix–vector product dominates anyway.
 //!
-//! The **blocked** reductions ([`dot_blocked`], [`norm2_blocked`]) and
-//! their **pooled** counterparts ([`pooled_dot`], [`pooled_norm2`],
-//! [`pooled_axpy`], [`pooled_xpby`], [`pooled_hadamard`]) share one
-//! fixed-partition summation order: the vector is cut into
-//! [`REDUCE_CHUNK`]-length runs, each run is summed left to right, and
-//! the run partials are folded in ascending run order. Because the
-//! partition is a pure function of the vector length — never of the
-//! schedule or the thread count — the serial blocked reduction and the
-//! pooled one (built on
-//! [`ThreadPool::parallel_reduce_ordered`]) are **bit-identical**, which
-//! is what keeps PCG's iterates independent of the execution resources
-//! when its dot/axpy/norm run on the pool.
+//! The **blocked** reductions ([`dot_blocked`], [`norm2_blocked`]) fix
+//! one summation order: the vector is cut into `REDUCE_CHUNK`-length
+//! runs, each run is summed left to right, and the run partials are
+//! folded in ascending run order. The partition is a pure function of the
+//! vector length, so PCG's iterates depend on nothing but its inputs.
 
-use layerbem_parfor::{Schedule, ThreadPool};
-
-/// Fixed partition width of the deterministic blocked reductions. One
-/// value for the serial and pooled paths: both fold the same
+/// Partition width of the blocked reductions: both fold the same
 /// `⌈n/REDUCE_CHUNK⌉` run partials in the same ascending order.
-pub const REDUCE_CHUNK: usize = 512;
+const REDUCE_CHUNK: usize = 512;
 
 /// Dot product `xᵀy`.
 ///
@@ -38,23 +28,8 @@ pub fn dot(x: &[f64], y: &[f64]) -> f64 {
     acc
 }
 
-/// Euclidean norm `‖x‖₂`, computed with scaling to avoid spurious
-/// overflow/underflow for extreme magnitudes.
-pub fn norm2(x: &[f64]) -> f64 {
-    let maxabs = x.iter().fold(0.0f64, |m, v| m.max(v.abs()));
-    if maxabs == 0.0 || !maxabs.is_finite() {
-        return maxabs;
-    }
-    let mut acc = 0.0;
-    for v in x {
-        let s = v / maxabs;
-        acc += s * s;
-    }
-    maxabs * acc.sqrt()
-}
-
 /// Maximum norm `‖x‖∞`.
-pub fn norm_inf(x: &[f64]) -> f64 {
+fn norm_inf(x: &[f64]) -> f64 {
     x.iter().fold(0.0f64, |m, v| m.max(v.abs()))
 }
 
@@ -80,13 +55,6 @@ pub fn xpby(x: &[f64], b: f64, y: &mut [f64]) {
     }
 }
 
-/// `x ← a·x`.
-pub fn scale(a: f64, x: &mut [f64]) {
-    for v in x {
-        *v *= a;
-    }
-}
-
 /// Component-wise product `z_i = x_i · y_i` (used to apply the Jacobi
 /// preconditioner, whose inverse is stored component-wise).
 ///
@@ -100,19 +68,9 @@ pub fn hadamard(x: &[f64], y: &[f64], z: &mut [f64]) {
     }
 }
 
-/// Sum of all components (used for total leaked current `IΓ = Σᵢ σᵢ·∫Nᵢ`).
-pub fn sum(x: &[f64]) -> f64 {
-    let mut acc = 0.0;
-    for v in x {
-        acc += v;
-    }
-    acc
-}
-
-/// Dot product with the deterministic fixed-partition summation order:
-/// one serial [`dot`] per [`REDUCE_CHUNK`]-length run, partials folded in
-/// ascending run order. This is the serial reference the pooled
-/// reduction ([`pooled_dot`]) reproduces bit for bit.
+/// Dot product with the fixed-partition summation order: one serial
+/// [`dot`] per `REDUCE_CHUNK`-length run, partials folded in ascending
+/// run order.
 ///
 /// # Panics
 /// Panics if the slices have different lengths.
@@ -125,9 +83,10 @@ pub fn dot_blocked(x: &[f64], y: &[f64]) -> f64 {
     acc
 }
 
-/// Euclidean norm with the same scaling as [`norm2`] and the
-/// fixed-partition summation order of [`dot_blocked`]: the scaled
-/// sum-of-squares partials fold in ascending run order.
+/// Euclidean norm `‖x‖₂`, scaled by `‖x‖∞` to avoid spurious
+/// overflow/underflow for extreme magnitudes, with the fixed-partition
+/// summation order of [`dot_blocked`]: the scaled sum-of-squares partials
+/// fold in ascending run order.
 pub fn norm2_blocked(x: &[f64]) -> f64 {
     let maxabs = norm_inf(x);
     if maxabs == 0.0 || !maxabs.is_finite() {
@@ -135,157 +94,14 @@ pub fn norm2_blocked(x: &[f64]) -> f64 {
     }
     let mut acc = 0.0;
     for xc in x.chunks(REDUCE_CHUNK) {
-        acc += scaled_sumsq(xc, maxabs);
+        let mut run = 0.0;
+        for v in xc {
+            let s = v / maxabs;
+            run += s * s;
+        }
+        acc += run;
     }
     maxabs * acc.sqrt()
-}
-
-/// One run's scaled sum of squares — shared by the serial and pooled
-/// blocked norms so both execute the identical scalar sequence per run.
-fn scaled_sumsq(x: &[f64], maxabs: f64) -> f64 {
-    let mut acc = 0.0;
-    for v in x {
-        let s = v / maxabs;
-        acc += s * s;
-    }
-    acc
-}
-
-/// Whether a pooled vector op on `n` elements should just run its serial
-/// blocked form inline: a 1-thread pool dispatches nothing anyway, and a
-/// vector that fits in one [`REDUCE_CHUNK`] run would launch a parallel
-/// region for a single chunk — pure synchronization overhead. The
-/// fallback is invisible in the output (the pooled forms are
-/// bit-identical to the serial blocked forms by construction).
-#[inline]
-fn single_chunk(pool: &ThreadPool, n: usize) -> bool {
-    pool.threads() == 1 || n <= REDUCE_CHUNK
-}
-
-/// Pooled [`dot_blocked`]: the run partials are computed on the pool and
-/// folded in ascending run order, so the result is **bit-identical** to
-/// the serial blocked dot for every schedule and thread count.
-///
-/// # Panics
-/// Panics if the slices have different lengths.
-pub fn pooled_dot(pool: &ThreadPool, schedule: Schedule, x: &[f64], y: &[f64]) -> f64 {
-    assert_eq!(x.len(), y.len(), "dot: length mismatch");
-    if single_chunk(pool, x.len()) {
-        return dot_blocked(x, y);
-    }
-    // The caller's schedule speaks in raw iterations; the dispatch below
-    // hands out whole REDUCE_CHUNK partitions, so normalize with
-    // `partition_dispatch` (an iteration-space chunk parameter like
-    // `dynamic,64` would otherwise claim 64 *partitions* at once and
-    // serialize the reduction).
-    pool.parallel_reduce_ordered(
-        x.len(),
-        REDUCE_CHUNK,
-        schedule.partition_dispatch(),
-        0.0,
-        |r| dot(&x[r.clone()], &y[r]),
-        |a, b| a + b,
-    )
-}
-
-/// Pooled [`norm2_blocked`], bit-identical to it for every schedule and
-/// thread count: `max` is exact under any reduction order, and the scaled
-/// sum-of-squares partials fold in ascending run order.
-pub fn pooled_norm2(pool: &ThreadPool, schedule: Schedule, x: &[f64]) -> f64 {
-    if single_chunk(pool, x.len()) {
-        return norm2_blocked(x);
-    }
-    let dispatch = schedule.partition_dispatch();
-    let maxabs = pool.parallel_reduce_ordered(
-        x.len(),
-        REDUCE_CHUNK,
-        dispatch,
-        0.0f64,
-        |r| norm_inf(&x[r]),
-        f64::max,
-    );
-    if maxabs == 0.0 || !maxabs.is_finite() {
-        return maxabs;
-    }
-    let acc = pool.parallel_reduce_ordered(
-        x.len(),
-        REDUCE_CHUNK,
-        dispatch,
-        0.0,
-        |r| scaled_sumsq(&x[r], maxabs),
-        |a, b| a + b,
-    );
-    maxabs * acc.sqrt()
-}
-
-/// Hands the [`REDUCE_CHUNK`]-length runs of `y` (with the matching runs
-/// of `x`) to the pool — the shared dispatch of the element-wise pooled
-/// updates, which are bit-identical to their serial forms for any
-/// partition because each element's computation never crosses a run.
-/// Single-run inputs execute inline (see [`single_chunk`]).
-fn pooled_zip_chunks(
-    pool: &ThreadPool,
-    schedule: Schedule,
-    x: &[f64],
-    y: &mut [f64],
-    f: impl Fn(&[f64], &mut [f64]) + Sync,
-) {
-    if single_chunk(pool, x.len()) {
-        f(x, y);
-        return;
-    }
-    let mut parts: Vec<(&[f64], &mut [f64])> = x
-        .chunks(REDUCE_CHUNK)
-        .zip(y.chunks_mut(REDUCE_CHUNK))
-        .collect();
-    pool.scoped_partition(&mut parts, schedule.partition_dispatch(), |_, (xc, yc)| {
-        f(xc, yc)
-    });
-}
-
-/// Pooled `y ← a·x + y`, bit-identical to [`axpy`].
-///
-/// # Panics
-/// Panics if the slices have different lengths.
-pub fn pooled_axpy(pool: &ThreadPool, schedule: Schedule, a: f64, x: &[f64], y: &mut [f64]) {
-    assert_eq!(x.len(), y.len(), "axpy: length mismatch");
-    pooled_zip_chunks(pool, schedule, x, y, |xc, yc| axpy(a, xc, yc));
-}
-
-/// Pooled `y ← x + b·y`, bit-identical to [`xpby`].
-///
-/// # Panics
-/// Panics if the slices have different lengths.
-pub fn pooled_xpby(pool: &ThreadPool, schedule: Schedule, x: &[f64], b: f64, y: &mut [f64]) {
-    assert_eq!(x.len(), y.len(), "xpby: length mismatch");
-    pooled_zip_chunks(pool, schedule, x, y, |xc, yc| xpby(xc, b, yc));
-}
-
-/// Pooled component-wise product `z_i = x_i · y_i`, bit-identical to
-/// [`hadamard`].
-///
-/// # Panics
-/// Panics if the slices have different lengths.
-pub fn pooled_hadamard(pool: &ThreadPool, schedule: Schedule, x: &[f64], y: &[f64], z: &mut [f64]) {
-    assert_eq!(x.len(), y.len(), "hadamard: length mismatch");
-    assert_eq!(x.len(), z.len(), "hadamard: output length mismatch");
-    if single_chunk(pool, x.len()) {
-        hadamard(x, y, z);
-        return;
-    }
-    /// One run of the fixed partition: the two factor runs plus the
-    /// matching output run.
-    type HadamardChunk<'a> = ((&'a [f64], &'a [f64]), &'a mut [f64]);
-    let mut parts: Vec<HadamardChunk<'_>> = x
-        .chunks(REDUCE_CHUNK)
-        .zip(y.chunks(REDUCE_CHUNK))
-        .zip(z.chunks_mut(REDUCE_CHUNK))
-        .collect();
-    pool.scoped_partition(
-        &mut parts,
-        schedule.partition_dispatch(),
-        |_, ((xc, yc), zc)| hadamard(xc, yc, zc),
-    );
 }
 
 #[cfg(test)]
@@ -309,16 +125,16 @@ mod tests {
     fn norm2_is_scale_safe() {
         // Naive sum-of-squares would overflow here.
         let x = [1e200, 1e200];
-        assert!(approx_eq(norm2(&x), 2f64.sqrt() * 1e200, 1e-14));
+        assert!(approx_eq(norm2_blocked(&x), 2f64.sqrt() * 1e200, 1e-14));
         // And underflow here.
         let y = [3e-200, 4e-200];
-        assert!(approx_eq(norm2(&y), 5e-200, 1e-14));
+        assert!(approx_eq(norm2_blocked(&y), 5e-200, 1e-14));
     }
 
     #[test]
     fn norm2_zero_vector() {
-        assert_eq!(norm2(&[0.0, 0.0]), 0.0);
-        assert_eq!(norm2(&[]), 0.0);
+        assert_eq!(norm2_blocked(&[0.0, 0.0]), 0.0);
+        assert_eq!(norm2_blocked(&[]), 0.0);
     }
 
     #[test]
@@ -334,14 +150,6 @@ mod tests {
         assert_eq!(y, [12.0, 24.0]);
         xpby(&x, 0.5, &mut y);
         assert_eq!(y, [7.0, 14.0]);
-    }
-
-    #[test]
-    fn scale_and_sum() {
-        let mut x = [1.0, -2.0, 3.0];
-        scale(-2.0, &mut x);
-        assert_eq!(x, [-2.0, 4.0, -6.0]);
-        assert_eq!(sum(&x), -4.0);
     }
 
     #[test]
@@ -387,78 +195,10 @@ mod tests {
 
     #[test]
     fn norm2_blocked_matches_norm2_scaling() {
+        // Several runs of the partition, against the unscaled
+        // √(xᵀx) (no overflow at these magnitudes).
         let x = noisy(2000, 5);
-        assert!(approx_eq(norm2_blocked(&x), norm2(&x), 1e-13));
-        assert_eq!(norm2_blocked(&[]), 0.0);
+        assert!(approx_eq(norm2_blocked(&x), dot(&x, &x).sqrt(), 1e-13));
         assert_eq!(norm2_blocked(&[0.0; 4]), 0.0);
-        // Scale safety carries over.
-        assert!(approx_eq(
-            norm2_blocked(&[1e200, 1e200]),
-            2f64.sqrt() * 1e200,
-            1e-14
-        ));
-    }
-
-    #[test]
-    fn pooled_reductions_are_bit_identical_to_blocked_serial() {
-        let x = noisy(3 * REDUCE_CHUNK + 41, 7);
-        let y = noisy(x.len(), 13);
-        let sdot = dot_blocked(&x, &y);
-        let snorm = norm2_blocked(&x);
-        for threads in [1, 2, 4] {
-            let pool = ThreadPool::new(threads);
-            for s in [
-                Schedule::static_blocked(),
-                Schedule::static_chunk(1),
-                Schedule::dynamic(1),
-                Schedule::guided(1),
-            ] {
-                let label = format!("threads={threads} {}", s.label());
-                assert_eq!(
-                    pooled_dot(&pool, s, &x, &y).to_bits(),
-                    sdot.to_bits(),
-                    "{label}"
-                );
-                assert_eq!(
-                    pooled_norm2(&pool, s, &x).to_bits(),
-                    snorm.to_bits(),
-                    "{label}"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn pooled_elementwise_ops_match_serial_bitwise() {
-        let x = noisy(2 * REDUCE_CHUNK + 19, 3);
-        let pool = ThreadPool::new(3);
-        let s = Schedule::dynamic(1);
-
-        let mut y1 = noisy(x.len(), 9);
-        let mut y2 = y1.clone();
-        axpy(0.37, &x, &mut y1);
-        pooled_axpy(&pool, s, 0.37, &x, &mut y2);
-        assert_eq!(y1, y2);
-
-        xpby(&x, -1.25, &mut y1);
-        pooled_xpby(&pool, s, &x, -1.25, &mut y2);
-        assert_eq!(y1, y2);
-
-        let mut z1 = vec![0.0; x.len()];
-        let mut z2 = vec![0.0; x.len()];
-        hadamard(&x, &y1, &mut z1);
-        pooled_hadamard(&pool, s, &x, &y2, &mut z2);
-        assert_eq!(z1, z2);
-    }
-
-    #[test]
-    #[should_panic(expected = "length mismatch")]
-    fn pooled_dot_panics_on_mismatch() {
-        pooled_dot(
-            &ThreadPool::new(2),
-            Schedule::dynamic(1),
-            &[1.0],
-            &[1.0, 2.0],
-        );
     }
 }

@@ -9,8 +9,8 @@
 //! Threads are spawned per parallel region. On the paper's runs a region
 //! is seconds to minutes of matrix generation and the launch disappears
 //! in it; this repository also opens regions around far shorter work — a
-//! 0.1 s deck, one matvec per PCG iteration, a 4 ms edit — and there it
-//! shows: `benchmark/README.md` reads `parfor.assembly.speedup` at
+//! 0.1 s deck, a 4 ms edit — and there it shows:
+//! `benchmark/README.md` reads `parfor.assembly.speedup` at
 //! 0.6–0.9 on a 628-dof assembly at 2 threads (ROADMAP item 2(a) is the
 //! pool of parked workers that would change this). What the paper
 //! studies is the *iteration dispatch* strategy, which is implemented
@@ -82,7 +82,7 @@ impl ThreadPool {
     where
         F: Fn(usize) + Sync,
     {
-        self.for_each_chunk(n, schedule, |_t, range| {
+        self.run_region(n, schedule, &|_t, range: Range<usize>| {
             for i in range {
                 body(i);
             }
@@ -161,60 +161,6 @@ impl ThreadPool {
             per_thread,
             wall: t0.elapsed(),
         }
-    }
-
-    /// Deterministic map-reduce: `0..n` is cut into `⌈n/chunk⌉` **fixed**
-    /// contiguous ranges (a pure function of `n` and `chunk`, independent
-    /// of the schedule and the thread count), `f` maps each range to a
-    /// partial, and the partials are folded with `combine` in ascending
-    /// range order starting from `identity`.
-    ///
-    /// Merging per-thread partials in completion order would make a
-    /// floating-point sum change bits from run to run. Here the summation
-    /// order is fixed by the partition, so the result is **bit-identical**
-    /// for every schedule and thread count — including a 1-thread pool —
-    /// which is what lets iterative solvers fold their dot products and
-    /// norms into the pool without their iterates depending on the
-    /// execution resources. The schedule only decides which thread
-    /// computes which partial.
-    ///
-    /// # Panics
-    /// Panics if `chunk == 0`.
-    pub fn parallel_reduce_ordered<T, F, C>(
-        &self,
-        n: usize,
-        chunk: usize,
-        schedule: Schedule,
-        identity: T,
-        f: F,
-        combine: C,
-    ) -> T
-    where
-        T: Send,
-        F: Fn(Range<usize>) -> T + Sync,
-        C: Fn(T, T) -> T,
-    {
-        assert!(chunk > 0, "chunk must be positive");
-        if n == 0 {
-            return identity;
-        }
-        let mut partials: Vec<Option<T>> = Vec::new();
-        partials.resize_with(n.div_ceil(chunk), || None);
-        self.scoped_partition(&mut partials, schedule, |c, slot| {
-            *slot = Some(f(c * chunk..((c + 1) * chunk).min(n)));
-        });
-        partials
-            .into_iter()
-            .fold(identity, |acc, p| combine(acc, p.expect("chunk computed")))
-    }
-
-    /// Runs `chunk_body(thread_index, chunk_range)` for every chunk of the
-    /// schedule, discarding the region's stats.
-    fn for_each_chunk<F>(&self, n: usize, schedule: Schedule, chunk_body: F)
-    where
-        F: Fn(usize, Range<usize>) + Sync,
-    {
-        self.run_region(n, schedule, &|t, range| chunk_body(t, range));
     }
 
     /// Spawns the region and returns per-thread stats. All dispatch logic
@@ -572,93 +518,6 @@ mod tests {
         assert_eq!(stats.per_thread.len(), 1);
         pool.parallel_fill(&mut out, Schedule::static_blocked(), |i| i + 1);
         assert_eq!(out[9], 10);
-    }
-
-    #[test]
-    fn parallel_reduce_ordered_is_bit_identical_across_pools() {
-        // Floating-point partials whose fold order matters: the fixed
-        // partition must make every schedule/thread-count combination
-        // reproduce the 1-thread fold bit for bit.
-        let data: Vec<f64> = (0..1000)
-            .map(|i| (((i * 2654435761usize) % 1000) as f64 - 500.0) * 1e-3 + 1e9)
-            .collect();
-        let serial = ThreadPool::new(1).parallel_reduce_ordered(
-            data.len(),
-            64,
-            Schedule::static_blocked(),
-            0.0f64,
-            |r| data[r].iter().sum::<f64>(),
-            |a, b| a + b,
-        );
-        for p in [2, 3, 8] {
-            let pool = ThreadPool::new(p);
-            for s in all_schedules() {
-                let got = pool.parallel_reduce_ordered(
-                    data.len(),
-                    64,
-                    s,
-                    0.0f64,
-                    |r| data[r].iter().sum::<f64>(),
-                    |a, b| a + b,
-                );
-                assert_eq!(got.to_bits(), serial.to_bits(), "p={p} {}", s.label());
-            }
-        }
-    }
-
-    #[test]
-    fn parallel_reduce_ordered_supports_noncommutative_combine() {
-        // Order-sensitive combine (string concatenation): ascending range
-        // order must be preserved regardless of which thread ran a chunk.
-        let pool = ThreadPool::new(4);
-        for s in all_schedules() {
-            let joined = pool.parallel_reduce_ordered(
-                10,
-                3,
-                s,
-                String::new(),
-                |r| format!("[{}..{})", r.start, r.end),
-                |a, b| a + &b,
-            );
-            assert_eq!(joined, "[0..3)[3..6)[6..9)[9..10)", "{}", s.label());
-        }
-    }
-
-    #[test]
-    fn parallel_reduce_ordered_empty_and_oversized_chunk() {
-        let pool = ThreadPool::new(3);
-        let empty = pool.parallel_reduce_ordered(
-            0,
-            8,
-            Schedule::dynamic(1),
-            7i64,
-            |_| unreachable!("no chunks for n = 0"),
-            |a, b: i64| a + b,
-        );
-        assert_eq!(empty, 7);
-        // chunk > n: a single partial covering everything.
-        let one = pool.parallel_reduce_ordered(
-            5,
-            99,
-            Schedule::guided(1),
-            0usize,
-            |r| r.len(),
-            |a, b| a + b,
-        );
-        assert_eq!(one, 5);
-    }
-
-    #[test]
-    #[should_panic(expected = "chunk must be positive")]
-    fn parallel_reduce_ordered_rejects_zero_chunk() {
-        ThreadPool::new(2).parallel_reduce_ordered(
-            4,
-            0,
-            Schedule::dynamic(1),
-            0u64,
-            |r| r.len() as u64,
-            |a, b| a + b,
-        );
     }
 
     #[test]

@@ -250,10 +250,9 @@ fn edits_field(v: &Json) -> Result<Vec<EditOp>, RequestError> {
 /// {"kind":"remove","index":I}
 /// ```
 ///
-/// Geometric validity of `add` (positive radius, buried endpoints,
-/// non-zero length) is checked here — the same gate the deck parser
-/// applies — because [`Conductor::new`] is entitled to a well-formed
-/// axis. Everything else (index bounds, finiteness, connectivity) flows
+/// Geometric validity of `add` is checked here by
+/// [`Conductor::try_new`], the same gate the deck parser applies.
+/// Everything else (index bounds, moved geometry, connectivity) flows
 /// into [`apply_op`](layerbem_core::incremental::apply_op)'s own typed
 /// validation.
 fn edit_op_from_json(v: &Json) -> Result<EditOp, RequestError> {
@@ -300,23 +299,13 @@ fn edit_op_from_json(v: &Json) -> Result<EditOp, RequestError> {
                     .as_f64()
                     .ok_or_else(|| RequestError::protocol("'conductor' entries must be numbers"))?;
             }
-            if c[6].is_nan() || c[6] <= 0.0 {
-                return Err(RequestError::protocol("conductor radius must be positive"));
-            }
-            if !(c[2] >= 0.0 && c[5] >= 0.0) {
-                return Err(RequestError::protocol("conductors must be buried (z >= 0)"));
-            }
-            let a = Point3::new(c[0], c[1], c[2]);
-            let b = Point3::new(c[3], c[4], c[5]);
-            let length = a.distance(b);
-            if length.is_nan() || length <= 0.0 {
-                return Err(RequestError::protocol(
-                    "edit add describes a zero-length conductor",
-                ));
-            }
-            Ok(EditOp::Add {
-                conductor: Conductor::new(a, b, c[6]),
-            })
+            let conductor = Conductor::try_new(
+                Point3::new(c[0], c[1], c[2]),
+                Point3::new(c[3], c[4], c[5]),
+                c[6],
+            )
+            .map_err(RequestError::protocol)?;
+            Ok(EditOp::Add { conductor })
         }
         "remove" => Ok(EditOp::Remove { index: index(v)? }),
         other => Err(RequestError::protocol(format!(
@@ -660,6 +649,7 @@ mod tests {
             r#"{"op":"edit","edits":[{"kind":"add","conductor":[1,1,0.6,1,1,2.1,0]}]}"#,
             r#"{"op":"edit","edits":[{"kind":"add","conductor":[1,1,-0.5,1,1,2.1,0.007]}]}"#,
             r#"{"op":"edit","edits":[{"kind":"add","conductor":[1,1,0.6,1,1,0.6,0.007]}]}"#,
+            r#"{"op":"edit","edits":[{"kind":"add","conductor":[1e999,1,0.6,1,1,2.1,0.007]}]}"#,
             r#"{"op":"edit","edits":[{"kind":"remove"}]}"#,
             r#"{"op":"edit","publish":"yes"}"#,
         ] {

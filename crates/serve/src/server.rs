@@ -669,11 +669,10 @@ mod tests {
         let s = service();
         // Protocol: not JSON at all.
         assert_eq!(error_kind(&s.handle_line("garbage")), "protocol");
-        // Parse: bad deck keyword.
-        assert_eq!(
-            error_kind(&s.handle_line(&solve_line("bogus 1\n"))),
-            "parse"
-        );
+        // Parse: bad deck keyword, and a conductor with no length.
+        for deck in ["bogus 1\n", "conductor 0 0 1 0 0 1 0.01\n"] {
+            assert_eq!(error_kind(&s.handle_line(&solve_line(deck))), "parse");
+        }
         // Model: two disconnected electrodes.
         let disconnected = "rod 0 0 0.5 2 0.01\nrod 500 500 0.5 2 0.01\n";
         assert_eq!(
@@ -697,7 +696,7 @@ mod tests {
         assert_eq!(v.get("ok").and_then(Json::as_bool), Some(true));
         assert_eq!(
             s.metrics().errors.load(Ordering::Relaxed),
-            7,
+            8,
             "each failure counted"
         );
     }

@@ -2,22 +2,16 @@
 //! be **bit-identical** to its serial counterpart on real BEM systems,
 //! for every schedule × thread count × block size exercised here.
 //!
-//! PR 2 established the guarantee for the in-place Galerkin assembler and
-//! the pooled PCG matvec; this suite locks it down for the rest of the
-//! solve phase — blocked pooled Cholesky/LU factors, pooled PCG iterates
-//! (matvec *and* vector reductions on the pool), and the row-partitioned
-//! pooled collocation assembler — on the paper's Barberá (238 dof) and
-//! Balaidos (201 dof) grids. PR 4 adds the worklist-driven pooled
-//! assembly engine: it must reproduce the serial double loop bit for bit
-//! — matrix, right-hand side, and per-column series terms — for every
-//! schedule × thread count. PR 6
-//! extends the guarantee to the hierarchical (ACA-compressed) operator
-//! backend: the pooled H-matrix assembly and the PCG trajectory it feeds
-//! must replay the serial hierarchical solve exactly. PR 9 adds the
-//! Monte-Carlo soil-sweep workload: a seeded sweep pooled *across*
-//! samples must be a bit-identical function of its seed alone. PR 19
-//! moves the surface-potential sweep onto tiled lane-kernel batches: a
-//! map must be a bit-identical function of its sample list alone.
+//! Covered, on the paper's Barberá (238 dof) and Balaidos (201 dof)
+//! grids: the worklist-driven pooled Galerkin assembler (matrix,
+//! right-hand side and per-column series terms), the blocked pooled
+//! Cholesky/LU factors, the row-partitioned pooled collocation assembler,
+//! studies of every solver prepared on a pool (PCG itself is serial, so
+//! its trajectory follows from the operator's bits), the hierarchical
+//! (ACA-compressed) backend and the PCG trajectory it feeds, the seeded
+//! Monte-Carlo soil sweep pooled *across* samples (a function of its seed
+//! alone), and the tiled surface-potential map (a function of its sample
+//! list alone).
 //!
 //! Grid selection honors the `LAYERBEM_DETERMINISM_GRID` environment
 //! variable: `tiny` substitutes a 2×2-cell yard (the CI smoke
@@ -39,7 +33,6 @@ use layerbem_core::system::GroundingSystem;
 use layerbem_core::workload::{run_soil_sweep, FreshSource, SoilSweepSpec, StudySpec};
 use layerbem_geometry::grids::{rectangular_grid, RectGridSpec};
 use layerbem_geometry::{grids, ConductorNetwork, Mesh, MeshOptions, Mesher};
-use layerbem_numeric::pcg::{pcg_solve, PcgOptions, PooledSymOperator};
 use layerbem_numeric::{CholeskyFactor, DenseMatrix, LuFactor, SymMatrix, DEFAULT_FACTOR_BLOCK};
 use layerbem_parfor::{Schedule, ThreadPool};
 use layerbem_soil::SoilModel;
@@ -240,40 +233,6 @@ fn blocked_pooled_lu_factors_are_bit_identical_to_serial() {
                     assert_eq!(pooled.lu_entries(), serial.lu_entries(), "{label}");
                     assert_eq!(pooled.permutation(), serial.permutation(), "{label}");
                 }
-            }
-        }
-    }
-}
-
-#[test]
-fn pooled_pcg_iterates_are_bit_identical_to_serial() {
-    // Matvec on the pooled operator + dot/axpy/norm folded into pooled
-    // fixed-partition reductions: the whole Krylov trajectory — every
-    // residual norm, the iterate, the iteration count — must replay the
-    // serial solve exactly.
-    for (grid, mesh, soil) in grid_cases() {
-        let (a, rhs) = galerkin_system(&mesh, &soil);
-        let serial = pcg_solve(&a, &rhs, PcgOptions::default());
-        assert!(serial.converged, "{grid}: serial PCG converges");
-        for threads in thread_counts() {
-            let pool = ThreadPool::new(threads);
-            for schedule in schedules() {
-                let op = PooledSymOperator::new(&a, pool, schedule);
-                let pooled = pcg_solve(
-                    &op,
-                    &rhs,
-                    PcgOptions {
-                        vector_parallelism: Some((pool, schedule)),
-                        ..Default::default()
-                    },
-                );
-                let label = format!("{grid}: threads={threads} {}", schedule.label());
-                assert_eq!(
-                    serial.history.residual_norms, pooled.history.residual_norms,
-                    "{label}"
-                );
-                assert_eq!(serial.x, pooled.x, "{label}");
-                assert_eq!(serial.converged, pooled.converged, "{label}");
             }
         }
     }
