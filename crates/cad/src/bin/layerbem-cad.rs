@@ -29,10 +29,12 @@
 //! program through [`SolveOptions::parallelism`]: with more than one
 //! thread, matrix generation runs the zero-staging in-place assembler on
 //! precomputed pair worklists (for collocation decks, the row-partitioned
-//! in-place collocation assembler) and the Cholesky/LU solvers run their
-//! blocked pooled factorizations; PCG is serial either way. With
-//! `--threads 1` everything is serial. Every configuration produces the
-//! same bits.
+//! in-place collocation assembler) and the Cholesky/LU factorizations run
+//! each panel's trailing update on the pool; PCG is serial either way.
+//! With `--threads 1` everything is serial, and the factorizations run
+//! the same blocked loop inline (one algorithm per solver; the old
+//! unblocked loops are only the tests' oracles). Every configuration
+//! produces the same bits.
 //!
 //! `--operator hmatrix` switches the prepared Galerkin operator to the
 //! hierarchical backend: near-field pairs assembled densely into a sparse

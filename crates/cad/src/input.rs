@@ -276,6 +276,28 @@ fn parse_grid_counts(line: usize, x: f64, y: f64) -> Result<(usize, usize), Pars
     Ok((x as usize, y as usize))
 }
 
+/// Validates a grid stanza's geometry before its generator builds
+/// conductors from it: positive extents (`width height`, or the legs), a
+/// buried depth and a positive radius.
+fn check_grid_geometry(
+    line: usize,
+    what: &str,
+    extents: [f64; 2],
+    depth: f64,
+    radius: f64,
+) -> Result<(), ParseError> {
+    if !(extents[0] > 0.0 && extents[1] > 0.0) {
+        return Err(err(line, format!("{what} extents must be positive")));
+    }
+    if depth < 0.0 {
+        return Err(err(line, "conductors must be buried (z >= 0)"));
+    }
+    if radius <= 0.0 {
+        return Err(err(line, "conductor radius must be positive"));
+    }
+    Ok(())
+}
+
 /// Parses a `LO:HI:N` range spec (shared by the `search pitch` stanza
 /// and the CLI's sweep flags). Only the shape is validated here; the
 /// endpoints' domain is checked by the workload constructors.
@@ -509,6 +531,7 @@ pub fn parse_case(text: &str) -> Result<CadCase, ParseError> {
                     "rect" => {
                         let v = parse_floats(line_no, &rest[1..], 8, "grid rect")?;
                         let (nx, ny) = parse_grid_counts(line_no, v[4], v[5])?;
+                        check_grid_geometry(line_no, "grid rect", [v[2], v[3]], v[6], v[7])?;
                         let spec = RectGridSpec {
                             origin: (v[0], v[1]),
                             width: v[2],
@@ -525,6 +548,7 @@ pub fn parse_case(text: &str) -> Result<CadCase, ParseError> {
                         // leg_x leg_y nx ny depth radius
                         let v = parse_floats(line_no, &rest[1..], 6, "grid triangle")?;
                         let (nx, ny) = parse_grid_counts(line_no, v[2], v[3])?;
+                        check_grid_geometry(line_no, "grid triangle", [v[0], v[1]], v[4], v[5])?;
                         network.extend(
                             triangle_grid(TriangleGridSpec {
                                 leg_x: v[0],
@@ -816,11 +840,18 @@ edit move 0 b 0 0 0.1
 
     #[test]
     fn impossible_conductors_are_parse_errors_naming_their_line() {
-        // A deck must never reach `Conductor::new`'s panic.
+        // A deck must never reach `Conductor::new`'s panic, directly or
+        // through a grid generator.
         for (line, why) in [
             ("conductor 0 0 1 0 0 1 0.01", "positive length"),
             ("conductor 0 0 1 5 0 -1 0.01", "buried"),
             ("rod 0 0 -1 1 0.01", "buried"),
+            ("grid rect 0 0 20 20 2 2 0.8 0", "radius must be positive"),
+            ("grid rect 0 0 20 20 2 2 -0.8 0.006", "buried"),
+            ("grid rect 0 0 0 20 2 2 0.8 0.006", "extents must be"),
+            ("grid triangle 89 -143 9 11 0.8 0.006", "extents must be"),
+            ("grid triangle 89 143 9 11 -0.8 0.006", "buried"),
+            ("grid triangle 89 143 9 11 0.8 -0.006", "radius must be"),
         ] {
             let e = parse_case(&format!("title t\n{line}\n")).unwrap_err();
             assert_eq!(e.line, 2, "{line}");

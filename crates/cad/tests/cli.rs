@@ -108,14 +108,36 @@ fn removed_flags_are_usage_errors() {
 
 #[test]
 fn an_impossible_conductor_is_a_deck_error_not_a_panic() {
-    let deck = deck_file("zero-length", "title T\nconductor 0 0 1 0 0 1 0.01\n");
-    let out = run(&deck, &["--threads", "1"]);
-    std::fs::remove_file(&deck).ok();
-    let stderr = String::from_utf8_lossy(&out.stderr);
-    assert_eq!(out.status.code(), Some(1), "{stderr}");
-    assert!(
-        stderr.contains("line 2: conductor axis must have positive length"),
-        "{stderr}"
-    );
-    assert!(!stderr.contains("panicked"), "{stderr}");
+    for (tag, line, why) in [
+        (
+            "zero-length",
+            "conductor 0 0 1 0 0 1 0.01",
+            "line 2: conductor axis must have positive length",
+        ),
+        // Valid as a conductor, but shorter than the mesher's merge
+        // distance: both ends land on one node.
+        (
+            "collapsed",
+            "conductor 0 0 1 0 0 1.0000001 0.01",
+            "ends collapse onto one node",
+        ),
+        (
+            "zero-radius",
+            "grid rect 0 0 20 20 2 2 0.8 0",
+            "line 2: conductor radius must be positive",
+        ),
+        (
+            "negative-depth",
+            "grid rect 0 0 20 20 2 2 -0.8 0.006",
+            "line 2: conductors must be buried",
+        ),
+    ] {
+        let deck = deck_file(tag, &format!("title T\n{line}\n"));
+        let out = run(&deck, &["--threads", "1"]);
+        std::fs::remove_file(&deck).ok();
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{tag}: {stderr}");
+        assert!(stderr.contains(why), "{tag}: {stderr}");
+        assert!(!stderr.contains("panicked"), "{tag}: {stderr}");
+    }
 }

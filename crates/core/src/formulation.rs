@@ -84,7 +84,9 @@ impl OperatorBackend {
 /// [`SolveOptions::parallelism`] into every pooled path: the in-place
 /// Galerkin assembler, the pooled collocation assembler, the hierarchical
 /// near-field and ACA assembly, the edit re-integration, the soil-sweep
-/// fan-out and the blocked right-looking factorizations. Every one of
+/// fan-out and the trailing updates of the blocked factorizations (one
+/// algorithm per factor: the same loop runs inline without a pool, and
+/// the old unblocked loops are only the tests' oracles). Every one of
 /// those paths is bit-identical to its serial counterpart, so this struct
 /// decides *who computes*, never *what is computed*. PCG runs serially
 /// either way.
@@ -110,12 +112,14 @@ pub struct SolveOptions {
     pub solver: SolverChoice,
     /// Parallelism of the assembly **and** factorization phases — the one
     /// knob that decides who computes: `None` runs the serial reference
-    /// assembly loops and the serial factorizations; `Some` switches
-    /// Galerkin assembly to the pooled worklist engine, collocation
-    /// assembly to the row-partitioned in-place assembler, and the direct
-    /// factorizations to their blocked pool-parallel right-looking
-    /// variants. PCG is serial under both: at the orders solved here a
-    /// pooled matvec is slower than the serial one.
+    /// assembly loops and the blocked factorizations inline; `Some`
+    /// switches Galerkin assembly to the pooled worklist engine,
+    /// collocation assembly to the row-partitioned in-place assembler, and
+    /// runs each factorization panel's trailing update on the pool. Each
+    /// direct solver has one factorization algorithm either way (the old
+    /// unblocked loops are only the tests' oracles). PCG is serial under
+    /// both: at the orders solved here a pooled matvec is slower than the
+    /// serial one.
     pub parallelism: Option<Parallelism>,
     /// Memory/compute representation of the prepared Galerkin operator.
     /// [`OperatorBackend::Dense`] (the default) keeps every existing path

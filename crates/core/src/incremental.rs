@@ -21,7 +21,7 @@
 //!    the per-row deltas into the retained operator, and routes the
 //!    factor through [`layerbem_numeric::update`]'s rank-`2m` Cholesky
 //!    update/downdate when the [`incremental_worthwhile`] cost model says
-//!    the sweeps beat a refactorization, falling back to the pooled full
+//!    the sweeps beat a refactorization, falling back to a full
 //!    refactorization (from the retained, already-updated operator — no
 //!    re-assembly) otherwise.
 //! 3. [`EditSession`] replays whole-conductor edits ([`EditOp`]) against
@@ -31,9 +31,10 @@
 //! Every phase is deterministic by construction: pair re-integration
 //! writes disjoint slots (each pair's blocks depend on the pair alone),
 //! the delta scatter and the rank-1 sweeps run serially in fixed order,
-//! and the fallback refactorization is the pooled-blocked kernel that is
-//! bit-identical to its serial form — so `apply_edit` produces bitwise
-//! identical studies across schedules × thread counts.
+//! and the fallback refactorization is the one blocked factorization,
+//! whose trailing updates give the same bits inline or on the pool (the
+//! old Crout loop is only the tests' oracle) — so `apply_edit` produces
+//! bitwise identical studies across schedules × thread counts.
 
 use std::borrow::Cow;
 use std::time::Instant;
@@ -53,7 +54,7 @@ use crate::assembly::{
 use crate::formulation::{Formulation, OperatorBackend, SolveOptions, SolverChoice};
 use crate::kernel::{KernelBatch, KernelCost, SoilKernel};
 use crate::study::{Engine, PrepareError, Study};
-use crate::system::{mesh_defect, GroundingSystem, MeshDefect};
+use crate::system::{mesh_defect, GroundingSystem};
 use crate::workload::StudySpec;
 
 /// The retained editing state of an editable [`Study`] — what
@@ -268,7 +269,8 @@ pub enum EditError {
     /// [`GroundingSystem::prepare_editable`].
     NotEditable(&'static str),
     /// The edit produces an invalid model (index out of range, conductor
-    /// above the surface, degenerate axis, empty or disconnected grid).
+    /// above the surface, degenerate axis, a conductor shorter than the
+    /// mesher's merge distance, empty or disconnected grid).
     Model(&'static str),
     /// Rebuilding or refactorizing the edited operator failed.
     Prepare(PrepareError),
@@ -432,9 +434,11 @@ impl Study {
     /// # Errors
     /// [`EditError::NotEditable`] unless the study came from
     /// [`GroundingSystem::prepare_editable`]; [`EditError::Model`] when
-    /// the edited mesh is empty or disconnected (the study keeps its
-    /// pre-edit state); [`EditError::Prepare`] when the edited operator
-    /// cannot be factorized.
+    /// the edited mesh is empty, collapses an element onto one node or is
+    /// disconnected (the study keeps its pre-edit state);
+    /// [`EditError::Prepare`] when the edited operator cannot be
+    /// factorized (the study is rebuilt from its pre-edit mesh, so it
+    /// answers exactly as a fresh prepare of that mesh).
     pub fn apply_edit(&mut self, delta: MeshDelta) -> Result<EditReport, EditError> {
         if self.edit.is_none() {
             return Err(EditError::NotEditable(
@@ -627,13 +631,15 @@ impl Study {
                         path = EditPath::Refactor;
                     }
                     Err(e) => {
-                        // The edited operator is not SPD: the study keeps
-                        // the (consistently updated) operator and mesh,
-                        // but has no usable factor — the session must
-                        // discard it.
-                        es.mesh = new_mesh;
-                        self.spent.edits += 1;
+                        // The edited operator is not SPD and the factor
+                        // is poisoned. The move path keeps no copy of the
+                        // pre-edit state (every move would pay for it),
+                        // so rebuild the pre-edit mesh — still `es.mesh`
+                        // — from the retained kernel: the study then
+                        // answers exactly as a fresh prepare of it.
+                        let old_mesh = es.mesh.clone();
                         self.edit = Some(es);
+                        self.rebuild(old_mesh)?;
                         return Err(EditError::Prepare(e));
                     }
                 }
@@ -665,41 +671,11 @@ impl Study {
     /// The topology-change route: full re-assembly + re-factorization
     /// with the retained kernel and options.
     fn edit_rebuild(&mut self, new_mesh: Mesh) -> Result<EditReport, EditError> {
-        match mesh_defect(&new_mesh) {
-            Some(MeshDefect::Empty) => {
-                return Err(EditError::Model("edit removed every degree of freedom"))
-            }
-            Some(MeshDefect::Disconnected) => {
-                return Err(EditError::Model("edit disconnected the electrode network"))
-            }
-            None => {}
+        if let Some(why) = mesh_defect(&new_mesh) {
+            return Err(EditError::Model(why));
         }
-        let mut es = self.edit.take().expect("checked by apply_edit");
-        let report = assemble_galerkin(&new_mesh, &es.kernel, &self.opts);
-        let reintegrate_seconds = report.cost.seconds;
-        let retain = es.matrix.is_some();
-        let (mut rebuilt, matrix) =
-            match Study::from_galerkin(self.opts, Cow::Owned(report), retain) {
-                Ok(built) => built,
-                Err(e) => {
-                    // Rebuild failed: keep the pre-edit state intact.
-                    self.edit = Some(es);
-                    return Err(EditError::Prepare(e));
-                }
-            };
-        let update_seconds = rebuilt.spent.factor_seconds;
         let elements = new_mesh.element_count();
-        es.matrix = matrix;
-        es.mesh = new_mesh;
-        // A rebuild is a freshly prepared study that inherits this one's
-        // history: its assembly and factorization add to the
-        // prepare-phase totals (not the incremental-edit phases), the
-        // column profile is the new assembly's.
-        rebuilt.spent += self.spent;
-        rebuilt.spent.edits += 1;
-        rebuilt.solves = std::mem::take(&mut self.solves);
-        rebuilt.edit = Some(es);
-        *self = rebuilt;
+        let (reintegrate_seconds, update_seconds) = self.rebuild(new_mesh)?;
         Ok(EditReport {
             path: EditPath::Rebuild,
             changed_elements: elements,
@@ -709,6 +685,38 @@ impl Study {
             reintegrate_seconds,
             update_seconds,
         })
+    }
+
+    /// Re-assembles and re-factorizes `mesh` with the retained kernel and
+    /// options: the study becomes a fresh prepare of `mesh` that inherits
+    /// this one's history plus one edit. Returns the assembly and factor
+    /// seconds; on failure the study keeps its state.
+    fn rebuild(&mut self, mesh: Mesh) -> Result<(f64, f64), PrepareError> {
+        let mut es = self.edit.take().expect("checked by apply_edit");
+        let report = assemble_galerkin(&mesh, &es.kernel, &self.opts);
+        let reintegrate_seconds = report.cost.seconds;
+        let retain = es.matrix.is_some();
+        let (mut rebuilt, matrix) =
+            match Study::from_galerkin(self.opts, Cow::Owned(report), retain) {
+                Ok(built) => built,
+                Err(e) => {
+                    self.edit = Some(es);
+                    return Err(e);
+                }
+            };
+        let update_seconds = rebuilt.spent.factor_seconds;
+        es.matrix = matrix;
+        es.mesh = mesh;
+        // A rebuild is a freshly prepared study that inherits this one's
+        // history: its assembly and factorization add to the
+        // prepare-phase totals (not the incremental-edit phases), the
+        // column profile is the new assembly's.
+        rebuilt.spent += self.spent;
+        rebuilt.spent.edits += 1;
+        rebuilt.solves = std::mem::take(&mut self.solves);
+        rebuilt.edit = Some(es);
+        *self = rebuilt;
+        Ok((reintegrate_seconds, update_seconds))
     }
 
     /// The mesh this editable study currently represents (`None` for
@@ -1004,6 +1012,34 @@ mod tests {
         ));
         let ok = apply_op(&net, &EditOp::Remove { index: 0 }).expect("in range");
         assert_eq!(ok.len(), count - 1);
+    }
+
+    #[test]
+    fn a_move_end_that_collapses_a_rod_is_a_model_error() {
+        // Shortening a 1.5 m rod to 0.5 µm leaves a valid conductor whose
+        // ends merge into one mesh node.
+        let (net, rod, _) = grid_with_rods();
+        let soil = layerbem_soil::SoilModel::uniform(0.016);
+        let mut session =
+            EditSession::open(net.clone(), &soil, mesh_opts(), cholesky_opts()).expect("open");
+        let s = Scenario::gpr(10_000.0);
+        let before = session.study().solve(&s).expect("solve");
+        let fold = EditOp::MoveEnd {
+            index: rod,
+            end: ConductorEnd::B,
+            delta: [0.0, 0.0, -1.4999995],
+        };
+        let err = session.apply(&fold).expect_err("collapsed rod");
+        assert!(
+            matches!(err, EditError::Model(why) if why.contains("collapse onto one node")),
+            "{err}"
+        );
+        // The session keeps its pre-edit network and answer.
+        assert_eq!(session.network().len(), net.len());
+        assert_eq!(session.study().profile().edits, 0);
+        let after = session.study().solve(&s).expect("solve");
+        assert_eq!(after.leakage, before.leakage);
+        assert_eq!(after.equivalent_resistance, before.equivalent_resistance);
     }
 
     #[test]

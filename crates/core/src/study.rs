@@ -9,7 +9,8 @@
 //! 1. [`GroundingSystem::prepare`] assembles the BEM system **once**
 //!    and factorizes it **once** (both on the pool when
 //!    [`SolveOptions::parallelism`](crate::formulation::SolveOptions) is
-//!    configured, both serial otherwise), returning
+//!    configured, both on the calling thread otherwise — the same
+//!    factorization loop either way), returning
 //!    a reusable [`Study`] that owns the retained
 //!    [`CholeskyFactor`]/[`LuFactor`]/PCG operator state.
 //! 2. [`Study::solve`] / [`Study::solve_batch`] then answer
@@ -63,7 +64,7 @@ use std::time::Instant;
 use layerbem_numeric::cholesky::{CholeskyFactor, NotPositiveDefinite};
 use layerbem_numeric::lu::{LuFactor, SingularMatrix};
 use layerbem_numeric::pcg::{pcg_solve, LinearOperator, PcgOptions};
-use layerbem_numeric::{AcaError, DenseMatrix, HMatrix, SymMatrix, DEFAULT_FACTOR_BLOCK};
+use layerbem_numeric::{AcaError, HMatrix, SymMatrix};
 
 use crate::assembly::{
     assemble_collocation, assemble_hierarchical, galerkin_rhs, AssemblyCost, AssemblyReport,
@@ -396,7 +397,8 @@ impl Study {
                 let (c, rhs, cost) = assemble_collocation(system.mesh(), system.kernel(), &opts);
                 let nu = galerkin_rhs(system.mesh());
                 Study::assembled(opts, cost, rhs, nu, (Vec::new(), Vec::new()), || {
-                    Ok((Engine::Lu(Study::lu_factor(&opts, c)?), 1))
+                    let pool = opts.parallelism.map(|par| (par.pool, par.schedule));
+                    Ok((Engine::Lu(LuFactor::factor_in_place(c, pool)?), 1))
                 })
             }
             (Formulation::Collocation, OperatorBackend::Hierarchical { .. }) => {
@@ -486,33 +488,18 @@ impl Study {
         opts: &SolveOptions,
         matrix: Cow<'_, SymMatrix>,
     ) -> Result<(Engine, usize), PrepareError> {
+        let pool = opts.parallelism.map(|par| (par.pool, par.schedule));
         Ok(match opts.solver {
             SolverChoice::ConjugateGradient => (Engine::Pcg(matrix.into_owned()), 0),
-            SolverChoice::Cholesky => {
-                let a = matrix.into_owned();
-                let f = match opts.parallelism {
-                    Some(par) => CholeskyFactor::factor_pooled_in_place(
-                        a,
-                        &par.pool,
-                        par.schedule,
-                        DEFAULT_FACTOR_BLOCK,
-                    ),
-                    None => CholeskyFactor::factor_in_place(a),
-                }?;
-                (Engine::Cholesky(f), 1)
-            }
-            SolverChoice::Lu => (Engine::Lu(Study::lu_factor(opts, matrix.to_dense())?), 1),
+            SolverChoice::Cholesky => (
+                Engine::Cholesky(CholeskyFactor::factor_in_place(matrix.into_owned(), pool)?),
+                1,
+            ),
+            SolverChoice::Lu => (
+                Engine::Lu(LuFactor::factor_in_place(matrix.to_dense(), pool)?),
+                1,
+            ),
         })
-    }
-
-    /// Pivoted LU of a dense matrix the study owns, factored in place.
-    fn lu_factor(opts: &SolveOptions, a: DenseMatrix) -> Result<LuFactor, SingularMatrix> {
-        match opts.parallelism {
-            Some(par) => {
-                LuFactor::factor_pooled_in_place(a, &par.pool, par.schedule, DEFAULT_FACTOR_BLOCK)
-            }
-            None => LuFactor::factor_in_place(a),
-        }
     }
 
     /// Degrees of freedom of the prepared system.

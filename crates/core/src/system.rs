@@ -39,22 +39,24 @@ pub struct GroundingSolution {
     pub scenario: Scenario,
 }
 
-/// What keeps a mesh from being one solvable electrode (the
-/// constant-GPR boundary condition needs exactly one connected body).
-pub(crate) enum MeshDefect {
-    /// No elements or no degrees of freedom.
-    Empty,
-    /// More than one electrically separate island.
-    Disconnected,
-}
-
-/// The one place a mesh is checked for solvability: [`GroundingSystem::try_new`]
-/// words the defect for a fresh model, the edit rebuild route for an edit.
-pub(crate) fn mesh_defect(mesh: &Mesh) -> Option<MeshDefect> {
+/// Why a mesh is not one solvable electrode — the constant-GPR boundary
+/// condition needs exactly one connected body of elements with two
+/// distinct nodes each — or `None` when it is. The one place a mesh is
+/// checked and the defect worded: [`GroundingSystem::try_new`] reports
+/// it for a fresh model, the edit rebuild route for an edit.
+pub(crate) fn mesh_defect(mesh: &Mesh) -> Option<&'static str> {
     if mesh.dof() == 0 || mesh.element_count() == 0 {
-        Some(MeshDefect::Empty)
+        Some("discretization produced no degrees of freedom")
+    } else if mesh.elements.iter().any(|e| e.nodes[0] == e.nodes[1]) {
+        Some(
+            "a conductor is shorter than the mesher's 1e-6 m merge distance \
+             (its ends collapse onto one node)",
+        )
     } else if !mesh.is_connected() {
-        Some(MeshDefect::Disconnected)
+        Some(
+            "electrode network is not connected (grounding grids are one \
+             bonded structure; merge or remove the isolated conductors)",
+        )
     } else {
         None
     }
@@ -67,11 +69,7 @@ impl GroundingSystem {
     /// (the study sources of [`crate::workload`], edit sessions).
     pub fn try_new(mesh: Mesh, soil: &SoilModel, opts: SolveOptions) -> Result<Self, &'static str> {
         match mesh_defect(&mesh) {
-            Some(MeshDefect::Empty) => Err("discretization produced no degrees of freedom"),
-            Some(MeshDefect::Disconnected) => Err(
-                "electrode network is not connected (grounding grids are one \
-                 bonded structure; merge or remove the isolated conductors)",
-            ),
+            Some(why) => Err(why),
             None => Ok(GroundingSystem {
                 mesh,
                 kernel: SoilKernel::new(soil),
@@ -83,8 +81,9 @@ impl GroundingSystem {
     /// [`try_new`](Self::try_new) for meshes the caller built itself.
     ///
     /// # Panics
-    /// Panics on an empty or electrically disconnected mesh — the
-    /// constant-GPR boundary condition requires one connected electrode.
+    /// Panics on an empty, collapsed or electrically disconnected mesh —
+    /// the constant-GPR boundary condition requires one connected
+    /// electrode.
     pub fn new(mesh: Mesh, soil: &SoilModel, opts: SolveOptions) -> Self {
         Self::try_new(mesh, soil, opts).unwrap_or_else(|why| panic!("{why}"))
     }
@@ -117,9 +116,9 @@ impl GroundingSystem {
     ///
     /// [`SolveOptions::parallelism`] alone decides who computes: with it
     /// set, matrix generation runs the pooled worklist engine and the
-    /// factorization its blocked pool-parallel right-looking variant
-    /// (bit-identical factors for every schedule and thread count);
-    /// without it, both are serial.
+    /// blocked factorization runs its trailing updates on the pool;
+    /// without it, both run on the calling thread. The bits are the same
+    /// either way.
     ///
     /// This is the primary entry point: `prepare` once, then
     /// [`Study::solve`] / [`Study::solve_batch`] per question.

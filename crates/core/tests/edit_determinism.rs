@@ -4,8 +4,9 @@
 //! `Study::apply_edit` is deterministic by construction: pair
 //! re-integration writes disjoint per-run slots, the delta scatter and
 //! the rank-1 factor sweeps run serially in fixed order, and the
-//! fallback refactorization is the pooled-blocked kernel that is
-//! bit-identical to its serial form. This suite pins that claim: the
+//! fallback refactorization is the one blocked factorization, whose
+//! trailing updates give the same bits inline or on the pool. This suite
+//! pins that claim: the
 //! same edit sequence must produce **bitwise identical** solutions
 //! whether the session runs serially or pooled, under any schedule, on
 //! 1–8 threads.
@@ -229,9 +230,10 @@ fn answers_follow_every_edit_route() {
     }
 }
 
-/// A moved edit that fails has already touched the factor: whatever the
-/// next question gets, it must not be the pre-edit answer served from a
-/// unit solution that outlived its system.
+/// A moved edit whose rank update and refactorization both refuse has
+/// already poisoned the factor: the session must answer exactly as a
+/// from-scratch prepare of its last successful network — not from the
+/// half-applied edit, nor from a unit solution that outlived its system.
 #[test]
 fn a_failed_edit_does_not_leave_the_old_answer_behind() {
     use layerbem_geometry::Conductor;
@@ -247,7 +249,6 @@ fn a_failed_edit_does_not_leave_the_old_answer_behind() {
         0.1,
     ));
     let mut session = EditSession::open(net, &soil, mesh_opts(), cholesky()).expect("open");
-    let before = session.study().solve(&s).expect("solve");
     // Swing it to within a millimetre of the thin rod: the free ends stay
     // distinct nodes (a moved edit), but the thin-wire coupling of the
     // two now exceeds the thick rod's self term — no longer positive
@@ -260,8 +261,18 @@ fn a_failed_edit_does_not_leave_the_old_answer_behind() {
     let err = session.apply(&fold).expect_err("not factorizable");
     assert!(matches!(err, EditError::Prepare(_)), "{err}");
     assert_eq!(session.study().profile().edits, 1, "failed past the diff");
-    if let Ok(after) = session.study().solve(&s) {
-        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-        assert_ne!(bits(&after.leakage), bits(&before.leakage));
-    }
+    let after = session.study().solve(&s).expect("the last network answers");
+    let mesh = Mesher::new(mesh_opts()).mesh(session.network());
+    let fresh = GroundingSystem::new(mesh, &soil, cholesky())
+        .prepare()
+        .expect("prepare")
+        .solve(&s)
+        .expect("solve");
+    let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+    assert_eq!(bits(&after.leakage), bits(&fresh.leakage));
+    assert_eq!(
+        after.equivalent_resistance.to_bits(),
+        fresh.equivalent_resistance.to_bits()
+    );
+    assert_eq!(after.total_current.to_bits(), fresh.total_current.to_bits());
 }

@@ -8,22 +8,24 @@
 //! that certifies positive-definiteness of the assembled Galerkin matrix
 //! (factorization succeeds ⇔ SPD up to round-off).
 //!
-//! Two algorithms produce the same factor — **bit for bit**: the
-//! sequential row-oriented Cholesky–Crout ([`CholeskyFactor::factor`])
-//! and a **blocked right-looking** variant
-//! ([`CholeskyFactor::factor_pooled`] /
-//! [`CholeskyFactor::factor_pooled_blocked`]) whose trailing-submatrix
-//! update — the `O(N³)` bulk of the work — is distributed over a
-//! [`ThreadPool`] by disjoint row partitions of the packed triangle,
-//! one parallel region per *panel* of columns instead of one per column.
-//! Both orderings apply, to every entry, the identical ascending-column
-//! sequence of subtractions on identical finalized operands, so the
-//! factors agree exactly for every schedule, thread count and block
-//! size.
+//! One algorithm produces the factor, for serial and pooled callers
+//! alike: a **blocked right-looking** elimination. Panels of
+//! `FACTOR_PANEL` columns are factorized in order, and each panel's whole
+//! contribution to the trailing submatrix — the `O(N³)` bulk of the work —
+//! is applied in one sweep over the trailing rows: on the caller's
+//! [`ThreadPool`], by disjoint row partitions of the packed triangle, when
+//! a pool of more than one thread is passed and at least `PAR_CUTOFF`
+//! trailing rows remain; inline otherwise. The row-oriented
+//! Cholesky–Crout loop that serial callers used to run is kept only as
+//! the tests' oracle: both loops apply, to every entry, the identical
+//! ascending-column sequence of subtractions on identical finalized
+//! operands, so the factors agree **bit for bit** for every order,
+//! schedule and thread count.
 
 use layerbem_parfor::{Schedule, ThreadPool};
 
 use crate::symmetric::SymMatrix;
+use crate::{FACTOR_PANEL, PAR_CUTOFF};
 
 /// Error returned when the matrix is not positive definite (a non-positive
 /// pivot was encountered at the given index).
@@ -54,125 +56,46 @@ pub struct CholeskyFactor {
 }
 
 impl CholeskyFactor {
-    /// Factorizes a packed symmetric matrix.
+    /// Factorizes a packed symmetric matrix on the calling thread.
     ///
     /// Returns an error identifying the first non-positive pivot when the
     /// matrix is not positive definite.
     pub fn factor(a: &SymMatrix) -> Result<Self, NotPositiveDefinite> {
-        Self::factor_in_place(a.clone())
+        Self::factor_in_place(a.clone(), None)
     }
 
-    /// [`factor`](Self::factor) of a matrix the caller gives up: its
-    /// packed triangle is overwritten with `L`, so the operator and its
-    /// factor are never resident side by side.
-    pub fn factor_in_place(a: SymMatrix) -> Result<Self, NotPositiveDefinite> {
-        let n = a.order();
-        let mut l = a.into_packed();
-        // Row-oriented packed Cholesky (Cholesky–Crout):
-        //   l_ij = (a_ij − Σ_{k<j} l_ik l_jk) / l_jj   (j < i)
-        //   l_ii = sqrt(a_ii − Σ_{k<i} l_ik²)
-        for i in 0..n {
-            let row_i = i * (i + 1) / 2;
-            for j in 0..=i {
-                let row_j = j * (j + 1) / 2;
-                let mut s = l[row_i + j];
-                for k in 0..j {
-                    s -= l[row_i + k] * l[row_j + k];
-                }
-                if i == j {
-                    if s <= 0.0 || !s.is_finite() {
-                        return Err(NotPositiveDefinite { pivot: i });
-                    }
-                    l[row_i + j] = s.sqrt();
-                } else {
-                    l[row_i + j] = s / l[row_j + j];
-                }
-            }
-        }
-        Ok(CholeskyFactor { n, l })
-    }
-
-    /// Orders below which [`factor_pooled`](Self::factor_pooled) runs the
-    /// sequential [`factor`](Self::factor) outright: at `O(N³) ≈ 10⁶`
-    /// flops the factorization is microseconds of work, and even one
-    /// parallel-region launch per panel costs more than it saves. The
-    /// fallback is exact, not approximate — the blocked pooled algorithm
-    /// is bit-identical to the sequential one — so crossing the threshold
-    /// never changes a result, only a thread count.
-    pub const SERIAL_CUTOFF: usize = 128;
-
-    /// Blocked right-looking factorization with the trailing update
-    /// parallelized over the pool, using the workspace default panel
-    /// width ([`DEFAULT_FACTOR_BLOCK`](crate::DEFAULT_FACTOR_BLOCK)).
+    /// Factorizes a matrix the caller gives up: its packed triangle is
+    /// overwritten with `L`, so the operator and its factor are never
+    /// resident side by side.
     ///
-    /// See [`factor_pooled_blocked`](Self::factor_pooled_blocked).
-    pub fn factor_pooled(
-        a: &SymMatrix,
-        pool: &ThreadPool,
-        schedule: Schedule,
-    ) -> Result<Self, NotPositiveDefinite> {
-        Self::factor_pooled_blocked(a, pool, schedule, crate::DEFAULT_FACTOR_BLOCK)
-    }
-
-    /// Blocked right-looking factorization: panels of `block` columns are
-    /// factorized sequentially, then the panel's whole contribution to
-    /// the trailing submatrix — `l_ij -= Σ_c l_ic·l_jc` over the panel
-    /// columns `c` — is applied in **one** parallel region, with the
-    /// trailing rows partitioned into disjoint
-    /// [`SymRowsMut`](crate::symmetric::SymRowsMut) views dispatched
-    /// under `schedule`. Batching columns amortizes the region-launch
-    /// cost that made the per-column variant lose to the sequential
-    /// solver below ~500 unknowns.
+    /// Panels of `FACTOR_PANEL` columns are factorized sequentially, then
+    /// the panel's whole contribution to the trailing submatrix —
+    /// `l_ij -= Σ_c l_ic·l_jc` over the panel columns `c` — is applied in
+    /// one sweep. With `parallelism` set to a pool of more than one thread
+    /// and at least `PAR_CUTOFF` trailing rows, that sweep is one parallel
+    /// region over disjoint [`SymRowsMut`](crate::symmetric::SymRowsMut)
+    /// views dispatched under the schedule; otherwise it runs inline.
     ///
-    /// The result is **bit-identical** to [`factor`](Self::factor) for
-    /// every thread count, schedule and block size: each entry `(i, j)`
-    /// receives the same subtractions `l_ik·l_jk` on the same finalized
-    /// operands in the same ascending-`k` order whether they are applied
-    /// one column at a time (Crout accumulates them into a scalar in
-    /// exactly this order), per column (the old per-column right-looking
-    /// sweep, reproduced by `block = 1`), or per panel. Orders below
-    /// [`SERIAL_CUTOFF`](Self::SERIAL_CUTOFF) — and 1-thread pools — run
-    /// the sequential code directly.
-    ///
-    /// A zero `block` is treated as 1; a `block ≥ n` degenerates to the
-    /// fully sequential factorization (one all-covering panel).
-    pub fn factor_pooled_blocked(
-        a: &SymMatrix,
-        pool: &ThreadPool,
-        schedule: Schedule,
-        block: usize,
-    ) -> Result<Self, NotPositiveDefinite> {
-        Self::factor_pooled_in_place(a.clone(), pool, schedule, block)
-    }
-
-    /// [`factor_pooled_blocked`](Self::factor_pooled_blocked) of a matrix
-    /// the caller gives up, overwritten with `L` like
-    /// [`factor_in_place`](Self::factor_in_place).
-    pub fn factor_pooled_in_place(
+    /// The factor is **bit-identical** whoever computes it: each entry
+    /// `(i, j)` receives the same subtractions `l_ik·l_jk` on the same
+    /// finalized operands in the same ascending-`k` order as in the
+    /// row-oriented Crout loop, which accumulates them into a scalar in
+    /// exactly this order.
+    pub fn factor_in_place(
         a: SymMatrix,
-        pool: &ThreadPool,
-        schedule: Schedule,
-        block: usize,
+        parallelism: Option<(ThreadPool, Schedule)>,
     ) -> Result<Self, NotPositiveDefinite> {
-        /// Trailing rows below which a panel's update runs inline.
-        const PAR_CUTOFF: usize = 64;
-
+        let pool = parallelism.filter(|(pool, _)| pool.threads() > 1);
         let n = a.order();
-        if n < Self::SERIAL_CUTOFF || pool.threads() == 1 {
-            return Self::factor_in_place(a);
-        }
-        // Clamp to [1, n]: a wider panel than the matrix is already the
-        // fully sequential degenerate case, and the cache below is sized
-        // by the clamped width.
-        let block = block.clamp(1, n);
+        let block = FACTOR_PANEL.min(n);
         let mut l = a;
         // Column-major cache of the finalized panel block l_ic (trailing
         // rows i, panel columns c): the strided packed-column reads happen
-        // once per panel, and the parallel row updates then touch only
-        // their own packed rows plus this shared read-only cache. The
-        // first panel's trailing block — (n − block) rows × block columns
-        // — is the widest; later panels only shrink, so one allocation
-        // serves them all (and a block ≥ n request allocates nothing).
+        // once per panel, and the row updates then touch only their own
+        // packed rows plus this shared read-only cache. The first panel's
+        // trailing block — (n − block) rows × block columns — is the
+        // widest; later panels only shrink, so one allocation serves them
+        // all.
         let mut cache = vec![0.0; (n - block) * block];
         let mut k0 = 0;
         while k0 < n {
@@ -180,7 +103,7 @@ impl CholeskyFactor {
             // Panel factorization (sequential): steps k0..k1 of the
             // right-looking sweep, with each step's trailing update
             // restricted to the panel columns (j < k1). Columns ≥ k1 get
-            // the deferred updates in the panel's single trailing region
+            // the deferred updates in the panel's single trailing sweep
             // below, entry-wise in the same ascending-k order.
             for k in k0..k1 {
                 let p = l.packed_mut();
@@ -218,8 +141,7 @@ impl CholeskyFactor {
             let cache = &cache[..rows * nb];
             // One row's deferred panel update: entry (i, j) receives
             // `-l_ic·l_jc` for the panel columns c in ascending order —
-            // the identical per-entry sequence the sequential sweep
-            // applies one step at a time.
+            // the identical per-entry sequence the Crout loop applies.
             let update_row = |i: usize, tail: &mut [f64]| {
                 for c in 0..nb {
                     let col = &cache[c * rows..(c + 1) * rows];
@@ -229,29 +151,32 @@ impl CholeskyFactor {
                     }
                 }
             };
-            if rows < PAR_CUTOFF {
-                let p = l.packed_mut();
-                for i in k1..n {
-                    let ri = i * (i + 1) / 2;
-                    update_row(i, &mut p[ri + k1..=ri + i]);
+            match pool {
+                Some((pool, schedule)) if rows >= PAR_CUTOFF => {
+                    // Floor the chunk so per-panel partition bookkeeping
+                    // (one view + one dispatch claim each) stays
+                    // O(threads), even for a `dynamic,1` schedule request.
+                    let step = schedule.with_min_chunk(rows.div_ceil(4 * pool.threads()));
+                    let ranges: Vec<std::ops::Range<usize>> = step
+                        .chunk_ranges(rows, pool.threads())
+                        .into_iter()
+                        .map(|(a, b)| (k1 + a)..(k1 + b))
+                        .collect();
+                    let mut views = l.partition_rows(&ranges);
+                    pool.scoped_partition(&mut views, step.partition_dispatch(), |_, view| {
+                        for i in view.rows() {
+                            let row = view.row_mut(i);
+                            update_row(i, &mut row[k1..]);
+                        }
+                    });
                 }
-            } else {
-                // Floor the chunk so per-panel partition bookkeeping (one
-                // view + one dispatch claim each) stays O(threads), even
-                // for a `dynamic,1` schedule request.
-                let step = schedule.with_min_chunk(rows.div_ceil(4 * pool.threads()));
-                let ranges: Vec<std::ops::Range<usize>> = step
-                    .chunk_ranges(rows, pool.threads())
-                    .into_iter()
-                    .map(|(a, b)| (k1 + a)..(k1 + b))
-                    .collect();
-                let mut views = l.partition_rows(&ranges);
-                pool.scoped_partition(&mut views, step.partition_dispatch(), |_, view| {
-                    for i in view.rows() {
-                        let row = view.row_mut(i);
-                        update_row(i, &mut row[k1..]);
+                _ => {
+                    let p = l.packed_mut();
+                    for i in k1..n {
+                        let ri = i * (i + 1) / 2;
+                        update_row(i, &mut p[ri + k1..=ri + i]);
                     }
-                });
+                }
             }
             k0 = k1;
         }
@@ -334,6 +259,36 @@ impl CholeskyFactor {
 mod tests {
     use super::*;
     use crate::approx_eq;
+    use proptest::prelude::*;
+
+    /// The row-oriented Cholesky–Crout loop — the serial production path
+    /// until the blocked kernel served every caller — kept as the oracle
+    /// that kernel must match bit for bit:
+    ///   l_ij = (a_ij − Σ_{k<j} l_ik l_jk) / l_jj   (j < i)
+    ///   l_ii = sqrt(a_ii − Σ_{k<i} l_ik²)
+    fn crout(a: &SymMatrix) -> Result<Vec<f64>, NotPositiveDefinite> {
+        let n = a.order();
+        let mut l = a.clone().into_packed();
+        for i in 0..n {
+            let row_i = i * (i + 1) / 2;
+            for j in 0..=i {
+                let row_j = j * (j + 1) / 2;
+                let mut s = l[row_i + j];
+                for k in 0..j {
+                    s -= l[row_i + k] * l[row_j + k];
+                }
+                if i == j {
+                    if s <= 0.0 || !s.is_finite() {
+                        return Err(NotPositiveDefinite { pivot: i });
+                    }
+                    l[row_i + j] = s.sqrt();
+                } else {
+                    l[row_i + j] = s / l[row_j + j];
+                }
+            }
+        }
+        Ok(l)
+    }
 
     fn spd3() -> SymMatrix {
         // Diagonally dominant ⇒ SPD.
@@ -423,46 +378,40 @@ mod tests {
         a
     }
 
+    /// Pseudo-random SPD matrix of order `n`: xorshift entries in
+    /// (−0.5, 0.5) on a diagonal boosted past row-sum dominance.
+    fn spd_random(n: usize, seed: u64) -> SymMatrix {
+        let mut state = seed | 1;
+        let mut next = || {
+            state ^= state >> 12;
+            state ^= state << 25;
+            state ^= state >> 27;
+            (state.wrapping_mul(0x2545F4914F6CDD1D) >> 11) as f64 / (1u64 << 53) as f64 - 0.5
+        };
+        let mut a = SymMatrix::zeros(n);
+        for i in 0..n {
+            for j in 0..i {
+                a.set(i, j, next());
+            }
+            a.set(i, i, n as f64 * 0.5 + 1.0 + next());
+        }
+        a
+    }
+
     #[test]
     fn pooled_factor_is_bit_identical_to_crout_factor() {
         let a = spd_large(150);
-        let crout = CholeskyFactor::factor(&a).unwrap();
-        // The by-value entries overwrite their argument with the same bits.
-        let owned = CholeskyFactor::factor_in_place(a.clone()).unwrap();
-        assert_eq!(owned.packed_l(), crout.packed_l());
+        let crout = crout(&a).unwrap();
+        assert_eq!(CholeskyFactor::factor(&a).unwrap().l, crout);
         let pool = ThreadPool::new(4);
         for schedule in [
             Schedule::static_blocked(),
             Schedule::dynamic(8),
             Schedule::guided(1),
         ] {
-            let pooled = CholeskyFactor::factor_pooled(&a, &pool, schedule).unwrap();
-            assert_eq!(pooled.l, crout.l, "{}", schedule.label());
-            let owned = CholeskyFactor::factor_pooled_in_place(
-                a.clone(),
-                &pool,
-                schedule,
-                crate::DEFAULT_FACTOR_BLOCK,
-            )
-            .unwrap();
-            assert_eq!(owned.packed_l(), crout.packed_l(), "{}", schedule.label());
-        }
-    }
-
-    #[test]
-    fn blocked_factor_is_bit_identical_for_every_block_size() {
-        // block = 1 is the old per-column sweep, block ≥ n the fully
-        // sequential degenerate panel; everything in between must agree
-        // with Crout exactly.
-        let a = spd_large(161);
-        let serial = CholeskyFactor::factor(&a).unwrap();
-        let pool = ThreadPool::new(3);
-        for block in [0, 1, 7, 32, 64, 161, 1000] {
-            for schedule in [Schedule::static_blocked(), Schedule::dynamic(2)] {
-                let pooled =
-                    CholeskyFactor::factor_pooled_blocked(&a, &pool, schedule, block).unwrap();
-                assert_eq!(pooled.l, serial.l, "block={block} {}", schedule.label());
-            }
+            let pooled =
+                CholeskyFactor::factor_in_place(a.clone(), Some((pool, schedule))).unwrap();
+            assert_eq!(pooled.l, crout, "{}", schedule.label());
         }
     }
 
@@ -471,33 +420,9 @@ mod tests {
         let a = spd_large(150);
         let reference = CholeskyFactor::factor(&a).unwrap();
         for threads in [1, 2, 3, 8] {
-            let f =
-                CholeskyFactor::factor_pooled(&a, &ThreadPool::new(threads), Schedule::dynamic(4))
-                    .unwrap();
+            let par = Some((ThreadPool::new(threads), Schedule::dynamic(4)));
+            let f = CholeskyFactor::factor_in_place(a.clone(), par).unwrap();
             assert_eq!(f.l, reference.l, "threads={threads}");
-        }
-    }
-
-    #[test]
-    fn small_systems_take_the_serial_path_and_match_it_exactly() {
-        // The small-matrix regression guard: below SERIAL_CUTOFF the
-        // pooled entry point must not pay any parallel-region launches —
-        // it runs `factor` outright — and since the blocked algorithm is
-        // bit-identical anyway, the fallback is unobservable in the
-        // output. The cutoff itself is pinned so a change to it is a
-        // deliberate decision, not an accident.
-        assert_eq!(CholeskyFactor::SERIAL_CUTOFF, 128);
-        for n in [1, 2, 17, CholeskyFactor::SERIAL_CUTOFF - 1] {
-            let a = spd_large(n);
-            let serial = CholeskyFactor::factor(&a).unwrap();
-            let pooled = CholeskyFactor::factor_pooled_blocked(
-                &a,
-                &ThreadPool::new(8),
-                Schedule::dynamic(1),
-                3,
-            )
-            .unwrap();
-            assert_eq!(pooled.l, serial.l, "n={n}");
         }
     }
 
@@ -506,8 +431,8 @@ mod tests {
         let a = spd_large(120);
         let x_true: Vec<f64> = (0..120).map(|i| ((i % 9) as f64) - 4.0).collect();
         let b = a.matvec_alloc(&x_true);
-        let f =
-            CholeskyFactor::factor_pooled(&a, &ThreadPool::new(3), Schedule::guided(2)).unwrap();
+        let par = Some((ThreadPool::new(3), Schedule::guided(2)));
+        let f = CholeskyFactor::factor_in_place(a, par).unwrap();
         let x = f.solve(&b);
         for (u, v) in x.iter().zip(&x_true) {
             assert!(approx_eq(*u, *v, 1e-9));
@@ -516,14 +441,45 @@ mod tests {
 
     #[test]
     fn pooled_factor_reports_failing_pivot() {
-        // Large enough to take the blocked parallel path; the panel sweep
-        // reaches the poisoned diagonal at its own step and Crout agrees
-        // on the pivot index (the updated values match bit for bit).
+        // Large enough to take the parallel trailing sweep; the panel
+        // sweep reaches the poisoned diagonal at its own step and Crout
+        // agrees on the pivot index (the updated values match bit for
+        // bit).
         let mut a = spd_large(160);
         a.set(90, 90, -1.0);
-        let err = CholeskyFactor::factor_pooled(&a, &ThreadPool::new(2), Schedule::dynamic(1))
-            .unwrap_err();
+        let par = Some((ThreadPool::new(2), Schedule::dynamic(1)));
+        let err = CholeskyFactor::factor_in_place(a.clone(), par).unwrap_err();
         assert_eq!(err.pivot, 90);
         assert_eq!(CholeskyFactor::factor(&a).unwrap_err().pivot, 90);
+        assert_eq!(crout(&a).unwrap_err().pivot, 90);
+    }
+
+    /// Orders 1–200: uniformly, and at the panel edges `32k ± 1` on both
+    /// sides of the 64-row cutoff.
+    fn orders() -> impl Strategy<Value = usize> {
+        prop_oneof![
+            1usize..=200,
+            (1usize..=6, 0usize..3).prop_map(|(k, d)| FACTOR_PANEL * k + d - 1),
+        ]
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig { cases: 48, ..ProptestConfig::default() })]
+
+        #[test]
+        fn blocked_factor_matches_the_crout_oracle_bit_for_bit(
+            n in orders(),
+            seed in 0u64..u64::MAX,
+            schedule in 0usize..3,
+        ) {
+            let a = spd_random(n, seed);
+            let oracle = crout(&a).expect("SPD by construction");
+            prop_assert_eq!(&CholeskyFactor::factor(&a).unwrap().l, &oracle, "n={}", n);
+            let schedule = [Schedule::static_blocked(), Schedule::dynamic(1), Schedule::guided(1)]
+                [schedule];
+            let pooled =
+                CholeskyFactor::factor_in_place(a, Some((ThreadPool::new(2), schedule))).unwrap();
+            prop_assert_eq!(&pooled.l, &oracle, "n={} {}", n, schedule.label());
+        }
     }
 }

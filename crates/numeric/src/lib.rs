@@ -32,12 +32,12 @@
 //! [`SymMatrix::partition_rows`] and [`DenseMatrix::partition_rows`]
 //! split the packed triangle and the row-major dense buffer into disjoint
 //! row-range views ([`symmetric::SymRowsMut`], [`dense::DenseRowsMut`])
-//! that different threads may write without locks; and
-//! [`CholeskyFactor::factor_pooled_blocked`] /
-//! [`LuFactor::factor_pooled_blocked`] run **blocked** right-looking
-//! factorizations — sequential panels, one parallel region per
-//! [`DEFAULT_FACTOR_BLOCK`]-column panel, serial fallback below
-//! `SERIAL_CUTOFF` unknowns. PCG is serial (see [`pcg`]).
+//! that different threads may write without locks. [`CholeskyFactor`]
+//! and [`LuFactor`] each have one algorithm, a **blocked** right-looking
+//! factorization — sequential 32-column panels, each panel's trailing
+//! update in one sweep, run as one parallel region when the caller
+//! passes a pool and inline otherwise; the old unblocked loops are the
+//! tests' oracles. PCG is serial (see [`pcg`]).
 //! * [`quadrature`] — Gauss–Legendre rules computed to machine precision,
 //!   used for the outer element integrals.
 //! * [`series`] — compensated (Kahan) summation and tolerance-controlled
@@ -77,13 +77,16 @@ pub use series::{BatchSeriesResult, ChunkedKahan, KahanSum, SeriesOptions, Serie
 pub use symmetric::{SymMatrix, SymRowsMut};
 pub use update::{apply_sym_modification, incremental_worthwhile, SymModification, UpdateError};
 
-/// Default panel width of the blocked right-looking factorizations
-/// ([`CholeskyFactor::factor_pooled_blocked`] and
-/// [`LuFactor::factor_pooled_blocked`]): wide enough to amortize one
+/// Panel width of the blocked right-looking factorizations
+/// ([`CholeskyFactor`] and [`LuFactor`]): wide enough to amortize one
 /// parallel-region launch over a block of column updates, narrow enough
-/// that the serial panel work stays a small fraction of the `O(N³)`
+/// that the sequential panel work stays a small fraction of the `O(N³)`
 /// trailing update.
-pub const DEFAULT_FACTOR_BLOCK: usize = 32;
+const FACTOR_PANEL: usize = 32;
+
+/// Trailing rows below which a factorization panel's update runs inline
+/// even when a pool is given.
+const PAR_CUTOFF: usize = 64;
 
 /// Returns `true` when `a` and `b` agree to tolerance `tol`, measured
 /// relative to `max(|a|, |b|, 1)` — i.e. relative comparison for large

@@ -5,20 +5,23 @@
 //! pivoting is the appropriate direct solver for it. It also serves as an
 //! independent cross-check of the Cholesky path in the test-suite.
 //!
-//! [`LuFactor::factor_pooled`] / [`LuFactor::factor_pooled_blocked`] run
-//! a **blocked** right-looking elimination: a panel of columns is
+//! One algorithm produces the factor, for serial and pooled callers
+//! alike: a **blocked** right-looking elimination. A panel of columns is
 //! factorized sequentially (pivot search, row swaps, and the
 //! panel-internal updates), then the panel's whole contribution to the
-//! trailing columns is applied in one parallel region over disjoint row
-//! blocks of the row-major buffer. Every entry receives the identical
-//! ascending-column sequence of updates on identical operands as the
-//! sequential elimination, and pivot selection sees identical column
-//! values, so the pooled factor is **bit-identical** to
-//! [`LuFactor::factor`] for every schedule, thread count and block size.
+//! trailing columns is applied in one sweep over the rows below it — one
+//! parallel region over disjoint row blocks of the row-major buffer when
+//! the caller passes a pool, inline otherwise. The unblocked elimination
+//! that serial callers used to run is kept only as the tests' oracle:
+//! every entry receives the identical ascending-column sequence of
+//! updates on identical operands in both loops, and pivot selection sees
+//! identical column values, so the factor is **bit-identical** for every
+//! order, schedule and thread count.
 
 use layerbem_parfor::{Schedule, ThreadPool};
 
 use crate::dense::DenseMatrix;
+use crate::{FACTOR_PANEL, PAR_CUTOFF};
 
 /// Error returned when a zero (or non-finite) pivot makes the matrix
 /// numerically singular.
@@ -54,151 +57,51 @@ pub struct LuFactor {
 }
 
 impl LuFactor {
-    /// Factorizes a square matrix.
+    /// Factorizes a square matrix on the calling thread.
     ///
     /// # Panics
     /// Panics if the matrix is not square.
     pub fn factor(a: &DenseMatrix) -> Result<Self, SingularMatrix> {
-        Self::factor_in_place(a.clone())
+        Self::factor_in_place(a.clone(), None)
     }
 
-    /// [`factor`](Self::factor) of a matrix the caller gives up: its
-    /// buffer is overwritten with `L\U`, so the operator and its factor
-    /// are never resident side by side.
+    /// Factorizes a matrix the caller gives up: its buffer is overwritten
+    /// with `L\U`, so the operator and its factor are never resident side
+    /// by side.
+    ///
+    /// A panel of `FACTOR_PANEL` columns is factorized sequentially:
+    /// pivot search, full-row swap, multiplier column, and the elimination
+    /// restricted to the panel columns. The deferred update of the
+    /// trailing columns is then applied per entry in ascending
+    /// panel-column order — first to the panel's own rows (sequential,
+    /// `O(panel²·N)`), then to the rows below the panel, which are
+    /// mutually independent. With `parallelism` set to a pool of more
+    /// than one thread and at least `PAR_CUTOFF` rows below the panel,
+    /// those rows are partitioned into disjoint row blocks dispatched
+    /// under the schedule while the finalized pivot rows are read through
+    /// a shared split of the buffer; otherwise they are updated inline.
+    /// Every entry receives the same updates on the same operands in the
+    /// same order as in the unblocked elimination, and pivot search sees
+    /// the same column values (a panel column is only ever updated by
+    /// earlier columns, all already applied), so the factor and the
+    /// permutation are **bit-identical** whoever computes them.
     ///
     /// # Panics
     /// Panics if the matrix is not square.
-    pub fn factor_in_place(a: DenseMatrix) -> Result<Self, SingularMatrix> {
-        assert_eq!(a.rows(), a.cols(), "LU requires a square matrix");
-        let n = a.rows();
-        let mut lu = a;
-        let mut perm: Vec<usize> = (0..n).collect();
-        let mut perm_sign = 1.0;
-
-        for k in 0..n {
-            // Pivot search in column k, rows k..n.
-            let mut p = k;
-            let mut pmax = lu.get(k, k).abs();
-            for i in (k + 1)..n {
-                let v = lu.get(i, k).abs();
-                if v > pmax {
-                    pmax = v;
-                    p = i;
-                }
-            }
-            if pmax == 0.0 || !pmax.is_finite() {
-                return Err(SingularMatrix { column: k });
-            }
-            if p != k {
-                perm.swap(p, k);
-                perm_sign = -perm_sign;
-                for j in 0..n {
-                    let tmp = lu.get(k, j);
-                    lu.set(k, j, lu.get(p, j));
-                    lu.set(p, j, tmp);
-                }
-            }
-            // Elimination.
-            let pivot = lu.get(k, k);
-            for i in (k + 1)..n {
-                let m = lu.get(i, k) / pivot;
-                lu.set(i, k, m);
-                if m != 0.0 {
-                    for j in (k + 1)..n {
-                        lu.add(i, j, -m * lu.get(k, j));
-                    }
-                }
-            }
-        }
-        Ok(LuFactor {
-            n,
-            lu,
-            perm,
-            perm_sign,
-        })
-    }
-
-    /// Orders below which [`factor_pooled`](Self::factor_pooled) runs the
-    /// sequential [`factor`](Self::factor) outright — the same
-    /// small-matrix guard as
-    /// [`CholeskyFactor::SERIAL_CUTOFF`](crate::CholeskyFactor::SERIAL_CUTOFF),
-    /// and equally unobservable in the output since the blocked pooled
-    /// elimination is bit-identical to the sequential one.
-    pub const SERIAL_CUTOFF: usize = 128;
-
-    /// Blocked pooled factorization with the workspace default panel
-    /// width ([`DEFAULT_FACTOR_BLOCK`](crate::DEFAULT_FACTOR_BLOCK)).
-    ///
-    /// See [`factor_pooled_blocked`](Self::factor_pooled_blocked).
-    pub fn factor_pooled(
-        a: &DenseMatrix,
-        pool: &ThreadPool,
-        schedule: Schedule,
-    ) -> Result<Self, SingularMatrix> {
-        Self::factor_pooled_blocked(a, pool, schedule, crate::DEFAULT_FACTOR_BLOCK)
-    }
-
-    /// Blocked right-looking elimination with each panel's trailing
-    /// update distributed over the pool in a single parallel region.
-    ///
-    /// A panel of `block` columns is factorized sequentially: pivot
-    /// search, full-row swap, multiplier column, and the elimination
-    /// restricted to the panel columns. Pivot search sees bit-identical
-    /// column values to the sequential elimination (a panel column is
-    /// only ever updated by earlier columns, all already applied), so the
-    /// permutation is identical. The deferred update of the trailing
-    /// columns is then applied per entry in ascending panel-column order
-    /// — first to the panel's own rows (sequential, `O(block²·N)`), then
-    /// to the rows below the panel, which are mutually independent,
-    /// partitioned into disjoint row blocks of the row-major buffer, and
-    /// dispatched under `schedule` while the finalized panel rows are
-    /// read through a shared split of the buffer. Every entry ends up
-    /// receiving the same updates on the same operands in the same order
-    /// as [`factor`](Self::factor), so the result is **bit-identical**
-    /// for every thread count, schedule and block size (`block = 1`
-    /// reproduces the old one-region-per-column behavior). Orders below
-    /// [`SERIAL_CUTOFF`](Self::SERIAL_CUTOFF) — and 1-thread pools — run
-    /// the sequential code directly.
-    ///
-    /// # Panics
-    /// Panics if the matrix is not square.
-    pub fn factor_pooled_blocked(
-        a: &DenseMatrix,
-        pool: &ThreadPool,
-        schedule: Schedule,
-        block: usize,
-    ) -> Result<Self, SingularMatrix> {
-        Self::factor_pooled_in_place(a.clone(), pool, schedule, block)
-    }
-
-    /// [`factor_pooled_blocked`](Self::factor_pooled_blocked) of a matrix
-    /// the caller gives up, overwritten with `L\U` like
-    /// [`factor_in_place`](Self::factor_in_place).
-    ///
-    /// # Panics
-    /// Panics if the matrix is not square.
-    pub fn factor_pooled_in_place(
+    pub fn factor_in_place(
         a: DenseMatrix,
-        pool: &ThreadPool,
-        schedule: Schedule,
-        block: usize,
+        parallelism: Option<(ThreadPool, Schedule)>,
     ) -> Result<Self, SingularMatrix> {
-        /// Rows below the panel under which the update runs inline.
-        const PAR_CUTOFF: usize = 64;
-
         assert_eq!(a.rows(), a.cols(), "LU requires a square matrix");
+        let pool = parallelism.filter(|(pool, _)| pool.threads() > 1);
         let n = a.rows();
-        if n < Self::SERIAL_CUTOFF || pool.threads() == 1 {
-            return Self::factor_in_place(a);
-        }
-        let block = block.max(1);
         let mut lu = a;
         let mut perm: Vec<usize> = (0..n).collect();
         let mut perm_sign = 1.0;
 
         let mut k0 = 0;
         while k0 < n {
-            let k1 = (k0 + block).min(n);
+            let k1 = (k0 + FACTOR_PANEL).min(n);
             // Panel factorization (sequential): steps k0..k1 with the
             // elimination restricted to the panel columns. Trailing
             // columns (≥ k1) receive the deferred updates below, per
@@ -254,10 +157,10 @@ impl LuFactor {
             }
             // Deferred trailing update of the rows below the panel: the
             // buffer splits into the finalized head (shared, read-only
-            // pivot rows) and the tail, whose rows are partitioned into
-            // disjoint blocks. Each row applies the panel columns in
+            // pivot rows) and the tail, whose rows are mutually
+            // independent. Each row applies the panel columns in
             // ascending order — the identical per-entry sequence of the
-            // sequential elimination.
+            // unblocked elimination.
             let rows = n - k1;
             let nb = k1 - k0;
             let (head, tail) = lu.as_mut_slice().split_at_mut(k1 * n);
@@ -273,26 +176,33 @@ impl LuFactor {
                     }
                 }
             };
-            if rows < PAR_CUTOFF {
-                for row in tail.chunks_mut(n) {
-                    update_row(row);
+            match pool {
+                Some((pool, schedule)) if rows >= PAR_CUTOFF => {
+                    // Same chunk floor as the Cholesky sweep: per-panel
+                    // partition count stays O(threads) under `dynamic,1`.
+                    let step = schedule.with_min_chunk(rows.div_ceil(4 * pool.threads()));
+                    let mut parts: Vec<&mut [f64]> = Vec::new();
+                    let mut rest = tail;
+                    for (a2, b2) in step.chunk_ranges(rows, pool.threads()) {
+                        let (chunk, r) = rest.split_at_mut((b2 - a2) * n);
+                        parts.push(chunk);
+                        rest = r;
+                    }
+                    pool.scoped_partition(
+                        &mut parts,
+                        step.partition_dispatch(),
+                        |_, rows_block| {
+                            for row in rows_block.chunks_mut(n) {
+                                update_row(row);
+                            }
+                        },
+                    );
                 }
-            } else {
-                // Same chunk floor as the other pooled paths: per-panel
-                // partition count stays O(threads) under `dynamic,1`.
-                let step = schedule.with_min_chunk(rows.div_ceil(4 * pool.threads()));
-                let mut parts: Vec<&mut [f64]> = Vec::new();
-                let mut rest = tail;
-                for (a2, b2) in step.chunk_ranges(rows, pool.threads()) {
-                    let (chunk, r) = rest.split_at_mut((b2 - a2) * n);
-                    parts.push(chunk);
-                    rest = r;
-                }
-                pool.scoped_partition(&mut parts, step.partition_dispatch(), |_, rows_block| {
-                    for row in rows_block.chunks_mut(n) {
+                _ => {
+                    for row in tail.chunks_mut(n) {
                         update_row(row);
                     }
-                });
+                }
             }
             k0 = k1;
         }
@@ -367,6 +277,65 @@ pub fn lu_solve(a: &DenseMatrix, b: &[f64]) -> Result<Vec<f64>, SingularMatrix> 
 mod tests {
     use super::*;
     use crate::approx_eq;
+    use proptest::prelude::*;
+
+    /// The unblocked partially pivoted elimination — the serial
+    /// production path until the blocked kernel served every caller —
+    /// kept as the oracle that kernel must match bit for bit.
+    fn unblocked(a: &DenseMatrix) -> Result<LuFactor, SingularMatrix> {
+        let n = a.rows();
+        let mut lu = a.clone();
+        let mut perm: Vec<usize> = (0..n).collect();
+        let mut perm_sign = 1.0;
+        for k in 0..n {
+            // Pivot search in column k, rows k..n.
+            let mut p = k;
+            let mut pmax = lu.get(k, k).abs();
+            for i in (k + 1)..n {
+                let v = lu.get(i, k).abs();
+                if v > pmax {
+                    pmax = v;
+                    p = i;
+                }
+            }
+            if pmax == 0.0 || !pmax.is_finite() {
+                return Err(SingularMatrix { column: k });
+            }
+            if p != k {
+                perm.swap(p, k);
+                perm_sign = -perm_sign;
+                for j in 0..n {
+                    let tmp = lu.get(k, j);
+                    lu.set(k, j, lu.get(p, j));
+                    lu.set(p, j, tmp);
+                }
+            }
+            // Elimination.
+            let pivot = lu.get(k, k);
+            for i in (k + 1)..n {
+                let m = lu.get(i, k) / pivot;
+                lu.set(i, k, m);
+                if m != 0.0 {
+                    for j in (k + 1)..n {
+                        lu.add(i, j, -m * lu.get(k, j));
+                    }
+                }
+            }
+        }
+        Ok(LuFactor {
+            n,
+            lu,
+            perm,
+            perm_sign,
+        })
+    }
+
+    /// Asserts two factors agree bit for bit: `L\U`, permutation, sign.
+    fn assert_same_factor(got: &LuFactor, want: &LuFactor, label: &str) {
+        assert_eq!(got.lu.as_slice(), want.lu.as_slice(), "{label}");
+        assert_eq!(got.perm, want.perm, "{label}");
+        assert_eq!(got.perm_sign, want.perm_sign, "{label}");
+    }
 
     #[test]
     fn solves_small_nonsymmetric_system() {
@@ -430,96 +399,42 @@ mod tests {
 
     #[test]
     fn pooled_factor_is_bit_identical_to_sequential() {
-        use layerbem_parfor::{Schedule, ThreadPool};
         let a = random_matrix(130, 0xDEADBEEF);
-        let serial = LuFactor::factor(&a).unwrap();
-        // The by-value entries overwrite their argument with the same bits.
-        let owned = LuFactor::factor_in_place(a.clone()).unwrap();
-        assert_eq!(owned.lu_entries(), serial.lu_entries());
-        assert_eq!(owned.permutation(), serial.permutation());
+        let oracle = unblocked(&a).unwrap();
+        assert_same_factor(&LuFactor::factor(&a).unwrap(), &oracle, "serial");
         for threads in [1, 2, 4] {
             for schedule in [
                 Schedule::static_blocked(),
                 Schedule::dynamic(16),
                 Schedule::guided(1),
             ] {
-                let pool = ThreadPool::new(threads);
-                let pooled = LuFactor::factor_pooled(&a, &pool, schedule).unwrap();
-                assert_eq!(
-                    pooled.lu.as_slice(),
-                    serial.lu.as_slice(),
-                    "threads={threads} {}",
-                    schedule.label()
-                );
-                assert_eq!(pooled.perm, serial.perm);
-                assert_eq!(pooled.det(), serial.det());
-                let owned = LuFactor::factor_pooled_in_place(
-                    a.clone(),
-                    &pool,
-                    schedule,
-                    crate::DEFAULT_FACTOR_BLOCK,
-                )
-                .unwrap();
-                assert_eq!(owned.lu_entries(), serial.lu_entries());
-                assert_eq!(owned.permutation(), serial.permutation());
+                let par = Some((ThreadPool::new(threads), schedule));
+                let pooled = LuFactor::factor_in_place(a.clone(), par).unwrap();
+                let label = format!("threads={threads} {}", schedule.label());
+                assert_same_factor(&pooled, &oracle, &label);
+                assert_eq!(pooled.det(), oracle.det(), "{label}");
             }
         }
     }
 
     #[test]
     fn pooled_factor_detects_singularity() {
-        use layerbem_parfor::{Schedule, ThreadPool};
         // An exactly zero column is the one singularity floating point
         // preserves bit-exactly through elimination: updates into it are
-        // `-m·0`, so it stays zero through any number of panels. Column 5
-        // with block 4 puts the breakdown in the *second* panel, after
-        // real parallel trailing updates have run.
+        // `-m·0`, so it stays zero through any number of panels. Column 40
+        // puts the breakdown in the *second* panel, after a parallel
+        // trailing sweep has run.
         let n = 150;
         let mut a = random_matrix(n, 42);
         for i in 0..n {
-            a.set(i, 5, 0.0);
+            a.set(i, 40, 0.0);
         }
-        let serial = LuFactor::factor(&a).unwrap_err();
-        let pooled =
-            LuFactor::factor_pooled_blocked(&a, &ThreadPool::new(4), Schedule::dynamic(8), 4)
-                .unwrap_err();
-        assert_eq!(serial, pooled);
-        assert_eq!(pooled.column, 5);
-    }
-
-    #[test]
-    fn blocked_factor_is_bit_identical_for_every_block_size() {
-        use layerbem_parfor::{Schedule, ThreadPool};
-        let a = random_matrix(157, 0xC0FFEE);
-        let serial = LuFactor::factor(&a).unwrap();
-        let pool = ThreadPool::new(3);
-        for block in [0, 1, 7, 32, 64, 157, 999] {
-            for schedule in [Schedule::static_blocked(), Schedule::guided(1)] {
-                let pooled = LuFactor::factor_pooled_blocked(&a, &pool, schedule, block).unwrap();
-                let label = format!("block={block} {}", schedule.label());
-                assert_eq!(pooled.lu.as_slice(), serial.lu.as_slice(), "{label}");
-                assert_eq!(pooled.perm, serial.perm, "{label}");
-                assert_eq!(pooled.perm_sign, serial.perm_sign, "{label}");
-            }
-        }
-    }
-
-    #[test]
-    fn small_systems_take_the_serial_path_and_match_it_exactly() {
-        use layerbem_parfor::{Schedule, ThreadPool};
-        // The small-matrix regression guard, mirroring the Cholesky pin:
-        // below SERIAL_CUTOFF the pooled entry point runs `factor`
-        // outright, paying zero parallel-region launches.
-        assert_eq!(LuFactor::SERIAL_CUTOFF, 128);
-        for n in [1, 2, 23, LuFactor::SERIAL_CUTOFF - 1] {
-            let a = random_matrix(n, 7 + n as u64);
-            let serial = LuFactor::factor(&a).unwrap();
-            let pooled =
-                LuFactor::factor_pooled_blocked(&a, &ThreadPool::new(8), Schedule::dynamic(1), 5)
-                    .unwrap();
-            assert_eq!(pooled.lu.as_slice(), serial.lu.as_slice(), "n={n}");
-            assert_eq!(pooled.perm, serial.perm, "n={n}");
-        }
+        let oracle = unblocked(&a).unwrap_err();
+        let par = Some((ThreadPool::new(4), Schedule::dynamic(8)));
+        let pooled = LuFactor::factor_in_place(a.clone(), par).unwrap_err();
+        assert_eq!(oracle, pooled);
+        assert_eq!(LuFactor::factor(&a).unwrap_err(), pooled);
+        assert_eq!(pooled.column, 40);
     }
 
     #[test]
@@ -547,6 +462,37 @@ mod tests {
         let r = a.matvec_alloc(&x);
         for (u, v) in r.iter().zip(&b) {
             assert!(approx_eq(*u, *v, 1e-10));
+        }
+    }
+
+    /// Orders 1–200: uniformly, and at the panel edges `32k ± 1` on both
+    /// sides of the 64-row cutoff.
+    fn orders() -> impl Strategy<Value = usize> {
+        prop_oneof![
+            1usize..=200,
+            (1usize..=6, 0usize..3).prop_map(|(k, d)| FACTOR_PANEL * k + d - 1),
+        ]
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig { cases: 48, ..ProptestConfig::default() })]
+
+        #[test]
+        fn blocked_factor_matches_the_unblocked_oracle_bit_for_bit(
+            n in orders(),
+            seed in 0u64..u64::MAX,
+            schedule in 0usize..3,
+        ) {
+            // A diagonal boost of 2 against entries in (−½, ½) keeps
+            // row swaps in every panel.
+            let a = random_matrix(n, seed | 1);
+            let oracle = unblocked(&a).expect("nonsingular");
+            assert_same_factor(&LuFactor::factor(&a).unwrap(), &oracle, &format!("n={n}"));
+            let schedule = [Schedule::static_blocked(), Schedule::dynamic(1), Schedule::guided(1)]
+                [schedule];
+            let pooled =
+                LuFactor::factor_in_place(a, Some((ThreadPool::new(2), schedule))).unwrap();
+            assert_same_factor(&pooled, &oracle, &format!("n={n} {}", schedule.label()));
         }
     }
 }

@@ -19,9 +19,10 @@
 //!   transient indefiniteness.
 //!
 //! The [`incremental_worthwhile`] cost model decides when the `2m` sweeps
-//! (≈ `m·n²` flops) beat the pooled refactorization (`n³/3` flops):
-//! breakeven at `m = n/3`, applied with a 2× safety margin, so the
-//! incremental path engages only for `0 < m ≤ n/6`.
+//! (≈ `m·n²` flops) beat a refactorization (`n³/3` flops) — the one
+//! blocked factorization, pooled or inline; the old Crout loop is only
+//! the tests' oracle: breakeven at `m = n/3`, applied with a 2× safety
+//! margin, so the incremental path engages only for `0 < m ≤ n/6`.
 
 use std::fmt;
 
@@ -241,10 +242,11 @@ pub fn apply_sym_modification(
 }
 
 /// Cost model of the incremental path: rank-1 sweeps cost `n²/2` flops
-/// each and a modification needs `2m` of them (`≈ m·n²` total), while the
-/// pooled refactorization costs `n³/3` — breakeven at `m = n/3`. Applied
-/// with a 2× safety margin (the sweeps are serial, the refactorization is
-/// pooled): incremental is worthwhile only for `0 < m ≤ n/6`.
+/// each and a modification needs `2m` of them (`≈ m·n²` total), while a
+/// refactorization costs `n³/3` — breakeven at `m = n/3`. Applied with a
+/// 2× safety margin (the sweeps are serial and strided, the blocked
+/// refactorization streams cached panels and may run on a pool):
+/// incremental is worthwhile only for `0 < m ≤ n/6`.
 pub fn incremental_worthwhile(n: usize, touched: usize) -> bool {
     touched > 0 && touched <= n / 6
 }

@@ -669,16 +669,24 @@ mod tests {
         let s = service();
         // Protocol: not JSON at all.
         assert_eq!(error_kind(&s.handle_line("garbage")), "protocol");
-        // Parse: bad deck keyword, and a conductor with no length.
-        for deck in ["bogus 1\n", "conductor 0 0 1 0 0 1 0.01\n"] {
+        // Parse: bad deck keyword, a conductor with no length, and grids
+        // with a zero radius or a negative depth.
+        for deck in [
+            "bogus 1\n",
+            "conductor 0 0 1 0 0 1 0.01\n",
+            "grid rect 0 0 20 20 2 2 0.8 0\n",
+            "grid rect 0 0 20 20 2 2 -0.8 0.006\n",
+        ] {
             assert_eq!(error_kind(&s.handle_line(&solve_line(deck))), "parse");
         }
-        // Model: two disconnected electrodes.
-        let disconnected = "rod 0 0 0.5 2 0.01\nrod 500 500 0.5 2 0.01\n";
-        assert_eq!(
-            error_kind(&s.handle_line(&solve_line(disconnected))),
-            "model"
-        );
+        // Model: two disconnected electrodes, and a conductor shorter than
+        // the mesher's merge distance.
+        for deck in [
+            "rod 0 0 0.5 2 0.01\nrod 500 500 0.5 2 0.01\n",
+            "conductor 0 0 1 0 0 1.0000001 0.01\n",
+        ] {
+            assert_eq!(error_kind(&s.handle_line(&solve_line(deck))), "model");
+        }
         // Solve: a non-finite drive smuggled through the protocol, and a
         // plain negative one.
         let line = r#"{"op":"solve","deck":"rod 0 0 0.5 2 0.01\n","scenarios":[{"kind":"gpr","value":1e999}]}"#;
@@ -696,7 +704,7 @@ mod tests {
         assert_eq!(v.get("ok").and_then(Json::as_bool), Some(true));
         assert_eq!(
             s.metrics().errors.load(Ordering::Relaxed),
-            8,
+            11,
             "each failure counted"
         );
     }

@@ -1,6 +1,6 @@
 //! Cross-crate determinism suite: every pooled linear-algebra path must
 //! be **bit-identical** to its serial counterpart on real BEM systems,
-//! for every schedule × thread count × block size exercised here.
+//! for every schedule × thread count × order exercised here.
 //!
 //! Covered, on the paper's Barberá (238 dof) and Balaidos (201 dof)
 //! grids: the worklist-driven pooled Galerkin assembler (matrix,
@@ -33,7 +33,7 @@ use layerbem_core::system::GroundingSystem;
 use layerbem_core::workload::{run_soil_sweep, FreshSource, SoilSweepSpec, StudySpec};
 use layerbem_geometry::grids::{rectangular_grid, RectGridSpec};
 use layerbem_geometry::{grids, ConductorNetwork, Mesh, MeshOptions, Mesher};
-use layerbem_numeric::{CholeskyFactor, DenseMatrix, LuFactor, SymMatrix, DEFAULT_FACTOR_BLOCK};
+use layerbem_numeric::{CholeskyFactor, DenseMatrix, LuFactor, SymMatrix};
 use layerbem_parfor::{Schedule, ThreadPool};
 use layerbem_soil::SoilModel;
 
@@ -84,11 +84,30 @@ fn schedules() -> [Schedule; 4] {
     ]
 }
 
-/// Block sizes under test for the factorizations: the per-column
-/// degenerate, a narrow panel, the default, and one larger than the
-/// matrix (fully sequential panel).
-fn block_sizes(n: usize) -> [usize; 4] {
-    [1, 8, DEFAULT_FACTOR_BLOCK, n + 13]
+/// Orders under test for the factorizations — leading principal
+/// submatrices of a grid's system: one row, either side of the 32-column
+/// panel, either side of the 64-row cutoff of the pooled trailing update
+/// (96 = one panel + 64 rows), beyond it, and the whole system.
+fn orders(n: usize) -> Vec<usize> {
+    let mut orders: Vec<usize> = [1, 31, 33, 95, 97, 129, 161]
+        .into_iter()
+        .filter(|&k| k < n)
+        .collect();
+    orders.push(n);
+    orders
+}
+
+/// The leading `k × k` block of a packed symmetric matrix: the first
+/// `k(k+1)/2` entries of its packed rows.
+fn leading_sym(a: &SymMatrix, k: usize) -> SymMatrix {
+    SymMatrix::from_packed(k, a.packed()[..k * (k + 1) / 2].to_vec())
+}
+
+/// The leading `k × k` block of a dense row-major matrix.
+fn leading_dense(a: &DenseMatrix, k: usize) -> DenseMatrix {
+    let n = a.cols();
+    let rows = a.as_slice().chunks(n).take(k);
+    DenseMatrix::from_rows(k, k, rows.flat_map(|row| &row[..k]).copied().collect())
 }
 
 /// The assembled Galerkin system of a grid (sequential reference).
@@ -192,18 +211,19 @@ fn batched_kernel_assembly_is_bit_identical_across_schedules_and_threads() {
 #[test]
 fn blocked_pooled_cholesky_factors_are_bit_identical_to_serial() {
     for (grid, mesh, soil) in grid_cases() {
-        let (a, _) = galerkin_system(&mesh, &soil);
-        let serial = CholeskyFactor::factor(&a).expect("Galerkin matrix is SPD");
-        for threads in thread_counts() {
-            let pool = ThreadPool::new(threads);
-            for schedule in schedules() {
-                for block in block_sizes(a.order()) {
-                    let pooled = CholeskyFactor::factor_pooled_blocked(&a, &pool, schedule, block)
+        let (full, _) = galerkin_system(&mesh, &soil);
+        for n in orders(full.order()) {
+            let a = leading_sym(&full, n);
+            let serial = CholeskyFactor::factor(&a).expect("Galerkin matrix is SPD");
+            for threads in thread_counts() {
+                for schedule in schedules() {
+                    let par = Some((ThreadPool::new(threads), schedule));
+                    let pooled = CholeskyFactor::factor_in_place(a.clone(), par)
                         .expect("pooled factorization succeeds");
                     assert_eq!(
                         pooled.packed_l(),
                         serial.packed_l(),
-                        "{grid}: threads={threads} {} block={block}",
+                        "{grid}: n={n} threads={threads} {}",
                         schedule.label()
                     );
                 }
@@ -218,18 +238,16 @@ fn blocked_pooled_lu_factors_are_bit_identical_to_serial() {
     // genuine partial pivoting to keep deterministic across panels.
     for (grid, mesh, soil) in grid_cases() {
         let kernel = SoilKernel::new(&soil);
-        let (c, _, _) = assemble_collocation(&mesh, &kernel, &SolveOptions::default());
-        let serial = LuFactor::factor(&c).expect("collocation matrix is nonsingular");
-        for threads in thread_counts() {
-            let pool = ThreadPool::new(threads);
-            for schedule in schedules() {
-                for block in block_sizes(c.rows()) {
-                    let pooled = LuFactor::factor_pooled_blocked(&c, &pool, schedule, block)
+        let (full, _, _) = assemble_collocation(&mesh, &kernel, &SolveOptions::default());
+        for n in orders(full.rows()) {
+            let c = leading_dense(&full, n);
+            let serial = LuFactor::factor(&c).expect("collocation matrix is nonsingular");
+            for threads in thread_counts() {
+                for schedule in schedules() {
+                    let par = Some((ThreadPool::new(threads), schedule));
+                    let pooled = LuFactor::factor_in_place(c.clone(), par)
                         .expect("pooled factorization succeeds");
-                    let label = format!(
-                        "{grid}: threads={threads} {} block={block}",
-                        schedule.label()
-                    );
+                    let label = format!("{grid}: n={n} threads={threads} {}", schedule.label());
                     assert_eq!(pooled.lu_entries(), serial.lu_entries(), "{label}");
                     assert_eq!(pooled.permutation(), serial.permutation(), "{label}");
                 }
@@ -550,18 +568,13 @@ fn surface_maps_are_bit_identical_across_schedules_and_threads() {
 fn blocked_pooled_lu_on_dense_galerkin_expansion_is_bit_identical() {
     for (grid, mesh, soil) in grid_cases() {
         let (a, _) = galerkin_system(&mesh, &soil);
-        let dense: DenseMatrix = a.to_dense();
-        let serial = LuFactor::factor(&dense).expect("nonsingular");
         let pool = ThreadPool::new(thread_counts().pop().expect("non-empty"));
-        for block in block_sizes(dense.rows()) {
-            let pooled =
-                LuFactor::factor_pooled_blocked(&dense, &pool, Schedule::dynamic(2), block)
-                    .expect("nonsingular");
-            assert_eq!(
-                pooled.lu_entries(),
-                serial.lu_entries(),
-                "{grid}: block={block}"
-            );
+        for n in orders(a.order()) {
+            let dense: DenseMatrix = leading_sym(&a, n).to_dense();
+            let serial = LuFactor::factor(&dense).expect("nonsingular");
+            let pooled = LuFactor::factor_in_place(dense, Some((pool, Schedule::dynamic(2))))
+                .expect("nonsingular");
+            assert_eq!(pooled.lu_entries(), serial.lu_entries(), "{grid}: n={n}");
         }
     }
 }
