@@ -6,9 +6,11 @@
 //! production pooled engine removes the buffer entirely by partitioning
 //! the packed triangle into disjoint row-range views. This driver
 //! measures both on the example grids and **asserts** that the staged
-//! scheme and the pooled engine are bit-identical to the serial loop —
-//! matrix, right-hand side, and per-column series terms — the pooled
-//! engine for two thread counts and all three OpenMP schedule kinds.
+//! scheme and the pooled engine are bit-identical to the one-thread run
+//! (a one-range pool, which the unit tests pin to the serial double
+//! loop) — matrix, right-hand side, and per-column series terms — the
+//! pooled engine for two thread counts and all three OpenMP schedule
+//! kinds.
 //!
 //! ```text
 //! table_memory_modes [--grid tiny|barbera|balaidos|all] [--json NAME.json]
@@ -235,7 +237,7 @@ fn main() {
          block per element pair, {BLOCK_BYTES} B each) on top of the packed\n\
          global triangle; the pooled worklist engine assembles in place and\n\
          stages nothing. All parallel runs above were verified bit-identical\n\
-         to the serial loop (matrix, rhs, and per-column series terms)."
+         to the one-thread run (matrix, rhs, and per-column series terms)."
     );
     write_artifact("table_memory_modes.txt", &table);
     if let Some(name) = json {

@@ -13,7 +13,7 @@
 //! | `fig6_1_outer_vs_inner` | Fig 6.1 outer- vs inner-loop speed-up |
 //! | `table6_2_schedules` | Table 6.2 schedule × chunk × processors |
 //! | `table6_3_balaidos_scaling` | Table 6.3 per-model scaling |
-//! | `table_memory_modes` | §6.2's "approximately twice the memory space": the paper's staged scheme ([`staged`]) vs the production pooled engine, both asserted bit-identical to the serial loop |
+//! | `table_memory_modes` | §6.2's "approximately twice the memory space": the paper's staged scheme ([`staged`]) vs the production pooled engine, both asserted bit-identical to the one-thread run |
 //!
 //! Each binary prints the regenerated rows next to the paper's published
 //! values and writes machine-readable output under `results/` of the

@@ -12,8 +12,8 @@
 //! column; stage 2 scatters them sequentially. Built on the same
 //! [`pair_block`] / [`scatter_pair`] as the production engines (one
 //! kernel evaluator, the batched lane path), in the same `(β, α)` order,
-//! so the result is bit-identical to `assemble_galerkin` with
-//! `parallelism: None`.
+//! so the result is bit-identical to `assemble_galerkin` at every
+//! thread count.
 
 use std::time::Instant;
 
@@ -24,7 +24,7 @@ use layerbem_core::assembly::{
 use layerbem_core::kernel::{KernelBatch, KernelCost, SoilKernel};
 use layerbem_geometry::Mesh;
 use layerbem_numeric::SymMatrix;
-use layerbem_parfor::{Schedule, ThreadPool};
+use layerbem_parfor::{ExecutionStats, Schedule, ThreadPool};
 
 /// Which loop of the pair triangle stage 1 distributes among threads.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -65,7 +65,7 @@ pub fn assemble_staged(
     // Stage 1: compute and store all M(M+1)/2 elemental matrices.
     let mut columns = vec![Column::default(); m];
     let stats = match staged_loop {
-        StagedLoop::Outer => Some(pool.scoped_partition(&mut columns, schedule, |beta, col| {
+        StagedLoop::Outer => pool.scoped_partition(&mut columns, schedule, |beta, col| {
             let t = Instant::now();
             let mut batch = KernelBatch::new();
             for alpha in beta..m {
@@ -74,7 +74,7 @@ pub fn assemble_staged(
                 col.cost += c;
             }
             col.seconds = t.elapsed().as_secs_f64();
-        })),
+        }),
         StagedLoop::Inner => {
             for (beta, col) in columns.iter_mut().enumerate() {
                 let t = Instant::now();
@@ -88,7 +88,8 @@ pub fn assemble_staged(
                 }
                 col.seconds = t.elapsed().as_secs_f64();
             }
-            None
+            // One region per column: no single region's stats to report.
+            ExecutionStats::default()
         }
     };
 

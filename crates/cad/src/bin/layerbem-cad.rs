@@ -25,15 +25,15 @@
 //! deck stanzas describe (see the `layerbem-cad::input` deck grammar).
 //!
 //! `--threads` defaults to the machine's available parallelism (overridable
-//! via the `LAYERBEM_THREADS` environment variable) and reaches the
-//! program through [`SolveOptions::parallelism`]: with more than one
-//! thread, matrix generation runs the zero-staging in-place assembler on
-//! precomputed pair worklists (for collocation decks, the row-partitioned
-//! in-place collocation assembler) and the Cholesky/LU factorizations run
-//! each panel's trailing update on the pool; PCG is serial either way.
-//! With `--threads 1` everything is serial, and the factorizations run
-//! the same blocked loop inline (one algorithm per solver; the old
-//! unblocked loops are only the tests' oracles). Every configuration
+//! via the `LAYERBEM_THREADS` environment variable; `--threads 0` is a
+//! usage error) and reaches the program through
+//! [`SolveOptions::parallelism`]: matrix generation runs the zero-staging
+//! in-place assembler on precomputed pair worklists (for collocation
+//! decks, the row-partitioned in-place collocation assembler) and the
+//! Cholesky/LU factorizations run each panel's trailing update on the
+//! pool; PCG is serial either way. One thread is a one-range pool: every
+//! region runs inline, doing exactly the serial loop's work, and the
+//! serial double loop is only the tests' oracle. Every configuration
 //! produces the same bits.
 //!
 //! `--operator hmatrix` switches the prepared Galerkin operator to the
@@ -143,6 +143,7 @@ fn parse_args() -> Args {
                 threads = argv
                     .next()
                     .and_then(|v| v.parse().ok())
+                    .filter(|&n: &usize| n >= 1)
                     .unwrap_or_else(|| usage());
             }
             "--schedule" => {
@@ -218,7 +219,7 @@ fn parse_args() -> Args {
     }
     Args {
         deck: deck.unwrap_or_else(|| usage()),
-        threads: threads.max(1),
+        threads,
         schedule,
         hmatrix,
         aca_tol,
@@ -310,8 +311,8 @@ fn main() -> ExitCode {
 
     let pool = ThreadPool::new(args.threads);
     // `--operator hmatrix` swaps the prepared operator representation; it
-    // survives the pipeline's deck-keyword merge, so it applies to both
-    // the serial and the pooled configuration.
+    // survives the pipeline's deck-keyword merge, so it applies at every
+    // thread count.
     let backend = if args.hmatrix {
         OperatorBackend::Hierarchical {
             tol: args.aca_tol,
@@ -321,12 +322,9 @@ fn main() -> ExitCode {
         OperatorBackend::Dense
     };
     // One pool drives assembly and the direct factorizations.
-    let opts = SolveOptions::default().with_backend(backend);
-    let opts = if args.threads == 1 {
-        opts
-    } else {
-        opts.with_parallelism(pool, args.schedule)
-    };
+    let opts = SolveOptions::default()
+        .with_backend(backend)
+        .with_parallelism(pool, args.schedule);
     let result = match run_pipeline(&case, opts, input_seconds) {
         Ok(r) => r,
         Err(e) => {

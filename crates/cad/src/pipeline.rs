@@ -171,9 +171,10 @@ impl PipelineResult {
 }
 
 /// Runs the five-phase pipeline on a parsed case; matrix generation and
-/// the solve run serially or on the pool as [`SolveOptions::parallelism`]
-/// says. The deck's `formulation`/`solver` keywords override `opts`
-/// ([`CadCase::solve_options`]).
+/// the factorization run on the pool of [`SolveOptions::parallelism`]
+/// (one thread is a one-range pool, its regions inline; the double loop
+/// is the tests' oracle). The deck's `formulation`/`solver` keywords
+/// override `opts` ([`CadCase::solve_options`]).
 ///
 /// `input_seconds` is the time the caller spent parsing the deck (phase 1
 /// happens before this function can run; pass 0.0 when not measured).

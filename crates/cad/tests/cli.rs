@@ -1,7 +1,8 @@
 //! Drives the `layerbem-cad` binary itself: one pooled run of a small
 //! deck end to end (report, phase table, surface map), the usage-error
-//! contract for flags the CLI does not have and for `--map` windows it
-//! refuses, and the deck-error exit for a conductor that cannot exist.
+//! contract for flags the CLI does not have, for `--map` windows and for
+//! a thread count it refuses, and the deck-error exit for a conductor
+//! that cannot exist.
 
 use std::path::PathBuf;
 use std::process::{Command, Output};
@@ -102,6 +103,25 @@ fn removed_flags_are_usage_errors() {
         assert_eq!(out.status.code(), Some(2), "{flag:?}: {stderr}");
         assert!(stderr.contains("usage: layerbem-cad"), "{flag:?}: {stderr}");
         assert!(out.stdout.is_empty(), "{flag:?} must not run the deck");
+    }
+    std::fs::remove_file(&deck).ok();
+}
+
+#[test]
+fn zero_threads_is_a_usage_error() {
+    let deck = deck_file("threads", DECK);
+    for threads in ["0", "-1", "two"] {
+        let out = run(&deck, &["--threads", threads]);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "--threads {threads}: {stderr}");
+        assert!(
+            stderr.contains("usage: layerbem-cad"),
+            "--threads {threads}: {stderr}"
+        );
+        assert!(
+            out.stdout.is_empty(),
+            "--threads {threads} must not run the deck"
+        );
     }
     std::fs::remove_file(&deck).ok();
 }

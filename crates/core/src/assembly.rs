@@ -8,30 +8,28 @@
 //! analytically integrated source potentials) and assembled into the
 //! packed symmetric global matrix.
 //!
-//! Two engines share the pair-block computation, and which one runs is
+//! One engine computes the matrix, and how many threads run it is
 //! decided here and nowhere else, from
-//! [`SolveOptions::parallelism`](crate::formulation::SolveOptions):
+//! [`SolveOptions::parallelism`](crate::formulation::SolveOptions): the
+//! global packed triangle is split into disjoint row-range views
+//! ([`SymRowsMut`](layerbem_numeric::SymRowsMut)), and each partition
+//! accumulates **in place** the pairs whose target entries land in its
+//! rows. Ownership is settled by the partition (the packed storage is
+//! row-major, so a row range is a contiguous slice): no staging, no locks,
+//! peak memory = the 1× global triangle. Each partition's candidate pairs
+//! come from a precomputed [`worklist`] — one `O(M²)` integer pass over
+//! the triangle, driven by the mesh's [`ElementRowMap`], performed once
+//! before the region. Each packed entry receives its contributions in the
+//! sequential pair order, so the result is **bit-identical** to the
+//! paper's double loop for every schedule and thread count.
 //!
-//! * **Serial reference loop** (`parallelism: None`) — the double loop
-//!   itself: every pair's block is scattered straight into the packed
-//!   triangle as soon as it is computed. This is the bit-identity
-//!   reference every other path is compared against.
-//! * **Pooled worklist engine** (`parallelism: Some`) — the global packed
-//!   triangle is split into disjoint row-range views
-//!   ([`SymRowsMut`](layerbem_numeric::SymRowsMut)), one per
-//!   schedule-determined row chunk, and each partition accumulates **in
-//!   place** the pairs whose target entries land in its rows. Ownership
-//!   is settled by the partition (the packed storage is row-major, so a
-//!   row range is a contiguous slice): no staging, no locks, peak memory
-//!   = the 1× global triangle. Each partition's candidate pairs come from
-//!   a precomputed [`worklist`] — one `O(M²)` integer pass over the
-//!   triangle, driven by the mesh's [`ElementRowMap`], performed once
-//!   before the parallel region. Each packed entry receives its
-//!   contributions in the sequential pair order, so the result is
-//!   **bit-identical** to the serial loop for every schedule and thread
-//!   count (pairs whose targets straddle a partition boundary are
-//!   recomputed by each side — a `O(boundary)` compute overlap instead of
-//!   an `O(M²)` memory copy).
+//! One thread is a one-range pool: the single partition `0..n` owns every
+//! row, its worklist is the whole triangle in the double loop's order, no
+//! pair is recomputed and the region runs inline. At more than one
+//! thread the schedule cuts the rows, and a pair whose targets straddle a
+//! partition boundary is recomputed by each side — an `O(boundary)`
+//! compute overlap instead of an `O(M²)` memory copy. The double loop
+//! itself is the tests' bit-identity oracle, not a production engine.
 //!
 //! The paper's own scheme — store every elemental matrix, then assemble
 //! sequentially, at "approximately twice the memory space" (§6.2) — is
@@ -45,8 +43,9 @@
 //!
 //! The compressed-operator generation ([`assemble_hierarchical`]) and the
 //! point-collocation matrix ([`assemble_collocation`]) follow the same
-//! rule: serial or pooled from `opts.parallelism` alone.
+//! rule: one pooled body, its rows split by `row_ranges`.
 
+use std::ops::Range;
 use std::time::Instant;
 
 use layerbem_geometry::{ElementRowMap, Mesh};
@@ -132,8 +131,8 @@ pub struct AssemblyReport {
     /// Galerkin right-hand side `ν_j = ∫ w_j dΓ` for unit GPR.
     pub rhs: Vec<f64>,
     /// Wall-clock seconds spent computing each outer column (meaningful
-    /// for the serial loop; these feed the schedule simulator as the
-    /// authentic task-cost profile of the triangular loop).
+    /// at one thread; these feed the schedule simulator as the authentic
+    /// task-cost profile of the triangular loop).
     pub column_seconds: Vec<f64>,
     /// Series terms consumed per outer column — a deterministic,
     /// machine-independent cost proxy for the same profile.
@@ -142,9 +141,9 @@ pub struct AssemblyReport {
     /// `column_terms` sum, `cost.kernel_seconds` the `column_seconds`
     /// sum).
     pub cost: AssemblyCost,
-    /// Per-thread runtime stats of the pooled engine (`None` for the
-    /// serial loop).
-    pub stats: Option<ExecutionStats>,
+    /// Per-thread runtime stats of the assembly region (one partition,
+    /// run inline, at one thread).
+    pub stats: ExecutionStats,
 }
 
 impl AssemblyReport {
@@ -302,7 +301,8 @@ pub fn pair_block(
 /// updates. Every engine funnels through this function, so the per-entry
 /// accumulation order — and therefore the floating-point result — is
 /// identical whether contributions are applied to the whole matrix (the
-/// serial loop) or filtered into a row-range view (the pooled engine).
+/// tests' double-loop oracle) or filtered into a row-range view (the
+/// engine).
 #[inline]
 pub fn scatter_pair(
     nb: [usize; 2],
@@ -337,55 +337,19 @@ pub fn scatter_pair(
     }
 }
 
-/// What either engine hands back: the packed matrix, per-column seconds
-/// and series terms, the total kernel cost, and the pool's runtime stats
-/// (pooled engine only).
-type EngineOutput = (
-    SymMatrix,
-    Vec<f64>,
-    Vec<u64>,
-    KernelCost,
-    Option<ExecutionStats>,
-);
-
-/// The serial reference loop: the paper's sequential double loop, each
-/// pair's block scattered into the packed triangle as soon as it is
-/// computed — no staging. Column `β` couples element `β` with every
-/// `α ≥ β`, so "the first one has M rows and the last one has 1 row"
-/// (paper §6.2) — the linearly decreasing task sizes whose distribution
-/// the schedule study probes through `column_seconds`/`column_terms`.
-///
-/// Kept separate from the pooled engine on purpose: this is the
-/// bit-identity reference the pooled engine is compared against.
-fn assemble_serial(
-    mesh: &Mesh,
-    geoms: &[ElementGeom],
-    kernel: &SoilKernel,
-    quad: &OuterQuadrature,
-) -> EngineOutput {
-    let m = geoms.len();
-    let mut matrix = SymMatrix::zeros(mesh.dof());
-    let mut column_seconds = Vec::with_capacity(m);
-    let mut column_terms = Vec::with_capacity(m);
-    let mut total = KernelCost::default();
-    let mut batch = KernelBatch::new();
-    for beta in 0..m {
-        let t0 = Instant::now();
-        let nb = mesh.elements[beta].nodes;
-        let mut cost = KernelCost::default();
-        for alpha in beta..m {
-            let (b, c) = pair_block(&geoms[beta], &geoms[alpha], kernel, quad, &mut batch);
-            let na = mesh.elements[alpha].nodes;
-            scatter_pair(nb, na, alpha == beta, &b, &mut |p, q, v| {
-                matrix.add(p, q, v)
-            });
-            cost += c;
-        }
-        column_seconds.push(t0.elapsed().as_secs_f64());
-        column_terms.push(cost.terms);
-        total += cost;
+/// How a pooled assembly region splits the `n` matrix rows — the one
+/// decision the Galerkin engine, the hierarchical near field and the
+/// collocation assembler share. At one thread: the single range `0..n`,
+/// so the region does exactly the serial loop's pair work (no pair
+/// straddles a partition boundary, none is recomputed). At more than one:
+/// the ranges `schedule` cuts for the pool's threads.
+// One range covering every row is exactly what is meant at one thread.
+#[allow(clippy::single_range_in_vec_init)]
+fn row_ranges(n: usize, pool: &ThreadPool, schedule: Schedule) -> Vec<Range<usize>> {
+    match pool.threads() {
+        1 => vec![0..n],
+        threads => schedule.partition_ranges(n, threads),
     }
-    (matrix, column_seconds, column_terms, total, None)
 }
 
 /// Minimum element count at which the worklist pre-pass is built on the
@@ -395,10 +359,10 @@ fn assemble_serial(
 /// this cutoff does splitting the triangle walk pay for itself.
 pub const POOLED_PREPASS_MIN_ELEMENTS: usize = 1024;
 
-/// One partition's workspace of the pooled worklist engine: an
-/// exclusively owned row-range view of the global triangle, the
-/// partition's precomputed pair worklist, and compact per-column
-/// accumulators sized by the columns the worklist actually visits.
+/// One partition's workspace of the worklist engine: an exclusively
+/// owned row-range view of the global triangle, the partition's
+/// precomputed pair worklist, and compact per-column accumulators sized
+/// by the columns the worklist actually visits.
 struct WorklistPart<'a> {
     view: layerbem_numeric::SymRowsMut<'a>,
     work: &'a PairWorklist,
@@ -408,40 +372,56 @@ struct WorklistPart<'a> {
     cols: Vec<(u32, u64, f64)>,
     /// Kernel cost of the pairs attributed to this partition.
     cost: KernelCost,
-    /// Reusable kernel-batch scratch of this partition's thread.
-    batch: KernelBatch,
 }
 
-/// In-place parallel assembly on precomputed pair worklists: no staged
+/// Galerkin right-hand side for unit GPR: `ν_p = Σ_{e ∋ p} L_e / 2`.
+pub fn galerkin_rhs(mesh: &Mesh) -> Vec<f64> {
+    let mut rhs = vec![0.0; mesh.dof()];
+    for (e, el) in mesh.elements.iter().enumerate() {
+        let half = 0.5 * mesh.element_length(e);
+        rhs[el.nodes[0]] += half;
+        rhs[el.nodes[1]] += half;
+    }
+    rhs
+}
+
+/// Runs Galerkin matrix generation in place on precomputed pair
+/// worklists, on `opts.parallelism`'s pool and schedule: no staged
 /// blocks, no per-partition triangle scan, 1× memory, bit-identical to
-/// [`assemble_serial`].
+/// the paper's double loop.
 ///
-/// The matrix rows are partitioned by the schedule's deterministic chunk
-/// decomposition ([`Schedule::partition_ranges`]), the per-partition
-/// candidate pairs are emitted once by [`worklist::build_worklists`] from
-/// the mesh's [`ElementRowMap`], and each partition then executes exactly
-/// its own worklist — in sequential pair order, accumulating straight
-/// into its [`SymRowsMut`](layerbem_numeric::SymRowsMut) view. The
-/// schedule's chunk parameter therefore applies to **matrix rows** (the
-/// unit of ownership), not pair columns. A pair's series terms
-/// are attributed to the single partition owning the pair's highest
-/// target row (which always computes it), so `column_terms` sums to
-/// exactly the sequential count even when a boundary pair is recomputed
-/// by several partitions.
+/// The matrix rows are split by `row_ranges` — at more than one thread
+/// the schedule's deterministic chunk decomposition, floored at the
+/// mesh's [`worklist::locality_min_chunk`] — the per-partition candidate
+/// pairs are emitted once by [`worklist::build_worklists`] from the
+/// mesh's [`ElementRowMap`], and each partition then executes exactly its
+/// own worklist — in sequential pair order, accumulating straight into
+/// its [`SymRowsMut`](layerbem_numeric::SymRowsMut) view. The schedule's
+/// chunk parameter therefore applies to **matrix rows** (the unit of
+/// ownership), not pair columns. A pair's series terms are attributed to
+/// the single partition owning the pair's highest target row (which
+/// always computes it), so `column_terms` sums to exactly the sequential
+/// count even when a boundary pair is recomputed by several partitions.
 ///
-/// The worklist pre-pass runs on the pool when the mesh has at least
-/// [`POOLED_PREPASS_MIN_ELEMENTS`] elements; below that the serial build
-/// is faster than the pooled dispatch it would replace.
-fn assemble_direct_pooled(
-    mesh: &Mesh,
-    geoms: &[ElementGeom],
-    kernel: &SoilKernel,
-    quad: &OuterQuadrature,
-    pool: &ThreadPool,
-    schedule: Schedule,
-) -> EngineOutput {
+/// The worklist pre-pass runs on the pool when the pool has more than one
+/// thread and the mesh has at least [`POOLED_PREPASS_MIN_ELEMENTS`]
+/// elements; otherwise the serial build is faster than the pooled
+/// dispatch it would replace.
+pub fn assemble_galerkin(mesh: &Mesh, kernel: &SoilKernel, opts: &SolveOptions) -> AssemblyReport {
+    let t0 = Instant::now();
+    let geoms = element_geoms(mesh);
+    let quad = OuterQuadrature::default();
+    let (pool, schedule) = (&opts.parallelism.pool, opts.parallelism.schedule);
     let n = mesh.dof();
     let m = geoms.len();
+    // What the report keeps is allocated before the region's scratch, as
+    // in the double loop: allocated after it, these outputs left the
+    // freed scratch as heap holes, and `cold-dense` read 1–2 MB more peak
+    // RSS with the same live bytes.
+    let mut matrix = SymMatrix::zeros(n);
+    let mut column_terms = vec![0u64; m];
+    let mut column_seconds = vec![0.0; m];
+    let rhs = galerkin_rhs(mesh);
     let map = ElementRowMap::from_mesh(mesh);
     // A partition's candidate set is its worklist, so partition count
     // multiplies no triangle scan and needs no per-thread cap. The chunk
@@ -450,18 +430,18 @@ fn assemble_direct_pooled(
     // bounds boundary-pair recompute by mesh locality rather than by
     // thread count.
     let dispatch_schedule = schedule.with_min_chunk(worklist::locality_min_chunk(&map));
-    let ranges = dispatch_schedule.partition_ranges(n, pool.threads());
+    let ranges = row_ranges(n, pool, dispatch_schedule);
     // The O(M²) integer pre-pass itself runs on the pool: β-aligned column
     // chunks, order-preserving merge, bit-identical to the serial build
-    // (pinned by the worklist proptest oracle). Below the element cutoff
-    // the serial build wins — the pooled dispatch + merge overhead costs
-    // more than the whole triangle walk on small grids.
-    let worklists = if m < POOLED_PREPASS_MIN_ELEMENTS {
+    // (pinned by the worklist proptest oracle). At one thread, or below
+    // the element cutoff, the serial build wins — the pooled dispatch +
+    // merge overhead costs more than the whole triangle walk on small
+    // grids.
+    let worklists = if pool.threads() == 1 || m < POOLED_PREPASS_MIN_ELEMENTS {
         worklist::build_worklists(&map, &ranges)
     } else {
         worklist::build_worklists_pooled(&map, &ranges, pool, dispatch_schedule)
     };
-    let mut matrix = SymMatrix::zeros(n);
 
     let mut parts: Vec<WorklistPart> = matrix
         .partition_rows(&ranges)
@@ -470,9 +450,10 @@ fn assemble_direct_pooled(
         .map(|(view, work)| WorklistPart {
             view,
             work,
-            cols: Vec::new(),
+            // Sized up front: a growing vector's abandoned buffers were
+            // enough to raise peak RSS when two assemblies run side by side.
+            cols: Vec::with_capacity(work.runs().len()),
             cost: KernelCost::default(),
-            batch: KernelBatch::new(),
         })
         .collect();
 
@@ -486,8 +467,11 @@ fn assemble_direct_pooled(
                 work,
                 cols,
                 cost,
-                batch,
             } = part;
+            // The kernel scratch is a local, not a partition field: behind
+            // a field the optimizer loses track of its aliasing, and the
+            // one-thread assembly measured 5–10 % slower.
+            let mut batch = KernelBatch::new();
             let rows = view.rows();
             for run in work.runs() {
                 let beta = run.beta as usize;
@@ -496,7 +480,7 @@ fn assemble_direct_pooled(
                 let mut run_cost = KernelCost::default();
                 for alpha in run.alphas() {
                     let na = map_ref.element_nodes(alpha);
-                    let (b, c) = pair_block(&geoms[beta], &geoms[alpha], kernel, quad, batch);
+                    let (b, c) = pair_block(&geoms[beta], &geoms[alpha], kernel, &quad, &mut batch);
                     scatter_pair(nb, na, alpha == beta, &b, &mut |p, q, v| {
                         if view.owns(p, q) {
                             view.add(p, q, v);
@@ -519,43 +503,15 @@ fn assemble_direct_pooled(
         },
     );
 
-    let mut column_terms = vec![0u64; m];
-    let mut column_seconds = vec![0.0; m];
-    let mut total = KernelCost::default();
+    let mut kernel_cost = KernelCost::default();
     for part in &parts {
         for &(beta, terms, seconds) in &part.cols {
             column_terms[beta as usize] += terms;
             column_seconds[beta as usize] += seconds;
         }
-        total += part.cost;
+        kernel_cost += part.cost;
     }
     drop(parts);
-    (matrix, column_seconds, column_terms, total, Some(stats))
-}
-
-/// Galerkin right-hand side for unit GPR: `ν_p = Σ_{e ∋ p} L_e / 2`.
-pub fn galerkin_rhs(mesh: &Mesh) -> Vec<f64> {
-    let mut rhs = vec![0.0; mesh.dof()];
-    for (e, el) in mesh.elements.iter().enumerate() {
-        let half = 0.5 * mesh.element_length(e);
-        rhs[el.nodes[0]] += half;
-        rhs[el.nodes[1]] += half;
-    }
-    rhs
-}
-
-/// Runs Galerkin matrix generation: the serial reference loop when
-/// `opts.parallelism` is `None`, the pooled worklist engine on its pool
-/// and schedule otherwise.
-pub fn assemble_galerkin(mesh: &Mesh, kernel: &SoilKernel, opts: &SolveOptions) -> AssemblyReport {
-    let t0 = Instant::now();
-    let geoms = element_geoms(mesh);
-    let quad = OuterQuadrature::default();
-    let (matrix, column_seconds, column_terms, kernel_cost, stats) = match &opts.parallelism {
-        None => assemble_serial(mesh, &geoms, kernel, &quad),
-        Some(par) => assemble_direct_pooled(mesh, &geoms, kernel, &quad, &par.pool, par.schedule),
-    };
-    let rhs = galerkin_rhs(mesh);
     AssemblyReport {
         matrix,
         rhs,

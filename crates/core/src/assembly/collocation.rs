@@ -4,17 +4,16 @@
 use layerbem_geometry::{ElementRowMap, Mesh};
 use layerbem_numeric::DenseMatrix;
 
-use super::{element_geoms, AssemblyCost};
+use super::{element_geoms, row_ranges, AssemblyCost};
 use crate::formulation::SolveOptions;
 use crate::integration::ElementGeom;
 use crate::kernel::{KernelBatch, KernelCost, SoilKernel};
 
 /// Computes one collocation row: the potentials at node `p`'s collocation
-/// point due to every element, accumulated into `row`. Both the serial
-/// and the pooled branch funnel every row through this function, so a
-/// row is the identical scalar sequence no matter which thread — or how
-/// many — computed it.
-fn collocation_row(
+/// point due to every element, accumulated into `row`. Every partition
+/// funnels its rows through this function, so a row is the identical
+/// scalar sequence no matter which thread — or how many — computed it.
+pub(super) fn collocation_row(
     mesh: &Mesh,
     geoms: &[ElementGeom],
     kernel: &SoilKernel,
@@ -50,12 +49,11 @@ fn collocation_row(
     cost
 }
 
-/// Per-partition state of the pooled branch: the disjoint row view plus
-/// this worker's kernel cost counters and reusable batch workspace.
+/// Per-partition state: the disjoint row view plus this worker's kernel
+/// cost counters.
 struct CollocationPart<'a> {
     view: layerbem_numeric::DenseRowsMut<'a>,
     cost: KernelCost,
-    batch: KernelBatch,
 }
 
 /// Collocation matrix: row `p` states `V(x_p) = 1` at a surface point
@@ -63,14 +61,15 @@ struct CollocationPart<'a> {
 /// unit right-hand side and what the generation cost (one batched kernel
 /// loop, so `kernel_seconds` is the whole wall time).
 ///
-/// With `opts.parallelism` set, the matrix rows are partitioned into
-/// disjoint [`DenseRowsMut`](layerbem_numeric::DenseRowsMut) views by the
-/// schedule's deterministic chunk decomposition and each partition fills
-/// its own rows **in place** — no staging, no locks, 1× memory, mirroring
-/// the pooled Galerkin engine. Each row is one node's collocation
-/// equation and depends on nothing outside the mesh, so the result is
-/// **bit-identical** to the serial loop for every schedule and thread
-/// count.
+/// The matrix rows are partitioned into disjoint
+/// [`DenseRowsMut`](layerbem_numeric::DenseRowsMut) views by
+/// `row_ranges` — one range at one thread, the schedule's deterministic
+/// chunk decomposition otherwise — and each partition fills its own rows
+/// **in place** on `opts.parallelism`'s pool: no staging, no locks, 1×
+/// memory, mirroring the Galerkin engine. Each row is one node's
+/// collocation equation and depends on nothing outside the mesh, so the
+/// result is **bit-identical** to a plain row loop for every schedule and
+/// thread count.
 pub fn assemble_collocation(
     mesh: &Mesh,
     kernel: &SoilKernel,
@@ -84,42 +83,34 @@ pub fn assemble_collocation(
     // `Mesh::node_elements`.
     let map = ElementRowMap::from_mesh(mesh);
     let mut c = DenseMatrix::zeros(n, n);
-    let mut cost = KernelCost::default();
     let fill = |p: usize, row: &mut [f64], batch: &mut KernelBatch| {
         let incident = map.row_elements(p);
         collocation_row(mesh, &geoms, kernel, p, incident, row, batch)
     };
-    match &opts.parallelism {
-        None => {
+    let par = &opts.parallelism;
+    // The same row split the worklist assembler and the hierarchical
+    // near field use.
+    let ranges = row_ranges(n, &par.pool, par.schedule);
+    let mut parts: Vec<CollocationPart> = c
+        .partition_rows(&ranges)
+        .into_iter()
+        .map(|view| CollocationPart {
+            view,
+            cost: KernelCost::default(),
+        })
+        .collect();
+    par.pool
+        .scoped_partition(&mut parts, par.schedule.partition_dispatch(), |_, part| {
             let mut batch = KernelBatch::new();
-            for p in 0..n {
-                cost += fill(p, c.row_mut(p), &mut batch);
+            for p in part.view.rows() {
+                part.cost += fill(p, part.view.row_mut(p), &mut batch);
             }
-        }
-        Some(par) => {
-            // The same (schedule, n, threads) → row-range decomposition
-            // the worklist assembler and the hierarchical near field use.
-            let ranges = par.schedule.partition_ranges(n, par.pool.threads());
-            let mut parts: Vec<CollocationPart> = c
-                .partition_rows(&ranges)
-                .into_iter()
-                .map(|view| CollocationPart {
-                    view,
-                    cost: KernelCost::default(),
-                    batch: KernelBatch::new(),
-                })
-                .collect();
-            par.pool
-                .scoped_partition(&mut parts, par.schedule.partition_dispatch(), |_, part| {
-                    for p in part.view.rows() {
-                        part.cost += fill(p, part.view.row_mut(p), &mut part.batch);
-                    }
-                });
-            for part in &parts {
-                cost += part.cost;
-            }
-        }
+        });
+    let mut cost = KernelCost::default();
+    for part in &parts {
+        cost += part.cost;
     }
+    drop(parts);
     let seconds = t0.elapsed().as_secs_f64();
     let cost = AssemblyCost {
         assemblies: 1,

@@ -10,7 +10,8 @@ use layerbem_parfor::ExecutionStats;
 
 use super::worklist::{self, PairWorklist};
 use super::{
-    element_geoms, galerkin_rhs, pair_block, scatter_pair, AssemblyCost, Block, OuterQuadrature,
+    element_geoms, galerkin_rhs, pair_block, row_ranges, scatter_pair, AssemblyCost, Block,
+    OuterQuadrature,
 };
 use crate::formulation::SolveOptions;
 use crate::integration::ElementGeom;
@@ -48,8 +49,9 @@ pub struct HierarchicalReport {
     /// the hierarchical path has no per-column profile.
     /// `cost.compression` is `operator.compression_stats()`.
     pub cost: AssemblyCost,
-    /// Per-thread runtime stats of the pooled near-field assembly.
-    pub stats: Option<ExecutionStats>,
+    /// Per-thread runtime stats of the near-field assembly region (one
+    /// partition, run inline, at one thread).
+    pub stats: ExecutionStats,
 }
 
 /// Packed slot of an (unordered) entry contribution: `(row ≥ col)`.
@@ -86,7 +88,7 @@ fn cluster_members(elems: &[u32], rows: &[usize], map: &ElementRowMap) -> Vec<Ve
 /// two-member row or column into a single kernel evaluation.
 ///
 /// The sampler is a pure function of `(i, j)` (memoization caches a pure
-/// value), so serial and pooled compression remain bit-identical.
+/// value), so compression is bit-identical whichever thread runs it.
 struct FarSampler<'a> {
     row_members: &'a [Vec<(u32, u8)>],
     col_members: &'a [Vec<(u32, u8)>],
@@ -182,12 +184,14 @@ impl MatrixSampler for FarSampler<'_> {
 /// matvecs in `O(nnz + Σ r·(|σ|+|τ|))` instead of `O(N²)` and holds the
 /// same order of bytes, at an accuracy set by `tol`.
 ///
-/// When `opts.parallelism` is set, the near field is assembled by the
-/// same row-partitioned worklist engine as the dense pooled assembler
-/// (restricted to the near pairs — bit-identical across schedules and
-/// thread counts) and the far blocks are compressed concurrently on the
-/// pool (each block is an independent, deterministic ACA run, so the
-/// result does not depend on who computed it).
+/// On `opts.parallelism`'s pool, the near field is assembled by the same
+/// row-partitioned worklist engine as the dense assembler (restricted to
+/// the near pairs, its rows split by `row_ranges` — bit-identical across
+/// schedules and thread counts) and the far blocks are compressed
+/// concurrently (each block is an independent, deterministic ACA run, so
+/// the result does not depend on who computed it). At one thread both
+/// regions run inline: one near partition walking the near pairs in
+/// sequential order, then the far blocks in partition order.
 ///
 /// Fails with [`AcaError::ToleranceNotReached`] when some far block's
 /// rank hits [`MAX_FAR_RANK`] before reaching `tol` — the typed signal
@@ -227,85 +231,53 @@ pub fn assemble_hierarchical(
     }
     let mut near = SparseSym::from_pattern(n, pattern);
 
-    let mut kernel_cost = KernelCost::default();
-    let mut stats = None;
-    match &opts.parallelism {
-        None => {
-            // Sequential near-pair order — the accumulation order the
-            // pooled branch reproduces per entry.
-            let mut batch = KernelBatch::new();
-            for &(beta, alpha) in &parts.near {
-                let (b, a) = (beta as usize, alpha as usize);
-                let nb = map.element_nodes(b);
-                let na = map.element_nodes(a);
-                let (blk, c) = pair_block(&geoms[b], &geoms[a], kernel, &quad, &mut batch);
-                scatter_pair(nb, na, a == b, &blk, &mut |p, q, v| near.add(p, q, v));
-                kernel_cost += c;
-            }
-        }
-        Some(par) => {
-            let dispatch = par
-                .schedule
-                .with_min_chunk(worklist::locality_min_chunk(&map));
-            let ranges = dispatch.partition_ranges(n, par.pool.threads());
-            let worklists = worklist::build_near_worklists(&map, &ranges, &parts.near);
-            struct NearPart<'a> {
-                view: layerbem_numeric::SparseSymRowsMut<'a>,
-                work: &'a PairWorklist,
-                cost: KernelCost,
-                batch: KernelBatch,
-            }
-            let mut nparts: Vec<NearPart> = near
-                .partition_rows(&ranges)
-                .into_iter()
-                .zip(&worklists)
-                .map(|(view, work)| NearPart {
-                    view,
-                    work,
-                    cost: KernelCost::default(),
-                    batch: KernelBatch::new(),
-                })
-                .collect();
-            let map_ref = &map;
-            let geoms_ref = &geoms;
-            let quad_ref = &quad;
-            let s =
-                par.pool
-                    .scoped_partition(&mut nparts, dispatch.partition_dispatch(), |_, part| {
-                        let NearPart {
-                            view,
-                            work,
-                            cost,
-                            batch,
-                        } = part;
-                        let rows = view.rows();
-                        for (beta, alpha) in work.pairs() {
-                            let nb = map_ref.element_nodes(beta);
-                            let na = map_ref.element_nodes(alpha);
-                            let (blk, c) = pair_block(
-                                &geoms_ref[beta],
-                                &geoms_ref[alpha],
-                                kernel,
-                                quad_ref,
-                                batch,
-                            );
-                            scatter_pair(nb, na, alpha == beta, &blk, &mut |p, q, v| {
-                                if view.owns(p, q) {
-                                    view.add(p, q, v);
-                                }
-                            });
-                            if rows.contains(&map_ref.pair_hi(beta, alpha)) {
-                                *cost += c;
-                            }
-                        }
-                    });
-            stats = Some(s);
-            for p in &nparts {
-                kernel_cost += p.cost;
-            }
-            drop(nparts);
-        }
+    let par = &opts.parallelism;
+    let dispatch = par
+        .schedule
+        .with_min_chunk(worklist::locality_min_chunk(&map));
+    let ranges = row_ranges(n, &par.pool, dispatch);
+    let worklists = worklist::build_near_worklists(&map, &ranges, &parts.near);
+    struct NearPart<'a> {
+        view: layerbem_numeric::SparseSymRowsMut<'a>,
+        work: &'a PairWorklist,
+        cost: KernelCost,
     }
+    let mut nparts: Vec<NearPart> = near
+        .partition_rows(&ranges)
+        .into_iter()
+        .zip(&worklists)
+        .map(|(view, work)| NearPart {
+            view,
+            work,
+            cost: KernelCost::default(),
+        })
+        .collect();
+    let map_ref = &map;
+    let stats = par
+        .pool
+        .scoped_partition(&mut nparts, dispatch.partition_dispatch(), |_, part| {
+            let NearPart { view, work, cost } = part;
+            let mut batch = KernelBatch::new();
+            let rows = view.rows();
+            for (beta, alpha) in work.pairs() {
+                let nb = map_ref.element_nodes(beta);
+                let na = map_ref.element_nodes(alpha);
+                let (blk, c) = pair_block(&geoms[beta], &geoms[alpha], kernel, &quad, &mut batch);
+                scatter_pair(nb, na, alpha == beta, &blk, &mut |p, q, v| {
+                    if view.owns(p, q) {
+                        view.add(p, q, v);
+                    }
+                });
+                if rows.contains(&map_ref.pair_hi(beta, alpha)) {
+                    *cost += c;
+                }
+            }
+        });
+    let mut kernel_cost = KernelCost::default();
+    for p in &nparts {
+        kernel_cost += p.cost;
+    }
+    drop(nparts);
 
     // Far blocks: one deterministic ACA run per admissible cluster pair,
     // in the fixed partition order. Each block's rows and columns are
@@ -313,7 +285,6 @@ pub fn assemble_hierarchical(
     // scatter exactly while the kernel runs batched per pair block.
     let geoms_ref = &geoms;
     let quad_ref = &quad;
-    let map_ref = &map;
     let tree_ref = &tree;
     let compress = |&(s, t): &(usize, usize)| -> Result<(FarBlock, KernelCost), AcaError> {
         let rows = tree_ref.cluster_rows(s, map_ref);
@@ -340,23 +311,15 @@ pub fn assemble_hierarchical(
             sampler.cost,
         ))
     };
-    let results: Vec<Result<(FarBlock, KernelCost), AcaError>> = match &opts.parallelism {
-        None => parts.far.iter().map(compress).collect(),
-        Some(par) => {
-            let far_pairs = &parts.far;
-            let mut slots: Vec<Option<Result<(FarBlock, KernelCost), AcaError>>> =
-                vec![None; far_pairs.len()];
-            par.pool
-                .parallel_fill(&mut slots, par.schedule, |k| Some(compress(&far_pairs[k])));
-            slots
-                .into_iter()
-                .map(|r| r.expect("parallel_fill fills every slot"))
-                .collect()
-        }
-    };
+    let far_pairs = &parts.far;
+    let mut results: Vec<Option<Result<(FarBlock, KernelCost), AcaError>>> =
+        vec![None; far_pairs.len()];
+    par.pool.parallel_fill(&mut results, par.schedule, |k| {
+        Some(compress(&far_pairs[k]))
+    });
     let mut far_blocks = Vec::with_capacity(results.len());
     for r in results {
-        let (fb, c) = r?;
+        let (fb, c) = r.expect("parallel_fill fills every slot")?;
         kernel_cost += c;
         far_blocks.push(fb);
     }

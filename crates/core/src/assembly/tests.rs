@@ -1,12 +1,78 @@
 //! Tests of the Galerkin, hierarchical and collocation assemblers (one
-//! module: they share fixtures and the serial-vs-pooled pattern).
+//! module: they share fixtures, the double-loop oracle and the
+//! one-thread-vs-pool pattern).
 
 use super::*;
+use layerbem_geometry::conductor::ground_rod;
 use layerbem_geometry::grids::{rectangular_grid, RectGridSpec};
 use layerbem_geometry::{Conductor, ConductorNetwork, Mesher, Point3};
 use layerbem_numeric::cholesky::CholeskyFactor;
-use layerbem_numeric::AcaError;
+use layerbem_numeric::{AcaError, DenseMatrix};
 use layerbem_soil::SoilModel;
+use proptest::prelude::*;
+
+use super::collocation::collocation_row;
+
+/// The paper's sequential double loop — the bit-identity oracle of the
+/// worklist engine. Column `β` couples element `β` with every `α ≥ β`, so
+/// "the first one has M rows and the last one has 1 row" (paper §6.2);
+/// each pair's block is scattered into the packed triangle as soon as it
+/// is computed. Returns the matrix, the per-column series terms and the
+/// total kernel cost.
+fn assemble_serial(mesh: &Mesh, kernel: &SoilKernel) -> (SymMatrix, Vec<u64>, KernelCost) {
+    let geoms = element_geoms(mesh);
+    let quad = OuterQuadrature::default();
+    let m = geoms.len();
+    let mut matrix = SymMatrix::zeros(mesh.dof());
+    let mut column_terms = Vec::with_capacity(m);
+    let mut total = KernelCost::default();
+    let mut batch = KernelBatch::new();
+    for beta in 0..m {
+        let nb = mesh.elements[beta].nodes;
+        let mut cost = KernelCost::default();
+        for alpha in beta..m {
+            let (b, c) = pair_block(&geoms[beta], &geoms[alpha], kernel, &quad, &mut batch);
+            let na = mesh.elements[alpha].nodes;
+            scatter_pair(nb, na, alpha == beta, &b, &mut |p, q, v| {
+                matrix.add(p, q, v)
+            });
+            cost += c;
+        }
+        column_terms.push(cost.terms);
+        total += cost;
+    }
+    (matrix, column_terms, total)
+}
+
+/// The collocation oracle: a plain loop over the rows, each filled by the
+/// row function every partition of [`assemble_collocation`] calls.
+fn collocation_serial(mesh: &Mesh, kernel: &SoilKernel) -> (DenseMatrix, KernelCost) {
+    let geoms = element_geoms(mesh);
+    let map = ElementRowMap::from_mesh(mesh);
+    let n = mesh.dof();
+    let mut c = DenseMatrix::zeros(n, n);
+    let mut cost = KernelCost::default();
+    let mut batch = KernelBatch::new();
+    for p in 0..n {
+        let row = c.row_mut(p);
+        cost += collocation_row(
+            mesh,
+            &geoms,
+            kernel,
+            p,
+            map.row_elements(p),
+            row,
+            &mut batch,
+        );
+    }
+    (c, cost)
+}
+
+/// Asserts the region ran as one partition on one thread.
+fn assert_one_partition(stats: &ExecutionStats, label: &str) {
+    assert_eq!(stats.per_thread.len(), 1, "{label}");
+    assert_eq!(stats.total_iterations(), 1, "{label}");
+}
 
 fn small_mesh() -> Mesh {
     let net = rectangular_grid(RectGridSpec {
@@ -58,8 +124,12 @@ fn barbera_style_mesh() -> Mesh {
 fn parallel_direct_engines_are_bit_identical_to_sequential() {
     let mesh = barbera_style_mesh();
     let k = uniform_kernel();
-    let opts = SolveOptions::default();
-    let seq = assemble_galerkin(&mesh, &k, &opts);
+    let (matrix, column_terms, cost) = assemble_serial(&mesh, &k);
+    let one = assemble_galerkin(&mesh, &k, &SolveOptions::default());
+    assert_eq!(matrix.packed(), one.matrix.packed());
+    assert_eq!(column_terms, one.column_terms);
+    assert_eq!(cost, one.cost.kernel);
+    assert_one_partition(&one.stats, "default");
     for threads in [2, 3] {
         let pool = ThreadPool::new(threads);
         for schedule in [
@@ -69,12 +139,13 @@ fn parallel_direct_engines_are_bit_identical_to_sequential() {
             Schedule::dynamic(4),
             Schedule::guided(1),
         ] {
-            let direct = assemble_galerkin(&mesh, &k, &opts.with_parallelism(pool, schedule));
+            let opts = SolveOptions::default().with_parallelism(pool, schedule);
+            let direct = assemble_galerkin(&mesh, &k, &opts);
             let label = format!("threads={threads} {}", schedule.label());
-            assert_eq!(seq.matrix.packed(), direct.matrix.packed(), "{label}");
-            assert_eq!(seq.rhs, direct.rhs, "{label}");
-            assert_eq!(seq.column_terms, direct.column_terms, "{label}");
-            assert!(seq.stats.is_none() && direct.stats.is_some(), "{label}");
+            assert_eq!(matrix.packed(), direct.matrix.packed(), "{label}");
+            assert_eq!(one.rhs, direct.rhs, "{label}");
+            assert_eq!(column_terms, direct.column_terms, "{label}");
+            assert_eq!(direct.stats.per_thread.len(), threads, "{label}");
         }
     }
 }
@@ -85,13 +156,14 @@ fn parallel_direct_matches_sequential_on_two_layer_soil() {
     // the per-pair term attribution must still sum exactly.
     let mesh = small_mesh();
     let k = SoilKernel::new(&SoilModel::two_layer(0.005, 0.016, 1.0));
-    let opts = SolveOptions::default();
-    let seq = assemble_galerkin(&mesh, &k, &opts);
-    let pooled = opts.with_parallelism(ThreadPool::new(2), Schedule::guided(1));
-    let direct = assemble_galerkin(&mesh, &k, &pooled);
-    assert_eq!(seq.matrix.packed(), direct.matrix.packed());
-    assert_eq!(seq.column_terms, direct.column_terms);
-    assert_eq!(seq.total_terms(), direct.total_terms());
+    let (matrix, column_terms, cost) = assemble_serial(&mesh, &k);
+    let pooled = SolveOptions::default().with_parallelism(ThreadPool::new(2), Schedule::guided(1));
+    for opts in [SolveOptions::default(), pooled] {
+        let direct = assemble_galerkin(&mesh, &k, &opts);
+        assert_eq!(matrix.packed(), direct.matrix.packed());
+        assert_eq!(column_terms, direct.column_terms);
+        assert_eq!(cost.terms, direct.total_terms());
+    }
 }
 
 #[test]
@@ -174,8 +246,7 @@ fn collocation_matrix_has_dominant_self_terms() {
 fn pooled_collocation_is_bit_identical_to_serial() {
     let mesh = barbera_style_mesh();
     let k = uniform_kernel();
-    let opts = SolveOptions::default();
-    let (serial, rhs_serial, cost_serial) = assemble_collocation(&mesh, &k, &opts);
+    let (serial, cost_serial) = collocation_serial(&mesh, &k);
     for threads in [1, 2, 3] {
         let pool = ThreadPool::new(threads);
         for schedule in [
@@ -184,12 +255,12 @@ fn pooled_collocation_is_bit_identical_to_serial() {
             Schedule::dynamic(1),
             Schedule::guided(1),
         ] {
-            let (pooled, rhs_pooled, cost_pooled) =
-                assemble_collocation(&mesh, &k, &opts.with_parallelism(pool, schedule));
+            let opts = SolveOptions::default().with_parallelism(pool, schedule);
+            let (pooled, rhs, cost_pooled) = assemble_collocation(&mesh, &k, &opts);
             let label = format!("threads={threads} {}", schedule.label());
             assert_eq!(serial.as_slice(), pooled.as_slice(), "{label}");
-            assert_eq!(rhs_serial, rhs_pooled, "{label}");
-            assert_eq!(cost_serial.kernel, cost_pooled.kernel, "{label}");
+            assert_eq!(rhs, vec![1.0; mesh.dof()], "{label}");
+            assert_eq!(cost_serial, cost_pooled.kernel, "{label}");
         }
     }
 }
@@ -197,13 +268,13 @@ fn pooled_collocation_is_bit_identical_to_serial() {
 #[test]
 fn pooled_collocation_handles_layered_soil() {
     // The layered kernel takes a different series path per
-    // evaluation; row-ownership must still reproduce the serial
-    // matrix exactly.
+    // evaluation; row-ownership must still reproduce the row loop
+    // exactly.
     let mesh = small_mesh();
     let k = SoilKernel::new(&SoilModel::two_layer(0.005, 0.016, 1.0));
-    let opts = SolveOptions::default();
-    let (serial, _, _) = assemble_collocation(&mesh, &k, &opts);
-    let pooled_opts = opts.with_parallelism(ThreadPool::new(4), Schedule::dynamic(1));
+    let (serial, _) = collocation_serial(&mesh, &k);
+    let pooled_opts =
+        SolveOptions::default().with_parallelism(ThreadPool::new(4), Schedule::dynamic(1));
     let (pooled, _, _) = assemble_collocation(&mesh, &k, &pooled_opts);
     assert_eq!(serial.as_slice(), pooled.as_slice());
 }
@@ -257,6 +328,7 @@ fn pooled_hierarchical_assembly_is_bit_identical_to_serial() {
     let k = uniform_kernel();
     let serial =
         assemble_hierarchical(&mesh, &k, &SolveOptions::default(), 1e-8, 4).expect("ACA converges");
+    assert_one_partition(&serial.stats, "default");
     for threads in [2, 3] {
         let pool = ThreadPool::new(threads);
         for schedule in [
@@ -270,7 +342,7 @@ fn pooled_hierarchical_assembly_is_bit_identical_to_serial() {
             assert!(serial.operator == pooled.operator, "{label}");
             assert_eq!(serial.rhs, pooled.rhs, "{label}");
             assert_eq!(serial.cost.kernel, pooled.cost.kernel, "{label}");
-            assert!(pooled.stats.is_some(), "{label}");
+            assert_eq!(pooled.stats.per_thread.len(), threads, "{label}");
         }
     }
 }
@@ -321,4 +393,85 @@ fn two_layer_assembly_costs_more_terms_than_uniform() {
         two.total_terms(),
         uni.total_terms()
     );
+}
+
+/// A `grid rect` yard of `nx × ny` cells, with a 1.5 m rod at each corner
+/// when `rods` is set.
+fn rect_yard(nx: usize, ny: usize, rods: bool) -> Mesh {
+    let spec = RectGridSpec {
+        origin: (0.0, 0.0),
+        width: 12.0,
+        height: 9.0,
+        nx,
+        ny,
+        depth: 0.8,
+        radius: 0.006,
+    };
+    let mut net = rectangular_grid(spec);
+    if rods {
+        for (x, y) in [(0.0, 0.0), (12.0, 0.0), (0.0, 9.0), (12.0, 9.0)] {
+            net.add(ground_rod(Point3::new(x, y, 0.8), 1.5, 0.007));
+        }
+    }
+    Mesher::default().mesh(&net)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig { cases: 24, ..ProptestConfig::default() })]
+
+    /// One body per phase: at every thread count and schedule kind the
+    /// worklist engine reproduces the double loop, and collocation the
+    /// row loop, bit for bit. At one thread the region is one partition
+    /// whose worklist is the whole triangle, so no pair is recomputed.
+    #[test]
+    fn one_pooled_body_matches_the_loop_oracles(
+        nx in 1usize..=4,
+        ny in 1usize..=4,
+        rods in any::<bool>(),
+        layered in any::<bool>(),
+        threads in 1usize..=4,
+        kind in 0usize..4,
+        chunk in 1usize..=4,
+    ) {
+        let mesh = rect_yard(nx, ny, rods);
+        let soil = if layered {
+            SoilModel::two_layer(0.005, 0.016, 1.0)
+        } else {
+            SoilModel::uniform(0.016)
+        };
+        let k = SoilKernel::new(&soil);
+        let schedule = [
+            Schedule::static_blocked(),
+            Schedule::static_chunk(chunk),
+            Schedule::dynamic(chunk),
+            Schedule::guided(chunk),
+        ][kind];
+        let pool = ThreadPool::new(threads);
+        let opts = SolveOptions::default().with_parallelism(pool, schedule);
+        let label = format!("{nx}x{ny} rods={rods} layered={layered} threads={threads} {}",
+            schedule.label());
+
+        let (matrix, column_terms, cost) = assemble_serial(&mesh, &k);
+        let rep = assemble_galerkin(&mesh, &k, &opts);
+        prop_assert_eq!(matrix.packed(), rep.matrix.packed(), "{}", label);
+        prop_assert_eq!(&column_terms, &rep.column_terms, "{}", label);
+        prop_assert_eq!(cost, rep.cost.kernel, "{}", label);
+        if threads == 1 {
+            assert_one_partition(&rep.stats, &label);
+            let map = ElementRowMap::from_mesh(&mesh);
+            let floored = schedule.with_min_chunk(worklist::locality_min_chunk(&map));
+            let ranges = row_ranges(mesh.dof(), &pool, floored);
+            let lists = worklist::build_worklists(&map, &ranges);
+            let m = mesh.element_count();
+            prop_assert_eq!(lists.len(), 1, "{}", label);
+            prop_assert_eq!(lists[0].pair_count(), m * (m + 1) / 2, "{}", label);
+        } else {
+            prop_assert_eq!(rep.stats.per_thread.len(), threads, "{}", label);
+        }
+
+        let (c, ccost) = collocation_serial(&mesh, &k);
+        let (pooled, _, pcost) = assemble_collocation(&mesh, &k, &opts);
+        prop_assert_eq!(c.as_slice(), pooled.as_slice(), "{}", label);
+        prop_assert_eq!(ccost, pcost.kernel, "{}", label);
+    }
 }

@@ -141,6 +141,11 @@ impl PairWorklist {
 /// Panics if a range exceeds the map's row count or the mesh is too large
 /// for the compressed `u32` indices.
 pub fn build_worklists(map: &ElementRowMap, ranges: &[Range<usize>]) -> Vec<PairWorklist> {
+    if let [only] = ranges {
+        if *only == (0..map.rows()) {
+            return vec![whole_triangle(map)];
+        }
+    }
     let (owner, mut lists) = ownership(map, ranges);
     let m = map.element_count();
     for beta in 0..m {
@@ -149,6 +154,25 @@ pub fn build_worklists(map: &ElementRowMap, ranges: &[Range<usize>]) -> Vec<Pair
         }
     }
     lists
+}
+
+/// The worklist of one partition owning every row — the one-thread
+/// region's: every pair has a target row, so each column `β` is the
+/// single run `β..M`, emitted in `O(M)` with no pair walk. Identical to
+/// what the general build produces for the same range.
+fn whole_triangle(map: &ElementRowMap) -> PairWorklist {
+    let m = map.element_count();
+    assert!(m < NO_OWNER as usize, "element count exceeds u32 worklists");
+    let mut list = PairWorklist::new(0..map.rows());
+    list.runs = (0..m as u32)
+        .map(|beta| PairRun {
+            beta,
+            alpha_start: beta,
+            alpha_end: m as u32,
+        })
+        .collect();
+    list.pairs = m * (m + 1) / 2;
+    list
 }
 
 /// Validates `ranges`, materializes the row → partition ownership table and

@@ -84,18 +84,29 @@ impl OperatorBackend {
 /// [`SolveOptions::parallelism`] into every pooled path: the in-place
 /// Galerkin assembler, the pooled collocation assembler, the hierarchical
 /// near-field and ACA assembly, the edit re-integration, the soil-sweep
-/// fan-out and the trailing updates of the blocked factorizations (one
-/// algorithm per factor: the same loop runs inline without a pool, and
-/// the old unblocked loops are only the tests' oracles). Every one of
-/// those paths is bit-identical to its serial counterpart, so this struct
-/// decides *who computes*, never *what is computed*. PCG runs serially
-/// either way.
+/// fan-out and the trailing updates of the blocked factorizations. Each
+/// of those phases has one body, the pooled one. One thread is a
+/// one-range pool: its regions run inline and do exactly the serial
+/// loop's work, and the serial double loop is only the tests' oracle.
+/// Every thread count gives that oracle's bits, so this struct decides
+/// *who computes*, never *what is computed*. PCG runs serially either
+/// way.
 #[derive(Clone, Copy, Debug)]
 pub struct Parallelism {
     /// The worker pool every parallel region dispatches on.
     pub pool: ThreadPool,
     /// OpenMP-style schedule for those regions.
     pub schedule: Schedule,
+}
+
+impl Default for Parallelism {
+    /// One thread under `dynamic,1`: the serial program.
+    fn default() -> Self {
+        Parallelism {
+            pool: ThreadPool::new(1),
+            schedule: Schedule::dynamic(1),
+        }
+    }
 }
 
 /// Options for a grounding solve.
@@ -111,16 +122,13 @@ pub struct SolveOptions {
     /// Linear solver.
     pub solver: SolverChoice,
     /// Parallelism of the assembly **and** factorization phases — the one
-    /// knob that decides who computes: `None` runs the serial reference
-    /// assembly loops and the blocked factorizations inline; `Some`
-    /// switches Galerkin assembly to the pooled worklist engine,
-    /// collocation assembly to the row-partitioned in-place assembler, and
-    /// runs each factorization panel's trailing update on the pool. Each
-    /// direct solver has one factorization algorithm either way (the old
-    /// unblocked loops are only the tests' oracles). PCG is serial under
-    /// both: at the orders solved here a pooled matvec is slower than the
-    /// serial one.
-    pub parallelism: Option<Parallelism>,
+    /// knob that decides who computes. The default is one thread, a
+    /// one-range pool: every phase runs its pooled body inline, doing
+    /// exactly the serial loop's pair work. More threads split the matrix
+    /// rows by the schedule and run each factorization panel's trailing
+    /// update on the pool. PCG is serial either way: at the orders solved
+    /// here a pooled matvec is slower than the serial one.
+    pub parallelism: Parallelism,
     /// Memory/compute representation of the prepared Galerkin operator.
     /// [`OperatorBackend::Dense`] (the default) keeps every existing path
     /// bit-identical; [`OperatorBackend::Hierarchical`] compresses the far
@@ -134,7 +142,7 @@ impl Default for SolveOptions {
         SolveOptions {
             formulation: Formulation::Galerkin,
             solver: SolverChoice::ConjugateGradient,
-            parallelism: None,
+            parallelism: Parallelism::default(),
             backend: OperatorBackend::Dense,
         }
     }
@@ -145,7 +153,7 @@ impl SolveOptions {
     /// under `schedule`.
     pub fn with_parallelism(self, pool: ThreadPool, schedule: Schedule) -> Self {
         SolveOptions {
-            parallelism: Some(Parallelism { pool, schedule }),
+            parallelism: Parallelism { pool, schedule },
             ..self
         }
     }
@@ -172,14 +180,15 @@ mod tests {
         } = SolveOptions::default();
         assert_eq!(formulation, Formulation::Galerkin);
         assert_eq!(solver, SolverChoice::ConjugateGradient);
-        assert!(parallelism.is_none(), "serial by default");
+        assert_eq!(parallelism.pool.threads(), 1, "one thread by default");
+        assert_eq!(parallelism.schedule, Schedule::dynamic(1));
         assert_eq!(backend, OperatorBackend::Dense);
     }
 
     #[test]
     fn with_parallelism_sets_only_the_knob() {
         let o = SolveOptions::default().with_parallelism(ThreadPool::new(4), Schedule::guided(1));
-        let par = o.parallelism.expect("set");
+        let par = o.parallelism;
         assert_eq!(par.pool.threads(), 4);
         assert_eq!(par.schedule, Schedule::guided(1));
         assert_eq!(o.solver, SolverChoice::ConjugateGradient);

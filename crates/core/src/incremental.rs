@@ -487,8 +487,8 @@ impl Study {
         // Phase A — re-integrate every pair involving a changed element,
         // under the OLD and the NEW geometry, through the same
         // `pair_block` the assembler uses. Each pair's two blocks
-        // depend on the pair alone, so pooled evaluation into disjoint
-        // slots is bit-identical to the serial loop.
+        // depend on the pair alone, so evaluation into disjoint slots is
+        // bit-identical whichever thread fills each slot.
         let t0 = Instant::now();
         let geoms_old = element_geoms(&es.mesh);
         let geoms_new = element_geoms(&new_mesh);
@@ -496,7 +496,7 @@ impl Study {
         let kernel = &es.kernel;
         let runs = changed_pair_runs(changed, geoms_new.len());
         let pairs_evaluated: usize = runs.iter().map(|r| r.alphas().len()).sum();
-        let mut slots: Vec<(Vec<(Block, Block)>, KernelCost)> =
+        let mut run_blocks: Vec<(Vec<(Block, Block)>, KernelCost)> =
             vec![(Vec::new(), KernelCost::default()); runs.len()];
         let eval_run = |i: usize, (out, cost): &mut (Vec<(Block, Block)>, KernelCost)| {
             let run = &runs[i];
@@ -523,20 +523,9 @@ impl Study {
                 *cost += nc;
             }
         };
-        match self.opts.parallelism {
-            Some(par) if runs.len() >= 2 => {
-                par.pool.scoped_partition(
-                    &mut slots,
-                    par.schedule.partition_dispatch(),
-                    |i, slot| eval_run(i, slot),
-                );
-            }
-            _ => {
-                for (i, slot) in slots.iter_mut().enumerate() {
-                    eval_run(i, slot);
-                }
-            }
-        }
+        let par = self.opts.parallelism;
+        par.pool
+            .scoped_partition(&mut run_blocks, par.schedule.partition_dispatch(), eval_run);
 
         // Phase B — serial scatter of the per-pair deltas, in the fixed
         // sequential pair order, into one full-length column per touched
@@ -548,7 +537,7 @@ impl Study {
         }
         let mut cols = vec![vec![0.0f64; n]; mt];
         let mut kernel_cost = KernelCost::default();
-        for (run, (blocks, cost)) in runs.iter().zip(&slots) {
+        for (run, (blocks, cost)) in runs.iter().zip(&run_blocks) {
             kernel_cost += *cost;
             let beta = run.beta as usize;
             let nb = new_mesh.elements[beta].nodes;

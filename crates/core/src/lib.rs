@@ -14,9 +14,9 @@
 //!   model: closed-form images (uniform), image series (two-layer), or
 //!   quadrature over the Hankel-inverted kernel (N-layer).
 //! * [`assembly`] — Galerkin matrix generation over the triangular
-//!   element-pair iteration: the serial reference loop, or the
-//!   zero-staging in-place worklist engine ([`assembly::worklist`]) on
-//!   the OpenMP-style runtime when parallelism is configured, with
+//!   element-pair iteration: the zero-staging in-place worklist engine
+//!   ([`assembly::worklist`]) on the OpenMP-style runtime (one thread is
+//!   a one-range pool; the double loop is the tests' oracle), with
 //!   per-column cost capture feeding the schedule simulator.
 //! * [`formulation`] — [`SolveOptions`]: the four choices a solve takes
 //!   (formulation, solver, parallelism, operator backend). The outer

@@ -7,10 +7,11 @@
 //! is the plan/execute split that amortizes the expensive part:
 //!
 //! 1. [`GroundingSystem::prepare`] assembles the BEM system **once**
-//!    and factorizes it **once** (both on the pool when
-//!    [`SolveOptions::parallelism`](crate::formulation::SolveOptions) is
-//!    configured, both on the calling thread otherwise — the same
-//!    factorization loop either way), returning
+//!    and factorizes it **once** (both on the pool of
+//!    [`SolveOptions::parallelism`](crate::formulation::SolveOptions);
+//!    one thread is a one-range pool whose regions run inline on the
+//!    calling thread — the same assembly and factorization loops at
+//!    every thread count), returning
 //!    a reusable [`Study`] that owns the retained
 //!    [`CholeskyFactor`]/[`LuFactor`]/PCG operator state.
 //! 2. [`Study::solve`] / [`Study::solve_batch`] then answer
@@ -397,8 +398,9 @@ impl Study {
                 let (c, rhs, cost) = assemble_collocation(system.mesh(), system.kernel(), &opts);
                 let nu = galerkin_rhs(system.mesh());
                 Study::assembled(opts, cost, rhs, nu, (Vec::new(), Vec::new()), || {
-                    let pool = opts.parallelism.map(|par| (par.pool, par.schedule));
-                    Ok((Engine::Lu(LuFactor::factor_in_place(c, pool)?), 1))
+                    let par = &opts.parallelism;
+                    let lu = LuFactor::factor_in_place(c, &par.pool, par.schedule)?;
+                    Ok((Engine::Lu(lu), 1))
                 })
             }
             (Formulation::Collocation, OperatorBackend::Hierarchical { .. }) => {
@@ -488,15 +490,23 @@ impl Study {
         opts: &SolveOptions,
         matrix: Cow<'_, SymMatrix>,
     ) -> Result<(Engine, usize), PrepareError> {
-        let pool = opts.parallelism.map(|par| (par.pool, par.schedule));
+        let (pool, schedule) = (&opts.parallelism.pool, opts.parallelism.schedule);
         Ok(match opts.solver {
             SolverChoice::ConjugateGradient => (Engine::Pcg(matrix.into_owned()), 0),
             SolverChoice::Cholesky => (
-                Engine::Cholesky(CholeskyFactor::factor_in_place(matrix.into_owned(), pool)?),
+                Engine::Cholesky(CholeskyFactor::factor_in_place(
+                    matrix.into_owned(),
+                    pool,
+                    schedule,
+                )?),
                 1,
             ),
             SolverChoice::Lu => (
-                Engine::Lu(LuFactor::factor_in_place(matrix.to_dense(), pool)?),
+                Engine::Lu(LuFactor::factor_in_place(
+                    matrix.to_dense(),
+                    pool,
+                    schedule,
+                )?),
                 1,
             ),
         })

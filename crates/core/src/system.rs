@@ -103,9 +103,8 @@ impl GroundingSystem {
         &self.opts
     }
 
-    /// Generates the Galerkin system: the serial reference loop, or the
-    /// pooled worklist engine when [`SolveOptions::parallelism`] is set
-    /// (see [`assemble_galerkin`]).
+    /// Generates the Galerkin system: the worklist engine on the pool of
+    /// [`SolveOptions::parallelism`] (see [`assemble_galerkin`]).
     pub fn assemble(&self) -> AssemblyReport {
         assemble_galerkin(&self.mesh, &self.kernel, &self.opts)
     }
@@ -114,11 +113,11 @@ impl GroundingSystem {
     /// reusable [`Study`] that answers any number of
     /// [`Scenario`]s from one unit-GPR solve.
     ///
-    /// [`SolveOptions::parallelism`] alone decides who computes: with it
-    /// set, matrix generation runs the pooled worklist engine and the
-    /// blocked factorization runs its trailing updates on the pool;
-    /// without it, both run on the calling thread. The bits are the same
-    /// either way.
+    /// [`SolveOptions::parallelism`] alone decides who computes: matrix
+    /// generation runs the worklist engine on its pool and the blocked
+    /// factorization runs its trailing updates there; at one thread both
+    /// run inline on the calling thread. The bits are the same at every
+    /// thread count.
     ///
     /// This is the primary entry point: `prepare` once, then
     /// [`Study::solve`] / [`Study::solve_batch`] per question.

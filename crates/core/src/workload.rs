@@ -15,9 +15,10 @@
 //!   a seeded, dependency-free RNG ([`Xoshiro256StarStar`]); each sample
 //!   needs its **own factor**, so [`run_soil_sweep`] fans the samples
 //!   out over the pool via `scoped_partition` (one sample per slot,
-//!   serial inner solves — pooled and serial runs are bit-identical for
-//!   a fixed seed, because all sampling happens serially up front and
-//!   each per-sample solve is a pure function of its soil model).
+//!   one-thread inner solves — runs at every thread count are
+//!   bit-identical for a fixed seed, because all sampling happens
+//!   serially up front and each per-sample solve is a pure function of
+//!   its soil model).
 //! * [`Workload::DesignSearch`] — safety-driven layout search: candidate
 //!   grid pitches are meshed, prepared **once** each, and reused across
 //!   every candidate fault current via [`Study::solve_batch`]; each
@@ -52,7 +53,7 @@ use layerbem_numeric::Xoshiro256StarStar;
 use layerbem_soil::sample::perturb;
 use layerbem_soil::SoilModel;
 
-use crate::formulation::SolveOptions;
+use crate::formulation::{Parallelism, SolveOptions};
 use crate::incremental::{EditError, EditOp, EditReport, EditSession};
 use crate::post::{mesh_voltage, potential_profile};
 use crate::safety::{ConductorMaterial, SafetyCriteria};
@@ -650,23 +651,23 @@ pub fn sample_soils(base: &SoilModel, spec: &SoilSweepSpec) -> Vec<SoilModel> {
 /// swapped in is drawn from `source` (one study per sample) and answered
 /// against `sweep.scenarios`.
 ///
-/// When `base.opts.parallelism` is set, samples fan out over the pool
-/// via `scoped_partition` (one sample per slot) with the **inner**
-/// prepares and solves forced serial — each sample is a pure function of
-/// its soil model, so pooled and serial sweeps are bitwise identical, as
-/// are runs under different schedules and thread counts, whichever
-/// source the studies come from.
+/// Samples fan out over `base.opts.parallelism`'s pool via
+/// `scoped_partition` (one sample per slot; inline at one thread) with
+/// the **inner** prepares and solves on one thread — each sample is a
+/// pure function of its soil model, so sweeps are bitwise identical under
+/// every schedule and thread count, whichever source the studies come
+/// from.
 pub fn run_soil_sweep(
     base: &StudySpec<'_>,
     sweep: &SoilSweepSpec,
     source: &dyn StudySource,
 ) -> Result<Vec<SweepSample>, ExecuteError> {
     let soils = sample_soils(base.soil, sweep);
-    // Per-sample work runs serially inside its slot; the sweep itself is
+    // Per-sample work runs on one thread inside its slot; the sweep itself is
     // the parallel axis (each sample is its own assembly +
     // factorization, which is exactly the grain the pool wants).
     let inner = SolveOptions {
-        parallelism: None,
+        parallelism: Parallelism::default(),
         ..base.opts
     };
     let run_one = |index: usize| -> Result<SweepSample, ExecuteError> {
@@ -688,17 +689,9 @@ pub fn run_soil_sweep(
         })
     };
     let mut slots: Vec<Option<_>> = soils.iter().map(|_| None).collect();
-    match &base.opts.parallelism {
-        Some(par) => {
-            par.pool
-                .scoped_partition(&mut slots, par.schedule, |i, slot| *slot = Some(run_one(i)));
-        }
-        None => {
-            for (i, slot) in slots.iter_mut().enumerate() {
-                *slot = Some(run_one(i));
-            }
-        }
-    }
+    let par = &base.opts.parallelism;
+    par.pool
+        .scoped_partition(&mut slots, par.schedule, |i, slot| *slot = Some(run_one(i)));
     // In draw order: the first failing sample wins.
     slots
         .into_iter()

@@ -61,7 +61,7 @@ impl CholeskyFactor {
     /// Returns an error identifying the first non-positive pivot when the
     /// matrix is not positive definite.
     pub fn factor(a: &SymMatrix) -> Result<Self, NotPositiveDefinite> {
-        Self::factor_in_place(a.clone(), None)
+        Self::factor_in_place(a.clone(), &ThreadPool::new(1), Schedule::static_blocked())
     }
 
     /// Factorizes a matrix the caller gives up: its packed triangle is
@@ -71,8 +71,8 @@ impl CholeskyFactor {
     /// Panels of `FACTOR_PANEL` columns are factorized sequentially, then
     /// the panel's whole contribution to the trailing submatrix —
     /// `l_ij -= Σ_c l_ic·l_jc` over the panel columns `c` — is applied in
-    /// one sweep. With `parallelism` set to a pool of more than one thread
-    /// and at least `PAR_CUTOFF` trailing rows, that sweep is one parallel
+    /// one sweep. On a `pool` of more than one thread and with at least
+    /// `PAR_CUTOFF` trailing rows, that sweep is one parallel
     /// region over disjoint [`SymRowsMut`](crate::symmetric::SymRowsMut)
     /// views dispatched under the schedule; otherwise it runs inline.
     ///
@@ -83,9 +83,9 @@ impl CholeskyFactor {
     /// exactly this order.
     pub fn factor_in_place(
         a: SymMatrix,
-        parallelism: Option<(ThreadPool, Schedule)>,
+        pool: &ThreadPool,
+        schedule: Schedule,
     ) -> Result<Self, NotPositiveDefinite> {
-        let pool = parallelism.filter(|(pool, _)| pool.threads() > 1);
         let n = a.order();
         let block = FACTOR_PANEL.min(n);
         let mut l = a;
@@ -151,14 +151,14 @@ impl CholeskyFactor {
                     }
                 }
             };
-            match pool {
-                Some((pool, schedule)) if rows >= PAR_CUTOFF => {
+            match pool.threads() {
+                threads if threads > 1 && rows >= PAR_CUTOFF => {
                     // Floor the chunk so per-panel partition bookkeeping
                     // (one view + one dispatch claim each) stays
                     // O(threads), even for a `dynamic,1` schedule request.
-                    let step = schedule.with_min_chunk(rows.div_ceil(4 * pool.threads()));
+                    let step = schedule.with_min_chunk(rows.div_ceil(4 * threads));
                     let ranges: Vec<std::ops::Range<usize>> = step
-                        .chunk_ranges(rows, pool.threads())
+                        .chunk_ranges(rows, threads)
                         .into_iter()
                         .map(|(a, b)| (k1 + a)..(k1 + b))
                         .collect();
@@ -409,8 +409,7 @@ mod tests {
             Schedule::dynamic(8),
             Schedule::guided(1),
         ] {
-            let pooled =
-                CholeskyFactor::factor_in_place(a.clone(), Some((pool, schedule))).unwrap();
+            let pooled = CholeskyFactor::factor_in_place(a.clone(), &pool, schedule).unwrap();
             assert_eq!(pooled.l, crout, "{}", schedule.label());
         }
     }
@@ -420,8 +419,9 @@ mod tests {
         let a = spd_large(150);
         let reference = CholeskyFactor::factor(&a).unwrap();
         for threads in [1, 2, 3, 8] {
-            let par = Some((ThreadPool::new(threads), Schedule::dynamic(4)));
-            let f = CholeskyFactor::factor_in_place(a.clone(), par).unwrap();
+            let pool = ThreadPool::new(threads);
+            let f =
+                CholeskyFactor::factor_in_place(a.clone(), &pool, Schedule::dynamic(4)).unwrap();
             assert_eq!(f.l, reference.l, "threads={threads}");
         }
     }
@@ -431,8 +431,8 @@ mod tests {
         let a = spd_large(120);
         let x_true: Vec<f64> = (0..120).map(|i| ((i % 9) as f64) - 4.0).collect();
         let b = a.matvec_alloc(&x_true);
-        let par = Some((ThreadPool::new(3), Schedule::guided(2)));
-        let f = CholeskyFactor::factor_in_place(a, par).unwrap();
+        let pool = ThreadPool::new(3);
+        let f = CholeskyFactor::factor_in_place(a, &pool, Schedule::guided(2)).unwrap();
         let x = f.solve(&b);
         for (u, v) in x.iter().zip(&x_true) {
             assert!(approx_eq(*u, *v, 1e-9));
@@ -447,8 +447,9 @@ mod tests {
         // bit).
         let mut a = spd_large(160);
         a.set(90, 90, -1.0);
-        let par = Some((ThreadPool::new(2), Schedule::dynamic(1)));
-        let err = CholeskyFactor::factor_in_place(a.clone(), par).unwrap_err();
+        let pool = ThreadPool::new(2);
+        let err =
+            CholeskyFactor::factor_in_place(a.clone(), &pool, Schedule::dynamic(1)).unwrap_err();
         assert_eq!(err.pivot, 90);
         assert_eq!(CholeskyFactor::factor(&a).unwrap_err().pivot, 90);
         assert_eq!(crout(&a).unwrap_err().pivot, 90);
@@ -478,7 +479,7 @@ mod tests {
             let schedule = [Schedule::static_blocked(), Schedule::dynamic(1), Schedule::guided(1)]
                 [schedule];
             let pooled =
-                CholeskyFactor::factor_in_place(a, Some((ThreadPool::new(2), schedule))).unwrap();
+                CholeskyFactor::factor_in_place(a, &ThreadPool::new(2), schedule).unwrap();
             prop_assert_eq!(&pooled.l, &oracle, "n={} {}", n, schedule.label());
         }
     }

@@ -62,7 +62,7 @@ impl LuFactor {
     /// # Panics
     /// Panics if the matrix is not square.
     pub fn factor(a: &DenseMatrix) -> Result<Self, SingularMatrix> {
-        Self::factor_in_place(a.clone(), None)
+        Self::factor_in_place(a.clone(), &ThreadPool::new(1), Schedule::static_blocked())
     }
 
     /// Factorizes a matrix the caller gives up: its buffer is overwritten
@@ -75,8 +75,8 @@ impl LuFactor {
     /// trailing columns is then applied per entry in ascending
     /// panel-column order — first to the panel's own rows (sequential,
     /// `O(panel²·N)`), then to the rows below the panel, which are
-    /// mutually independent. With `parallelism` set to a pool of more
-    /// than one thread and at least `PAR_CUTOFF` rows below the panel,
+    /// mutually independent. On a `pool` of more than one thread and
+    /// with at least `PAR_CUTOFF` rows below the panel,
     /// those rows are partitioned into disjoint row blocks dispatched
     /// under the schedule while the finalized pivot rows are read through
     /// a shared split of the buffer; otherwise they are updated inline.
@@ -90,10 +90,10 @@ impl LuFactor {
     /// Panics if the matrix is not square.
     pub fn factor_in_place(
         a: DenseMatrix,
-        parallelism: Option<(ThreadPool, Schedule)>,
+        pool: &ThreadPool,
+        schedule: Schedule,
     ) -> Result<Self, SingularMatrix> {
         assert_eq!(a.rows(), a.cols(), "LU requires a square matrix");
-        let pool = parallelism.filter(|(pool, _)| pool.threads() > 1);
         let n = a.rows();
         let mut lu = a;
         let mut perm: Vec<usize> = (0..n).collect();
@@ -176,14 +176,14 @@ impl LuFactor {
                     }
                 }
             };
-            match pool {
-                Some((pool, schedule)) if rows >= PAR_CUTOFF => {
+            match pool.threads() {
+                threads if threads > 1 && rows >= PAR_CUTOFF => {
                     // Same chunk floor as the Cholesky sweep: per-panel
                     // partition count stays O(threads) under `dynamic,1`.
-                    let step = schedule.with_min_chunk(rows.div_ceil(4 * pool.threads()));
+                    let step = schedule.with_min_chunk(rows.div_ceil(4 * threads));
                     let mut parts: Vec<&mut [f64]> = Vec::new();
                     let mut rest = tail;
-                    for (a2, b2) in step.chunk_ranges(rows, pool.threads()) {
+                    for (a2, b2) in step.chunk_ranges(rows, threads) {
                         let (chunk, r) = rest.split_at_mut((b2 - a2) * n);
                         parts.push(chunk);
                         rest = r;
@@ -408,8 +408,8 @@ mod tests {
                 Schedule::dynamic(16),
                 Schedule::guided(1),
             ] {
-                let par = Some((ThreadPool::new(threads), schedule));
-                let pooled = LuFactor::factor_in_place(a.clone(), par).unwrap();
+                let pool = ThreadPool::new(threads);
+                let pooled = LuFactor::factor_in_place(a.clone(), &pool, schedule).unwrap();
                 let label = format!("threads={threads} {}", schedule.label());
                 assert_same_factor(&pooled, &oracle, &label);
                 assert_eq!(pooled.det(), oracle.det(), "{label}");
@@ -430,8 +430,8 @@ mod tests {
             a.set(i, 40, 0.0);
         }
         let oracle = unblocked(&a).unwrap_err();
-        let par = Some((ThreadPool::new(4), Schedule::dynamic(8)));
-        let pooled = LuFactor::factor_in_place(a.clone(), par).unwrap_err();
+        let pool = ThreadPool::new(4);
+        let pooled = LuFactor::factor_in_place(a.clone(), &pool, Schedule::dynamic(8)).unwrap_err();
         assert_eq!(oracle, pooled);
         assert_eq!(LuFactor::factor(&a).unwrap_err(), pooled);
         assert_eq!(pooled.column, 40);
@@ -491,7 +491,7 @@ mod tests {
             let schedule = [Schedule::static_blocked(), Schedule::dynamic(1), Schedule::guided(1)]
                 [schedule];
             let pooled =
-                LuFactor::factor_in_place(a, Some((ThreadPool::new(2), schedule))).unwrap();
+                LuFactor::factor_in_place(a, &ThreadPool::new(2), schedule).unwrap();
             assert_same_factor(&pooled, &oracle, &format!("n={n} {}", schedule.label()));
         }
     }

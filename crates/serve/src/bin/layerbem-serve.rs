@@ -8,9 +8,9 @@
 //!   free port, printed in the readiness line).
 //! * `--max-resident-bytes` — study-cache budget; accepts plain bytes or
 //!   `k`/`m`/`g` suffixes (default 0 = unlimited).
-//! * `--threads` — connection workers; values above 1 also run each
-//!   study's assembly/factorization/solve on a pool of that size (the
-//!   pooled paths are bit-identical to serial, so this never changes
+//! * `--threads` — connection workers, and the size of the pool each
+//!   study's assembly and factorization run on (default 1, a one-range
+//!   pool; every thread count gives the same bits, so this never changes
 //!   answers).
 //!
 //! On success the process prints `layerbem-serve listening on ADDR` and
@@ -84,11 +84,8 @@ fn main() {
     }
 
     config.workers = threads;
-    config.solve = if threads > 1 {
-        SolveOptions::default().with_parallelism(ThreadPool::new(threads), Schedule::dynamic(1))
-    } else {
-        SolveOptions::default()
-    };
+    config.solve =
+        SolveOptions::default().with_parallelism(ThreadPool::new(threads), Schedule::dynamic(1));
 
     match spawn(config) {
         Ok(handle) => {

@@ -781,6 +781,63 @@ mod tests {
             .sum()
     }
 
+    /// A rod of `1 + k/2` metres: each key's study has its own dof.
+    fn keyed_study(k: u64) -> Study {
+        let mut net = ConductorNetwork::new();
+        net.add(ground_rod(
+            Point3::new(0.0, 0.0, 0.5),
+            1.0 + 0.5 * k as f64,
+            0.007,
+        ));
+        let mesh = Mesher::new(MeshOptions {
+            max_element_length: 0.5,
+        })
+        .mesh(&net);
+        GroundingSystem::new(mesh, &SoilModel::uniform(0.016), SolveOptions::default())
+            .prepare()
+            .expect("prepare")
+    }
+
+    #[test]
+    fn publishes_racing_prepares_keep_exact_accounting() {
+        const KEYS: u64 = 4;
+        let dof: Vec<usize> = (0..KEYS).map(|k| keyed_study(k).dof()).collect();
+        let largest = (0..KEYS)
+            .map(|k| keyed_study(k).resident_bytes())
+            .max()
+            .unwrap();
+        // Room for about two studies: evictions race every insert.
+        let cache = Arc::new(StudyCache::new(2 * largest + largest / 2));
+        let handles: Vec<_> = (0..6u64)
+            .map(|t| {
+                let cache = Arc::clone(&cache);
+                let dof = dof.clone();
+                std::thread::spawn(move || {
+                    for round in 0..200u64 {
+                        let k = (t + round) % KEYS;
+                        if t % 2 == 0 {
+                            // An edited study published under its key.
+                            cache.publish(key(k), Arc::new(keyed_study(k)));
+                        } else {
+                            let (study, _) = cache
+                                .get_or_prepare(&key(k), || Ok(keyed_study(k)))
+                                .expect("prepare");
+                            assert_eq!(study.dof(), dof[k as usize], "key {k}");
+                        }
+                    }
+                })
+            })
+            .collect();
+        for h in handles {
+            h.join().expect("every requester received its study");
+        }
+        let (studies, bytes, evictions) = cache.residency();
+        assert_eq!(charged(&cache), bytes);
+        assert!(bytes <= cache.max_resident_bytes());
+        assert!((1..=KEYS as usize).contains(&studies));
+        assert!(evictions > 0, "the budget was exercised");
+    }
+
     #[test]
     fn aliases_are_byte_verified_charged_and_die_with_their_entry() {
         const A: &str = "rod 0 0 0.5 2 0.007\n";

@@ -13,9 +13,8 @@
 //! - the deck `title`, `gpr` line and `scenario` stanzas — they choose the
 //!   questions, not the prepared operator;
 //! - [`SolveOptions::parallelism`] — the repo-wide invariant is that the
-//!   pooled assembly/factorization/solve paths are **bit-identical** to
-//!   their serial counterparts, so who computes never changes what is
-//!   cached. A 1-thread server and a 16-thread server answer from the
+//!   assembly/factorization/solve paths are **bit-identical** at every
+//!   thread count, so who computes never changes what is cached. A 1-thread server and a 16-thread server answer from the
 //!   same key.
 //!
 //! **The identity is the bytes.** A key *is* the canonical encoding of

@@ -6,19 +6,24 @@
 //! clients asking the same question pay exactly one prepare, served
 //! answers are bit-identical to a direct [`Study`] solve, and the
 //! residency budget evicts least-recently-used studies without losing
-//! correctness.
+//! correctness — also when a client hangs up mid-request.
 
 use std::io::{BufRead, BufReader, Write};
+use std::mem::size_of;
 use std::net::TcpStream;
 use std::sync::{Arc, Barrier};
 use std::thread;
+use std::time::{Duration, Instant};
 
-use layerbem_cad::{parse_case, run_pipeline};
+use layerbem_cad::{parse_case, run_pipeline, CadCase};
+use layerbem_core::incremental::EditOp;
 use layerbem_core::workload::{FreshSource, StudySource, WorkloadRow};
 use layerbem_core::{Scenario, SolveOptions, SolverChoice};
+use layerbem_geometry::Conductor;
 use layerbem_parfor::{Schedule, ThreadPool};
 use layerbem_serve::protocol::solutions_json;
 use layerbem_serve::{spawn, Json, ServeClient, ServerConfig, Service};
+use layerbem_soil::Layer;
 
 /// A small but non-trivial deck: a 3×3-cell grid in two-layer soil.
 const GRID_DECK: &str = "title integration grid\n\
@@ -189,6 +194,69 @@ fn unlimited_budget_keeps_every_study_hot() {
     handle.shutdown();
 }
 
+/// A client that sends a cold `solve` and closes its socket before the
+/// reply costs the server nothing but that prepare: it keeps serving, the
+/// next client's identical deck is a cache hit, and the resident bytes
+/// are exactly the entry's study plus its remembered deck (text + parse).
+#[test]
+fn a_client_that_hangs_up_mid_solve_leaves_exact_accounting() {
+    let handle = spawn(default_server()).expect("spawn server");
+    {
+        let mut stream = TcpStream::connect(handle.addr()).expect("connect");
+        let line = Json::obj(vec![
+            ("op", Json::str("solve")),
+            ("deck", Json::str(GRID_DECK)),
+        ]);
+        stream
+            .write_all(format!("{}\n", line.to_line()).as_bytes())
+            .expect("send");
+        // Dropped here: closed before a reply could be read.
+    }
+    // The hung-up request's prepare still lands in the cache.
+    let cache = handle.service().cache();
+    let deadline = Instant::now() + Duration::from_secs(60);
+    while cache.residency().0 == 0 {
+        assert!(
+            Instant::now() < deadline,
+            "the orphaned prepare never landed"
+        );
+        thread::sleep(Duration::from_millis(2));
+    }
+
+    let mut client = ServeClient::connect(handle.addr()).expect("connect");
+    let reply = client.solve(GRID_DECK, None, false).expect("served solve");
+    assert!(reply.cache_hit, "the hung-up client's prepare is reused");
+    let stats = client.stats().expect("stats");
+    let cache = stats.get("cache").expect("cache section");
+    let number = |name: &str| cache.get(name).and_then(Json::as_f64);
+    assert_eq!(number("misses"), Some(1.0));
+    assert_eq!(number("hits"), Some(1.0));
+    assert_eq!(number("resident_studies"), Some(1.0));
+
+    // The entry's charge, re-derived from its parts: the study's
+    // resident bytes plus the deck alias — the text and its parse, the
+    // struct and its vectors at length.
+    let case = parse_case(GRID_DECK).expect("deck parses");
+    let study = FreshSource
+        .study(&case.study_spec(SolveOptions::default()))
+        .expect("direct prepare")
+        .study;
+    let scenarios = case.scenarios.len() + case.workload.scenario_list().map_or(0, <[_]>::len);
+    let alias = GRID_DECK.len()
+        + size_of::<CadCase>()
+        + case.title.len()
+        + case.network.len() * size_of::<Conductor>()
+        + case.soil.layers().len() * size_of::<Layer>()
+        + scenarios * size_of::<Scenario>()
+        + case.edits.len() * size_of::<EditOp>();
+    assert_eq!(
+        number("resident_bytes"),
+        Some((study.resident_bytes() + alias) as f64)
+    );
+
+    handle.shutdown();
+}
+
 /// A non-finite scenario drive smuggled in as `1e999` (which our lenient
 /// number parser reads as +∞) is rejected with a typed `solve` error over
 /// the wire — not a panic, not a NaN answer — and the connection stays
@@ -318,8 +386,8 @@ fn served_solutions_equal_the_pipelines_rows_bit_for_bit() {
             assert_eq!(
                 served,
                 direct,
-                "{op}, pooled: {}",
-                opts.parallelism.is_some()
+                "{op}, threads: {}",
+                opts.parallelism.pool.threads()
             );
         }
     }

@@ -36,7 +36,7 @@ fn main() {
         let t0 = std::time::Instant::now();
         let report = pooled.assemble();
         let secs = t0.elapsed().as_secs_f64();
-        let stats = report.stats.expect("the pooled engine records stats");
+        let stats = report.stats;
         println!(
             "  {:<12} {:.2} s  chunks dispatched: {:<4} imbalance: {:.2}  idle threads: {}",
             schedule.label(),

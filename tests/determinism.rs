@@ -1,6 +1,10 @@
 //! Cross-crate determinism suite: every pooled linear-algebra path must
-//! be **bit-identical** to its serial counterpart on real BEM systems,
-//! for every schedule × thread count × order exercised here.
+//! be **bit-identical** to its one-thread run on real BEM systems, for
+//! every schedule × thread count × order exercised here. The "serial"
+//! side of each test is `SolveOptions::default()` — a one-thread pool,
+//! whose assembly is the worklist engine on one row range; that engine's
+//! match with the paper's double loop is pinned by the oracle tests in
+//! `crates/core/src/assembly/tests.rs`.
 //!
 //! Covered, on the paper's Barberá (238 dof) and Balaidos (201 dof)
 //! grids: the worklist-driven pooled Galerkin assembler (matrix,
@@ -110,7 +114,7 @@ fn leading_dense(a: &DenseMatrix, k: usize) -> DenseMatrix {
     DenseMatrix::from_rows(k, k, rows.flat_map(|row| &row[..k]).copied().collect())
 }
 
-/// The assembled Galerkin system of a grid (sequential reference).
+/// The assembled Galerkin system of a grid (the one-thread run).
 fn galerkin_system(mesh: &Mesh, soil: &SoilModel) -> (SymMatrix, Vec<f64>) {
     let kernel = SoilKernel::new(soil);
     let rep = assemble_galerkin(mesh, &kernel, &SolveOptions::default());
@@ -217,8 +221,8 @@ fn blocked_pooled_cholesky_factors_are_bit_identical_to_serial() {
             let serial = CholeskyFactor::factor(&a).expect("Galerkin matrix is SPD");
             for threads in thread_counts() {
                 for schedule in schedules() {
-                    let par = Some((ThreadPool::new(threads), schedule));
-                    let pooled = CholeskyFactor::factor_in_place(a.clone(), par)
+                    let pool = ThreadPool::new(threads);
+                    let pooled = CholeskyFactor::factor_in_place(a.clone(), &pool, schedule)
                         .expect("pooled factorization succeeds");
                     assert_eq!(
                         pooled.packed_l(),
@@ -244,8 +248,8 @@ fn blocked_pooled_lu_factors_are_bit_identical_to_serial() {
             let serial = LuFactor::factor(&c).expect("collocation matrix is nonsingular");
             for threads in thread_counts() {
                 for schedule in schedules() {
-                    let par = Some((ThreadPool::new(threads), schedule));
-                    let pooled = LuFactor::factor_in_place(c.clone(), par)
+                    let pool = ThreadPool::new(threads);
+                    let pooled = LuFactor::factor_in_place(c.clone(), &pool, schedule)
                         .expect("pooled factorization succeeds");
                     let label = format!("{grid}: n={n} threads={threads} {}", schedule.label());
                     assert_eq!(pooled.lu_entries(), serial.lu_entries(), "{label}");
@@ -572,8 +576,8 @@ fn blocked_pooled_lu_on_dense_galerkin_expansion_is_bit_identical() {
         for n in orders(a.order()) {
             let dense: DenseMatrix = leading_sym(&a, n).to_dense();
             let serial = LuFactor::factor(&dense).expect("nonsingular");
-            let pooled = LuFactor::factor_in_place(dense, Some((pool, Schedule::dynamic(2))))
-                .expect("nonsingular");
+            let pooled =
+                LuFactor::factor_in_place(dense, &pool, Schedule::dynamic(2)).expect("nonsingular");
             assert_eq!(pooled.lu_entries(), serial.lu_entries(), "{grid}: n={n}");
         }
     }
