@@ -3,27 +3,36 @@
 //! triangle, solid line) vs the **inner** loop (rows within each column,
 //! dashed line), with schedule `Dynamic,1`, on 1–64 processors.
 //!
-//! The per-column task costs are *measured* from the real sequential
-//! assembly on this machine, then replayed on P simulated processors by
+//! The per-column task costs are *measured* from the staged harness's
+//! sequential outer loop on this machine (every pair integrated, as in the
+//! paper's loop — the production engine's pair memo would make a column's
+//! time depend on the columns before it), then replayed on P simulated processors by
 //! the deterministic schedule simulator (see `layerbem_parfor::sim` and
 //! DESIGN.md §4 for why simulation is the faithful reproduction on hosts
 //! without 64 CPUs). The paper's qualitative result — the outer loop
 //! scales nearly linearly while the inner loop falls away as P grows,
 //! because "the granularity is bigger in that way" — is the check.
 
+use layerbem_bench::staged::{assemble_staged, StagedLoop};
 use layerbem_bench::{render_table, soils, write_artifact};
-use layerbem_core::formulation::SolveOptions;
-use layerbem_core::system::GroundingSystem;
+use layerbem_core::kernel::SoilKernel;
 use layerbem_parfor::sim::{simulate, simulate_inner_loop, SimOverheads};
-use layerbem_parfor::Schedule;
+use layerbem_parfor::{Schedule, ThreadPool};
 
 fn main() {
     let mesh = layerbem_bench::barbera_mesh();
     let m = mesh.element_count();
     println!("Measuring per-column costs of the Barberá two-layer assembly ({m} columns)…");
-    let system = GroundingSystem::new(mesh, &soils::barbera_two_layer(), SolveOptions::default());
-    let report = system.assemble();
-    let outer_costs = report.column_seconds.clone();
+    let kernel = SoilKernel::new(&soils::barbera_two_layer());
+    let one = ThreadPool::new(1);
+    let report = assemble_staged(
+        &mesh,
+        &kernel,
+        &one,
+        Schedule::dynamic(1),
+        StagedLoop::Outer,
+    );
+    let outer_costs = report.column_seconds;
     let total: f64 = outer_costs.iter().sum();
     println!("sequential matrix generation: {total:.2} s over {m} columns\n");
 

@@ -3,17 +3,20 @@
 //! loop parallelization.
 //!
 //! Measured per-column costs replayed on the deterministic schedule
-//! simulator (DESIGN.md §4). The paper's findings to reproduce:
+//! simulator (DESIGN.md §4). The costs come from the staged harness's
+//! one-thread outer loop, which integrates every pair like the paper's
+//! loop: the production engine's pair memo makes a column's time depend
+//! on what earlier columns left in its table. The paper's findings to reproduce:
 //! plain `Static` is the worst (the triangle's columns shrink linearly,
 //! so blocked assignment is imbalanced); high chunks starve processors
 //! (`Static,64` / `Dynamic,64` / `Guided,64` collapse at P = 8);
 //! `Dynamic,1` and the `Guided` family are near-ideal.
 
+use layerbem_bench::staged::{assemble_staged, StagedLoop};
 use layerbem_bench::{paper, render_table, soils, write_artifact};
-use layerbem_core::formulation::SolveOptions;
-use layerbem_core::system::GroundingSystem;
+use layerbem_core::kernel::SoilKernel;
 use layerbem_parfor::sim::{simulate, SimOverheads};
-use layerbem_parfor::Schedule;
+use layerbem_parfor::{Schedule, ThreadPool};
 
 fn main() {
     let mesh = layerbem_bench::barbera_mesh();
@@ -21,9 +24,16 @@ fn main() {
         "Measuring per-column costs of the Barberá two-layer assembly ({} columns)…",
         mesh.element_count()
     );
-    let system = GroundingSystem::new(mesh, &soils::barbera_two_layer(), SolveOptions::default());
-    let report = system.assemble();
-    let costs = report.column_seconds.clone();
+    let kernel = SoilKernel::new(&soils::barbera_two_layer());
+    let one = ThreadPool::new(1);
+    let report = assemble_staged(
+        &mesh,
+        &kernel,
+        &one,
+        Schedule::dynamic(1),
+        StagedLoop::Outer,
+    );
+    let costs = report.column_seconds;
     println!(
         "sequential matrix generation: {:.2} s\n",
         costs.iter().sum::<f64>()

@@ -7,12 +7,17 @@
 //! interface, forcing the mixed-layer kernels with more image families —
 //! and near-linear speed-ups for the two-layer models. (Model A is so
 //! cheap that the paper did not even parallelize it.)
+//!
+//! The per-column costs come from the staged harness's one-thread outer
+//! loop, which integrates every pair like the paper's loop: the
+//! production engine's pair memo makes a column's time depend on what
+//! earlier columns left in its table.
 
+use layerbem_bench::staged::{assemble_staged, StagedLoop};
 use layerbem_bench::{paper, render_table, soils, write_artifact};
-use layerbem_core::formulation::SolveOptions;
-use layerbem_core::system::GroundingSystem;
+use layerbem_core::kernel::SoilKernel;
 use layerbem_parfor::sim::{simulate, SimOverheads};
-use layerbem_parfor::Schedule;
+use layerbem_parfor::{Schedule, ThreadPool};
 
 fn main() {
     let mesh = layerbem_bench::balaidos_mesh();
@@ -35,9 +40,10 @@ fn main() {
     .zip(paper::TABLE_6_3)
     {
         assert_eq!(label, plabel);
-        let system = GroundingSystem::new(mesh.clone(), &soil, SolveOptions::default());
-        let report = system.assemble();
-        let costs = report.column_seconds.clone();
+        let kernel = SoilKernel::new(&soil);
+        let one = ThreadPool::new(1);
+        let report = assemble_staged(&mesh, &kernel, &one, schedule, StagedLoop::Outer);
+        let costs = report.column_seconds;
         let seq: f64 = costs.iter().sum();
         let mut row = vec![label.to_string()];
         for (i, &p) in procs.iter().enumerate() {

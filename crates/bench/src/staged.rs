@@ -116,6 +116,8 @@ pub fn assemble_staged(
             seconds: t0.elapsed().as_secs_f64(),
             kernel_seconds: columns.iter().map(|c| c.seconds).sum(),
             kernel: kernel_cost,
+            pairs: m * (m + 1) / 2,
+            pairs_evaluated: m * (m + 1) / 2,
             compression: None,
         },
         stats,

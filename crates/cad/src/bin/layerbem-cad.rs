@@ -343,8 +343,17 @@ fn main() -> ExitCode {
             args.schedule.label()
         );
         let cost = &result.profile.assembly;
+        // Collocation assembles rows, not pairs: no pair count to show.
+        let pairs = if cost.pairs > 0 {
+            format!(
+                "{} of {} pairs evaluated, ",
+                cost.pairs_evaluated, cost.pairs
+            )
+        } else {
+            String::new()
+        };
         println!(
-            "kernel evaluation: {:.3} s in series kernels, {} terms, {}",
+            "kernel evaluation: {:.3} s in series kernels, {} terms, {pairs}{}",
             cost.kernel_seconds,
             cost.kernel.terms,
             occupancy_label(cost.lane_occupancy())

@@ -161,3 +161,46 @@ fn an_impossible_conductor_is_a_deck_error_not_a_panic() {
         assert!(!stderr.contains("panicked"), "{tag}: {stderr}");
     }
 }
+
+#[test]
+fn timing_counts_the_pairs_the_kernel_ran() {
+    // The 2×2 yard has 12 elements, so 78 pairs; its congruent pairs are
+    // memo hits.
+    let deck = deck_file("pairs", DECK);
+    let out = run(&deck, &["--threads", "1", "--timing"]);
+    std::fs::remove_file(&deck).ok();
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert_eq!(out.status.code(), Some(0), "stdout: {stdout}");
+    let line = stdout
+        .lines()
+        .find(|l| l.starts_with("kernel evaluation: "))
+        .expect("a kernel evaluation line");
+    let (head, _) = line
+        .split_once(" of 78 pairs evaluated, ")
+        .unwrap_or_else(|| panic!("{line}"));
+    let evaluated: usize = head
+        .rsplit(' ')
+        .next()
+        .and_then(|p| p.parse().ok())
+        .unwrap_or_else(|| panic!("{line}"));
+    assert!(0 < evaluated && evaluated < 78, "{line}");
+}
+
+#[test]
+fn a_soil_the_image_series_cannot_sum_is_refused() {
+    // γ₁/γ₂ = 1e-4: every image series of the rod stops at its group
+    // cap, which used to leave the potentials percent-level low.
+    let deck = deck_file(
+        "capped",
+        "title T\nsoil two-layer 0.0001 1.0 1.0\ngpr 10000\nrod 0 0 0.5 3 0.007\n",
+    );
+    let out = run(&deck, &["--threads", "1"]);
+    std::fs::remove_file(&deck).ok();
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{stderr}");
+    assert!(
+        stderr.contains("image series does not converge within 4000 groups"),
+        "{stderr}"
+    );
+    assert!(out.stdout.is_empty(), "no report for a refused study");
+}

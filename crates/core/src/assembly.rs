@@ -41,6 +41,24 @@
 //! lane path of [`pair_block`]. [`pair_block_scalar`] is its
 //! point-at-a-time oracle, called only by tests.
 //!
+//! **Congruent pairs are integrated once.** [`pair_block`] computes every
+//! block in the pair's own horizontal frame: the origin is the source
+//! element α's first node in x and y, and depth is untouched. A layered
+//! soil's image series does not change under a horizontal translation, so
+//! this is the same integral, and it makes the block a pure function of
+//! (shape of β, shape of α, `Δxy = β.a − α.a`), an element's shape being
+//! the bits of `(b − a)ₓ`, `(b − a)ᵧ`, `a_z`, `b_z` and its radius. Each
+//! partition of the worklist engine (and of the hierarchical near field)
+//! looks every pair up by exactly those bits in its own bounded memo —
+//! 2 048 entries, 4-way set-associative, LRU within a set, a private
+//! constant — before it calls the kernel. A hit returns the stored block
+//! and charges the stored [`KernelCost`], so the matrix, `column_terms`
+//! and `cost.kernel` are what the double loop computes, bit for bit;
+//! only the kernel's work disappears (`cost.pairs_evaluated` counts what
+//! remains). Grids repeat a few element shapes at a few offsets: on the
+//! paper's grids the kernel runs for 51.1 % (Barberá) and 17.8 %
+//! (Balaidos) of the pairs at one thread.
+//!
 //! The compressed-operator generation ([`assemble_hierarchical`]) and the
 //! point-collocation matrix ([`assemble_collocation`]) follow the same
 //! rule: one pooled body, its rows split by `row_ranges`.
@@ -48,7 +66,7 @@
 use std::ops::Range;
 use std::time::Instant;
 
-use layerbem_geometry::{ElementRowMap, Mesh};
+use layerbem_geometry::{ElementRowMap, Mesh, Point3};
 use layerbem_numeric::{CompressionStats, SymMatrix};
 use layerbem_parfor::{ExecutionStats, Schedule, ThreadPool};
 
@@ -58,6 +76,7 @@ use crate::kernel::{KernelBatch, KernelCost, SoilKernel};
 
 mod collocation;
 mod hierarchical;
+mod memo;
 pub mod worklist;
 
 #[cfg(test)]
@@ -67,6 +86,7 @@ pub use collocation::assemble_collocation;
 pub use hierarchical::{
     assemble_hierarchical, HierarchicalReport, DEFAULT_ADMISSIBILITY, MAX_FAR_RANK,
 };
+use memo::{PairMemo, PairShapes};
 use worklist::PairWorklist;
 
 /// What matrix generation cost: the one record every assembler
@@ -90,11 +110,22 @@ pub struct AssemblyCost {
     /// assemblies and the edit re-integration are kernel-dominated with
     /// no finer attribution, so they report their full wall time.
     pub kernel_seconds: f64,
-    /// Series terms consumed and batched-lane points/slots issued.
-    /// Attributed to the partition owning each pair's highest target row,
-    /// so the counts are identical across engines, schedules and thread
+    /// Series terms and batched-lane points/slots of the blocks the
+    /// result embodies. Attributed to the partition owning each pair's
+    /// highest target row, and charged on memo hits as on kernel runs, so
+    /// the counts are identical across engines, schedules and thread
     /// counts.
     pub kernel: KernelCost,
+    /// Pairs the generation placed a block for: the triangle's
+    /// `M(M+1)/2` for a dense Galerkin assembly; the near pairs plus the
+    /// far blocks' sampled pairs for the hierarchical one; the
+    /// re-integrated pairs of an edit. 0 for collocation, whose unit is
+    /// the row.
+    pub pairs: usize,
+    /// Of those, the pairs whose kernel ran (a boundary pair recomputed
+    /// by several partitions counts once per run); every other pair was
+    /// a memo hit.
+    pub pairs_evaluated: usize,
     /// Compression accounting of the generated operator: `Some` for the
     /// hierarchical backend, `None` for the dense engines — and for a
     /// sum over several assemblies, which describes no single operator.
@@ -120,6 +151,8 @@ impl std::ops::AddAssign for AssemblyCost {
         self.seconds += other.seconds;
         self.kernel_seconds += other.kernel_seconds;
         self.kernel += other.kernel;
+        self.pairs += other.pairs;
+        self.pairs_evaluated += other.pairs_evaluated;
     }
 }
 
@@ -131,8 +164,10 @@ pub struct AssemblyReport {
     /// Galerkin right-hand side `ν_j = ∫ w_j dΓ` for unit GPR.
     pub rhs: Vec<f64>,
     /// Wall-clock seconds spent computing each outer column (meaningful
-    /// at one thread; these feed the schedule simulator as the authentic
-    /// task-cost profile of the triangular loop).
+    /// at one thread). Not the paper's task profile: under the pair memo
+    /// a column's time depends on what earlier columns left in the table,
+    /// so the reproduction tables take theirs from the staged harness
+    /// (`crates/bench/src/staged.rs`, no memo) or from `column_terms`.
     pub column_seconds: Vec<f64>,
     /// Series terms consumed per outer column — a deterministic,
     /// machine-independent cost proxy for the same profile.
@@ -216,18 +251,46 @@ fn endpoint_separation(a: &ElementGeom, b: &ElementGeom) -> f64 {
         .min(sb.distance_to_point(a.b))
 }
 
-/// The point-at-a-time oracle of [`pair_block`]: the same elemental matrix
-/// with every surface point evaluated on its own through
-/// [`SoilKernel::element_potential`], returning the block and the series
-/// terms consumed. No engine calls it; the tests compare the lane kernel
-/// against it pair by pair (the two agree to the series tolerance, not
-/// bitwise — lane `ln`, shared series stop).
+/// The pair in its own horizontal frame: the origin is `alpha`'s first
+/// node in x and y, depth is untouched. Every coordinate of the result is
+/// computed from the bits of the memo key alone — `Δ = β.a − α.a` in x
+/// and y, and each element's `(b − a)ₓ`, `(b − a)ᵧ`, `a_z`, `b_z` and
+/// radius — so whatever is integrated from it is a pure function of that
+/// key: `β' = (Δ, β.a_z) → (Δ + (β.b − β.a)ₓᵧ, β.b_z)` and
+/// `α' = (0, 0, α.a_z) → ((α.b − α.a)ₓᵧ, α.b_z)`.
+fn pair_frame(beta: &ElementGeom, alpha: &ElementGeom) -> (ElementGeom, ElementGeom) {
+    let dx = beta.a.x - alpha.a.x;
+    let dy = beta.a.y - alpha.a.y;
+    let field = ElementGeom::new(
+        Point3::new(dx, dy, beta.a.z),
+        Point3::new(
+            dx + (beta.b.x - beta.a.x),
+            dy + (beta.b.y - beta.a.y),
+            beta.b.z,
+        ),
+        beta.radius,
+    );
+    let source = ElementGeom::new(
+        Point3::new(0.0, 0.0, alpha.a.z),
+        Point3::new(alpha.b.x - alpha.a.x, alpha.b.y - alpha.a.y, alpha.b.z),
+        alpha.radius,
+    );
+    (field, source)
+}
+
+/// The point-at-a-time oracle of [`pair_block`]: the same elemental matrix,
+/// in the same pair frame, with every surface point evaluated on its own
+/// through [`SoilKernel::element_potential`], returning the block and the
+/// series terms consumed. No engine calls it; the tests compare the lane
+/// kernel against it pair by pair (the two agree to the series tolerance,
+/// not bitwise — lane `ln`, shared series stop).
 pub fn pair_block_scalar(
     beta: &ElementGeom,
     alpha: &ElementGeom,
     kernel: &SoilKernel,
     quad: &OuterQuadrature,
 ) -> (Block, usize) {
+    let (beta, alpha) = &pair_frame(beta, alpha);
     let mut b: Block = [[0.0; 2]; 2];
     let mut terms = 0usize;
     let len = beta.length;
@@ -255,6 +318,18 @@ pub fn pair_block_scalar(
 /// Computes the elemental matrix for field element `beta` against source
 /// element `alpha` — the pair-block computation every engine calls.
 ///
+/// The pair is integrated in its own horizontal frame (`pair_frame`):
+/// the origin is `alpha`'s first node in x and y, and depth is
+/// untouched. A layered soil's image series does not change under a
+/// horizontal translation, so this is the same integral; computed this
+/// way, the block — bits and [`KernelCost`] — is a pure function of the
+/// pair's shape key (the shapes of both elements and the bits of their
+/// offset), which is what lets the worklist engines look it up in a
+/// bounded per-partition memo (`PairMemo`, 2 048 entries, a private
+/// constant) instead of integrating a congruent pair again. Every other
+/// caller — edit re-integration, the ACA sampler, the staged harness, the
+/// test oracles — gets the same frame, so all of them see the same bits.
+///
 /// Gathers **all** `2q` surface points of the pair (both antipodal
 /// azimuths of every outer quadrature point) into one [`KernelBatch`] and
 /// evaluates the source element against them in a single
@@ -272,6 +347,7 @@ pub fn pair_block(
     quad: &OuterQuadrature,
     batch: &mut KernelBatch,
 ) -> (Block, KernelCost) {
+    let (beta, alpha) = &pair_frame(beta, alpha);
     let mut b: Block = [[0.0; 2]; 2];
     let len = beta.length;
     let rule = quad.select(beta, alpha);
@@ -370,8 +446,9 @@ struct WorklistPart<'a> {
     /// (worklist runs arrive in sequential pair order, so a plain
     /// append-or-accumulate keeps this sorted).
     cols: Vec<(u32, u64, f64)>,
-    /// Kernel cost of the pairs attributed to this partition.
-    cost: KernelCost,
+    /// Kernel cost and count of the pairs attributed to this partition,
+    /// and the count of pairs whose kernel it ran (attributed or not).
+    cost: AssemblyCost,
 }
 
 /// Galerkin right-hand side for unit GPR: `ν_p = Σ_{e ∋ p} L_e / 2`.
@@ -403,11 +480,28 @@ pub fn galerkin_rhs(mesh: &Mesh) -> Vec<f64> {
 /// always computes it), so `column_terms` sums to exactly the sequential
 /// count even when a boundary pair is recomputed by several partitions.
 ///
+/// Each partition looks every pair up in its own bounded `PairMemo`
+/// before it runs the kernel: a congruent pair it has already integrated
+/// costs a table lookup, and the stored block is the bits the kernel
+/// would have returned ([`pair_block`]'s frame), so none of the above
+/// changes. `cost.pairs_evaluated` counts the kernel runs.
+///
 /// The worklist pre-pass runs on the pool when the pool has more than one
 /// thread and the mesh has at least [`POOLED_PREPASS_MIN_ELEMENTS`]
 /// elements; otherwise the serial build is faster than the pooled
 /// dispatch it would replace.
 pub fn assemble_galerkin(mesh: &Mesh, kernel: &SoilKernel, opts: &SolveOptions) -> AssemblyReport {
+    assemble_galerkin_memo(mesh, kernel, opts, PairMemo::new)
+}
+
+/// [`assemble_galerkin`] with each partition's memo made by `new_memo`:
+/// the tests run the engine on a one-entry table.
+fn assemble_galerkin_memo(
+    mesh: &Mesh,
+    kernel: &SoilKernel,
+    opts: &SolveOptions,
+    new_memo: fn() -> PairMemo,
+) -> AssemblyReport {
     let t0 = Instant::now();
     let geoms = element_geoms(mesh);
     let quad = OuterQuadrature::default();
@@ -453,11 +547,12 @@ pub fn assemble_galerkin(mesh: &Mesh, kernel: &SoilKernel, opts: &SolveOptions) 
             // Sized up front: a growing vector's abandoned buffers were
             // enough to raise peak RSS when two assemblies run side by side.
             cols: Vec::with_capacity(work.runs().len()),
-            cost: KernelCost::default(),
+            cost: AssemblyCost::default(),
         })
         .collect();
 
     let map_ref = &map;
+    let shapes = PairShapes::new(&geoms, kernel, &quad);
     let stats = pool.scoped_partition(
         &mut parts,
         dispatch_schedule.partition_dispatch(),
@@ -468,10 +563,12 @@ pub fn assemble_galerkin(mesh: &Mesh, kernel: &SoilKernel, opts: &SolveOptions) 
                 cols,
                 cost,
             } = part;
-            // The kernel scratch is a local, not a partition field: behind
-            // a field the optimizer loses track of its aliasing, and the
-            // one-thread assembly measured 5–10 % slower.
+            // The kernel scratch and the memo are locals, not partition
+            // fields: behind a field the optimizer loses track of the
+            // batch's aliasing, and the one-thread assembly measured
+            // 5–10 % slower.
             let mut batch = KernelBatch::new();
+            let mut memo = new_memo();
             let rows = view.rows();
             for run in work.runs() {
                 let beta = run.beta as usize;
@@ -480,7 +577,8 @@ pub fn assemble_galerkin(mesh: &Mesh, kernel: &SoilKernel, opts: &SolveOptions) 
                 let mut run_cost = KernelCost::default();
                 for alpha in run.alphas() {
                     let na = map_ref.element_nodes(alpha);
-                    let (b, c) = pair_block(&geoms[beta], &geoms[alpha], kernel, &quad, &mut batch);
+                    let (b, c, evaluated) = memo.block(&shapes, beta, alpha, &mut batch);
+                    cost.pairs_evaluated += usize::from(evaluated);
                     scatter_pair(nb, na, alpha == beta, &b, &mut |p, q, v| {
                         if view.owns(p, q) {
                             view.add(p, q, v);
@@ -488,6 +586,7 @@ pub fn assemble_galerkin(mesh: &Mesh, kernel: &SoilKernel, opts: &SolveOptions) 
                     });
                     if rows.contains(&map_ref.pair_hi(beta, alpha)) {
                         run_cost += c;
+                        cost.pairs += 1;
                     }
                 }
                 let seconds = t0.elapsed().as_secs_f64();
@@ -498,18 +597,18 @@ pub fn assemble_galerkin(mesh: &Mesh, kernel: &SoilKernel, opts: &SolveOptions) 
                     }
                     _ => cols.push((run.beta, run_cost.terms, seconds)),
                 }
-                *cost += run_cost;
+                cost.kernel += run_cost;
             }
         },
     );
 
-    let mut kernel_cost = KernelCost::default();
+    let mut cost = AssemblyCost::default();
     for part in &parts {
         for &(beta, terms, seconds) in &part.cols {
             column_terms[beta as usize] += terms;
             column_seconds[beta as usize] += seconds;
         }
-        kernel_cost += part.cost;
+        cost += part.cost;
     }
     drop(parts);
     AssemblyReport {
@@ -519,8 +618,7 @@ pub fn assemble_galerkin(mesh: &Mesh, kernel: &SoilKernel, opts: &SolveOptions) 
             assemblies: 1,
             seconds: t0.elapsed().as_secs_f64(),
             kernel_seconds: column_seconds.iter().sum(),
-            kernel: kernel_cost,
-            compression: None,
+            ..cost
         },
         column_seconds,
         column_terms,

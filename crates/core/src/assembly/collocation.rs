@@ -117,7 +117,7 @@ pub fn assemble_collocation(
         seconds,
         kernel_seconds: seconds,
         kernel: cost,
-        compression: None,
+        ..AssemblyCost::default()
     };
     (c, vec![1.0; n], cost)
 }

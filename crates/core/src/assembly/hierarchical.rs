@@ -8,6 +8,7 @@ use layerbem_geometry::{ClusterTree, ElementRowMap, Mesh};
 use layerbem_numeric::{aca_sampled, AcaError, FarBlock, HMatrix, MatrixSampler, SparseSym};
 use layerbem_parfor::ExecutionStats;
 
+use super::memo::{PairMemo, PairShapes};
 use super::worklist::{self, PairWorklist};
 use super::{
     element_geoms, galerkin_rhs, pair_block, row_ranges, scatter_pair, AssemblyCost, Block,
@@ -15,7 +16,7 @@ use super::{
 };
 use crate::formulation::SolveOptions;
 use crate::integration::ElementGeom;
-use crate::kernel::{KernelBatch, KernelCost, SoilKernel};
+use crate::kernel::{KernelBatch, SoilKernel};
 
 /// Admissibility parameter `η` of the hierarchical backend's cluster-pair
 /// partition: a cluster pair is compressed when `max(diam) ≤ η · dist`.
@@ -42,7 +43,8 @@ pub struct HierarchicalReport {
     /// Galerkin right-hand side (identical to the dense path's).
     pub rhs: Vec<f64>,
     /// What the generation cost. `cost.kernel` counts every near pair
-    /// plus every pair block the ACA row/column sampling evaluated (each
+    /// (memo hits charged their stored cost, as in the dense engine) plus
+    /// every pair block the ACA row/column sampling evaluated (each
     /// sampled pair block once per evaluation; the samplers memoize the
     /// immediately repeated pair within a fill) — a bulk count, because
     /// far work is organized by cluster block, not by triangle column, so
@@ -97,7 +99,8 @@ struct FarSampler<'a> {
     quad: &'a OuterQuadrature,
     /// Last `(lo, hi)` pair block computed — the repeat memo.
     memo: Option<((usize, usize), Block)>,
-    cost: KernelCost,
+    /// The kernel cost and count of the pair blocks computed.
+    cost: AssemblyCost,
     batch: KernelBatch,
 }
 
@@ -115,7 +118,9 @@ impl FarSampler<'_> {
             self.quad,
             &mut self.batch,
         );
-        self.cost += c;
+        self.cost.kernel += c;
+        self.cost.pairs += 1;
+        self.cost.pairs_evaluated += 1;
         self.memo = Some(((lo, hi), blk));
         blk
     }
@@ -186,8 +191,9 @@ impl MatrixSampler for FarSampler<'_> {
 ///
 /// On `opts.parallelism`'s pool, the near field is assembled by the same
 /// row-partitioned worklist engine as the dense assembler (restricted to
-/// the near pairs, its rows split by `row_ranges` — bit-identical across
-/// schedules and thread counts) and the far blocks are compressed
+/// the near pairs, its rows split by `row_ranges`, each partition with
+/// its own `PairMemo` — bit-identical across schedules and thread
+/// counts) and the far blocks are compressed
 /// concurrently (each block is an independent, deterministic ACA run, so
 /// the result does not depend on who computed it). At one thread both
 /// regions run inline: one near partition walking the near pairs in
@@ -240,7 +246,7 @@ pub fn assemble_hierarchical(
     struct NearPart<'a> {
         view: layerbem_numeric::SparseSymRowsMut<'a>,
         work: &'a PairWorklist,
-        cost: KernelCost,
+        cost: AssemblyCost,
     }
     let mut nparts: Vec<NearPart> = near
         .partition_rows(&ranges)
@@ -249,33 +255,37 @@ pub fn assemble_hierarchical(
         .map(|(view, work)| NearPart {
             view,
             work,
-            cost: KernelCost::default(),
+            cost: AssemblyCost::default(),
         })
         .collect();
     let map_ref = &map;
+    let shapes = PairShapes::new(&geoms, kernel, &quad);
     let stats = par
         .pool
         .scoped_partition(&mut nparts, dispatch.partition_dispatch(), |_, part| {
             let NearPart { view, work, cost } = part;
             let mut batch = KernelBatch::new();
+            let mut memo = PairMemo::new();
             let rows = view.rows();
             for (beta, alpha) in work.pairs() {
                 let nb = map_ref.element_nodes(beta);
                 let na = map_ref.element_nodes(alpha);
-                let (blk, c) = pair_block(&geoms[beta], &geoms[alpha], kernel, &quad, &mut batch);
+                let (blk, c, evaluated) = memo.block(&shapes, beta, alpha, &mut batch);
+                cost.pairs_evaluated += usize::from(evaluated);
                 scatter_pair(nb, na, alpha == beta, &blk, &mut |p, q, v| {
                     if view.owns(p, q) {
                         view.add(p, q, v);
                     }
                 });
                 if rows.contains(&map_ref.pair_hi(beta, alpha)) {
-                    *cost += c;
+                    cost.kernel += c;
+                    cost.pairs += 1;
                 }
             }
         });
-    let mut kernel_cost = KernelCost::default();
+    let mut cost = AssemblyCost::default();
     for p in &nparts {
-        kernel_cost += p.cost;
+        cost += p.cost;
     }
     drop(nparts);
 
@@ -286,7 +296,7 @@ pub fn assemble_hierarchical(
     let geoms_ref = &geoms;
     let quad_ref = &quad;
     let tree_ref = &tree;
-    let compress = |&(s, t): &(usize, usize)| -> Result<(FarBlock, KernelCost), AcaError> {
+    let compress = |&(s, t): &(usize, usize)| -> Result<(FarBlock, AssemblyCost), AcaError> {
         let rows = tree_ref.cluster_rows(s, map_ref);
         let cols = tree_ref.cluster_rows(t, map_ref);
         let row_members = cluster_members(tree_ref.elements(s), &rows, map_ref);
@@ -298,7 +308,7 @@ pub fn assemble_hierarchical(
             kernel,
             quad: quad_ref,
             memo: None,
-            cost: KernelCost::default(),
+            cost: AssemblyCost::default(),
             batch: KernelBatch::new(),
         };
         let factors = aca_sampled(&mut sampler, tol, MAX_FAR_RANK)?;
@@ -312,7 +322,7 @@ pub fn assemble_hierarchical(
         ))
     };
     let far_pairs = &parts.far;
-    let mut results: Vec<Option<Result<(FarBlock, KernelCost), AcaError>>> =
+    let mut results: Vec<Option<Result<(FarBlock, AssemblyCost), AcaError>>> =
         vec![None; far_pairs.len()];
     par.pool.parallel_fill(&mut results, par.schedule, |k| {
         Some(compress(&far_pairs[k]))
@@ -320,7 +330,7 @@ pub fn assemble_hierarchical(
     let mut far_blocks = Vec::with_capacity(results.len());
     for r in results {
         let (fb, c) = r.expect("parallel_fill fills every slot")?;
-        kernel_cost += c;
+        cost += c;
         far_blocks.push(fb);
     }
 
@@ -332,8 +342,8 @@ pub fn assemble_hierarchical(
             assemblies: 1,
             seconds,
             kernel_seconds: seconds,
-            kernel: kernel_cost,
             compression: Some(operator.compression_stats()),
+            ..cost
         },
         operator,
         rhs,

@@ -410,7 +410,8 @@ impl Study {
                 "incremental editing supports the Cholesky and conjugate-gradient solvers",
             ));
         }
-        let (mut study, matrix) = Study::from_galerkin(opts, Cow::Owned(system.assemble()), true)?;
+        let report = Cow::Owned(system.assemble());
+        let (mut study, matrix) = Study::from_galerkin(opts, system.kernel(), report, true)?;
         study.edit = Some(Box::new(EditState {
             mesh: system.mesh().clone(),
             kernel: system.kernel().clone(),
@@ -569,6 +570,8 @@ impl Study {
             seconds: reintegrate_seconds,
             kernel_seconds: reintegrate_seconds,
             kernel: kernel_cost,
+            pairs: pairs_evaluated,
+            pairs_evaluated,
             ..AssemblyCost::default()
         };
 
@@ -686,7 +689,7 @@ impl Study {
         let reintegrate_seconds = report.cost.seconds;
         let retain = es.matrix.is_some();
         let (mut rebuilt, matrix) =
-            match Study::from_galerkin(self.opts, Cow::Owned(report), retain) {
+            match Study::from_galerkin(self.opts, &es.kernel, Cow::Owned(report), retain) {
                 Ok(built) => built,
                 Err(e) => {
                     self.edit = Some(es);

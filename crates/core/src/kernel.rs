@@ -111,15 +111,29 @@ impl KernelBatch {
 /// mirror-folded image list, so it counts half as many). `lane_points` /
 /// `lane_slots` measure lane occupancy of the batched path: points
 /// actually computed versus 4-wide-lane slots issued (padded remainder
-/// chunks included).
+/// chunks included). `capped_series` counts the collective series that
+/// reached [`SeriesOptions::max_terms`] before their stopping rule fired:
+/// their values are truncated, and
+/// [`GroundingSystem::prepare`](crate::system::GroundingSystem::prepare)
+/// refuses a study whose assembly counted any.
+///
+/// A pair block's record is a pure function of the pair (its key in the
+/// assembly's memo), so the Galerkin engines charge a memo hit the stored
+/// record of the block's class: the counts are those of the matrix the
+/// generation *embodies*, identical to the double loop's whichever pairs
+/// the kernel actually re-ran ([`AssemblyCost::pairs_evaluated`](crate::assembly::AssemblyCost::pairs_evaluated)
+/// says how many did).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct KernelCost {
-    /// Series terms / kernel evaluations consumed.
+    /// Series terms / kernel evaluations the result embodies.
     pub terms: u64,
     /// Field-point evaluations routed through the lane kernels.
     pub lane_points: u64,
     /// 4-wide-lane slots issued for those evaluations (≥ `lane_points`).
     pub lane_slots: u64,
+    /// Collective series stopped by the group cap instead of the
+    /// tolerance.
+    pub capped_series: u64,
 }
 
 impl KernelCost {
@@ -137,6 +151,7 @@ impl std::ops::AddAssign for KernelCost {
         self.terms += other.terms;
         self.lane_points += other.lane_points;
         self.lane_slots += other.lane_slots;
+        self.capped_series += other.capped_series;
     }
 }
 
@@ -466,6 +481,17 @@ impl SoilKernel {
         }
     }
 
+    /// The two-layer reflection ratio κ (0 for the other strategies,
+    /// whose series never reach the cap) and the group cap of every
+    /// series: what a refusal of a capped assembly names.
+    pub(crate) fn series_limits(&self) -> (f64, usize) {
+        let kappa = match &self.strategy {
+            Strategy::TwoLayer { kappa, .. } => *kappa,
+            _ => 0.0,
+        };
+        (kappa, self.opts.max_terms)
+    }
+
     /// Typical series length per kernel evaluation (cost-model hook).
     pub fn typical_terms(&self) -> usize {
         match &self.strategy {
@@ -619,7 +645,7 @@ fn image_series_batch(
     // ground and take the full list.
     let on_surface = zs.iter().all(|&z| z == 0.0);
     let mut images: Vec<Image> = Vec::new();
-    engine.run(
+    let (_, converged) = engine.run(
         2 * npts,
         |n, buf| {
             if on_surface {
@@ -699,6 +725,7 @@ fn image_series_batch(
         },
         opts,
     );
+    cost.capped_series += u64::from(!converged);
     for j in 0..npts {
         sink(j, engine.value(j), engine.value(npts + j));
     }

@@ -71,6 +71,7 @@ use crate::assembly::{
     assemble_collocation, assemble_hierarchical, galerkin_rhs, AssemblyCost, AssemblyReport,
 };
 use crate::formulation::{Formulation, OperatorBackend, SolveOptions, SolverChoice};
+use crate::kernel::SoilKernel;
 use crate::system::{GroundingSolution, GroundingSystem};
 
 /// One question asked of a prepared grounding system.
@@ -157,6 +158,16 @@ pub enum PrepareError {
     /// formulation/solver combination (the hierarchical backend serves
     /// the Galerkin formulation with the conjugate-gradient solver only).
     UnsupportedBackend(&'static str),
+    /// Some image series of the assembly reached its group cap before
+    /// its tolerance: the layers' contrast (|κ| close to 1) is too strong
+    /// for the series kernel, and the truncated potentials would come out
+    /// percent-level low without a word.
+    SeriesCap {
+        /// The soil's reflection ratio κ = (γ₁ − γ₂)/(γ₁ + γ₂).
+        kappa: f64,
+        /// The group cap every series stops at.
+        max_terms: usize,
+    },
 }
 
 impl std::fmt::Display for PrepareError {
@@ -170,6 +181,11 @@ impl std::fmt::Display for PrepareError {
             PrepareError::UnsupportedBackend(why) => {
                 write!(f, "unsupported operator backend: {why}")
             }
+            PrepareError::SeriesCap { kappa, max_terms } => write!(
+                f,
+                "the image series does not converge within {max_terms} groups \
+                 (reflection ratio κ = {kappa}): the layer contrast is too strong"
+            ),
         }
     }
 }
@@ -376,7 +392,8 @@ impl Study {
         let opts = *system.options();
         match (opts.formulation, opts.backend) {
             (Formulation::Galerkin, OperatorBackend::Dense) => {
-                Study::from_galerkin(opts, Cow::Owned(system.assemble()), false).map(|(s, _)| s)
+                Study::from_galerkin(opts, system.kernel(), Cow::Owned(system.assemble()), false)
+                    .map(|(s, _)| s)
             }
             (Formulation::Galerkin, OperatorBackend::Hierarchical { tol, leaf_size }) => {
                 // The compressed operator cannot be factorized, so the
@@ -390,14 +407,22 @@ impl Study {
                 let rep =
                     assemble_hierarchical(system.mesh(), system.kernel(), &opts, tol, leaf_size)?;
                 let columns = (Vec::new(), Vec::new());
-                Study::assembled(opts, rep.cost, rep.rhs.clone(), rep.rhs, columns, || {
-                    Ok((Engine::Hierarchical(rep.operator), 0))
-                })
+                let kernel = system.kernel();
+                Study::assembled(
+                    opts,
+                    kernel,
+                    rep.cost,
+                    rep.rhs.clone(),
+                    rep.rhs,
+                    columns,
+                    || Ok((Engine::Hierarchical(rep.operator), 0)),
+                )
             }
             (Formulation::Collocation, OperatorBackend::Dense) => {
                 let (c, rhs, cost) = assemble_collocation(system.mesh(), system.kernel(), &opts);
                 let nu = galerkin_rhs(system.mesh());
-                Study::assembled(opts, cost, rhs, nu, (Vec::new(), Vec::new()), || {
+                let columns = (Vec::new(), Vec::new());
+                Study::assembled(opts, system.kernel(), cost, rhs, nu, columns, || {
                     let par = &opts.parallelism;
                     let lu = LuFactor::factor_in_place(c, &par.pool, par.schedule)?;
                     Ok((Engine::Lu(lu), 1))
@@ -413,15 +438,22 @@ impl Study {
 
     /// The one way an assembled operator becomes a `Study`: `factor`
     /// builds the retained engine (and counts its factorizations), timed
-    /// here; `columns` is the per-column `(seconds, terms)` profile.
+    /// here; `columns` is the per-column `(seconds, terms)` profile. An
+    /// assembly that capped a series of `kernel` is refused here, before
+    /// anything is factorized.
     fn assembled(
         opts: SolveOptions,
+        kernel: &SoilKernel,
         cost: AssemblyCost,
         rhs: Vec<f64>,
         nu: Vec<f64>,
         columns: (Vec<f64>, Vec<u64>),
         factor: impl FnOnce() -> Result<(Engine, usize), PrepareError>,
     ) -> Result<Study, PrepareError> {
+        if cost.kernel.capped_series > 0 {
+            let (kappa, max_terms) = kernel.series_limits();
+            return Err(PrepareError::SeriesCap { kappa, max_terms });
+        }
         let t = Instant::now();
         let (engine, factorizations) = factor()?;
         Ok(Study {
@@ -451,6 +483,7 @@ impl Study {
     /// engine owns the operator itself: `None`).
     pub(crate) fn from_galerkin(
         opts: SolveOptions,
+        kernel: &SoilKernel,
         report: Cow<'_, AssemblyReport>,
         retain: bool,
     ) -> Result<(Study, Option<SymMatrix>), PrepareError> {
@@ -470,7 +503,7 @@ impl Study {
         };
         let retain = retain && opts.solver != SolverChoice::ConjugateGradient;
         let mut retained = None;
-        let study = Study::assembled(opts, cost, rhs.clone(), rhs, columns, || {
+        let study = Study::assembled(opts, kernel, cost, rhs.clone(), rhs, columns, || {
             if retain {
                 let built = Study::galerkin_engine(&opts, Cow::Borrowed(&*matrix))?;
                 retained = Some(matrix.into_owned());
@@ -788,6 +821,30 @@ mod tests {
     }
 
     #[test]
+    fn a_capped_image_series_is_a_typed_refusal() {
+        // γ₁/γ₂ = 1e-4 and 1e4: |κ| ≈ 0.9998, so the image series would
+        // need ~10⁵ groups; each one stops at the cap instead, and the
+        // potentials would come out percent-level low.
+        for (g1, g2) in [(1e-4, 1.0), (1.0, 1e-4)] {
+            let soil = SoilModel::two_layer(g1, g2, 1.0);
+            let sys = GroundingSystem::new(rod_mesh(1), &soil, SolveOptions::default());
+            let want = PrepareError::SeriesCap {
+                kappa: soil.reflection_ratio(),
+                max_terms: layerbem_soil::default_series_options().max_terms,
+            };
+            let err = sys.prepare().expect_err("capped series");
+            assert_eq!(err, want);
+            assert!(err.to_string().contains("within 4000 groups"), "{err}");
+            assert_eq!(sys.prepare_editable().err(), Some(want));
+        }
+        // The paper's soils stop far inside the cap.
+        let paper = SoilModel::two_layer(0.005, 0.016, 1.0);
+        let sys = GroundingSystem::new(rod_mesh(2), &paper, SolveOptions::default());
+        let study = sys.prepare().expect("prepares");
+        assert_eq!(study.profile().assembly.kernel.capped_series, 0);
+    }
+
+    #[test]
     fn staged_solutions_match_legacy_solves_bitwise() {
         let scenarios: Vec<Scenario> = (1..=32)
             .map(|i| match i % 3 {
@@ -849,13 +906,20 @@ mod tests {
         // converges to −A⁻¹ν, whose total current is negative — a
         // deterministic failure of the unit solve.
         let opts = SolveOptions::default();
-        let report =
-            GroundingSystem::new(rod_mesh(24), &SoilModel::uniform(0.016), opts).assemble();
+        let system = GroundingSystem::new(rod_mesh(24), &SoilModel::uniform(0.016), opts);
+        let report = system.assemble();
         let negated = report.rhs.iter().map(|v| -v).collect();
         let columns = (Vec::new(), Vec::new());
-        let study = Study::assembled(opts, report.cost, negated, report.rhs, columns, || {
-            Ok((Engine::Pcg(report.matrix), 0))
-        })
+        let kernel = system.kernel();
+        let study = Study::assembled(
+            opts,
+            kernel,
+            report.cost,
+            negated,
+            report.rhs,
+            columns,
+            || Ok((Engine::Pcg(report.matrix), 0)),
+        )
         .expect("prepare");
         let first = study
             .solve(&Scenario::gpr(1.0))

@@ -144,7 +144,8 @@ impl GroundingSystem {
     /// (retaining a copy of what it needs). The report is treated as a
     /// Galerkin system regardless of [`SolveOptions::formulation`].
     pub fn prepare_assembled(&self, report: &AssemblyReport) -> Result<Study, PrepareError> {
-        Study::from_galerkin(self.opts, std::borrow::Cow::Borrowed(report), false).map(|(s, _)| s)
+        let report = std::borrow::Cow::Borrowed(report);
+        Study::from_galerkin(self.opts, &self.kernel, report, false).map(|(s, _)| s)
     }
 }
 

@@ -709,6 +709,19 @@ mod tests {
         );
     }
 
+    #[test]
+    fn a_soil_the_image_series_cannot_sum_is_a_prepare_error() {
+        let s = service();
+        let deck = "soil two-layer 0.0001 1.0 1.0\nrod 0 0 0.5 3 0.007\n";
+        let reply = s.handle_line(&solve_line(deck));
+        assert_eq!(error_kind(&reply), "prepare");
+        assert!(reply.contains("within 4000 groups"), "{reply}");
+        // The paper's Barberá soil on the same rod still prepares.
+        let paper = "soil two-layer 0.005 0.016 1.0\nrod 0 0 0.5 3 0.007\n";
+        let v = Json::parse(&s.handle_line(&solve_line(paper))).unwrap();
+        assert_eq!(v.get("ok").and_then(Json::as_bool), Some(true));
+    }
+
     const BAD_DRIVE: &str =
         r#"{"op":"solve","deck":"rod 0 0 0.5 2 0.01\n","scenarios":[{"kind":"gpr","value":-1}]}"#;
 

@@ -47,10 +47,19 @@ fn main() {
         );
     }
 
-    // --- Simulated Origin-2000-style scaling from measured costs. --------
+    // --- Simulated Origin-2000-style scaling from the column profile. ---
+    // Series terms per column give the tasks' shape: they count every
+    // pair the paper's loop integrates, where the engine's column seconds
+    // shrink for the pairs its memo already holds. Scaled to the measured
+    // kernel seconds, so the simulator's overheads keep their unit.
     println!("\nmeasuring sequential per-column costs for the simulator…");
     let report = system.assemble();
-    let costs = report.column_seconds.clone();
+    let per_term = report.cost.kernel_seconds / report.total_terms() as f64;
+    let costs: Vec<f64> = report
+        .column_terms
+        .iter()
+        .map(|&t| t as f64 * per_term)
+        .collect();
     let m = costs.len();
     println!(
         "  {} columns, total {:.2} s (column sizes decrease linearly — the\n\
