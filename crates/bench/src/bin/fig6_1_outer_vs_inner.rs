@@ -25,14 +25,13 @@ fn main() {
     println!("Measuring per-column costs of the Barberá two-layer assembly ({m} columns)…");
     let kernel = SoilKernel::new(&soils::barbera_two_layer());
     let one = ThreadPool::new(1);
-    let report = assemble_staged(
+    let (_, outer_costs) = assemble_staged(
         &mesh,
         &kernel,
         &one,
         Schedule::dynamic(1),
         StagedLoop::Outer,
     );
-    let outer_costs = report.column_seconds;
     let total: f64 = outer_costs.iter().sum();
     println!("sequential matrix generation: {total:.2} s over {m} columns\n");
 

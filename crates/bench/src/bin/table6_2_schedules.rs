@@ -26,14 +26,13 @@ fn main() {
     );
     let kernel = SoilKernel::new(&soils::barbera_two_layer());
     let one = ThreadPool::new(1);
-    let report = assemble_staged(
+    let (_, costs) = assemble_staged(
         &mesh,
         &kernel,
         &one,
         Schedule::dynamic(1),
         StagedLoop::Outer,
     );
-    let costs = report.column_seconds;
     println!(
         "sequential matrix generation: {:.2} s\n",
         costs.iter().sum::<f64>()

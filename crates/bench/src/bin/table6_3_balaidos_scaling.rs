@@ -42,8 +42,7 @@ fn main() {
         assert_eq!(label, plabel);
         let kernel = SoilKernel::new(&soil);
         let one = ThreadPool::new(1);
-        let report = assemble_staged(&mesh, &kernel, &one, schedule, StagedLoop::Outer);
-        let costs = report.column_seconds;
+        let (_, costs) = assemble_staged(&mesh, &kernel, &one, schedule, StagedLoop::Outer);
         let seq: f64 = costs.iter().sum();
         let mut row = vec![label.to_string()];
         for (i, &p) in procs.iter().enumerate() {

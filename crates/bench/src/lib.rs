@@ -171,7 +171,7 @@ pub fn write_artifact(name: &str, content: &str) -> PathBuf {
 pub struct BenchRecord {
     /// Grid label (`tiny 2x2 yard`, `Barbera`, …).
     pub grid: String,
-    /// Assembly mode label (`sequential`, `worklist`, `staged-outer`, …).
+    /// Assembly mode label (`sequential`, `class-first`, `staged-outer`, …).
     pub mode: String,
     /// Schedule label in the paper's notation (`Dynamic,1`, …).
     pub schedule: String,
@@ -283,13 +283,20 @@ mod tests {
     #[test]
     fn bench_records_render_as_json_rows() {
         let rows = vec![
-            BenchRecord::new("tiny 2x2 yard", "worklist", "Dynamic,1", 4, 0.012345, 98765),
+            BenchRecord::new(
+                "tiny 2x2 yard",
+                "class-first",
+                "Dynamic,1",
+                4,
+                0.012345,
+                98765,
+            ),
             BenchRecord::new("tiny \"q\" yard", "staged-outer", "Static", 1, 1.5, 7),
         ];
         let json = bench_records_json(&rows);
         assert!(json.starts_with("[\n"));
         assert!(json.trim_end().ends_with(']'));
-        assert!(json.contains("\"mode\":\"worklist\""));
+        assert!(json.contains("\"mode\":\"class-first\""));
         assert!(json.contains("\"threads\":4"));
         assert!(json.contains("\"wall_seconds\":0.012345"));
         assert!(json.contains("\"series_terms\":98765"));

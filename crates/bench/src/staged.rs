@@ -44,16 +44,18 @@ struct Column {
     seconds: f64,
 }
 
-/// Runs the staged scheme on `pool` under `schedule`. The pool is
-/// explicit, not a `SolveOptions` field, because the paper's measurement
-/// pairs this parallel assembly with a serial solve.
+/// Runs the staged scheme on `pool` under `schedule`, returning the
+/// report and the wall seconds stage 1 spent on each column — the task
+/// profile the schedule simulator replays. The pool is explicit, not a
+/// `SolveOptions` field, because the paper's measurement pairs this
+/// parallel assembly with a serial solve.
 pub fn assemble_staged(
     mesh: &Mesh,
     kernel: &SoilKernel,
     pool: &ThreadPool,
     schedule: Schedule,
     staged_loop: StagedLoop,
-) -> AssemblyReport {
+) -> (AssemblyReport, Vec<f64>) {
     let geoms = element_geoms(mesh);
     let quad = OuterQuadrature::default();
     let m = geoms.len();
@@ -106,22 +108,23 @@ pub fn assemble_staged(
     for col in &columns {
         kernel_cost += col.cost;
     }
-    AssemblyReport {
+    let column_seconds: Vec<f64> = columns.iter().map(|c| c.seconds).collect();
+    let report = AssemblyReport {
         matrix,
         rhs: galerkin_rhs(mesh),
-        column_seconds: columns.iter().map(|c| c.seconds).collect(),
         column_terms: columns.iter().map(|c| c.cost.terms).collect(),
         cost: AssemblyCost {
             assemblies: 1,
             seconds: t0.elapsed().as_secs_f64(),
-            kernel_seconds: columns.iter().map(|c| c.seconds).sum(),
+            kernel_seconds: column_seconds.iter().sum(),
             kernel: kernel_cost,
             pairs: m * (m + 1) / 2,
             pairs_evaluated: m * (m + 1) / 2,
             compression: None,
         },
         stats,
-    }
+    };
+    (report, column_seconds)
 }
 
 #[cfg(test)]
@@ -153,7 +156,7 @@ mod tests {
                 Schedule::dynamic(1),
                 Schedule::guided(1),
             ] {
-                let staged = assemble_staged(&mesh, &kernel, &pool, schedule, staged_loop);
+                let (staged, _) = assemble_staged(&mesh, &kernel, &pool, schedule, staged_loop);
                 let label = format!("{staged_loop:?} {}", schedule.label());
                 assert_eq!(serial.matrix.packed(), staged.matrix.packed(), "{label}");
                 assert_eq!(serial.rhs, staged.rhs, "{label}");

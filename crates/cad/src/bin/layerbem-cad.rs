@@ -27,14 +27,14 @@
 //! `--threads` defaults to the machine's available parallelism (overridable
 //! via the `LAYERBEM_THREADS` environment variable; `--threads 0` is a
 //! usage error) and reaches the program through
-//! [`SolveOptions::parallelism`]: matrix generation runs the zero-staging
-//! in-place assembler on precomputed pair worklists (for collocation
-//! decks, the row-partitioned in-place collocation assembler) and the
-//! Cholesky/LU factorizations run each panel's trailing update on the
-//! pool; PCG is serial either way. One thread is a one-range pool: every
-//! region runs inline, doing exactly the serial loop's work, and the
-//! serial double loop is only the tests' oracle. Every configuration
-//! produces the same bits.
+//! [`SolveOptions::parallelism`]: matrix generation runs the class-first
+//! assembler, which integrates each class of congruent pairs once on the
+//! pool and scatters in pair order (for collocation decks, the
+//! row-partitioned in-place collocation assembler), and the Cholesky/LU
+//! factorizations run each panel's trailing update on the pool; PCG is
+//! serial either way. One thread is a one-thread pool: every region runs
+//! inline, and the serial double loop is only the tests' oracle. Every
+//! configuration produces the same bits.
 //!
 //! `--operator hmatrix` switches the prepared Galerkin operator to the
 //! hierarchical backend: near-field pairs assembled densely into a sparse

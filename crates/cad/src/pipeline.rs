@@ -139,10 +139,8 @@ pub struct PipelineResult {
     /// self-describing row per scenario/sample/candidate when the case
     /// sweeps or searches).
     pub report: String,
-    /// Matrix-generation column cost profile (seconds per outer column),
-    /// the task profile the schedule simulator replays.
-    pub column_seconds: Vec<f64>,
-    /// Series terms per column (deterministic cost proxy).
+    /// Series terms per outer column of matrix generation (deterministic
+    /// cost profile).
     pub column_terms: Vec<u64>,
     /// What the run's studies paid, summed over every study the workload
     /// prepared: `profile.assembly` is the matrix-generation record
@@ -172,7 +170,7 @@ impl PipelineResult {
 
 /// Runs the five-phase pipeline on a parsed case; matrix generation and
 /// the factorization run on the pool of [`SolveOptions::parallelism`]
-/// (one thread is a one-range pool, its regions inline; the double loop
+/// (one thread is a one-thread pool, its regions inline; the double loop
 /// is the tests' oracle). The deck's `formulation`/`solver` keywords
 /// override `opts` ([`CadCase::solve_options`]).
 ///
@@ -253,9 +251,6 @@ pub fn run_pipeline(
         rows,
         times,
         report,
-        column_seconds: study
-            .as_ref()
-            .map_or_else(Vec::new, |s| s.column_seconds().to_vec()),
         column_terms: study
             .as_ref()
             .map_or_else(Vec::new, |s| s.column_terms().to_vec()),
@@ -422,7 +417,6 @@ edit move 0 1 0 0
         let r = run();
         assert!(r.solution().equivalent_resistance > 0.0);
         assert!(r.solution().total_current > 0.0);
-        assert_eq!(r.column_seconds.len(), r.mesh.element_count());
         assert_eq!(r.column_terms.len(), r.mesh.element_count());
     }
 

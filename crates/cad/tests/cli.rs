@@ -164,8 +164,8 @@ fn an_impossible_conductor_is_a_deck_error_not_a_panic() {
 
 #[test]
 fn timing_counts_the_pairs_the_kernel_ran() {
-    // The 2×2 yard has 12 elements, so 78 pairs; its congruent pairs are
-    // memo hits.
+    // The 2×2 yard has 12 elements, so 78 pairs; congruent pairs share
+    // one class, integrated once.
     let deck = deck_file("pairs", DECK);
     let out = run(&deck, &["--threads", "1", "--timing"]);
     std::fs::remove_file(&deck).ok();

@@ -44,7 +44,7 @@ fn parse_and_pipeline_round_trip() {
 
     // The column cost profile has one entry per outer element of the
     // triangular assembly loop, matching the mesh the pipeline built.
-    assert_eq!(result.column_seconds.len(), result.mesh.element_count());
+    assert_eq!(result.column_terms.len(), result.mesh.element_count());
 }
 
 #[test]
@@ -63,7 +63,7 @@ fn deck_solver_choice_flows_into_pipeline() {
 #[test]
 fn parallel_direct_pipeline_reproduces_sequential_run() {
     // The path the `layerbem-cad` binary takes with `--threads N`:
-    // the pooled worklist assembler, then the serial PCG solve. The
+    // the pooled class-first assembler, then the serial PCG solve. The
     // solution must be identical to the serial pipeline (the pooled
     // assembler is bit-faithful).
     use layerbem_parfor::{Schedule, ThreadPool};

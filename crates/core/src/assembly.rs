@@ -8,76 +8,68 @@
 //! analytically integrated source potentials) and assembled into the
 //! packed symmetric global matrix.
 //!
-//! One engine computes the matrix, and how many threads run it is
-//! decided here and nowhere else, from
-//! [`SolveOptions::parallelism`](crate::formulation::SolveOptions): the
-//! global packed triangle is split into disjoint row-range views
-//! ([`SymRowsMut`](layerbem_numeric::SymRowsMut)), and each partition
-//! accumulates **in place** the pairs whose target entries land in its
-//! rows. Ownership is settled by the partition (the packed storage is
-//! row-major, so a row range is a contiguous slice): no staging, no locks,
-//! peak memory = the 1× global triangle. Each partition's candidate pairs
-//! come from a precomputed [`worklist`] — one `O(M²)` integer pass over
-//! the triangle, driven by the mesh's [`ElementRowMap`], performed once
-//! before the region. Each packed entry receives its contributions in the
-//! sequential pair order, so the result is **bit-identical** to the
-//! paper's double loop for every schedule and thread count.
+//! The paper parallelizes it by "taking the assembly process out of that
+//! loop, which implies first the computation and the storage of all the
+//! elemental matrices and, after this step, the assembly in a sequential
+//! mode" (§6.2). One engine does that here, storing the pair *classes*
+//! only (below), in three phases per band of the triangle:
 //!
-//! One thread is a one-range pool: the single partition `0..n` owns every
-//! row, its worklist is the whole triangle in the double loop's order, no
-//! pair is recomputed and the region runs inline. At more than one
-//! thread the schedule cuts the rows, and a pair whose targets straddle a
-//! partition boundary is recomputed by each side — an `O(boundary)`
-//! compute overlap instead of an `O(M²)` memory copy. The double loop
-//! itself is the tests' bit-identity oracle, not a production engine.
+//! 1. **intern** — walk the pairs in the double loop's order and give each
+//!    the id of its class, in first-seen order, until the band's private
+//!    budget of classes is spent;
+//! 2. **integrate** — run [`pair_block`] once per class of the band, in
+//!    chunks of classes on
+//!    [`SolveOptions::parallelism`](crate::formulation::SolveOptions)'s
+//!    pool and schedule: independent tasks of similar cost, with no
+//!    triangle imbalance and no partition boundary;
+//! 3. **scatter** — walk the band again in pair order and
+//!    [`scatter_pair`] each pair's class block into the matrix.
 //!
-//! The paper's own scheme — store every elemental matrix, then assemble
-//! sequentially, at "approximately twice the memory space" (§6.2) — is
-//! not a production engine; the reproduction harness rebuilds it from
-//! the public elemental-block API ([`Block`], [`pair_block`],
-//! [`scatter_pair`]) in `crates/bench/src/staged.rs`.
+//! Every packed entry receives its contributions in the double loop's
+//! order, and a class block carries the bits the kernel returns for any
+//! member of its class, so the matrix, `column_terms` and `cost.kernel`
+//! are **bit-identical** to the paper's double loop for every schedule,
+//! thread count and budget. One thread is a one-thread pool: the same
+//! code, with the integrate region run inline. The double loop itself is
+//! the tests' bit-identity oracle, not a production engine; the paper's
+//! store-every-block variant is rebuilt from the public elemental-block
+//! API ([`Block`], [`pair_block`], [`scatter_pair`]) for the reproduction
+//! tables in `crates/bench/src/staged.rs`.
 //!
 //! Every engine evaluates pairs through one kernel evaluator, the batched
 //! lane path of [`pair_block`]. [`pair_block_scalar`] is its
 //! point-at-a-time oracle, called only by tests.
 //!
-//! **Congruent pairs are integrated once.** [`pair_block`] computes every
-//! block in the pair's own horizontal frame: the origin is the source
-//! element α's first node in x and y, and depth is untouched. A layered
-//! soil's image series does not change under a horizontal translation, so
-//! this is the same integral, and it makes the block a pure function of
-//! (shape of β, shape of α, `Δxy = β.a − α.a`), an element's shape being
-//! the bits of `(b − a)ₓ`, `(b − a)ᵧ`, `a_z`, `b_z` and its radius. Each
-//! partition of the worklist engine (and of the hierarchical near field)
-//! looks every pair up by exactly those bits in its own bounded memo —
-//! 2 048 entries, 4-way set-associative, LRU within a set, a private
-//! constant — before it calls the kernel. A hit returns the stored block
-//! and charges the stored [`KernelCost`], so the matrix, `column_terms`
-//! and `cost.kernel` are what the double loop computes, bit for bit;
-//! only the kernel's work disappears (`cost.pairs_evaluated` counts what
-//! remains). Grids repeat a few element shapes at a few offsets: on the
-//! paper's grids the kernel runs for 51.1 % (Barberá) and 17.8 %
-//! (Balaidos) of the pairs at one thread.
+//! **Congruent pairs are one class.** [`pair_block`] computes every block
+//! in the pair's own horizontal frame: the origin is the source element
+//! α's first node in x and y, and depth is untouched. A layered soil's
+//! image series does not change under a horizontal translation, so this
+//! is the same integral, and it makes the block a pure function of (shape
+//! of β, shape of α, `Δxy = β.a − α.a`), an element's shape being the bits
+//! of `(b − a)ₓ`, `(b − a)ᵧ`, `a_z`, `b_z` and its radius. A class is
+//! exactly those bits. A band holds at most 6 144 classes (56 B each plus
+//! its index slots, ≈ 0.37 MB); on the paper's grids the kernel runs once
+//! for 17.3 % (Balaidos) and 40.3 % (Barberá) of the pairs, at every
+//! thread count.
 //!
-//! The compressed-operator generation ([`assemble_hierarchical`]) and the
-//! point-collocation matrix ([`assemble_collocation`]) follow the same
-//! rule: one pooled body, its rows split by `row_ranges`.
+//! The compressed-operator generation ([`assemble_hierarchical`]) runs its
+//! near field through the same class-first routine; the point-collocation
+//! matrix ([`assemble_collocation`]) is one pooled body over disjoint row
+//! ranges.
 
-use std::ops::Range;
 use std::time::Instant;
 
-use layerbem_geometry::{ElementRowMap, Mesh, Point3};
+use layerbem_geometry::{Mesh, Point3};
 use layerbem_numeric::{CompressionStats, SymMatrix};
-use layerbem_parfor::{ExecutionStats, Schedule, ThreadPool};
+use layerbem_parfor::ExecutionStats;
 
-use crate::formulation::SolveOptions;
+use crate::formulation::{Parallelism, SolveOptions};
 use crate::integration::ElementGeom;
 use crate::kernel::{KernelBatch, KernelCost, SoilKernel};
 
 mod collocation;
 mod hierarchical;
 mod memo;
-pub mod worklist;
 
 #[cfg(test)]
 mod tests;
@@ -86,8 +78,7 @@ pub use collocation::assemble_collocation;
 pub use hierarchical::{
     assemble_hierarchical, HierarchicalReport, DEFAULT_ADMISSIBILITY, MAX_FAR_RANK,
 };
-use memo::{PairMemo, PairShapes};
-use worklist::PairWorklist;
+use memo::{Class, ClassTable, PairShapes};
 
 /// What matrix generation cost: the one record every assembler
 /// ([`assemble_galerkin`], [`assemble_hierarchical`],
@@ -104,17 +95,16 @@ pub struct AssemblyCost {
     /// Wall-clock seconds of the generation.
     pub seconds: f64,
     /// Seconds inside kernel evaluation, split out of `seconds`. For the
-    /// dense Galerkin engines this is the per-column profile's sum —
-    /// worker CPU seconds, which can exceed the wall-clock `seconds` when
-    /// columns ran in parallel; the hierarchical and collocation
-    /// assemblies and the edit re-integration are kernel-dominated with
-    /// no finer attribution, so they report their full wall time.
+    /// dense Galerkin engine this is the wall time of its integrate
+    /// phase, so it never exceeds `seconds`; the hierarchical and
+    /// collocation assemblies and the edit re-integration are
+    /// kernel-dominated with no finer attribution, so they report their
+    /// full wall time.
     pub kernel_seconds: f64,
     /// Series terms and batched-lane points/slots of the blocks the
-    /// result embodies. Attributed to the partition owning each pair's
-    /// highest target row, and charged on memo hits as on kernel runs, so
-    /// the counts are identical across engines, schedules and thread
-    /// counts.
+    /// result embodies: every pair is charged its class's cost, so the
+    /// counts are what the double loop computes, identical across
+    /// engines, schedules, thread counts and class budgets.
     pub kernel: KernelCost,
     /// Pairs the generation placed a block for: the triangle's
     /// `M(M+1)/2` for a dense Galerkin assembly; the near pairs plus the
@@ -122,9 +112,10 @@ pub struct AssemblyCost {
     /// re-integrated pairs of an edit. 0 for collocation, whose unit is
     /// the row.
     pub pairs: usize,
-    /// Of those, the pairs whose kernel ran (a boundary pair recomputed
-    /// by several partitions counts once per run); every other pair was
-    /// a memo hit.
+    /// Kernel runs: for the dense engine and the hierarchical near field,
+    /// the classes integrated, summed over bands — the same number at
+    /// every thread count and schedule; every other pair reused its
+    /// class's block.
     pub pairs_evaluated: usize,
     /// Compression accounting of the generated operator: `Some` for the
     /// hierarchical backend, `None` for the dense engines — and for a
@@ -163,21 +154,17 @@ pub struct AssemblyReport {
     pub matrix: SymMatrix,
     /// Galerkin right-hand side `ν_j = ∫ w_j dΓ` for unit GPR.
     pub rhs: Vec<f64>,
-    /// Wall-clock seconds spent computing each outer column (meaningful
-    /// at one thread). Not the paper's task profile: under the pair memo
-    /// a column's time depends on what earlier columns left in the table,
-    /// so the reproduction tables take theirs from the staged harness
-    /// (`crates/bench/src/staged.rs`, no memo) or from `column_terms`.
-    pub column_seconds: Vec<f64>,
-    /// Series terms consumed per outer column — a deterministic,
-    /// machine-independent cost proxy for the same profile.
+    /// Series terms the blocks of each outer column embody — a
+    /// deterministic, machine-independent profile of the paper's column
+    /// tasks. A column has no kernel time of its own (its pairs share
+    /// their classes' integrations); the reproduction tables time columns
+    /// in the staged harness (`crates/bench/src/staged.rs`).
     pub column_terms: Vec<u64>,
     /// What the generation cost in total (`cost.kernel.terms` is the
-    /// `column_terms` sum, `cost.kernel_seconds` the `column_seconds`
-    /// sum).
+    /// `column_terms` sum).
     pub cost: AssemblyCost,
-    /// Per-thread runtime stats of the assembly region (one partition,
-    /// run inline, at one thread).
+    /// Per-thread runtime stats of the integrate regions, summed over
+    /// bands (one thread, run inline, at one thread).
     pub stats: ExecutionStats,
 }
 
@@ -323,12 +310,11 @@ pub fn pair_block_scalar(
 /// untouched. A layered soil's image series does not change under a
 /// horizontal translation, so this is the same integral; computed this
 /// way, the block — bits and [`KernelCost`] — is a pure function of the
-/// pair's shape key (the shapes of both elements and the bits of their
-/// offset), which is what lets the worklist engines look it up in a
-/// bounded per-partition memo (`PairMemo`, 2 048 entries, a private
-/// constant) instead of integrating a congruent pair again. Every other
-/// caller — edit re-integration, the ACA sampler, the staged harness, the
-/// test oracles — gets the same frame, so all of them see the same bits.
+/// pair's class (the shapes of both elements and the bits of their
+/// offset), which is what lets class-first assembly integrate one pair
+/// per class and reuse its block for the others. Every other caller —
+/// edit re-integration, the ACA sampler, the staged harness, the test
+/// oracles — gets the same frame, so all of them see the same bits.
 ///
 /// Gathers **all** `2q` surface points of the pair (both antipodal
 /// azimuths of every outer quadrature point) into one [`KernelBatch`] and
@@ -338,8 +324,8 @@ pub fn pair_block_scalar(
 /// series stop). The weighted outer assembly is the same loop as
 /// [`pair_block_scalar`], the tests' oracle. Because the batch content is
 /// fixed by the pair alone, the block is bit-identical no matter which
-/// thread, schedule or partition computes it. `batch` is the caller's
-/// reusable scratch.
+/// thread or schedule computes it. `batch` is the caller's reusable
+/// scratch.
 pub fn pair_block(
     beta: &ElementGeom,
     alpha: &ElementGeom,
@@ -376,8 +362,8 @@ pub fn pair_block(
 /// Scatters one elemental block as the canonical sequence of entry
 /// updates. Every engine funnels through this function, so the per-entry
 /// accumulation order — and therefore the floating-point result — is
-/// identical whether contributions are applied to the whole matrix (the
-/// tests' double-loop oracle) or filtered into a row-range view (the
+/// identical whether the block was just computed (the tests' double-loop
+/// oracle, the staged harness) or is its class's stored block (the
 /// engine).
 #[inline]
 pub fn scatter_pair(
@@ -413,44 +399,6 @@ pub fn scatter_pair(
     }
 }
 
-/// How a pooled assembly region splits the `n` matrix rows — the one
-/// decision the Galerkin engine, the hierarchical near field and the
-/// collocation assembler share. At one thread: the single range `0..n`,
-/// so the region does exactly the serial loop's pair work (no pair
-/// straddles a partition boundary, none is recomputed). At more than one:
-/// the ranges `schedule` cuts for the pool's threads.
-// One range covering every row is exactly what is meant at one thread.
-#[allow(clippy::single_range_in_vec_init)]
-fn row_ranges(n: usize, pool: &ThreadPool, schedule: Schedule) -> Vec<Range<usize>> {
-    match pool.threads() {
-        1 => vec![0..n],
-        threads => schedule.partition_ranges(n, threads),
-    }
-}
-
-/// Minimum element count at which the worklist pre-pass is built on the
-/// pool. The pre-pass is `O(M²)` integer work: at a few hundred elements
-/// it completes in well under a millisecond serially, while a pooled
-/// dispatch plus per-chunk merge costs a comparable amount — only past
-/// this cutoff does splitting the triangle walk pay for itself.
-pub const POOLED_PREPASS_MIN_ELEMENTS: usize = 1024;
-
-/// One partition's workspace of the worklist engine: an exclusively
-/// owned row-range view of the global triangle, the partition's
-/// precomputed pair worklist, and compact per-column accumulators sized
-/// by the columns the worklist actually visits.
-struct WorklistPart<'a> {
-    view: layerbem_numeric::SymRowsMut<'a>,
-    work: &'a PairWorklist,
-    /// `(β, series terms, seconds)` for each visited column, ascending β
-    /// (worklist runs arrive in sequential pair order, so a plain
-    /// append-or-accumulate keeps this sorted).
-    cols: Vec<(u32, u64, f64)>,
-    /// Kernel cost and count of the pairs attributed to this partition,
-    /// and the count of pairs whose kernel it ran (attributed or not).
-    cost: AssemblyCost,
-}
-
 /// Galerkin right-hand side for unit GPR: `ν_p = Σ_{e ∋ p} L_e / 2`.
 pub fn galerkin_rhs(mesh: &Mesh) -> Vec<f64> {
     let mut rhs = vec![0.0; mesh.dof()];
@@ -462,166 +410,155 @@ pub fn galerkin_rhs(mesh: &Mesh) -> Vec<f64> {
     rhs
 }
 
-/// Runs Galerkin matrix generation in place on precomputed pair
-/// worklists, on `opts.parallelism`'s pool and schedule: no staged
-/// blocks, no per-partition triangle scan, 1× memory, bit-identical to
-/// the paper's double loop.
+/// Classes one band of class-first assembly holds: the largest budget
+/// measured that keeps one-thread assembly at least as fast as the memo
+/// it replaced without raising `cold-layered`'s peak RSS by more than
+/// 10 % (two one-thread assemblies side by side; 8 192 read +13 %). At
+/// 56 B a class plus a 32 KB index it is ≈ 0.37 MB.
+const CLASS_BUDGET: usize = 6144;
+
+/// Classes one task of the integrate region computes. The kernel scratch
+/// is made once per task, and its allocations showed at 16: with uniform
+/// soil's cheap kernel, one-thread integration of 2 224 dof ran 8–13 %
+/// faster at 64.
+const CLASS_CHUNK: usize = 64;
+
+/// Runs Galerkin matrix generation class-first, on `opts.parallelism`'s
+/// pool and schedule: each band of the triangle interns its pairs' classes
+/// in the double loop's order, integrates each class once on the pool, and
+/// scatters every pair's class block in pair order — bit-identical to the
+/// paper's double loop (see the module doc).
 ///
-/// The matrix rows are split by `row_ranges` — at more than one thread
-/// the schedule's deterministic chunk decomposition, floored at the
-/// mesh's [`worklist::locality_min_chunk`] — the per-partition candidate
-/// pairs are emitted once by [`worklist::build_worklists`] from the
-/// mesh's [`ElementRowMap`], and each partition then executes exactly its
-/// own worklist — in sequential pair order, accumulating straight into
-/// its [`SymRowsMut`](layerbem_numeric::SymRowsMut) view. The schedule's
-/// chunk parameter therefore applies to **matrix rows** (the unit of
-/// ownership), not pair columns. A pair's series terms are attributed to
-/// the single partition owning the pair's highest target row (which
-/// always computes it), so `column_terms` sums to exactly the sequential
-/// count even when a boundary pair is recomputed by several partitions.
-///
-/// Each partition looks every pair up in its own bounded `PairMemo`
-/// before it runs the kernel: a congruent pair it has already integrated
-/// costs a table lookup, and the stored block is the bits the kernel
-/// would have returned ([`pair_block`]'s frame), so none of the above
-/// changes. `cost.pairs_evaluated` counts the kernel runs.
-///
-/// The worklist pre-pass runs on the pool when the pool has more than one
-/// thread and the mesh has at least [`POOLED_PREPASS_MIN_ELEMENTS`]
-/// elements; otherwise the serial build is faster than the pooled
-/// dispatch it would replace.
+/// `column_terms[β]` sums the costs of column β's class blocks;
+/// `cost.pairs_evaluated` counts the classes integrated, summed over
+/// bands, the same at every thread count and schedule;
+/// `cost.kernel_seconds` is the integrate phase's wall time; `stats` are
+/// the integrate regions' stats.
 pub fn assemble_galerkin(mesh: &Mesh, kernel: &SoilKernel, opts: &SolveOptions) -> AssemblyReport {
-    assemble_galerkin_memo(mesh, kernel, opts, PairMemo::new)
+    assemble_galerkin_in(mesh, kernel, opts, ClassTable::with_budget(CLASS_BUDGET))
 }
 
-/// [`assemble_galerkin`] with each partition's memo made by `new_memo`:
-/// the tests run the engine on a one-entry table.
-fn assemble_galerkin_memo(
+/// [`assemble_galerkin`] on the class table `table`: the tests run the
+/// engine with a one-class budget.
+fn assemble_galerkin_in(
     mesh: &Mesh,
     kernel: &SoilKernel,
     opts: &SolveOptions,
-    new_memo: fn() -> PairMemo,
+    mut table: ClassTable,
 ) -> AssemblyReport {
     let t0 = Instant::now();
     let geoms = element_geoms(mesh);
     let quad = OuterQuadrature::default();
-    let (pool, schedule) = (&opts.parallelism.pool, opts.parallelism.schedule);
-    let n = mesh.dof();
     let m = geoms.len();
-    // What the report keeps is allocated before the region's scratch, as
-    // in the double loop: allocated after it, these outputs left the
-    // freed scratch as heap holes, and `cold-dense` read 1–2 MB more peak
-    // RSS with the same live bytes.
-    let mut matrix = SymMatrix::zeros(n);
+    // What the report keeps is allocated before the class table, so the
+    // freed table leaves no hole among live bytes: outputs allocated after
+    // an assembly's scratch once cost `cold-dense` 1–2 MB more peak RSS.
+    let mut matrix = SymMatrix::zeros(mesh.dof());
     let mut column_terms = vec![0u64; m];
-    let mut column_seconds = vec![0.0; m];
     let rhs = galerkin_rhs(mesh);
-    let map = ElementRowMap::from_mesh(mesh);
-    // A partition's candidate set is its worklist, so partition count
-    // multiplies no triangle scan and needs no per-thread cap. The chunk
-    // is floored only at the mesh's mean element row spread, which keeps a
-    // typical pair's target rows co-located in one partition and thereby
-    // bounds boundary-pair recompute by mesh locality rather than by
-    // thread count.
-    let dispatch_schedule = schedule.with_min_chunk(worklist::locality_min_chunk(&map));
-    let ranges = row_ranges(n, pool, dispatch_schedule);
-    // The O(M²) integer pre-pass itself runs on the pool: β-aligned column
-    // chunks, order-preserving merge, bit-identical to the serial build
-    // (pinned by the worklist proptest oracle). At one thread, or below
-    // the element cutoff, the serial build wins — the pooled dispatch +
-    // merge overhead costs more than the whole triangle walk on small
-    // grids.
-    let worklists = if pool.threads() == 1 || m < POOLED_PREPASS_MIN_ELEMENTS {
-        worklist::build_worklists(&map, &ranges)
-    } else {
-        worklist::build_worklists_pooled(&map, &ranges, pool, dispatch_schedule)
-    };
-
-    let mut parts: Vec<WorklistPart> = matrix
-        .partition_rows(&ranges)
-        .into_iter()
-        .zip(&worklists)
-        .map(|(view, work)| WorklistPart {
-            view,
-            work,
-            // Sized up front: a growing vector's abandoned buffers were
-            // enough to raise peak RSS when two assemblies run side by side.
-            cols: Vec::with_capacity(work.runs().len()),
-            cost: AssemblyCost::default(),
-        })
-        .collect();
-
-    let map_ref = &map;
     let shapes = PairShapes::new(&geoms, kernel, &quad);
-    let stats = pool.scoped_partition(
-        &mut parts,
-        dispatch_schedule.partition_dispatch(),
-        |_, part| {
-            let WorklistPart {
-                view,
-                work,
-                cols,
-                cost,
-            } = part;
-            // The kernel scratch and the memo are locals, not partition
-            // fields: behind a field the optimizer loses track of the
-            // batch's aliasing, and the one-thread assembly measured
-            // 5–10 % slower.
-            let mut batch = KernelBatch::new();
-            let mut memo = new_memo();
-            let rows = view.rows();
-            for run in work.runs() {
-                let beta = run.beta as usize;
-                let nb = map_ref.element_nodes(beta);
-                let t0 = Instant::now();
-                let mut run_cost = KernelCost::default();
-                for alpha in run.alphas() {
-                    let na = map_ref.element_nodes(alpha);
-                    let (b, c, evaluated) = memo.block(&shapes, beta, alpha, &mut batch);
-                    cost.pairs_evaluated += usize::from(evaluated);
-                    scatter_pair(nb, na, alpha == beta, &b, &mut |p, q, v| {
-                        if view.owns(p, q) {
-                            view.add(p, q, v);
-                        }
-                    });
-                    if rows.contains(&map_ref.pair_hi(beta, alpha)) {
-                        run_cost += c;
-                        cost.pairs += 1;
-                    }
-                }
-                let seconds = t0.elapsed().as_secs_f64();
-                match cols.last_mut() {
-                    Some(last) if last.0 == run.beta => {
-                        last.1 += run_cost.terms;
-                        last.2 += seconds;
-                    }
-                    _ => cols.push((run.beta, run_cost.terms, seconds)),
-                }
-                cost.kernel += run_cost;
-            }
+    let triangle = (0..m).flat_map(|beta| (beta..m).map(move |alpha| (beta, alpha)));
+    let (cost, stats) = assemble_classes(
+        &shapes,
+        triangle,
+        m * (m + 1) / 2,
+        &mut table,
+        &opts.parallelism,
+        |beta, alpha, block, cost| {
+            let (nb, na) = (mesh.elements[beta].nodes, mesh.elements[alpha].nodes);
+            scatter_pair(nb, na, alpha == beta, block, &mut |p, q, v| {
+                matrix.add(p, q, v)
+            });
+            column_terms[beta] += cost.terms;
         },
     );
-
-    let mut cost = AssemblyCost::default();
-    for part in &parts {
-        for &(beta, terms, seconds) in &part.cols {
-            column_terms[beta as usize] += terms;
-            column_seconds[beta as usize] += seconds;
-        }
-        cost += part.cost;
-    }
-    drop(parts);
     AssemblyReport {
         matrix,
         rhs,
         cost: AssemblyCost {
             assemblies: 1,
             seconds: t0.elapsed().as_secs_f64(),
-            kernel_seconds: column_seconds.iter().sum(),
             ..cost
         },
-        column_seconds,
         column_terms,
         stats,
     }
+}
+
+/// The class-first routine of the dense engine and the hierarchical near
+/// field. `pairs` yields the pairs `(β, α)` to assemble — `len` of them,
+/// which sizes the table — in the order their contributions must reach
+/// each entry. Band by band:
+///
+/// 1. *intern* — `table` takes the band's pairs in order, with each
+///    pair's class id, until the band is full;
+/// 2. *integrate* — [`pair_block`] runs once per class on the band's
+///    representative pair, in chunks of [`CLASS_CHUNK`] classes on
+///    `par`'s pool and schedule;
+/// 3. *scatter* — the band is walked again in pair order, and
+///    `scatter(β, α, block, cost)` receives each pair's class block and
+///    cost, read through the pair's stored class id.
+///
+/// Returns the generation's cost — pairs, kernel cost summed over pairs,
+/// classes integrated, the integrate phase's wall seconds — and the
+/// integrate regions' summed stats.
+fn assemble_classes<I>(
+    shapes: &PairShapes,
+    pairs: I,
+    len: usize,
+    table: &mut ClassTable,
+    par: &Parallelism,
+    mut scatter: impl FnMut(usize, usize, &Block, &KernelCost),
+) -> (AssemblyCost, ExecutionStats)
+where
+    I: Iterator<Item = (usize, usize)> + Clone,
+{
+    let mut cost = AssemblyCost::default();
+    let mut stats = ExecutionStats::default();
+    let mut rest = pairs;
+    let mut left = len;
+    loop {
+        table.reset(left);
+        for (beta, alpha) in rest.clone() {
+            if !table.intern(shapes, beta, alpha) {
+                break;
+            }
+        }
+        let band_len = table.pairs();
+        if band_len == 0 {
+            break;
+        }
+
+        let t = Instant::now();
+        let mut chunks: Vec<&mut [Class]> = table.classes_mut().chunks_mut(CLASS_CHUNK).collect();
+        stats += par
+            .pool
+            .scoped_partition(&mut chunks, par.schedule, |_, chunk| {
+                let mut batch = KernelBatch::new();
+                for class in chunk.iter_mut() {
+                    let (beta, alpha) = class.pair();
+                    let (block, c) = pair_block(
+                        &shapes.geoms[beta],
+                        &shapes.geoms[alpha],
+                        shapes.kernel,
+                        shapes.quad,
+                        &mut batch,
+                    );
+                    class.set(block, &c);
+                }
+            });
+        cost.kernel_seconds += t.elapsed().as_secs_f64();
+        cost.pairs_evaluated += table.len();
+
+        // The band's classes drive the zip, so `rest` advances by exactly
+        // the band's pairs.
+        for (class, (beta, alpha)) in table.band().zip(rest.by_ref()) {
+            let (block, c) = class.get();
+            scatter(beta, alpha, block, &c);
+            cost.kernel += c;
+        }
+        cost.pairs += band_len;
+        left = left.saturating_sub(band_len);
+    }
+    (cost, stats)
 }

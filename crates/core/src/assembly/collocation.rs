@@ -1,10 +1,13 @@
 //! Point-collocation matrix generation — the paper's "different
 //! formulations" alternative (§4.2), kept for cross-checks.
 
+use std::ops::Range;
+
 use layerbem_geometry::{ElementRowMap, Mesh};
 use layerbem_numeric::DenseMatrix;
+use layerbem_parfor::{Schedule, ThreadPool};
 
-use super::{element_geoms, row_ranges, AssemblyCost};
+use super::{element_geoms, AssemblyCost};
 use crate::formulation::SolveOptions;
 use crate::integration::ElementGeom;
 use crate::kernel::{KernelBatch, KernelCost, SoilKernel};
@@ -56,6 +59,18 @@ struct CollocationPart<'a> {
     cost: KernelCost,
 }
 
+/// How the pooled collocation region splits the `n` matrix rows. At one
+/// thread: the single range `0..n`, run inline. At more than one: the
+/// ranges `schedule` cuts for the pool's threads.
+// One range covering every row is exactly what is meant at one thread.
+#[allow(clippy::single_range_in_vec_init)]
+fn row_ranges(n: usize, pool: &ThreadPool, schedule: Schedule) -> Vec<Range<usize>> {
+    match pool.threads() {
+        1 => vec![0..n],
+        threads => schedule.partition_ranges(n, threads),
+    }
+}
+
 /// Collocation matrix: row `p` states `V(x_p) = 1` at a surface point
 /// near node `p`. Nonsymmetric; solved by LU. Returns the matrix, the
 /// unit right-hand side and what the generation cost (one batched kernel
@@ -66,7 +81,7 @@ struct CollocationPart<'a> {
 /// `row_ranges` — one range at one thread, the schedule's deterministic
 /// chunk decomposition otherwise — and each partition fills its own rows
 /// **in place** on `opts.parallelism`'s pool: no staging, no locks, 1×
-/// memory, mirroring the Galerkin engine. Each row is one node's
+/// memory. Each row is one node's
 /// collocation equation and depends on nothing outside the mesh, so the
 /// result is **bit-identical** to a plain row loop for every schedule and
 /// thread count.
@@ -88,8 +103,8 @@ pub fn assemble_collocation(
         collocation_row(mesh, &geoms, kernel, p, incident, row, batch)
     };
     let par = &opts.parallelism;
-    // The same row split the worklist assembler and the hierarchical
-    // near field use.
+    // One row range per partition the schedule cuts: exclusive rows, no
+    // locks.
     let ranges = row_ranges(n, &par.pool, par.schedule);
     let mut parts: Vec<CollocationPart> = c
         .partition_rows(&ranges)

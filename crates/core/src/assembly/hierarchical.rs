@@ -1,5 +1,6 @@
 //! Hierarchical (compressed-operator) Galerkin generation: near pairs
-//! dense into a sparse-symmetric pattern, admissible far cluster pairs
+//! class-first into a sparse-symmetric pattern (the dense engine's
+//! routine, restricted to the near pairs), admissible far cluster pairs
 //! ACA-compressed through a batched row/column sampler.
 
 use std::time::Instant;
@@ -8,11 +9,10 @@ use layerbem_geometry::{ClusterTree, ElementRowMap, Mesh};
 use layerbem_numeric::{aca_sampled, AcaError, FarBlock, HMatrix, MatrixSampler, SparseSym};
 use layerbem_parfor::ExecutionStats;
 
-use super::memo::{PairMemo, PairShapes};
-use super::worklist::{self, PairWorklist};
+use super::memo::{ClassTable, PairShapes};
 use super::{
-    element_geoms, galerkin_rhs, pair_block, row_ranges, scatter_pair, AssemblyCost, Block,
-    OuterQuadrature,
+    assemble_classes, element_geoms, galerkin_rhs, pair_block, scatter_pair, AssemblyCost, Block,
+    OuterQuadrature, CLASS_BUDGET,
 };
 use crate::formulation::SolveOptions;
 use crate::integration::ElementGeom;
@@ -43,7 +43,7 @@ pub struct HierarchicalReport {
     /// Galerkin right-hand side (identical to the dense path's).
     pub rhs: Vec<f64>,
     /// What the generation cost. `cost.kernel` counts every near pair
-    /// (memo hits charged their stored cost, as in the dense engine) plus
+    /// (each charged its class's cost, as in the dense engine) plus
     /// every pair block the ACA row/column sampling evaluated (each
     /// sampled pair block once per evaluation; the samplers memoize the
     /// immediately repeated pair within a fill) — a bulk count, because
@@ -51,8 +51,8 @@ pub struct HierarchicalReport {
     /// the hierarchical path has no per-column profile.
     /// `cost.compression` is `operator.compression_stats()`.
     pub cost: AssemblyCost,
-    /// Per-thread runtime stats of the near-field assembly region (one
-    /// partition, run inline, at one thread).
+    /// Per-thread runtime stats of the near field's integrate regions,
+    /// summed over bands (one thread, run inline, at one thread).
     pub stats: ExecutionStats,
 }
 
@@ -190,14 +190,13 @@ impl MatrixSampler for FarSampler<'_> {
 /// same order of bytes, at an accuracy set by `tol`.
 ///
 /// On `opts.parallelism`'s pool, the near field is assembled by the same
-/// row-partitioned worklist engine as the dense assembler (restricted to
-/// the near pairs, its rows split by `row_ranges`, each partition with
-/// its own `PairMemo` — bit-identical across schedules and thread
-/// counts) and the far blocks are compressed
-/// concurrently (each block is an independent, deterministic ACA run, so
-/// the result does not depend on who computed it). At one thread both
-/// regions run inline: one near partition walking the near pairs in
-/// sequential order, then the far blocks in partition order.
+/// class-first routine as the dense assembler, restricted to the near
+/// pairs: their classes are integrated on the pool and every near pair is
+/// scattered serially, in the sequential near-pair order, through
+/// [`SparseSym::add`] — bit-identical across schedules and thread counts.
+/// The far blocks are compressed concurrently (each block is an
+/// independent, deterministic ACA run, so the result does not depend on
+/// who computed it). At one thread every region runs inline.
 ///
 /// Fails with [`AcaError::ToleranceNotReached`] when some far block's
 /// rank hits [`MAX_FAR_RANK`] before reaching `tol` — the typed signal
@@ -209,6 +208,26 @@ pub fn assemble_hierarchical(
     opts: &SolveOptions,
     tol: f64,
     leaf_size: usize,
+) -> Result<HierarchicalReport, AcaError> {
+    assemble_hierarchical_in(
+        mesh,
+        kernel,
+        opts,
+        tol,
+        leaf_size,
+        ClassTable::with_budget(CLASS_BUDGET),
+    )
+}
+
+/// [`assemble_hierarchical`] with the near field on the class table
+/// `table`: the tests run it with a one-class budget.
+pub(super) fn assemble_hierarchical_in(
+    mesh: &Mesh,
+    kernel: &SoilKernel,
+    opts: &SolveOptions,
+    tol: f64,
+    leaf_size: usize,
+    mut table: ClassTable,
 ) -> Result<HierarchicalReport, AcaError> {
     let t0 = Instant::now();
     let geoms = element_geoms(mesh);
@@ -238,56 +257,22 @@ pub fn assemble_hierarchical(
     let mut near = SparseSym::from_pattern(n, pattern);
 
     let par = &opts.parallelism;
-    let dispatch = par
-        .schedule
-        .with_min_chunk(worklist::locality_min_chunk(&map));
-    let ranges = row_ranges(n, &par.pool, dispatch);
-    let worklists = worklist::build_near_worklists(&map, &ranges, &parts.near);
-    struct NearPart<'a> {
-        view: layerbem_numeric::SparseSymRowsMut<'a>,
-        work: &'a PairWorklist,
-        cost: AssemblyCost,
-    }
-    let mut nparts: Vec<NearPart> = near
-        .partition_rows(&ranges)
-        .into_iter()
-        .zip(&worklists)
-        .map(|(view, work)| NearPart {
-            view,
-            work,
-            cost: AssemblyCost::default(),
-        })
-        .collect();
-    let map_ref = &map;
     let shapes = PairShapes::new(&geoms, kernel, &quad);
-    let stats = par
-        .pool
-        .scoped_partition(&mut nparts, dispatch.partition_dispatch(), |_, part| {
-            let NearPart { view, work, cost } = part;
-            let mut batch = KernelBatch::new();
-            let mut memo = PairMemo::new();
-            let rows = view.rows();
-            for (beta, alpha) in work.pairs() {
-                let nb = map_ref.element_nodes(beta);
-                let na = map_ref.element_nodes(alpha);
-                let (blk, c, evaluated) = memo.block(&shapes, beta, alpha, &mut batch);
-                cost.pairs_evaluated += usize::from(evaluated);
-                scatter_pair(nb, na, alpha == beta, &blk, &mut |p, q, v| {
-                    if view.owns(p, q) {
-                        view.add(p, q, v);
-                    }
-                });
-                if rows.contains(&map_ref.pair_hi(beta, alpha)) {
-                    cost.kernel += c;
-                    cost.pairs += 1;
-                }
-            }
-        });
-    let mut cost = AssemblyCost::default();
-    for p in &nparts {
-        cost += p.cost;
-    }
-    drop(nparts);
+    let near_pairs = parts.near.iter().map(|&(b, a)| (b as usize, a as usize));
+    let (mut cost, stats) = assemble_classes(
+        &shapes,
+        near_pairs,
+        parts.near.len(),
+        &mut table,
+        par,
+        |beta, alpha, blk, _| {
+            let (nb, na) = (map.element_nodes(beta), map.element_nodes(alpha));
+            scatter_pair(nb, na, alpha == beta, blk, &mut |p, q, v| near.add(p, q, v));
+        },
+    );
+    // Freed before the far blocks allocate.
+    drop(table);
+    let map_ref = &map;
 
     // Far blocks: one deterministic ACA run per admissible cluster pair,
     // in the fixed partition order. Each block's rows and columns are

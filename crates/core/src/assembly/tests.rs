@@ -5,16 +5,17 @@
 use super::*;
 use layerbem_geometry::conductor::ground_rod;
 use layerbem_geometry::grids::{rectangular_grid, RectGridSpec};
-use layerbem_geometry::{Conductor, ConductorNetwork, Mesher, Point3};
+use layerbem_geometry::{Conductor, ConductorNetwork, ElementRowMap, Mesher, Point3};
 use layerbem_numeric::cholesky::CholeskyFactor;
 use layerbem_numeric::{AcaError, DenseMatrix};
+use layerbem_parfor::{Schedule, ThreadPool};
 use layerbem_soil::SoilModel;
 use proptest::prelude::*;
 
 use super::collocation::collocation_row;
 
 /// The paper's sequential double loop — the bit-identity oracle of the
-/// worklist engine. Column `β` couples element `β` with every `α ≥ β`, so
+/// class-first engine. Column `β` couples element `β` with every `α ≥ β`, so
 /// "the first one has M rows and the last one has 1 row" (paper §6.2);
 /// each pair's block is scattered into the packed triangle as soon as it
 /// is computed. Returns the matrix, the per-column series terms and the
@@ -68,10 +69,40 @@ fn collocation_serial(mesh: &Mesh, kernel: &SoilKernel) -> (DenseMatrix, KernelC
     (c, cost)
 }
 
-/// Asserts the region ran as one partition on one thread.
-fn assert_one_partition(stats: &ExecutionStats, label: &str) {
+/// The hierarchical near field's oracle: the near pairs in their
+/// sequential order, each block computed on the spot and scattered into a
+/// dense triangle.
+fn near_field_serial(mesh: &Mesh, kernel: &SoilKernel, leaf_size: usize) -> SymMatrix {
+    let geoms = element_geoms(mesh);
+    let quad = OuterQuadrature::default();
+    let tree = layerbem_geometry::ClusterTree::build(mesh, leaf_size);
+    let mut near = SymMatrix::zeros(mesh.dof());
+    let mut batch = KernelBatch::new();
+    for &(beta, alpha) in &tree.block_partition(DEFAULT_ADMISSIBILITY).near {
+        let (beta, alpha) = (beta as usize, alpha as usize);
+        let (b, _) = pair_block(&geoms[beta], &geoms[alpha], kernel, &quad, &mut batch);
+        let (nb, na) = (mesh.elements[beta].nodes, mesh.elements[alpha].nodes);
+        scatter_pair(nb, na, alpha == beta, &b, &mut |p, q, v| near.add(p, q, v));
+    }
+    near
+}
+
+/// Asserts every entry of `near` has the bits of the oracle's.
+fn assert_near_field_is(near: &layerbem_numeric::SparseSym, oracle: &SymMatrix, label: &str) {
+    for i in 0..oracle.order() {
+        for j in 0..=i {
+            assert_eq!(
+                near.get(i, j).to_bits(),
+                oracle.get(i, j).to_bits(),
+                "({i}, {j}) {label}"
+            );
+        }
+    }
+}
+
+/// Asserts the regions ran inline, on one thread.
+fn assert_one_thread(stats: &ExecutionStats, label: &str) {
     assert_eq!(stats.per_thread.len(), 1, "{label}");
-    assert_eq!(stats.total_iterations(), 1, "{label}");
 }
 
 fn small_mesh() -> Mesh {
@@ -129,7 +160,7 @@ fn parallel_direct_engines_are_bit_identical_to_sequential() {
     assert_eq!(matrix.packed(), one.matrix.packed());
     assert_eq!(column_terms, one.column_terms);
     assert_eq!(cost, one.cost.kernel);
-    assert_one_partition(&one.stats, "default");
+    assert_one_thread(&one.stats, "default");
     for threads in [2, 3] {
         let pool = ThreadPool::new(threads);
         for schedule in [
@@ -188,7 +219,6 @@ fn column_profile_is_triangular() {
     let rep = assemble_galerkin(&mesh, &uniform_kernel(), &SolveOptions::default());
     let m = mesh.element_count();
     assert_eq!(rep.column_terms.len(), m);
-    assert_eq!(rep.column_seconds.len(), m);
     // Column β holds M−β pairs: costs decrease with β — "the first
     // one has M rows and the last one has 1 row" (paper §6.2).
     for w in rep.column_terms.windows(2) {
@@ -328,7 +358,7 @@ fn pooled_hierarchical_assembly_is_bit_identical_to_serial() {
     let k = uniform_kernel();
     let serial =
         assemble_hierarchical(&mesh, &k, &SolveOptions::default(), 1e-8, 4).expect("ACA converges");
-    assert_one_partition(&serial.stats, "default");
+    assert_one_thread(&serial.stats, "default");
     for threads in [2, 3] {
         let pool = ThreadPool::new(threads);
         for schedule in [
@@ -445,51 +475,104 @@ fn a_translated_grid_assembles_the_same_bits() {
 }
 
 #[test]
-fn a_one_entry_memo_still_reproduces_the_double_loop() {
-    // Every lookup of a one-set, one-way table evicts the last block:
-    // the engine must not depend on what the table keeps.
+fn a_one_class_budget_still_reproduces_the_double_loop() {
+    // A one-class table closes a band after every new key, so nearly
+    // every pair is its own band: the engines must not depend on what the
+    // table keeps.
     let mesh = barbera_style_mesh();
     let k = SoilKernel::new(&SoilModel::two_layer(0.005, 0.016, 1.0));
     let (matrix, column_terms, cost) = assemble_serial(&mesh, &k);
+    let near = near_field_serial(&mesh, &k, 4);
     let m = mesh.element_count();
     for threads in [1, 3] {
+        let label = format!("threads={threads}");
         let opts = SolveOptions::default()
             .with_parallelism(ThreadPool::new(threads), Schedule::dynamic(1));
-        let rep = assemble_galerkin_memo(&mesh, &k, &opts, || PairMemo::with_geometry(1, 1));
-        assert_eq!(matrix.packed(), rep.matrix.packed(), "threads={threads}");
-        assert_eq!(column_terms, rep.column_terms, "threads={threads}");
-        assert_eq!(cost, rep.cost.kernel, "threads={threads}");
-        assert_eq!(rep.cost.pairs, m * (m + 1) / 2, "threads={threads}");
+        let rep = assemble_galerkin_in(&mesh, &k, &opts, ClassTable::with_budget(1));
+        assert_eq!(matrix.packed(), rep.matrix.packed(), "{label}");
+        assert_eq!(column_terms, rep.column_terms, "{label}");
+        assert_eq!(cost, rep.cost.kernel, "{label}");
+        assert_eq!(rep.cost.pairs, m * (m + 1) / 2, "{label}");
         let full = assemble_galerkin(&mesh, &k, &opts);
         assert!(
             full.cost.pairs_evaluated < rep.cost.pairs_evaluated,
-            "threads={threads}"
+            "{label}"
         );
+
+        let one = hierarchical::assemble_hierarchical_in(
+            &mesh,
+            &k,
+            &opts,
+            1e-8,
+            4,
+            ClassTable::with_budget(1),
+        )
+        .expect("ACA converges");
+        assert_near_field_is(one.operator.near(), &near, &label);
+        let full = assemble_hierarchical(&mesh, &k, &opts, 1e-8, 4).expect("ACA converges");
+        assert_near_field_is(full.operator.near(), &near, &label);
+        assert!(one.operator == full.operator, "{label}");
+        assert_eq!(one.cost.kernel, full.cost.kernel, "{label}");
     }
 }
 
 #[test]
+fn a_band_closes_at_its_pair_cap() {
+    // A straight 512 m bar in 1 m elements, every coordinate exact: 131 328
+    // pairs of 512 classes (one shape, offsets −511..=0 m). The class
+    // budget never binds, so the bands close at 65 536 pairs, and every
+    // band after the first integrates its classes again.
+    let mut net = ConductorNetwork::new();
+    net.add(Conductor::new(
+        Point3::new(0.0, 0.0, 0.8),
+        Point3::new(512.0, 0.0, 0.8),
+        0.006,
+    ));
+    let mesh = Mesher::new(layerbem_geometry::MeshOptions {
+        max_element_length: 1.0,
+    })
+    .mesh(&net);
+    assert_eq!(mesh.element_count(), 512);
+    let k = uniform_kernel();
+    let (matrix, column_terms, cost) = assemble_serial(&mesh, &k);
+    let rep = assemble_galerkin(&mesh, &k, &SolveOptions::default());
+    assert_eq!(matrix.packed(), rep.matrix.packed());
+    assert_eq!(column_terms, rep.column_terms);
+    assert_eq!(cost, rep.cost.kernel);
+    assert_eq!(rep.cost.pairs, 131_328);
+    assert!(
+        (513..=3 * 512).contains(&rep.cost.pairs_evaluated),
+        "{} classes integrated",
+        rep.cost.pairs_evaluated
+    );
+}
+
+#[test]
 fn the_memo_spares_most_kernel_runs_on_the_paper_grids() {
-    // Which pairs hit depends on the keys and their order alone, not on
-    // the soil: uniform soil keeps the test quick. The shares are exact:
-    // 5 179 of 29 161 pairs (17.8 %) and 42 632 of 83 436 (51.1 %) at one
-    // thread. The floors under them are the classes, 5 055 (17.3 %) and
-    // 28 588 (34.3 %); Barberá's classes outnumber the table, and a fully
-    // associative LRU of the same 2 048 entries would evaluate 50.3 %.
+    // Which pairs share a class depends on the keys and their order
+    // alone, not on the soil or the pool: uniform soil keeps the test
+    // quick. The shares are exact: 5 055 of 29 161 pairs (17.3 %, every
+    // class once) and 33 605 of 83 436 (40.3 %; Barberá's 28 588 classes
+    // span six bands of at most 6 144, and a class met again in a later
+    // band is integrated again) at every thread count.
     let k = uniform_kernel();
     for (net, ceiling) in [
-        (layerbem_geometry::grids::balaidos(), 0.20),
-        (layerbem_geometry::grids::barbera(), 0.52),
+        (layerbem_geometry::grids::balaidos(), 0.18),
+        (layerbem_geometry::grids::barbera(), 0.41),
     ] {
         let mesh = Mesher::default().mesh(&net);
         let m = mesh.element_count();
-        let rep = assemble_galerkin(&mesh, &k, &SolveOptions::default());
-        assert_eq!(rep.cost.pairs, m * (m + 1) / 2);
-        let share = rep.cost.pairs_evaluated as f64 / rep.cost.pairs as f64;
-        assert!(
-            share <= ceiling,
-            "{m} elements: {share:.3} of pairs evaluated"
-        );
+        for threads in [1, 2] {
+            let opts = SolveOptions::default()
+                .with_parallelism(ThreadPool::new(threads), Schedule::dynamic(1));
+            let rep = assemble_galerkin(&mesh, &k, &opts);
+            assert_eq!(rep.cost.pairs, m * (m + 1) / 2);
+            let share = rep.cost.pairs_evaluated as f64 / rep.cost.pairs as f64;
+            assert!(
+                share <= ceiling,
+                "{m} elements, {threads} threads: {share:.3} of pairs evaluated"
+            );
+        }
     }
 }
 
@@ -497,9 +580,9 @@ proptest! {
     #![proptest_config(ProptestConfig { cases: 24, ..ProptestConfig::default() })]
 
     /// One body per phase: at every thread count and schedule kind the
-    /// worklist engine reproduces the double loop, and collocation the
-    /// row loop, bit for bit. At one thread the region is one partition
-    /// whose worklist is the whole triangle, so no pair is recomputed.
+    /// class-first engine reproduces the double loop, and collocation the
+    /// row loop, bit for bit. The classes integrated are the same at every
+    /// thread count and schedule: the one-thread count.
     #[test]
     fn one_pooled_body_matches_the_loop_oracles(
         nx in 1usize..=4,
@@ -533,18 +616,9 @@ proptest! {
         prop_assert_eq!(matrix.packed(), rep.matrix.packed(), "{}", label);
         prop_assert_eq!(&column_terms, &rep.column_terms, "{}", label);
         prop_assert_eq!(cost, rep.cost.kernel, "{}", label);
-        if threads == 1 {
-            assert_one_partition(&rep.stats, &label);
-            let map = ElementRowMap::from_mesh(&mesh);
-            let floored = schedule.with_min_chunk(worklist::locality_min_chunk(&map));
-            let ranges = row_ranges(mesh.dof(), &pool, floored);
-            let lists = worklist::build_worklists(&map, &ranges);
-            let m = mesh.element_count();
-            prop_assert_eq!(lists.len(), 1, "{}", label);
-            prop_assert_eq!(lists[0].pair_count(), m * (m + 1) / 2, "{}", label);
-        } else {
-            prop_assert_eq!(rep.stats.per_thread.len(), threads, "{}", label);
-        }
+        let one = assemble_galerkin(&mesh, &k, &SolveOptions::default());
+        prop_assert_eq!(rep.cost.pairs_evaluated, one.cost.pairs_evaluated, "{}", label);
+        prop_assert_eq!(rep.stats.per_thread.len(), threads, "{}", label);
 
         let (c, ccost) = collocation_serial(&mesh, &k);
         let (pooled, _, pcost) = assemble_collocation(&mesh, &k, &opts);

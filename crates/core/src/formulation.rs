@@ -38,7 +38,7 @@ pub enum SolverChoice {
 ///
 /// The **dense** backend is the bit-identical default and the accuracy
 /// oracle every other backend is measured against: the packed `N(N+1)/2`
-/// triangle, assembled by the worklist engine, factorized or retained for
+/// triangle, assembled by the class-first engine, factorized or retained for
 /// PCG. The **hierarchical** backend stores the same operator as a sparse
 /// near field plus ACA-compressed far blocks
 /// ([`HMatrix`](layerbem_numeric::HMatrix)) — `O(N log N)`-ish bytes and
@@ -81,13 +81,13 @@ impl OperatorBackend {
 /// Pool and schedule of the parallel assembly and factorization phases.
 ///
 /// One value of this struct is threaded from the CAD front-end through
-/// [`SolveOptions::parallelism`] into every pooled path: the in-place
-/// Galerkin assembler, the pooled collocation assembler, the hierarchical
-/// near-field and ACA assembly, the edit re-integration, the soil-sweep
-/// fan-out and the trailing updates of the blocked factorizations. Each
-/// of those phases has one body, the pooled one. One thread is a
-/// one-range pool: its regions run inline and do exactly the serial
-/// loop's work, and the serial double loop is only the tests' oracle.
+/// [`SolveOptions::parallelism`] into every pooled path: the class
+/// integrations of the Galerkin assembler and of the hierarchical near
+/// field, the pooled collocation assembler, the ACA far blocks, the edit
+/// re-integration, the soil-sweep fan-out and the trailing updates of the
+/// blocked factorizations. Each of those phases has one body, the pooled
+/// one. One thread is a one-thread pool: its regions run inline, and the
+/// serial double loop is only the tests' oracle.
 /// Every thread count gives that oracle's bits, so this struct decides
 /// *who computes*, never *what is computed*. PCG runs serially either
 /// way.
@@ -123,10 +123,10 @@ pub struct SolveOptions {
     pub solver: SolverChoice,
     /// Parallelism of the assembly **and** factorization phases — the one
     /// knob that decides who computes. The default is one thread, a
-    /// one-range pool: every phase runs its pooled body inline, doing
-    /// exactly the serial loop's pair work. More threads split the matrix
-    /// rows by the schedule and run each factorization panel's trailing
-    /// update on the pool. PCG is serial either way: at the orders solved
+    /// one-thread pool: every phase runs its pooled body inline. More
+    /// threads integrate chunks of pair classes under the schedule, split
+    /// the collocation rows by it, and run each factorization panel's
+    /// trailing update on the pool. PCG is serial either way: at the orders solved
     /// here a pooled matvec is slower than the serial one.
     pub parallelism: Parallelism,
     /// Memory/compute representation of the prepared Galerkin operator.

@@ -4,7 +4,7 @@
 //! from-scratch pipeline pays the full `O(M²)` assembly plus `O(N³)`
 //! factorization on every keystroke — and the paper's own Table 6.1 shows
 //! matrix generation taking 1723.2 s of a 1724.2 s run, so re-assembly is
-//! the cost that matters. This module exploits the worklist/row-map
+//! the cost that matters. This module exploits the row-map
 //! bookkeeping to touch only what an edit touched:
 //!
 //! 1. [`MeshDelta::diff`] classifies two meshes of the same deck: bitwise
@@ -14,10 +14,11 @@
 //!    broken). Moved edits name their changed elements and, through the
 //!    CSR [`ElementRowMap`], the matrix rows they touch.
 //! 2. [`Study::apply_edit`] re-integrates only the element pairs
-//!    involving a changed element — expressed as [`PairRun`] worklists
-//!    and evaluated through the same batched-kernel quadrature path as a
-//!    full assembly, so every re-integrated entry is **bit-identical** to
-//!    what a fresh assembly of the edited mesh would produce — scatters
+//!    involving a changed element — expressed as runs of consecutive
+//!    pairs of one column and evaluated through the same batched-kernel
+//!    quadrature path as a full assembly, so every re-integrated entry is
+//!    **bit-identical** to what a fresh assembly of the edited mesh would
+//!    produce — scatters
 //!    the per-row deltas into the retained operator, and routes the
 //!    factor through [`layerbem_numeric::update`]'s rank-`2m` Cholesky
 //!    update/downdate when the [`incremental_worthwhile`] cost model says
@@ -46,7 +47,6 @@ use layerbem_numeric::update::{
 use layerbem_numeric::SymMatrix;
 use layerbem_soil::SoilModel;
 
-use crate::assembly::worklist::PairRun;
 use crate::assembly::{
     assemble_galerkin, element_geoms, galerkin_rhs, pair_block, scatter_pair, AssemblyCost, Block,
     OuterQuadrature,
@@ -496,15 +496,15 @@ impl Study {
         let quad = OuterQuadrature::default();
         let kernel = &es.kernel;
         let runs = changed_pair_runs(changed, geoms_new.len());
-        let pairs_evaluated: usize = runs.iter().map(|r| r.alphas().len()).sum();
+        let pairs_evaluated: usize = runs.iter().map(|r| r.alphas.len()).sum();
         let mut run_blocks: Vec<(Vec<(Block, Block)>, KernelCost)> =
             vec![(Vec::new(), KernelCost::default()); runs.len()];
         let eval_run = |i: usize, (out, cost): &mut (Vec<(Block, Block)>, KernelCost)| {
             let run = &runs[i];
-            let beta = run.beta as usize;
+            let beta = run.beta;
             let mut batch = KernelBatch::new();
-            out.reserve(run.alphas().len());
-            for alpha in run.alphas() {
+            out.reserve(run.alphas.len());
+            for alpha in run.alphas.clone() {
                 let (ob, oc) = pair_block(
                     &geoms_old[beta],
                     &geoms_old[alpha],
@@ -540,9 +540,9 @@ impl Study {
         let mut kernel_cost = KernelCost::default();
         for (run, (blocks, cost)) in runs.iter().zip(&run_blocks) {
             kernel_cost += *cost;
-            let beta = run.beta as usize;
+            let beta = run.beta;
             let nb = new_mesh.elements[beta].nodes;
-            for (k, alpha) in run.alphas().enumerate() {
+            for (k, alpha) in run.alphas.clone().enumerate() {
                 let (ob, newb) = blocks[k];
                 let mut d: Block = [[0.0; 2]; 2];
                 for j in 0..2 {
@@ -745,6 +745,14 @@ fn scatter_cols(
     }
 }
 
+/// A run of consecutive pairs `(beta, alpha)`, `alpha ∈ alphas`, of one
+/// column.
+#[derive(Clone, Debug)]
+struct PairRun {
+    beta: usize,
+    alphas: std::ops::Range<usize>,
+}
+
 /// Run-length–compressed pair list of an edit: every pair `(β, α)`,
 /// `β ≤ α`, with at least one changed element, each exactly once, in the
 /// sequential pair order. Changed `β` columns contribute their full
@@ -759,9 +767,8 @@ fn changed_pair_runs(changed: &[usize], m: usize) -> Vec<PairRun> {
     for (beta, &beta_changed) in is_changed.iter().enumerate() {
         if beta_changed {
             runs.push(PairRun {
-                beta: beta as u32,
-                alpha_start: beta as u32,
-                alpha_end: m as u32,
+                beta,
+                alphas: beta..m,
             });
         } else {
             let mut k = changed.partition_point(|&a| a < beta);
@@ -774,9 +781,8 @@ fn changed_pair_runs(changed: &[usize], m: usize) -> Vec<PairRun> {
                     k += 1;
                 }
                 runs.push(PairRun {
-                    beta: beta as u32,
-                    alpha_start: start as u32,
-                    alpha_end: end as u32,
+                    beta,
+                    alphas: start..end,
                 });
             }
         }
@@ -1287,9 +1293,9 @@ mod tests {
         let runs = changed_pair_runs(&changed, m);
         let mut seen = std::collections::HashSet::new();
         for run in &runs {
-            for alpha in run.alphas() {
+            for alpha in run.alphas.clone() {
                 assert!(
-                    seen.insert((run.beta as usize, alpha)),
+                    seen.insert((run.beta, alpha)),
                     "pair duplicated: ({}, {alpha})",
                     run.beta
                 );

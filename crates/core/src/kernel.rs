@@ -117,11 +117,11 @@ impl KernelBatch {
 /// [`GroundingSystem::prepare`](crate::system::GroundingSystem::prepare)
 /// refuses a study whose assembly counted any.
 ///
-/// A pair block's record is a pure function of the pair (its key in the
-/// assembly's memo), so the Galerkin engines charge a memo hit the stored
-/// record of the block's class: the counts are those of the matrix the
-/// generation *embodies*, identical to the double loop's whichever pairs
-/// the kernel actually re-ran ([`AssemblyCost::pairs_evaluated`](crate::assembly::AssemblyCost::pairs_evaluated)
+/// A pair block's record is a pure function of the pair's class (its key
+/// in the assembly's class table), so the Galerkin engines charge every
+/// pair the stored record of its class: the counts are those of the
+/// matrix the generation *embodies*, identical to the double loop's
+/// however few pairs the kernel actually ran ([`AssemblyCost::pairs_evaluated`](crate::assembly::AssemblyCost::pairs_evaluated)
 /// says how many did).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct KernelCost {

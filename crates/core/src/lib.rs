@@ -14,10 +14,11 @@
 //!   model: closed-form images (uniform), image series (two-layer), or
 //!   quadrature over the Hankel-inverted kernel (N-layer).
 //! * [`assembly`] — Galerkin matrix generation over the triangular
-//!   element-pair iteration: the zero-staging in-place worklist engine
-//!   ([`assembly::worklist`]) on the OpenMP-style runtime (one thread is
-//!   a one-range pool; the double loop is the tests' oracle), with
-//!   per-column cost capture feeding the schedule simulator.
+//!   element-pair iteration: the class-first engine (intern each pair's
+//!   class, integrate each class once on the OpenMP-style runtime,
+//!   scatter in pair order; one thread is a one-thread pool, the double
+//!   loop is the tests' oracle), with per-column series terms as its
+//!   cost profile.
 //! * [`formulation`] — [`SolveOptions`]: the four choices a solve takes
 //!   (formulation, solver, parallelism, operator backend). The outer
 //!   quadrature and the PCG tolerance are fixed, not options.

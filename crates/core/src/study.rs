@@ -9,7 +9,7 @@
 //! 1. [`GroundingSystem::prepare`] assembles the BEM system **once**
 //!    and factorizes it **once** (both on the pool of
 //!    [`SolveOptions::parallelism`](crate::formulation::SolveOptions);
-//!    one thread is a one-range pool whose regions run inline on the
+//!    one thread is a one-thread pool whose regions run inline on the
 //!    calling thread — the same assembly and factorization loops at
 //!    every thread count), returning
 //!    a reusable [`Study`] that owns the retained
@@ -353,9 +353,8 @@ pub struct Study {
     /// Galerkin weights `ν_i = ∫ N_i dΓ` for the current integral
     /// `IΓ = Σ q_i ν_i` (identical to `rhs` for Galerkin).
     pub(crate) nu: Vec<f64>,
-    /// Per-column profile of the latest assembly (dense Galerkin only;
-    /// empty otherwise) — the simulator's task profile, not a total.
-    pub(crate) column_seconds: Vec<f64>,
+    /// Per-column series terms of the latest assembly (dense Galerkin
+    /// only; empty otherwise) — a profile, not a total.
     pub(crate) column_terms: Vec<u64>,
     /// What this study has paid so far, stored once; `scenario_solves`
     /// stays 0 here and is read from `solves` by [`Study::profile`], and
@@ -406,7 +405,6 @@ impl Study {
                 }
                 let rep =
                     assemble_hierarchical(system.mesh(), system.kernel(), &opts, tol, leaf_size)?;
-                let columns = (Vec::new(), Vec::new());
                 let kernel = system.kernel();
                 Study::assembled(
                     opts,
@@ -414,15 +412,14 @@ impl Study {
                     rep.cost,
                     rep.rhs.clone(),
                     rep.rhs,
-                    columns,
+                    Vec::new(),
                     || Ok((Engine::Hierarchical(rep.operator), 0)),
                 )
             }
             (Formulation::Collocation, OperatorBackend::Dense) => {
                 let (c, rhs, cost) = assemble_collocation(system.mesh(), system.kernel(), &opts);
                 let nu = galerkin_rhs(system.mesh());
-                let columns = (Vec::new(), Vec::new());
-                Study::assembled(opts, system.kernel(), cost, rhs, nu, columns, || {
+                Study::assembled(opts, system.kernel(), cost, rhs, nu, Vec::new(), || {
                     let par = &opts.parallelism;
                     let lu = LuFactor::factor_in_place(c, &par.pool, par.schedule)?;
                     Ok((Engine::Lu(lu), 1))
@@ -438,7 +435,7 @@ impl Study {
 
     /// The one way an assembled operator becomes a `Study`: `factor`
     /// builds the retained engine (and counts its factorizations), timed
-    /// here; `columns` is the per-column `(seconds, terms)` profile. An
+    /// here; `column_terms` is the per-column terms profile. An
     /// assembly that capped a series of `kernel` is refused here, before
     /// anything is factorized.
     fn assembled(
@@ -447,7 +444,7 @@ impl Study {
         cost: AssemblyCost,
         rhs: Vec<f64>,
         nu: Vec<f64>,
-        columns: (Vec<f64>, Vec<u64>),
+        column_terms: Vec<u64>,
         factor: impl FnOnce() -> Result<(Engine, usize), PrepareError>,
     ) -> Result<Study, PrepareError> {
         if cost.kernel.capped_series > 0 {
@@ -461,8 +458,7 @@ impl Study {
             engine,
             rhs,
             nu,
-            column_seconds: columns.0,
-            column_terms: columns.1,
+            column_terms,
             spent: StudyProfile {
                 assembly: cost,
                 factorizations,
@@ -487,23 +483,18 @@ impl Study {
         report: Cow<'_, AssemblyReport>,
         retain: bool,
     ) -> Result<(Study, Option<SymMatrix>), PrepareError> {
-        let (matrix, rhs, columns, cost) = match report {
-            Cow::Owned(r) => (
-                Cow::Owned(r.matrix),
-                r.rhs,
-                (r.column_seconds, r.column_terms),
-                r.cost,
-            ),
+        let (matrix, rhs, column_terms, cost) = match report {
+            Cow::Owned(r) => (Cow::Owned(r.matrix), r.rhs, r.column_terms, r.cost),
             Cow::Borrowed(r) => (
                 Cow::Borrowed(&r.matrix),
                 r.rhs.clone(),
-                (r.column_seconds.clone(), r.column_terms.clone()),
+                r.column_terms.clone(),
                 r.cost,
             ),
         };
         let retain = retain && opts.solver != SolverChoice::ConjugateGradient;
         let mut retained = None;
-        let study = Study::assembled(opts, kernel, cost, rhs.clone(), rhs, columns, || {
+        let study = Study::assembled(opts, kernel, cost, rhs.clone(), rhs, column_terms, || {
             if retain {
                 let built = Study::galerkin_engine(&opts, Cow::Borrowed(&*matrix))?;
                 retained = Some(matrix.into_owned());
@@ -600,19 +591,12 @@ impl Study {
             engine: self.engine.clone(),
             rhs: self.rhs.clone(),
             nu: self.nu.clone(),
-            column_seconds: self.column_seconds.clone(),
             column_terms: self.column_terms.clone(),
             spent: self.spent,
             solves: AtomicUsize::new(self.solves.load(Ordering::Relaxed)),
             unit: self.unit.clone(),
             edit: None,
         }
-    }
-
-    /// Per-column wall seconds of the latest assembly (dense Galerkin;
-    /// empty otherwise) — the task profile the schedule simulator replays.
-    pub fn column_seconds(&self) -> &[f64] {
-        &self.column_seconds
     }
 
     /// Series terms per column of the latest assembly.
@@ -909,7 +893,6 @@ mod tests {
         let system = GroundingSystem::new(rod_mesh(24), &SoilModel::uniform(0.016), opts);
         let report = system.assemble();
         let negated = report.rhs.iter().map(|v| -v).collect();
-        let columns = (Vec::new(), Vec::new());
         let kernel = system.kernel();
         let study = Study::assembled(
             opts,
@@ -917,7 +900,7 @@ mod tests {
             report.cost,
             negated,
             report.rhs,
-            columns,
+            Vec::new(),
             || Ok((Engine::Pcg(report.matrix), 0)),
         )
         .expect("prepare");
@@ -1126,7 +1109,7 @@ mod tests {
         assert_eq!(fresh.leakage, staged.leakage);
         assert_eq!(fresh.equivalent_resistance, staged.equivalent_resistance);
         // Collocation has no per-column Galerkin profile.
-        assert!(study.column_seconds().is_empty());
+        assert!(study.column_terms().is_empty());
     }
 
     #[test]

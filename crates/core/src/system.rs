@@ -103,7 +103,7 @@ impl GroundingSystem {
         &self.opts
     }
 
-    /// Generates the Galerkin system: the worklist engine on the pool of
+    /// Generates the Galerkin system: the class-first engine on the pool of
     /// [`SolveOptions::parallelism`] (see [`assemble_galerkin`]).
     pub fn assemble(&self) -> AssemblyReport {
         assemble_galerkin(&self.mesh, &self.kernel, &self.opts)
@@ -114,7 +114,7 @@ impl GroundingSystem {
     /// [`Scenario`]s from one unit-GPR solve.
     ///
     /// [`SolveOptions::parallelism`] alone decides who computes: matrix
-    /// generation runs the worklist engine on its pool and the blocked
+    /// generation runs the class-first engine on its pool and the blocked
     /// factorization runs its trailing updates there; at one thread both
     /// run inline on the calling thread. The bits are the same at every
     /// thread count.

@@ -19,8 +19,8 @@
 //!   the Galerkin BEM needs (elements share nodes at grid crossings, so
 //!   the paper's "408 segments … 238 degrees of freedom" arises naturally).
 //! * [`rowmap`] — CSR map between elements and the Galerkin matrix rows
-//!   they target (element → row extremes, rows → owning elements), the
-//!   substrate of the assembly layer's precomputed pair worklists.
+//!   they target (element → nodes, rows → owning elements), read by the
+//!   collocation rows, the cluster tree and the edit subsystem.
 //! * [`cluster`] — binary cluster tree over elements with the
 //!   admissibility test that splits the element-pair triangle into near
 //!   (dense) and far (low-rank compressible) blocks, the geometric

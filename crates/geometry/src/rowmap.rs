@@ -1,23 +1,18 @@
 //! CSR map between elements and the Galerkin matrix rows they target.
 //!
 //! The Galerkin unknowns are nodal, so element `e` writes matrix entries
-//! whose packed row — the larger of the two node indices involved — is one
-//! of `e`'s own node indices. [`ElementRowMap`] captures that relation in
-//! both directions, derived **once** from a [`Mesh`]:
+//! whose rows are `e`'s own node indices. [`ElementRowMap`] captures that
+//! relation in both directions, derived **once** from a [`Mesh`]:
 //!
-//! * element → target-row extremes ([`lo`](ElementRowMap::lo) /
-//!   [`hi`](ElementRowMap::hi)): the smallest and largest node index of the
-//!   element, bounding every packed row any pair involving it can touch;
+//! * element → rows ([`element_nodes`](ElementRowMap::element_nodes)):
+//!   the element's two node indices;
 //! * rows → owning elements ([`row_elements`](ElementRowMap::row_elements)):
 //!   a CSR adjacency (flat arrays, no per-row allocation) listing, in
 //!   ascending element order, the elements incident to each node.
 //!
-//! The map is what lets the assembly layer precompute exact per-partition
-//! pair worklists (`layerbem-core`'s `assembly::worklist`) instead of
-//! having every partition rescan the `M(M+1)/2` pair triangle: the packed
-//! rows a pair `(β, α)` targets are exactly
-//! [`pair_target_rows`](ElementRowMap::pair_target_rows), a pure function
-//! of the two elements' node indices.
+//! Collocation reads a row's incident elements off it, the hierarchical
+//! backend a cluster's rows, and an edit the rows its changed elements
+//! touch.
 
 use crate::mesh::Mesh;
 
@@ -38,18 +33,13 @@ use crate::mesh::Mesh;
 /// ));
 /// let mesh = Mesher::default().mesh(&net); // 2 elements sharing node 1
 /// let map = ElementRowMap::from_mesh(&mesh);
-/// assert_eq!((map.lo(0), map.hi(0)), (0, 1));
+/// assert_eq!(map.element_nodes(0), [0, 1]);
 /// assert_eq!(map.row_elements(1), &[0, 1]); // the shared corner
-/// assert_eq!(map.pair_hi(0, 1), 2);
 /// ```
 #[derive(Clone, Debug)]
 pub struct ElementRowMap {
     /// Per-element node pair, copied from the mesh.
     nodes: Vec<[usize; 2]>,
-    /// Per-element smallest node index.
-    lo: Vec<usize>,
-    /// Per-element largest node index.
-    hi: Vec<usize>,
     /// CSR row pointers: `row_ptr[r]..row_ptr[r + 1]` indexes
     /// [`row_elems`](Self::row_elems) for node/row `r`.
     row_ptr: Vec<usize>,
@@ -63,8 +53,6 @@ impl ElementRowMap {
         let n = mesh.dof();
         let m = mesh.element_count();
         let nodes: Vec<[usize; 2]> = mesh.elements.iter().map(|e| e.nodes).collect();
-        let lo: Vec<usize> = nodes.iter().map(|nd| nd[0].min(nd[1])).collect();
-        let hi: Vec<usize> = nodes.iter().map(|nd| nd[0].max(nd[1])).collect();
 
         // Two counting passes build the CSR arrays without any per-row Vec.
         let mut row_ptr = vec![0usize; n + 1];
@@ -86,8 +74,6 @@ impl ElementRowMap {
         }
         ElementRowMap {
             nodes,
-            lo,
-            hi,
             row_ptr,
             row_elems,
         }
@@ -111,81 +97,10 @@ impl ElementRowMap {
         self.nodes[e]
     }
 
-    /// Smallest packed row element `e` can target.
-    #[inline]
-    pub fn lo(&self, e: usize) -> usize {
-        self.lo[e]
-    }
-
-    /// Largest packed row element `e` can target.
-    #[inline]
-    pub fn hi(&self, e: usize) -> usize {
-        self.hi[e]
-    }
-
     /// Elements incident to node/row `r`, in ascending element order.
     #[inline]
     pub fn row_elements(&self, r: usize) -> &[usize] {
         &self.row_elems[self.row_ptr[r]..self.row_ptr[r + 1]]
-    }
-
-    /// The highest packed row pair `(beta, alpha)` targets — the row whose
-    /// owning partition is charged with the pair's accounting (it always
-    /// computes the pair).
-    #[inline]
-    pub fn pair_hi(&self, beta: usize, alpha: usize) -> usize {
-        self.hi[beta].max(self.hi[alpha])
-    }
-
-    /// The distinct packed rows the elemental block of pair
-    /// `(beta, alpha)` scatters into, in first-seen order (at most 4).
-    ///
-    /// For an off-diagonal pair these are the maxima `max(p, q)` over the
-    /// node cross product `p ∈ nodes(beta) × q ∈ nodes(alpha)` — the packed
-    /// row of every entry the assembler scatters. A diagonal pair
-    /// (`beta == alpha`) only scatters entries among its own two nodes, so
-    /// its target rows are exactly those nodes.
-    #[inline]
-    pub fn pair_target_rows(&self, beta: usize, alpha: usize) -> TargetRows {
-        let mut out = TargetRows::default();
-        if beta == alpha {
-            let nd = self.nodes[beta];
-            out.push(nd[0]);
-            out.push(nd[1]);
-            return out;
-        }
-        let nb = self.nodes[beta];
-        let na = self.nodes[alpha];
-        for &p in &nb {
-            for &q in &na {
-                out.push(p.max(q));
-            }
-        }
-        out
-    }
-}
-
-/// The deduplicated target rows of one pair — a fixed-capacity set of at
-/// most 4 row indices, in first-seen order (no allocation per pair).
-#[derive(Clone, Copy, Debug, Default)]
-pub struct TargetRows {
-    rows: [usize; 4],
-    len: usize,
-}
-
-impl TargetRows {
-    #[inline]
-    fn push(&mut self, r: usize) {
-        if !self.as_slice().contains(&r) {
-            self.rows[self.len] = r;
-            self.len += 1;
-        }
-    }
-
-    /// The distinct target rows.
-    #[inline]
-    pub fn as_slice(&self) -> &[usize] {
-        &self.rows[..self.len]
     }
 }
 
@@ -228,51 +143,9 @@ mod tests {
         let mesh = grid_mesh(2, 2);
         let map = ElementRowMap::from_mesh(&mesh);
         for (e, el) in mesh.elements.iter().enumerate() {
-            assert_eq!(map.lo(e), el.nodes[0].min(el.nodes[1]));
-            assert_eq!(map.hi(e), el.nodes[0].max(el.nodes[1]));
             assert_eq!(map.element_nodes(e), el.nodes);
-            assert!(map.lo(e) <= map.hi(e));
-            assert!(map.hi(e) < map.rows());
+            assert!(el.nodes.iter().all(|&p| p < map.rows()));
         }
-    }
-
-    #[test]
-    fn pair_target_rows_match_scatter_rows_brute_force() {
-        // Oracle: the packed row of every entry the assembler scatters for
-        // a pair is max(p, q) over the relevant node combinations.
-        let mesh = grid_mesh(2, 1);
-        let map = ElementRowMap::from_mesh(&mesh);
-        let m = mesh.element_count();
-        for beta in 0..m {
-            for alpha in beta..m {
-                let mut expect: Vec<usize> = if beta == alpha {
-                    mesh.elements[beta].nodes.to_vec()
-                } else {
-                    let nb = mesh.elements[beta].nodes;
-                    let na = mesh.elements[alpha].nodes;
-                    nb.iter()
-                        .flat_map(|&p| na.iter().map(move |&q| p.max(q)))
-                        .collect()
-                };
-                expect.sort_unstable();
-                expect.dedup();
-                let mut got: Vec<usize> = map.pair_target_rows(beta, alpha).as_slice().to_vec();
-                got.sort_unstable();
-                assert_eq!(got, expect, "pair ({beta}, {alpha})");
-                // The accounting row is the largest target.
-                assert_eq!(map.pair_hi(beta, alpha), *expect.last().unwrap());
-            }
-        }
-    }
-
-    #[test]
-    fn target_rows_dedup_and_keep_first_seen_order() {
-        let mut t = TargetRows::default();
-        t.push(5);
-        t.push(3);
-        t.push(5);
-        t.push(3);
-        assert_eq!(t.as_slice(), &[5, 3]);
     }
 
     #[test]

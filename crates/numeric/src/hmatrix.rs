@@ -142,85 +142,6 @@ impl SparseSym {
             + std::mem::size_of_val(self.col_idx.as_slice())
             + std::mem::size_of_val(self.vals.as_slice())
     }
-
-    /// Splits the value storage into disjoint row-range views, one per
-    /// range — the sparse mirror of [`SymMatrix::partition_rows`]: the CSR
-    /// rows are stored ascending, so a row range is a contiguous value
-    /// slice that one thread may accumulate without locks.
-    ///
-    /// `ranges` must be ascending, disjoint, and within `0..order`.
-    ///
-    /// [`SymMatrix::partition_rows`]: crate::SymMatrix::partition_rows
-    pub fn partition_rows(
-        &mut self,
-        ranges: &[std::ops::Range<usize>],
-    ) -> Vec<SparseSymRowsMut<'_>> {
-        let mut views = Vec::with_capacity(ranges.len());
-        let mut taken = 0usize; // end of the last consumed value index
-        let mut rest: &mut [f64] = &mut self.vals;
-        for r in ranges {
-            assert!(
-                r.end <= self.n,
-                "partition range {r:?} exceeds order {}",
-                self.n
-            );
-            let (lo, hi) = (self.row_ptr[r.start], self.row_ptr[r.end]);
-            assert!(
-                lo >= taken,
-                "partition ranges must be ascending and disjoint"
-            );
-            let (_, tail) = std::mem::take(&mut rest).split_at_mut(lo - taken);
-            let (vals, tail) = tail.split_at_mut(hi - lo);
-            rest = tail;
-            taken = hi;
-            views.push(SparseSymRowsMut {
-                rows: r.clone(),
-                row_ptr: &self.row_ptr,
-                col_idx: &self.col_idx,
-                vals,
-                offset: lo,
-            });
-        }
-        views
-    }
-}
-
-/// Exclusive view of a [`SparseSym`] row range, handed to one thread by
-/// [`SparseSym::partition_rows`] — the sparse counterpart of
-/// [`SymRowsMut`](crate::SymRowsMut).
-#[derive(Debug)]
-pub struct SparseSymRowsMut<'a> {
-    rows: std::ops::Range<usize>,
-    row_ptr: &'a [usize],
-    col_idx: &'a [u32],
-    /// Values of rows `rows`, i.e. flat indices `offset..row_ptr[rows.end]`.
-    vals: &'a mut [f64],
-    offset: usize,
-}
-
-impl SparseSymRowsMut<'_> {
-    /// The row range this view owns.
-    pub fn rows(&self) -> std::ops::Range<usize> {
-        self.rows.clone()
-    }
-
-    /// Whether entry `(i, j)` (unordered) lives in this view's rows —
-    /// i.e. its packed row `max(i, j)` is owned here.
-    pub fn owns(&self, i: usize, j: usize) -> bool {
-        self.rows.contains(&i.max(j))
-    }
-
-    /// Accumulates into entry `(i, j)`. Panics when the entry is outside
-    /// this view's rows or off the sparsity pattern.
-    pub fn add(&mut self, i: usize, j: usize, v: f64) {
-        let (r, c) = (i.max(j), i.min(j) as u32);
-        assert!(self.rows.contains(&r), "entry ({i}, {j}) outside view rows");
-        let row = self.row_ptr[r]..self.row_ptr[r + 1];
-        let k = self.col_idx[row.clone()]
-            .binary_search(&c)
-            .unwrap_or_else(|_| panic!("entry ({i}, {j}) outside the sparsity pattern"));
-        self.vals[row.start + k - self.offset] += v;
-    }
 }
 
 /// One admissible cluster pair's compressed coupling block.
@@ -469,42 +390,6 @@ mod tests {
         assert_eq!(a.get(0, 2), -1.0);
         assert_eq!(a.get(1, 0), 0.0);
         assert_eq!(a.diagonal(), vec![2.0, 3.0, 4.0, 5.0]);
-    }
-
-    #[test]
-    fn partitioned_accumulation_matches_whole_matrix_writes() {
-        let pattern = vec![
-            (0, 0),
-            (1, 0),
-            (1, 1),
-            (2, 2),
-            (3, 1),
-            (3, 3),
-            (4, 0),
-            (4, 4),
-        ];
-        let mut whole = SparseSym::from_pattern(5, pattern.clone());
-        let mut split = SparseSym::from_pattern(5, pattern.clone());
-        for (k, &(r, c)) in pattern.iter().enumerate() {
-            whole.add(r as usize, c as usize, 1.0 + k as f64);
-        }
-        let ranges = [0..2, 2..3, 4..5]; // row 3 deliberately unowned
-        let mut views = split.partition_rows(&ranges);
-        for view in &mut views {
-            for &(r, c) in &pattern {
-                let k = pattern.iter().position(|p| *p == (r, c)).unwrap();
-                if view.owns(r as usize, c as usize) {
-                    view.add(r as usize, c as usize, 1.0 + k as f64);
-                }
-            }
-        }
-        drop(views);
-        for i in 0..5 {
-            for j in 0..=i {
-                let want = if i == 3 { 0.0 } else { whole.get(i, j) };
-                assert_eq!(split.get(i, j), want, "({i}, {j})");
-            }
-        }
     }
 
     #[test]

@@ -67,7 +67,7 @@ pub mod vector;
 pub use aca::{aca, aca_sampled, AcaError, LowRank, MatrixSampler};
 pub use cholesky::CholeskyFactor;
 pub use dense::{DenseMatrix, DenseRowsMut};
-pub use hmatrix::{CompressionStats, FarBlock, HMatrix, SparseSym, SparseSymRowsMut};
+pub use hmatrix::{CompressionStats, FarBlock, HMatrix, SparseSym};
 pub use lanes::{ln4, slots_for, LANES};
 pub use lu::LuFactor;
 pub use pcg::{pcg_solve, ConvergenceHistory, LinearOperator, PcgOptions, PcgOutcome};

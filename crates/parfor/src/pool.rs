@@ -9,10 +9,11 @@
 //! Threads are spawned per parallel region. On the paper's runs a region
 //! is seconds to minutes of matrix generation and the launch disappears
 //! in it; this repository also opens regions around far shorter work — a
-//! 0.1 s deck, a 4 ms edit — and there it shows:
-//! `benchmark/README.md` reads `parfor.assembly.speedup` at
-//! 0.6–0.9 on a 628-dof assembly at 2 threads (ROADMAP item 2(a) is the
-//! pool of parked workers that would change this). What the paper
+//! 4 ms edit, each 32-column panel of a factorization, each band of a
+//! class-first assembly (about 36 at 628 dof) — and there it shows: at
+//! 628 dof a 2-thread Cholesky factor is slower than the inline one
+//! (ROADMAP item 2 has the table; item 2(a) is the pool of parked workers
+//! that would change this). What the paper
 //! studies is the *iteration dispatch* strategy, which is implemented
 //! here with lock-free atomics exactly mirroring the schedule semantics of
 //! [`Schedule`].

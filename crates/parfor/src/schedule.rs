@@ -192,11 +192,10 @@ impl Schedule {
     }
 
     /// [`chunk_ranges`](Self::chunk_ranges) as `Range<usize>` values — the
-    /// form every row-partitioned pooled path consumes. The assembly
-    /// worklists, the pooled collocation assembler and the hierarchical
-    /// near field all derive their disjoint row ownership from this one
-    /// function, so a `(schedule, n, p)` triple decides a single
-    /// decomposition shared across the whole assembly phase.
+    /// form every row-partitioned pooled path consumes. The pooled
+    /// collocation assembler and the factorizations' trailing updates
+    /// derive their disjoint row ownership from this one function, so a
+    /// `(schedule, n, p)` triple decides a single decomposition.
     pub fn partition_ranges(&self, n: usize, p: usize) -> Vec<std::ops::Range<usize>> {
         self.chunk_ranges(n, p)
             .into_iter()

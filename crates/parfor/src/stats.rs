@@ -60,6 +60,23 @@ impl ExecutionStats {
     }
 }
 
+/// The stats of consecutive regions: per-thread counts and busy times
+/// add thread by thread, and the walls add.
+impl std::ops::AddAssign for ExecutionStats {
+    fn add_assign(&mut self, other: ExecutionStats) {
+        if self.per_thread.len() < other.per_thread.len() {
+            self.per_thread
+                .resize(other.per_thread.len(), ThreadStats::default());
+        }
+        for (t, o) in self.per_thread.iter_mut().zip(&other.per_thread) {
+            t.iterations += o.iterations;
+            t.chunks += o.chunks;
+            t.busy += o.busy;
+        }
+        self.wall += other.wall;
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -106,6 +123,29 @@ mod tests {
         };
         assert_eq!(stats.idle_threads(), 1);
         assert!((stats.imbalance() - 2.0).abs() < 1e-12);
+    }
+
+    #[test]
+    fn consecutive_regions_add_thread_by_thread() {
+        let region = |iterations, ms| ExecutionStats {
+            per_thread: vec![
+                ThreadStats {
+                    iterations,
+                    chunks: 1,
+                    busy: Duration::from_millis(ms),
+                };
+                2
+            ],
+            wall: Duration::from_millis(ms),
+        };
+        let mut sum = ExecutionStats::default();
+        sum += region(3, 4);
+        sum += region(5, 6);
+        assert_eq!(sum.per_thread.len(), 2);
+        assert_eq!(sum.total_iterations(), 16);
+        assert_eq!(sum.total_chunks(), 4);
+        assert_eq!(sum.per_thread[1].busy, Duration::from_millis(10));
+        assert_eq!(sum.wall, Duration::from_millis(10));
     }
 
     #[test]

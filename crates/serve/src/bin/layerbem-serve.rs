@@ -9,7 +9,7 @@
 //! * `--max-resident-bytes` — study-cache budget; accepts plain bytes or
 //!   `k`/`m`/`g` suffixes (default 0 = unlimited).
 //! * `--threads` — connection workers, and the size of the pool each
-//!   study's assembly and factorization run on (default 1, a one-range
+//!   study's assembly and factorization run on (default 1, a one-thread
 //!   pool; every thread count gives the same bits, so this never changes
 //!   answers).
 //!

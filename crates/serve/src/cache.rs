@@ -200,7 +200,10 @@ impl StudyCache {
         self.max_resident_bytes
     }
 
-    /// `(resident studies, resident bytes, evictions so far)`.
+    /// `(resident studies, resident bytes, evictions so far)`. The bytes
+    /// count the studies (and remembered decks) the cache holds. A study
+    /// evicted while an in-flight request still holds its `Arc` stays in
+    /// memory, uncounted, until that request drops it.
     pub fn residency(&self) -> (usize, usize, u64) {
         let inner = self.inner.lock().expect("cache lock");
         let ready = inner

@@ -114,7 +114,10 @@ impl Metrics {
     /// The `stats` response body (the caller wraps it with `ok:true`).
     /// Resident studies, resident bytes and evictions
     /// ([`StudyCache::residency`](crate::cache::StudyCache::residency))
-    /// and the budget come from the cache, which owns residency truth.
+    /// and the budget come from the cache, which owns residency truth:
+    /// `cache.resident_bytes` counts the studies the cache holds, and a
+    /// study evicted while an in-flight request still holds its `Arc`
+    /// stays in memory, uncounted, until that request drops it.
     pub fn to_json(
         &self,
         (resident_studies, resident_bytes, evictions): (usize, usize, u64),

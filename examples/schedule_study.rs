@@ -49,9 +49,10 @@ fn main() {
 
     // --- Simulated Origin-2000-style scaling from the column profile. ---
     // Series terms per column give the tasks' shape: they count every
-    // pair the paper's loop integrates, where the engine's column seconds
-    // shrink for the pairs its memo already holds. Scaled to the measured
-    // kernel seconds, so the simulator's overheads keep their unit.
+    // pair the paper's loop integrates, where the engine integrates each
+    // class of congruent pairs once and a column has no time of its own.
+    // Scaled to the measured kernel seconds, so the simulator's overheads
+    // keep their unit.
     println!("\nmeasuring sequential per-column costs for the simulator…");
     let report = system.assemble();
     let per_term = report.cost.kernel_seconds / report.total_terms() as f64;

@@ -64,7 +64,7 @@
 //! | [`parfor`] | OpenMP-style `parallel for` (static/dynamic/guided × chunk) + discrete-event schedule simulator |
 //! | [`geometry`] | conductors, grids (incl. the paper's Barberá and Balaidos reconstructions), thin-wire mesher |
 //! | [`soil`] | uniform / two-layer / N-layer Green's functions |
-//! | [`core`] | image-segment BEM integration, Galerkin assembly (one worklist engine; one thread is a one-range pool), solver driver, post-processing, IEEE 80 |
+//! | [`core`] | image-segment BEM integration, Galerkin assembly (one class-first engine; one thread is a one-thread pool), solver driver, post-processing, IEEE 80 |
 //! | [`cad`] | case-deck parser, five-phase timed pipeline, reports |
 //! | [`serve`] | resident study server: newline-JSON protocol, keyed factorization cache, metrics |
 

@@ -22,7 +22,7 @@ fn pipeline_end_to_end() {
     assert!(result.solution().total_current > 0.0);
     assert!(result.times.matrix_generation_share() > 0.5);
     assert!(result.report.contains("integration yard"));
-    assert_eq!(result.column_seconds.len(), result.mesh.element_count());
+    assert_eq!(result.column_terms.len(), result.mesh.element_count());
 }
 
 #[test]

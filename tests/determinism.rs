@@ -2,12 +2,12 @@
 //! be **bit-identical** to its one-thread run on real BEM systems, for
 //! every schedule × thread count × order exercised here. The "serial"
 //! side of each test is `SolveOptions::default()` — a one-thread pool,
-//! whose assembly is the worklist engine on one row range; that engine's
+//! whose assembly is the class-first engine run inline; that engine's
 //! match with the paper's double loop is pinned by the oracle tests in
 //! `crates/core/src/assembly/tests.rs`.
 //!
 //! Covered, on the paper's Barberá (238 dof) and Balaidos (201 dof)
-//! grids: the worklist-driven pooled Galerkin assembler (matrix,
+//! grids: the class-first pooled Galerkin assembler (matrix,
 //! right-hand side and per-column series terms), the blocked pooled
 //! Cholesky/LU factors, the row-partitioned pooled collocation assembler,
 //! studies of every solver prepared on a pool (PCG itself is serial, so
@@ -123,11 +123,10 @@ fn galerkin_system(mesh: &Mesh, soil: &SoilModel) -> (SymMatrix, Vec<f64>) {
 
 #[test]
 fn worklist_and_scan_direct_assembly_are_bit_identical_to_sequential() {
-    // The PR-4 tentpole invariant: the pooled worklist engine agrees
-    // with the serial double loop to the bit, on the paper grids, for
-    // every schedule × thread count — including the per-column
-    // series-term attribution, which sums exactly even when boundary
-    // pairs are recomputed by several partitions.
+    // The pooled Galerkin engine agrees with the serial double loop to
+    // the bit, on the paper grids, for every schedule × thread count —
+    // including the per-column series-term attribution, which charges
+    // every pair its class's cost.
     for (grid, mesh, soil) in grid_cases() {
         let kernel = SoilKernel::new(&soil);
         let opts = SolveOptions::default();
@@ -151,7 +150,7 @@ fn worklist_and_scan_direct_assembly_are_bit_identical_to_sequential() {
 fn batched_kernel_assembly_is_bit_identical_across_schedules_and_threads() {
     // The PR-7 tentpole invariant: the batched structure-of-arrays kernel
     // path evaluates per element pair, and a pair's batch content is
-    // fixed by the pair alone — so the worklist engine must reproduce the
+    // fixed by the pair alone — so the pooled engine must reproduce the
     // sequential batched assembly bit for bit (matrix, RHS, per-column
     // terms, lane counters) for every schedule × thread count, and every
     // pair block must agree with the retained scalar oracle within the
