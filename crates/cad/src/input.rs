@@ -55,9 +55,11 @@
 //!
 //! Conductor indices are deck order, 0-based, re-evaluated after each
 //! edit (a `remove` shifts later indices down). Geometry-only moves
-//! re-integrate just the touched element pairs and update the retained
-//! Cholesky factor in place; `add`/`remove` rebuild. Edits accumulate in
-//! [`CadCase::edits`] and cannot be combined with sweep/search stanzas.
+//! re-integrate just the touched element pairs, under the old and the new
+//! geometry, through the assembler's own class-first integrator, and
+//! update the retained operator and Cholesky factor in place;
+//! `add`/`remove` rebuild. Edits accumulate in [`CadCase::edits`] and
+//! cannot be combined with sweep/search stanzas.
 
 use layerbem_core::formulation::{Formulation, SolveOptions, SolverChoice};
 use layerbem_core::incremental::{ConductorEnd, EditOp};
@@ -97,9 +99,10 @@ pub struct CadCase {
     /// `search` workload re-derives candidate layouts from.
     pub grid_spec: Option<RectGridSpec>,
     /// `edit` stanzas in deck order, replayed as an interactive session
-    /// against the base geometry: each edit re-integrates only the
-    /// touched element pairs and updates the retained factor in place
-    /// instead of re-running the full prepare.
+    /// against the base geometry: each move re-integrates only the
+    /// touched element pairs, class-first like a full assembly, and
+    /// updates the retained operator and factor in place instead of
+    /// re-running the full prepare; `add`/`remove` rebuild.
     pub edits: Vec<EditOp>,
 }
 

@@ -53,9 +53,11 @@
 //! thread count.
 //!
 //! The compressed-operator generation ([`assemble_hierarchical`]) runs its
-//! near field through the same class-first routine; the point-collocation
-//! matrix ([`assemble_collocation`]) is one pooled body over disjoint row
-//! ranges.
+//! near field, and a moved edit
+//! ([`Study::apply_edit`](crate::study::Study::apply_edit)) its changed
+//! pairs under the old and the new geometry, through the same class-first
+//! routine; the point-collocation matrix ([`assemble_collocation`]) is one
+//! pooled body over disjoint row ranges.
 
 use std::time::Instant;
 
@@ -78,7 +80,8 @@ pub use collocation::assemble_collocation;
 pub use hierarchical::{
     assemble_hierarchical, HierarchicalReport, DEFAULT_ADMISSIBILITY, MAX_FAR_RANK,
 };
-use memo::{Class, ClassTable, PairShapes};
+pub(crate) use memo::ClassTable;
+use memo::{Class, PairShapes};
 
 /// What matrix generation cost: the one record every assembler
 /// ([`assemble_galerkin`], [`assemble_hierarchical`],
@@ -95,11 +98,10 @@ pub struct AssemblyCost {
     /// Wall-clock seconds of the generation.
     pub seconds: f64,
     /// Seconds inside kernel evaluation, split out of `seconds`. For the
-    /// dense Galerkin engine this is the wall time of its integrate
-    /// phase, so it never exceeds `seconds`; the hierarchical and
-    /// collocation assemblies and the edit re-integration are
-    /// kernel-dominated with no finer attribution, so they report their
-    /// full wall time.
+    /// dense Galerkin engine and the edit re-integration this is the wall
+    /// time of the integrate phase, so it never exceeds `seconds`; the
+    /// hierarchical and collocation assemblies are kernel-dominated with
+    /// no finer attribution, so they report their full wall time.
     pub kernel_seconds: f64,
     /// Series terms and batched-lane points/slots of the blocks the
     /// result embodies: every pair is charged its class's cost, so the
@@ -108,14 +110,14 @@ pub struct AssemblyCost {
     pub kernel: KernelCost,
     /// Pairs the generation placed a block for: the triangle's
     /// `M(M+1)/2` for a dense Galerkin assembly; the near pairs plus the
-    /// far blocks' sampled pairs for the hierarchical one; the
-    /// re-integrated pairs of an edit. 0 for collocation, whose unit is
-    /// the row.
+    /// far blocks' sampled pairs for the hierarchical one; for an edit,
+    /// each re-integrated pair twice, under the old and the new geometry.
+    /// 0 for collocation, whose unit is the row.
     pub pairs: usize,
-    /// Kernel runs: for the dense engine and the hierarchical near field,
-    /// the classes integrated, summed over bands — the same number at
-    /// every thread count and schedule; every other pair reused its
-    /// class's block.
+    /// Kernel runs: for the dense engine, the hierarchical near field and
+    /// the edit re-integration (over both geometries), the classes
+    /// integrated, summed over bands — the same number at every thread
+    /// count and schedule; every other pair reused its class's block.
     pub pairs_evaluated: usize,
     /// Compression accounting of the generated operator: `Some` for the
     /// hierarchical backend, `None` for the dense engines — and for a
@@ -313,8 +315,8 @@ pub fn pair_block_scalar(
 /// pair's class (the shapes of both elements and the bits of their
 /// offset), which is what lets class-first assembly integrate one pair
 /// per class and reuse its block for the others. Every other caller —
-/// edit re-integration, the ACA sampler, the staged harness, the test
-/// oracles — gets the same frame, so all of them see the same bits.
+/// the ACA sampler, the staged harness, the test oracles — gets the same
+/// frame, so all of them see the same bits.
 ///
 /// Gathers **all** `2q` surface points of the pair (both antipodal
 /// azimuths of every outer quadrature point) into one [`KernelBatch`] and
@@ -417,6 +419,13 @@ pub fn galerkin_rhs(mesh: &Mesh) -> Vec<f64> {
 /// 56 B a class plus a 32 KB index it is ≈ 0.37 MB.
 const CLASS_BUDGET: usize = 6144;
 
+impl Default for ClassTable {
+    /// The production table: [`CLASS_BUDGET`] classes a band.
+    fn default() -> Self {
+        ClassTable::with_budget(CLASS_BUDGET)
+    }
+}
+
 /// Classes one task of the integrate region computes. The kernel scratch
 /// is made once per task, and its allocations showed at 16: with uniform
 /// soil's cheap kernel, one-thread integration of 2 224 dof ran 8–13 %
@@ -435,7 +444,7 @@ const CLASS_CHUNK: usize = 64;
 /// `cost.kernel_seconds` is the integrate phase's wall time; `stats` are
 /// the integrate regions' stats.
 pub fn assemble_galerkin(mesh: &Mesh, kernel: &SoilKernel, opts: &SolveOptions) -> AssemblyReport {
-    assemble_galerkin_in(mesh, kernel, opts, ClassTable::with_budget(CLASS_BUDGET))
+    assemble_galerkin_in(mesh, kernel, opts, ClassTable::default())
 }
 
 /// [`assemble_galerkin`] on the class table `table`: the tests run the
@@ -448,7 +457,6 @@ fn assemble_galerkin_in(
 ) -> AssemblyReport {
     let t0 = Instant::now();
     let geoms = element_geoms(mesh);
-    let quad = OuterQuadrature::default();
     let m = geoms.len();
     // What the report keeps is allocated before the class table, so the
     // freed table leaves no hole among live bytes: outputs allocated after
@@ -456,10 +464,10 @@ fn assemble_galerkin_in(
     let mut matrix = SymMatrix::zeros(mesh.dof());
     let mut column_terms = vec![0u64; m];
     let rhs = galerkin_rhs(mesh);
-    let shapes = PairShapes::new(&geoms, kernel, &quad);
     let triangle = (0..m).flat_map(|beta| (beta..m).map(move |alpha| (beta, alpha)));
     let (cost, stats) = assemble_classes(
-        &shapes,
+        &geoms,
+        kernel,
         triangle,
         m * (m + 1) / 2,
         &mut table,
@@ -485,10 +493,11 @@ fn assemble_galerkin_in(
     }
 }
 
-/// The class-first routine of the dense engine and the hierarchical near
-/// field. `pairs` yields the pairs `(β, α)` to assemble — `len` of them,
-/// which sizes the table — in the order their contributions must reach
-/// each entry. Band by band:
+/// The one pair integrator: the class-first routine of the dense engine,
+/// the hierarchical near field and the moved-edit re-integration. `pairs`
+/// yields the pairs `(β, α)` of `geoms` to assemble — `len` of them, which
+/// sizes the table — in the order their contributions must reach each
+/// entry. Band by band:
 ///
 /// 1. *intern* — `table` takes the band's pairs in order, with each
 ///    pair's class id, until the band is full;
@@ -502,8 +511,9 @@ fn assemble_galerkin_in(
 /// Returns the generation's cost — pairs, kernel cost summed over pairs,
 /// classes integrated, the integrate phase's wall seconds — and the
 /// integrate regions' summed stats.
-fn assemble_classes<I>(
-    shapes: &PairShapes,
+pub(crate) fn assemble_classes<I>(
+    geoms: &[ElementGeom],
+    kernel: &SoilKernel,
     pairs: I,
     len: usize,
     table: &mut ClassTable,
@@ -513,6 +523,8 @@ fn assemble_classes<I>(
 where
     I: Iterator<Item = (usize, usize)> + Clone,
 {
+    let quad = OuterQuadrature::default();
+    let shapes = PairShapes::new(geoms);
     let mut cost = AssemblyCost::default();
     let mut stats = ExecutionStats::default();
     let mut rest = pairs;
@@ -520,7 +532,7 @@ where
     loop {
         table.reset(left);
         for (beta, alpha) in rest.clone() {
-            if !table.intern(shapes, beta, alpha) {
+            if !table.intern(&shapes, beta, alpha) {
                 break;
             }
         }
@@ -537,13 +549,8 @@ where
                 let mut batch = KernelBatch::new();
                 for class in chunk.iter_mut() {
                     let (beta, alpha) = class.pair();
-                    let (block, c) = pair_block(
-                        &shapes.geoms[beta],
-                        &shapes.geoms[alpha],
-                        shapes.kernel,
-                        shapes.quad,
-                        &mut batch,
-                    );
+                    let (block, c) =
+                        pair_block(&geoms[beta], &geoms[alpha], kernel, &quad, &mut batch);
                     class.set(block, &c);
                 }
             });

@@ -9,10 +9,9 @@ use layerbem_geometry::{ClusterTree, ElementRowMap, Mesh};
 use layerbem_numeric::{aca_sampled, AcaError, FarBlock, HMatrix, MatrixSampler, SparseSym};
 use layerbem_parfor::ExecutionStats;
 
-use super::memo::{ClassTable, PairShapes};
 use super::{
     assemble_classes, element_geoms, galerkin_rhs, pair_block, scatter_pair, AssemblyCost, Block,
-    OuterQuadrature, CLASS_BUDGET,
+    ClassTable, OuterQuadrature,
 };
 use crate::formulation::SolveOptions;
 use crate::integration::ElementGeom;
@@ -209,14 +208,7 @@ pub fn assemble_hierarchical(
     tol: f64,
     leaf_size: usize,
 ) -> Result<HierarchicalReport, AcaError> {
-    assemble_hierarchical_in(
-        mesh,
-        kernel,
-        opts,
-        tol,
-        leaf_size,
-        ClassTable::with_budget(CLASS_BUDGET),
-    )
+    assemble_hierarchical_in(mesh, kernel, opts, tol, leaf_size, ClassTable::default())
 }
 
 /// [`assemble_hierarchical`] with the near field on the class table
@@ -257,10 +249,10 @@ pub(super) fn assemble_hierarchical_in(
     let mut near = SparseSym::from_pattern(n, pattern);
 
     let par = &opts.parallelism;
-    let shapes = PairShapes::new(&geoms, kernel, &quad);
     let near_pairs = parts.near.iter().map(|&(b, a)| (b as usize, a as usize));
     let (mut cost, stats) = assemble_classes(
-        &shapes,
+        &geoms,
+        kernel,
         near_pairs,
         parts.near.len(),
         &mut table,

@@ -10,7 +10,7 @@
 //! same few offsets: on the paper's Barberá grid 28 588 distinct keys
 //! cover 83 436 pairs, on Balaidos 5 055 cover 29 161.
 //!
-//! [`PairShapes`] interns each element's shape once per assembly.
+//! [`PairShapes`] interns each element's shape once per pair set.
 //! [`ClassTable`] gives each pair of a band the id of its key's class, in
 //! first-seen order, up to a fixed budget of classes. A class is stored as
 //! its first pair (the representative), the block and the block's
@@ -23,9 +23,9 @@
 
 use std::collections::HashMap;
 
-use super::{Block, OuterQuadrature};
+use super::Block;
 use crate::integration::ElementGeom;
-use crate::kernel::{KernelCost, SoilKernel};
+use crate::kernel::KernelCost;
 
 /// Class id of a free index slot; real ids stay below the budget.
 const EMPTY: u16 = u16::MAX;
@@ -117,24 +117,16 @@ impl Class {
     }
 }
 
-/// What every phase of one assembly shares: the element geometries,
-/// the kernel, the outer rule and each element's key half — its interned
-/// shape id and its first node in x and y, packed so a key reads 24 B per
-/// element instead of a whole geometry.
-pub(super) struct PairShapes<'a> {
-    pub(super) geoms: &'a [ElementGeom],
-    pub(super) kernel: &'a SoilKernel,
-    pub(super) quad: &'a OuterQuadrature,
+/// Each element's key half: its interned shape id and its first node in
+/// x and y, packed so a key reads 24 B per element instead of a whole
+/// geometry.
+pub(super) struct PairShapes {
     anchors: Vec<(u32, [f64; 2])>,
 }
 
-impl<'a> PairShapes<'a> {
-    /// Interns the shapes of `geoms` (one pass, once per assembly).
-    pub(super) fn new(
-        geoms: &'a [ElementGeom],
-        kernel: &'a SoilKernel,
-        quad: &'a OuterQuadrature,
-    ) -> Self {
+impl PairShapes {
+    /// Interns the shapes of `geoms` (one pass, once per pair set).
+    pub(super) fn new(geoms: &[ElementGeom]) -> Self {
         let mut ids: HashMap<[u64; 5], u32> = HashMap::new();
         let anchors = geoms
             .iter()
@@ -150,12 +142,7 @@ impl<'a> PairShapes<'a> {
                 (*ids.entry(bits).or_insert(next), [g.a.x, g.a.y])
             })
             .collect();
-        PairShapes {
-            geoms,
-            kernel,
-            quad,
-            anchors,
-        }
+        PairShapes { anchors }
     }
 
     fn key(&self, beta: usize, alpha: usize) -> PairKey {
@@ -173,7 +160,7 @@ impl<'a> PairShapes<'a> {
 /// ids, at most [`BAND_PAIRS`] of them: the classes in first-seen order,
 /// behind an open-addressing index of `u16` class ids at most half full.
 /// 56 B a class plus two 2-byte index slots, and 2 B a pair.
-pub(super) struct ClassTable {
+pub(crate) struct ClassTable {
     classes: Vec<Class>,
     index: Vec<u16>,
     /// The class id of each pair of the band, in pair order.

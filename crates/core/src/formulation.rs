@@ -82,9 +82,9 @@ impl OperatorBackend {
 ///
 /// One value of this struct is threaded from the CAD front-end through
 /// [`SolveOptions::parallelism`] into every pooled path: the class
-/// integrations of the Galerkin assembler and of the hierarchical near
-/// field, the pooled collocation assembler, the ACA far blocks, the edit
-/// re-integration, the soil-sweep fan-out and the trailing updates of the
+/// integrations of the Galerkin assembler, of the hierarchical near field
+/// and of the edit re-integration, the pooled collocation assembler, the
+/// ACA far blocks, the soil-sweep fan-out and the trailing updates of the
 /// blocked factorizations. Each of those phases has one body, the pooled
 /// one. One thread is a one-thread pool: its regions run inline, and the
 /// serial double loop is only the tests' oracle.

@@ -14,23 +14,21 @@
 //!    broken). Moved edits name their changed elements and, through the
 //!    CSR [`ElementRowMap`], the matrix rows they touch.
 //! 2. [`Study::apply_edit`] re-integrates only the element pairs
-//!    involving a changed element — expressed as runs of consecutive
-//!    pairs of one column and evaluated through the same batched-kernel
-//!    quadrature path as a full assembly, so every re-integrated entry is
-//!    **bit-identical** to what a fresh assembly of the edited mesh would
-//!    produce — scatters
-//!    the per-row deltas into the retained operator, and routes the
-//!    factor through [`layerbem_numeric::update`]'s rank-`2m` Cholesky
-//!    update/downdate when the [`incremental_worthwhile`] cost model says
-//!    the sweeps beat a refactorization, falling back to a full
-//!    refactorization (from the retained, already-updated operator — no
-//!    re-assembly) otherwise.
+//!    involving a changed element, under the old and the new geometry,
+//!    through the class-first pair integrator a full assembly uses, so
+//!    every re-integrated entry is **bit-identical** to what a fresh
+//!    assembly of the edited mesh would produce — scatters the per-row
+//!    deltas into the retained operator, and routes the factor through
+//!    [`layerbem_numeric::update`]'s rank-`2m` Cholesky update/downdate
+//!    when the [`incremental_worthwhile`] cost model says the sweeps beat
+//!    a refactorization, falling back to a full refactorization (from the
+//!    retained, already-updated operator — no re-assembly) otherwise.
 //! 3. [`EditSession`] replays whole-conductor edits ([`EditOp`]) against
 //!    a private editable [`Study`], the session object the deck `edit`
 //!    stanzas and the serve `{"op":"edit"}` wire operation drive.
 //!
-//! Every phase is deterministic by construction: pair re-integration
-//! writes disjoint slots (each pair's blocks depend on the pair alone),
+//! Every phase is deterministic by construction: each class block is the
+//! kernel's bits for any of its pairs, whichever thread integrates it,
 //! the delta scatter and the rank-1 sweeps run serially in fixed order,
 //! and the fallback refactorization is the one blocked factorization,
 //! whose trailing updates give the same bits inline or on the pool (the
@@ -48,11 +46,11 @@ use layerbem_numeric::SymMatrix;
 use layerbem_soil::SoilModel;
 
 use crate::assembly::{
-    assemble_galerkin, element_geoms, galerkin_rhs, pair_block, scatter_pair, AssemblyCost, Block,
-    OuterQuadrature,
+    assemble_classes, assemble_galerkin, element_geoms, galerkin_rhs, scatter_pair, AssemblyCost,
+    Block, ClassTable,
 };
 use crate::formulation::{Formulation, OperatorBackend, SolveOptions, SolverChoice};
-use crate::kernel::{KernelBatch, KernelCost, SoilKernel};
+use crate::kernel::SoilKernel;
 use crate::study::{Engine, PrepareError, Study};
 use crate::system::{mesh_defect, GroundingSystem};
 use crate::workload::StudySpec;
@@ -385,7 +383,10 @@ pub struct EditReport {
     /// Rank-1 sweeps applied to the factor (`2·touched_rows` on the
     /// incremental Cholesky path, 0 otherwise).
     pub update_rank: usize,
-    /// Element pairs re-integrated (moved) or assembled (rebuild).
+    /// Kernel runs: the classes integrated — over both the old and the
+    /// new geometry of a moved edit, over the new mesh's triangle for a
+    /// rebuild (its assembly's `cost.pairs_evaluated`). Every other pair
+    /// reused its class's block.
     pub pairs_evaluated: usize,
     /// Seconds spent re-integrating/re-assembling.
     pub reintegrate_seconds: f64,
@@ -423,9 +424,10 @@ impl Study {
     /// Applies a mesh delta to this prepared study in place.
     ///
     /// Moved elements re-integrate only the pairs involving a changed
-    /// element (bit-identical entries through the same batched-kernel
-    /// quadrature path a full assembly uses), scatter the row/column
-    /// deltas into the retained operator, and either update the Cholesky
+    /// element, old and new geometry alike, as one pair set of the
+    /// class-first integrator a full assembly uses (bit-identical
+    /// entries), scatter the row/column deltas in the sequential pair
+    /// order into the retained operator, and either update the Cholesky
     /// factor by `2m` rank-1 sweeps (when the cost model favors it and
     /// the intermediates stay SPD) or refactorize from the retained,
     /// already-updated operator — never re-assembling. Topology changes
@@ -469,7 +471,7 @@ impl Study {
             DeltaKind::Moved {
                 elements,
                 touched_rows,
-            } => self.edit_moved(new_mesh, &elements, touched_rows),
+            } => self.edit_moved(new_mesh, &elements, touched_rows, ClassTable::default()),
             DeltaKind::Topology { .. } => self.edit_rebuild(new_mesh),
         }
     }
@@ -480,76 +482,51 @@ impl Study {
         new_mesh: Mesh,
         changed: &[usize],
         touched_rows: Vec<usize>,
+        mut table: ClassTable,
     ) -> Result<EditReport, EditError> {
         let mut es = self.edit.take().expect("checked by apply_edit");
         let n = self.rhs.len();
         let mt = touched_rows.len();
 
-        // Phase A — re-integrate every pair involving a changed element,
-        // under the OLD and the NEW geometry, through the same
-        // `pair_block` the assembler uses. Each pair's two blocks
-        // depend on the pair alone, so evaluation into disjoint slots is
-        // bit-identical whichever thread fills each slot.
+        // Phase A — re-integrate every pair involving a changed element
+        // under the old and the new geometry: one class-first pair set
+        // over `old ‖ new` (elements `0..m`, then `m..2m`) that lists each
+        // pair's old copy just before its new one. The scatter keeps the
+        // old block and, on the new one, adds the delta in the sequential
+        // pair order into one full-length column per touched row (entries
+        // coupling two touched rows land in both columns; the
+        // decomposition and the operator scatter both compensate).
         let t0 = Instant::now();
-        let geoms_old = element_geoms(&es.mesh);
-        let geoms_new = element_geoms(&new_mesh);
-        let quad = OuterQuadrature::default();
-        let kernel = &es.kernel;
-        let runs = changed_pair_runs(changed, geoms_new.len());
-        let pairs_evaluated: usize = runs.iter().map(|r| r.alphas.len()).sum();
-        let mut run_blocks: Vec<(Vec<(Block, Block)>, KernelCost)> =
-            vec![(Vec::new(), KernelCost::default()); runs.len()];
-        let eval_run = |i: usize, (out, cost): &mut (Vec<(Block, Block)>, KernelCost)| {
-            let run = &runs[i];
-            let beta = run.beta;
-            let mut batch = KernelBatch::new();
-            out.reserve(run.alphas.len());
-            for alpha in run.alphas.clone() {
-                let (ob, oc) = pair_block(
-                    &geoms_old[beta],
-                    &geoms_old[alpha],
-                    kernel,
-                    &quad,
-                    &mut batch,
-                );
-                let (nb, nc) = pair_block(
-                    &geoms_new[beta],
-                    &geoms_new[alpha],
-                    kernel,
-                    &quad,
-                    &mut batch,
-                );
-                out.push((ob, nb));
-                *cost += oc;
-                *cost += nc;
-            }
-        };
-        let par = self.opts.parallelism;
-        par.pool
-            .scoped_partition(&mut run_blocks, par.schedule.partition_dispatch(), eval_run);
-
-        // Phase B — serial scatter of the per-pair deltas, in the fixed
-        // sequential pair order, into one full-length column per touched
-        // row (entries coupling two touched rows land in both columns;
-        // the decomposition and the operator scatter both compensate).
+        let m = new_mesh.element_count();
+        let mut geoms = element_geoms(&es.mesh);
+        geoms.extend(element_geoms(&new_mesh));
+        let pairs = edit_pairs(changed, m);
         let mut rindex: Vec<Option<usize>> = vec![None; n];
         for (j, &r) in touched_rows.iter().enumerate() {
             rindex[r] = Some(j);
         }
         let mut cols = vec![vec![0.0f64; n]; mt];
-        let mut kernel_cost = KernelCost::default();
-        for (run, (blocks, cost)) in runs.iter().zip(&run_blocks) {
-            kernel_cost += *cost;
-            let beta = run.beta;
-            let nb = new_mesh.elements[beta].nodes;
-            for (k, alpha) in run.alphas.clone().enumerate() {
-                let (ob, newb) = blocks[k];
+        let mut old: Block = [[0.0; 2]; 2];
+        let (cost, _) = assemble_classes(
+            &geoms,
+            &es.kernel,
+            pairs.iter().copied(),
+            pairs.len(),
+            &mut table,
+            &self.opts.parallelism,
+            |beta, alpha, block, _| {
+                if beta < m {
+                    old = *block;
+                    return;
+                }
+                let (beta, alpha) = (beta - m, alpha - m);
                 let mut d: Block = [[0.0; 2]; 2];
                 for j in 0..2 {
                     for i in 0..2 {
-                        d[j][i] = newb[j][i] - ob[j][i];
+                        d[j][i] = block[j][i] - old[j][i];
                     }
                 }
+                let nb = new_mesh.elements[beta].nodes;
                 let na = new_mesh.elements[alpha].nodes;
                 scatter_pair(nb, na, beta == alpha, &d, &mut |p, q, v| {
                     if let Some(j) = rindex[q] {
@@ -561,21 +538,15 @@ impl Study {
                         }
                     }
                 });
-            }
-        }
+            },
+        );
         let reintegrate_seconds = t0.elapsed().as_secs_f64();
-        // What this edit's re-integration cost, in the assemblers' record
-        // (kernel-dominated with no finer split: seconds reported whole).
         self.spent.reintegrate += AssemblyCost {
             seconds: reintegrate_seconds,
-            kernel_seconds: reintegrate_seconds,
-            kernel: kernel_cost,
-            pairs: pairs_evaluated,
-            pairs_evaluated,
-            ..AssemblyCost::default()
+            ..cost
         };
 
-        // Phase C — route the delta into the engine: scatter into the
+        // Phase B — route the delta into the engine: scatter into the
         // retained operator (always, so fallbacks never re-assemble),
         // then rank-2m sweeps or pooled refactorization.
         let t1 = Instant::now();
@@ -654,7 +625,7 @@ impl Study {
             changed_elements: changed.len(),
             touched_rows: mt,
             update_rank,
-            pairs_evaluated,
+            pairs_evaluated: cost.pairs_evaluated,
             reintegrate_seconds,
             update_seconds,
         })
@@ -667,26 +638,26 @@ impl Study {
             return Err(EditError::Model(why));
         }
         let elements = new_mesh.element_count();
-        let (reintegrate_seconds, update_seconds) = self.rebuild(new_mesh)?;
+        let (cost, update_seconds) = self.rebuild(new_mesh)?;
         Ok(EditReport {
             path: EditPath::Rebuild,
             changed_elements: elements,
             touched_rows: 0,
             update_rank: 0,
-            pairs_evaluated: elements * (elements + 1) / 2,
-            reintegrate_seconds,
+            pairs_evaluated: cost.pairs_evaluated,
+            reintegrate_seconds: cost.seconds,
             update_seconds,
         })
     }
 
     /// Re-assembles and re-factorizes `mesh` with the retained kernel and
     /// options: the study becomes a fresh prepare of `mesh` that inherits
-    /// this one's history plus one edit. Returns the assembly and factor
-    /// seconds; on failure the study keeps its state.
-    fn rebuild(&mut self, mesh: Mesh) -> Result<(f64, f64), PrepareError> {
+    /// this one's history plus one edit. Returns the assembly's cost and
+    /// the factor seconds; on failure the study keeps its state.
+    fn rebuild(&mut self, mesh: Mesh) -> Result<(AssemblyCost, f64), PrepareError> {
         let mut es = self.edit.take().expect("checked by apply_edit");
         let report = assemble_galerkin(&mesh, &es.kernel, &self.opts);
-        let reintegrate_seconds = report.cost.seconds;
+        let cost = report.cost;
         let retain = es.matrix.is_some();
         let (mut rebuilt, matrix) =
             match Study::from_galerkin(self.opts, &es.kernel, Cow::Owned(report), retain) {
@@ -708,7 +679,7 @@ impl Study {
         rebuilt.solves = std::mem::take(&mut self.solves);
         rebuilt.edit = Some(es);
         *self = rebuilt;
-        Ok((reintegrate_seconds, update_seconds))
+        Ok((cost, update_seconds))
     }
 
     /// The mesh this editable study currently represents (`None` for
@@ -745,49 +716,30 @@ fn scatter_cols(
     }
 }
 
-/// A run of consecutive pairs `(beta, alpha)`, `alpha ∈ alphas`, of one
-/// column.
-#[derive(Clone, Debug)]
-struct PairRun {
-    beta: usize,
-    alphas: std::ops::Range<usize>,
-}
-
-/// Run-length–compressed pair list of an edit: every pair `(β, α)`,
-/// `β ≤ α`, with at least one changed element, each exactly once, in the
-/// sequential pair order. Changed `β` columns contribute their full
-/// `α ∈ β..m` run; unchanged columns contribute runs over the consecutive
-/// changed `α ≥ β`.
-fn changed_pair_runs(changed: &[usize], m: usize) -> Vec<PairRun> {
+/// The pair set of a moved edit over `old ‖ new` (elements `0..m`, then
+/// `m..2m`): every pair `(β, α)`, `β ≤ α`, with at least one changed
+/// element, in the sequential pair order, each as `(β, α)` followed by
+/// `(β + m, α + m)`. A changed `β` pairs with every `α ∈ β..m`; an
+/// unchanged one with the changed `α ≥ β`.
+fn edit_pairs(changed: &[usize], m: usize) -> Vec<(usize, usize)> {
     let mut is_changed = vec![false; m];
     for &e in changed {
         is_changed[e] = true;
     }
-    let mut runs = Vec::new();
+    let mut pairs = Vec::new();
+    let mut push = |beta: usize, alpha: usize| {
+        pairs.push((beta, alpha));
+        pairs.push((beta + m, alpha + m));
+    };
     for (beta, &beta_changed) in is_changed.iter().enumerate() {
         if beta_changed {
-            runs.push(PairRun {
-                beta,
-                alphas: beta..m,
-            });
+            (beta..m).for_each(|alpha| push(beta, alpha));
         } else {
-            let mut k = changed.partition_point(|&a| a < beta);
-            while k < changed.len() {
-                let start = changed[k];
-                let mut end = start + 1;
-                k += 1;
-                while k < changed.len() && changed[k] == end {
-                    end += 1;
-                    k += 1;
-                }
-                runs.push(PairRun {
-                    beta,
-                    alphas: start..end,
-                });
-            }
+            let from = changed.partition_point(|&a| a < beta);
+            changed[from..].iter().for_each(|&alpha| push(beta, alpha));
         }
     }
-    runs
+    pairs
 }
 
 /// An interactive editing session: a private editable [`Study`] plus the
@@ -1098,6 +1050,12 @@ mod tests {
             "re-integration counts its work"
         );
         assert_eq!(p.reintegrate.seconds, report.reintegrate_seconds);
+        assert!(p.reintegrate.kernel_seconds <= p.reintegrate.seconds);
+        // Kernel runs are classes over both geometries; every changed
+        // pair is placed twice, old and new.
+        assert_eq!(p.reintegrate.pairs_evaluated, report.pairs_evaluated);
+        assert!(report.pairs_evaluated <= p.reintegrate.pairs);
+        assert_eq!(p.reintegrate.pairs % 2, 0);
         assert_eq!(
             p.assembly.kernel.terms,
             full_prepare(&net, cholesky_opts()).total_terms()
@@ -1149,8 +1107,14 @@ mod tests {
                 0.007,
             ),
         };
+        let before = session.study().profile().assembly.pairs_evaluated;
         let report = session.apply(&op).expect("edit");
         assert_eq!(report.path, EditPath::Rebuild);
+        // The rebuild reports the kernel runs its assembly recorded.
+        assert_eq!(
+            report.pairs_evaluated,
+            session.study().profile().assembly.pairs_evaluated - before
+        );
         let edited = apply_op(&net, &op).expect("edit");
         let oracle = full_prepare(&edited, cholesky_opts());
         let s = Scenario::gpr(5_000.0);
@@ -1287,29 +1251,185 @@ mod tests {
     }
 
     #[test]
-    fn changed_pair_runs_cover_each_changed_pair_once() {
+    fn edit_pairs_cover_each_changed_pair_once_per_geometry() {
         let m = 7;
         let changed = vec![2usize, 3, 6];
-        let runs = changed_pair_runs(&changed, m);
-        let mut seen = std::collections::HashSet::new();
-        for run in &runs {
-            for alpha in run.alphas.clone() {
-                assert!(
-                    seen.insert((run.beta, alpha)),
-                    "pair duplicated: ({}, {alpha})",
-                    run.beta
-                );
-            }
+        let pairs = edit_pairs(&changed, m);
+        assert_eq!(pairs.len() % 2, 0);
+        let mut old = Vec::new();
+        for two in pairs.chunks(2) {
+            let (beta, alpha) = two[0];
+            assert!(beta <= alpha && alpha < m, "old copy ({beta}, {alpha})");
+            assert_eq!(two[1], (beta + m, alpha + m), "new copy follows the old");
+            old.push((beta, alpha));
         }
+        // Sequential pair order, hence each pair once.
+        assert!(old.windows(2).all(|w| w[0] < w[1]), "{old:?}");
         let is_changed = |e: usize| changed.contains(&e);
+        let expected: Vec<(usize, usize)> = (0..m)
+            .flat_map(|beta| (beta..m).map(move |alpha| (beta, alpha)))
+            .filter(|&(beta, alpha)| is_changed(beta) || is_changed(alpha))
+            .collect();
+        assert_eq!(old, expected);
+    }
+
+    /// The per-pair oracle of the move route: every changed pair
+    /// integrated by `pair_block` under the old and the new geometry, its
+    /// delta scattered in the sequential pair order into one column per
+    /// touched row, and the columns into `matrix`.
+    fn reintegrate_pair_by_pair(
+        matrix: &mut SymMatrix,
+        old: &Mesh,
+        new: &Mesh,
+        kernel: &SoilKernel,
+    ) {
+        use crate::assembly::{pair_block, OuterQuadrature};
+        use crate::kernel::KernelBatch;
+        let DeltaKind::Moved {
+            elements,
+            touched_rows,
+        } = MeshDelta::diff(old, new).kind
+        else {
+            panic!("a moved edit")
+        };
+        let (go, gn) = (element_geoms(old), element_geoms(new));
+        let quad = OuterQuadrature::default();
+        let mut batch = KernelBatch::new();
+        let n = new.dof();
+        let mut rindex: Vec<Option<usize>> = vec![None; n];
+        for (j, &r) in touched_rows.iter().enumerate() {
+            rindex[r] = Some(j);
+        }
+        let mut cols = vec![vec![0.0f64; n]; touched_rows.len()];
+        let m = new.element_count();
         for beta in 0..m {
             for alpha in beta..m {
-                let expected = is_changed(beta) || is_changed(alpha);
-                assert_eq!(
-                    seen.contains(&(beta, alpha)),
-                    expected,
-                    "pair ({beta}, {alpha})"
-                );
+                if !elements.contains(&beta) && !elements.contains(&alpha) {
+                    continue;
+                }
+                let (ob, _) = pair_block(&go[beta], &go[alpha], kernel, &quad, &mut batch);
+                let (nb, _) = pair_block(&gn[beta], &gn[alpha], kernel, &quad, &mut batch);
+                let mut d: Block = [[0.0; 2]; 2];
+                for j in 0..2 {
+                    for i in 0..2 {
+                        d[j][i] = nb[j][i] - ob[j][i];
+                    }
+                }
+                let (eb, ea) = (new.elements[beta].nodes, new.elements[alpha].nodes);
+                scatter_pair(eb, ea, beta == alpha, &d, &mut |p, q, v| {
+                    if let Some(j) = rindex[q] {
+                        cols[j][p] += v;
+                    }
+                    if p != q {
+                        if let Some(j) = rindex[p] {
+                            cols[j][q] += v;
+                        }
+                    }
+                });
+            }
+        }
+        scatter_cols(matrix, &touched_rows, &rindex, &cols);
+    }
+
+    /// The operator an editable study retains: the PCG engine's own, or
+    /// the Cholesky study's copy beside its factor.
+    fn retained(study: &Study) -> &SymMatrix {
+        match &study.engine {
+            Engine::Pcg(matrix) => matrix,
+            _ => study
+                .edit
+                .as_deref()
+                .and_then(|es| es.matrix.as_ref())
+                .expect("editable Cholesky studies retain the operator"),
+        }
+    }
+
+    fn bits(matrix: &SymMatrix) -> Vec<u64> {
+        matrix.packed().iter().map(|v| v.to_bits()).collect()
+    }
+
+    #[test]
+    fn moved_edits_keep_the_per_pair_oracle_bits() {
+        use layerbem_parfor::{Schedule, ThreadPool};
+        let (net, r0, r1) = grid_with_rods();
+        let soil = layerbem_soil::SoilModel::uniform(0.016);
+        // splitmix64: a seeded, reproducible walk of the two rod bottoms.
+        let mut state = 0x5eed_u64;
+        let mut unit = move || {
+            state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let mut z = state;
+            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            ((z ^ (z >> 31)) >> 11) as f64 / (1u64 << 53) as f64 - 0.5
+        };
+        // Each move sends a rod's bottom to a random point within 1 m of
+        // the spot below its top, so the deltas are as large as the
+        // entries they update; the rod stays one element.
+        let below_tops = [[0.0, 0.0, 2.1], [10.0, 10.0, 2.1]];
+        let mut bottoms = below_tops;
+        let ops: Vec<EditOp> = (0..24)
+            .map(|k| {
+                let rod = k % 2;
+                let [x, y, z] = below_tops[rod];
+                let target = [x + 2.0 * unit(), y + 2.0 * unit(), z + 0.6 * unit()];
+                let delta: [f64; 3] = std::array::from_fn(|i| target[i] - bottoms[rod][i]);
+                (0..3).for_each(|i| bottoms[rod][i] += delta[i]);
+                EditOp::MoveEnd {
+                    index: [r0, r1][rod],
+                    end: ConductorEnd::B,
+                    delta,
+                }
+            })
+            .collect();
+        for solver in [SolverChoice::Cholesky, SolverChoice::ConjugateGradient] {
+            // The production table, and a one-class budget that makes
+            // every class its own band.
+            for (threads, budget) in [(1, None), (3, None), (1, Some(1)), (3, Some(1))] {
+                let opts = SolveOptions {
+                    solver,
+                    ..Default::default()
+                }
+                .with_parallelism(ThreadPool::new(threads), Schedule::dynamic(1));
+                let mut study = EditSession::open(net.clone(), &soil, mesh_opts(), opts)
+                    .expect("open")
+                    .into_study();
+                let kernel = study.edit.as_deref().expect("editable").kernel.clone();
+                // Both sides start from a zero operator, so the retained
+                // bits are the summed deltas themselves, where a changed
+                // summation order shows. The factor never reads it here:
+                // every move takes the rank-k sweeps.
+                let mut oracle = SymMatrix::zeros(study.dof());
+                match &mut study.engine {
+                    Engine::Pcg(matrix) => *matrix = oracle.clone(),
+                    _ => study.edit.as_mut().expect("editable").matrix = Some(oracle.clone()),
+                }
+                let mut network = net.clone();
+                for (k, op) in ops.iter().enumerate() {
+                    network = apply_op(&network, op).expect("valid move");
+                    let new_mesh = Mesher::new(mesh_opts()).mesh(&network);
+                    let old_mesh = study.edited_mesh().expect("editable").clone();
+                    reintegrate_pair_by_pair(&mut oracle, &old_mesh, &new_mesh, &kernel);
+                    let DeltaKind::Moved {
+                        elements,
+                        touched_rows,
+                    } = MeshDelta::diff(&old_mesh, &new_mesh).kind
+                    else {
+                        panic!("a moved edit")
+                    };
+                    let report = study
+                        .edit_moved(
+                            new_mesh,
+                            &elements,
+                            touched_rows,
+                            budget.map_or_else(ClassTable::default, ClassTable::with_budget),
+                        )
+                        .expect("edit");
+                    assert_eq!(report.path, EditPath::Incremental);
+                    assert!(
+                        bits(retained(&study)) == bits(&oracle),
+                        "{solver:?}, {threads} threads, budget {budget:?}: move {k} left the oracle's bits"
+                    );
+                }
             }
         }
     }

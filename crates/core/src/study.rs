@@ -279,7 +279,11 @@ pub struct StudyProfile {
     /// studies prepared without edit state).
     pub edits: usize,
     /// What re-integrating touched pairs cost across all moved edits —
-    /// the incremental counterpart of `assembly` (0 `assemblies`).
+    /// the incremental counterpart of `assembly` (0 `assemblies`): each
+    /// changed pair is placed twice (`pairs`, old and new geometry),
+    /// `pairs_evaluated` counts the classes integrated over both
+    /// geometries, and `kernel_seconds` is the integrate phase's wall
+    /// time.
     pub reintegrate: AssemblyCost,
     /// Seconds updating or refactorizing the engine across all moved
     /// edits (the incremental counterpart of `factor_seconds`).
