@@ -342,7 +342,10 @@ fn main() -> ExitCode {
             args.threads,
             args.schedule.label()
         );
-        let cost = &result.profile.assembly;
+        // Matrix generation is the assemblies plus the edit moves'
+        // re-integration, as in the phase table.
+        let mut cost = result.profile.assembly;
+        cost += result.profile.reintegrate;
         // Collocation assembles rows, not pairs: no pair count to show.
         let pairs = if cost.pairs > 0 {
             format!(

@@ -187,20 +187,67 @@ fn timing_counts_the_pairs_the_kernel_ran() {
 }
 
 #[test]
-fn a_soil_the_image_series_cannot_sum_is_refused() {
-    // γ₁/γ₂ = 1e-4: every image series of the rod stops at its group
-    // cap, which used to leave the potentials percent-level low.
-    let deck = deck_file(
-        "capped",
-        "title T\nsoil two-layer 0.0001 1.0 1.0\ngpr 10000\nrod 0 0 0.5 3 0.007\n",
-    );
-    let out = run(&deck, &["--threads", "1"]);
+fn timing_counts_the_edit_moves_with_the_assemblies() {
+    // Matrix generation is the assembly plus the moves' re-integration:
+    // the kernel line renders both records summed, as the phase table's
+    // Matrix Generation row does.
+    let text =
+        format!("{DECK}rod 0 0 0.8 1.5 0.007\nedit move 12 b 0 0 0.2\nedit move 12 b 0 0 -0.1\n");
+    let case = layerbem_cad::input::parse_case(&text).expect("deck parses");
+    let result = layerbem_cad::pipeline::run_pipeline(&case, Default::default(), 0.0)
+        .expect("pipeline runs");
+    let (assembly, moves) = (result.profile.assembly, result.profile.reintegrate);
+    assert!(moves.pairs_evaluated > 0, "the moves re-integrate");
+    let deck = deck_file("edits", &text);
+    let out = run(&deck, &["--threads", "1", "--timing"]);
     std::fs::remove_file(&deck).ok();
-    let stderr = String::from_utf8_lossy(&out.stderr);
-    assert_eq!(out.status.code(), Some(1), "{stderr}");
-    assert!(
-        stderr.contains("image series does not converge within 4000 groups"),
-        "{stderr}"
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert_eq!(out.status.code(), Some(0), "stdout: {stdout}");
+    let line = stdout
+        .lines()
+        .find(|l| l.starts_with("kernel evaluation: "))
+        .expect("a kernel evaluation line");
+    let classes = format!(
+        " {} terms, {} of {} pairs evaluated, ",
+        assembly.kernel.terms + moves.kernel.terms,
+        assembly.pairs_evaluated + moves.pairs_evaluated,
+        assembly.pairs + moves.pairs
     );
-    assert!(out.stdout.is_empty(), "no report for a refused study");
+    assert!(line.contains(&classes), "{line} lacks{classes}");
+}
+
+#[test]
+fn a_soil_the_image_series_cannot_sum_is_refused() {
+    // γ₁/γ₂ = 1e4 (κ ≈ +0.9998): the series does not alternate and no
+    // lane's estimate settles within the group cap, which used to leave
+    // the potentials percent-level low. γ₁/γ₂ = 1e-4 (κ ≈ −0.9998) under
+    // a grid: the partial sums swing thousands of times wider than their
+    // limit, so the accelerated estimates never reach the tolerance
+    // either. (A lone rod in that soil converges: `layerbem-core`'s
+    // `a_capped_image_series_is_a_typed_refusal`.)
+    for (name, soil, electrode) in [
+        ("capped", "1.0 0.0001 1.0", "rod 0 0 0.5 3 0.007"),
+        (
+            "capped-grid",
+            "0.0001 1.0 1.0",
+            "grid rect 0 0 4 4 1 1 0.8 0.006",
+        ),
+    ] {
+        let deck = deck_file(
+            name,
+            &format!("title T\nsoil two-layer {soil}\ngpr 10000\n{electrode}\n"),
+        );
+        let out = run(&deck, &["--threads", "1"]);
+        std::fs::remove_file(&deck).ok();
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{name}: {stderr}");
+        assert!(
+            stderr.contains("image series does not converge within 4000 groups"),
+            "{name}: {stderr}"
+        );
+        assert!(
+            out.stdout.is_empty(),
+            "{name}: no report for a refused study"
+        );
+    }
 }

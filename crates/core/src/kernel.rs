@@ -323,28 +323,32 @@ impl SoilKernel {
     /// [`KernelBatch::values`].
     ///
     /// The uniform and two-layer strategies run the image series in
-    /// 4-wide lanes ([`rod_integrals_batch`]) under the collective
-    /// chunked-Kahan stopping rule of [`series::sum_until_batch`]: the
-    /// whole batch runs until **every** lane's tail is quiet against the
-    /// shared scale (the largest compensated sum in the batch). That is a
-    /// *block* tolerance — each point's truncation error is small relative
-    /// to the batch maximum, so a point may run slightly shorter or longer
-    /// than the scalar per-point rule, with total term counts within a few
-    /// per mille of each other. Because the batch content is fixed by the
-    /// (pair of) elements alone, the result is bit-identical no matter
-    /// which thread, schedule or partition evaluates it. The
-    /// N-layer strategy batches its analytic singular part the same way
-    /// and keeps the smooth secondary quadrature per point (it is a
-    /// transcendental-kernel sum with no rod-integral structure to lane).
+    /// 4-wide lanes ([`rod_integrals_batch`]) under the collective stop of
+    /// [`series::BatchSeries`]: each lane accelerates its partial sums
+    /// with a Wynn ε table, and the whole batch runs until **every**
+    /// lane's estimate has settled against the shared scale (the largest
+    /// estimate in the batch). That is a *block* tolerance — each point's
+    /// truncation error is small relative to the batch maximum, so a point
+    /// may run slightly shorter or longer than it would alone. Because
+    /// the batch content is fixed by the (pair of) elements alone, the
+    /// result is bit-identical no matter which thread, schedule or
+    /// partition evaluates it. The N-layer strategy batches its analytic
+    /// singular part the same way and keeps the smooth secondary
+    /// quadrature per point (it is a transcendental-kernel sum with no
+    /// rod-integral structure to lane).
     ///
     /// A batch whose points all have `z == 0.0` — surface maps, profiles,
     /// mesh-voltage probes — runs the uniform and two-layer series over
     /// [`ImageExpansion::surface_group`]: every image folded with its
-    /// mirror, half the rod integrals for the same sum. The kernel reads
-    /// that off the batch; there is no switch.
+    /// mirror, half the rod integrals per group. Each group sums to the
+    /// full list's group to rounding, but the stop reads estimates built
+    /// from those last bits, so it may land a group away from the full
+    /// list's: the two agree to the series tolerance. The kernel reads the
+    /// fold off the batch; there is no switch.
     ///
     /// Values agree with the scalar path to the series tolerance but are
-    /// **not** bitwise equal to it (lane `ln`, shared stopping rule).
+    /// **not** bitwise equal to it (lane `ln`, one stop shared by the
+    /// batch instead of one per point).
     pub fn element_potential_batch(
         &self,
         batch: &mut KernelBatch,
@@ -491,24 +495,6 @@ impl SoilKernel {
         };
         (kappa, self.opts.max_terms)
     }
-
-    /// Typical series length per kernel evaluation (cost-model hook).
-    pub fn typical_terms(&self) -> usize {
-        match &self.strategy {
-            Strategy::Uniform { .. } => 2,
-            Strategy::TwoLayer { kappa, .. } => {
-                if *kappa == 0.0 {
-                    2
-                } else {
-                    (self.opts.rel_tol.ln() / kappa.abs().ln()).ceil().max(2.0) as usize
-                }
-            }
-            Strategy::Numeric { kernel, .. } => {
-                use layerbem_soil::GreensFunction;
-                kernel.typical_terms()
-            }
-        }
-    }
 }
 
 /// Splits the element's arclength range at the depth `h` crossing, if any.
@@ -551,7 +537,9 @@ fn split_at_layers(src: &ElementGeom, kernel: &MultiLayerKernel) -> Vec<(f64, f6
 }
 
 /// Integrates the image expansion of a sub-range `[s0, s1]` of the source
-/// element against both shape functions of the *whole* element.
+/// element against both shape functions of the *whole* element, at one
+/// field point: a 2-lane run (one lane per shape function) of the same
+/// accelerated stop the lane kernel uses, with the scalar rod integrals.
 fn integrate_sub_element(
     x: Point3,
     src: &ElementGeom,
@@ -565,44 +553,135 @@ fn integrate_sub_element(
     debug_assert!(sub_len > 0.0);
     let p0 = src.at(s0);
     let p1 = src.at(s1);
-    let mut acc = [0.0f64; 2];
     let mut terms = 0usize;
     let mut images: Vec<Image> = Vec::new();
-    let mut quiet = 0usize;
-    let needed = opts.consecutive.max(1);
-    for n in 0..opts.max_terms {
-        exp.group(n, &mut images);
-        if images.is_empty() {
-            if n > 0 {
-                return (acc, terms);
+    let mut engine = series::BatchSeries::new();
+    engine.run(
+        2,
+        |n, buf| {
+            exp.group(n, &mut images);
+            if images.is_empty() {
+                return false;
             }
-            continue;
-        }
-        let group = images_quadratic_free_sum(x, p0, p1, sub_len, s0, len, &images);
-        acc[0] += group[0];
-        acc[1] += group[1];
-        terms += images.len();
-        let scale = acc[0].abs().max(acc[1].abs());
-        let gmag = group[0].abs().max(group[1].abs());
-        if gmag <= opts.rel_tol * scale + opts.abs_tol {
-            quiet += 1;
-            if quiet >= needed {
-                break;
-            }
-        } else {
-            quiet = 0;
+            let group = images_quadratic_free_sum(x, p0, p1, sub_len, s0, len, &images);
+            buf.copy_from_slice(&group);
+            terms += images.len();
+            true
+        },
+        opts,
+    );
+    ([engine.value(0), engine.value(1)], terms)
+}
+
+/// A sub-range `[s0, s1]` of a source element: what every image group's
+/// lane pass over it reads, hoisted out of the group loop.
+struct SubRange {
+    p0: Point3,
+    p1: Point3,
+    sub_len: f64,
+    /// Shape functions of the whole element restricted to the sub-range:
+    /// N0(s0 + s') = w0 − s'/L, N1(s0 + s') = w1 + s'/L.
+    w0: f64,
+    w1: f64,
+    inv_len: f64,
+    /// Every image segment shares the element's x/y tangent; its z
+    /// tangent only flips with the image's sign (exactly — see
+    /// [`rod_integrals_batch_dir`](crate::integration::rod_integrals_batch_dir)).
+    tx: f64,
+    ty: f64,
+    tz0: f64,
+}
+
+impl SubRange {
+    fn new(src: &ElementGeom, s0: f64, s1: f64) -> Self {
+        let len = src.length;
+        let sub_len = s1 - s0;
+        debug_assert!(sub_len > 0.0);
+        let p0 = src.at(s0);
+        let p1 = src.at(s1);
+        SubRange {
+            p0,
+            p1,
+            sub_len,
+            w0: 1.0 - s0 / len,
+            w1: s0 / len,
+            inv_len: 1.0 / len,
+            tx: (p1.x - p0.x) / sub_len,
+            ty: (p1.y - p0.y) / sub_len,
+            tz0: (p1.z - p0.z) / sub_len,
         }
     }
-    (acc, terms)
+
+    /// Adds one image group to every point of the SoA slices: point `j`'s
+    /// N₀ integral to `b0[j]`, its N₁ integral to `b1[j]`.
+    ///
+    /// Fused rod-chunk + accumulate, chunks outer and images inner: each
+    /// chunk's points load once, and the group's contribution accumulates
+    /// in registers before a single add to the buffers. Per lane this sums
+    /// the images in the same order as an image-by-image `+=` into a
+    /// zeroed buffer, starting from the same `0.0` — bit-identical (the
+    /// register sum can never be `-0.0`, so the final `0.0 + sum` is
+    /// exact).
+    fn add_group(
+        &self,
+        xs: &[f64],
+        ys: &[f64],
+        zs: &[f64],
+        images: &[Image],
+        b0: &mut [f64],
+        b1: &mut [f64],
+    ) {
+        let npts = xs.len();
+        let accumulate = |px: &[f64; LANES], py: &[f64; LANES], pz: &[f64; LANES]| {
+            let mut a0 = [0.0f64; LANES];
+            let mut a1 = [0.0f64; LANES];
+            for im in images {
+                let ia = Point3::new(self.p0.x, self.p0.y, im.depth(self.p0.z));
+                let ib = Point3::new(self.p1.x, self.p1.y, im.depth(self.p1.z));
+                let t = [self.tx, self.ty, im.sign * self.tz0];
+                let c = im.coefficient;
+                let (r0, r1) = rod_chunk(px, py, pz, ia, ib, self.sub_len, t);
+                for l in 0..LANES {
+                    let v1 = r1[l] * self.inv_len;
+                    a0[l] += c * (self.w0 * r0[l] - v1);
+                    a1[l] += c * (self.w1 * r0[l] + v1);
+                }
+            }
+            (a0, a1)
+        };
+        let mut base = 0usize;
+        while base + LANES <= npts {
+            let px: &[f64; LANES] = xs[base..base + LANES].try_into().unwrap();
+            let py: &[f64; LANES] = ys[base..base + LANES].try_into().unwrap();
+            let pz: &[f64; LANES] = zs[base..base + LANES].try_into().unwrap();
+            let (a0, a1) = accumulate(px, py, pz);
+            let o0: &mut [f64; LANES] = (&mut b0[base..base + LANES]).try_into().unwrap();
+            let o1: &mut [f64; LANES] = (&mut b1[base..base + LANES]).try_into().unwrap();
+            for l in 0..LANES {
+                o0[l] += a0[l];
+                o1[l] += a1[l];
+            }
+            base += LANES;
+        }
+        if base < npts {
+            let m = npts - base;
+            let (px, py, pz) = pad_chunk(xs, ys, zs, base, m);
+            let (a0, a1) = accumulate(&px, &py, &pz);
+            for l in 0..m {
+                b0[base + l] += a0[l];
+                b1[base + l] += a1[l];
+            }
+        }
+    }
 }
 
 /// Core of the batched image-series integration: sums the image groups of
 /// `exp` over the sub-range `[s0, s1]` for **all** points of the SoA
-/// slices at once, under the collective stopping rule of
-/// [`series::BatchSeries`] (2 lanes per point — one per shape function,
-/// stored as two planes of `npts` so the per-image accumulation is a
-/// contiguous vectorizable sweep). Results are handed to
-/// `sink(point_index, v0, v1)` so callers decide where they accumulate.
+/// slices at once, under the collective stop of [`series::BatchSeries`]
+/// (2 lanes per point — one per shape function, stored as two planes of
+/// `npts` so the per-image accumulation is a contiguous vectorizable
+/// sweep). Results are handed to `sink(point_index, v0, v1)` so callers
+/// decide where they accumulate.
 #[allow(clippy::too_many_arguments)]
 fn image_series_batch(
     xs: &[f64],
@@ -621,23 +700,7 @@ fn image_series_batch(
     if npts == 0 {
         return;
     }
-    let len = src.length;
-    let sub_len = s1 - s0;
-    debug_assert!(sub_len > 0.0);
-    let p0 = src.at(s0);
-    let p1 = src.at(s1);
-    // Shape functions of the whole element restricted to the sub-range:
-    // N0(s0 + s') = (1 − s0/L) − s'/L, N1(s0 + s') = s0/L + s'/L.
-    let w0 = 1.0 - s0 / len;
-    let w1 = s0 / len;
-    let inv_len = 1.0 / len;
-    // Every image segment shares the element's x/y tangent; its z tangent
-    // only flips with the image's sign (exactly — see
-    // [`rod_integrals_batch_dir`]). Hoist the divisions out of the term
-    // loop.
-    let tx = (p1.x - p0.x) / sub_len;
-    let ty = (p1.y - p0.y) / sub_len;
-    let tz0 = (p1.z - p0.z) / sub_len;
+    let sub = SubRange::new(src, s0, s1);
     // Read off the batch, not a switch: a batch lying wholly on the earth
     // surface (maps, profiles, mesh-voltage probes) sees every image and
     // its mirror at the same distance, so the folded list does half the
@@ -662,62 +725,7 @@ fn image_series_batch(
             // Plane layout: lane j is point j's N₀ integral, lane
             // npts + j its N₁ integral.
             let (b0, b1) = buf.split_at_mut(npts);
-            // Fused rod-chunk + accumulate, chunks outer and images inner:
-            // each chunk's points load once, and the group's contribution
-            // accumulates in registers before a single store to the term
-            // buffer. Per lane this sums the images in the same order as
-            // an image-by-image `+=` into the zeroed buffer, starting from
-            // the same `0.0` — bit-identical (the register sum can never
-            // be `-0.0`, so the final `0.0 + sum` is exact).
-            let mut base = 0usize;
-            while base + LANES <= npts {
-                let px: &[f64; LANES] = xs[base..base + LANES].try_into().unwrap();
-                let py: &[f64; LANES] = ys[base..base + LANES].try_into().unwrap();
-                let pz: &[f64; LANES] = zs[base..base + LANES].try_into().unwrap();
-                let mut a0 = [0.0f64; LANES];
-                let mut a1 = [0.0f64; LANES];
-                for im in &images {
-                    let ia = Point3::new(p0.x, p0.y, im.depth(p0.z));
-                    let ib = Point3::new(p1.x, p1.y, im.depth(p1.z));
-                    let t = [tx, ty, im.sign * tz0];
-                    let c = im.coefficient;
-                    let (r0, r1) = rod_chunk(px, py, pz, ia, ib, sub_len, t);
-                    for l in 0..LANES {
-                        let v1 = r1[l] * inv_len;
-                        a0[l] += c * (w0 * r0[l] - v1);
-                        a1[l] += c * (w1 * r0[l] + v1);
-                    }
-                }
-                let o0: &mut [f64; LANES] = (&mut b0[base..base + LANES]).try_into().unwrap();
-                let o1: &mut [f64; LANES] = (&mut b1[base..base + LANES]).try_into().unwrap();
-                for l in 0..LANES {
-                    o0[l] += a0[l];
-                    o1[l] += a1[l];
-                }
-                base += LANES;
-            }
-            if base < npts {
-                let m = npts - base;
-                let (px, py, pz) = pad_chunk(xs, ys, zs, base, m);
-                let mut a0 = [0.0f64; LANES];
-                let mut a1 = [0.0f64; LANES];
-                for im in &images {
-                    let ia = Point3::new(p0.x, p0.y, im.depth(p0.z));
-                    let ib = Point3::new(p1.x, p1.y, im.depth(p1.z));
-                    let t = [tx, ty, im.sign * tz0];
-                    let c = im.coefficient;
-                    let (r0, r1) = rod_chunk(&px, &py, &pz, ia, ib, sub_len, t);
-                    for l in 0..LANES {
-                        let v1 = r1[l] * inv_len;
-                        a0[l] += c * (w0 * r0[l] - v1);
-                        a1[l] += c * (w1 * r0[l] + v1);
-                    }
-                }
-                for l in 0..m {
-                    b0[base + l] += a0[l];
-                    b1[base + l] += a1[l];
-                }
-            }
+            sub.add_group(xs, ys, zs, &images, b0, b1);
             cost.lane_points += (images.len() * npts) as u64;
             cost.lane_slots += (images.len() * slots_for(npts)) as u64;
             cost.terms += (images.len() * npts) as u64;
@@ -1103,7 +1111,6 @@ mod tests {
         let (_, t_mild) = mild.element_potential(x, &src);
         let (_, t_strong) = strong.element_potential(x, &src);
         assert!(t_strong > t_mild, "{t_strong} vs {t_mild}");
-        assert!(strong.typical_terms() > mild.typical_terms());
     }
 
     fn batch_of(points: &[Point3]) -> KernelBatch {
@@ -1238,9 +1245,9 @@ mod tests {
 
     #[test]
     fn batch_results_are_push_order_invariant() {
-        // Within one batch, each lane's chunked-Kahan accumulator is
-        // independent and the collective stopping threshold is a max over
-        // lanes — both order-invariant — so permuting the push order must
+        // Within one batch, each lane's accumulator and ε table are
+        // independent and the collective stop reads maxima over lanes —
+        // both order-invariant — so permuting the push order must
         // permute the results bitwise. (Composition is a different story:
         // the collective stop couples lanes, so a point alone may run a
         // *shorter* series than inside a batch. Pair-level determinism
@@ -1290,6 +1297,162 @@ mod tests {
             k.element_potential_batch(&mut solo, &src);
             assert_eq!(solo.values()[0][0].to_bits(), full[j][0].to_bits());
             assert_eq!(solo.values()[0][1].to_bits(), full[j][1].to_bits());
+        }
+    }
+
+    /// Largest `|v − r|` over a batch, relative to its largest `|r|`: the
+    /// quantity the shared-scale stop controls.
+    fn block_error(v: &[f64], r: &[f64]) -> f64 {
+        let scale = r.iter().fold(0.0f64, |m, x| m.max(x.abs()));
+        let err = v
+            .iter()
+            .zip(r)
+            .fold(0.0f64, |m, (a, b)| m.max((a - b).abs()));
+        err / scale
+    }
+
+    /// Errors of the plain stop and of the kernel's accelerated values
+    /// against a plain sum of `60/ln(1/|κ|) + 40` groups, for a batch the
+    /// kernel evaluates in one lane pass (the source within one layer, all
+    /// points on one side of the interface); `None` for any other batch.
+    fn stop_errors(soil: (f64, f64, f64), src: &ElementGeom, pts: &[Point3]) -> Option<(f64, f64)> {
+        let (g1, g2, h) = soil;
+        let field_upper = pts[0].z <= h;
+        if (src.a.z - h) * (src.b.z - h) < 0.0 || pts.iter().any(|p| (p.z <= h) != field_upper) {
+            return None;
+        }
+        let kernel = SoilKernel::new(&SoilModel::two_layer(g1, g2, h));
+        let Strategy::TwoLayer { kappa, .. } = kernel.strategy else {
+            unreachable!("a two-layer soil")
+        };
+        let (gamma, family) = match (src.at(0.5 * src.length).z <= h, field_upper) {
+            (true, true) => (g1, Family::UpperUpper),
+            (true, false) => (g1, Family::UpperLower),
+            (false, true) => (g2, Family::LowerUpper),
+            (false, false) => (g2, Family::LowerLower),
+        };
+        let exp = ImageExpansion {
+            kappa,
+            h,
+            prefactor: 1.0 / (PI4 * gamma),
+            family,
+        };
+        let mut batch = batch_of(pts);
+        kernel.element_potential_batch(&mut batch, src);
+        let n = pts.len();
+        let accelerated: Vec<f64> = (0..2 * n).map(|l| batch.values()[l % n][l / n]).collect();
+        let (xs, ys, zs): (Vec<f64>, Vec<f64>, Vec<f64>) = (
+            pts.iter().map(|p| p.x).collect(),
+            pts.iter().map(|p| p.y).collect(),
+            pts.iter().map(|p| p.z).collect(),
+        );
+        let on_surface = zs.iter().all(|&z| z == 0.0);
+        let sub = SubRange::new(src, 0.0, src.length);
+        let mut images = Vec::new();
+        let mut group = |g: usize, buf: &mut [f64]| {
+            if on_surface {
+                exp.surface_group(g, &mut images);
+            } else {
+                exp.group(g, &mut images);
+            }
+            let (b0, b1) = buf.split_at_mut(n);
+            sub.add_group(&xs, &ys, &zs, &images, b0, b1);
+            !images.is_empty()
+        };
+        let plain = series::sum_until_batch_plain(2 * n, &mut group, kernel.opts);
+        let long = SeriesOptions {
+            max_terms: (60.0 / (1.0 / kappa.abs()).ln()).ceil() as usize + 40,
+            consecutive: usize::MAX,
+            ..kernel.opts
+        };
+        let reference = series::sum_until_batch_plain(2 * n, &mut group, long);
+        Some((
+            block_error(&plain.values, &reference.values),
+            block_error(&accelerated, &reference.values),
+        ))
+    }
+
+    #[test]
+    fn accelerated_sums_are_no_less_accurate_than_the_plain_stop() {
+        use layerbem_geometry::{grids, Mesher, Segment};
+        use layerbem_numeric::rng::Xoshiro256StarStar;
+        let geoms = |net| -> Vec<ElementGeom> {
+            let mesh = Mesher::default().mesh(&net);
+            crate::assembly::element_geoms(&mesh)
+        };
+        let (barbera, balaidos) = (geoms(grids::barbera()), geoms(grids::balaidos()));
+        let kappa_soil = |kappa: f64| (0.005, 0.005 * (1.0 - kappa) / (1.0 + kappa), 1.0);
+        let cases = [
+            ("barbera-2l", (0.005, 0.016, 1.0), &barbera, 40),
+            ("balaidos-c", (0.0025, 0.020, 1.0), &balaidos, 40),
+            ("balaidos-b", (0.0025, 0.020, 0.7), &balaidos, 40),
+            ("κ −0.99", kappa_soil(-0.99), &barbera, 40),
+            ("κ −0.9", kappa_soil(-0.9), &barbera, 20),
+            ("κ +0.5", kappa_soil(0.5), &barbera, 20),
+            ("κ +0.9", kappa_soil(0.9), &barbera, 20),
+        ];
+        let (base, near) = (GaussLegendre::new(4), GaussLegendre::new(16));
+        for (seed, (name, soil, elements, count)) in cases.into_iter().enumerate() {
+            let mut rng = Xoshiro256StarStar::seeded(seed as u64);
+            let mut pick = || &elements[(rng.next_u64() % elements.len() as u64) as usize];
+            let lo = elements
+                .iter()
+                .fold(Point3::new(f64::MAX, f64::MAX, 0.0), |lo, e| {
+                    Point3::new(lo.x.min(e.a.x).min(e.b.x), lo.y.min(e.a.y).min(e.b.y), 0.0)
+                });
+            // Worst error per batch kind (pairs, tiles): plain, accelerated.
+            let mut worst = [[0.0f64; 2]; 2];
+            let mut checked = [0usize; 2];
+            for k in 0..count {
+                // Pairs as `pair_block` batches them: β's 2q surface
+                // points, 16-point rule for near pairs; and surface-map
+                // tiles, 32 points of a 4 m lattice at z = 0.
+                let (beta, alpha) = (pick(), pick());
+                let tile = k % 4 == 3;
+                let pts: Vec<Point3> = if tile {
+                    let x0 = lo.x + 4.0 * ((7 * k) % 20) as f64;
+                    let y0 = lo.y + 4.0 * ((3 * k) % 10) as f64;
+                    (0..32)
+                        .map(|i| {
+                            Point3::new(x0 + 4.0 * (i % 8) as f64, y0 + 4.0 * (i / 8) as f64, 0.0)
+                        })
+                        .collect()
+                } else {
+                    let (sb, sa) = (Segment::new(beta.a, beta.b), Segment::new(alpha.a, alpha.b));
+                    let sep = sb
+                        .distance_to_point(alpha.a)
+                        .min(sb.distance_to_point(alpha.b))
+                        .min(sa.distance_to_point(beta.a))
+                        .min(sa.distance_to_point(beta.b));
+                    let rule = if sep < 2.0 * beta.length.max(alpha.length) {
+                        &near
+                    } else {
+                        &base
+                    };
+                    rule.mapped(0.0, beta.length)
+                        .flat_map(|(s, _)| {
+                            let (xp, xm) = beta.surface_pair(s);
+                            [xp, xm]
+                        })
+                        .collect()
+                };
+                if let Some((plain, accelerated)) = stop_errors(soil, alpha, &pts) {
+                    let kind = usize::from(tile);
+                    worst[kind][0] = worst[kind][0].max(plain);
+                    worst[kind][1] = worst[kind][1].max(accelerated);
+                    checked[kind] += 1;
+                }
+            }
+            assert!(
+                checked[0] >= count / 4 && checked[1] >= 1,
+                "{name}: {checked:?} batches checked"
+            );
+            for (kind, [plain, accelerated]) in ["pairs", "tiles"].iter().zip(worst) {
+                assert!(
+                    accelerated <= plain,
+                    "{name} {kind}: accelerated error {accelerated:e} vs plain {plain:e}"
+                );
+            }
         }
     }
 

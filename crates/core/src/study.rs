@@ -747,7 +747,7 @@ const _: () = {
 mod tests {
     use super::*;
     use crate::formulation::{Formulation, SolveOptions, SolverChoice};
-    use layerbem_geometry::conductor::ground_rod;
+    use layerbem_geometry::conductor::{ground_rod, Conductor};
     use layerbem_geometry::{ConductorNetwork, MeshOptions, Mesher, Point3};
     use layerbem_soil::SoilModel;
 
@@ -810,20 +810,73 @@ mod tests {
 
     #[test]
     fn a_capped_image_series_is_a_typed_refusal() {
-        // γ₁/γ₂ = 1e-4 and 1e4: |κ| ≈ 0.9998, so the image series would
-        // need ~10⁵ groups; each one stops at the cap instead, and the
-        // potentials would come out percent-level low.
-        for (g1, g2) in [(1e-4, 1.0), (1.0, 1e-4)] {
+        let cap = layerbem_soil::default_series_options().max_terms;
+        let mesh = |net: &ConductorNetwork| Mesher::new(MeshOptions::default()).mesh(net);
+        let mut square = ConductorNetwork::new();
+        let corners = [(0.0, 0.0), (4.0, 0.0), (4.0, 4.0), (0.0, 4.0), (0.0, 0.0)];
+        for w in corners.windows(2) {
+            let (a, b) = (w[0], w[1]);
+            square.add(Conductor::new(
+                Point3::new(a.0, a.1, 0.8),
+                Point3::new(b.0, b.1, 0.8),
+                0.006,
+            ));
+        }
+        // γ₁/γ₂ = 1e4 (κ ≈ +0.9998): the series does not alternate, needs
+        // ~10⁵ groups, and no accelerated estimate settles within the
+        // cap; a truncated sum would come out percent-level low. γ₁/γ₂ =
+        // 1e-4 (κ ≈ −0.9998) under a square of conductors: the partial
+        // sums swing thousands of times wider than their limit, and the
+        // estimates' rounding floor stays above the tolerance.
+        for (g1, g2, mesh) in [(1.0, 1e-4, rod_mesh(1)), (1e-4, 1.0, mesh(&square))] {
             let soil = SoilModel::two_layer(g1, g2, 1.0);
-            let sys = GroundingSystem::new(rod_mesh(1), &soil, SolveOptions::default());
+            let sys = GroundingSystem::new(mesh, &soil, SolveOptions::default());
             let want = PrepareError::SeriesCap {
                 kappa: soil.reflection_ratio(),
-                max_terms: layerbem_soil::default_series_options().max_terms,
+                max_terms: cap,
             };
             let err = sys.prepare().expect_err("capped series");
             assert_eq!(err, want);
             assert!(err.to_string().contains("within 4000 groups"), "{err}");
             assert_eq!(sys.prepare_editable().err(), Some(want));
+        }
+        // A lone conductor in the κ ≈ −0.9998 soil converges inside the
+        // cap, and agrees with the Hankel-transform kernel of the same
+        // soil (`soil::multilayer`) to that kernel's accuracy: a rod in the
+        // upper layer to 1.7e-7, a horizontal conductor to 5.0e-4 (the
+        // tolerance of `multilayer_element_matches_two_layer_path`).
+        let layers = vec![
+            layerbem_soil::Layer {
+                conductivity: 1e-4,
+                thickness: 1.0,
+            },
+            layerbem_soil::Layer {
+                conductivity: 1.0,
+                thickness: f64::INFINITY,
+            },
+        ];
+        let rod = ground_rod(Point3::new(0.0, 0.0, 0.1), 0.7, 0.007);
+        let bar = Conductor::new(
+            Point3::new(0.0, 0.0, 0.8),
+            Point3::new(5.0, 0.0, 0.8),
+            0.006,
+        );
+        for (conductor, tol) in [(rod, 1e-5), (bar, 5e-3)] {
+            let mut net = ConductorNetwork::new();
+            net.add(conductor);
+            let req = |soil: &SoilModel| {
+                let sys = GroundingSystem::new(mesh(&net), soil, SolveOptions::default());
+                let study = sys.prepare().expect("converges inside the cap");
+                assert_eq!(study.profile().assembly.kernel.capped_series, 0);
+                let sol = study.solve(&Scenario::gpr(10_000.0)).expect("solves");
+                sol.equivalent_resistance
+            };
+            let two = req(&SoilModel::two_layer(1e-4, 1.0, 1.0));
+            let hankel = req(&SoilModel::multi_layer(layers.clone()));
+            assert!(
+                (two - hankel).abs() <= tol * hankel,
+                "Req {two} vs Hankel {hankel}"
+            );
         }
         // The paper's soils stop far inside the cap.
         let paper = SoilModel::two_layer(0.005, 0.016, 1.0);
