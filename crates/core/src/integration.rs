@@ -138,8 +138,9 @@ pub fn rod_integrals(x: Point3, a: Point3, b: Point3, len: f64) -> (f64, f64) {
 }
 
 /// Batched [`rod_integrals`]: the primitives `(I₀, I₁)` of **many** field
-/// points against **one** image segment, evaluated in fixed
-/// [`layerbem_numeric::LANES`]-wide chunks.
+/// points against **one** image segment `a → b` with unit tangent
+/// `t = (b − a)/len`, evaluated in fixed [`layerbem_numeric::LANES`]-wide
+/// chunks.
 ///
 /// The field points arrive in structure-of-arrays form (`xs`/`ys`/`zs`)
 /// and the primitives land in `i0`/`i1` (all five slices the same
@@ -155,34 +156,12 @@ pub fn rod_integrals(x: Point3, a: Point3, b: Point3, len: f64) -> (f64, f64) {
 /// The results agree with the scalar [`rod_integrals`] to a few ulp (the
 /// lane `ln` differs from libm's in the last bits) but are **not** bitwise
 /// equal to it; callers pick one path and stay on it.
-#[inline]
-#[allow(clippy::too_many_arguments)]
-pub fn rod_integrals_batch(
-    xs: &[f64],
-    ys: &[f64],
-    zs: &[f64],
-    a: Point3,
-    b: Point3,
-    len: f64,
-    i0: &mut [f64],
-    i1: &mut [f64],
-) {
-    let tx = (b.x - a.x) / len;
-    let ty = (b.y - a.y) / len;
-    let tz = (b.z - a.z) / len;
-    rod_integrals_batch_dir(xs, ys, zs, a, b, len, [tx, ty, tz], i0, i1);
-}
-
-/// [`rod_integrals_batch`] with the unit tangent `t = (b − a)/len`
-/// precomputed by the caller.
 ///
-/// The image-series driver evaluates one element against a whole family of
-/// image segments that differ only in a sign flip and offset of `z`: the
-/// tangent's `x`/`y` components are shared by every image and `t_z` only
-/// flips sign (negation is exact, so `sign · t_z` is bit-identical to
-/// re-deriving the division). Hoisting the three divisions out of the
-/// per-term loop is free precision-wise and removes the most expensive
-/// scalar ops from the series hot path.
+/// The tangent is the caller's: the image-series driver evaluates one
+/// element against a whole family of image segments that differ only in a
+/// sign flip and offset of `z`, so the tangent's `x`/`y` components are
+/// shared by every image and `t_z` only flips sign (negation is exact, so
+/// `sign · t_z` is bit-identical to re-deriving the division).
 #[inline]
 #[allow(clippy::too_many_arguments)]
 pub fn rod_integrals_batch_dir(
@@ -291,19 +270,6 @@ pub fn rod_chunk(
     (lnv, i1)
 }
 
-/// `∫ N_i(s)/R ds` over an image segment for the two linear shape
-/// functions of the element: returns `[∫N₀/R, ∫N₁/R]`.
-///
-/// `a_img`/`b_img` are the **image** endpoints corresponding to the
-/// element's local nodes 0 and 1 (images preserve the parametrization, so
-/// shape functions ride along unchanged).
-#[inline]
-pub fn shape_integrals(x: Point3, a_img: Point3, b_img: Point3, len: f64) -> [f64; 2] {
-    let (i0, i1) = rod_integrals(x, a_img, b_img, len);
-    let n1 = i1 / len;
-    [i0 - n1, n1]
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -311,6 +277,23 @@ mod tests {
 
     fn close(a: f64, b: f64, tol: f64) -> bool {
         (a - b).abs() <= tol * a.abs().max(b.abs()).max(1e-30)
+    }
+
+    /// `[∫N₀/R, ∫N₁/R]` over the segment `a → b`, from the primitives.
+    fn shapes(x: Point3, a: Point3, b: Point3, len: f64) -> [f64; 2] {
+        let (i0, i1) = rod_integrals(x, a, b, len);
+        let n1 = i1 / len;
+        [i0 - n1, n1]
+    }
+
+    /// The batched primitives of `xs`/`ys`/`zs` against `a → b`.
+    fn batch(xs: &[f64], ys: &[f64], zs: &[f64], a: Point3, b: Point3) -> (Vec<f64>, Vec<f64>) {
+        let len = a.distance(b);
+        let t = [(b.x - a.x) / len, (b.y - a.y) / len, (b.z - a.z) / len];
+        let mut i0 = vec![0.0; xs.len()];
+        let mut i1 = vec![0.0; xs.len()];
+        rod_integrals_batch_dir(xs, ys, zs, a, b, len, t, &mut i0, &mut i1);
+        (i0, i1)
     }
 
     fn quad_reference(x: Point3, a: Point3, b: Point3, which: usize) -> f64 {
@@ -358,7 +341,7 @@ mod tests {
             Point3::new(2.0, -0.5, 1.5 + 0.01),
             Point3::new(10.0, 10.0, 3.0),
         ] {
-            let got = shape_integrals(x, a, b, len);
+            let got = shapes(x, a, b, len);
             for (i, g) in got.iter().enumerate() {
                 let want = quad_reference(x, a, b, i);
                 assert!(close(*g, want, 1e-8), "x={x:?} N{i}: {g} vs {want}");
@@ -372,7 +355,7 @@ mod tests {
         let b = Point3::new(0.0, 5.0, 1.0);
         let x = Point3::new(1.0, 2.0, 0.3);
         let (i0, _) = rod_integrals(x, a, b, 5.0);
-        let s = shape_integrals(x, a, b, 5.0);
+        let s = shapes(x, a, b, 5.0);
         assert!(close(s[0] + s[1], i0, 1e-13));
     }
 
@@ -381,8 +364,8 @@ mod tests {
         let a = Point3::new(0.0, 0.0, 1.0);
         let b = Point3::new(6.0, 0.0, 1.0);
         let x = Point3::new(1.5, 2.0, 0.0);
-        let fwd = shape_integrals(x, a, b, 6.0);
-        let bwd = shape_integrals(x, b, a, 6.0);
+        let fwd = shapes(x, a, b, 6.0);
+        let bwd = shapes(x, b, a, 6.0);
         assert!(close(fwd[0], bwd[1], 1e-12));
         assert!(close(fwd[1], bwd[0], 1e-12));
     }
@@ -463,9 +446,7 @@ mod tests {
         let xs: Vec<f64> = pts.iter().map(|p| p.x).collect();
         let ys: Vec<f64> = pts.iter().map(|p| p.y).collect();
         let zs: Vec<f64> = pts.iter().map(|p| p.z).collect();
-        let mut i0 = vec![0.0; pts.len()];
-        let mut i1 = vec![0.0; pts.len()];
-        rod_integrals_batch(&xs, &ys, &zs, a, b, len, &mut i0, &mut i1);
+        let (i0, i1) = batch(&xs, &ys, &zs, a, b);
         for (k, &x) in pts.iter().enumerate() {
             let (s0, s1) = rod_integrals(x, a, b, len);
             assert!(close(i0[k], s0, 1e-14), "I0 point {k}: {} vs {s0}", i0[k]);
@@ -480,7 +461,6 @@ mod tests {
         // equal to evaluating it inside a longer batch.
         let a = Point3::new(1.0, -2.0, 0.5);
         let b = Point3::new(3.0, 1.0, 2.5);
-        let len = a.distance(b);
         let pts = [
             Point3::new(0.0, 0.0, 0.0),
             Point3::new(2.0, -0.5, 1.51),
@@ -492,22 +472,9 @@ mod tests {
         let xs: Vec<f64> = pts.iter().map(|p| p.x).collect();
         let ys: Vec<f64> = pts.iter().map(|p| p.y).collect();
         let zs: Vec<f64> = pts.iter().map(|p| p.z).collect();
-        let mut i0 = vec![0.0; pts.len()];
-        let mut i1 = vec![0.0; pts.len()];
-        rod_integrals_batch(&xs, &ys, &zs, a, b, len, &mut i0, &mut i1);
+        let (i0, i1) = batch(&xs, &ys, &zs, a, b);
         for k in 0..pts.len() {
-            let mut s0 = [0.0];
-            let mut s1 = [0.0];
-            rod_integrals_batch(
-                &xs[k..k + 1],
-                &ys[k..k + 1],
-                &zs[k..k + 1],
-                a,
-                b,
-                len,
-                &mut s0,
-                &mut s1,
-            );
+            let (s0, s1) = batch(&xs[k..k + 1], &ys[k..k + 1], &zs[k..k + 1], a, b);
             assert_eq!(i0[k].to_bits(), s0[0].to_bits(), "I0 point {k}");
             assert_eq!(i1[k].to_bits(), s1[0].to_bits(), "I1 point {k}");
         }

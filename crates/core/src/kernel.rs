@@ -1,21 +1,29 @@
 //! Element-level soil kernels: `∫ N_i(ξ) G(x, ξ) dξ` per boundary element.
 //!
 //! [`SoilKernel`] is the object the assembler and post-processor talk to.
-//! It picks the right evaluation strategy per soil model:
+//! Every soil runs the same loop: the source element is cut at the depths
+//! of the soil's interfaces, and each sub-segment is integrated
+//! analytically over its *image segments* ([`crate::images`] +
+//! [`crate::integration`]), one lane pass per field-point subset that sees
+//! the same images:
 //!
-//! * **Uniform / two-layer** — fully analytic inner integration over the
-//!   *image segments* of the source element ([`crate::images`] +
-//!   [`crate::integration`]), with the image-group series summed under
-//!   tolerance control. Elements crossing the layer interface are split at
-//!   the crossing, each part integrated with its own kernel family.
-//!   [`SoilKernel::element_potential_batch`] is the one production
-//!   evaluator (assembly and post-processing); the scalar
-//!   [`SoilKernel::element_potential`] stays as the per-point oracle the
-//!   tests compare against (through
-//!   [`pair_block_scalar`](crate::assembly::pair_block_scalar)).
+//! * **Uniform / two-layer** — the image groups of the kernel family the
+//!   (source layer, field layer) pair picks, summed under tolerance
+//!   control. Uniform soil is the two-layer series at κ = 0 and H = ∞: one
+//!   group, ended by exhaustion.
 //! * **N-layer** — the singular part (direct + primary surface image) is
-//!   integrated analytically with the same machinery; the smooth secondary
-//!   part (`MultiLayerKernel::secondary_potential`) by Gauss quadrature.
+//!   one fixed group of the same machinery; the secondary part
+//!   (`MultiLayerKernel::secondary_potential`) is an 8-point Gauss rule
+//!   mapped onto each sub-segment. That part is **not** smooth: it holds
+//!   the source's images in every interface, which lie `2d` from a source
+//!   `d` from an interface, so the fixed rule loses accuracy once `d` is
+//!   small against the element length (below `d/L ≈ 0.1`).
+//!
+//! [`SoilKernel::element_potential_batch`] is the one production evaluator
+//! (assembly and post-processing); the scalar
+//! [`SoilKernel::element_potential`] stays as the per-point oracle the
+//! tests compare against (through
+//! [`pair_block_scalar`](crate::assembly::pair_block_scalar)).
 //!
 //! Every evaluation also reports the number of series terms / kernel
 //! evaluations consumed, which is the cost signal the parallel-schedule
@@ -28,7 +36,7 @@ use layerbem_soil::multilayer::MultiLayerKernel;
 use layerbem_soil::SoilModel;
 
 use crate::images::{Family, Image, ImageExpansion};
-use crate::integration::{pad_chunk, rod_chunk, rod_integrals_batch, ElementGeom};
+use crate::integration::{pad_chunk, rod_chunk, ElementGeom};
 
 const PI4: f64 = 4.0 * std::f64::consts::PI;
 
@@ -48,16 +56,12 @@ pub struct KernelBatch {
     xs: Vec<f64>,
     ys: Vec<f64>,
     zs: Vec<f64>,
-    /// `I₀` scratch of the current image segment, one slot per point.
-    i0: Vec<f64>,
-    /// `I₁` scratch of the current image segment, one slot per point.
-    i1: Vec<f64>,
     /// Per-point result: `[∫N₀·G, ∫N₁·G]`.
     vals: Vec<[f64; 2]>,
     /// Collective-series engine (accumulators + term buffer), reused
     /// across pairs so the steady-state series loop is allocation-free.
     series: series::BatchSeries,
-    /// Subset compaction scratch of the side/layer-restricted passes:
+    /// Subset compaction scratch of the passes only some points take:
     /// original indices and the compacted point SoA.
     sub_idx: Vec<usize>,
     sub_xs: Vec<f64>,
@@ -100,6 +104,74 @@ impl KernelBatch {
     /// `values()[j] = [∫N₀·G(x_j,·), ∫N₁·G(x_j,·)]`.
     pub fn values(&self) -> &[[f64; 2]] {
         &self.vals
+    }
+
+    /// Adds the integrals over the sub-range `[s0, s1]` of `src` to every
+    /// queued point, one lane pass per side of a split: the points whose
+    /// depth `side` accepts take the groups `groups(true)`, the rest
+    /// `groups(false)`. When one side holds every point the batch is read
+    /// in place; otherwise each side is compacted into the scratch SoA.
+    /// Membership depends only on the points themselves, so pair-level
+    /// determinism is preserved.
+    #[allow(clippy::too_many_arguments)]
+    fn integrate_sides<'g>(
+        &mut self,
+        src: &ElementGeom,
+        s0: f64,
+        s1: f64,
+        side: impl Fn(f64) -> bool,
+        groups: impl Fn(bool) -> Groups<'g>,
+        opts: SeriesOptions,
+        cost: &mut KernelCost,
+    ) {
+        let KernelBatch {
+            xs,
+            ys,
+            zs,
+            vals,
+            series,
+            sub_idx,
+            sub_xs,
+            sub_ys,
+            sub_zs,
+        } = self;
+        let mut add = |j: usize, v0: f64, v1: f64| {
+            vals[j][0] += v0;
+            vals[j][1] += v1;
+        };
+        let accepted = zs.iter().filter(|&&z| side(z)).count();
+        if accepted == 0 || accepted == zs.len() {
+            let groups = groups(accepted > 0);
+            image_series_batch(xs, ys, zs, series, src, s0, s1, groups, opts, cost, add);
+            return;
+        }
+        for this_side in [true, false] {
+            sub_idx.clear();
+            sub_xs.clear();
+            sub_ys.clear();
+            sub_zs.clear();
+            for (j, &z) in zs.iter().enumerate() {
+                if side(z) == this_side {
+                    sub_idx.push(j);
+                    sub_xs.push(xs[j]);
+                    sub_ys.push(ys[j]);
+                    sub_zs.push(z);
+                }
+            }
+            image_series_batch(
+                sub_xs,
+                sub_ys,
+                sub_zs,
+                series,
+                src,
+                s0,
+                s1,
+                groups(this_side),
+                opts,
+                cost,
+                |k, v0, v1| add(sub_idx[k], v0, v1),
+            );
+        }
     }
 }
 
@@ -160,26 +232,53 @@ impl std::ops::AddAssign for KernelCost {
 pub struct SoilKernel {
     model: SoilModel,
     opts: SeriesOptions,
+    /// Interface depths, shallowest first: where every source element is
+    /// cut.
+    depths: Vec<f64>,
     strategy: Strategy,
 }
 
 #[derive(Clone, Debug)]
 enum Strategy {
-    /// Uniform soil: one image group, closed form.
-    Uniform { gamma: f64 },
-    /// Two-layer: image-series per kernel family.
-    TwoLayer {
-        gamma1: f64,
-        gamma2: f64,
-        h: f64,
-        kappa: f64,
-    },
-    /// N-layer: analytic singular part + quadrature of the smooth
-    /// secondary kernel.
+    /// Uniform and two-layer soil: image series per kernel family.
+    Images(Layered),
+    /// N-layer: analytic singular part + quadrature of the secondary
+    /// kernel.
     Numeric {
         kernel: MultiLayerKernel,
         quad: GaussLegendre,
     },
+}
+
+/// A soil of at most two layers as its image series reads it. Uniform
+/// soil is `gamma1 == gamma2` with `h = ∞` and `kappa = 0`: every point
+/// lies in the upper layer, and its one family holds the group-0 pair
+/// `(d, −d)` alone.
+#[derive(Clone, Copy, Debug)]
+struct Layered {
+    gamma1: f64,
+    gamma2: f64,
+    h: f64,
+    kappa: f64,
+}
+
+impl Layered {
+    /// The image expansion of a source in the upper layer or not, seen
+    /// from a field point in the upper layer or not.
+    fn expansion(&self, src_upper: bool, field_upper: bool) -> ImageExpansion {
+        let (gamma_b, family) = match (src_upper, field_upper) {
+            (true, true) => (self.gamma1, Family::UpperUpper),
+            (true, false) => (self.gamma1, Family::UpperLower),
+            (false, true) => (self.gamma2, Family::LowerUpper),
+            (false, false) => (self.gamma2, Family::LowerLower),
+        };
+        ImageExpansion {
+            kappa: self.kappa,
+            h: self.h,
+            prefactor: 1.0 / (PI4 * gamma_b),
+            family,
+        }
+    }
 }
 
 impl SoilKernel {
@@ -190,20 +289,31 @@ impl SoilKernel {
 
     /// Builds with explicit series controls.
     pub fn with_options(model: &SoilModel, opts: SeriesOptions) -> Self {
+        let layers = model.layers();
+        let depths = layers[..layers.len() - 1]
+            .iter()
+            .scan(0.0, |depth, l| {
+                *depth += l.thickness;
+                Some(*depth)
+            })
+            .collect();
         let strategy = match model {
-            SoilModel::Uniform { conductivity } => Strategy::Uniform {
-                gamma: *conductivity,
-            },
+            SoilModel::Uniform { conductivity } => Strategy::Images(Layered {
+                gamma1: *conductivity,
+                gamma2: *conductivity,
+                h: f64::INFINITY,
+                kappa: model.reflection_ratio(),
+            }),
             SoilModel::TwoLayer {
                 upper,
                 lower,
                 thickness,
-            } => Strategy::TwoLayer {
+            } => Strategy::Images(Layered {
                 gamma1: *upper,
                 gamma2: *lower,
                 h: *thickness,
                 kappa: model.reflection_ratio(),
-            },
+            }),
             SoilModel::MultiLayer { .. } => Strategy::Numeric {
                 kernel: MultiLayerKernel::new(model),
                 quad: GaussLegendre::new(8),
@@ -212,6 +322,7 @@ impl SoilKernel {
         SoilKernel {
             model: model.clone(),
             opts,
+            depths,
             strategy,
         }
     }
@@ -228,113 +339,49 @@ impl SoilKernel {
     /// `x` must not lie on the open source axis (surface evaluation keeps
     /// a radius away — the thin-wire regularization).
     pub fn element_potential(&self, x: Point3, src: &ElementGeom) -> ([f64; 2], usize) {
-        match &self.strategy {
-            Strategy::Uniform { gamma } => {
-                let exp = ImageExpansion {
-                    kappa: 0.0,
-                    h: f64::INFINITY,
-                    prefactor: 1.0 / (PI4 * gamma),
-                    family: Family::UpperUpper,
-                };
-                integrate_sub_element(x, src, 0.0, src.length, &exp, self.opts)
-            }
-            Strategy::TwoLayer {
-                gamma1,
-                gamma2,
-                h,
-                kappa,
-            } => {
-                let mut acc = [0.0f64; 2];
-                let mut terms = 0usize;
-                // Split the source element at the interface if it crosses.
-                for (s0, s1) in split_at_depth(src, *h) {
-                    let mid_depth = src.at(0.5 * (s0 + s1)).z;
-                    let src_upper = mid_depth <= *h;
-                    let field_upper = x.z <= *h;
-                    let (gamma_b, family) = match (src_upper, field_upper) {
-                        (true, true) => (*gamma1, Family::UpperUpper),
-                        (true, false) => (*gamma1, Family::UpperLower),
-                        (false, true) => (*gamma2, Family::LowerUpper),
-                        (false, false) => (*gamma2, Family::LowerLower),
-                    };
-                    let exp = ImageExpansion {
-                        kappa: *kappa,
-                        h: *h,
-                        prefactor: 1.0 / (PI4 * gamma_b),
-                        family,
-                    };
-                    let (v, t) = integrate_sub_element(x, src, s0, s1, &exp, self.opts);
-                    acc[0] += v[0];
-                    acc[1] += v[1];
-                    terms += t;
+        let mut acc = [0.0f64; 2];
+        let mut terms = 0usize;
+        for (s0, s1) in split_at_depths(src, &self.depths) {
+            let src_z = src.at(0.5 * (s0 + s1)).z;
+            let (v, t) = match &self.strategy {
+                Strategy::Images(soil) => {
+                    let exp = soil.expansion(src_z <= soil.h, x.z <= soil.h);
+                    integrate_sub_element(x, src, s0, s1, Groups::Series(exp), self.opts)
                 }
-                (acc, terms)
-            }
-            Strategy::Numeric { kernel, quad } => {
-                let mut acc = [0.0f64; 2];
-                let mut evals = 0usize;
-                // Analytic singular part per same-layer sub-segment:
-                // direct + primary surface image, prefactor 1/(4πγ_b).
-                for (s0, s1) in split_at_layers(src, kernel) {
-                    let mid_depth = src.at(0.5 * (s0 + s1)).z;
-                    let gamma_b = kernel.gamma_of(mid_depth);
-                    let pre = 1.0 / (PI4 * gamma_b);
-                    // The analytic split of soil::multilayer: the primary
-                    // surface image always, the direct term only when the
-                    // field point is in the source sub-segment's layer.
-                    let same_layer = kernel.layer_index_of(x.z) == kernel.layer_index_of(mid_depth);
-                    let mut imgs = vec![Image {
-                        sign: -1.0,
-                        offset: 0.0,
-                        coefficient: pre,
-                    }];
-                    if same_layer {
-                        imgs.push(Image {
-                            sign: 1.0,
-                            offset: 0.0,
-                            coefficient: pre,
-                        });
-                    }
-                    let (v, t) = integrate_images(x, src, s0, s1, &imgs);
-                    acc[0] += v[0];
-                    acc[1] += v[1];
-                    evals += t;
+                Strategy::Numeric { kernel, quad } => {
+                    let images = singular_images(kernel.gamma_of(src_z));
+                    let same_layer = kernel.layer_index_of(x.z) == kernel.layer_index_of(src_z);
+                    let fixed = Groups::Fixed(&images[..1 + usize::from(same_layer)]);
+                    let (v, t) = integrate_sub_element(x, src, s0, s1, fixed, self.opts);
+                    let (w, e) = secondary_sub_element(kernel, quad, x, src, s0, s1);
+                    ([v[0] + w[0], v[1] + w[1]], t + e)
                 }
-                // Smooth secondary part by quadrature over the whole
-                // element.
-                let len = src.length;
-                for (s, w) in quad.mapped(0.0, len) {
-                    let xi = src.at(s);
-                    let r = x.horizontal_distance(xi);
-                    let sec = kernel.secondary_potential(r, x.z, xi.z);
-                    let n1 = s / len;
-                    acc[0] += w * (1.0 - n1) * sec;
-                    acc[1] += w * n1 * sec;
-                    evals += kernel.layer_count() * 2 - 1;
-                }
-                (acc, evals)
-            }
+            };
+            acc[0] += v[0];
+            acc[1] += v[1];
+            terms += t;
         }
+        (acc, terms)
     }
 
     /// Batched [`Self::element_potential`]: evaluates **all** queued field
-    /// points of `batch` against one source element in a single
-    /// structure-of-arrays pass, leaving the per-point nodal values in
+    /// points of `batch` against one source element, one
+    /// structure-of-arrays lane pass per sub-segment and field-point
+    /// subset, leaving the per-point nodal values in
     /// [`KernelBatch::values`].
     ///
-    /// The uniform and two-layer strategies run the image series in
-    /// 4-wide lanes ([`rod_integrals_batch`]) under the collective stop of
-    /// [`series::BatchSeries`]: each lane accelerates its partial sums
-    /// with a Wynn ε table, and the whole batch runs until **every**
-    /// lane's estimate has settled against the shared scale (the largest
-    /// estimate in the batch). That is a *block* tolerance — each point's
-    /// truncation error is small relative to the batch maximum, so a point
-    /// may run slightly shorter or longer than it would alone. Because
-    /// the batch content is fixed by the (pair of) elements alone, the
-    /// result is bit-identical no matter which thread, schedule or
-    /// partition evaluates it. The N-layer strategy batches its analytic
-    /// singular part the same way and keeps the smooth secondary
-    /// quadrature per point (it is a transcendental-kernel sum with no
+    /// Every pass runs its image groups in 4-wide lanes under the
+    /// collective stop of [`series::BatchSeries`]: each lane accelerates
+    /// its partial sums with a Wynn ε table, and the whole batch runs until
+    /// **every** lane's estimate has settled against the shared scale (the
+    /// largest estimate in the batch). That is a *block* tolerance — each
+    /// point's truncation error is small relative to the batch maximum, so
+    /// a point may run slightly shorter or longer than it would alone.
+    /// Because the batch content is fixed by the (pair of) elements alone,
+    /// the result is bit-identical no matter which thread, schedule or
+    /// partition evaluates it. The N-layer singular part is a one-group
+    /// series that ends by exhaustion (no ε work); its secondary
+    /// quadrature stays per point (a transcendental-kernel sum with no
     /// rod-integral structure to lane).
     ///
     /// A batch whose points all have `z == 0.0` — surface maps, profiles,
@@ -361,106 +408,44 @@ impl SoilKernel {
         if npts == 0 {
             return cost;
         }
-        match &self.strategy {
-            Strategy::Uniform { gamma } => {
-                let exp = ImageExpansion {
-                    kappa: 0.0,
-                    h: f64::INFINITY,
-                    prefactor: 1.0 / (PI4 * gamma),
-                    family: Family::UpperUpper,
-                };
-                integrate_sub_element_batch(
-                    batch, src, 0.0, src.length, &exp, self.opts, &mut cost,
-                );
-            }
-            Strategy::TwoLayer {
-                gamma1,
-                gamma2,
-                h,
-                kappa,
-            } => {
-                for (s0, s1) in split_at_depth(src, *h) {
-                    let mid_depth = src.at(0.5 * (s0 + s1)).z;
-                    let src_upper = mid_depth <= *h;
+        for (s0, s1) in split_at_depths(src, &self.depths) {
+            let src_z = src.at(0.5 * (s0 + s1)).z;
+            match &self.strategy {
+                Strategy::Images(soil) => {
                     // The kernel family depends on the *field* side of the
                     // interface, so points above and below are separate
                     // lane passes over the same sub-segment.
-                    for field_upper in [true, false] {
-                        if !batch.zs.iter().any(|&z| (z <= *h) == field_upper) {
-                            continue;
-                        }
-                        let (gamma_b, family) = match (src_upper, field_upper) {
-                            (true, true) => (*gamma1, Family::UpperUpper),
-                            (true, false) => (*gamma1, Family::UpperLower),
-                            (false, true) => (*gamma2, Family::LowerUpper),
-                            (false, false) => (*gamma2, Family::LowerLower),
-                        };
-                        let exp = ImageExpansion {
-                            kappa: *kappa,
-                            h: *h,
-                            prefactor: 1.0 / (PI4 * gamma_b),
-                            family,
-                        };
-                        integrate_sub_element_side_batch(
-                            batch,
-                            src,
-                            s0,
-                            s1,
-                            &exp,
-                            self.opts,
-                            *h,
-                            field_upper,
-                            &mut cost,
-                        );
-                    }
+                    let src_upper = src_z <= soil.h;
+                    batch.integrate_sides(
+                        src,
+                        s0,
+                        s1,
+                        |z| z <= soil.h,
+                        |field_upper| Groups::Series(soil.expansion(src_upper, field_upper)),
+                        self.opts,
+                        &mut cost,
+                    );
                 }
-            }
-            Strategy::Numeric { kernel, quad } => {
-                for (s0, s1) in split_at_layers(src, kernel) {
-                    let mid_depth = src.at(0.5 * (s0 + s1)).z;
-                    let gamma_b = kernel.gamma_of(mid_depth);
-                    let pre = 1.0 / (PI4 * gamma_b);
-                    let src_layer = kernel.layer_index_of(mid_depth);
+                Strategy::Numeric { kernel, quad } => {
                     // Points in the source layer see direct + image, the
-                    // rest only the primary surface image — two lane
-                    // passes with different image lists.
-                    for same_layer in [true, false] {
-                        let mut imgs = vec![Image {
-                            sign: -1.0,
-                            offset: 0.0,
-                            coefficient: pre,
-                        }];
-                        if same_layer {
-                            imgs.push(Image {
-                                sign: 1.0,
-                                offset: 0.0,
-                                coefficient: pre,
-                            });
-                        }
-                        integrate_images_subset_batch(
-                            batch,
-                            src,
-                            s0,
-                            s1,
-                            &imgs,
-                            |z| (kernel.layer_index_of(z) == src_layer) == same_layer,
-                            &mut cost,
-                        );
-                    }
-                }
-                // Smooth secondary part stays per point: the integrand is
-                // a layered-kernel evaluation, not a rod integral.
-                let len = src.length;
-                for j in 0..npts {
-                    let x = Point3::new(batch.xs[j], batch.ys[j], batch.zs[j]);
-                    for (s, w) in quad.mapped(0.0, len) {
-                        let xi = src.at(s);
-                        let r = x.horizontal_distance(xi);
-                        let sec = kernel.secondary_potential(r, x.z, xi.z);
-                        let n1 = s / len;
-                        batch.vals[j][0] += w * (1.0 - n1) * sec;
-                        batch.vals[j][1] += w * n1 * sec;
-                        cost.terms += (kernel.layer_count() * 2 - 1) as u64;
+                    // rest only the primary surface image.
+                    let images = singular_images(kernel.gamma_of(src_z));
+                    let src_layer = kernel.layer_index_of(src_z);
+                    batch.integrate_sides(
+                        src,
+                        s0,
+                        s1,
+                        |z| kernel.layer_index_of(z) == src_layer,
+                        |same_layer| Groups::Fixed(&images[..1 + usize::from(same_layer)]),
+                        self.opts,
+                        &mut cost,
+                    );
+                    for j in 0..npts {
+                        let x = Point3::new(batch.xs[j], batch.ys[j], batch.zs[j]);
+                        let (v, evals) = secondary_sub_element(kernel, quad, x, src, s0, s1);
+                        batch.vals[j][0] += v[0];
+                        batch.vals[j][1] += v[1];
+                        cost.terms += evals as u64;
                     }
                 }
             }
@@ -474,69 +459,119 @@ impl SoilKernel {
     fn point_potential(&self, x: Point3, xi: Point3) -> f64 {
         use layerbem_soil::{GreensFunction, TwoLayerKernels};
         let r = x.horizontal_distance(xi);
-        match &self.strategy {
-            Strategy::Uniform { gamma } => {
-                layerbem_soil::uniform::UniformKernel::new(*gamma).potential(r, x.z, xi.z)
+        match &self.model {
+            SoilModel::Uniform { conductivity } => {
+                layerbem_soil::uniform::UniformKernel::new(*conductivity).potential(r, x.z, xi.z)
             }
-            Strategy::TwoLayer { .. } => {
+            SoilModel::TwoLayer { .. } => {
                 TwoLayerKernels::with_options(&self.model, self.opts).potential(r, x.z, xi.z)
             }
-            Strategy::Numeric { kernel, .. } => kernel.potential(r, x.z, xi.z),
+            SoilModel::MultiLayer { .. } => {
+                MultiLayerKernel::new(&self.model).potential(r, x.z, xi.z)
+            }
         }
     }
 
-    /// The two-layer reflection ratio κ (0 for the other strategies,
-    /// whose series never reach the cap) and the group cap of every
-    /// series: what a refusal of a capped assembly names.
+    /// The reflection ratio κ of the image series (0 for uniform and
+    /// N-layer soil, whose series never reach the cap) and the group cap
+    /// of every series: what a refusal of a capped assembly names.
     pub(crate) fn series_limits(&self) -> (f64, usize) {
         let kappa = match &self.strategy {
-            Strategy::TwoLayer { kappa, .. } => *kappa,
-            _ => 0.0,
+            Strategy::Images(soil) => soil.kappa,
+            Strategy::Numeric { .. } => 0.0,
         };
         (kappa, self.opts.max_terms)
     }
 }
 
-/// Splits the element's arclength range at the depth `h` crossing, if any.
-fn split_at_depth(src: &ElementGeom, h: f64) -> Vec<(f64, f64)> {
+/// The arclength sub-ranges of the element between the depths of `depths`
+/// (ascending) its axis strictly crosses, in arclength order.
+fn split_at_depths<'a>(
+    src: &ElementGeom,
+    depths: &'a [f64],
+) -> impl Iterator<Item = (f64, f64)> + 'a {
     let (za, zb) = (src.a.z, src.b.z);
     let len = src.length;
-    if (za - h) * (zb - h) < 0.0 {
-        // Strictly crossing: find arclength of the crossing point.
-        let t = (h - za) / (zb - za);
-        let s = t * len;
-        if s > 1e-12 && s < len - 1e-12 {
-            return vec![(0.0, s), (s, len)];
-        }
-    }
-    vec![(0.0, len)]
+    // An axis that rises meets the depths in descending order.
+    let n = depths.len();
+    let rising = zb < za;
+    let cuts = (0..n)
+        .map(move |i| depths[if rising { n - 1 - i } else { i }])
+        .filter(move |&h| (za - h) * (zb - h) < 0.0)
+        .map(move |h| (h - za) / (zb - za) * len)
+        .filter(move |&s| s > 1e-12 && s < len - 1e-12);
+    let mut s0 = 0.0;
+    cuts.chain(std::iter::once(len)).map(move |s1| {
+        let range = (s0, s1);
+        s0 = s1;
+        range
+    })
 }
 
-/// Splits at every interface of an N-layer model the element crosses.
-fn split_at_layers(src: &ElementGeom, kernel: &MultiLayerKernel) -> Vec<(f64, f64)> {
-    let mut cuts = vec![0.0, src.length];
-    let (za, zb) = (src.a.z, src.b.z);
-    if (za - zb).abs() > 1e-12 {
-        // Probe interfaces via gamma changes along depth; we reconstruct
-        // interface depths by bisection on gamma_of — the model only has a
-        // few layers, so scan the element in small depth steps.
-        let steps = 32;
-        let mut prev_gamma = kernel.gamma_of(za);
-        for k in 1..=steps {
-            let s = src.length * k as f64 / steps as f64;
-            let g = kernel.gamma_of(src.at(s).z);
-            if g != prev_gamma {
-                cuts.push(s);
-                prev_gamma = g;
+/// The N-layer singular part of a source in a layer of conductivity
+/// `gamma_b` (the analytic split of `soil::multilayer`): the primary
+/// surface image, which every field point sees, then the direct term,
+/// which only field points in the source's layer see.
+fn singular_images(gamma_b: f64) -> [Image; 2] {
+    let pre = 1.0 / (PI4 * gamma_b);
+    [-1.0, 1.0].map(|sign| Image {
+        sign,
+        offset: 0.0,
+        coefficient: pre,
+    })
+}
+
+/// The N-layer secondary part over the sub-range `[s0, s1]` against both
+/// shape functions of the *whole* element, at one field point: the Gauss
+/// rule mapped onto the sub-range, and the kernel evaluations it took.
+fn secondary_sub_element(
+    kernel: &MultiLayerKernel,
+    quad: &GaussLegendre,
+    x: Point3,
+    src: &ElementGeom,
+    s0: f64,
+    s1: f64,
+) -> ([f64; 2], usize) {
+    let len = src.length;
+    let mut acc = [0.0f64; 2];
+    for (s, w) in quad.mapped(s0, s1) {
+        let xi = src.at(s);
+        let sec = kernel.secondary_potential(x.horizontal_distance(xi), x.z, xi.z);
+        let n1 = s / len;
+        acc[0] += w * (1.0 - n1) * sec;
+        acc[1] += w * n1 * sec;
+    }
+    (acc, quad.len() * (kernel.layer_count() * 2 - 1))
+}
+
+/// Where a pass reads its image groups.
+#[derive(Clone, Copy)]
+enum Groups<'a> {
+    /// A uniform or two-layer series; on the earth surface each group is
+    /// folded with its mirrors.
+    Series(ImageExpansion),
+    /// One fixed group (the N-layer singular part), never folded.
+    Fixed(&'a [Image]),
+}
+
+impl Groups<'_> {
+    /// The images of group `n` into `out` (cleared first); empty once the
+    /// source is exhausted.
+    fn fill(self, n: usize, on_surface: bool, out: &mut Vec<Image>) {
+        match self {
+            Groups::Series(exp) if on_surface => exp.surface_group(n, out),
+            Groups::Series(exp) => exp.group(n, out),
+            Groups::Fixed(images) => {
+                out.clear();
+                if n == 0 {
+                    out.extend_from_slice(images);
+                }
             }
         }
     }
-    cuts.sort_by(|a, b| a.partial_cmp(b).expect("finite"));
-    cuts.dedup_by(|a, b| (*a - *b).abs() < 1e-9);
-    cuts.windows(2).map(|w| (w[0], w[1])).collect()
 }
 
-/// Integrates the image expansion of a sub-range `[s0, s1]` of the source
+/// Integrates the image groups of a sub-range `[s0, s1]` of the source
 /// element against both shape functions of the *whole* element, at one
 /// field point: a 2-lane run (one lane per shape function) of the same
 /// accelerated stop the lane kernel uses, with the scalar rod integrals.
@@ -545,7 +580,7 @@ fn integrate_sub_element(
     src: &ElementGeom,
     s0: f64,
     s1: f64,
-    exp: &ImageExpansion,
+    groups: Groups,
     opts: SeriesOptions,
 ) -> ([f64; 2], usize) {
     let len = src.length;
@@ -559,7 +594,7 @@ fn integrate_sub_element(
     engine.run(
         2,
         |n, buf| {
-            exp.group(n, &mut images);
+            groups.fill(n, false, &mut images);
             if images.is_empty() {
                 return false;
             }
@@ -676,7 +711,7 @@ impl SubRange {
 }
 
 /// Core of the batched image-series integration: sums the image groups of
-/// `exp` over the sub-range `[s0, s1]` for **all** points of the SoA
+/// `groups` over the sub-range `[s0, s1]` for **all** points of the SoA
 /// slices at once, under the collective stop of [`series::BatchSeries`]
 /// (2 lanes per point — one per shape function, stored as two planes of
 /// `npts` so the per-image accumulation is a contiguous vectorizable
@@ -691,7 +726,7 @@ fn image_series_batch(
     src: &ElementGeom,
     s0: f64,
     s1: f64,
-    exp: &ImageExpansion,
+    groups: Groups,
     opts: SeriesOptions,
     cost: &mut KernelCost,
     mut sink: impl FnMut(usize, f64, f64),
@@ -711,11 +746,7 @@ fn image_series_batch(
     let (_, converged) = engine.run(
         2 * npts,
         |n, buf| {
-            if on_surface {
-                exp.surface_group(n, &mut images);
-            } else {
-                exp.group(n, &mut images);
-            }
+            groups.fill(n, on_surface, &mut images);
             if images.is_empty() {
                 // Group 0 is never empty (crate::images invariant);
                 // emptiness at n ≥ 1 signals exhaustion.
@@ -737,191 +768,6 @@ fn image_series_batch(
     for j in 0..npts {
         sink(j, engine.value(j), engine.value(npts + j));
     }
-}
-
-/// Batched [`integrate_sub_element`] over the whole batch (single-family
-/// strategies: uniform soil).
-fn integrate_sub_element_batch(
-    batch: &mut KernelBatch,
-    src: &ElementGeom,
-    s0: f64,
-    s1: f64,
-    exp: &ImageExpansion,
-    opts: SeriesOptions,
-    cost: &mut KernelCost,
-) {
-    let KernelBatch {
-        xs,
-        ys,
-        zs,
-        vals,
-        series,
-        ..
-    } = batch;
-    image_series_batch(
-        xs,
-        ys,
-        zs,
-        series,
-        src,
-        s0,
-        s1,
-        exp,
-        opts,
-        cost,
-        |j, v0, v1| {
-            vals[j][0] += v0;
-            vals[j][1] += v1;
-        },
-    );
-}
-
-/// Batched two-layer sub-element integration restricted to the points on
-/// one side of the interface (`z ≤ h` when `field_upper`): the kernel
-/// family depends on the field layer, so each side is its own lane pass.
-/// The subset is compacted into a scratch SoA; membership depends only on
-/// the points themselves, so pair-level determinism is preserved.
-#[allow(clippy::too_many_arguments)]
-fn integrate_sub_element_side_batch(
-    batch: &mut KernelBatch,
-    src: &ElementGeom,
-    s0: f64,
-    s1: f64,
-    exp: &ImageExpansion,
-    opts: SeriesOptions,
-    h: f64,
-    field_upper: bool,
-    cost: &mut KernelCost,
-) {
-    let KernelBatch {
-        xs,
-        ys,
-        zs,
-        vals,
-        series,
-        sub_idx,
-        sub_xs,
-        sub_ys,
-        sub_zs,
-        ..
-    } = batch;
-    sub_idx.clear();
-    sub_xs.clear();
-    sub_ys.clear();
-    sub_zs.clear();
-    for (j, &z) in zs.iter().enumerate() {
-        if (z <= h) == field_upper {
-            sub_idx.push(j);
-            sub_xs.push(xs[j]);
-            sub_ys.push(ys[j]);
-            sub_zs.push(z);
-        }
-    }
-    if sub_idx.is_empty() {
-        return;
-    }
-    image_series_batch(
-        sub_xs,
-        sub_ys,
-        sub_zs,
-        series,
-        src,
-        s0,
-        s1,
-        exp,
-        opts,
-        cost,
-        |k, v0, v1| {
-            vals[sub_idx[k]][0] += v0;
-            vals[sub_idx[k]][1] += v1;
-        },
-    );
-}
-
-/// Batched [`integrate_images`] (fixed image list, no series control)
-/// restricted to the points satisfying `pred(z)` — the N-layer analytic
-/// singular part, where the image list depends on whether the field point
-/// shares the source sub-segment's layer.
-fn integrate_images_subset_batch(
-    batch: &mut KernelBatch,
-    src: &ElementGeom,
-    s0: f64,
-    s1: f64,
-    images: &[Image],
-    pred: impl Fn(f64) -> bool,
-    cost: &mut KernelCost,
-) {
-    let KernelBatch {
-        xs,
-        ys,
-        zs,
-        i0,
-        i1,
-        vals,
-        sub_idx,
-        sub_xs,
-        sub_ys,
-        sub_zs,
-        ..
-    } = batch;
-    sub_idx.clear();
-    sub_xs.clear();
-    sub_ys.clear();
-    sub_zs.clear();
-    for (j, &z) in zs.iter().enumerate() {
-        if pred(z) {
-            sub_idx.push(j);
-            sub_xs.push(xs[j]);
-            sub_ys.push(ys[j]);
-            sub_zs.push(z);
-        }
-    }
-    let npts = sub_idx.len();
-    if npts == 0 {
-        return;
-    }
-    let len = src.length;
-    let sub_len = s1 - s0;
-    let p0 = src.at(s0);
-    let p1 = src.at(s1);
-    let w0 = 1.0 - s0 / len;
-    let w1 = s0 / len;
-    let inv_len = 1.0 / len;
-    i0.resize(npts, 0.0);
-    i1.resize(npts, 0.0);
-    let mut acc = vec![[0.0f64; 2]; npts];
-    for im in images {
-        let ia = Point3::new(p0.x, p0.y, im.depth(p0.z));
-        let ib = Point3::new(p1.x, p1.y, im.depth(p1.z));
-        rod_integrals_batch(sub_xs, sub_ys, sub_zs, ia, ib, sub_len, i0, i1);
-        let c = im.coefficient;
-        for k in 0..npts {
-            let v1 = i1[k] * inv_len;
-            acc[k][0] += c * (w0 * i0[k] - v1);
-            acc[k][1] += c * (w1 * i0[k] + v1);
-        }
-        cost.lane_points += npts as u64;
-        cost.lane_slots += slots_for(npts) as u64;
-    }
-    cost.terms += (images.len() * npts) as u64;
-    for (k, &j) in sub_idx.iter().enumerate() {
-        vals[j][0] += acc[k][0];
-        vals[j][1] += acc[k][1];
-    }
-}
-
-/// Integrates a fixed image list over a sub-range (no series control).
-fn integrate_images(
-    x: Point3,
-    src: &ElementGeom,
-    s0: f64,
-    s1: f64,
-    images: &[Image],
-) -> ([f64; 2], usize) {
-    let p0 = src.at(s0);
-    let p1 = src.at(s1);
-    let v = images_quadratic_free_sum(x, p0, p1, s1 - s0, s0, src.length, images);
-    (v, images.len())
 }
 
 /// Analytic contribution of a list of images to both shape integrals of a
@@ -1083,8 +929,8 @@ mod tests {
         for x in [Point3::new(2.5, 3.0, 0.0), Point3::new(7.0, 1.0, 1.5)] {
             let (a, _) = k2.element_potential(x, &src);
             let (b, _) = km.element_potential(x, &src);
-            assert!(close(a[0], b[0], 5e-3), "x={x:?}: {a:?} vs {b:?}");
-            assert!(close(a[1], b[1], 5e-3));
+            assert!(close(a[0], b[0], 1e-6), "x={x:?}: {a:?} vs {b:?}");
+            assert!(close(a[1], b[1], 1e-6));
         }
     }
 
@@ -1322,21 +1168,13 @@ mod tests {
             return None;
         }
         let kernel = SoilKernel::new(&SoilModel::two_layer(g1, g2, h));
-        let Strategy::TwoLayer { kappa, .. } = kernel.strategy else {
+        let Strategy::Images(soil) = kernel.strategy else {
             unreachable!("a two-layer soil")
         };
-        let (gamma, family) = match (src.at(0.5 * src.length).z <= h, field_upper) {
-            (true, true) => (g1, Family::UpperUpper),
-            (true, false) => (g1, Family::UpperLower),
-            (false, true) => (g2, Family::LowerUpper),
-            (false, false) => (g2, Family::LowerLower),
-        };
-        let exp = ImageExpansion {
-            kappa,
-            h,
-            prefactor: 1.0 / (PI4 * gamma),
-            family,
-        };
+        let (kappa, exp) = (
+            soil.kappa,
+            soil.expansion(src.at(0.5 * src.length).z <= h, field_upper),
+        );
         let mut batch = batch_of(pts);
         kernel.element_potential_batch(&mut batch, src);
         let n = pts.len();
@@ -1350,11 +1188,7 @@ mod tests {
         let sub = SubRange::new(src, 0.0, src.length);
         let mut images = Vec::new();
         let mut group = |g: usize, buf: &mut [f64]| {
-            if on_surface {
-                exp.surface_group(g, &mut images);
-            } else {
-                exp.group(g, &mut images);
-            }
+            Groups::Series(exp).fill(g, on_surface, &mut images);
             let (b0, b1) = buf.split_at_mut(n);
             sub.add_group(&xs, &ys, &zs, &images, b0, b1);
             !images.is_empty()

@@ -18,7 +18,7 @@ use layerbem_core::assembly::{
 };
 use layerbem_core::formulation::SolveOptions;
 use layerbem_core::images::{Family, Image, ImageExpansion};
-use layerbem_core::integration::{shape_integrals, ElementGeom};
+use layerbem_core::integration::{rod_integrals, ElementGeom};
 use layerbem_core::kernel::{KernelBatch, SoilKernel};
 use layerbem_geometry::grids::{rectangular_grid, RectGridSpec};
 use layerbem_geometry::{Mesher, Point3};
@@ -257,9 +257,9 @@ fn group_integral(images: &[Image], x: Point3, a: Point3, b: Point3) -> [f64; 2]
     for im in images {
         let ia = Point3::new(a.x, a.y, im.depth(a.z));
         let ib = Point3::new(b.x, b.y, im.depth(b.z));
-        let v = shape_integrals(x, ia, ib, len);
-        out[0] += im.coefficient * v[0];
-        out[1] += im.coefficient * v[1];
+        let (i0, i1) = rod_integrals(x, ia, ib, len);
+        out[0] += im.coefficient * (i0 - i1 / len);
+        out[1] += im.coefficient * (i1 / len);
     }
     out
 }

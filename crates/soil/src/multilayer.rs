@@ -27,10 +27,10 @@
 //! controlled explicitly).
 //!
 //! The singular free-space part `1/(4πγ_b R)` (plus its primary surface
-//! image) is **split off analytically** and only the smooth secondary
-//! kernel is integrated numerically, which keeps the inversion accurate at
-//! small `r` and makes the result usable inside the weakly singular BEM
-//! integrals.
+//! image) is **split off analytically** and only the secondary kernel is
+//! integrated numerically, which keeps the inversion accurate at small `r`
+//! away from the interfaces and makes the result usable inside the weakly
+//! singular BEM integrals.
 
 use layerbem_numeric::bessel;
 use layerbem_numeric::series::KahanSum;
@@ -80,9 +80,11 @@ impl MultiLayerKernel {
         self.layer_of(z)
     }
 
-    /// The *secondary* (smooth) part of the Green's function: everything
-    /// except the direct term and the primary surface image, which the
-    /// BEM handles analytically. Exposed so element integrators can split
+    /// The *secondary* part of the Green's function: everything except
+    /// the direct term and the primary surface image, which the BEM
+    /// handles analytically. It is not smooth near an interface: it holds
+    /// the source's images in every interface, which close in on a source
+    /// and a field point near one. Exposed so element integrators can split
     /// the singular part off and integrate only this by quadrature.
     pub fn secondary_potential(&self, r: f64, z: f64, d: f64) -> f64 {
         self.invert_hankel(r, z, d)
@@ -202,11 +204,16 @@ impl MultiLayerKernel {
 impl MultiLayerKernel {
     /// Inverse Hankel transform of the secondary kernel:
     /// `∫₀^∞ K_sec(λ) J₀(λr) dλ`, by panel-wise Gauss–Legendre
-    /// integration. The secondary kernel decays like `e^{−λ·s}` with a
-    /// geometric scale `s` of order the shallowest interface depth (plus
-    /// the image offsets), so the integral converges exponentially; panels
-    /// are sized to resolve both that decay and the `2π/r` oscillation of
-    /// `J₀(λr)`.
+    /// integration. With `s = 2h₁` (twice the shallowest interface depth)
+    /// each panel spans the shorter of a half period of `J₀(λr)`, `π/r`,
+    /// and one e-fold of `e^{−λ·s}`, `1/s`; the sum stops after three
+    /// quiet panels or at `λ·s = 80`.
+    ///
+    /// `s` is the decay length only for a source and a field point away
+    /// from every interface. The field reflected in an interface at depth
+    /// `h` decays like `e^{−λ(2h − z − d)}`, so when both lie near `h` the
+    /// kernel decays far more slowly than `e^{−λ·s}` and the cap may cut a
+    /// tail that has not died out.
     fn invert_hankel(&self, r: f64, z: f64, d: f64) -> f64 {
         // Decay scale of the secondary kernel: every image involves at
         // least one interface round-trip (2 h₁) or the surface offset.
@@ -217,13 +224,14 @@ impl MultiLayerKernel {
             z + d + 1.0
         };
         let s = s.max(1e-3);
-        // Panel width: resolve the J₀ oscillation and the decay.
+        // Panel width in λ (1/m): a half period of J₀(λr), or one e-fold
+        // of the decay over the length s (m).
         let osc = if r > 1e-12 {
             std::f64::consts::PI / r
         } else {
             f64::INFINITY
         };
-        let width = osc.min(s).min(4.0 * s);
+        let width = osc.min(1.0 / s);
         let quad = GaussLegendre::new(10);
         let mut acc = KahanSum::new();
         let mut quiet = 0usize;

@@ -205,3 +205,45 @@ grid rect 0 0 10 10 1 1 0.8 0.006
     let r = result.solution().equivalent_resistance;
     assert!(r > 0.98 * a && r < 1.02 * b, "{r} not in [{a}, {b}]");
 }
+
+#[test]
+fn multilayer_decks_match_their_two_layer_twins() {
+    // A `multi-layer` deck of two layers is the same soil as its
+    // `two-layer` twin, whose image series is the reference. Rows: a grid
+    // 0.5 m deep under interfaces at 1, 3 and 10 m (no element near
+    // one), and a 3 m rod from 0.5 m down that crosses the 1 m interface.
+    const GRID: (&str, &str) = (
+        "grid",
+        "grid rect 0 0 5 5 1 1 0.5 0.006\nmax-element-length 5",
+    );
+    const ROD: (&str, &str) = ("rod", "rod 0 0 0.5 3 0.007");
+    let mut rows = Vec::new();
+    for (upper, lower) in [(0.01, 0.99), (0.005, 0.016), (0.0182, 0.0018)] {
+        for h in [1.0, 3.0, 10.0] {
+            rows.push((GRID, upper, lower, h, 1e-6));
+        }
+    }
+    for (upper, lower) in [(0.005, 0.016), (0.01, 1.0), (1e-4, 1.0), (0.1, 0.01)] {
+        rows.push((ROD, upper, lower, 1.0, 5e-4));
+    }
+    let req = |soil: String, geometry: &str| {
+        let case = parse_case(&format!("{soil}\ngpr 1000\n{geometry}\n")).expect("deck parses");
+        let result = run_pipeline(&case, SolveOptions::default(), 0.0).expect("pipeline succeeds");
+        result.solution().equivalent_resistance
+    };
+    let mut failures = Vec::new();
+    for ((name, geometry), upper, lower, h, tol) in rows {
+        let two = req(format!("soil two-layer {upper} {lower} {h}"), geometry);
+        let multi = req(
+            format!("soil multi-layer {upper} {h} {lower} inf"),
+            geometry,
+        );
+        let err = (multi - two) / two;
+        let row = format!("{name} γ {upper}/{lower} H {h}");
+        eprintln!("{row}: {two:.6} Ω vs {multi:.6} Ω, {err:+.2e}");
+        if err.abs() > tol {
+            failures.push(format!("{row}: {err:+.2e} > {tol:e}"));
+        }
+    }
+    assert!(failures.is_empty(), "{failures:#?}");
+}
