@@ -4,10 +4,11 @@
 //! every elemental matrix — "this scheme requires approximately twice the
 //! memory space" (§6.2; rebuilt in [`layerbem_bench::staged`]). The
 //! production class-first engine stores one block per class of congruent
-//! pairs instead, in bands of a bounded class table (≈ 0.37 MB at most),
-//! and scatters into the packed triangle in pair order. This driver
-//! measures both on the example grids and **asserts** that the staged
-//! scheme and the pooled engine are bit-identical to the one-thread run
+//! pairs instead, in a bounded class store per pair set (≈ 1 MB at most,
+//! plus 256 KB of class ids a band), and scatters into the packed
+//! triangle in pair order. This binary measures both on the example
+//! grids and **asserts** that the staged scheme and the pooled engine
+//! are bit-identical to the one-thread run
 //! (a one-thread pool, which the unit tests pin to the serial double
 //! loop) — matrix, right-hand side, and per-column series terms — the
 //! pooled engine for two thread counts and all three OpenMP schedule
@@ -237,7 +238,7 @@ fn main() {
         "The staged scheme holds the full elemental-block triangle (one 2x2\n\
          block per element pair, {BLOCK_BYTES} B each) on top of the packed\n\
          global triangle; the pooled class-first engine stages one block per\n\
-         class of congruent pairs in a bounded table (about 0.37 MB at most,\n\
+         class of congruent pairs in a bounded store (about 1.25 MB at most,\n\
          not counted above). All parallel runs above were verified bit-identical\n\
          to the one-thread run (matrix, rhs, and per-column series terms)."
     );

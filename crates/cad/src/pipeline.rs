@@ -5,8 +5,10 @@
 //! total — the observation that justifies parallelizing exactly that
 //! loop. [`run_pipeline`] reproduces the same phase structure and
 //! instrumentation as *validate → execute → render* around the one
-//! executor, [`layerbem_core::workload::execute`], drawing its studies
-//! from [`FreshSource`] (prepare now): it times discretization, hands the
+//! executor, [`layerbem_core::workload::execute`], preparing every study
+//! now on the mesh of phase 2 ([`StudySpec::prepare_on`], the body of
+//! [`FreshSource`](layerbem_core::workload::FreshSource) without a second
+//! meshing): it times discretization, hands the
 //! deck's workload and `edit` stanzas to the executor, sums the returned
 //! study profiles into one [`StudyProfile`] (`+=` — one study, or one per
 //! soil sample or design candidate), attributes matrix generation and
@@ -15,13 +17,16 @@
 //! scenario is answered from the retained factor — so a 16-scenario study
 //! pays one Table-6.1 matrix-generation bill, not sixteen.
 
+use std::sync::Arc;
 use std::time::Instant;
 
 use layerbem_core::formulation::SolveOptions;
 use layerbem_core::incremental::EditReport;
 use layerbem_core::study::StudyProfile;
 use layerbem_core::system::GroundingSolution;
-use layerbem_core::workload::{execute, Executed, FreshSource, Workload, WorkloadRow};
+use layerbem_core::workload::{
+    execute, ExecuteError, Executed, Sourced, StudySource, StudySpec, Workload, WorkloadRow,
+};
 use layerbem_geometry::{Mesh, Mesher};
 
 use crate::input::CadCase;
@@ -168,6 +173,27 @@ impl PipelineResult {
     }
 }
 
+/// The fresh source on the mesh phase 2 timed: every study a deck asks
+/// for — its scenarios' one, or one per soil sample — shares the deck's
+/// network and mesh options, so each is prepared on a copy of that mesh.
+struct Meshed<'m>(&'m Mesh);
+
+impl StudySource for Meshed<'_> {
+    fn study(&self, spec: &StudySpec<'_>) -> Result<Sourced, ExecuteError> {
+        let t = Instant::now();
+        let study = Arc::new(spec.prepare_on(self.0.clone())?);
+        Ok(Sourced {
+            study,
+            reused: false,
+            prepare_seconds: t.elapsed().as_secs_f64(),
+        })
+    }
+
+    fn replays_edits(&self) -> bool {
+        true
+    }
+}
+
 /// Runs the five-phase pipeline on a parsed case; matrix generation and
 /// the factorization run on the pool of [`SolveOptions::parallelism`]
 /// (one thread is a one-thread pool, its regions inline; the double loop
@@ -197,7 +223,7 @@ pub fn run_pipeline(
         &case.study_spec(opts),
         &case.workload,
         &case.edits,
-        &FreshSource,
+        &Meshed(&mesh),
     )?;
     let wall = t.elapsed().as_secs_f64();
 

@@ -12,13 +12,14 @@
 //! loop, which implies first the computation and the storage of all the
 //! elemental matrices and, after this step, the assembly in a sequential
 //! mode" (§6.2). One engine does that here, storing the pair *classes*
-//! only (below), in three phases per band of the triangle:
+//! only (below) in one class store per pair set, in three phases per band
+//! of the triangle:
 //!
 //! 1. **intern** — walk the pairs in the double loop's order and give each
-//!    the id of its class, in first-seen order, until the band's private
-//!    budget of classes is spent;
-//! 2. **integrate** — run [`pair_block`] once per class of the band, in
-//!    chunks of classes on
+//!    the id of its class, looking its key up in the store first; a key
+//!    the store lacks becomes a new class of the band;
+//! 2. **integrate** — run [`pair_block`] once per new class of the band,
+//!    in chunks of classes on
 //!    [`SolveOptions::parallelism`](crate::formulation::SolveOptions)'s
 //!    pool and schedule: independent tasks of similar cost, with no
 //!    triangle imbalance and no partition boundary;
@@ -29,7 +30,7 @@
 //! order, and a class block carries the bits the kernel returns for any
 //! member of its class, so the matrix, `column_terms` and `cost.kernel`
 //! are **bit-identical** to the paper's double loop for every schedule,
-//! thread count and budget. One thread is a one-thread pool: the same
+//! thread count and store capacity. One thread is a one-thread pool: the same
 //! code, with the integrate region run inline. The double loop itself is
 //! the tests' bit-identity oracle, not a production engine; the paper's
 //! store-every-block variant is rebuilt from the public elemental-block
@@ -47,10 +48,15 @@
 //! is the same integral, and it makes the block a pure function of (shape
 //! of β, shape of α, `Δxy = β.a − α.a`), an element's shape being the bits
 //! of `(b − a)ₓ`, `(b − a)ᵧ`, `a_z`, `b_z` and its radius. A class is
-//! exactly those bits. A band holds at most 6 144 classes (56 B each plus
-//! its index slots, ≈ 0.37 MB); on the paper's grids the kernel runs once
-//! for 17.3 % (Balaidos) and 40.3 % (Barberá) of the pairs, at every
-//! thread count.
+//! exactly those bits. The store keeps a pair set's classes across its
+//! bands, so a class met again in a later band is not integrated again
+//! while the store holds it. Its capacity follows the pair set: 4 096
+//! classes (≈ 0.25 MB at 64 B a class) up to 131 072 pairs, 8 192 up to
+//! 262 144 and 16 384 (≈ 1 MB) beyond; a band's class ids add 4 B a pair
+//! (≤ 256 KB). The kernel runs once for 17.3 % (Balaidos), 40.1 %
+//! (Barberá) and 48.2 % (Barberá refined to 628 dof, whose pairs are
+//! 40.7 % distinct classes) of the pairs, at every thread count and
+//! schedule: eviction runs on the calling thread, in pair order.
 //!
 //! The compressed-operator generation ([`assemble_hierarchical`]) runs its
 //! near field, and a moved edit
@@ -80,8 +86,8 @@ pub use collocation::assemble_collocation;
 pub use hierarchical::{
     assemble_hierarchical, HierarchicalReport, DEFAULT_ADMISSIBILITY, MAX_FAR_RANK,
 };
-pub(crate) use memo::ClassTable;
-use memo::{Class, PairShapes};
+pub(crate) use memo::ClassStore;
+use memo::PairShapes;
 
 /// What matrix generation cost: the one record every assembler
 /// ([`assemble_galerkin`], [`assemble_hierarchical`],
@@ -106,7 +112,7 @@ pub struct AssemblyCost {
     /// Series terms and batched-lane points/slots of the blocks the
     /// result embodies: every pair is charged its class's cost, so the
     /// counts are what the double loop computes, identical across
-    /// engines, schedules, thread counts and class budgets.
+    /// engines, schedules, thread counts and store capacities.
     pub kernel: KernelCost,
     /// Pairs the generation placed a block for: the triangle's
     /// `M(M+1)/2` for a dense Galerkin assembly; the near pairs plus the
@@ -116,7 +122,8 @@ pub struct AssemblyCost {
     pub pairs: usize,
     /// Kernel runs: for the dense engine, the hierarchical near field and
     /// the edit re-integration (over both geometries), the classes
-    /// integrated, summed over bands — the same number at every thread
+    /// integrated for the pair set — a class evicted from the pair set's
+    /// store and met again counts again — the same number at every thread
     /// count and schedule; every other pair reused its class's block.
     pub pairs_evaluated: usize,
     /// Compression accounting of the generated operator: `Some` for the
@@ -412,20 +419,6 @@ pub fn galerkin_rhs(mesh: &Mesh) -> Vec<f64> {
     rhs
 }
 
-/// Classes one band of class-first assembly holds: the largest budget
-/// measured that keeps one-thread assembly at least as fast as the memo
-/// it replaced without raising `cold-layered`'s peak RSS by more than
-/// 10 % (two one-thread assemblies side by side; 8 192 read +13 %). At
-/// 56 B a class plus a 32 KB index it is ≈ 0.37 MB.
-const CLASS_BUDGET: usize = 6144;
-
-impl Default for ClassTable {
-    /// The production table: [`CLASS_BUDGET`] classes a band.
-    fn default() -> Self {
-        ClassTable::with_budget(CLASS_BUDGET)
-    }
-}
-
 /// Classes one task of the integrate region computes. The kernel scratch
 /// is made once per task, and its allocations showed at 16: with uniform
 /// soil's cheap kernel, one-thread integration of 2 224 dof ran 8–13 %
@@ -439,27 +432,27 @@ const CLASS_CHUNK: usize = 64;
 /// paper's double loop (see the module doc).
 ///
 /// `column_terms[β]` sums the costs of column β's class blocks;
-/// `cost.pairs_evaluated` counts the classes integrated, summed over
-/// bands, the same at every thread count and schedule;
+/// `cost.pairs_evaluated` counts the classes integrated for the
+/// triangle, the same at every thread count and schedule;
 /// `cost.kernel_seconds` is the integrate phase's wall time; `stats` are
 /// the integrate regions' stats.
 pub fn assemble_galerkin(mesh: &Mesh, kernel: &SoilKernel, opts: &SolveOptions) -> AssemblyReport {
-    assemble_galerkin_in(mesh, kernel, opts, ClassTable::default())
+    assemble_galerkin_in(mesh, kernel, opts, ClassStore::default())
 }
 
-/// [`assemble_galerkin`] on the class table `table`: the tests run the
-/// engine with a one-class budget.
+/// [`assemble_galerkin`] on the class store `store`: the tests run the
+/// engine on a one-class store.
 fn assemble_galerkin_in(
     mesh: &Mesh,
     kernel: &SoilKernel,
     opts: &SolveOptions,
-    mut table: ClassTable,
+    mut store: ClassStore,
 ) -> AssemblyReport {
     let t0 = Instant::now();
     let geoms = element_geoms(mesh);
     let m = geoms.len();
-    // What the report keeps is allocated before the class table, so the
-    // freed table leaves no hole among live bytes: outputs allocated after
+    // What the report keeps is allocated before the class store, so the
+    // freed store leaves no hole among live bytes: outputs allocated after
     // an assembly's scratch once cost `cold-dense` 1–2 MB more peak RSS.
     let mut matrix = SymMatrix::zeros(mesh.dof());
     let mut column_terms = vec![0u64; m];
@@ -470,7 +463,7 @@ fn assemble_galerkin_in(
         kernel,
         triangle,
         m * (m + 1) / 2,
-        &mut table,
+        &mut store,
         &opts.parallelism,
         |beta, alpha, block, cost| {
             let (nb, na) = (mesh.elements[beta].nodes, mesh.elements[alpha].nodes);
@@ -496,27 +489,28 @@ fn assemble_galerkin_in(
 /// The one pair integrator: the class-first routine of the dense engine,
 /// the hierarchical near field and the moved-edit re-integration. `pairs`
 /// yields the pairs `(β, α)` of `geoms` to assemble — `len` of them, which
-/// sizes the table — in the order their contributions must reach each
-/// entry. Band by band:
+/// sizes the store — in the order their contributions must reach each
+/// entry. `store` is opened once for the pair set; then, band by band:
 ///
-/// 1. *intern* — `table` takes the band's pairs in order, with each
-///    pair's class id, until the band is full;
-/// 2. *integrate* — [`pair_block`] runs once per class on the band's
+/// 1. *intern* — the store takes the band's pairs in order, with each
+///    pair's class id, looking each key up among the classes it holds,
+///    until the band is full;
+/// 2. *integrate* — [`pair_block`] runs once per new class on its
 ///    representative pair, in chunks of [`CLASS_CHUNK`] classes on
 ///    `par`'s pool and schedule;
 /// 3. *scatter* — the band is walked again in pair order, and
 ///    `scatter(β, α, block, cost)` receives each pair's class block and
-///    cost, read through the pair's stored class id.
+///    cost, read through the pair's class id.
 ///
 /// Returns the generation's cost — pairs, kernel cost summed over pairs,
-/// classes integrated, the integrate phase's wall seconds — and the
+/// classes integrated, the integrate phases' wall seconds — and the
 /// integrate regions' summed stats.
 pub(crate) fn assemble_classes<I>(
     geoms: &[ElementGeom],
     kernel: &SoilKernel,
     pairs: I,
     len: usize,
-    table: &mut ClassTable,
+    store: &mut ClassStore,
     par: &Parallelism,
     mut scatter: impl FnMut(usize, usize, &Block, &KernelCost),
 ) -> (AssemblyCost, ExecutionStats)
@@ -528,44 +522,42 @@ where
     let mut cost = AssemblyCost::default();
     let mut stats = ExecutionStats::default();
     let mut rest = pairs;
-    let mut left = len;
+    store.open(len);
     loop {
-        table.reset(left);
+        store.begin_band();
         for (beta, alpha) in rest.clone() {
-            if !table.intern(&shapes, beta, alpha) {
+            if !store.intern(&shapes, beta, alpha) {
                 break;
             }
         }
-        let band_len = table.pairs();
+        let band_len = store.pairs();
         if band_len == 0 {
             break;
         }
 
-        let t = Instant::now();
-        let mut chunks: Vec<&mut [Class]> = table.classes_mut().chunks_mut(CLASS_CHUNK).collect();
-        stats += par
-            .pool
-            .scoped_partition(&mut chunks, par.schedule, |_, chunk| {
-                let mut batch = KernelBatch::new();
-                for class in chunk.iter_mut() {
-                    let (beta, alpha) = class.pair();
-                    let (block, c) =
-                        pair_block(&geoms[beta], &geoms[alpha], kernel, &quad, &mut batch);
-                    class.set(block, &c);
-                }
-            });
-        cost.kernel_seconds += t.elapsed().as_secs_f64();
-        cost.pairs_evaluated += table.len();
+        if store.fresh() > 0 {
+            let t = Instant::now();
+            cost.pairs_evaluated += store.fresh();
+            let mut chunks = store.fresh_chunks(CLASS_CHUNK);
+            stats += par
+                .pool
+                .scoped_partition(&mut chunks, par.schedule, |_, chunk| {
+                    let mut batch = KernelBatch::new();
+                    chunk.fill(|beta, alpha| {
+                        pair_block(&geoms[beta], &geoms[alpha], kernel, &quad, &mut batch)
+                    });
+                });
+            cost.kernel_seconds += t.elapsed().as_secs_f64();
+        }
 
         // The band's classes drive the zip, so `rest` advances by exactly
         // the band's pairs.
-        for (class, (beta, alpha)) in table.band().zip(rest.by_ref()) {
+        for (class, (beta, alpha)) in store.band().zip(rest.by_ref()) {
             let (block, c) = class.get();
             scatter(beta, alpha, block, &c);
             cost.kernel += c;
         }
         cost.pairs += band_len;
-        left = left.saturating_sub(band_len);
     }
     (cost, stats)
 }

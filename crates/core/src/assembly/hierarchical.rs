@@ -11,7 +11,7 @@ use layerbem_parfor::ExecutionStats;
 
 use super::{
     assemble_classes, element_geoms, galerkin_rhs, pair_block, scatter_pair, AssemblyCost, Block,
-    ClassTable, OuterQuadrature,
+    ClassStore, OuterQuadrature,
 };
 use crate::formulation::SolveOptions;
 use crate::integration::ElementGeom;
@@ -208,18 +208,18 @@ pub fn assemble_hierarchical(
     tol: f64,
     leaf_size: usize,
 ) -> Result<HierarchicalReport, AcaError> {
-    assemble_hierarchical_in(mesh, kernel, opts, tol, leaf_size, ClassTable::default())
+    assemble_hierarchical_in(mesh, kernel, opts, tol, leaf_size, ClassStore::default())
 }
 
-/// [`assemble_hierarchical`] with the near field on the class table
-/// `table`: the tests run it with a one-class budget.
+/// [`assemble_hierarchical`] with the near field on the class store
+/// `store`: the tests run it on a one-class store.
 pub(super) fn assemble_hierarchical_in(
     mesh: &Mesh,
     kernel: &SoilKernel,
     opts: &SolveOptions,
     tol: f64,
     leaf_size: usize,
-    mut table: ClassTable,
+    mut store: ClassStore,
 ) -> Result<HierarchicalReport, AcaError> {
     let t0 = Instant::now();
     let geoms = element_geoms(mesh);
@@ -255,7 +255,7 @@ pub(super) fn assemble_hierarchical_in(
         kernel,
         near_pairs,
         parts.near.len(),
-        &mut table,
+        &mut store,
         par,
         |beta, alpha, blk, _| {
             let (nb, na) = (map.element_nodes(beta), map.element_nodes(alpha));
@@ -263,7 +263,7 @@ pub(super) fn assemble_hierarchical_in(
         },
     );
     // Freed before the far blocks allocate.
-    drop(table);
+    drop(store);
     let map_ref = &map;
 
     // Far blocks: one deterministic ACA run per admissible cluster pair,

@@ -476,9 +476,9 @@ fn a_translated_grid_assembles_the_same_bits() {
 
 #[test]
 fn a_one_class_budget_still_reproduces_the_double_loop() {
-    // A one-class table closes a band after every new key, so nearly
-    // every pair is its own band: the engines must not depend on what the
-    // table keeps.
+    // A one-class store evicts its class on every new key and closes a
+    // band at every key change, so nearly every run of equal keys is its
+    // own band: the engines must not depend on what the store keeps.
     let mesh = barbera_style_mesh();
     let k = SoilKernel::new(&SoilModel::two_layer(0.005, 0.016, 1.0));
     let (matrix, column_terms, cost) = assemble_serial(&mesh, &k);
@@ -488,7 +488,7 @@ fn a_one_class_budget_still_reproduces_the_double_loop() {
         let label = format!("threads={threads}");
         let opts = SolveOptions::default()
             .with_parallelism(ThreadPool::new(threads), Schedule::dynamic(1));
-        let rep = assemble_galerkin_in(&mesh, &k, &opts, ClassTable::with_budget(1));
+        let rep = assemble_galerkin_in(&mesh, &k, &opts, ClassStore::with_capacity(1));
         assert_eq!(matrix.packed(), rep.matrix.packed(), "{label}");
         assert_eq!(column_terms, rep.column_terms, "{label}");
         assert_eq!(cost, rep.cost.kernel, "{label}");
@@ -505,7 +505,7 @@ fn a_one_class_budget_still_reproduces_the_double_loop() {
             &opts,
             1e-8,
             4,
-            ClassTable::with_budget(1),
+            ClassStore::with_capacity(1),
         )
         .expect("ACA converges");
         assert_near_field_is(one.operator.near(), &near, &label);
@@ -519,9 +519,9 @@ fn a_one_class_budget_still_reproduces_the_double_loop() {
 #[test]
 fn a_band_closes_at_its_pair_cap() {
     // A straight 512 m bar in 1 m elements, every coordinate exact: 131 328
-    // pairs of 512 classes (one shape, offsets −511..=0 m). The class
-    // budget never binds, so the bands close at 65 536 pairs, and every
-    // band after the first integrates its classes again.
+    // pairs of 512 classes (one shape, offsets −511..=0 m). The store
+    // never fills, so the bands close at 65 536 pairs, and a class met
+    // again in a later band reuses its block: each is integrated once.
     let mut net = ConductorNetwork::new();
     net.add(Conductor::new(
         Point3::new(0.0, 0.0, 0.8),
@@ -540,11 +540,7 @@ fn a_band_closes_at_its_pair_cap() {
     assert_eq!(column_terms, rep.column_terms);
     assert_eq!(cost, rep.cost.kernel);
     assert_eq!(rep.cost.pairs, 131_328);
-    assert!(
-        (513..=3 * 512).contains(&rep.cost.pairs_evaluated),
-        "{} classes integrated",
-        rep.cost.pairs_evaluated
-    );
+    assert_eq!(rep.cost.pairs_evaluated, 512);
 }
 
 #[test]
@@ -552,9 +548,9 @@ fn the_memo_spares_most_kernel_runs_on_the_paper_grids() {
     // Which pairs share a class depends on the keys and their order
     // alone, not on the soil or the pool: uniform soil keeps the test
     // quick. The shares are exact: 5 055 of 29 161 pairs (17.3 %, every
-    // class once) and 33 605 of 83 436 (40.3 %; Barberá's 28 588 classes
-    // span six bands of at most 6 144, and a class met again in a later
-    // band is integrated again) at every thread count.
+    // class once) and 33 431 of 83 436 (40.1 %; Barberá's 28 588 classes
+    // outgrow its pair set's 4 096-class store, and a class evicted and
+    // met again is integrated again) at every thread count.
     let k = uniform_kernel();
     for (net, ceiling) in [
         (layerbem_geometry::grids::balaidos(), 0.18),
@@ -574,6 +570,73 @@ fn the_memo_spares_most_kernel_runs_on_the_paper_grids() {
             );
         }
     }
+}
+
+#[test]
+fn the_class_store_reproduces_the_double_loop_at_every_schedule() {
+    // The production store (which holds every class of this yard), an
+    // 8-set store of 64 classes and a one-class store (which evict on the
+    // yard's pairs) at 1–4 threads and five schedules: every one has the
+    // double loop's bits, and how many classes each store integrates
+    // depends on the store alone — eviction runs in pair order, on the
+    // calling thread.
+    let mesh = rect_yard(3, 3, true);
+    let k = SoilKernel::new(&SoilModel::two_layer(0.005, 0.016, 1.0));
+    let (matrix, column_terms, cost) = assemble_serial(&mesh, &k);
+    let m = mesh.element_count();
+    let mut evaluated = Vec::new();
+    for capacity in [None, Some(64), Some(1)] {
+        let mut counts = Vec::new();
+        for threads in 1..=4 {
+            for schedule in [
+                Schedule::static_blocked(),
+                Schedule::static_chunk(3),
+                Schedule::dynamic(1),
+                Schedule::dynamic(4),
+                Schedule::guided(2),
+            ] {
+                let label = format!("{capacity:?} threads={threads} {}", schedule.label());
+                let opts =
+                    SolveOptions::default().with_parallelism(ThreadPool::new(threads), schedule);
+                let store = capacity.map_or_else(ClassStore::default, ClassStore::with_capacity);
+                let rep = assemble_galerkin_in(&mesh, &k, &opts, store);
+                assert_eq!(matrix.packed(), rep.matrix.packed(), "{label}");
+                assert_eq!(column_terms, rep.column_terms, "{label}");
+                assert_eq!(cost, rep.cost.kernel, "{label}");
+                assert_eq!(rep.cost.pairs, m * (m + 1) / 2, "{label}");
+                counts.push(rep.cost.pairs_evaluated);
+            }
+        }
+        assert!(
+            counts.iter().all(|&c| c == counts[0]),
+            "{capacity:?}: {counts:?} classes integrated"
+        );
+        evaluated.push(counts[0]);
+    }
+    assert!(
+        evaluated[0] < evaluated[1] && evaluated[1] < evaluated[2],
+        "the small stores evict: {evaluated:?} classes integrated"
+    );
+}
+
+#[test]
+fn a_class_met_in_two_bands_is_integrated_once() {
+    // Refined Barberá (628 dof, the `cold-dense` decks): 318 801 pairs in
+    // about fifty bands. A store per band integrated 217 564 classes
+    // (68.2 %); the pair set's 16 384-class store integrates 153 580
+    // (48.2 %); 40.7 % of the pairs are distinct classes.
+    let mesh = Mesher::new(layerbem_geometry::MeshOptions {
+        max_element_length: 4.0,
+    })
+    .mesh(&layerbem_geometry::grids::barbera());
+    let rep = assemble_galerkin(&mesh, &uniform_kernel(), &SolveOptions::default());
+    assert_eq!(rep.cost.pairs, 318_801);
+    assert!(
+        2 * rep.cost.pairs_evaluated <= rep.cost.pairs,
+        "{} of {} pairs evaluated",
+        rep.cost.pairs_evaluated,
+        rep.cost.pairs
+    );
 }
 
 proptest! {

@@ -47,7 +47,7 @@ use layerbem_soil::SoilModel;
 
 use crate::assembly::{
     assemble_classes, assemble_galerkin, element_geoms, galerkin_rhs, scatter_pair, AssemblyCost,
-    Block, ClassTable,
+    Block, ClassStore,
 };
 use crate::formulation::{Formulation, OperatorBackend, SolveOptions, SolverChoice};
 use crate::kernel::SoilKernel;
@@ -471,7 +471,7 @@ impl Study {
             DeltaKind::Moved {
                 elements,
                 touched_rows,
-            } => self.edit_moved(new_mesh, &elements, touched_rows, ClassTable::default()),
+            } => self.edit_moved(new_mesh, &elements, touched_rows, ClassStore::default()),
             DeltaKind::Topology { .. } => self.edit_rebuild(new_mesh),
         }
     }
@@ -482,7 +482,7 @@ impl Study {
         new_mesh: Mesh,
         changed: &[usize],
         touched_rows: Vec<usize>,
-        mut table: ClassTable,
+        mut store: ClassStore,
     ) -> Result<EditReport, EditError> {
         let mut es = self.edit.take().expect("checked by apply_edit");
         let n = self.rhs.len();
@@ -512,7 +512,7 @@ impl Study {
             &es.kernel,
             pairs.iter().copied(),
             pairs.len(),
-            &mut table,
+            &mut store,
             &self.opts.parallelism,
             |beta, alpha, block, _| {
                 if beta < m {
@@ -1382,7 +1382,7 @@ mod tests {
             })
             .collect();
         for solver in [SolverChoice::Cholesky, SolverChoice::ConjugateGradient] {
-            // The production table, and a one-class budget that makes
+            // The production store, and a one-class store that makes
             // every class its own band.
             for (threads, budget) in [(1, None), (3, None), (1, Some(1)), (3, Some(1))] {
                 let opts = SolveOptions {
@@ -1421,7 +1421,7 @@ mod tests {
                             new_mesh,
                             &elements,
                             touched_rows,
-                            budget.map_or_else(ClassTable::default, ClassTable::with_budget),
+                            budget.map_or_else(ClassStore::default, ClassStore::with_capacity),
                         )
                         .expect("edit");
                     assert_eq!(report.path, EditPath::Incremental);

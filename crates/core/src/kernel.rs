@@ -58,9 +58,10 @@ pub struct KernelBatch {
     zs: Vec<f64>,
     /// Per-point result: `[∫N₀·G, ∫N₁·G]`.
     vals: Vec<[f64; 2]>,
-    /// Collective-series engine (accumulators + term buffer), reused
-    /// across pairs so the steady-state series loop is allocation-free.
-    series: series::BatchSeries,
+    /// Collective-series engine (accumulators + term buffer) and the
+    /// current group's image list, reused across pairs so the
+    /// steady-state series loop is allocation-free.
+    series: SeriesScratch,
     /// Subset compaction scratch of the passes only some points take:
     /// original indices and the compacted point SoA.
     sub_idx: Vec<usize>,
@@ -107,12 +108,39 @@ impl KernelBatch {
     }
 
     /// Adds the integrals over the sub-range `[s0, s1]` of `src` to every
+    /// queued point in one lane pass over `groups`, reading the batch in
+    /// place.
+    fn integrate_all(
+        &mut self,
+        src: &ElementGeom,
+        s0: f64,
+        s1: f64,
+        groups: Groups<'_>,
+        opts: SeriesOptions,
+        cost: &mut KernelCost,
+    ) {
+        let KernelBatch {
+            xs,
+            ys,
+            zs,
+            vals,
+            series,
+            ..
+        } = self;
+        let add = |j: usize, v0: f64, v1: f64| {
+            vals[j][0] += v0;
+            vals[j][1] += v1;
+        };
+        image_series_batch(xs, ys, zs, series, src, s0, s1, groups, opts, cost, add);
+    }
+
+    /// Adds the integrals over the sub-range `[s0, s1]` of `src` to every
     /// queued point, one lane pass per side of a split: the points whose
     /// depth `side` accepts take the groups `groups(true)`, the rest
     /// `groups(false)`. When one side holds every point the batch is read
-    /// in place; otherwise each side is compacted into the scratch SoA.
-    /// Membership depends only on the points themselves, so pair-level
-    /// determinism is preserved.
+    /// in place ([`Self::integrate_all`]); otherwise each side is compacted
+    /// into the scratch SoA. Membership depends only on the points
+    /// themselves, so pair-level determinism is preserved.
     #[allow(clippy::too_many_arguments)]
     fn integrate_sides<'g>(
         &mut self,
@@ -124,6 +152,10 @@ impl KernelBatch {
         opts: SeriesOptions,
         cost: &mut KernelCost,
     ) {
+        let accepted = self.zs.iter().filter(|&&z| side(z)).count();
+        if accepted == 0 || accepted == self.zs.len() {
+            return self.integrate_all(src, s0, s1, groups(accepted > 0), opts, cost);
+        }
         let KernelBatch {
             xs,
             ys,
@@ -139,12 +171,6 @@ impl KernelBatch {
             vals[j][0] += v0;
             vals[j][1] += v1;
         };
-        let accepted = zs.iter().filter(|&&z| side(z)).count();
-        if accepted == 0 || accepted == zs.len() {
-            let groups = groups(accepted > 0);
-            image_series_batch(xs, ys, zs, series, src, s0, s1, groups, opts, cost, add);
-            return;
-        }
         for this_side in [true, false] {
             sub_idx.clear();
             sub_xs.clear();
@@ -190,7 +216,7 @@ impl KernelBatch {
 /// refuses a study whose assembly counted any.
 ///
 /// A pair block's record is a pure function of the pair's class (its key
-/// in the assembly's class table), so the Galerkin engines charge every
+/// in the assembly's class store), so the Galerkin engines charge every
 /// pair the stored record of its class: the counts are those of the
 /// matrix the generation *embodies*, identical to the double loop's
 /// however few pairs the kernel actually ran ([`AssemblyCost::pairs_evaluated`](crate::assembly::AssemblyCost::pairs_evaluated)
@@ -411,6 +437,16 @@ impl SoilKernel {
         for (s0, s1) in split_at_depths(src, &self.depths) {
             let src_z = src.at(0.5 * (s0 + s1)).z;
             match &self.strategy {
+                // Uniform soil has no interface: every point sees the one
+                // upper-upper family, with no side to count.
+                Strategy::Images(soil) if self.depths.is_empty() => batch.integrate_all(
+                    src,
+                    s0,
+                    s1,
+                    Groups::Series(soil.expansion(true, true)),
+                    self.opts,
+                    &mut cost,
+                ),
                 Strategy::Images(soil) => {
                     // The kernel family depends on the *field* side of the
                     // interface, so points above and below are separate
@@ -710,6 +746,14 @@ impl SubRange {
     }
 }
 
+/// What [`image_series_batch`] reuses across calls: the series engine
+/// and the image list it fills group by group.
+#[derive(Clone, Debug, Default)]
+struct SeriesScratch {
+    engine: series::BatchSeries,
+    images: Vec<Image>,
+}
+
 /// Core of the batched image-series integration: sums the image groups of
 /// `groups` over the sub-range `[s0, s1]` for **all** points of the SoA
 /// slices at once, under the collective stop of [`series::BatchSeries`]
@@ -722,7 +766,7 @@ fn image_series_batch(
     xs: &[f64],
     ys: &[f64],
     zs: &[f64],
-    engine: &mut series::BatchSeries,
+    scratch: &mut SeriesScratch,
     src: &ElementGeom,
     s0: f64,
     s1: f64,
@@ -742,11 +786,11 @@ fn image_series_batch(
     // rod integrals. Assembly batches sit on conductor surfaces below
     // ground and take the full list.
     let on_surface = zs.iter().all(|&z| z == 0.0);
-    let mut images: Vec<Image> = Vec::new();
+    let SeriesScratch { engine, images } = scratch;
     let (_, converged) = engine.run(
         2 * npts,
         |n, buf| {
-            groups.fill(n, on_surface, &mut images);
+            groups.fill(n, on_surface, images);
             if images.is_empty() {
                 // Group 0 is never empty (crate::images invariant);
                 // emptiness at n ≥ 1 signals exhaustion.
@@ -756,7 +800,7 @@ fn image_series_batch(
             // Plane layout: lane j is point j's N₀ integral, lane
             // npts + j its N₁ integral.
             let (b0, b1) = buf.split_at_mut(npts);
-            sub.add_group(xs, ys, zs, &images, b0, b1);
+            sub.add_group(xs, ys, zs, images, b0, b1);
             cost.lane_points += (images.len() * npts) as u64;
             cost.lane_slots += (images.len() * slots_for(npts)) as u64;
             cost.terms += (images.len() * npts) as u64;

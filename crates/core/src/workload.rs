@@ -48,7 +48,7 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use layerbem_geometry::grids::{rectangular_grid, RectGridSpec};
-use layerbem_geometry::{ConductorNetwork, MeshOptions, Mesher, Point3};
+use layerbem_geometry::{ConductorNetwork, Mesh, MeshOptions, Mesher, Point3};
 use layerbem_numeric::Xoshiro256StarStar;
 use layerbem_soil::sample::perturb;
 use layerbem_soil::SoilModel;
@@ -415,7 +415,13 @@ impl StudySpec<'_> {
     /// factorize. The body of [`FreshSource`], and what a caching source
     /// falls back to on a miss.
     pub fn prepare(&self) -> Result<Study, ExecuteError> {
-        let mesh = Mesher::new(self.mesh_options).mesh(self.network);
+        self.prepare_on(Mesher::new(self.mesh_options).mesh(self.network))
+    }
+
+    /// [`Self::prepare`] on `mesh`, which must be `network` meshed under
+    /// `mesh_options`: a front end that already meshed the network (the
+    /// CLI times that as its own phase) does not mesh it again.
+    pub fn prepare_on(&self, mesh: Mesh) -> Result<Study, ExecuteError> {
         let system =
             GroundingSystem::try_new(mesh, self.soil, self.opts).map_err(ExecuteError::Model)?;
         Ok(system.prepare()?)

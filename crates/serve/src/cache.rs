@@ -462,13 +462,15 @@ impl StudySource for Source<'_, '_> {
         debug_assert!(*key == StudyKey::of_spec(spec), "the key names the spec");
         let (cache, metrics) = (self.deck.cache, self.deck.metrics);
         let t = Instant::now();
-        let (study, outcome) = cache.get_or_prepare(key, || spec.prepare())?;
+        // A miss is counted before its entry is published, so `stats`
+        // never shows a resident study whose miss is not yet counted.
+        let (study, outcome) = cache.get_or_prepare(key, || {
+            spec.prepare()
+                .inspect(|_| Metrics::bump(&metrics.cache_misses))
+        })?;
         let elapsed = t.elapsed();
         match outcome {
-            CacheOutcome::Miss => {
-                Metrics::bump(&metrics.cache_misses);
-                metrics.prepare.record(elapsed);
-            }
+            CacheOutcome::Miss => metrics.prepare.record(elapsed),
             CacheOutcome::Hit => Metrics::bump(&metrics.cache_hits),
         }
         Ok(Sourced {
