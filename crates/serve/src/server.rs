@@ -453,8 +453,50 @@ impl Drop for ServerHandle {
     }
 }
 
+/// Buffers from this size up get a mapping of their own, unmapped when
+/// freed: a packed matrix or factor of over ~1 000 dof.
+const STUDY_MMAP_THRESHOLD: std::ffi::c_int = 4 << 20;
+
+/// Pins glibc's mmap threshold at [`STUDY_MMAP_THRESHOLD`] for the
+/// process, so an evicted or dropped study's memory leaves the process.
+///
+/// Left dynamic, glibc raises the threshold to the size of the first
+/// mapped block freed, so every later study of that size is carved from
+/// the arena of the worker thread that prepared it, and stays there when
+/// freed. The next prepare runs on whichever arena its thread draws, and
+/// when that is another one the process holds two studies' bytes for one
+/// resident study: on a 2-vCPU host, a server primed three times over
+/// with a 2 224-dof study (20 MB) read a peak RSS of 38 MB on most runs
+/// and 57 MB on others.
+///
+/// Setting the threshold turns the dynamic raise off, and with it the
+/// raise of the trim threshold to twice the mmap threshold; that is set
+/// here too, so that no buffer an arena serves, once freed, makes the
+/// arena give its top back: left at glibc's default of 128 KiB, the same
+/// server answered ~20 % fewer cached solves a second.
+fn pin_mmap_threshold() {
+    #[cfg(all(target_os = "linux", target_env = "gnu"))]
+    {
+        use std::ffi::c_int;
+        extern "C" {
+            fn mallopt(param: c_int, value: c_int) -> c_int;
+        }
+        const M_TRIM_THRESHOLD: c_int = -1;
+        const M_MMAP_THRESHOLD: c_int = -3;
+        // SAFETY: `mallopt` only sets allocator parameters, under glibc's
+        // own lock; it is sound to call from any thread.
+        unsafe {
+            mallopt(M_MMAP_THRESHOLD, STUDY_MMAP_THRESHOLD);
+            mallopt(M_TRIM_THRESHOLD, 2 * STUDY_MMAP_THRESHOLD);
+        }
+    }
+}
+
 /// Binds, spawns the accept loop and worker pool, and returns the handle.
+/// On glibc it first pins the process's mmap and trim thresholds, so a
+/// dropped or evicted study's memory leaves the process.
 pub fn spawn(config: ServerConfig) -> std::io::Result<ServerHandle> {
+    pin_mmap_threshold();
     let listener = TcpListener::bind(&config.listen)?;
     let addr = listener.local_addr()?;
     let service = Arc::new(Service::new(config.max_resident_bytes, config.solve));
